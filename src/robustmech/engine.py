@@ -220,7 +220,7 @@ class Game:
         return t1, t2, lot
 
     def _expected_u(self, agent: int, circ: int, state: int, m1: int, m2: int) -> Number:
-        key = (agent, circ, state, m1, m2)
+        key = (agent, self.perturbation.payoff_class(agent, circ), state, m1, m2)
         hit = self._u_cache.get(key)
         if hit is not None:
             return hit
@@ -237,8 +237,9 @@ class Game:
 
     def inner_value(self, agent: int, circ: int, own: PureStrategy, opp: PureStrategy) -> Number:
         """Expected payoff at a fixed circumstance against an opponent pure
-        strategy, integrating over states, signals, and trembles."""
-        key = (agent, circ, own, opp)
+        strategy, integrating over states, signals, and trembles.  Cached
+        by the circumstance's payoff class, which fixes the value."""
+        key = (agent, self.perturbation.payoff_class(agent, circ), own, opp)
         hit = self._inner_cache.get(key)
         if hit is not None:
             return hit
@@ -255,9 +256,6 @@ class Game:
         self._inner_cache[key] = total
         return total
 
-    def opponent_side(self, profile: StrategyProfile, agent: int) -> dict[int, TypeStrategy]:
-        return profile[1 - agent]
-
 
 def expected_payoff(
     game: Game,
@@ -267,22 +265,18 @@ def expected_payoff(
     opponent: dict[int, TypeStrategy],
 ) -> Number:
     """Interim expected payoff of a type playing a pure strategy against the
-    opponent side of a profile."""
+    opponent side of a profile, summed with the type's conditional
+    circumstance weights."""
     pert = game.perturbation
-    element = pert.partitions[agent][type_index]
-    total_mass = sum(pert.pi[w] for w in element)
-    if total_mass == 0:
+    if pert.type_prob(agent, type_index) == 0:
         raise ModelError("expected payoff of a zero-probability type")
     value = Fraction(0)
-    for w in element:
-        mass = pert.pi[w]
-        if mass == 0:
-            continue
-        opp_type = pert.type_of(1 - agent, w)
+    for opp_type, cells in pert.type_groups(agent, type_index):
         for r, weight in opponent[opp_type].items():
             if weight:
-                value += mass * weight * game.inner_value(agent, w, strategy, r)
-    return value / total_mass
+                for w, mass in cells:
+                    value += mass * weight * game.inner_value(agent, w, strategy, r)
+    return value
 
 
 def mixture_payoff(

@@ -306,6 +306,15 @@ def iterated_dominance(
     comparison is a sum of per-opponent-type minima.  Returns the
     surviving sets per (agent, type) and the number of rounds to the
     fixed point.
+
+    A round checks agent 1's types, then agent 2's, so agent 2 sees agent
+    1's eliminations of the same round.  A type is checked again only
+    when an opponent type it meets with positive mass has lost a strategy
+    since its last check.  Its own pool shrinking needs no recheck: a
+    strategy that no member or grid mixture of a pool dominates stays
+    undominated within any subset of that pool.  Every skipped check would
+    have eliminated nothing, so the surviving sets after each round, and
+    the round count, equal those of checking every type every round.
     """
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
@@ -315,12 +324,15 @@ def iterated_dominance(
         }
         for agent in (0, 1)
     ]
+    stale = [set(surviving[0]), set(surviving[1])]
     rounds = 0
     while rounds < max_rounds:
         changed = False
         for agent in (0, 1):
             opp = 1 - agent
-            for t, pool in surviving[agent].items():
+            todo, stale[agent] = stale[agent], set()
+            for t in sorted(todo):
+                pool = surviving[agent][t]
                 if pert.type_prob(agent, t) == 0 or len(pool) <= 1:
                     continue
                 keep = [
@@ -333,33 +345,24 @@ def iterated_dominance(
                 if len(keep) != len(pool):
                     surviving[agent][t] = keep
                     changed = True
+                    stale[opp].update(u for u, _ in pert.type_groups(agent, t))
         if not changed:
             break
         rounds += 1
     return surviving, rounds
 
 
-def _type_groups(game: Game, agent: int, t: int):
-    """Own-type circumstances grouped by the opponent type they induce."""
-    pert = game.perturbation
-    groups: dict[int, list[int]] = {}
-    for w in pert.partitions[agent][t]:
-        if pert.pi[w]:
-            groups.setdefault(pert.type_of(1 - agent, w), []).append(w)
-    return groups
-
-
 def _pair_margin(game: Game, agent: int, t: int, better, worse, opp_surviving):
-    """Worst-case payoff gain of ``better`` over ``worse``; ``better`` may
-    be a pure strategy or a [(strategy, weight)] mixture."""
-    pert = game.perturbation
+    """Worst-case gain of ``better`` over ``worse`` in conditional weights
+    (the interim gain divided by the type's positive mass, so its sign is
+    the interim sign); ``better`` may be a pure strategy or a
+    [(strategy, weight)] mixture."""
     total = Fraction(0)
-    for opp_type, circs in _type_groups(game, agent, t).items():
+    for opp_type, cells in game.perturbation.type_groups(agent, t):
         best = None
         for r in opp_surviving[opp_type]:
             gain = Fraction(0)
-            for w in circs:
-                mass = pert.pi[w]
+            for w, mass in cells:
                 if isinstance(better, tuple):
                     up = game.inner_value(agent, w, better, r)
                 else:

@@ -438,7 +438,6 @@ def deviation_dominance_certificate(
         p_m_max = (1 - tau) * prob_meaning[m] + tau * noise_m[m]
         p_low_min = (1 - tau) * prob_meaning[1] + tau * noise_low
         if modified:
-            worst = p_m_max * sched.r(m) + ((1 - tau) + tau * noise_low) * (r0 - x)
             worst = p_m_max * sched.r(m) + max(
                 (r0 - x) * ((1 - tau) + tau * noise_low), (r0 - x) * (tau * noise_low)
             )

@@ -202,7 +202,7 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
     kind, kind_line = _require(block, "kind", line, "perturbation")
     biases = []
     if "bias" in block:
-        for item, b_line in block["bias"][0]:
+        for number, (item, b_line) in enumerate(block["bias"][0], start=1):
             agent = item.get("agent", (1, b_line))[0]
             if agent not in (1, 2):
                 raise ScenarioFileError("bias: agent must be 1 or 2", b_line)
@@ -216,8 +216,16 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
                 # Same "state,outcome" keys as agent u tables; '*' spans states.
                 order = list(scenario.state_space.states)
                 for key, val in u_raw.items():
-                    sname, oname = [p.strip() for p in str(key).split(",")]
-                    value = _rat(val, f"bias u[{key}]")
+                    where = f"bias entry {number} u[{key}]"
+                    parts = [p.strip() for p in str(key).split(",")]
+                    if len(parts) != 2:
+                        raise ScenarioFileError(f"{where}: key must be 'state,outcome'", u_line)
+                    sname, oname = parts
+                    if sname != "*" and sname not in order:
+                        raise ScenarioFileError(f"{where}: unknown state {sname!r}", u_line)
+                    if oname not in outcomes:
+                        raise ScenarioFileError(f"{where}: unknown outcome {oname!r}", u_line)
+                    value = _rat(val, where)
                     targets = range(scenario.n) if sname == "*" else [order.index(sname)]
                     for s in targets:
                         overrides[(s, outcomes.index(oname))] = value

@@ -50,7 +50,27 @@ def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Circumstance ladder with partitions and perturbed payoffs."""
+    """Circumstance ladder with partitions and perturbed payoffs.
+
+    Construction compiles the partitions into per-agent tables so that
+    evaluators never rescan them:
+
+    * a circumstance -> type table and a type -> mass table, which make
+      ``type_of`` and ``type_prob`` lookups;
+    * payoff classes: a circumstance's class for an agent is ``None``
+      ("normal") or the index of the ``BiasSpec`` that applies to that
+      agent there, so every circumstance of a class has the same payoffs
+      and cost;
+    * per type, the conditional weights ``pi[w] / P(type)`` of its
+      positive-mass circumstances, grouped by the opponent type they
+      induce, with same-class circumstances merged by summing their
+      weights (``type_groups``).
+
+    Evaluators key their caches by payoff class, so their size does not
+    grow with the ladder depth, and conditional weights keep operands
+    small where raw ladder masses would carry denominators that grow with
+    the depth.
+    """
 
     scenario: ScenarioModel
     pi: tuple[Number, ...]
@@ -62,6 +82,8 @@ class Perturbation:
         total = sum(self.pi)
         if total != 1 and abs(total - 1) > 1e-9:
             raise ModelError("circumstance distribution must sum to one")
+        if any(p < 0 for p in self.pi):
+            raise ModelError("circumstance probabilities must be nonnegative")
         for part in self.partitions:
             seen = sorted(w for block in part for w in block)
             if seen != list(range(len(self.pi))):
@@ -69,25 +91,70 @@ class Perturbation:
         for b in self.biases:
             if not 0 <= b.circumstance < len(self.pi):
                 raise ModelError("bias refers to a missing circumstance")
+        bias_index = {(b.agent, b.circumstance): i for i, b in enumerate(self.biases)}
+        type_index = []
+        for part in self.partitions:
+            index = [0] * len(self.pi)
+            for t, block in enumerate(part):
+                for w in block:
+                    index[w] = t
+            type_index.append(tuple(index))
+        type_mass = tuple(
+            tuple(sum(self.pi[w] for w in block) for block in part)
+            for part in self.partitions
+        )
+        classes = tuple(
+            tuple(bias_index.get((agent, w)) for w in range(len(self.pi)))
+            for agent in (0, 1)
+        )
+        groups = tuple(
+            tuple(
+                self._conditional_groups(block, mass, type_index[1 - agent], classes[agent])
+                for block, mass in zip(self.partitions[agent], type_mass[agent])
+            )
+            for agent in (0, 1)
+        )
         object.__setattr__(self, "_bias_map", {
             (b.agent, b.circumstance): b for b in self.biases
         })
+        object.__setattr__(self, "_type_index", tuple(type_index))
+        object.__setattr__(self, "_type_mass", type_mass)
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_groups", groups)
+
+    def _conditional_groups(self, block, mass, opp_type_index, classes):
+        by_opp: dict[int, dict] = {}
+        for w in block:
+            if not self.pi[w]:
+                continue
+            cells = by_opp.setdefault(opp_type_index[w], {})
+            rep, weight = cells.get(classes[w], (w, 0))
+            cells[classes[w]] = (rep, weight + self.pi[w] / mass)
+        return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
 
     @property
     def size(self) -> int:
         return len(self.pi)
 
-    def type_elements(self, agent: int) -> tuple[tuple[int, ...], ...]:
-        return self.partitions[agent]
-
     def type_of(self, agent: int, circ: int) -> int:
-        for idx, block in enumerate(self.partitions[agent]):
-            if circ in block:
-                return idx
-        raise ModelError(f"circumstance {circ} not in agent {agent} partition")
+        if not 0 <= circ < len(self.pi):
+            raise ModelError(f"circumstance {circ} not in agent {agent} partition")
+        return self._type_index[agent][circ]
 
     def type_prob(self, agent: int, type_index: int) -> Number:
-        return sum(self.pi[w] for w in self.partitions[agent][type_index])
+        return self._type_mass[agent][type_index]
+
+    def payoff_class(self, agent: int, circ: int) -> int | None:
+        """``None`` where the agent has normal payoffs, else the index of
+        the bias that applies to the agent at ``circ``."""
+        return self._classes[agent][circ]
+
+    def type_groups(self, agent: int, type_index: int):
+        """``((opp_type, ((circ, weight), ...)), ...)``: the type's
+        positive-mass circumstances grouped by the opponent type they
+        induce, one representative circumstance per payoff class, with the
+        class's summed conditional weight ``pi[w] / P(type)``."""
+        return self._groups[agent][type_index]
 
     def cost(self, agent: int, circ: int) -> Number:
         bias = self._bias_map.get((agent, circ))
@@ -232,7 +299,7 @@ def is_c_bounded(perturbation: Perturbation, c_bar: Number) -> bool:
 def posterior(perturbation: Perturbation, agent: int, type_index: int) -> dict[int, Number]:
     """Bayes posterior over the opponent's types given one's own type."""
     element = perturbation.partitions[agent][type_index]
-    total = sum(perturbation.pi[w] for w in element)
+    total = perturbation.type_prob(agent, type_index)
     if total == 0:
         raise ModelError("posterior of a zero-probability type")
     other = 1 - agent

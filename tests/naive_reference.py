@@ -1,0 +1,209 @@
+"""Naive reference evaluator for differential tests.
+
+The functions below are the per-circumstance evaluator that the compiled
+perturbation tables replaced: linear scans for types and masses, raw
+ladder masses as weights, caches keyed by circumstance, and iterated
+dominance that rechecks every type in every round.  They are kept
+verbatim so that the compiled engine can be compared against them by
+exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
+``inner_value``; ``NaivePerturbation`` supplies the old ``type_of`` and
+``type_prob``.
+"""
+
+import itertools
+from fractions import Fraction
+
+from robustmech.core import ModelError
+from robustmech.engine import Game, PureStrategy, TypeStrategy, is_constant
+from robustmech.numeric import Number
+
+
+class NaivePerturbation:
+    """Pre-compilation type lookups over a ``Perturbation``."""
+
+    def __init__(self, pert):
+        self._pert = pert
+        self.pi = pert.pi
+        self.partitions = pert.partitions
+
+    def __getattr__(self, name):
+        return getattr(self._pert, name)
+
+    def type_of(self, agent: int, circ: int) -> int:
+        for idx, block in enumerate(self.partitions[agent]):
+            if circ in block:
+                return idx
+        raise ModelError(f"circumstance {circ} not in agent {agent} partition")
+
+    def type_prob(self, agent: int, type_index: int) -> Number:
+        return sum(self.pi[w] for w in self.partitions[agent][type_index])
+
+
+class NaiveGame:
+    """A ``Game`` seen through the per-circumstance payoff caches."""
+
+    def __init__(self, game):
+        self.scenario = game.scenario
+        self.perturbation = NaivePerturbation(game.perturbation)
+        self.coords = game.coords
+        self.pair_values = game.pair_values
+        self._u_cache = {}
+        self._inner_cache = {}
+
+    def _expected_u(self, agent: int, circ: int, state: int, m1: int, m2: int) -> Number:
+        key = (agent, circ, state, m1, m2)
+        hit = self._u_cache.get(key)
+        if hit is not None:
+            return hit
+        lot = self.pair_values(m1, m2)[2]
+        value = sum(
+            w * self.perturbation.utility(agent, circ, state, y)
+            for y, w in enumerate(lot.weights)
+            if w
+        )
+        self._u_cache[key] = value
+        return value
+
+    def inner_value(self, agent: int, circ: int, own: PureStrategy, opp: PureStrategy) -> Number:
+        """Expected payoff at a fixed circumstance against an opponent pure
+        strategy, integrating over states, signals, and trembles."""
+        key = (agent, circ, own, opp)
+        hit = self._inner_cache.get(key)
+        if hit is not None:
+            return hit
+        total = Fraction(0)
+        for theta, k1, k2, p in self.coords:
+            if agent == 0:
+                m1, m2 = own[k1], opp[k2]
+            else:
+                m1, m2 = opp[k1], own[k2]
+            t = self.pair_values(m1, m2)[agent]
+            total += p * (t + self._expected_u(agent, circ, theta, m1, m2))
+        if not is_constant(own):
+            total -= self.perturbation.cost(agent, circ)
+        self._inner_cache[key] = total
+        return total
+
+
+def expected_payoff(
+    game: Game,
+    agent: int,
+    type_index: int,
+    strategy: PureStrategy,
+    opponent: dict[int, TypeStrategy],
+) -> Number:
+    """Interim expected payoff of a type playing a pure strategy against the
+    opponent side of a profile."""
+    pert = game.perturbation
+    element = pert.partitions[agent][type_index]
+    total_mass = sum(pert.pi[w] for w in element)
+    if total_mass == 0:
+        raise ModelError("expected payoff of a zero-probability type")
+    value = Fraction(0)
+    for w in element:
+        mass = pert.pi[w]
+        if mass == 0:
+            continue
+        opp_type = pert.type_of(1 - agent, w)
+        for r, weight in opponent[opp_type].items():
+            if weight:
+                value += mass * weight * game.inner_value(agent, w, strategy, r)
+    return value / total_mass
+
+
+def iterated_dominance(
+    game: Game,
+    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    mixture_denominator: int = 0,
+    max_rounds: int = 10_000,
+) -> tuple[list[dict[int, list[PureStrategy]]], int]:
+    """Interim iterated elimination of strictly dominated strategies.
+
+    A type's strategy is eliminated when some other surviving strategy
+    (or, if ``mixture_denominator`` > 0, a two-point mixture on that grid)
+    does strictly better against every selection of surviving opponent
+    strategies.  The worst case separates across opponent types, so each
+    comparison is a sum of per-opponent-type minima.  Returns the
+    surviving sets per (agent, type) and the number of rounds to the
+    fixed point.
+    """
+    pert = game.perturbation
+    surviving: list[dict[int, list[PureStrategy]]] = [
+        {
+            t: sorted(strategy_sets[agent])
+            for t in range(len(pert.partitions[agent]))
+        }
+        for agent in (0, 1)
+    ]
+    rounds = 0
+    while rounds < max_rounds:
+        changed = False
+        for agent in (0, 1):
+            opp = 1 - agent
+            for t, pool in surviving[agent].items():
+                if pert.type_prob(agent, t) == 0 or len(pool) <= 1:
+                    continue
+                keep = [
+                    s
+                    for s in pool
+                    if not _is_dominated(
+                        game, agent, t, s, pool, surviving[opp], mixture_denominator
+                    )
+                ]
+                if len(keep) != len(pool):
+                    surviving[agent][t] = keep
+                    changed = True
+        if not changed:
+            break
+        rounds += 1
+    return surviving, rounds
+
+
+def _type_groups(game: Game, agent: int, t: int):
+    """Own-type circumstances grouped by the opponent type they induce."""
+    pert = game.perturbation
+    groups: dict[int, list[int]] = {}
+    for w in pert.partitions[agent][t]:
+        if pert.pi[w]:
+            groups.setdefault(pert.type_of(1 - agent, w), []).append(w)
+    return groups
+
+
+def _pair_margin(game: Game, agent: int, t: int, better, worse, opp_surviving):
+    """Worst-case payoff gain of ``better`` over ``worse``; ``better`` may
+    be a pure strategy or a [(strategy, weight)] mixture."""
+    pert = game.perturbation
+    total = Fraction(0)
+    for opp_type, circs in _type_groups(game, agent, t).items():
+        best = None
+        for r in opp_surviving[opp_type]:
+            gain = Fraction(0)
+            for w in circs:
+                mass = pert.pi[w]
+                if isinstance(better, tuple):
+                    up = game.inner_value(agent, w, better, r)
+                else:
+                    up = sum(
+                        wt * game.inner_value(agent, w, s, r) for s, wt in better
+                    )
+                gain += mass * (up - game.inner_value(agent, w, worse, r))
+            if best is None or gain < best:
+                best = gain
+        total += best
+    return total
+
+
+def _is_dominated(game, agent, t, s, pool, opp_surviving, mixture_denominator):
+    for other in pool:
+        if other == s:
+            continue
+        if _pair_margin(game, agent, t, other, s, opp_surviving) > 0:
+            return True
+    if mixture_denominator > 1:
+        for a, b in itertools.combinations([x for x in pool if x != s], 2):
+            for k in range(1, mixture_denominator):
+                w = Fraction(k, mixture_denominator)
+                mix = [(a, w), (b, 1 - w)]
+                if _pair_margin(game, agent, t, mix, s, opp_surviving) > 0:
+                    return True
+    return False

@@ -1,6 +1,9 @@
 """Command line interface behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,18 @@ def test_experiment_run_unknown_name(capsys):
 def test_bad_scenario_path(capsys):
     with pytest.raises(FileNotFoundError):
         main(["equilibrium", "check", "--scenario", "/no/such/file.yaml"])
+
+
+def test_bad_bias_key_exits_2_without_traceback(tmp_path):
+    text = (SCENARIOS / "binary_trial_ladder.yaml").read_text()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace('"*,acquit"', '"nosuch,acquit"'))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustmech.cli", "dominance", "eliminate",
+         "--scenario", str(bad)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "unknown state 'nosuch'" in proc.stderr

@@ -103,3 +103,34 @@ def test_exactly_two_agents():
     text = GOOD + '  - cost: "1"\n'
     with pytest.raises(ScenarioFileError):
         parse_scenario(text)
+
+
+LADDER = GOOD + """perturbation:
+  kind: ladder
+  depth: 4
+  eta: "1/10"
+  bias:
+    - {agent: 1, circumstance: 0, cost: "0"}
+    - {agent: 2, circumstance: 1, u: {KEY: "1000"}}
+"""
+
+
+@pytest.mark.parametrize("key, word", [
+    ('"nosuch,acquit"', "unknown state 'nosuch'"),
+    ('"guilty,banish"', "unknown outcome 'banish'"),
+    ('"guilty"', "key must be 'state,outcome'"),
+])
+def test_bad_bias_utility_key_names_the_entry(key, word):
+    with pytest.raises(ScenarioFileError) as err:
+        parse_scenario(LADDER.replace("KEY", key))
+    message = str(err.value)
+    assert word in message
+    assert "bias entry 2" in message
+    assert err.value.line is not None
+
+
+def test_good_bias_utility_key():
+    _, pert = parse_scenario(LADDER.replace("KEY", '"*,acquit"'))
+    assert pert.utility(1, 1, 0, 0) == 1000
+    assert pert.utility(1, 1, 1, 0) == 1000
+    assert pert.cost(0, 0) == 0
