@@ -23,7 +23,7 @@ from .equilibrium import (
     verify_equilibrium,
 )
 from .experiments import _jsonable, list_experiments, run_experiment
-from .loader import ScenarioFileError, load_scenario
+from .loader import ScenarioFileError, load_scenario, load_unperturbed_scenario
 from .mechanisms import (
     InfeasibleScheduleError,
     build_augmented_status_quo,
@@ -148,9 +148,7 @@ def cmd_dominance_eliminate(args):
 
 
 def cmd_experiment_run(args):
-    scenario = None
-    if args.scenario:
-        scenario, _ = load_scenario(args.scenario)
+    scenario = load_unperturbed_scenario(args.scenario) if args.scenario else None
     kwargs = {}
     if args.eta_grid:
         kwargs["eta_grid"] = tuple(args.eta_grid)

@@ -9,7 +9,8 @@ learning cost.  Type strategies are finite-support mixtures stored as
 ``{type_index: TypeStrategy}`` maps.
 
 All computations are pure functions of immutable inputs; the ``Game``
-wrapper only memoizes derived tables.
+wrapper only memoizes derived tables: payoffs by payoff class, and best
+responses and dominance checks by ``type_signature``.
 """
 
 from __future__ import annotations
@@ -162,6 +163,8 @@ class Game:
     _pair_cache: dict = field(default_factory=dict, repr=False)
     _inner_cache: dict = field(default_factory=dict, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
+    _br_cache: dict = field(default_factory=dict, repr=False)
+    _dom_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.perturbation is None:
@@ -277,6 +280,34 @@ def expected_payoff(
                 for w, mass in cells:
                     value += mass * weight * game.inner_value(agent, w, strategy, r)
     return value
+
+
+def type_signature(
+    game: Game,
+    agent: int,
+    type_index: int,
+    opponent: dict[int, TypeStrategy] | dict[int, list[PureStrategy]],
+) -> tuple:
+    """Everything a type's payoffs depend on besides its own strategy.
+
+    Per opponent type the type meets (in ``type_groups`` order): the
+    opponent's play there, a mixture with its zero weights dropped or a
+    list of surviving strategies, and the type's ``(payoff class,
+    conditional weight)`` cells.  ``inner_value`` is fixed by the payoff
+    class, and ``expected_payoff`` sums cell weight x opponent weight x
+    ``inner_value`` in this order, so two types of one game with equal
+    signatures have equal payoffs for every own strategy.
+    """
+    pert = game.perturbation
+    out = []
+    for opp_type, cells in pert.type_groups(agent, type_index):
+        play = opponent[opp_type]
+        if isinstance(play, dict):
+            play = tuple((r, w) for r, w in play.items() if w)
+        else:
+            play = tuple(play)
+        out.append((play, tuple((pert.payoff_class(agent, w), m) for w, m in cells)))
+    return tuple(out)
 
 
 def mixture_payoff(

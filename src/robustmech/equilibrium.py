@@ -23,6 +23,7 @@ from .engine import (
     is_constant,
     max_tv_to_target,
     mixture_payoff,
+    type_signature,
 )
 from .mechanisms import Mechanism
 from .numeric import Number
@@ -36,18 +37,33 @@ def best_response(
     strategy_set: list[PureStrategy],
 ) -> tuple[list[PureStrategy], Number]:
     """All exact maximizers over the strategy set, canonically ordered,
-    with the attained value."""
+    with the attained value.
+
+    The result is memoized on the game by ``(agent, sorted strategy set,
+    type_signature)``.  Two types with equal signatures have equal
+    payoffs for every strategy (see ``type_signature``), so they share
+    their maximizers and value exactly, and the interior rungs of a
+    ladder cost one evaluation per distinct rung kind instead of one per
+    rung.
+    """
     if not strategy_set:
         raise ModelError("empty strategy set")
-    best_value = None
-    winners: list[PureStrategy] = []
-    for s in sorted(strategy_set):
-        v = expected_payoff(game, agent, type_index, s, opponent)
-        if best_value is None or v > best_value:
-            best_value, winners = v, [s]
-        elif v == best_value:
-            winners.append(s)
-    return winners, best_value
+    if game.perturbation.type_prob(agent, type_index) == 0:
+        raise ModelError("expected payoff of a zero-probability type")
+    ordered = tuple(sorted(strategy_set))
+    key = (agent, ordered, type_signature(game, agent, type_index, opponent))
+    hit = game._br_cache.get(key)
+    if hit is None:
+        best_value = None
+        winners: list[PureStrategy] = []
+        for s in ordered:
+            v = expected_payoff(game, agent, type_index, s, opponent)
+            if best_value is None or v > best_value:
+                best_value, winners = v, [s]
+            elif v == best_value:
+                winners.append(s)
+        hit = game._br_cache[key] = (tuple(winners), best_value)
+    return list(hit[0]), hit[1]
 
 
 @dataclass(frozen=True)
@@ -315,6 +331,13 @@ def iterated_dominance(
     undominated within any subset of that pool.  Every skipped check would
     have eliminated nothing, so the surviving sets after each round, and
     the round count, equal those of checking every type every round.
+
+    A check's result is memoized on the game by ``(agent, pool,
+    type_signature against the opponent surviving sets,
+    mixture_denominator)``.  Every dominance margin is a sum over the
+    signature's cells of weight x ``inner_value``, which the payoff class
+    fixes, minimized over the surviving opponent strategies, so types
+    with equal keys keep the same strategies.
     """
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
@@ -335,15 +358,19 @@ def iterated_dominance(
                 pool = surviving[agent][t]
                 if pert.type_prob(agent, t) == 0 or len(pool) <= 1:
                     continue
-                keep = [
-                    s
-                    for s in pool
-                    if not _is_dominated(
-                        game, agent, t, s, pool, surviving[opp], mixture_denominator
+                key = (agent, tuple(pool), type_signature(game, agent, t, surviving[opp]),
+                       mixture_denominator)
+                keep = game._dom_cache.get(key)
+                if keep is None:
+                    keep = game._dom_cache[key] = tuple(
+                        s
+                        for s in pool
+                        if not _is_dominated(
+                            game, agent, t, s, pool, surviving[opp], mixture_denominator
+                        )
                     )
-                ]
                 if len(keep) != len(pool):
-                    surviving[agent][t] = keep
+                    surviving[agent][t] = list(keep)
                     changed = True
                     stale[opp].update(u for u, _ in pert.type_groups(agent, t))
         if not changed:

@@ -180,11 +180,26 @@ def step3_closure_certificate(
     from .engine import canonical_replacement
 
     n = scenario.n
-    game = Game(scenario, mechanism)
     sigma_star = set(restricted_strategy_set(variant, n))
     opp_set = restricted_strategy_set(variant, n)
+    # Per state j and message triple (a, a_star, b): whether a and its
+    # replacement a_star give the same outcome against b, and the
+    # prior-weighted transfer gain of a_star over a.
+    msgs_own, msgs_opp = mechanism.messages
+    coordinate = [
+        {
+            (a, a_star, b): (
+                mechanism.g(a, b).same_as(mechanism.g(a_star, b)),
+                scenario.prior[j] * (mechanism.t(0, a_star, b) - mechanism.t(0, a, b)),
+            )
+            for a in msgs_own
+            for a_star in msgs_own
+            for b in msgs_opp
+        }
+        for j in range(n)
+    ]
     failures = []
-    for s in full_strategy_set(mechanism.messages[0], n):
+    for s in full_strategy_set(msgs_own, n):
         if s in sigma_star:
             continue
         s_star = canonical_replacement(s, variant, n)
@@ -192,10 +207,10 @@ def step3_closure_certificate(
         for r in opp_set:
             gain = Fraction(0)
             for j in range(n):
-                q = scenario.prior[j]
-                if not mechanism.g(s[j], r[j]).same_as(mechanism.g(s_star[j], r[j])):
+                same, term = coordinate[j][(s[j], s_star[j], r[j])]
+                if not same:
                     failures.append({"strategy": s, "opponent": r, "state": j, "kind": "outcome"})
-                gain += q * (mechanism.t(0, s_star[j], r[j]) - mechanism.t(0, s[j], r[j]))
+                gain += term
             if gain < 0 or (want_strict and r == tuple(range(1, n + 1)) and gain <= 0):
                 failures.append({"strategy": s, "opponent": r, "gain": gain, "kind": "transfer"})
     return not failures, failures

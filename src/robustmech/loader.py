@@ -105,6 +105,29 @@ def load_scenario(path, exact: bool = True) -> tuple[ScenarioModel, Perturbation
     return parse_scenario(text, exact=exact)
 
 
+def load_unperturbed_scenario(path) -> ScenarioModel:
+    """Parse a scenario file for the named experiments.
+
+    Experiments build their own ladders and would drop the file's
+    ``perturbation`` block without a word, so a block raises
+    ``ScenarioFileError`` naming the file and the block's line instead.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    scenario, perturbation = parse_scenario(text)
+    if perturbation is not None:
+        line = next(
+            key.start_mark.line
+            for key, _ in yaml.compose(text, Loader=yaml.SafeLoader).value
+            if key.value == "perturbation"
+        )
+        raise ScenarioFileError(
+            f"{path}: experiments build their own ladders, so the perturbation "
+            "block would be ignored; remove it", line
+        )
+    return scenario
+
+
 def parse_scenario(text: str, exact: bool = True):
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)

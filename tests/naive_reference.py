@@ -207,3 +207,71 @@ def _is_dominated(game, agent, t, s, pool, opp_surviving, mixture_denominator):
                 if _pair_margin(game, agent, t, mix, s, opp_surviving) > 0:
                     return True
     return False
+
+
+def best_response(game, agent, type_index, opponent, strategy_set):
+    """Argmax of the naive expected payoff over the whole strategy set,
+    ties in canonical (sorted) order, with the attained value."""
+    best_value = None
+    winners = []
+    for s in sorted(strategy_set):
+        v = expected_payoff(game, agent, type_index, s, opponent)
+        if best_value is None or v > best_value:
+            best_value, winners = v, [s]
+        elif v == best_value:
+            winners.append(s)
+    return winners, best_value
+
+
+def residuals(game, profile, strategy_sets):
+    """Best pure deviation value minus the prescribed mixture's value, for
+    every positive-mass type."""
+    pert = game.perturbation
+    out = {}
+    for agent in (0, 1):
+        opponent = profile[1 - agent]
+        for t in range(len(pert.partitions[agent])):
+            if pert.type_prob(agent, t) == 0:
+                continue
+            _, best = best_response(game, agent, t, opponent, strategy_sets[agent])
+            own = sum(
+                w * expected_payoff(game, agent, t, s, opponent)
+                for s, w in profile[agent][t].items()
+                if w
+            )
+            out[(agent, t)] = best - own
+    return out
+
+
+def iterate_best_response(game, strategy_sets, initial, max_rounds=200):
+    """Synchronous pure best-response iteration with canonical tie
+    breaking; returns (profile, rounds, converged, cycled)."""
+    pert = game.perturbation
+
+    def key(profile):
+        return tuple(
+            tuple(sorted((t, tuple(sorted(mix.items()))) for t, mix in side.items()))
+            for side in profile
+        )
+
+    profile = initial
+    seen = {key(profile)}
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        nxt = [{}, {}]
+        for agent in (0, 1):
+            for t in range(len(pert.partitions[agent])):
+                if pert.type_prob(agent, t) == 0:
+                    nxt[agent][t] = dict(profile[agent][t])
+                    continue
+                winners, _ = best_response(
+                    game, agent, t, profile[1 - agent], strategy_sets[agent]
+                )
+                nxt[agent][t] = {winners[0]: Fraction(1)}
+        if key(nxt) == key(profile):
+            return nxt, rounds, True, False
+        if key(nxt) in seen:
+            return nxt, rounds, False, True
+        seen.add(key(nxt))
+        profile = nxt
+    return profile, rounds, False, False

@@ -115,3 +115,27 @@ def test_bad_bias_key_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "unknown state 'nosuch'" in proc.stderr
+
+
+def test_experiment_scenario_with_perturbation_block_exits_2(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = SCENARIOS / "binary_trial_ladder.yaml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "robustmech.cli", "experiment", "run", "maskin-contagion",
+         "--scenario", str(path), "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    line = path.read_text().splitlines().index("perturbation:") + 1
+    assert str(path) in proc.stderr and f"(line {line})" in proc.stderr
+    assert "perturbation block would be ignored" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_experiment_scenario_without_perturbation_block_runs(capsys):
+    code, out, err = run(
+        capsys, "experiment", "run", "prop2", "--scenario", str(SCENARIOS / "binary_trial.yaml"),
+    )
+    assert code == 0 and not err
+    assert json.loads(out[out.index("{"):])["passed"] is True

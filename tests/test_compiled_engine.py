@@ -1,5 +1,6 @@
-"""The compiled perturbation tables against the naive per-circumstance
-evaluator, by exact equality, plus the table invariants themselves."""
+"""The compiled perturbation tables and the type-signature memos against
+the naive per-circumstance evaluator, by exact equality, plus the table
+invariants themselves."""
 
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from robustmech import (
     ModelError,
     Perturbation,
     TrembleSpec,
+    best_response,
     binary_trial_scenario,
     build_augmented_status_quo,
     build_general_ladder,
@@ -22,11 +24,16 @@ from robustmech import (
     build_status_quo,
     expected_payoff,
     full_strategy_set,
+    iterate_best_response,
     iterated_dominance,
     mislabel_signals,
     restricted_strategy_set,
     simple_bias_ladder,
+    three_state_scenario,
+    truthful_profile,
+    verify_equilibrium,
 )
+from robustmech import equilibrium
 from robustmech.experiments import preferred_outcome_bias
 
 SCENARIO = binary_trial_scenario()
@@ -102,9 +109,10 @@ def strategy_sets(kind, game):
 
 def assert_matches_naive(game, sets, mixture_denominator):
     reference = naive.NaiveGame(game)
-    assert iterated_dominance(game, sets, mixture_denominator) == naive.iterated_dominance(
-        reference, sets, mixture_denominator
-    )
+    want = naive.iterated_dominance(reference, sets, mixture_denominator)
+    # Fresh dominance memo, then a warmed one that answers every check.
+    assert iterated_dominance(game, sets, mixture_denominator) == want
+    assert iterated_dominance(game, sets, mixture_denominator) == want
     pert = game.perturbation
     for agent in (0, 1):
         opp_set = sets[1 - agent]
@@ -126,56 +134,195 @@ def assert_matches_naive(game, sets, mixture_denominator):
                     assert got == want
 
 
-@given(ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)))
+def draw_profile(data, game, sets):
+    """Per-type plays drawn from a small palette per agent, so that some
+    types share their opponent's play and others do not; one palette
+    entry carries a zero weight, which must not split a signature."""
+    pert = game.perturbation
+    profile = []
+    for agent in (0, 1):
+        pick = st.sampled_from(sets[agent])
+        a, b = data.draw(pick), data.draw(pick)
+        palette = [{a: F(1)}, {b: F(1)}]
+        if a != b:
+            palette += [{a: F(1), b: F(0)}, {a: F(1, 3), b: F(2, 3)}]
+        labels = st.integers(0, len(palette) - 1)
+        profile.append({
+            t: dict(palette[data.draw(labels)]) for t in range(len(pert.partitions[agent]))
+        })
+    return profile
+
+
+def assert_best_responses_match_naive(game, sets, data):
+    """Best responses, residuals and best-response iteration on a copy of
+    the game with empty caches, then again with every memo warmed."""
+    game = Game(game.scenario, game.mechanism, game.perturbation, game.signals, game.tremble)
+    reference = naive.NaiveGame(game)
+    pert = game.perturbation
+    profile = draw_profile(data, game, sets)
+    for _ in ("fresh", "warmed"):
+        for agent in (0, 1):
+            for t in range(len(pert.partitions[agent])):
+                args = (agent, t, profile[1 - agent], sets[agent])
+                if pert.type_prob(agent, t) == 0:
+                    with pytest.raises(ModelError):
+                        best_response(game, *args)
+                    continue
+                got = best_response(game, *args)
+                assert got == naive.best_response(reference, *args)
+                got[0].clear()  # callers own the winners list
+                assert best_response(game, *args)[0]
+        report = verify_equilibrium(game, profile, sets)
+        assert report.residuals == naive.residuals(reference, profile, sets)
+        for initial in (profile, None):
+            res = iterate_best_response(game, sets, initial=initial, max_rounds=30)
+            start = initial if initial is not None else truthful_profile(game)
+            assert (res.profile, res.rounds, res.converged, res.cycled) == (
+                naive.iterate_best_response(reference, sets, start, max_rounds=30)
+            )
+            if res.report is not None:
+                assert res.report.residuals == naive.residuals(reference, res.profile, sets)
+
+
+@given(ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)), st.data())
 @settings(max_examples=25, deadline=None)
-def test_ladders_match_naive_evaluator(pert, kind, mixture_denominator):
+def test_ladders_match_naive_evaluator(pert, kind, mixture_denominator, data):
     game = Game(SCENARIO, MECHANISMS[kind], pert)
-    assert_matches_naive(game, strategy_sets(kind, game), mixture_denominator)
+    sets = strategy_sets(kind, game)
+    assert_matches_naive(game, sets, mixture_denominator)
+    assert_best_responses_match_naive(game, sets, data)
 
 
-@given(zero_mass_ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)))
+@given(zero_mass_ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)),
+       st.data())
 @settings(max_examples=20, deadline=None)
-def test_zero_mass_circumstances_match_naive_evaluator(pert, kind, mixture_denominator):
+def test_zero_mass_circumstances_match_naive_evaluator(pert, kind, mixture_denominator, data):
     game = Game(SCENARIO, MECHANISMS[kind], pert)
-    assert_matches_naive(game, strategy_sets(kind, game), mixture_denominator)
+    sets = strategy_sets(kind, game)
+    assert_matches_naive(game, sets, mixture_denominator)
+    assert_best_responses_match_naive(game, sets, data)
 
 
-@given(coarse_partitions(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)))
+@given(coarse_partitions(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)),
+       st.data())
 @settings(max_examples=20, deadline=None)
-def test_coarse_partitions_match_naive_evaluator(pert, kind, mixture_denominator):
+def test_coarse_partitions_match_naive_evaluator(pert, kind, mixture_denominator, data):
     game = Game(SCENARIO, MECHANISMS[kind], pert)
-    assert_matches_naive(game, strategy_sets(kind, game), mixture_denominator)
+    sets = strategy_sets(kind, game)
+    assert_matches_naive(game, sets, mixture_denominator)
+    assert_best_responses_match_naive(game, sets, data)
 
 
-@given(ladders(), st.fractions(min_value=0, max_value=F(1, 2), max_denominator=20))
+@given(ladders(), st.fractions(min_value=0, max_value=F(1, 2), max_denominator=20), st.data())
 @settings(max_examples=10, deadline=None)
-def test_signal_game_matches_naive_evaluator(pert, delta):
+def test_signal_game_matches_naive_evaluator(pert, delta, data):
     game = Game(SCENARIO, MECHANISMS["maskin"], pert, signals=mislabel_signals(SCENARIO, delta))
-    assert_matches_naive(game, strategy_sets("maskin", game), 0)
+    sets = strategy_sets("maskin", game)
+    assert_matches_naive(game, sets, 0)
+    assert_best_responses_match_naive(game, sets, data)
 
 
 @given(ladders(), st.fractions(min_value=0, max_value=F(1, 2), max_denominator=20),
-       st.sampled_from(("sqr", "asqr")))
+       st.sampled_from(("sqr", "asqr")), st.data())
 @settings(max_examples=10, deadline=None)
-def test_tremble_game_matches_naive_evaluator(pert, tau, kind):
+def test_tremble_game_matches_naive_evaluator(pert, tau, kind, data):
     mech = MECHANISMS[kind]
     game = Game(SCENARIO, mech, pert, tremble=TrembleSpec.uniform(tau, mech.messages))
-    assert_matches_naive(game, strategy_sets(kind, game), 3)
+    sets = strategy_sets(kind, game)
+    assert_matches_naive(game, sets, 3)
+    assert_best_responses_match_naive(game, sets, data)
 
 
-def test_payoff_caches_do_not_grow_with_depth():
-    mech = MECHANISMS["maskin"]
+def _interior_pair():
+    """Agent 1's types 2 = {w3, w4} and 3 = {w5, w6} of a renormalized
+    ladder have the same conditional weights; type 3's w5 carries a
+    zero learning cost."""
+    pert = build_ladder(SCENARIO, 10, F(1, 10), [BiasSpec(0, 5, {}, F(0))], tail="renormalize")
+    weights = [[m for _, cells in pert.type_groups(0, t) for _, m in cells] for t in (2, 3)]
+    assert weights[0] == weights[1]
+    return pert
+
+
+def test_memo_separates_equal_weights_of_different_payoff_class():
+    pert = _interior_pair()
+    game = Game(SCENARIO, MECHANISMS["asqr"], pert)
+    reference = naive.NaiveGame(game)
+    sets = strategy_sets("asqr", game)
+    opponent = truthful_profile(game)[1]
+    values = []
+    for t in (2, 3):
+        got = best_response(game, 0, t, opponent, sets[0])
+        assert got == naive.best_response(reference, 0, t, opponent, sets[0])
+        values.append(got[1])
+    assert values[0] != values[1]
+
+
+def test_memo_separates_equal_weights_facing_different_play():
+    pert = build_ladder(SCENARIO, 10, F(1, 10), tail="renormalize")
+    game = Game(SCENARIO, MECHANISMS["asqr"], pert)
+    reference = naive.NaiveGame(game)
+    sets = strategy_sets("asqr", game)
+    # Agent 2's types 0-2 tell the truth and the rest report (-2, -2), so
+    # agent 1's type 3 = {w5, w6}, which meets agent 2's types 2 and 3,
+    # faces other play than its type 2 = {w3, w4}, which meets types 1 and 2.
+    opponent = {
+        u: {(1, 2) if u <= 2 else (-2, -2): F(1)} for u in range(len(pert.partitions[1]))
+    }
+    values = []
+    for t in (2, 3):
+        got = best_response(game, 0, t, opponent, sets[0])
+        assert got == naive.best_response(reference, 0, t, opponent, sets[0])
+        values.append(got[1])
+    assert values[0] != values[1]
+
+
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
+    """Cache and memo sizes, the payoff evaluations best responses make
+    and the dominance checks are all the same at depths 50 and 100."""
+    payoffs = _counted(monkeypatch, equilibrium, "expected_payoff")
+    checks = _counted(monkeypatch, equilibrium, "_is_dominated")
+
+    three = three_state_scenario()
+    mech = build_augmented_status_quo(three)
+    rs = restricted_strategy_set("asqr", three.n)
+    bias = BiasSpec(0, 0, preferred_outcome_bias(three, 1, 10 * mech.schedule.top),
+                    cost=10**6 * three.payoffs[0].cost)
+    br = []
+    for depth in (50, 100):
+        game = Game(three, mech, build_ladder(three, depth, F(1, 100), [bias]))
+        payoffs[0] = 0
+        result = iterate_best_response(game, (rs, rs))
+        assert result.converged and result.report.is_equilibrium
+        br.append((len(game._inner_cache), len(game._u_cache), len(game._br_cache),
+                   payoffs[0], result.rounds))
+    assert br[0] == br[1]
+
     full = full_strategy_set((1, 2), SCENARIO.n)
-    sizes = []
-    for depth in (20, 40):
+    dominance = []
+    for depth in (50, 100):
         pert = simple_bias_ladder(
             SCENARIO, depth, F(1, 10), 0, preferred_outcome_bias(SCENARIO, 0, 10),
             tail="renormalize",
         )
-        game = Game(SCENARIO, mech, pert)
+        game = Game(SCENARIO, MECHANISMS["maskin"], pert)
+        checks[0] = 0
         iterated_dominance(game, (full, full))
-        sizes.append((len(game._inner_cache), len(game._u_cache)))
-    assert sizes[0] == sizes[1]
+        dominance.append((len(game._inner_cache), len(game._u_cache), len(game._dom_cache),
+                          checks[0]))
+    assert dominance[0] == dominance[1]
 
 
 def test_type_of_rejects_out_of_range_circumstances():
