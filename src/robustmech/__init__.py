@@ -50,6 +50,7 @@ from .equilibrium import (
     DominanceCertificate,
     EquilibriumReport,
     best_response,
+    equilibrium_residuals,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,

@@ -22,7 +22,6 @@ from .engine import (
     expected_payoff,
     is_constant,
     max_tv_to_target,
-    mixture_payoff,
     type_signature,
 )
 from .mechanisms import Mechanism
@@ -46,6 +45,15 @@ def best_response(
     ladder cost one evaluation per distinct rung kind instead of one per
     rung.
     """
+    winners, best_value, _ = _best_response_entry(
+        game, agent, type_index, opponent, strategy_set
+    )
+    return list(winners), best_value
+
+
+def _best_response_entry(game, agent, type_index, opponent, strategy_set):
+    """The memo entry behind ``best_response``: the maximizers, their
+    value, and every strategy's exact payoff ``{strategy: value}``."""
     if not strategy_set:
         raise ModelError("empty strategy set")
     if game.perturbation.type_prob(agent, type_index) == 0:
@@ -54,16 +62,11 @@ def best_response(
     key = (agent, ordered, type_signature(game, agent, type_index, opponent))
     hit = game._br_cache.get(key)
     if hit is None:
-        best_value = None
-        winners: list[PureStrategy] = []
-        for s in ordered:
-            v = expected_payoff(game, agent, type_index, s, opponent)
-            if best_value is None or v > best_value:
-                best_value, winners = v, [s]
-            elif v == best_value:
-                winners.append(s)
-        hit = game._br_cache[key] = (tuple(winners), best_value)
-    return list(hit[0]), hit[1]
+        values = {s: expected_payoff(game, agent, type_index, s, opponent) for s in ordered}
+        best_value = max(values.values())
+        winners = tuple(s for s in ordered if values[s] == best_value)
+        hit = game._br_cache[key] = (winners, best_value, values)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,7 @@ class EquilibriumReport:
     epsilon: Number
     truthful_mass: Number | None
     max_tv: Number
+    best_deviation: dict[tuple[int, int], PureStrategy]  # canonically first maximizer
 
 
 def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
@@ -92,25 +96,58 @@ def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
     return mass
 
 
-def verify_equilibrium(
+def equilibrium_residuals(
     game: Game,
     profile: StrategyProfile,
     strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
-    epsilon: Number = 0,
-) -> EquilibriumReport:
-    """Interim check: for every positive-probability type, the residual is
-    the best pure deviation value minus the prescribed mixture's value.
-    Pure deviations suffice because payoffs are affine in own mixtures."""
+) -> dict[tuple[int, int], Number]:
+    """Per positive-probability type, the best pure deviation value minus
+    the prescribed mixture's value.  Pure deviations suffice because
+    payoffs are affine in own mixtures.
+
+    The mixture's value is read from the best-response memo entry, which
+    holds every strategy of the set; ``expected_payoff`` runs only for a
+    support strategy outside the set.  The sum runs in ``mixture_payoff``
+    order, so each residual equals ``best value - mixture_payoff``.
+    """
+    return _residuals(game, profile, strategy_sets)[0]
+
+
+def _residuals(game, profile, strategy_sets):
+    """Residuals and the canonically first best deviation per type."""
     residuals: dict[tuple[int, int], Number] = {}
+    deviations: dict[tuple[int, int], PureStrategy] = {}
     pert = game.perturbation
     for agent in (0, 1):
         opponent = profile[1 - agent]
         for t in range(len(pert.partitions[agent])):
             if pert.type_prob(agent, t) == 0:
                 continue
-            _, best_value = best_response(game, agent, t, opponent, strategy_sets[agent])
-            own = mixture_payoff(game, agent, t, profile[agent][t], opponent)
+            winners, best_value, values = _best_response_entry(
+                game, agent, t, opponent, strategy_sets[agent]
+            )
+            own = sum(
+                w * (values[s] if s in values else expected_payoff(game, agent, t, s, opponent))
+                for s, w in profile[agent][t].items()
+                if w
+            )
             residuals[(agent, t)] = best_value - own
+            deviations[(agent, t)] = winners[0]
+    return residuals, deviations
+
+
+def verify_equilibrium(
+    game: Game,
+    profile: StrategyProfile,
+    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    epsilon: Number = 0,
+) -> EquilibriumReport:
+    """Interim check: the residuals of ``equilibrium_residuals``, with the
+    best deviation behind each, plus the implementation metrics
+    (``truthful_mass`` and ``max_tv``).  Callers that only need the
+    pass/fail verdict should filter on the residuals first: the metrics
+    walk every circumstance and are computed for every report built."""
+    residuals, deviations = _residuals(game, profile, strategy_sets)
     max_res = max(residuals.values())
     return EquilibriumReport(
         residuals=residuals,
@@ -119,6 +156,7 @@ def verify_equilibrium(
         epsilon=epsilon,
         truthful_mass=truthful_probability_mass(game, profile),
         max_tv=max_tv_to_target(game, profile),
+        best_deviation=deviations,
     )
 
 

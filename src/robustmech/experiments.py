@@ -40,6 +40,7 @@ from .engine import (
     truthful_profile,
 )
 from .equilibrium import (
+    equilibrium_residuals,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
@@ -659,14 +660,15 @@ def _candidate_type_strategies(n_states: int, messages, step: int = 20):
 
 
 def _grid_equilibria(game, strategy_set, candidates, epsilon):
-    """All candidate profile pairs passing the residual check."""
+    """All candidate profile pairs passing the residual check, with their
+    reports; only passing pairs get one."""
+    sets = (strategy_set, strategy_set)
     found = []
     for mix1 in candidates:
         for mix2 in candidates:
             profile = [{0: mix1}, {0: mix2}]
-            rep = verify_equilibrium(game, profile, (strategy_set, strategy_set), epsilon)
-            if rep.is_equilibrium:
-                found.append((profile, rep))
+            if max(equilibrium_residuals(game, profile, sets).values()) <= epsilon:
+                found.append((profile, verify_equilibrium(game, profile, sets, epsilon)))
     return found
 
 

@@ -223,13 +223,34 @@ def parse_scenario(text: str, exact: bool = True):
 def _parse_perturbation(entry, scenario, labels, outcomes):
     block, line = entry
     kind, kind_line = _require(block, "kind", line, "perturbation")
+    if kind == "ladder":
+        depth, depth_line = block.get("depth", (100, line))
+        if not _is_int(depth) or depth < 2:
+            raise ScenarioFileError(
+                f"perturbation depth: expected an integer of at least 2, got {depth!r}",
+                depth_line,
+            )
+        eta = _rat(_require(block, "eta", line, "perturbation"), "eta")
+        size = depth + 1
+    elif kind == "general":
+        pi_raw, pi_line = _require(block, "pi", line, "perturbation")
+        pi = tuple(_rat(p, "pi entry") for p in pi_raw)
+        size = len(pi)
+    else:
+        raise ScenarioFileError(f"perturbation: unknown kind {kind!r}", kind_line)
+
     biases = []
     if "bias" in block:
         for number, (item, b_line) in enumerate(block["bias"][0], start=1):
             agent = item.get("agent", (1, b_line))[0]
             if agent not in (1, 2):
                 raise ScenarioFileError("bias: agent must be 1 or 2", b_line)
-            circ, _ = _require(item, "circumstance", b_line, "bias")
+            circ, c_line = _require(item, "circumstance", b_line, "bias")
+            if not _is_int(circ) or not 0 <= circ < size:
+                raise ScenarioFileError(
+                    f"bias entry {number} circumstance: expected an integer from 0 to "
+                    f"{size - 1}, got {circ!r}", c_line
+                )
             cost = None
             if "cost" in item:
                 cost = _rat(item["cost"], "bias cost")
@@ -255,14 +276,12 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
             biases.append(BiasSpec(agent - 1, circ, overrides, cost))
 
     if kind == "ladder":
-        depth = block.get("depth", (100, line))[0]
-        eta = _rat(_require(block, "eta", line, "perturbation"), "eta")
         return build_ladder(scenario, depth, eta, biases)
-    if kind == "general":
-        pi_raw, pi_line = _require(block, "pi", line, "perturbation")
-        pi = tuple(_rat(p, "pi entry") for p in pi_raw)
-        return build_general_ladder(scenario, pi, biases)
-    raise ScenarioFileError(f"perturbation: unknown kind {kind!r}", kind_line)
+    return build_general_ladder(scenario, pi, biases)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _to_float(scenario: ScenarioModel) -> ScenarioModel:

@@ -102,19 +102,43 @@ def test_bad_scenario_path(capsys):
         main(["equilibrium", "check", "--scenario", "/no/such/file.yaml"])
 
 
-def test_bad_bias_key_exits_2_without_traceback(tmp_path):
+def eliminate_on_edited_ladder(tmp_path, old, new):
+    """Run ``dominance eliminate`` in a subprocess on the ladder scenario
+    with one edit; returns the process and the edited line's number."""
     text = (SCENARIOS / "binary_trial_ladder.yaml").read_text()
+    assert old in text
     bad = tmp_path / "bad.yaml"
-    bad.write_text(text.replace('"*,acquit"', '"nosuch,acquit"'))
+    bad.write_text(text.replace(old, new))
+    line = next(i for i, row in enumerate(text.splitlines(), start=1) if old in row)
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "robustmech.cli", "dominance", "eliminate",
          "--scenario", str(bad)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
+    return proc, line
+
+
+def test_bad_bias_key_exits_2_without_traceback(tmp_path):
+    proc, _ = eliminate_on_edited_ladder(tmp_path, '"*,acquit"', '"nosuch,acquit"')
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "unknown state 'nosuch'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("circumstance: 0", 'circumstance: "x"', "bias entry 1 circumstance"),
+        ("circumstance: 0", "circumstance: 999", "bias entry 1 circumstance"),
+        ("depth: 50", 'depth: "ten"', "perturbation depth"),
+    ],
+)
+def test_bad_perturbation_input_exits_2_naming_the_line(tmp_path, old, new, message):
+    proc, line = eliminate_on_edited_ladder(tmp_path, old, new)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr and f"(line {line})" in proc.stderr
 
 
 def test_experiment_scenario_with_perturbation_block_exits_2(tmp_path):

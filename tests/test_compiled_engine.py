@@ -22,6 +22,7 @@ from robustmech import (
     build_ladder,
     build_maskin,
     build_status_quo,
+    equilibrium_residuals,
     expected_payoff,
     full_strategy_set,
     iterate_best_response,
@@ -137,7 +138,10 @@ def assert_matches_naive(game, sets, mixture_denominator):
 def draw_profile(data, game, sets):
     """Per-type plays drawn from a small palette per agent, so that some
     types share their opponent's play and others do not; one palette
-    entry carries a zero weight, which must not split a signature."""
+    entry carries a zero weight, which must not split a signature.  When
+    the agent's set is restricted, the palette also plays a strategy from
+    outside it, alone and mixed with one inside, whose own value the
+    residual must evaluate afresh."""
     pert = game.perturbation
     profile = []
     for agent in (0, 1):
@@ -146,6 +150,11 @@ def draw_profile(data, game, sets):
         palette = [{a: F(1)}, {b: F(1)}]
         if a != b:
             palette += [{a: F(1), b: F(0)}, {a: F(1, 3), b: F(2, 3)}]
+        full = full_strategy_set(game.mechanism.messages[agent], game.strategy_length(agent))
+        outside = [s for s in full if s not in sets[agent]]
+        if outside:
+            c = data.draw(st.sampled_from(outside))
+            palette += [{c: F(1)}, {a: F(1, 2), c: F(1, 2)}]
         labels = st.integers(0, len(palette) - 1)
         profile.append({
             t: dict(palette[data.draw(labels)]) for t in range(len(pert.partitions[agent]))
@@ -172,8 +181,15 @@ def assert_best_responses_match_naive(game, sets, data):
                 assert got == naive.best_response(reference, *args)
                 got[0].clear()  # callers own the winners list
                 assert best_response(game, *args)[0]
+        want = naive.residuals(reference, profile, sets)
+        assert equilibrium_residuals(game, profile, sets) == want
         report = verify_equilibrium(game, profile, sets)
-        assert report.residuals == naive.residuals(reference, profile, sets)
+        assert report.residuals == want
+        assert report.best_deviation == {
+            (agent, t): naive.best_response(reference, agent, t, profile[1 - agent],
+                                            sets[agent])[0][0]
+            for agent, t in want
+        }
         for initial in (profile, None):
             res = iterate_best_response(game, sets, initial=initial, max_rounds=30)
             start = initial if initial is not None else truthful_profile(game)

@@ -4,13 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import naive_reference as naive
 from robustmech import (
+    BiasSpec,
     Game,
     ModelError,
     best_response,
     binary_trial_scenario,
     build_augmented_status_quo,
+    build_ladder,
     build_status_quo,
+    expected_payoff,
     four_state_scenario,
     gamma_dominance_threshold,
     iterate_best_response,
@@ -21,6 +25,7 @@ from robustmech import (
     truthful_profile,
     verify_equilibrium,
 )
+from robustmech.engine import mixture_payoff
 from robustmech.equilibrium import solve_linear
 from robustmech.mechanisms import Mechanism, RewardSchedule
 
@@ -70,6 +75,36 @@ def test_best_response_orders_ties_canonically():
     winners, value = best_response(g, 0, 0, {0: {(1, 1): F(1)}}, consts)
     assert winners == [(1, 1), (2, 2)]
     assert value == 0
+
+
+def test_best_deviation_accounts_for_the_residual():
+    """Off equilibrium, each type's named deviation gains exactly its
+    residual over the prescribed mixture, which here also plays (2, 2)
+    from outside the restricted set.  The w0 bias makes acquittal worth
+    100 at no learning cost, so agent 1's type 0 deviates to (1, 1) and
+    its other types to (1, 2)."""
+    s = binary_trial_scenario()
+    mech = build_status_quo(s, s.max_cost)
+    rs = restricted_strategy_set("sqr", s.n)
+    pert = build_ladder(s, 6, F(1, 10), [BiasSpec(0, 0, {(0, 0): F(100), (1, 0): F(100)}, F(0))])
+    game = Game(s, mech, pert)
+    reference = naive.NaiveGame(game)
+    profile = [
+        {t: {(1, 1): F(1, 3), (2, 2): F(2, 3)} for t in range(len(pert.partitions[0]))},
+        {t: {(1, 2): F(1)} for t in range(len(pert.partitions[1]))},
+    ]
+    report = verify_equilibrium(game, profile, (rs, rs))
+    assert report.max_residual > 0 and not report.is_equilibrium
+    assert report.best_deviation.keys() == report.residuals.keys()
+    assert report.best_deviation[(0, 0)] == (1, 1) and report.best_deviation[(0, 1)] == (1, 2)
+    for (agent, t), residual in report.residuals.items():
+        opponent = profile[1 - agent]
+        deviation = report.best_deviation[(agent, t)]
+        gain = expected_payoff(game, agent, t, deviation, opponent) - mixture_payoff(
+            game, agent, t, profile[agent][t], opponent
+        )
+        assert gain == residual
+        assert deviation == naive.best_response(reference, agent, t, opponent, rs)[0][0]
 
 
 def test_gamma_thresholds_frozen_values():

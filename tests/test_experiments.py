@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from robustmech import (
+    Game,
     ModelError,
     binary_trial_scenario,
     build_status_quo,
@@ -15,7 +16,9 @@ from robustmech import (
     separating_functional,
     synthesize_transfers,
     three_state_scenario,
+    verify_equilibrium,
 )
+from robustmech import engine, experiments
 from robustmech.core import AgentPayoff, Lottery, SocialChoiceFunction
 from robustmech.experiments import (
     deviation_dominance_certificate,
@@ -52,6 +55,64 @@ def test_prop1_impossibility():
     result = run_experiment("prop1")
     assert result.passed
     assert result.certificates["not_both_passed"]
+
+
+def _prop1_grid_calls(monkeypatch):
+    """The (game, strategy set, candidates) of each of prop1's three grid
+    searches: the two tilts and the two-point bound."""
+    calls = []
+    search = experiments._grid_equilibria
+
+    def recording(game, strategy_set, candidates, epsilon):
+        calls.append((game, strategy_set, candidates))
+        return search(game, strategy_set, candidates, epsilon)
+
+    monkeypatch.setattr(experiments, "_grid_equilibria", recording)
+    run_experiment("prop1")
+    monkeypatch.undo()
+    assert len(calls) == 3
+    return calls
+
+
+def test_prop1_grid_search_equals_filtering_every_report(monkeypatch):
+    for game, strategy_set, candidates in _prop1_grid_calls(monkeypatch):
+        sets = (strategy_set, strategy_set)
+        for epsilon in (F(1, 10), F(0)):
+            fresh = [Game(game.scenario, game.mechanism, game.perturbation) for _ in (0, 1)]
+            want = []
+            for mix1 in candidates:
+                for mix2 in candidates:
+                    profile = [{0: mix1}, {0: mix2}]
+                    report = verify_equilibrium(fresh[0], profile, sets, epsilon)
+                    if report.is_equilibrium:
+                        want.append((profile, report))
+            assert want
+            assert experiments._grid_equilibria(fresh[1], strategy_set, candidates,
+                                                epsilon) == want
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_prop1_builds_reports_only_for_passing_profiles(monkeypatch):
+    """21 of the 1,875 grid profiles pass; each of their reports measures
+    two states' outcome lotteries, and the two-point bound measures one
+    more state for each of its 4 exact equilibria."""
+    reports = _count_calls(monkeypatch, experiments, "verify_equilibrium")
+    lotteries = _count_calls(monkeypatch, engine, "outcome_distribution")
+    bound_lotteries = _count_calls(monkeypatch, experiments, "outcome_distribution")
+    run_experiment("prop1")
+    assert reports[0] == 21
+    assert lotteries[0] + bound_lotteries[0] == 46
 
 
 def test_contagion_fast_grid():
