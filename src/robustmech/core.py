@@ -5,8 +5,7 @@ Conventions used throughout the package:
 
 * states are canonically ordered so the most likely state comes first
   (ties broken by input order, in which case the prior is non-generic);
-* all probabilities and payoffs are exact rationals unless the scenario was
-  loaded in float mode;
+* all probabilities and payoffs are exact rationals;
 * every value object is immutable and safe to share across workers.
 """
 
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .numeric import Number, rat, values_equal
+from .numeric import Number, rat
 
 
 class ModelError(ValueError):
@@ -38,7 +37,7 @@ class StateSpace:
             raise ModelError("prior length does not match states")
         if any(p <= 0 for p in self.prior):
             raise ModelError("prior must have full support")
-        if sum(self.prior) != 1 and not values_equal(sum(self.prior), 1, 1e-9):
+        if sum(self.prior) != 1:
             raise ModelError("prior must sum to one")
 
     @property
@@ -76,8 +75,7 @@ class Lottery:
     def __post_init__(self):
         if any(w < 0 for w in self.weights):
             raise ModelError("lottery weights must be non-negative")
-        total = sum(self.weights)
-        if total != 1 and not values_equal(total, 1, 1e-9):
+        if sum(self.weights) != 1:
             raise ModelError("lottery weights must sum to one")
 
     @staticmethod
@@ -96,10 +94,8 @@ class Lottery:
         return Lottery(tuple(acc))
 
     def same_as(self, other: "Lottery") -> bool:
-        """Component-wise equality; exact for rationals, 1e-12 for floats."""
-        if len(self.weights) != len(other.weights):
-            return False
-        return all(values_equal(a, b) for a, b in zip(self.weights, other.weights))
+        """Exact component-wise equality."""
+        return self.weights == other.weights
 
 
 def tv_distance(p: Lottery, r: Lottery) -> Number:

@@ -222,21 +222,25 @@ class Game:
         self._pair_cache[key] = (t1, t2, lot)
         return t1, t2, lot
 
-    def _expected_u(self, agent: int, circ: int, state: int, m1: int, m2: int) -> Number:
+    # -- payoffs -----------------------------------------------------------
+
+    def state_value(self, agent: int, circ: int, state: int, m1: int, m2: int) -> Number:
+        """Expected transfer plus expected utility of an intended pair at one
+        state, with the agent's payoffs at ``circ``.  Every payoff of the
+        game is a weighted sum of these values.  Cached by the
+        circumstance's payoff class, which fixes the value."""
         key = (agent, self.perturbation.payoff_class(agent, circ), state, m1, m2)
         hit = self._u_cache.get(key)
         if hit is not None:
             return hit
-        lot = self.pair_values(m1, m2)[2]
-        value = sum(
+        pair = self.pair_values(m1, m2)
+        value = pair[agent] + sum(
             w * self.perturbation.utility(agent, circ, state, y)
-            for y, w in enumerate(lot.weights)
+            for y, w in enumerate(pair[2].weights)
             if w
         )
         self._u_cache[key] = value
         return value
-
-    # -- payoffs -----------------------------------------------------------
 
     def inner_value(self, agent: int, circ: int, own: PureStrategy, opp: PureStrategy) -> Number:
         """Expected payoff at a fixed circumstance against an opponent pure
@@ -252,8 +256,7 @@ class Game:
                 m1, m2 = own[k1], opp[k2]
             else:
                 m1, m2 = opp[k1], own[k2]
-            t = self.pair_values(m1, m2)[agent]
-            total += p * (t + self._expected_u(agent, circ, theta, m1, m2))
+            total += p * self.state_value(agent, circ, theta, m1, m2)
         if not is_constant(own):
             total -= self.perturbation.cost(agent, circ)
         self._inner_cache[key] = total

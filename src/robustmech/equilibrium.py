@@ -190,8 +190,7 @@ def _coordinate_values(game: Game, agent: int, messages_own, messages_opp):
         for m in messages_own:
             for b in messages_opp:
                 m1, m2 = (m, b) if agent == 0 else (b, m)
-                t = game.pair_values(m1, m2)[agent]
-                table[(k, m, b)] = q * (t + game._expected_u(agent, 0, k, m1, m2))
+                table[(k, m, b)] = q * game.state_value(agent, 0, k, m1, m2)
     return table
 
 

@@ -28,6 +28,8 @@ from .core import (
 )
 from .engine import (
     Game,
+    expected_payoff,
+    mixture_payoff,
     outcome_distribution,
     size_of_signal_structure,
     SignalStructure,
@@ -40,6 +42,7 @@ from .engine import (
     truthful_profile,
 )
 from .equilibrium import (
+    best_response,
     equilibrium_residuals,
     gamma_dominance_threshold,
     iterate_best_response,
@@ -70,8 +73,6 @@ def _jsonable(value):
         return fmt(value)
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, Lottery):
         return [_jsonable(w) for w in value.weights]
     if isinstance(value, (list, tuple)):
@@ -699,6 +700,12 @@ def run_prop1(
         if not lot.same_as(scenario.scf.lotteries[star])
     ]
 
+    # The two opposed payoff tilts, each on a single circumstance.
+    bias_plus = BiasSpec(0, 0, {(s, y): cv[y] for s in range(scenario.n) for y in range(len(cv))})
+    bias_minus = BiasSpec(1, 0, {(s, y): -cv[y] for s in range(scenario.n) for y in range(len(cv))})
+    plus = Game(scenario, mechanism, _single_circumstance(scenario, [bias_plus]))
+    minus = Game(scenario, mechanism, _single_circumstance(scenario, [bias_minus]))
+
     # Inequality chain on the message grid: any opponent mixture that
     # caps agent 1's tilted payoff at the target level must hand agent 2
     # a payoff too high for the remaining outcomes under the opposite tilt.
@@ -711,26 +718,22 @@ def run_prop1(
             ]
         return [{m: Fraction(1)} for m in messages]
 
+    def constant(mix):
+        """The type strategy mixing constant intent vectors by ``mix``."""
+        return {(m,) * scenario.n: w for m, w in mix.items()}
+
     chain_ok = True
     chain_rows = []
     v_star_payoff = sep.scale * sep.of(scenario.scf.lotteries[star])
     y_best_neg = max(-sep.scale * sep.of(lot) for lot in others)
     for m2_mix in mixtures(mechanism.messages[1]):
         lhs_41 = max(
-            sum(
-                w * (sum(cv[y] * g for y, g in enumerate(mechanism.g(m1, b).weights))
-                     + mechanism.t(0, m1, b))
-                for b, w in m2_mix.items()
-            )
+            expected_payoff(plus, 0, 0, (m1,) * scenario.n, {0: constant(m2_mix)})
             for m1 in mechanism.messages[0]
         )
         if lhs_41 <= v_star_payoff + x_bound:
             lhs_43 = min(
-                sum(
-                    w * (-sum(cv[y] * g for y, g in enumerate(mechanism.g(m1, b).weights))
-                         + mechanism.t(1, m1, b))
-                    for b, w in m2_mix.items()
-                )
+                mixture_payoff(minus, 1, 0, constant(m2_mix), {0: constant({m1: 1})})
                 for m1 in mechanism.messages[0]
             )
             ok = lhs_43 > y_best_neg + x_bound
@@ -739,13 +742,10 @@ def run_prop1(
 
     # Equilibrium searches under the two tilts.
     eps = Fraction(1, 10)
-    bias_plus = BiasSpec(0, 0, {(s, y): cv[y] for s in range(scenario.n) for y in range(len(cv))})
-    bias_minus = BiasSpec(1, 0, {(s, y): -cv[y] for s in range(scenario.n) for y in range(len(cv))})
     candidates = _candidate_type_strategies(scenario.n, mechanism.messages[0], grid_step)
     full = full_strategy_set(mechanism.messages[0], scenario.n)
     passes = {}
-    for label, bias in (("plus", bias_plus), ("minus", bias_minus)):
-        game = Game(scenario, mechanism, _single_circumstance(scenario, [bias]))
+    for label, game in (("plus", plus), ("minus", minus)):
         hits = _grid_equilibria(game, full, candidates, eps)
         implements = [
             rep for _, rep in hits if rep.max_tv <= Fraction(1, 10)
@@ -756,11 +756,10 @@ def run_prop1(
     slack = Fraction(1, grid_step)
     tv_rows = []
     tv_ok = True
-    game0 = Game(scenario, mechanism, _single_circumstance(scenario, [bias_minus]))
-    eq0 = _grid_equilibria(game0, full, candidates, Fraction(0))
+    eq0 = _grid_equilibria(minus, full, candidates, Fraction(0))
     worst_match = max(
         (1 - tv_distance(
-            outcome_distribution(game0, prof, j),
+            outcome_distribution(minus, prof, j),
             scenario.scf(j),
         ))
         for prof, _ in eq0
@@ -830,37 +829,22 @@ def run_prop2(
         )
 
     msgs1, msgs2 = mechanism.messages
-    q = scenario.prior
-
-    def aux_entry(agent, m1, m2):
-        return sum(
-            q[j]
-            * (
-                scenario.payoffs[agent].expected_utility(j, mechanism.g(m1, m2))
-                + mechanism.t(agent, m1, m2)
-            )
-            for j in range(scenario.n)
-        )
-
-    a = [[aux_entry(0, m1, m2) for m2 in msgs2] for m1 in msgs1]
-    b = [[aux_entry(1, m1, m2) for m2 in msgs2] for m1 in msgs1]
+    n = scenario.n
+    game = Game(scenario, mechanism)
+    # inner_value takes the agent's own strategy first.
+    a = [[game.inner_value(0, 0, (m1,) * n, (m2,) * n) for m2 in msgs2] for m1 in msgs1]
+    b = [[game.inner_value(1, 0, (m2,) * n, (m1,) * n) for m2 in msgs2] for m1 in msgs1]
     x_mix, y_mix, va, vb = support_enumeration_nash(a, b)
 
-    game = Game(scenario, mechanism)
     profile = [
-        {0: {tuple([m] * scenario.n): w for m, w in zip(msgs1, x_mix) if w}},
-        {0: {tuple([m] * scenario.n): w for m, w in zip(msgs2, y_mix) if w}},
+        {0: {(m,) * n: w for m, w in zip(msgs1, x_mix) if w}},
+        {0: {(m,) * n: w for m, w in zip(msgs2, y_mix) if w}},
     ]
-    full1 = full_strategy_set(msgs1, scenario.n)
-    full2 = full_strategy_set(msgs2, scenario.n)
+    full1 = full_strategy_set(msgs1, n)
+    full2 = full_strategy_set(msgs2, n)
     report = verify_equilibrium(game, profile, (full1, full2))
-    outcome = [
-        outcome_distribution(game, profile, j)
-        for j in range(scenario.n)
-    ]
-    constant_outcome = all(
-        tv_distance(outcome[0], outcome[j]) == 0 for j in range(1, scenario.n)
-    )
+    outcome = [outcome_distribution(game, profile, j) for j in range(n)]
+    constant_outcome = all(tv_distance(outcome[0], outcome[j]) == 0 for j in range(1, n))
     certificates["no_learning_equilibrium"] = report.is_equilibrium
     certificates["state_constant_outcome"] = constant_outcome
     artifacts["nash"] = {"x": x_mix, "y": y_mix, "values": (va, vb)}
@@ -870,27 +854,12 @@ def run_prop2(
         # Learning-value bound (E max minus max E) per pure opponent message.
         rows = []
         ok = True
-        for m2 in msgs2:
+        for col, m2 in enumerate(msgs2):
             e_max = sum(
-                q[j]
-                * max(
-                    scenario.payoffs[0].expected_utility(j, mechanism.g(m1, m2))
-                    + mechanism.t(0, m1, m2)
-                    for m1 in msgs1
-                )
-                for j in range(scenario.n)
+                max(q * game.state_value(0, 0, j, m1, m2) for m1 in msgs1)
+                for j, q in enumerate(scenario.prior)
             )
-            max_e = max(
-                sum(
-                    q[j]
-                    * (
-                        scenario.payoffs[0].expected_utility(j, mechanism.g(m1, m2))
-                        + mechanism.t(0, m1, m2)
-                    )
-                    for j in range(scenario.n)
-                )
-                for m1 in msgs1
-            )
+            max_e = max(row[col] for row in a)
             val = e_max - max_e
             good = val <= 2 * x_u
             ok = ok and good
@@ -1072,7 +1041,6 @@ def run_prop3(
         raise ModelError(f"strict cyclical monotonicity fails: {witness}")
     transfers = synthesize_transfers(u, scenario.scf)
     n = scenario.n
-    q = scenario.prior
     assign, _ = _f_classes(scenario.scf)
     pair_margin = min(
         (
@@ -1083,38 +1051,21 @@ def run_prop3(
         for j2 in range(n)
         if assign[j] != assign[j2]
     )
-    truthful_value = sum(
-        q[j] * (u.expected_utility(j, scenario.scf(j)) + transfers[j]) for j in range(n)
-    )
-    best_constant = max(
-        sum(q[j] * (u.expected_utility(j, scenario.scf(m)) + transfers[m]) for j in range(n))
-        for m in range(n)
-    )
+    mech = build_one_respondent(scenario, agent, {j + 1: transfers[j] for j in range(n)})
+    truthful = tuple(range(1, n + 1))
+    other = (1,) * n  # the other agent's only message
+    zero_cost = Game(_with_cost(scenario, 0), mech)
+    truthful_value = zero_cost.inner_value(agent, 0, truthful, other)
+    best_constant = max(zero_cost.inner_value(agent, 0, (m,) * n, other) for m in truthful)
     learning_margin = truthful_value - best_constant
     threshold = learning_margin / 2
     c = rat(cost) if cost is not None else learning_margin / 4
-    scenario_c = _with_cost(scenario, c)
-    mech = build_one_respondent(
-        scenario_c, agent, {j + 1: transfers[j] for j in range(n)}
-    )
 
     # The other agent has one message, so equilibria are exactly the
     # mixtures over the respondent's best replies.
-    def value(s):
-        total = sum(
-            q[j] * (u.expected_utility(j, mech.g(*(s[j], 1) if agent == 0 else (1, s[j])))
-                    + transfers[s[j] - 1])
-            for j in range(n)
-        )
-        if not is_constant(s):
-            total -= c
-        return total
-
-    strategies = full_strategy_set(tuple(range(1, n + 1)), n)
-    truthful = tuple(range(1, n + 1))
-    values = {s: value(s) for s in strategies}
-    best_value = max(values.values())
-    argmax = sorted(s for s, v in values.items() if v == best_value)
+    game = Game(_with_cost(scenario, c), mech)
+    strategies = full_strategy_set(truthful, n)
+    argmax, _ = best_response(game, agent, 0, {0: {other: Fraction(1)}}, strategies)
     full_impl = argmax == [truthful] or all(
         all(assign[s[j] - 1] == assign[j] for j in range(n)) for s in argmax
     )

@@ -94,15 +94,18 @@ def _require(mapping, key, line, what):
     return mapping[key]
 
 
-def load_scenario(path, exact: bool = True) -> tuple[ScenarioModel, Perturbation | None]:
+def load_scenario(path) -> tuple[ScenarioModel, Perturbation | None]:
     """Parse and validate a scenario file.
 
     Returns the canonicalized scenario and the optional perturbation
     described in the file (``None`` when no perturbation block exists).
     """
-    with open(path) as fh:
-        text = fh.read()
-    return parse_scenario(text, exact=exact)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioFileError(f"cannot read scenario file {path}: {exc.strerror}")
+    return parse_scenario(text)
 
 
 def load_unperturbed_scenario(path) -> ScenarioModel:
@@ -112,15 +115,11 @@ def load_unperturbed_scenario(path) -> ScenarioModel:
     ``perturbation`` block without a word, so a block raises
     ``ScenarioFileError`` naming the file and the block's line instead.
     """
-    with open(path) as fh:
-        text = fh.read()
-    scenario, perturbation = parse_scenario(text)
+    scenario, perturbation = load_scenario(path)
     if perturbation is not None:
-        line = next(
-            key.start_mark.line
-            for key, _ in yaml.compose(text, Loader=yaml.SafeLoader).value
-            if key.value == "perturbation"
-        )
+        with open(path) as fh:
+            node = yaml.compose(fh, Loader=yaml.SafeLoader)
+        line = next(key.start_mark.line for key, _ in node.value if key.value == "perturbation")
         raise ScenarioFileError(
             f"{path}: experiments build their own ladders, so the perturbation "
             "block would be ignored; remove it", line
@@ -128,7 +127,7 @@ def load_unperturbed_scenario(path) -> ScenarioModel:
     return scenario
 
 
-def parse_scenario(text: str, exact: bool = True):
+def parse_scenario(text: str):
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
@@ -211,8 +210,6 @@ def parse_scenario(text: str, exact: bool = True):
     scenario = ScenarioModel(
         state_space, outcome_space, SocialChoiceFunction(tuple(lots)), tuple(payoffs)
     ).canonicalize()
-    if not exact:
-        scenario = _to_float(scenario)
 
     perturbation = None
     if "perturbation" in doc:
@@ -230,11 +227,14 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
                 f"perturbation depth: expected an integer of at least 2, got {depth!r}",
                 depth_line,
             )
-        eta = _rat(_require(block, "eta", line, "perturbation"), "eta")
+        eta_entry = _require(block, "eta", line, "perturbation")
+        eta = _rat(eta_entry, "eta")
+        blame = ("eta", eta_entry[1])
         size = depth + 1
     elif kind == "general":
         pi_raw, pi_line = _require(block, "pi", line, "perturbation")
         pi = tuple(_rat(p, "pi entry") for p in pi_raw)
+        blame = ("pi", pi_line)
         size = len(pi)
     else:
         raise ScenarioFileError(f"perturbation: unknown kind {kind!r}", kind_line)
@@ -242,6 +242,10 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
     biases = []
     if "bias" in block:
         for number, (item, b_line) in enumerate(block["bias"][0], start=1):
+            if not isinstance(item, dict):
+                raise ScenarioFileError(
+                    f"bias entry {number}: expected a mapping, got {item!r}", b_line
+                )
             agent = item.get("agent", (1, b_line))[0]
             if agent not in (1, 2):
                 raise ScenarioFileError("bias: agent must be 1 or 2", b_line)
@@ -275,22 +279,14 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
                         overrides[(s, outcomes.index(oname))] = value
             biases.append(BiasSpec(agent - 1, circ, overrides, cost))
 
-    if kind == "ladder":
-        return build_ladder(scenario, depth, eta, biases)
-    return build_general_ladder(scenario, pi, biases)
+    try:
+        if kind == "ladder":
+            return build_ladder(scenario, depth, eta, biases)
+        return build_general_ladder(scenario, pi, biases)
+    except ModelError as exc:
+        raise ScenarioFileError(f"perturbation {blame[0]}: {exc}", blame[1])
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
-
-def _to_float(scenario: ScenarioModel) -> ScenarioModel:
-    ss = StateSpace(scenario.state_space.states, tuple(float(p) for p in scenario.prior))
-    scf = SocialChoiceFunction(
-        tuple(Lottery(tuple(float(w) for w in lot.weights)) for lot in scenario.scf.lotteries)
-    )
-    payoffs = tuple(
-        AgentPayoff(tuple(tuple(float(v) for v in row) for row in p.u), float(p.cost))
-        for p in scenario.payoffs
-    )
-    return ScenarioModel(ss, scenario.outcome_space, scf, payoffs)

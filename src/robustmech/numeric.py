@@ -1,19 +1,14 @@
 """Exact-rational number helpers shared by every module.
 
-All incentive comparisons default to :class:`fractions.Fraction` so that
-strict inequalities are decided exactly.  A float mode (``exact=False`` on
-the scenario loader) is available for parameter sweeps; comparisons on
-floats use ``FLOAT_TOL``.
+All incentive comparisons use :class:`fractions.Fraction`, so strict
+inequalities are decided exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-FLOAT_TOL = 1e-9
-LOTTERY_TOL = 1e-12
-
-Number = Fraction | float | int
+Number = Fraction | int
 
 
 def rat(value) -> Fraction:
@@ -30,14 +25,5 @@ def rat(value) -> Fraction:
 
 
 def fmt(value: Number) -> str:
-    """Render a number for reports: ``7/10`` for rationals, repr for floats."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(value)
-
-
-def values_equal(a: Number, b: Number, tol: float = LOTTERY_TOL) -> bool:
-    """Equality test honouring the numeric mode of the operands."""
-    if isinstance(a, float) or isinstance(b, float):
-        return abs(a - b) <= tol
-    return a == b
+    """Render a number for reports: ``7/10``."""
+    return str(value)

@@ -79,8 +79,7 @@ class Perturbation:
     tail_mass: Number = Fraction(0)
 
     def __post_init__(self):
-        total = sum(self.pi)
-        if total != 1 and abs(total - 1) > 1e-9:
+        if sum(self.pi) != 1:
             raise ModelError("circumstance distribution must sum to one")
         if any(p < 0 for p in self.pi):
             raise ModelError("circumstance probabilities must be nonnegative")
@@ -245,7 +244,7 @@ def build_general_ladder(
     biases: list[BiasSpec] | None = None,
 ) -> Perturbation:
     """Ladder partition structure with an arbitrary finite distribution."""
-    pi = tuple(rat(p) if not isinstance(p, float) else p for p in pi)
+    pi = tuple(rat(p) for p in pi)
     return Perturbation(
         scenario,
         pi,

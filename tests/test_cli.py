@@ -98,18 +98,28 @@ def test_experiment_run_unknown_name(capsys):
 
 
 def test_bad_scenario_path(capsys):
-    with pytest.raises(FileNotFoundError):
-        main(["equilibrium", "check", "--scenario", "/no/such/file.yaml"])
+    code, _, err = run(capsys, "equilibrium", "check", "--scenario", "/no/such/file.yaml")
+    assert code == 2
+    assert err.startswith("error:") and "/no/such/file.yaml" in err
+    assert "Traceback" not in err
+
+
+def test_missing_experiment_scenario_exits_2(capsys):
+    code, _, err = run(capsys, "experiment", "run", "prop2", "--scenario", "/no/such/file.yaml")
+    assert code == 2
+    assert err.startswith("error:") and "/no/such/file.yaml" in err
 
 
 def eliminate_on_edited_ladder(tmp_path, old, new):
     """Run ``dominance eliminate`` in a subprocess on the ladder scenario
-    with one edit; returns the process and the edited line's number."""
+    with one edit; returns the process and the number of the edit's last
+    line in the edited file."""
     text = (SCENARIOS / "binary_trial_ladder.yaml").read_text()
     assert old in text
     bad = tmp_path / "bad.yaml"
     bad.write_text(text.replace(old, new))
     line = next(i for i, row in enumerate(text.splitlines(), start=1) if old in row)
+    line += new.count("\n")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "robustmech.cli", "dominance", "eliminate",
@@ -132,6 +142,11 @@ def test_bad_bias_key_exits_2_without_traceback(tmp_path):
         ("circumstance: 0", 'circumstance: "x"', "bias entry 1 circumstance"),
         ("circumstance: 0", "circumstance: 999", "bias entry 1 circumstance"),
         ("depth: 50", 'depth: "ten"', "perturbation depth"),
+        ('eta: "1/100"', 'eta: "2"', "perturbation eta: eta must lie strictly between 0 and 1"),
+        ("kind: ladder", 'kind: general\n  pi: ["1/2", "1/3"]',
+         "perturbation pi: circumstance distribution must sum to one"),
+        ('- {agent: 1, circumstance: 0, cost: "0", u: {"*,acquit": "1000"}}', "- 3",
+         "bias entry 1: expected a mapping, got 3"),
     ],
 )
 def test_bad_perturbation_input_exits_2_naming_the_line(tmp_path, old, new, message):

@@ -225,3 +225,26 @@ def test_grid_csv_shape():
     lines = csv.strip().splitlines()
     assert len(lines) == len(result.artifacts["grid"]) + 1
     assert lines[0] == ",".join(sorted(result.artifacts["grid"][0]))
+
+
+def test_prop2_values_are_engine_payoffs_on_an_asymmetric_mechanism():
+    """With agent 2 as the only respondent, agent 1 has one message and
+    agent 2 several, so an agent's payoff depends on which side sends
+    which message; the Nash values prop2 reports must be each agent's
+    engine payoff in the verified profile."""
+    from robustmech.engine import mixture_payoff
+    from robustmech.mechanisms import build_one_respondent
+
+    scenario = binary_trial_scenario()
+    mech = build_one_respondent(scenario, 1, {1: F(0), 2: F(1)})
+    result = experiments.run_prop2(scenario, mech)
+    assert result.passed
+    nash = result.artifacts["nash"]
+    profile = [
+        {0: {(m,) * scenario.n: w for m, w in zip(mech.messages[agent], nash[key]) if w}}
+        for agent, key in ((0, "x"), (1, "y"))
+    ]
+    game = Game(scenario, mech)
+    for agent in (0, 1):
+        value = mixture_payoff(game, agent, 0, profile[agent][0], profile[1 - agent])
+        assert value == nash["values"][agent]

@@ -1,18 +1,51 @@
 """Byte stability of experiment JSON, the sha256 of ``to_json()`` for the
-seven default experiments and two scaled variants, and of the stdout of
-the best-response and dominance CLI commands on the ladder scenario."""
+seven default experiments and two scaled variants, for prop1/prop2/prop3
+on inputs outside the defaults, and of the stdout of the best-response
+and dominance CLI commands on the ladder scenario."""
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import robustmech
 from robustmech.cli import main
+from robustmech.core import make_scenario
+from robustmech.experiments import _default_prop3_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN.parent.parent
 CORPUS = json.loads((GOLDEN / "experiments.json").read_text())
 CLI_CORPUS = json.loads((GOLDEN / "cli.json").read_text())
+CERTIFICATE_CORPUS = json.loads((GOLDEN / "certificates.json").read_text())
+
+
+def state_dependent_binary():
+    """Both costs above twice the utility range, so prop2 applies and,
+    payoffs depending on the state, emits its learning-value rows."""
+    return make_scenario(
+        states=[("innocent", "7/10"), ("guilty", "3/10")],
+        outcomes=["acquit", "convict"],
+        scf_rows={"innocent": {"acquit": 1}, "guilty": {"convict": 1}},
+        costs=(5, 5),
+        u_tables=(
+            {("innocent", "convict"): -1, ("guilty", "convict"): 1},
+            {("innocent", "convict"): 1, ("guilty", "acquit"): 1},
+        ),
+    )
+
+
+def prop3_swapped_payoffs():
+    """The default prop3 scenario with agent 2 as the informed respondent."""
+    scenario = _default_prop3_scenario()
+    return replace(scenario, payoffs=scenario.payoffs[::-1])
+
+
+SCENARIOS = {
+    "three_state_scenario": robustmech.three_state_scenario,
+    "state_dependent_binary": state_dependent_binary,
+    "prop3_swapped_payoffs": prop3_swapped_payoffs,
+}
 
 
 def test_experiment_json_matches_golden_hashes():
@@ -33,5 +66,15 @@ def test_cli_stdout_matches_golden_hashes(capsys, monkeypatch):
     for entry in CLI_CORPUS:
         assert main(entry["argv"]) == 0
         got[entry["id"]] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        want[entry["id"]] = entry["sha256"]
+    assert got == want
+
+
+def test_certificate_json_matches_golden_hashes():
+    got, want = {}, {}
+    for entry in CERTIFICATE_CORPUS:
+        scenario = SCENARIOS[entry["scenario"]]()
+        result = robustmech.run_experiment(entry["experiment"], scenario, **entry.get("kwargs", {}))
+        got[entry["id"]] = hashlib.sha256(result.to_json().encode()).hexdigest()
         want[entry["id"]] = entry["sha256"]
     assert got == want

@@ -134,3 +134,11 @@ def test_good_bias_utility_key():
     assert pert.utility(1, 1, 0, 0) == 1000
     assert pert.utility(1, 1, 1, 0) == 1000
     assert pert.cost(0, 0) == 0
+
+
+def test_decimal_numbers_load_as_exact_fractions():
+    text = GOOD.replace('"7/10"', "0.7").replace('"3/10"', "0.3").replace('cost: "1"', "cost: 0.1")
+    scenario, _ = parse_scenario(text)
+    assert scenario.prior == (F(7, 10), F(3, 10))
+    assert scenario.payoffs[0].cost == F(1, 10)
+    assert all(type(p) is F for p in scenario.prior)
