@@ -31,6 +31,7 @@ from .engine import (
     mislabel_signals,
     outcome_distribution,
     pure_profile,
+    restricted_choices,
     restricted_strategy_set,
     revealing_signals,
     size_of_signal_structure,

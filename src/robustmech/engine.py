@@ -368,34 +368,38 @@ def full_strategy_set(messages: tuple[int, ...], length: int) -> list[PureStrate
     return [tuple(s) for s in itertools.product(messages, repeat=length)]
 
 
+def restricted_choices(
+    variant: str,
+    n: int,
+    meanings: tuple[int, ...] | None = None,
+) -> list[tuple[int, ...]]:
+    """Per coordinate, the messages a strategy of each construction's
+    restricted game may send there, in ascending order.
+
+    A coordinate's meaning is its state index, or, with a signal
+    structure, the state index its signal means (pass the agent's meaning
+    map).  ``"sqr"``: the status-quo message or the meaning.  ``"asqr"``:
+    any negative message as well.
+    """
+    if variant == "sqr":
+        negatives = ()
+    elif variant == "asqr":
+        negatives = tuple(range(-n, -1))
+    else:
+        raise ModelError(f"unknown restricted-set variant {variant!r}")
+    if meanings is None:
+        meanings = range(1, n + 1)
+    return [negatives + ((1,) if h == 1 else (1, h)) for h in meanings]
+
+
 def restricted_strategy_set(
     variant: str,
     n: int,
     meanings: tuple[int, ...] | None = None,
 ) -> list[PureStrategy]:
-    """The pure strategies kept by each construction's restricted game.
-
-    ``"sqr"``: entry ``j`` may be the status-quo message or the state index.
-    ``"asqr"``: any negative message is also allowed.
-    ``"signals"``: per signal, negatives, the status quo, or the signal's
-    meaning (pass the agent's meaning map).
-    """
-    negatives = tuple(range(-n, -1))
-    if variant == "sqr":
-        choice = [(1,) if j == 1 else (1, j) for j in range(1, n + 1)]
-    elif variant == "asqr":
-        choice = [
-            negatives + (1,) if j == 1 else negatives + (1, j) for j in range(1, n + 1)
-        ]
-    elif variant == "signals":
-        if meanings is None:
-            raise ModelError("signals variant needs the agent's meaning map")
-        choice = [
-            negatives + (1,) if h == 1 else negatives + (1, h) for h in meanings
-        ]
-    else:
-        raise ModelError(f"unknown restricted-set variant {variant!r}")
-    return sorted(itertools.product(*choice))
+    """The pure strategies kept by each construction's restricted game: the
+    product of ``restricted_choices``, in canonical order."""
+    return list(itertools.product(*restricted_choices(variant, n, meanings)))
 
 
 def canonical_replacement(
@@ -407,25 +411,17 @@ def canonical_replacement(
     """Map a strategy outside the restricted set to its canonical stand-in.
 
     The plain-rule variant replaces invalid entries by the status quo
-    message; the augmented variants flip invalid entries to their negative,
+    message; the augmented variant flips invalid entries to their negative,
     except a wholly-constant high vector which flips as a whole.
     """
-    if meanings is None:
-        meanings = tuple(range(1, n + 1))
+    allowed = restricted_choices(variant, n, meanings)
+    if all(m in a for m, a in zip(strategy, allowed)):
+        raise ModelError("strategy already belongs to the restricted set")
     if variant == "sqr":
-        allowed = [{1, j} for j in meanings]
-        if all(m in a for m, a in zip(strategy, allowed)):
-            raise ModelError("strategy already belongs to the restricted set")
         return tuple(m if m in a else 1 for m, a in zip(strategy, allowed))
-    if variant in ("asqr", "signals"):
-        negatives = set(range(-n, -1))
-        allowed = [negatives | {1, j} for j in meanings]
-        if all(m in a for m, a in zip(strategy, allowed)):
-            raise ModelError("strategy already belongs to the restricted set")
-        if is_constant(strategy) and strategy[0] >= 2:
-            return tuple(-m for m in strategy)
-        return tuple(m if m in a else -m for m, a in zip(strategy, allowed))
-    raise ModelError(f"unknown replacement variant {variant!r}")
+    if is_constant(strategy) and strategy[0] >= 2:
+        return tuple(-m for m in strategy)
+    return tuple(m if m in a else -m for m, a in zip(strategy, allowed))
 
 
 # -- profile helpers -------------------------------------------------------

@@ -10,6 +10,7 @@ numbers, so negative messages come before positive ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -206,7 +207,8 @@ def gamma_dominance_threshold(
     1 - gamma on an adversarial restricted strategy, the gain of truth over
     a deviation is linear in gamma; the adversarial side separates across
     states because the restricted sets are products over coordinates, so
-    the worst case is a per-state minimum.  The reported gamma is the
+    the worst case is a per-state minimum; an opponent set that is not a
+    product raises ``ModelError``.  The reported gamma is the
     largest root across agents and deviations (zero when every deviation
     is dominated outright); strictness holds for truthful weight above it.
 
@@ -227,7 +229,8 @@ def gamma_dominance_threshold(
         msgs_opp = sorted({m for s in opp_set for m in s})
         phi = _coordinate_values(game, agent, msgs_own, msgs_opp)
         allowed = [sorted({r[k] for r in opp_set}) for k in range(scenario.n)]
-        separable = len(opp_set) == _product(len(a) for a in allowed)
+        if len(set(opp_set)) != math.prod(len(a) for a in allowed):
+            raise ModelError("opponent restricted set must be a product of per-state choices")
         for s in own_set:
             if s == truth:
                 continue
@@ -241,26 +244,15 @@ def gamma_dominance_threshold(
                     f"truthful reporting is not strictly dominant at gamma=1 "
                     f"(deviation {s} gains {-d_truth})"
                 )
-            if separable:
-                picks = []
-                d_adv = cost_term
-                for k in range(scenario.n):
-                    b_best = min(
-                        allowed[k],
-                        key=lambda b: phi[(k, truth[k], b)] - phi[(k, s[k], b)],
-                    )
-                    picks.append(b_best)
-                    d_adv += phi[(k, truth[k], b_best)] - phi[(k, s[k], b_best)]
-            else:
-                best = None
-                for r in opp_set:
-                    v = cost_term + sum(
-                        phi[(k, truth[k], r[k])] - phi[(k, s[k], r[k])]
-                        for k in range(scenario.n)
-                    )
-                    if best is None or v < best[0]:
-                        best = (v, r)
-                d_adv, picks = best[0], list(best[1])
+            picks = []
+            d_adv = cost_term
+            for k in range(scenario.n):
+                b_best = min(
+                    allowed[k],
+                    key=lambda b: phi[(k, truth[k], b)] - phi[(k, s[k], b)],
+                )
+                picks.append(b_best)
+                d_adv += phi[(k, truth[k], b_best)] - phi[(k, s[k], b_best)]
             root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
             gamma = max(gamma, root)
             witness.append(
@@ -274,13 +266,6 @@ def gamma_dominance_threshold(
                 }
             )
     return DominanceCertificate(gamma, tuple(witness))
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 # -- best-response iteration ----------------------------------------------

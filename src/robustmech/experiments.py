@@ -9,9 +9,9 @@ choice flows through a seeded generator recorded in the result.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -34,9 +34,11 @@ from .engine import (
     size_of_signal_structure,
     SignalStructure,
     TrembleSpec,
+    canonical_replacement,
     full_strategy_set,
     is_constant,
     mislabel_signals,
+    restricted_choices,
     restricted_strategy_set,
     revealing_signals,
     truthful_profile,
@@ -131,28 +133,6 @@ class ExperimentResult:
 # -- shared helpers --------------------------------------------------------
 
 
-def random_generic_prior(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    """Random full-support rational prior with a unique maximum."""
-    while True:
-        weights = [rng.randint(1, 60) for _ in range(n)]
-        top = max(weights)
-        if weights.count(top) == 1:
-            total = sum(weights)
-            prior = sorted((Fraction(w, total) for w in weights), reverse=True)
-            return tuple(prior)
-
-
-def _uniform_scenario(prior: tuple[Fraction, ...], cost: Number = 1) -> ScenarioModel:
-    """Pure-outcome scenario with one outcome per state and the given prior."""
-    from .core import make_scenario
-
-    n = len(prior)
-    states = [(f"s{j + 1}", prior[j]) for j in range(n)]
-    outcomes = [f"y{j + 1}" for j in range(n)]
-    rows = {f"s{j + 1}": {f"y{j + 1}": 1} for j in range(n)}
-    return make_scenario(states, outcomes, rows, costs=(cost, cost))
-
-
 def _with_cost(scenario: ScenarioModel, cost: Number) -> ScenarioModel:
     payoffs = tuple(replace(p, cost=rat(cost)) for p in scenario.payoffs)
     return ScenarioModel(scenario.state_space, scenario.outcome_space, scenario.scf, payoffs)
@@ -179,8 +159,6 @@ def step3_closure_certificate(
     expected transfer, strictly smaller for constant vectors of a high
     message.  Returns failures as witnesses.
     """
-    from .engine import canonical_replacement
-
     n = scenario.n
     sigma_star = set(restricted_strategy_set(variant, n))
     opp_set = restricted_strategy_set(variant, n)
@@ -393,6 +371,7 @@ def deviation_dominance_certificate(
     opp = 1 - agent
     h_own = structure.meanings[agent]
     h_opp = structure.meanings[opp]
+    opp_choices = restricted_choices("asqr", n, h_opp)
     noise_m = {m: noise_opp.get(m, Fraction(0)) for m in mechanism.messages[opp]}
     noise_low = sum(p for m, p in noise_m.items() if m <= 1)
     rows = []
@@ -417,9 +396,8 @@ def deviation_dominance_certificate(
                 continue
             worst = Fraction(0)
             for s_opp, p_cond in cond.items():
-                allowed = set(range(-n, -1)) | {1, h_opp[s_opp]}
                 best = None
-                for b in allowed:
+                for b in opp_choices[s_opp]:
                     p_m, p_low = realized_probs(b, m)
                     if modified:
                         value = p_m * sched.r(m) + p_low * (r0 - x)
@@ -503,13 +481,13 @@ def run_thm3(
         return Game(scenario, mech, signals=structure, tremble=tremble)
 
     sets = tuple(
-        restricted_strategy_set("signals", n, meanings=noisy.meanings[i]) for i in (0, 1)
+        restricted_strategy_set("asqr", n, meanings=noisy.meanings[i]) for i in (0, 1)
     )
     game = make_game(msqr, noisy, tau)
     report = verify_equilibrium(game, truthful_profile(game), sets)
 
     sets0 = tuple(
-        restricted_strategy_set("signals", n, meanings=revealing.meanings[i]) for i in (0, 1)
+        restricted_strategy_set("asqr", n, meanings=revealing.meanings[i]) for i in (0, 1)
     )
     game0 = make_game(msqr, revealing, Fraction(0))
     report0 = verify_equilibrium(game0, truthful_profile(game0), sets0)
@@ -628,11 +606,9 @@ def separating_functional(
         ) - v_star
         if margin <= 0:
             continue
-        c_scale = Fraction(4 * x_bound, 1) / margin
-        scale = c_scale.__ceil__() + 1 if c_scale == c_scale.__ceil__() else c_scale.__ceil__()
-        while margin * scale <= 4 * x_bound:
-            scale += 1
-        return SeparatingFunctional(values, star, margin, Fraction(scale))
+        # The smallest integer scale with margin * scale > 4 * x_bound.
+        scale = Fraction(4 * x_bound // margin + 1)
+        return SeparatingFunctional(values, star, margin, scale)
     raise ModelError("no separable target lottery found")
 
 
@@ -674,8 +650,8 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
 
 
 def run_prop1(
-    mechanism: Mechanism | None = None,
     scenario: ScenarioModel | None = None,
+    mechanism: Mechanism | None = None,
     eta_values=("1/10", "1/5"),
     grid_step: int = 20,
 ) -> ExperimentResult:
@@ -797,14 +773,17 @@ def run_prop1(
 
 
 def run_prop2(
-    scenario: ScenarioModel, mechanism: Mechanism
+    scenario: ScenarioModel | None = None, mechanism: Mechanism | None = None
 ) -> ExperimentResult:
     """No-learning equilibria when payoffs barely respond to the state.
 
     Applies when utilities are state-independent with positive costs, or
     when both costs exceed twice the utility range; otherwise the result
-    is flagged inapplicable rather than failed.
+    is flagged inapplicable rather than failed.  The default mechanism is
+    the status quo rule built at unit costs with the scenario's cost bound.
     """
+    scenario = scenario or _default_prop2_scenario()
+    mechanism = mechanism or build_status_quo(_with_cost(scenario, 1), scenario.max_cost)
     u_range = []
     for p in scenario.payoffs:
         flat = [v for row in p.u for v in row]
@@ -893,91 +872,68 @@ def _f_classes(scf: SocialChoiceFunction) -> tuple[list[int], list[Lottery]]:
     return assign, reps
 
 
-def _class_arcs(u: AgentPayoff, scf: SocialChoiceFunction):
+def _class_graph(u: AgentPayoff, scf: SocialChoiceFunction):
+    """Each state's class, the number of classes, the complete graph of
+    arcs W(A, B) (the smallest truthful advantage of class A's target
+    over class B's among A's states), and its minimum cycle."""
     assign, reps = _f_classes(scf)
     k = len(reps)
-    arcs = {}
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            arcs[(a, b)] = min(
-                u.expected_utility(j, reps[a]) - u.expected_utility(j, reps[b])
-                for j, cls in enumerate(assign)
-                if cls == a
-            )
-    return assign, reps, arcs
+    arcs = {
+        (a, b): min(
+            u.expected_utility(j, reps[a]) - u.expected_utility(j, reps[b])
+            for j, cls in enumerate(assign)
+            if cls == a
+        )
+        for a in range(k)
+        for b in range(k)
+        if a != b
+    }
+    return assign, k, arcs, _min_cycle(arcs, k)
 
 
 def _min_cycle(arcs, k):
-    """Minimum-weight directed cycle over the class graph, with one
-    witness cycle; None when k < 2."""
+    """Minimum weight of a directed cycle over the complete class graph,
+    with the class it was found at; (None, None) when k < 2."""
     if k < 2:
         return None, None
-    inf = None
-    dist = {(a, b): arcs.get((a, b)) for a in range(k) for b in range(k) if a != b}
-    nxt = {key: key[1] for key in dist}
+    dist = dict(arcs)
     for mid in range(k):
         for a in range(k):
             for b in range(k):
-                if a == mid or b == mid or a == b:
+                if a == b or mid in (a, b):
                     continue
-                left = dist.get((a, mid))
-                right = dist.get((mid, b))
-                if left is None or right is None:
-                    continue
-                cur = dist.get((a, b))
-                if cur is None or left + right < cur:
-                    dist[(a, b)] = left + right
-                    nxt[(a, b)] = nxt[(a, mid)]
-    best = None
-    best_start = None
+                if dist[(a, mid)] + dist[(mid, b)] < dist[(a, b)]:
+                    dist[(a, b)] = dist[(a, mid)] + dist[(mid, b)]
+    best = best_start = None
     for a in range(k):
-        loop = None
-        for b in range(k):
-            if a == b:
-                continue
-            ab = dist.get((a, b))
-            ba = arcs.get((b, a))
-            if ab is None or ba is None:
-                continue
-            if loop is None or ab + ba < loop:
-                loop = ab + ba
-        if loop is not None and (best is None or loop < best):
-            best = loop
-            best_start = a
+        loop = min(dist[(a, b)] + arcs[(b, a)] for b in range(k) if b != a)
+        if best is None or loop < best:
+            best, best_start = loop, a
     return best, best_start
 
 
+def _cycle_verdict(k, cycle):
+    """Strict cyclical monotonicity from the class graph's minimum cycle,
+    with its witness."""
+    weight, start = cycle
+    if weight is None:
+        return True, {"classes": k}
+    if weight <= 0:
+        return False, {"min_cycle_weight": weight, "at_class": start}
+    return True, {"min_cycle_weight": weight}
+
+
 def check_strict_cyclical_monotonicity(
-    u: AgentPayoff, scf: SocialChoiceFunction, method: str = "auto"
+    u: AgentPayoff, scf: SocialChoiceFunction
 ) -> tuple[bool, dict]:
     """Whether truthful assignment beats every state permutation.
 
-    ``method`` selects the oracle: ``"permutation"`` enumerates all
-    permutations, ``"cycle"`` reduces to minimum-cycle detection on the
-    graph of distinct target lotteries, ``"auto"`` picks by size.
+    By Rochet (1987) that holds exactly when every cycle of the graph of
+    distinct target lotteries has positive weight, so the check is the
+    graph's minimum cycle; the witness is its weight and start class.
     """
-    n = len(scf.lotteries)
-    if method == "auto":
-        method = "permutation" if n <= 8 else "cycle"
-    assign, reps, arcs = _class_arcs(u, scf)
-    if method == "permutation":
-        diag = sum(u.expected_utility(j, scf(j)) for j in range(n))
-        for perm in itertools.permutations(range(n)):
-            total = sum(u.expected_utility(j, scf(perm[j])) for j in range(n))
-            changes = any(assign[perm[j]] != assign[j] for j in range(n))
-            if total > diag or (changes and total == diag):
-                return False, {"permutation": perm, "gap": diag - total}
-        return True, {"checked": "all permutations", "count": n}
-    if method == "cycle":
-        weight, start = _min_cycle(arcs, len(reps))
-        if weight is None:
-            return True, {"classes": len(reps)}
-        if weight <= 0:
-            return False, {"min_cycle_weight": weight, "at_class": start}
-        return True, {"min_cycle_weight": weight}
-    raise ModelError(f"unknown method {method!r}")
+    _, k, _, cycle = _class_graph(u, scf)
+    return _cycle_verdict(k, cycle)
 
 
 def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int, Number]:
@@ -987,17 +943,16 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
     shortest-path potentials on the class graph, where W(A,B) is the
     smallest truthful advantage of class A over class B and delta eats
     half the minimum cycle slack.  States sharing a target lottery share
-    a transfer; the minimum transfer is normalized to zero.
+    a transfer; the minimum transfer is normalized to zero.  Raises
+    ``ModelError`` when strict cyclical monotonicity fails.
     """
-    ok, witness = check_strict_cyclical_monotonicity(u, scf, method="cycle")
+    assign, k, arcs, cycle = _class_graph(u, scf)
+    ok, witness = _cycle_verdict(k, cycle)
     if not ok:
         raise ModelError(f"strict cyclical monotonicity fails: {witness}")
-    assign, reps, arcs = _class_arcs(u, scf)
-    k = len(reps)
     if k == 1:
         return {j: Fraction(0) for j in range(len(scf.lotteries))}
-    mu, _ = _min_cycle(arcs, k)
-    delta = mu / (2 * k)
+    delta = cycle[0] / (2 * k)
     # Bellman-Ford from a virtual source connected by zero arcs.
     dist = [Fraction(0)] * k
     for _ in range(k):
@@ -1024,21 +979,21 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
 
 
 def run_prop3(
-    scenario: ScenarioModel,
+    scenario: ScenarioModel | None = None,
     agent: int = 0,
     cost: Number | None = None,
 ) -> ExperimentResult:
     """Full implementation through a single informed respondent.
 
-    Requires strict cyclical monotonicity for the respondent; synthesizes
-    transfers, computes the learning threshold, and enumerates every
-    equilibrium of the one-respondent mechanism to confirm each one
-    implements the target exactly.
+    Requires a non-constant target and strict cyclical monotonicity for
+    the respondent; synthesizes transfers, computes the learning
+    threshold, and enumerates every equilibrium of the one-respondent
+    mechanism to confirm each one implements the target exactly.
     """
+    scenario = scenario or _default_prop3_scenario()
+    if not is_nonconstant(scenario.scf):
+        raise ModelError("full implementation run needs a non-constant target")
     u = scenario.payoffs[agent]
-    ok, witness = check_strict_cyclical_monotonicity(u, scenario.scf)
-    if not ok:
-        raise ModelError(f"strict cyclical monotonicity fails: {witness}")
     transfers = synthesize_transfers(u, scenario.scf)
     n = scenario.n
     assign, _ = _f_classes(scenario.scf)
@@ -1089,18 +1044,6 @@ def run_prop3(
         },
         {"scenario_states": scenario.state_space.states, "prior": scenario.prior},
     )
-
-
-def random_scm_instance(rng: random.Random, n: int = 3, n_outcomes: int = 3):
-    """Random utility table and pure-outcome target for oracle cross-checks."""
-    from .core import OutcomeSpace, StateSpace
-
-    u = tuple(
-        tuple(Fraction(rng.randint(-6, 6)) for _ in range(n_outcomes)) for _ in range(n)
-    )
-    f = [rng.randrange(n_outcomes) for _ in range(n)]
-    lots = tuple(Lottery.point(y, n_outcomes) for y in f)
-    return AgentPayoff(u, Fraction(0)), SocialChoiceFunction(lots)
 
 
 def run_maskin_contagion(
@@ -1187,33 +1130,25 @@ def _default_prop3_scenario():
     )
 
 
+EXPERIMENTS = ("maskin-contagion", "prop1", "prop2", "prop3", "thm1", "thm2", "thm3")
+
+
 def run_experiment(name: str, scenario: ScenarioModel | None = None, **kwargs) -> ExperimentResult:
+    """Run ``run_<name>`` on ``scenario`` (None for its default input).
+
+    Options the run function does not take raise ``ModelError`` naming
+    the experiment.  The function is looked up when called, so a wrapper
+    installed on the module is the one that runs.
+    """
     if name not in EXPERIMENTS:
         raise ModelError(f"unknown experiment {name!r}; see experiment list")
-    return EXPERIMENTS[name](scenario, **kwargs)
-
-
-def _run_prop2_default(scenario=None, **kwargs):
-    scenario = scenario or _default_prop2_scenario()
-    mech = build_status_quo(_with_cost(scenario, 1), scenario.max_cost)
-    return run_prop2(scenario, mech)
-
-
-def _run_prop3_default(scenario=None, **kwargs):
-    scenario = scenario or _default_prop3_scenario()
-    return run_prop3(scenario, **kwargs)
-
-
-EXPERIMENTS = {
-    "thm1": lambda scenario=None, **kw: run_thm1(scenario, **kw),
-    "thm2": lambda scenario=None, **kw: run_thm2(scenario, **kw),
-    "thm3": lambda scenario=None, **kw: run_thm3(scenario, **kw),
-    "prop1": lambda scenario=None, **kw: run_prop1(scenario=scenario, **kw),
-    "prop2": _run_prop2_default,
-    "prop3": _run_prop3_default,
-    "maskin-contagion": lambda scenario=None, **kw: run_maskin_contagion(scenario, **kw),
-}
+    run = globals()["run_" + name.replace("-", "_")]
+    try:
+        inspect.signature(run).bind(scenario, **kwargs)
+    except TypeError as exc:
+        raise ModelError(f"experiment {name}: {exc}") from None
+    return run(scenario, **kwargs)
 
 
 def list_experiments() -> list[str]:
-    return sorted(EXPERIMENTS)
+    return list(EXPERIMENTS)

@@ -88,6 +88,46 @@ def _rat(entry, what):
         raise ScenarioFileError(f"{what}: expected a rational, got {value!r}", line)
 
 
+_SHAPES = {dict: "a mapping", list: "a list"}
+
+
+def _expect(entry, kind, what):
+    """A built ``(value, line)`` node whose value must be a ``dict`` or a
+    ``list``; any other shape raises ``ScenarioFileError`` naming the
+    node's line."""
+    value, line = entry
+    if not isinstance(value, kind):
+        got = _SHAPES.get(type(value), repr(value))
+        raise ScenarioFileError(f"{what}: expected {_SHAPES[kind]}, got {got}", line)
+    return entry
+
+
+def _u_overrides(entry, states, outcomes, table, name_key):
+    """``{(state index, outcome index): value}`` from a ``u`` node keyed by
+    ``"state,outcome"``, where ``*`` spans every state of ``states``.
+
+    Errors start with ``table`` (``"agent 1 u"``); with ``name_key`` they
+    name the key as ``table[key]``, otherwise a malformed key is quoted.
+    """
+    u_raw, line = _expect(entry, dict, table)
+    overrides = {}
+    for key, value in u_raw.items():
+        where = f"{table}[{key}]" if name_key else table
+        parts = [p.strip() for p in str(key).split(",")]
+        if len(parts) != 2:
+            got = "" if name_key else f", got {key!r}"
+            raise ScenarioFileError(f"{where}: key must be 'state,outcome'{got}", line)
+        sname, oname = parts
+        if sname != "*" and sname not in states:
+            raise ScenarioFileError(f"{where}: unknown state {sname!r}", line)
+        if oname not in outcomes:
+            raise ScenarioFileError(f"{where}: unknown outcome {oname!r}", line)
+        number = _rat(value, f"{table}[{key}]")
+        for s in range(len(states)) if sname == "*" else [states.index(sname)]:
+            overrides[(s, outcomes.index(oname))] = number
+    return overrides
+
+
 def _require(mapping, key, line, what):
     if key not in mapping:
         raise ScenarioFileError(f"{what}: missing key {key!r}", line)
@@ -135,21 +175,17 @@ def parse_scenario(text: str):
         raise ScenarioFileError(f"not valid YAML: {exc}", mark.line if mark else None)
     if node is None:
         raise ScenarioFileError("empty scenario file")
-    doc, top_line = _build(node)
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario file must be a mapping", top_line)
+    doc, top_line = _expect(_build(node), dict, "scenario file")
 
-    states_entry = _require(doc, "states", top_line, "scenario")
-    states_raw, states_line = states_entry
+    states_raw, states_line = _expect(_require(doc, "states", top_line, "scenario"), list, "states")
     labels, prior = [], []
-    for item, line in states_raw:
-        if not isinstance(item, dict):
-            raise ScenarioFileError("states: each entry must be a mapping", line)
+    for number, entry in enumerate(states_raw, start=1):
+        item, line = _expect(entry, dict, f"state entry {number}")
         name, _ = _require(item, "name", line, "state")
         labels.append(str(name))
         prior.append(_rat(_require(item, "prob", line, f"state {name!r}"), f"state {name!r} prob"))
 
-    outcomes_raw, out_line = _require(doc, "outcomes", top_line, "scenario")
+    outcomes_raw, _ = _expect(_require(doc, "outcomes", top_line, "scenario"), list, "outcomes")
     outcomes = [str(o) for o, _ in outcomes_raw]
 
     try:
@@ -158,12 +194,12 @@ def parse_scenario(text: str):
     except ModelError as exc:
         raise ScenarioFileError(str(exc), states_line)
 
-    scf_raw, scf_line = _require(doc, "scf", top_line, "scenario")
+    scf_raw, scf_line = _expect(_require(doc, "scf", top_line, "scenario"), dict, "scf")
     lots = []
     for label in labels:
         if label not in scf_raw:
             raise ScenarioFileError(f"scf: missing row for state {label!r}", scf_line)
-        row, row_line = scf_raw[label]
+        row, row_line = _expect(scf_raw[label], dict, f"scf[{label}]")
         weights = [Fraction(0)] * len(outcomes)
         for oname, entry in row.items():
             if oname not in outcomes:
@@ -174,30 +210,16 @@ def parse_scenario(text: str):
         except ModelError as exc:
             raise ScenarioFileError(f"scf[{label}]: {exc}", row_line)
 
-    agents_raw, agents_line = _require(doc, "agents", top_line, "scenario")
+    agents_raw, agents_line = _expect(_require(doc, "agents", top_line, "scenario"), list, "agents")
     if len(agents_raw) != 2:
         raise ScenarioFileError("agents: exactly two agents are supported", agents_line)
     payoffs = []
-    for i, (agent, line) in enumerate(agents_raw):
+    for i, entry in enumerate(agents_raw):
+        agent, line = _expect(entry, dict, f"agent {i + 1}")
         cost = _rat(_require(agent, "cost", line, f"agent {i + 1}"), f"agent {i + 1} cost")
         table = {}
-        if "u" in agent and agent["u"][0]:
-            u_raw, u_line = agent["u"]
-            for key, entry in u_raw.items():
-                parts = [p.strip() for p in str(key).split(",")]
-                if len(parts) != 2:
-                    raise ScenarioFileError(
-                        f"agent {i + 1} u: key must be 'state,outcome', got {key!r}", u_line
-                    )
-                sname, oname = parts
-                s_idx = range(len(labels)) if sname == "*" else [labels.index(sname)] if sname in labels else None
-                if s_idx is None:
-                    raise ScenarioFileError(f"agent {i + 1} u: unknown state {sname!r}", u_line)
-                if oname not in outcomes:
-                    raise ScenarioFileError(f"agent {i + 1} u: unknown outcome {oname!r}", u_line)
-                value = _rat(entry, f"agent {i + 1} u[{key}]")
-                for s in s_idx:
-                    table[(s, outcomes.index(oname))] = value
+        if agent.get("u", (None,))[0] is not None:
+            table = _u_overrides(agent["u"], labels, outcomes, f"agent {i + 1} u", False)
         u = tuple(
             tuple(table.get((s, o), Fraction(0)) for o in range(len(outcomes)))
             for s in range(len(labels))
@@ -218,7 +240,7 @@ def parse_scenario(text: str):
 
 
 def _parse_perturbation(entry, scenario, labels, outcomes):
-    block, line = entry
+    block, line = _expect(entry, dict, "perturbation")
     kind, kind_line = _require(block, "kind", line, "perturbation")
     if kind == "ladder":
         depth, depth_line = block.get("depth", (100, line))
@@ -232,7 +254,8 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
         blame = ("eta", eta_entry[1])
         size = depth + 1
     elif kind == "general":
-        pi_raw, pi_line = _require(block, "pi", line, "perturbation")
+        pi_raw, pi_line = _expect(_require(block, "pi", line, "perturbation"), list,
+                                  "perturbation pi")
         pi = tuple(_rat(p, "pi entry") for p in pi_raw)
         blame = ("pi", pi_line)
         size = len(pi)
@@ -241,11 +264,8 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
 
     biases = []
     if "bias" in block:
-        for number, (item, b_line) in enumerate(block["bias"][0], start=1):
-            if not isinstance(item, dict):
-                raise ScenarioFileError(
-                    f"bias entry {number}: expected a mapping, got {item!r}", b_line
-                )
+        for number, entry in enumerate(_expect(block["bias"], list, "bias")[0], start=1):
+            item, b_line = _expect(entry, dict, f"bias entry {number}")
             agent = item.get("agent", (1, b_line))[0]
             if agent not in (1, 2):
                 raise ScenarioFileError("bias: agent must be 1 or 2", b_line)
@@ -259,24 +279,10 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
             if "cost" in item:
                 cost = _rat(item["cost"], "bias cost")
             overrides = {}
-            if "u" in item and item["u"][0]:
-                u_raw, u_line = item["u"]
-                # Same "state,outcome" keys as agent u tables; '*' spans states.
-                order = list(scenario.state_space.states)
-                for key, val in u_raw.items():
-                    where = f"bias entry {number} u[{key}]"
-                    parts = [p.strip() for p in str(key).split(",")]
-                    if len(parts) != 2:
-                        raise ScenarioFileError(f"{where}: key must be 'state,outcome'", u_line)
-                    sname, oname = parts
-                    if sname != "*" and sname not in order:
-                        raise ScenarioFileError(f"{where}: unknown state {sname!r}", u_line)
-                    if oname not in outcomes:
-                        raise ScenarioFileError(f"{where}: unknown outcome {oname!r}", u_line)
-                    value = _rat(val, where)
-                    targets = range(scenario.n) if sname == "*" else [order.index(sname)]
-                    for s in targets:
-                        overrides[(s, outcomes.index(oname))] = value
+            if item.get("u", (None,))[0] is not None:
+                # Bias rows follow the scenario's canonical state order.
+                overrides = _u_overrides(item["u"], scenario.state_space.states, outcomes,
+                                         f"bias entry {number} u", True)
             biases.append(BiasSpec(agent - 1, circ, overrides, cost))
 
     try:

@@ -7,7 +7,8 @@ dominance that rechecks every type in every round.  They are kept
 verbatim so that the compiled engine can be compared against them by
 exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
 ``inner_value``; ``NaivePerturbation`` supplies the old ``type_of`` and
-``type_prob``.
+``type_prob``.  ``strict_cyclical_monotonicity`` enumerates every state
+permutation, the oracle for the class-graph check.
 """
 
 import itertools
@@ -275,3 +276,17 @@ def iterate_best_response(game, strategy_sets, initial, max_rounds=200):
         seen.add(key(nxt))
         profile = nxt
     return profile, rounds, False, False
+
+
+def strict_cyclical_monotonicity(u, scf) -> bool:
+    """Whether truthful assignment beats every state permutation, by
+    enumerating all n! of them: no permutation may gain, and one that
+    changes some state's target lottery must lose strictly."""
+    n = len(scf.lotteries)
+    diag = sum(u.expected_utility(j, scf(j)) for j in range(n))
+    for perm in itertools.permutations(range(n)):
+        total = sum(u.expected_utility(j, scf(perm[j])) for j in range(n))
+        changes = any(not scf(perm[j]).same_as(scf(j)) for j in range(n))
+        if total > diag or (changes and total == diag):
+            return False
+    return True

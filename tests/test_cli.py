@@ -110,23 +110,25 @@ def test_missing_experiment_scenario_exits_2(capsys):
     assert err.startswith("error:") and "/no/such/file.yaml" in err
 
 
+def run_cli(*argv):
+    """Run the command line in a subprocess on this checkout's sources."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "robustmech.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 def eliminate_on_edited_ladder(tmp_path, old, new):
     """Run ``dominance eliminate`` in a subprocess on the ladder scenario
-    with one edit; returns the process and the number of the edit's last
-    line in the edited file."""
+    with one edit, which may span lines; returns the process and the
+    number of the edit's last line in the edited file."""
     text = (SCENARIOS / "binary_trial_ladder.yaml").read_text()
     assert old in text
     bad = tmp_path / "bad.yaml"
     bad.write_text(text.replace(old, new))
-    line = next(i for i, row in enumerate(text.splitlines(), start=1) if old in row)
-    line += new.count("\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "robustmech.cli", "dominance", "eliminate",
-         "--scenario", str(bad)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    return proc, line
+    line = text[: text.index(old)].count("\n") + 1 + new.count("\n")
+    return run_cli("dominance", "eliminate", "--scenario", str(bad)), line
 
 
 def test_bad_bias_key_exits_2_without_traceback(tmp_path):
@@ -156,14 +158,71 @@ def test_bad_perturbation_input_exits_2_naming_the_line(tmp_path, old, new, mess
     assert message in proc.stderr and f"(line {line})" in proc.stderr
 
 
-def test_experiment_scenario_with_perturbation_block_exits_2(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = SCENARIOS / "binary_trial_ladder.yaml"
-    proc = subprocess.run(
-        [sys.executable, "-m", "robustmech.cli", "experiment", "run", "maskin-contagion",
-         "--scenario", str(path), "--out", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+BIAS_BLOCK = 'bias:\n    - {agent: 1, circumstance: 0, cost: "0", u: {"*,acquit": "1000"}}'
+LADDER_BLOCK = 'perturbation:\n  kind: ladder\n  depth: 50\n  eta: "1/100"\n  ' + BIAS_BLOCK
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('states:\n  - {name: innocent, prob: "7/10"}\n  - {name: guilty, prob: "3/10"}',
+         "states: 3"),
+        ("outcomes: [acquit, convict]", "outcomes: 3"),
+        ('scf:\n  innocent: {acquit: "1"}\n  guilty: {convict: "1"}', "scf: 3"),
+        ('agents:\n  - cost: "1"\n  - cost: "1"', "agents: 3"),
+        ('  - cost: "1"\n  - cost: "1"', '  - cost: "1"\n  - 3'),
+        ('innocent: {acquit: "1"}', "innocent: 3"),
+        ('  - cost: "1"\n  - cost: "1"', '  - cost: "1"\n  - cost: "1"\n    u: 3'),
+        (LADDER_BLOCK, "perturbation: 3"),
+        (BIAS_BLOCK, "bias: 3"),
+        ('u: {"*,acquit": "1000"}', "u: 3"),
+        ("kind: ladder", "kind: general\n  pi: 3"),
+    ],
+    ids=["states", "outcomes", "scf", "agents", "agent-entry", "scf-row", "agent-u",
+         "perturbation", "bias", "bias-u", "general-pi"],
+)
+def test_scalar_in_place_of_a_list_or_mapping_exits_2_naming_the_line(tmp_path, old, new):
+    proc, line = eliminate_on_edited_ladder(tmp_path, old, new)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "expected a " in proc.stderr and "got 3" in proc.stderr
+    assert f"(line {line})" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["thm3", "prop2"])
+def test_experiment_option_it_does_not_take_exits_2(name):
+    proc = run_cli("experiment", "run", name, "--eta-grid", "1/10")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: experiment {name}: ")
+    assert "eta_grid" in proc.stderr
+    assert not proc.stdout
+
+
+def test_prop3_on_a_constant_target_exits_2(tmp_path):
+    path = tmp_path / "constant.yaml"
+    path.write_text(
+        "states:\n"
+        '  - {name: innocent, prob: "7/10"}\n'
+        '  - {name: guilty, prob: "3/10"}\n'
+        "outcomes: [acquit, convict]\n"
+        "scf:\n"
+        '  innocent: {acquit: "1"}\n'
+        '  guilty: {acquit: "1"}\n'
+        "agents:\n"
+        '  - cost: "1"\n'
+        '  - cost: "1"\n'
     )
+    proc = run_cli("experiment", "run", "prop3", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "full implementation run needs a non-constant target" in proc.stderr
+
+
+def test_experiment_scenario_with_perturbation_block_exits_2(tmp_path):
+    path = SCENARIOS / "binary_trial_ladder.yaml"
+    proc = run_cli("experiment", "run", "maskin-contagion", "--scenario", str(path),
+                   "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     line = path.read_text().splitlines().index("perturbation:") + 1

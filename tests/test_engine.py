@@ -1,5 +1,6 @@
 """Game assembly: signals, trembles, strategy sets, replacements."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -18,12 +19,14 @@ from robustmech import (
     max_tv_to_target,
     mislabel_signals,
     outcome_distribution,
+    restricted_choices,
     restricted_strategy_set,
     revealing_signals,
     size_of_signal_structure,
     three_state_scenario,
     truthful_profile,
 )
+from robustmech.mechanisms import augmented_messages
 
 
 def test_revealing_signals_have_size_zero():
@@ -79,6 +82,32 @@ def test_canonical_replacement():
     for strat, variant in (((1, 2), "sqr"), ((1, 2, 3), "asqr")):
         with pytest.raises(ModelError):
             canonical_replacement(strat, variant, len(strat))
+
+
+@pytest.mark.parametrize("variant", ["sqr", "asqr"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_restricted_set_is_the_product_of_its_choices(variant, n, shifted):
+    """With and without a meaning map (a cyclic shift, as a mislabeled
+    signal structure has): the set is the product of the per-coordinate
+    choices, and every full-set strategy outside it has a canonical
+    replacement inside it."""
+    meanings = tuple(j % n + 1 for j in range(1, n + 1)) if shifted else None
+    choices = restricted_choices(variant, n, meanings)
+    assert all(h in c for h, c in zip(meanings or range(1, n + 1), choices))
+    restricted = restricted_strategy_set(variant, n, meanings)
+    assert restricted == list(itertools.product(*choices)) == sorted(restricted)
+    inside = set(restricted)
+    messages = tuple(range(1, n + 1)) if variant == "sqr" else augmented_messages(n)
+    outside = [s for s in full_strategy_set(messages, n) if s not in inside]
+    assert outside
+    for strategy in outside:
+        assert canonical_replacement(strategy, variant, n, meanings) in inside
+
+
+def test_restricted_choices_reject_an_unknown_variant():
+    with pytest.raises(ModelError):
+        restricted_choices("signals", 2)
 
 
 def test_truthful_strategy_and_profile():

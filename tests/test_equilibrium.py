@@ -143,6 +143,18 @@ def test_gamma_rejects_non_dominant_truthtelling():
         gamma_dominance_threshold(mech, s, (rs, rs), F(1))
 
 
+def test_gamma_rejects_a_non_product_opponent_set():
+    s = binary_trial_scenario()
+    mech = build_augmented_status_quo(s)
+    rs = restricted_strategy_set("asqr", 2)
+    gamma_dominance_threshold(mech, s, (rs, rs), F(1))
+    # Without (1, 1) the per-state choices still span {-2, 1} x {-2, 1, 2},
+    # so the set is no longer their product.
+    holed = [r for r in rs if r != (1, 1)]
+    with pytest.raises(ModelError, match="product"):
+        gamma_dominance_threshold(mech, s, (rs, holed), F(1))
+
+
 def test_br_iteration_reaches_truthful_fixed_point():
     game, sets = _sqr_game(binary_trial_scenario())
     res = iterate_best_response(game, sets)

@@ -23,10 +23,11 @@ from robustmech.core import AgentPayoff, Lottery, SocialChoiceFunction
 from robustmech.experiments import (
     deviation_dominance_certificate,
     preferred_outcome_bias,
-    random_generic_prior,
-    random_scm_instance,
     step3_closure_certificate,
 )
+
+import naive_reference as naive
+from generators import random_generic_prior, random_scm_instance
 
 
 def test_experiment_registry():
@@ -115,6 +116,12 @@ def test_prop1_builds_reports_only_for_passing_profiles(monkeypatch):
     assert lotteries[0] + bound_lotteries[0] == 46
 
 
+def test_prop3_builds_the_class_graph_once(monkeypatch):
+    graphs = _count_calls(monkeypatch, experiments, "_class_graph")
+    assert run_experiment("prop3").passed
+    assert graphs[0] == 1
+
+
 def test_contagion_fast_grid():
     result = run_experiment("maskin-contagion", depth=30, eta_grid=("1/10",))
     assert result.passed
@@ -156,9 +163,8 @@ def test_cyclical_monotonicity_oracles_agree():
     rng = random.Random(11)
     for _ in range(40):
         u, scf = random_scm_instance(rng)
-        by_perm, _ = check_strict_cyclical_monotonicity(u, scf, method="permutation")
-        by_cycle, _ = check_strict_cyclical_monotonicity(u, scf, method="cycle")
-        assert by_perm == by_cycle
+        by_cycle, _ = check_strict_cyclical_monotonicity(u, scf)
+        assert naive.strict_cyclical_monotonicity(u, scf) == by_cycle
 
 
 def test_cyclical_monotonicity_counterexample():
