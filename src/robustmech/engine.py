@@ -9,8 +9,16 @@ learning cost.  Type strategies are finite-support mixtures stored as
 ``{type_index: TypeStrategy}`` maps.
 
 All computations are pure functions of immutable inputs; the ``Game``
-wrapper only memoizes derived tables: payoffs by payoff class, and best
-responses and dominance checks by ``type_signature``.
+wrapper only memoizes derived tables: payoffs and per-coordinate payoff
+rows by payoff class, and per-type payoff tables, best responses and
+dominance checks by ``type_signature``.
+
+Payoffs separate across the coordinates of an own strategy: a pure
+strategy's payoff is a sum of one-coordinate terms, less the learning
+cost when the strategy is not constant (``PayoffTable``).
+``Game.coordinate_row`` holds those terms at one circumstance against
+one opponent pure strategy, and ``Game.payoff_table`` their weighted
+sum for one type against the opponent side of a profile.
 """
 
 from __future__ import annotations
@@ -162,8 +170,11 @@ class Game:
     tremble: TrembleSpec | None = None
     _pair_cache: dict = field(default_factory=dict, repr=False)
     _inner_cache: dict = field(default_factory=dict, repr=False)
+    _row_cache: dict = field(default_factory=dict, repr=False)
+    _table_cache: dict = field(default_factory=dict, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
     _br_cache: dict = field(default_factory=dict, repr=False)
+    _choices_cache: dict = field(default_factory=dict, repr=False)
     _dom_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -242,25 +253,92 @@ class Game:
         self._u_cache[key] = value
         return value
 
+    def coordinate_row(self, agent: int, circ: int, opp: PureStrategy) -> "PayoffTable":
+        """The agent's payoffs at ``circ`` against the opponent pure
+        strategy ``opp``, by own coordinate: entry ``[k][m]`` sums
+        ``p * state_value`` over the coords whose own index is ``k``, with
+        ``m`` sent there, and the cost is the learning cost at ``circ``.
+        Cached by the circumstance's payoff class, which fixes the row."""
+        key = (agent, self.perturbation.payoff_class(agent, circ), opp)
+        hit = self._row_cache.get(key)
+        if hit is not None:
+            return hit
+        msgs = self.mechanism.messages[agent]
+        cells = tuple(dict.fromkeys(msgs, Fraction(0)) for _ in range(self.strategy_length(agent)))
+        for theta, k1, k2, p in self.coords:
+            if agent == 0:
+                cell, b = cells[k1], opp[k2]
+                for m in msgs:
+                    cell[m] += p * self.state_value(0, circ, theta, m, b)
+            else:
+                cell, a = cells[k2], opp[k1]
+                for m in msgs:
+                    cell[m] += p * self.state_value(1, circ, theta, a, m)
+        row = self._row_cache[key] = PayoffTable(cells, self.perturbation.cost(agent, circ))
+        return row
+
     def inner_value(self, agent: int, circ: int, own: PureStrategy, opp: PureStrategy) -> Number:
         """Expected payoff at a fixed circumstance against an opponent pure
-        strategy, integrating over states, signals, and trembles.  Cached
-        by the circumstance's payoff class, which fixes the value."""
+        strategy, integrating over states, signals, and trembles, read from
+        the coordinate row.  Cached by the circumstance's payoff class,
+        which fixes the value."""
         key = (agent, self.perturbation.payoff_class(agent, circ), own, opp)
         hit = self._inner_cache.get(key)
         if hit is not None:
             return hit
-        total = Fraction(0)
-        for theta, k1, k2, p in self.coords:
-            if agent == 0:
-                m1, m2 = own[k1], opp[k2]
-            else:
-                m1, m2 = opp[k1], own[k2]
-            total += p * self.state_value(agent, circ, theta, m1, m2)
-        if not is_constant(own):
-            total -= self.perturbation.cost(agent, circ)
-        self._inner_cache[key] = total
+        total = self._inner_cache[key] = self.coordinate_row(agent, circ, opp).value(own)
         return total
+
+    def payoff_table(
+        self, agent: int, type_index: int, opponent: dict[int, TypeStrategy]
+    ) -> "PayoffTable":
+        """The type's payoffs against the opponent side of a profile, by
+        coordinate: cell weight x opponent weight x coordinate row, entries
+        and cost alike, summed over the type's signature cells.  Memoized
+        by ``type_signature``."""
+        pert = self.perturbation
+        if pert.type_prob(agent, type_index) == 0:
+            raise ModelError("expected payoff of a zero-probability type")
+        key = (agent, type_signature(self, agent, type_index, opponent))
+        hit = self._table_cache.get(key)
+        if hit is not None:
+            return hit
+        msgs = self.mechanism.messages[agent]
+        coords = tuple(dict.fromkeys(msgs, Fraction(0)) for _ in range(self.strategy_length(agent)))
+        cost = Fraction(0)
+        for opp_type, cells in pert.type_groups(agent, type_index):
+            for r, weight in opponent[opp_type].items():
+                if not weight:
+                    continue
+                for w, mass in cells:
+                    scale = mass * weight
+                    row = self.coordinate_row(agent, w, r)
+                    cost += scale * row.cost
+                    for cell, terms in zip(coords, row.coords):
+                        for m, term in terms.items():
+                            cell[m] += scale * term
+        table = self._table_cache[key] = PayoffTable(coords, cost)
+        return table
+
+
+class PayoffTable:
+    """Payoffs against fixed opponent play, separated by own coordinate:
+    ``coords[k][m]`` is the payoff share of sending ``m`` at coordinate
+    ``k``, and ``cost`` the learning cost a non-constant strategy pays.
+    A coordinate row holds one circumstance's against one opponent pure
+    strategy; a type's table is their weighted sum.  A plain slotted
+    class: a dataclass would cost every process about 1 ms at import."""
+
+    __slots__ = ("coords", "cost")
+
+    def __init__(self, coords: tuple[dict[int, Number], ...], cost: Number):
+        self.coords = coords
+        self.cost = cost
+
+    def value(self, strategy: PureStrategy) -> Number:
+        """Payoff of any pure strategy over the agent's messages."""
+        total = sum(cell[m] for cell, m in zip(self.coords, strategy))
+        return total if is_constant(strategy) else total - self.cost
 
 
 def expected_payoff(
@@ -271,18 +349,8 @@ def expected_payoff(
     opponent: dict[int, TypeStrategy],
 ) -> Number:
     """Interim expected payoff of a type playing a pure strategy against the
-    opponent side of a profile, summed with the type's conditional
-    circumstance weights."""
-    pert = game.perturbation
-    if pert.type_prob(agent, type_index) == 0:
-        raise ModelError("expected payoff of a zero-probability type")
-    value = Fraction(0)
-    for opp_type, cells in pert.type_groups(agent, type_index):
-        for r, weight in opponent[opp_type].items():
-            if weight:
-                for w, mass in cells:
-                    value += mass * weight * game.inner_value(agent, w, strategy, r)
-    return value
+    opponent side of a profile, read from the type's payoff table."""
+    return game.payoff_table(agent, type_index, opponent).value(strategy)
 
 
 def type_signature(
@@ -296,10 +364,11 @@ def type_signature(
     Per opponent type the type meets (in ``type_groups`` order): the
     opponent's play there, a mixture with its zero weights dropped or a
     list of surviving strategies, and the type's ``(payoff class,
-    conditional weight)`` cells.  ``inner_value`` is fixed by the payoff
-    class, and ``expected_payoff`` sums cell weight x opponent weight x
-    ``inner_value`` in this order, so two types of one game with equal
-    signatures have equal payoffs for every own strategy.
+    conditional weight)`` cells.  The payoff class fixes the coordinate
+    rows, ``inner_value`` and the learning cost, and ``payoff_table`` sums
+    cell weight x opponent weight x row over these cells, so two types of
+    one game with equal signatures have equal payoffs for every own
+    strategy.
     """
     pert = game.perturbation
     out = []

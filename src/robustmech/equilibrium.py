@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import ModelError, ScenarioModel
@@ -20,7 +20,6 @@ from .engine import (
     PureStrategy,
     StrategyProfile,
     TypeStrategy,
-    expected_payoff,
     is_constant,
     max_tv_to_target,
     type_signature,
@@ -39,35 +38,94 @@ def best_response(
     """All exact maximizers over the strategy set, canonically ordered,
     with the attained value.
 
-    The result is memoized on the game by ``(agent, sorted strategy set,
-    type_signature)``.  Two types with equal signatures have equal
-    payoffs for every strategy (see ``type_signature``), so they share
-    their maximizers and value exactly, and the interior rungs of a
+    The set must be the product of its per-coordinate choices (every set
+    the library builds is), or ``ModelError`` is raised.  The type's
+    payoff table separates by coordinate, so the maximum is read per
+    coordinate instead of over every strategy (see ``_maximize``).
+
+    The result is memoized on the game by ``(agent, per-coordinate
+    choices, type_signature)``.  Two types with equal signatures have
+    equal payoffs for every strategy (see ``type_signature``), so they
+    share their maximizers and value exactly, and the interior rungs of a
     ladder cost one evaluation per distinct rung kind instead of one per
     rung.
     """
     winners, best_value, _ = _best_response_entry(
-        game, agent, type_index, opponent, strategy_set
+        game, agent, type_index, opponent, _set_choices(game, strategy_set)
     )
     return list(winners), best_value
 
 
-def _best_response_entry(game, agent, type_index, opponent, strategy_set):
-    """The memo entry behind ``best_response``: the maximizers, their
-    value, and every strategy's exact payoff ``{strategy: value}``."""
+def _choices(strategy_set) -> tuple[tuple[int, ...], ...]:
+    """The sorted messages each coordinate of the set takes; raises
+    ``ModelError`` unless the set is exactly their product."""
     if not strategy_set:
         raise ModelError("empty strategy set")
+    choices = tuple(tuple(sorted(set(column))) for column in zip(*strategy_set))
+    if len(set(strategy_set)) != math.prod(len(c) for c in choices):
+        raise ModelError("strategy set must be the product of its per-coordinate choices")
+    return choices
+
+
+def _set_choices(game, strategy_set):
+    """``_choices`` memoized on the game, since iteration passes the same
+    list for every type in every round.  The key is the list's identity
+    and the entry keeps a snapshot of its contents, which must still be
+    equal, so a list changed or replaced since is derived afresh; the
+    comparison of unchanged contents stops at identical items."""
+    snapshot = tuple(strategy_set)
+    hit = game._choices_cache.get(id(strategy_set))
+    if hit is None or hit[0] != snapshot:
+        hit = game._choices_cache[id(strategy_set)] = (snapshot, _choices(snapshot))
+    return hit[1]
+
+
+def _best_response_entry(game, agent, type_index, opponent, choices):
+    """The memo entry behind ``best_response``: the maximizers over the
+    product of ``choices``, their value, and the type's payoff table."""
     if game.perturbation.type_prob(agent, type_index) == 0:
         raise ModelError("expected payoff of a zero-probability type")
-    ordered = tuple(sorted(strategy_set))
-    key = (agent, ordered, type_signature(game, agent, type_index, opponent))
+    key = (agent, choices, type_signature(game, agent, type_index, opponent))
     hit = game._br_cache.get(key)
     if hit is None:
-        values = {s: expected_payoff(game, agent, type_index, s, opponent) for s in ordered}
-        best_value = max(values.values())
-        winners = tuple(s for s in ordered if values[s] == best_value)
-        hit = game._br_cache[key] = (winners, best_value, values)
+        table = game.payoff_table(agent, type_index, opponent)
+        hit = game._br_cache[key] = _maximize(table, choices) + (table,)
     return hit
+
+
+def _maximize(table, choices):
+    """Canonically ordered maximizers over the product of ``choices`` and
+    their value.
+
+    A non-constant strategy is worth the sum of its coordinate entries
+    less the weighted cost ``table.cost``, so the best of them takes a
+    per-coordinate argmax, when the product of the argmax sets has a
+    non-constant member.  Otherwise that product is one constant, which
+    is worth at least as much as every non-constant strategy because the
+    cost is non-negative.  Constants pay no cost and are compared
+    directly.
+    """
+    cells = table.coords
+    top = 0
+    argmax = []
+    for cell, ms in zip(cells, choices):
+        high = max(cell[m] for m in ms)
+        top += high
+        argmax.append(tuple(m for m in ms if cell[m] == high))
+    constants = {
+        (m,) * len(choices): table.value((m,) * len(choices))
+        for m in choices[0]
+        if all(m in ms for ms in choices[1:])
+    }
+    mixed = len(choices) > 1 and (any(len(a) > 1 for a in argmax) or len(set(argmax)) > 1)
+    values = list(constants.values())
+    if mixed:
+        values.append(top - table.cost)
+    best_value = max(values)
+    winners = [s for s, v in constants.items() if v == best_value]
+    if mixed and top - table.cost == best_value:
+        winners += [s for s in itertools.product(*argmax) if not is_constant(s)]
+    return tuple(sorted(winners)), best_value
 
 
 @dataclass(frozen=True)
@@ -106,10 +164,9 @@ def equilibrium_residuals(
     the prescribed mixture's value.  Pure deviations suffice because
     payoffs are affine in own mixtures.
 
-    The mixture's value is read from the best-response memo entry, which
-    holds every strategy of the set; ``expected_payoff`` runs only for a
-    support strategy outside the set.  The sum runs in ``mixture_payoff``
-    order, so each residual equals ``best value - mixture_payoff``.
+    The mixture's value is read from the type's payoff table in the
+    best-response memo entry, which prices any message vector, so each
+    residual equals ``best value - mixture_payoff``.
     """
     return _residuals(game, profile, strategy_sets)[0]
 
@@ -121,17 +178,14 @@ def _residuals(game, profile, strategy_sets):
     pert = game.perturbation
     for agent in (0, 1):
         opponent = profile[1 - agent]
+        choices = _set_choices(game, strategy_sets[agent])
         for t in range(len(pert.partitions[agent])):
             if pert.type_prob(agent, t) == 0:
                 continue
-            winners, best_value, values = _best_response_entry(
-                game, agent, t, opponent, strategy_sets[agent]
+            winners, best_value, table = _best_response_entry(
+                game, agent, t, opponent, choices
             )
-            own = sum(
-                w * (values[s] if s in values else expected_payoff(game, agent, t, s, opponent))
-                for s, w in profile[agent][t].items()
-                if w
-            )
+            own = sum(w * table.value(s) for s, w in profile[agent][t].items() if w)
             residuals[(agent, t)] = best_value - own
             deviations[(agent, t)] = winners[0]
     return residuals, deviations
@@ -182,19 +236,6 @@ class DominanceCertificate:
         return self.gamma < Fraction(1, 2)
 
 
-def _coordinate_values(game: Game, agent: int, messages_own, messages_opp):
-    """phi[k][m][b]: prior-weighted payoff of intended pair at state k."""
-    n = game.scenario.n
-    table = {}
-    for k in range(n):
-        q = game.scenario.prior[k]
-        for m in messages_own:
-            for b in messages_opp:
-                m1, m2 = (m, b) if agent == 0 else (b, m)
-                table[(k, m, b)] = q * game.state_value(agent, 0, k, m1, m2)
-    return table
-
-
 def gamma_dominance_threshold(
     mechanism: Mechanism,
     scenario: ScenarioModel,
@@ -214,45 +255,47 @@ def gamma_dominance_threshold(
 
     The learning-cost bound ``c_bar`` is charged in place of the scenario
     cost, which makes the certificate valid for every cost profile below
-    the bound.
+    the bound.  Each gain is a difference of ``inner_value`` in the game
+    charging ``c_bar``; the adversary is chosen per state from the
+    coordinate rows of the constant opponent strategies.
     """
     truth = tuple(range(1, scenario.n + 1))
     gamma = Fraction(0)
     witness = []
+    charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
+    game = Game(replace(scenario, payoffs=charged), mechanism)
     for agent in (0, 1):
         own_set = restricted_sets[agent]
         opp_set = restricted_sets[1 - agent]
         if truth not in own_set:
             raise ModelError("restricted set must contain the truthful strategy")
-        game = Game(scenario, mechanism)
         msgs_own = sorted({m for s in own_set for m in s})
-        msgs_opp = sorted({m for s in opp_set for m in s})
-        phi = _coordinate_values(game, agent, msgs_own, msgs_opp)
-        allowed = [sorted({r[k] for r in opp_set}) for k in range(scenario.n)]
-        if len(set(opp_set)) != math.prod(len(a) for a in allowed):
-            raise ModelError("opponent restricted set must be a product of per-state choices")
+        allowed = _choices(opp_set)
+        # phi[b][k][m]: the prior-weighted payoff of sending m at state k
+        # against b, read from the coordinate row of the constant (b, ..., b).
+        phi = {
+            b: game.coordinate_row(agent, 0, (b,) * scenario.n).coords
+            for b in {b for a in allowed for b in a}
+        }
+        # The adversary's worst reply at state k depends on the deviation
+        # only through the message m it sends there.
+        worst = {
+            (k, m): min(allowed[k], key=lambda b: phi[b][k][t] - phi[b][k][m])
+            for k, t in enumerate(truth)
+            for m in msgs_own
+        }
+        truth_value = game.inner_value(agent, 0, truth, truth)
         for s in own_set:
             if s == truth:
                 continue
-            cost_term = (0 if is_constant(s) else c_bar) - c_bar  # truth is non-constant
-            d_truth = cost_term + sum(
-                phi[(k, truth[k], truth[k])] - phi[(k, s[k], truth[k])]
-                for k in range(scenario.n)
-            )
+            d_truth = truth_value - game.inner_value(agent, 0, s, truth)
             if d_truth <= 0:
                 raise ModelError(
                     f"truthful reporting is not strictly dominant at gamma=1 "
                     f"(deviation {s} gains {-d_truth})"
                 )
-            picks = []
-            d_adv = cost_term
-            for k in range(scenario.n):
-                b_best = min(
-                    allowed[k],
-                    key=lambda b: phi[(k, truth[k], b)] - phi[(k, s[k], b)],
-                )
-                picks.append(b_best)
-                d_adv += phi[(k, truth[k], b_best)] - phi[(k, s[k], b_best)]
+            picks = tuple(worst[(k, m)] for k, m in enumerate(s))
+            d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
             root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
             gamma = max(gamma, root)
             witness.append(
@@ -261,7 +304,7 @@ def gamma_dominance_threshold(
                     "deviation": s,
                     "gain_vs_truthful": d_truth,
                     "worst_case_gain": d_adv,
-                    "adversary": tuple(picks),
+                    "adversary": picks,
                     "threshold": root,
                 }
             )

@@ -45,7 +45,6 @@ from .engine import (
 )
 from .equilibrium import (
     best_response,
-    equilibrium_residuals,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
@@ -154,45 +153,60 @@ def step3_closure_certificate(
     """Exhaustive replacement-dominance check.
 
     Every pure strategy outside the restricted set must (a) induce the
-    same state-outcome distribution as its canonical replacement against
-    every restricted opponent pure strategy and (b) never earn a larger
-    expected transfer, strictly smaller for constant vectors of a high
-    message.  Returns failures as witnesses.
+    same outcome as its canonical replacement at every state against
+    every message a restricted opponent may send there and (b) never earn
+    a larger expected transfer against a restricted opponent, strictly
+    smaller against the truthful one for constant vectors of a high
+    message.  The restricted opponent set is the product of
+    ``restricted_choices``, so the worst transfer gain over it is a sum
+    of per-state minima.  Returns failures as witnesses: an outcome
+    failure names the strategy, the state and the opponent's message
+    there; a transfer failure names the strategy, the opponent strategy
+    and the gain.
     """
     n = scenario.n
-    sigma_star = set(restricted_strategy_set(variant, n))
-    opp_set = restricted_strategy_set(variant, n)
-    # Per state j and message triple (a, a_star, b): whether a and its
-    # replacement a_star give the same outcome against b, and the
-    # prior-weighted transfer gain of a_star over a.
+    choices = restricted_choices(variant, n)
+    truth = tuple(range(1, n + 1))
     msgs_own, msgs_opp = mechanism.messages
-    coordinate = [
-        {
-            (a, a_star, b): (
-                mechanism.g(a, b).same_as(mechanism.g(a_star, b)),
-                scenario.prior[j] * (mechanism.t(0, a_star, b) - mechanism.t(0, a, b)),
-            )
-            for a in msgs_own
-            for a_star in msgs_own
-            for b in msgs_opp
-        }
-        for j in range(n)
-    ]
+    # Per message triple (a, a_star, b): whether a and its replacement
+    # a_star give the same outcome against b, and the transfer gain of
+    # a_star over a.
+    coordinate = {
+        (a, a_star, b): (
+            mechanism.g(a, b).same_as(mechanism.g(a_star, b)),
+            mechanism.t(0, a_star, b) - mechanism.t(0, a, b),
+        )
+        for a in msgs_own
+        for a_star in msgs_own
+        for b in msgs_opp
+    }
     failures = []
     for s in full_strategy_set(msgs_own, n):
-        if s in sigma_star:
+        if all(m in c for m, c in zip(s, choices)):
             continue
         s_star = canonical_replacement(s, variant, n)
-        want_strict = is_constant(s) and s[0] >= 2 and variant != "sqr"
-        for r in opp_set:
-            gain = Fraction(0)
-            for j in range(n):
-                same, term = coordinate[j][(s[j], s_star[j], r[j])]
-                if not same:
-                    failures.append({"strategy": s, "opponent": r, "state": j, "kind": "outcome"})
-                gain += term
-            if gain < 0 or (want_strict and r == tuple(range(1, n + 1)) and gain <= 0):
-                failures.append({"strategy": s, "opponent": r, "gain": gain, "kind": "transfer"})
+        worst_gain = Fraction(0)
+        picks = []
+        for j, (a, a_star) in enumerate(zip(s, s_star)):
+            for b in choices[j]:
+                if not coordinate[(a, a_star, b)][0]:
+                    failures.append(
+                        {"strategy": s, "state": j, "opponent_message": b, "kind": "outcome"}
+                    )
+            b_worst = min(choices[j], key=lambda b: coordinate[(a, a_star, b)][1])
+            picks.append(b_worst)
+            worst_gain += scenario.prior[j] * coordinate[(a, a_star, b_worst)][1]
+        if worst_gain < 0:
+            failures.append(
+                {"strategy": s, "opponent": tuple(picks), "gain": worst_gain, "kind": "transfer"}
+            )
+        elif is_constant(s) and s[0] >= 2 and variant != "sqr":
+            gain = sum(
+                scenario.prior[j] * coordinate[(a, a_star, b)][1]
+                for j, (a, a_star, b) in enumerate(zip(s, s_star, truth))
+            )
+            if gain <= 0:
+                failures.append({"strategy": s, "opponent": truth, "gain": gain, "kind": "transfer"})
     return not failures, failures
 
 
@@ -638,13 +652,32 @@ def _candidate_type_strategies(n_states: int, messages, step: int = 20):
 
 def _grid_equilibria(game, strategy_set, candidates, epsilon):
     """All candidate profile pairs passing the residual check, with their
-    reports; only passing pairs get one."""
+    reports; only passing pairs get one.
+
+    An agent's residual depends on the pair only through the opponent's
+    candidate, which fixes its best value and payoff table, and its own
+    candidate's value in that table.  So both are read once per opponent
+    candidate, and agent 2's residual is taken only where agent 1's
+    passes."""
     sets = (strategy_set, strategy_set)
+    reads = [
+        [
+            (best_response(game, agent, 0, {0: opp}, strategy_set)[1],
+             game.payoff_table(agent, 0, {0: opp}))
+            for opp in candidates
+        ]
+        for agent in (0, 1)
+    ]
+
+    def residual(agent, own, opp):
+        best, table = reads[agent][opp]
+        return best - sum(w * table.value(s) for s, w in candidates[own].items() if w)
+
     found = []
-    for mix1 in candidates:
-        for mix2 in candidates:
-            profile = [{0: mix1}, {0: mix2}]
-            if max(equilibrium_residuals(game, profile, sets).values()) <= epsilon:
+    for i, mix1 in enumerate(candidates):
+        for j, mix2 in enumerate(candidates):
+            if residual(0, i, j) <= epsilon and residual(1, j, i) <= epsilon:
+                profile = [{0: mix1}, {0: mix2}]
                 found.append((profile, verify_equilibrium(game, profile, sets, epsilon)))
     return found
 
@@ -949,7 +982,10 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
     assign, k, arcs, cycle = _class_graph(u, scf)
     ok, witness = _cycle_verdict(k, cycle)
     if not ok:
-        raise ModelError(f"strict cyclical monotonicity fails: {witness}")
+        raise ModelError(
+            "strict cyclical monotonicity fails: minimum cycle weight "
+            f"{fmt(witness['min_cycle_weight'])} at class {witness['at_class']}"
+        )
     if k == 1:
         return {j: Fraction(0) for j in range(len(scf.lotteries))}
     delta = cycle[0] / (2 * k)

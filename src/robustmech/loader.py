@@ -55,6 +55,12 @@ class ScenarioFileError(ValueError):
         super().__init__(f"{message}{where}")
 
 
+class _Mapping(dict):
+    """A built YAML mapping; ``key_lines`` maps each key to its line."""
+
+    key_lines: dict
+
+
 def _build(node):
     """Turn a YAML node graph into plain values, remembering source lines."""
     if isinstance(node, yaml.ScalarNode):
@@ -72,10 +78,12 @@ def _build(node):
     if isinstance(node, yaml.SequenceNode):
         return [_build(child) for child in node.value], node.start_mark.line
     if isinstance(node, yaml.MappingNode):
-        out = {}
+        out = _Mapping()
+        out.key_lines = {}
         for key_node, val_node in node.value:
-            key, _ = _build(key_node)
+            key, key_line = _build(key_node)
             out[key] = _build(val_node)
+            out.key_lines[key] = key_line
         return out, node.start_mark.line
     raise ScenarioFileError(f"unsupported YAML node {node!r}")
 
@@ -100,6 +108,15 @@ def _expect(entry, kind, what):
         got = _SHAPES.get(type(value), repr(value))
         raise ScenarioFileError(f"{what}: expected {_SHAPES[kind]}, got {got}", line)
     return entry
+
+
+def _known_keys(mapping, keys, what):
+    """Raise ``ScenarioFileError`` naming the first key of a built mapping
+    that is not in ``keys``, with the key's line: a misspelled block
+    would otherwise be dropped without a word."""
+    for key, line in mapping.key_lines.items():
+        if key not in keys:
+            raise ScenarioFileError(f"{what}: unknown key {key!r}", line)
 
 
 def _u_overrides(entry, states, outcomes, table, name_key):
@@ -176,11 +193,13 @@ def parse_scenario(text: str):
     if node is None:
         raise ScenarioFileError("empty scenario file")
     doc, top_line = _expect(_build(node), dict, "scenario file")
+    _known_keys(doc, ("states", "outcomes", "scf", "agents", "perturbation"), "scenario file")
 
     states_raw, states_line = _expect(_require(doc, "states", top_line, "scenario"), list, "states")
     labels, prior = [], []
     for number, entry in enumerate(states_raw, start=1):
         item, line = _expect(entry, dict, f"state entry {number}")
+        _known_keys(item, ("name", "prob"), f"state entry {number}")
         name, _ = _require(item, "name", line, "state")
         labels.append(str(name))
         prior.append(_rat(_require(item, "prob", line, f"state {name!r}"), f"state {name!r} prob"))
@@ -195,6 +214,9 @@ def parse_scenario(text: str):
         raise ScenarioFileError(str(exc), states_line)
 
     scf_raw, scf_line = _expect(_require(doc, "scf", top_line, "scenario"), dict, "scf")
+    for label, line in scf_raw.key_lines.items():
+        if label not in labels:
+            raise ScenarioFileError(f"scf: unknown state {label!r}", line)
     lots = []
     for label in labels:
         if label not in scf_raw:
@@ -216,6 +238,7 @@ def parse_scenario(text: str):
     payoffs = []
     for i, entry in enumerate(agents_raw):
         agent, line = _expect(entry, dict, f"agent {i + 1}")
+        _known_keys(agent, ("cost", "u"), f"agent {i + 1}")
         cost = _rat(_require(agent, "cost", line, f"agent {i + 1}"), f"agent {i + 1} cost")
         table = {}
         if agent.get("u", (None,))[0] is not None:
@@ -242,6 +265,7 @@ def parse_scenario(text: str):
 def _parse_perturbation(entry, scenario, labels, outcomes):
     block, line = _expect(entry, dict, "perturbation")
     kind, kind_line = _require(block, "kind", line, "perturbation")
+    _known_keys(block, ("kind", "depth", "eta", "pi", "bias"), "perturbation")
     if kind == "ladder":
         depth, depth_line = block.get("depth", (100, line))
         if not _is_int(depth) or depth < 2:
@@ -266,6 +290,7 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
     if "bias" in block:
         for number, entry in enumerate(_expect(block["bias"], list, "bias")[0], start=1):
             item, b_line = _expect(entry, dict, f"bias entry {number}")
+            _known_keys(item, ("agent", "circumstance", "cost", "u"), f"bias entry {number}")
             agent = item.get("agent", (1, b_line))[0]
             if agent not in (1, 2):
                 raise ScenarioFileError("bias: agent must be 1 or 2", b_line)
@@ -283,7 +308,10 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
                 # Bias rows follow the scenario's canonical state order.
                 overrides = _u_overrides(item["u"], scenario.state_space.states, outcomes,
                                          f"bias entry {number} u", True)
-            biases.append(BiasSpec(agent - 1, circ, overrides, cost))
+            try:
+                biases.append(BiasSpec(agent - 1, circ, overrides, cost))
+            except ModelError as exc:
+                raise ScenarioFileError(f"bias entry {number}: {exc}", item["cost"][1])
 
     try:
         if kind == "ladder":

@@ -30,6 +30,10 @@ class BiasSpec:
     u_overrides: dict[tuple[int, int], Number] = field(default_factory=dict)
     cost: Number | None = None
 
+    def __post_init__(self):
+        if self.cost is not None and self.cost < 0:
+            raise ModelError("learning cost must be non-negative")
+
 
 def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
     """Pairing partition of circumstances 0..size-1.

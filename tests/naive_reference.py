@@ -8,14 +8,24 @@ verbatim so that the compiled engine can be compared against them by
 exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
 ``inner_value``; ``NaivePerturbation`` supplies the old ``type_of`` and
 ``type_prob``.  ``strict_cyclical_monotonicity`` enumerates every state
-permutation, the oracle for the class-graph check.
+permutation, the oracle for the class-graph check, and
+``step3_closure_certificate`` every (strategy, restricted opponent
+strategy) pair, the oracle for the per-state check.
 """
 
 import itertools
 from fractions import Fraction
 
 from robustmech.core import ModelError
-from robustmech.engine import Game, PureStrategy, TypeStrategy, is_constant
+from robustmech.engine import (
+    Game,
+    PureStrategy,
+    TypeStrategy,
+    canonical_replacement,
+    full_strategy_set,
+    is_constant,
+    restricted_strategy_set,
+)
 from robustmech.numeric import Number
 
 
@@ -290,3 +300,49 @@ def strict_cyclical_monotonicity(u, scf) -> bool:
         if total > diag or (changes and total == diag):
             return False
     return True
+
+
+def step3_closure_certificate(mechanism, scenario, variant):
+    """Exhaustive replacement-dominance check by enumeration.
+
+    Every pure strategy outside the restricted set must (a) induce the
+    same state-outcome distribution as its canonical replacement against
+    every restricted opponent pure strategy and (b) never earn a larger
+    expected transfer, strictly smaller for constant vectors of a high
+    message.  Returns failures as witnesses.
+    """
+    n = scenario.n
+    sigma_star = set(restricted_strategy_set(variant, n))
+    opp_set = restricted_strategy_set(variant, n)
+    # Per state j and message triple (a, a_star, b): whether a and its
+    # replacement a_star give the same outcome against b, and the
+    # prior-weighted transfer gain of a_star over a.
+    msgs_own, msgs_opp = mechanism.messages
+    coordinate = [
+        {
+            (a, a_star, b): (
+                mechanism.g(a, b).same_as(mechanism.g(a_star, b)),
+                scenario.prior[j] * (mechanism.t(0, a_star, b) - mechanism.t(0, a, b)),
+            )
+            for a in msgs_own
+            for a_star in msgs_own
+            for b in msgs_opp
+        }
+        for j in range(n)
+    ]
+    failures = []
+    for s in full_strategy_set(msgs_own, n):
+        if s in sigma_star:
+            continue
+        s_star = canonical_replacement(s, variant, n)
+        want_strict = is_constant(s) and s[0] >= 2 and variant != "sqr"
+        for r in opp_set:
+            gain = Fraction(0)
+            for j in range(n):
+                same, term = coordinate[j][(s[j], s_star[j], r[j])]
+                if not same:
+                    failures.append({"strategy": s, "opponent": r, "state": j, "kind": "outcome"})
+                gain += term
+            if gain < 0 or (want_strict and r == tuple(range(1, n + 1)) and gain <= 0):
+                failures.append({"strategy": s, "opponent": r, "gain": gain, "kind": "transfer"})
+    return not failures, failures

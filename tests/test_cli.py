@@ -149,6 +149,7 @@ def test_bad_bias_key_exits_2_without_traceback(tmp_path):
          "perturbation pi: circumstance distribution must sum to one"),
         ('- {agent: 1, circumstance: 0, cost: "0", u: {"*,acquit": "1000"}}', "- 3",
          "bias entry 1: expected a mapping, got 3"),
+        ('cost: "0"', 'cost: "-3"', "bias entry 1: learning cost must be non-negative"),
     ],
 )
 def test_bad_perturbation_input_exits_2_naming_the_line(tmp_path, old, new, message):
@@ -187,6 +188,38 @@ def test_scalar_in_place_of_a_list_or_mapping_exits_2_naming_the_line(tmp_path, 
     assert "Traceback" not in proc.stderr
     assert "expected a " in proc.stderr and "got 3" in proc.stderr
     assert f"(line {line})" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("perturbation:", "perturbaton:", "scenario file: unknown key 'perturbaton'"),
+        ('{name: innocent, prob: "7/10"}', '{name: innocent, prob: "7/10", weight: "1"}',
+         "state entry 1: unknown key 'weight'"),
+        ('  - cost: "1"\n  - cost: "1"', '  - cost: "1"\n  - cost: "1"\n    costs: "2"',
+         "agent 2: unknown key 'costs'"),
+        ('eta: "1/100"', 'eta: "1/100"\n  tail: renormalize',
+         "perturbation: unknown key 'tail'"),
+        ("circumstance: 0", "circumstance: 0, agnet: 2", "bias entry 1: unknown key 'agnet'"),
+        ('guilty: {convict: "1"}', 'guilty: {convict: "1"}\n  bogus: {acquit: "1"}',
+         "scf: unknown state 'bogus'"),
+    ],
+    ids=["top-level", "state-entry", "agent-entry", "perturbation", "bias-entry", "scf-row"],
+)
+def test_unknown_key_exits_2_naming_the_key_and_its_line(tmp_path, old, new, message):
+    proc, line = eliminate_on_edited_ladder(tmp_path, old, new)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr and f"(line {line})" in proc.stderr
+
+
+def test_prop3_refusal_prints_its_witness_in_fractions():
+    proc = run_cli("experiment", "run", "prop3", "--scenario", str(SCENARIOS / "three_state.yaml"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: strict cyclical monotonicity fails: minimum cycle weight 0 at class 0\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["thm3", "prop2"])

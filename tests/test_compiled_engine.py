@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
+from generators import uniform_scenario
 from robustmech import (
     BiasSpec,
     Game,
     ModelError,
     Perturbation,
+    SignalStructure,
     TrembleSpec,
     best_response,
     binary_trial_scenario,
@@ -49,7 +51,7 @@ costs = st.none() | st.fractions(min_value=0, max_value=3, max_denominator=4)
 
 
 @st.composite
-def bias_specs(draw, size):
+def bias_specs(draw, size, n=2):
     """Up to two biases per agent, at distinct rungs, overriding
     utilities, the learning cost, or both."""
     out = []
@@ -57,7 +59,7 @@ def bias_specs(draw, size):
         rungs = draw(st.lists(st.integers(0, size - 1), max_size=2, unique=True))
         for w in rungs:
             keys = draw(st.lists(
-                st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=3, unique=True
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3, unique=True
             ))
             out.append(BiasSpec(agent, w, {k: draw(values) for k in keys}, draw(costs)))
     return out
@@ -162,14 +164,14 @@ def draw_profile(data, game, sets):
     return profile
 
 
-def assert_best_responses_match_naive(game, sets, data):
+def assert_best_responses_match_naive(game, sets, data, passes=("fresh", "warmed")):
     """Best responses, residuals and best-response iteration on a copy of
     the game with empty caches, then again with every memo warmed."""
     game = Game(game.scenario, game.mechanism, game.perturbation, game.signals, game.tremble)
     reference = naive.NaiveGame(game)
     pert = game.perturbation
     profile = draw_profile(data, game, sets)
-    for _ in ("fresh", "warmed"):
+    for _ in passes:
         for agent in (0, 1):
             for t in range(len(pert.partitions[agent])):
                 args = (agent, t, profile[1 - agent], sets[agent])
@@ -249,6 +251,65 @@ def test_tremble_game_matches_naive_evaluator(pert, tau, kind, data):
     assert_best_responses_match_naive(game, sets, data)
 
 
+FOUR = uniform_scenario((F(2, 5), F(3, 10), F(1, 5), F(1, 10)))
+FOUR_MECHANISMS = {
+    "sqr": build_status_quo(FOUR, FOUR.max_cost),
+    "asqr": build_augmented_status_quo(FOUR),
+}
+taus = st.just(F(0)) | st.fractions(min_value=F(1, 20), max_value=F(1, 2), max_denominator=20)
+
+
+@given(st.integers(2, 4), st.sampled_from(("sqr", "asqr")), taus, st.data())
+@settings(max_examples=4, deadline=None)
+def test_four_state_games_match_naive_evaluator(depth, kind, tau, data):
+    """Four states, where the augmented restricted set has 500 members,
+    with and without trembles; the naive iteration over 500 strategies is
+    slow, so only with fresh memos."""
+    eta = data.draw(st.fractions(min_value=F(1, 20), max_value=F(1, 2), max_denominator=20))
+    pert = build_ladder(FOUR, depth, eta, data.draw(bias_specs(depth + 1, FOUR.n)))
+    mech = FOUR_MECHANISMS[kind]
+    tremble = TrembleSpec.uniform(tau, mech.messages) if tau else None
+    game = Game(FOUR, mech, pert, tremble=tremble)
+    rs = restricted_strategy_set(kind, FOUR.n)
+    assert_best_responses_match_naive(game, (rs, rs), data, passes=("fresh",))
+
+
+@st.composite
+def private_signals(draw):
+    """Signal structures whose agents may see different signals: agent 1
+    draws from one or two signals and agent 2 from two or three, and
+    state 0 puts positive mass on the pair (0, 1)."""
+    sizes = (draw(st.integers(1, 2)), draw(st.integers(2, 3)))
+    joint = {}
+    for theta, q in enumerate(SCENARIO.prior):
+        cells = [(theta, k1, k2) for k1 in range(sizes[0]) for k2 in range(sizes[1])]
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+        if theta == 0:
+            weights[cells.index((0, 0, 1))] += 1
+        elif not any(weights):
+            weights[0] = 1
+        for cell, x in zip(cells, weights):
+            if x:
+                joint[cell] = q * F(x, sum(weights))
+    meanings = tuple(tuple(draw(st.integers(1, 2)) for _ in range(k)) for k in sizes)
+    return SignalStructure(sizes, joint, meanings)
+
+
+@given(st.integers(2, 4), private_signals(), st.sampled_from(("maskin", "sqr")), taus, st.data())
+@settings(max_examples=8, deadline=None)
+def test_private_signal_game_matches_naive_evaluator(depth, signals, kind, tau, data):
+    """Signals with k1 != k2 and strategies of different lengths per
+    agent (length one included), on full sets of the two-message
+    mechanisms, with and without trembles."""
+    pert = build_ladder(SCENARIO, depth, F(1, 10), data.draw(bias_specs(depth + 1)))
+    mech = MECHANISMS[kind]
+    tremble = TrembleSpec.uniform(tau, mech.messages) if tau else None
+    game = Game(SCENARIO, mech, pert, signals=signals, tremble=tremble)
+    sets = strategy_sets(kind, game)
+    assert_matches_naive(game, sets, 0)
+    assert_best_responses_match_naive(game, sets, data)
+
+
 def _interior_pair():
     """Agent 1's types 2 = {w3, w4} and 3 = {w5, w6} of a renormalized
     ladder have the same conditional weights; type 3's w5 carries a
@@ -306,9 +367,9 @@ def _counted(monkeypatch, module, name):
 
 
 def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
-    """Cache and memo sizes, the payoff evaluations best responses make
-    and the dominance checks are all the same at depths 50 and 100."""
-    payoffs = _counted(monkeypatch, equilibrium, "expected_payoff")
+    """Cache and memo sizes, among them the coordinate rows and payoff
+    tables best responses build, and the dominance checks are all the
+    same at depths 50 and 100."""
     checks = _counted(monkeypatch, equilibrium, "_is_dominated")
 
     three = three_state_scenario()
@@ -319,11 +380,10 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     br = []
     for depth in (50, 100):
         game = Game(three, mech, build_ladder(three, depth, F(1, 100), [bias]))
-        payoffs[0] = 0
         result = iterate_best_response(game, (rs, rs))
         assert result.converged and result.report.is_equilibrium
         br.append((len(game._inner_cache), len(game._u_cache), len(game._br_cache),
-                   payoffs[0], result.rounds))
+                   len(game._row_cache), len(game._table_cache), result.rounds))
     assert br[0] == br[1]
 
     full = full_strategy_set((1, 2), SCENARIO.n)

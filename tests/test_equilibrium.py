@@ -71,10 +71,35 @@ def test_best_response_orders_ties_canonically():
         {k: (F(0), F(0)) for k in mech.transfer}, None,
     )
     g = Game(s, zero)
-    consts = [(2, 2), (1, 1)]
-    winners, value = best_response(g, 0, 0, {0: {(1, 1): F(1)}}, consts)
-    assert winners == [(1, 1), (2, 2)]
+    full = [(2, 2), (2, 1), (1, 2), (1, 1)]
+    winners, value = best_response(g, 0, 0, {0: {(1, 1): F(1)}}, full)
+    assert winners == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert value == 0
+
+
+def test_best_response_rejects_a_non_product_set():
+    s = binary_trial_scenario()
+    game, _ = _sqr_game(s)
+    opponent = {0: {(1, 2): F(1)}}
+    with pytest.raises(ModelError, match="product"):
+        best_response(game, 0, 0, opponent, [(1, 1), (2, 2)])
+    with pytest.raises(ModelError, match="empty"):
+        best_response(game, 0, 0, opponent, [])
+
+
+def test_best_response_follows_a_strategy_set_changed_in_place():
+    """The per-coordinate choices are memoized by the list's identity, so a
+    list changed since its last use must be read afresh."""
+    game, _ = _sqr_game(binary_trial_scenario())
+    opponent = {0: {(1, 2): F(1)}}
+    strategies = [(2, 2)]
+    assert best_response(game, 0, 0, opponent, strategies)[0] == [(2, 2)]
+    strategies[0] = (1, 1)
+    assert best_response(game, 0, 0, opponent, strategies)[0] == [(1, 1)]
+    strategies.append((1, 2))
+    assert best_response(game, 0, 0, opponent, strategies) == naive.best_response(
+        naive.NaiveGame(game), 0, 0, opponent, strategies
+    )
 
 
 def test_best_deviation_accounts_for_the_residual():
@@ -174,10 +199,11 @@ def test_br_iteration_detects_cycles():
     }
     pennies = Mechanism("pennies", msgs, outcome, transfer)
     g = Game(s, pennies)
-    consts = [(1, 1), (2, 2)]
+    full = [(1, 1), (1, 2), (2, 1), (2, 2)]
     init = [{0: {(1, 1): F(1)}}, {0: {(1, 1): F(1)}}]
-    res = iterate_best_response(g, (consts, consts), initial=init, max_rounds=50)
+    res = iterate_best_response(g, (full, full), initial=init, max_rounds=50)
     assert res.cycled and not res.converged
+    assert res.rounds == 4
 
 
 def test_iterated_dominance_keeps_truthful():

@@ -1,6 +1,7 @@
 """Named experiments: certificates, helper oracles, determinism."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from robustmech import (
     Game,
     ModelError,
     binary_trial_scenario,
+    build_augmented_status_quo,
     build_status_quo,
     check_strict_cyclical_monotonicity,
     list_experiments,
@@ -147,6 +149,93 @@ def test_step3_closure_small():
     s = binary_trial_scenario()
     ok, failures = step3_closure_certificate(build_status_quo(s, 1), s, "sqr")
     assert ok and not failures
+
+
+def _corrupted(mechanism, rng, edits):
+    """The mechanism with ``edits`` random cells changed: an outcome
+    swapped for another point lottery, or agent 1's transfer moved by up
+    to the largest transfer."""
+    outcome, transfer = dict(mechanism.outcome), dict(mechanism.transfer)
+    cells = sorted(outcome)
+    size = len(outcome[cells[0]].weights)
+    for _ in range(edits):
+        cell = rng.choice(cells)
+        if rng.random() < 0.5:
+            points = [Lottery.point(y, size) for y in range(size)]
+            outcome[cell] = rng.choice([p for p in points if not p.same_as(outcome[cell])])
+        else:
+            t1, t2 = transfer[cell]
+            step = rng.choice((-1, 1)) * F(rng.randint(1, 4), 4) * mechanism.transfer_bound
+            transfer[cell] = (t1 + step, t2)
+    return replace(mechanism, outcome=outcome, transfer=transfer)
+
+
+@pytest.mark.parametrize("variant", ["sqr", "asqr"])
+@pytest.mark.parametrize("scenario", [binary_trial_scenario(), three_state_scenario()],
+                         ids=["n2", "n3"])
+def test_step3_closure_matches_the_enumeration_oracle(scenario, variant):
+    """The per-state check against the (strategy x opponent) enumeration,
+    on the construction's mechanism and on randomly corrupted copies: the
+    same verdict, the same (strategy, state, opponent message) outcome
+    failures and the same strategies failing the transfer check."""
+    mech = (build_status_quo(scenario, scenario.max_cost) if variant == "sqr"
+            else build_augmented_status_quo(scenario))
+    rng = random.Random(f"step3:{variant}:{scenario.n}")
+    verdicts, kinds = [], set()
+    for mechanism in [mech] + [_corrupted(mech, rng, rng.randint(1, 3)) for _ in range(10)]:
+        ok, failures = step3_closure_certificate(mechanism, scenario, variant)
+        want_ok, want = naive.step3_closure_certificate(mechanism, scenario, variant)
+        assert ok == want_ok
+        assert {
+            (f["strategy"], f["state"], f["opponent_message"])
+            for f in failures if f["kind"] == "outcome"
+        } == {
+            (f["strategy"], f["state"], f["opponent"][f["state"]])
+            for f in want if f["kind"] == "outcome"
+        }
+        assert {f["strategy"] for f in failures if f["kind"] == "transfer"} == {
+            f["strategy"] for f in want if f["kind"] == "transfer"
+        }
+        verdicts.append(ok)
+        kinds.update(f["kind"] for f in failures)
+    assert verdicts[0] and not all(verdicts)
+    assert kinds == {"outcome", "transfer"}
+
+
+def test_step3_closure_fails_on_a_corrupted_mechanism_with_its_witness():
+    """Message 2 of agent 1 lies outside the binary status quo rule's
+    restricted set at state 0, where its replacement is message 1; giving
+    (2, 1) another outcome than (1, 1) breaks the outcome check there,
+    raising agent 1's transfer at (2, 1) breaks the transfer check, and a
+    tie breaks the augmented rule's strict check."""
+    s = binary_trial_scenario()
+    mech = build_status_quo(s, 1)
+    other = next(lot for lot in s.scf.lotteries if not lot.same_as(mech.g(1, 1)))
+    bad_outcome = replace(mech, outcome={**mech.outcome, (2, 1): other})
+    ok, failures = step3_closure_certificate(bad_outcome, s, "sqr")
+    assert not ok
+    assert failures == [
+        {"strategy": (2, 1), "state": 0, "opponent_message": 1, "kind": "outcome"},
+        {"strategy": (2, 2), "state": 0, "opponent_message": 1, "kind": "outcome"},
+    ]
+    t1, t2 = mech.transfer[(2, 1)]
+    gap = mech.t(0, 1, 1) - t1 + 1
+    bad_transfer = replace(mech, transfer={**mech.transfer, (2, 1): (t1 + gap, t2)})
+    ok, failures = step3_closure_certificate(bad_transfer, s, "sqr")
+    assert not ok
+    assert [(f["strategy"], f["opponent"], f["kind"]) for f in failures] == [
+        ((2, 1), (1, 1), "transfer"), ((2, 2), (1, 1), "transfer"),
+    ]
+    assert all(f["gain"] == -s.prior[0] for f in failures)
+    # Under the augmented rule, (2, 2) is replaced by (-2, -2) and must
+    # earn strictly less against the truthful opponent; equal transfers
+    # for messages 2 and -2 leave it a tie there.
+    asqr = build_augmented_status_quo(s)
+    tied = {(a, b): (asqr.t(0, -2, b), t2) if a == 2 else (t1, t2)
+            for (a, b), (t1, t2) in asqr.transfer.items()}
+    ok, failures = step3_closure_certificate(replace(asqr, transfer=tied), s, "asqr")
+    assert not ok
+    assert failures == [{"strategy": (2, 2), "opponent": (1, 2), "gain": 0, "kind": "transfer"}]
 
 
 def test_separating_functional_binary():

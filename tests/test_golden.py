@@ -1,14 +1,17 @@
 """Byte stability of experiment JSON, the sha256 of ``to_json()`` for the
-seven default experiments and two scaled variants, for prop1/prop2/prop3
+seven default experiments and three scaled variants (one on a
+``uniform_scenario`` prior given in the corpus), for prop1/prop2/prop3
 on inputs outside the defaults, and of the stdout of the best-response
 and dominance CLI commands on the ladder scenario."""
 
 import hashlib
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import robustmech
+from generators import uniform_scenario
 from robustmech.cli import main
 from robustmech.core import make_scenario
 from robustmech.experiments import _default_prop3_scenario
@@ -54,6 +57,8 @@ def test_experiment_json_matches_golden_hashes():
         kwargs = dict(entry.get("kwargs", {}))
         if "scenario" in entry:
             kwargs["scenario"] = getattr(robustmech, entry["scenario"])()
+        if "prior" in entry:
+            kwargs["scenario"] = uniform_scenario(tuple(Fraction(p) for p in entry["prior"]))
         text = robustmech.run_experiment(entry["experiment"], **kwargs).to_json()
         got[entry["id"]] = hashlib.sha256(text.encode()).hexdigest()
         want[entry["id"]] = entry["sha256"]
