@@ -35,6 +35,38 @@ from .mechanisms import (
 from .numeric import fmt, rat
 
 
+def _rational(text):
+    """An exact rational option value, parsed when the command line is."""
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational number: {text!r}") from None
+
+
+def _nonnegative_rational(text):
+    value = _rational(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+    return value
+
+
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+    return value
+
+
+def _rational_text(text):
+    """A rational option passed on as written, checked when the command
+    line is parsed."""
+    _rational(text)
+    return text
+
+
 def _load(args):
     if args.scenario:
         return load_scenario(args.scenario)
@@ -43,9 +75,9 @@ def _load(args):
 
 def _build_mechanism(kind, scenario, args):
     if kind == "maskin":
-        return build_maskin(scenario, rat(args.reward))
+        return build_maskin(scenario, args.reward)
     if kind == "sqr":
-        return build_status_quo(scenario, rat(args.c_bar) if args.c_bar else scenario.max_cost)
+        return build_status_quo(scenario, scenario.max_cost if args.c_bar is None else args.c_bar)
     if kind == "asqr":
         return build_augmented_status_quo(scenario)
     if kind == "msqr":
@@ -87,7 +119,7 @@ def cmd_equilibrium_check(args):
     mech = _build_mechanism(args.kind, scenario, args)
     game = Game(scenario, mech, pert)
     sets = _strategy_sets(args.kind, scenario)
-    report = verify_equilibrium(game, truthful_profile(game), sets, rat(args.epsilon))
+    report = verify_equilibrium(game, truthful_profile(game), sets, args.epsilon)
     print(f"equilibrium: {report.is_equilibrium}   max residual: {fmt(report.max_residual)}"
           f"   max TV: {fmt(report.max_tv)}")
     _emit({
@@ -121,7 +153,7 @@ def cmd_dominance_gamma(args):
     mech = _build_mechanism(args.kind, scenario, args)
     variant = "sqr" if args.kind == "sqr" else "asqr"
     rs = restricted_strategy_set(variant, scenario.n)
-    c_bar = rat(args.c_bar) if args.c_bar else scenario.max_cost
+    c_bar = scenario.max_cost if args.c_bar is None else args.c_bar
     cert = gamma_dominance_threshold(mech, scenario, (rs, rs), c_bar)
     print(f"gamma* = {fmt(cert.gamma)}   below 1/2: {cert.below_half}")
     _emit({"gamma": cert.gamma, "below_half": cert.below_half,
@@ -185,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, kinds=("maskin", "sqr", "asqr", "msqr")):
         p.add_argument("--scenario", help="scenario YAML file")
         p.add_argument("--kind", choices=kinds, default="sqr")
-        p.add_argument("--c-bar", dest="c_bar", help="learning cost bound")
-        p.add_argument("--reward", default="1", help="matching-rule reward")
+        p.add_argument("--c-bar", dest="c_bar", type=_nonnegative_rational,
+                       help="learning cost bound")
+        p.add_argument("--reward", type=_rational, default="1", help="matching-rule reward")
 
     mech = sub.add_parser("mechanism", help="mechanism construction").add_subparsers(
         dest="sub", required=True)
@@ -199,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True)
     c = eq.add_parser("check", help="verify the truthful profile")
     add_common(c)
-    c.add_argument("--epsilon", default="0")
+    c.add_argument("--epsilon", type=_nonnegative_rational, default="0")
     c.set_defaults(func=cmd_equilibrium_check)
     br = eq.add_parser("br-iterate", help="synchronous best-response iteration")
     add_common(br)
-    br.add_argument("--max-rounds", type=int, default=200)
+    br.add_argument("--max-rounds", type=_nonnegative_int, default=200)
     br.set_defaults(func=cmd_equilibrium_br)
 
     dom = sub.add_parser("dominance", help="dominance tools").add_subparsers(
@@ -214,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = dom.add_parser("eliminate", help="iterated strict dominance")
     add_common(e)
     e.add_argument("--full", action="store_true", help="use the full strategy set")
-    e.add_argument("--mixture-denominator", type=int, default=0)
+    e.add_argument("--mixture-denominator", type=_nonnegative_int, default=0)
     e.set_defaults(func=cmd_dominance_eliminate)
 
     exp = sub.add_parser("experiment", help="named reproductions").add_subparsers(
@@ -222,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = exp.add_parser("run", help="run one named experiment")
     r.add_argument("name")
     r.add_argument("--scenario")
-    r.add_argument("--eta-grid", nargs="*", help="eta values, e.g. 1/100 1/10")
+    r.add_argument("--eta-grid", nargs="*", type=_rational_text,
+                   help="eta values, e.g. 1/100 1/10")
     r.add_argument("--out", help="directory for JSON/CSV output")
     r.set_defaults(func=cmd_experiment_run)
     ls = exp.add_parser("list", help="list experiment names")

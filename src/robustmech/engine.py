@@ -398,25 +398,29 @@ def mixture_payoff(
 
 def outcome_distribution(game: Game, profile: StrategyProfile, state: int) -> Lottery:
     """Implemented lottery conditional on the state, integrating over
-    circumstances, signals, mixtures, and trembles."""
+    circumstances, signals, mixtures, and trembles.
+
+    Circumstances are grouped by the pair of plays the agents' types make
+    there (mixtures with zero weights dropped), the group masses come from
+    ``Perturbation.masses_by``, and the lottery is mixed once per group."""
     pert = game.perturbation
     coords = [
         (k1, k2, p / game.scenario.prior[state])
         for theta, k1, k2, p in game.coords
         if theta == state
     ]
+    plays = [
+        {t: tuple((s, x) for s, x in mix.items() if x) for t, mix in side.items()}
+        for side in profile
+    ]
+    labels = [
+        (plays[0][pert.type_of(0, w)], plays[1][pert.type_of(1, w)]) for w in range(pert.size)
+    ]
     parts = []
-    for w in range(pert.size):
-        mass = pert.pi[w]
-        if mass == 0:
-            continue
-        mix1 = profile[0][pert.type_of(0, w)]
-        mix2 = profile[1][pert.type_of(1, w)]
-        for s1, w1 in mix1.items():
-            for s2, w2 in mix2.items():
+    for (play1, play2), mass in pert.masses_by(labels).items():
+        for s1, w1 in play1:
+            for s2, w2 in play2:
                 weight = mass * w1 * w2
-                if not weight:
-                    continue
                 for k1, k2, pc in coords:
                     lot = game.pair_values(s1[k1], s2[k2])[2]
                     parts.append((weight * pc, lot))

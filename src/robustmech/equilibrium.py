@@ -142,17 +142,18 @@ class EquilibriumReport:
 
 
 def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
-    """Probability that both agents' realized intent is the truthful one."""
+    """Probability that both agents' realized intent is the truthful one,
+    summed over circumstances grouped by the pair of truthful weights
+    their types carry (``Perturbation.masses_by``)."""
     pert = game.perturbation
-    mass = Fraction(0)
-    for w in range(pert.size):
-        p = pert.pi[w]
-        if not p:
-            continue
-        w1 = profile[0][pert.type_of(0, w)].get(game.truthful(0), Fraction(0))
-        w2 = profile[1][pert.type_of(1, w)].get(game.truthful(1), Fraction(0))
-        mass += p * w1 * w2
-    return mass
+    truthful = (game.truthful(0), game.truthful(1))
+    labels = [
+        tuple(profile[a][pert.type_of(a, w)].get(truthful[a], Fraction(0)) for a in (0, 1))
+        for w in range(pert.size)
+    ]
+    return sum(
+        (mass * w1 * w2 for (w1, w2), mass in pert.masses_by(labels).items()), Fraction(0)
+    )
 
 
 def equilibrium_residuals(

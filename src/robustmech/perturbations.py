@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .core import AgentPayoff, ModelError, ScenarioModel
 from .numeric import Number, rat
@@ -35,6 +36,29 @@ class BiasSpec:
             raise ModelError("learning cost must be non-negative")
 
 
+def _exact_sum(values) -> Fraction:
+    """Exact sum of rationals on one running common denominator, reduced
+    once at the end.  Ladder denominators divide one another, so each
+    step's gcd is cheap, where ``sum`` would reduce a fraction of growing
+    size at every step."""
+    num, den = 0, 1
+    for v in values:
+        g = gcd(den, v.denominator)
+        num, den = num * (v.denominator // g) + v.numerator * (den // g), den // g * v.denominator
+    return Fraction(num, den)
+
+
+def _conditional_groups(weights, opp_type_index, classes):
+    """A type's ``(circ, weight)`` pairs grouped by the opponent type they
+    induce, same-class circumstances merged into their first one."""
+    by_opp: dict[int, dict] = {}
+    for w, weight in weights:
+        cells = by_opp.setdefault(opp_type_index[w], {})
+        first = cells.get(classes[w])
+        cells[classes[w]] = (w, weight) if first is None else (first[0], first[1] + weight)
+    return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
+
+
 def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
     """Pairing partition of circumstances 0..size-1.
 
@@ -56,6 +80,15 @@ def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
 class Perturbation:
     """Circumstance ladder with partitions and perturbed payoffs.
 
+    Masses are recorded twice: exactly, as ``pi``, and as a common ratio
+    ``ratio`` with per-circumstance coefficients ``coef`` such that
+    ``pi[w] = K * coef[w] * ratio**w`` for one constant ``K > 0``.  A
+    geometric ladder has ratio ``1 - eta``, so its coefficients are the
+    same small number on every rung; any other distribution is ratio 1
+    with ``coef = pi`` (the default).  Ratios of masses are read from the
+    second form, whose operands stay small at any ladder depth, where
+    ladder masses themselves carry denominators that grow with it.
+
     Construction compiles the partitions into per-agent tables so that
     evaluators never rescan them:
 
@@ -70,10 +103,12 @@ class Perturbation:
       induce, with same-class circumstances merged by summing their
       weights (``type_groups``).
 
-    Evaluators key their caches by payoff class, so their size does not
-    grow with the ladder depth, and conditional weights keep operands
-    small where raw ladder masses would carry denominators that grow with
-    the depth.
+    A type's weights and mass come from its circumstances' masses relative
+    to its first positive-mass circumstance ``a``, ``coef[w] / coef[a] *
+    ratio**(w - a)``, memoized per block shape, so the interior rungs of a
+    ladder share one computation.  ``masses_by`` sums masses over runs of
+    circumstances in closed form.  Evaluators key their caches by payoff
+    class, so their size does not grow with the ladder depth either.
     """
 
     scenario: ScenarioModel
@@ -81,12 +116,21 @@ class Perturbation:
     partitions: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
     biases: tuple[BiasSpec, ...] = ()
     tail_mass: Number = Fraction(0)
+    ratio: Number = Fraction(1)
+    coef: tuple[Number, ...] | None = None
 
     def __post_init__(self):
-        if sum(self.pi) != 1:
+        if _exact_sum(self.pi) != 1:
             raise ModelError("circumstance distribution must sum to one")
         if any(p < 0 for p in self.pi):
             raise ModelError("circumstance probabilities must be nonnegative")
+        coef = tuple(map(rat, self.pi if self.coef is None else self.coef))
+        if len(coef) != len(self.pi) or not self.ratio > 0 or any(
+            bool(c) != bool(p) for c, p in zip(coef, self.pi)
+        ):
+            raise ModelError("mass coefficients must match the circumstances")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "ratio", rat(self.ratio))
         for part in self.partitions:
             seen = sorted(w for block in part for w in block)
             if seen != list(range(len(self.pi))):
@@ -102,9 +146,13 @@ class Perturbation:
                 for w in block:
                     index[w] = t
             type_index.append(tuple(index))
-        type_mass = tuple(
-            tuple(sum(self.pi[w] for w in block) for block in part)
+        shapes: dict[tuple, tuple] = {}
+        relative = tuple(
+            tuple(self._relative_masses(block, shapes) for block in part)
             for part in self.partitions
+        )
+        type_mass = tuple(
+            tuple(self.pi[anchor] * total for anchor, total, _ in part) for part in relative
         )
         classes = tuple(
             tuple(bias_index.get((agent, w)) for w in range(len(self.pi)))
@@ -112,8 +160,8 @@ class Perturbation:
         )
         groups = tuple(
             tuple(
-                self._conditional_groups(block, mass, type_index[1 - agent], classes[agent])
-                for block, mass in zip(self.partitions[agent], type_mass[agent])
+                _conditional_groups(weights, type_index[1 - agent], classes[agent])
+                for _, _, weights in relative[agent]
             )
             for agent in (0, 1)
         )
@@ -125,15 +173,45 @@ class Perturbation:
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_groups", groups)
 
-    def _conditional_groups(self, block, mass, opp_type_index, classes):
-        by_opp: dict[int, dict] = {}
-        for w in block:
-            if not self.pi[w]:
+    def _relative_masses(self, block, shapes):
+        """``(anchor, total, ((w, weight), ...))`` for one partition block:
+        its first positive-mass circumstance, its mass relative to the
+        anchor's, and the conditional weight of each positive-mass
+        circumstance.  Blocks of one shape (coefficients and offsets from
+        the anchor) share one entry of ``shapes``."""
+        members = [w for w in block if self.coef[w]]
+        if not members:
+            return block[0], Fraction(0), ()
+        anchor = members[0]
+        shape = tuple((self.coef[w], w - anchor) for w in members)
+        hit = shapes.get(shape)
+        if hit is None:
+            rel = [c / self.coef[anchor] * self.ratio ** k for c, k in shape]
+            total = sum(rel)
+            hit = shapes[shape] = (total, tuple(x / total for x in rel))
+        total, weights = hit
+        return anchor, total, tuple(zip(members, weights))
+
+    def masses_by(self, labels) -> dict:
+        """``{label: mass}``: the total mass of the circumstances carrying
+        each label, for ``labels[w]`` a hashable per circumstance.
+
+        Walks maximal runs of circumstances with one label and one
+        coefficient.  The masses of such a run are geometric, so its total
+        is ``pi[lo] * (1 - ratio**len) / (1 - ratio)``, or ``pi[lo] * len``
+        at ratio 1.  Labels met only at zero mass are left out."""
+        out: dict = {}
+        coef, size, lo = self.coef, len(self.pi), 0
+        for w in range(1, size + 1):
+            if w < size and labels[w] == labels[lo] and coef[w] == coef[lo]:
                 continue
-            cells = by_opp.setdefault(opp_type_index[w], {})
-            rep, weight = cells.get(classes[w], (w, 0))
-            cells[classes[w]] = (rep, weight + self.pi[w] / mass)
-        return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
+            if coef[lo]:
+                length, label = w - lo, labels[lo]
+                run = length if self.ratio == 1 else (1 - self.ratio**length) / (1 - self.ratio)
+                mass = self.pi[lo] * run
+                out[label] = out[label] + mass if label in out else mass
+            lo = w
+        return out
 
     @property
     def size(self) -> int:
@@ -216,21 +294,25 @@ def build_ladder(
     the boundary types keep a self-sustaining coordination pair.  The last
     circumstance keeps normal payoffs either way.  Agent 1's partition is
     {w0},{w1,w2},...; agent 2's is {w0,w1},{w2,w3},...
+
+    Masses are built by the recurrence ``pi[t] = pi[t-1] * (1 - eta)``
+    from ``pi[0] = eta`` (collapse) or ``eta / (1 - (1 - eta)^(depth+1))``
+    (renormalize; the truncated tail mass is ``(1 - eta)^(depth+1)``).
+    The perturbation records ratio ``1 - eta`` with coefficient ``eta`` on
+    every geometric rung and 1 on a collapsed tail.
     """
     eta = rat(eta)
     if not 0 < eta < 1:
         raise ModelError("eta must lie strictly between 0 and 1")
     if depth < 2:
         raise ModelError("ladder depth must be at least 2")
-    pi = [eta * (1 - eta) ** t for t in range(depth)]
+    ratio = 1 - eta
     if tail == "collapse":
-        tail_mass = (1 - eta) ** depth
-        pi.append(tail_mass)
+        tail_mass = ratio**depth
+        pi, last = _geometric(eta, ratio, depth) + [tail_mass], Fraction(1)
     elif tail == "renormalize":
-        pi.append(eta * (1 - eta) ** depth)
-        total = sum(pi)
-        pi = [p / total for p in pi]
-        tail_mass = 1 - total
+        tail_mass = ratio ** (depth + 1)
+        pi, last = _geometric(eta / (1 - tail_mass), ratio, depth + 1), eta
     else:
         raise ModelError(f"unknown tail convention {tail!r}")
     return Perturbation(
@@ -239,7 +321,17 @@ def build_ladder(
         (ladder_partition(depth + 1, 0), ladder_partition(depth + 1, 1)),
         tuple(biases or ()),
         tail_mass=tail_mass,
+        ratio=ratio,
+        coef=(eta,) * depth + (last,),
     )
+
+
+def _geometric(first: Fraction, ratio: Fraction, count: int) -> list[Fraction]:
+    """``first * ratio**t`` for ``t < count``, each from the one before."""
+    out = [first]
+    for _ in range(count - 1):
+        out.append(out[-1] * ratio)
+    return out
 
 
 def build_general_ladder(
@@ -281,13 +373,11 @@ def eta_of(perturbation: Perturbation) -> Number:
         }
         for agent in (0, 1)
     ]
-    mass = sum(
-        perturbation.pi[w]
+    both_normal = [
+        perturbation.type_of(0, w) in normal[0] and perturbation.type_of(1, w) in normal[1]
         for w in range(perturbation.size)
-        if perturbation.type_of(0, w) in normal[0]
-        and perturbation.type_of(1, w) in normal[1]
-    )
-    return 1 - mass
+    ]
+    return 1 - perturbation.masses_by(both_normal).get(True, 0)
 
 
 def is_c_bounded(perturbation: Perturbation, c_bar: Number) -> bool:

@@ -7,7 +7,12 @@ dominance that rechecks every type in every round.  They are kept
 verbatim so that the compiled engine can be compared against them by
 exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
 ``inner_value``; ``NaivePerturbation`` supplies the old ``type_of`` and
-``type_prob``.  ``strict_cyclical_monotonicity`` enumerates every state
+``type_prob``.  ``ladder_masses``, ``type_groups``, ``eta_of``,
+``outcome_distribution`` and ``truthful_probability_mass`` are the
+ladder construction and the mass sums before the ratio/coefficient form:
+per-rung powers renormalized by a sum, conditional weights divided out of
+raw masses, and lotteries mixed once per circumstance.
+``strict_cyclical_monotonicity`` enumerates every state
 permutation, the oracle for the class-graph check, and
 ``step3_closure_certificate`` every (strategy, restricted opponent
 strategy) pair, the oracle for the per-state check.
@@ -16,7 +21,7 @@ strategy) pair, the oracle for the per-state check.
 import itertools
 from fractions import Fraction
 
-from robustmech.core import ModelError
+from robustmech.core import Lottery, ModelError
 from robustmech.engine import (
     Game,
     PureStrategy,
@@ -24,9 +29,103 @@ from robustmech.engine import (
     canonical_replacement,
     full_strategy_set,
     is_constant,
+    StrategyProfile,
     restricted_strategy_set,
 )
 from robustmech.numeric import Number
+
+
+def ladder_masses(depth: int, eta: Fraction, tail: str = "collapse"):
+    """``(pi, tail_mass)`` of a geometric ladder, each rung's mass from its
+    own power of ``1 - eta``."""
+    pi = [eta * (1 - eta) ** t for t in range(depth)]
+    if tail == "collapse":
+        tail_mass = (1 - eta) ** depth
+        pi.append(tail_mass)
+    elif tail == "renormalize":
+        pi.append(eta * (1 - eta) ** depth)
+        total = sum(pi)
+        pi = [p / total for p in pi]
+        tail_mass = 1 - total
+    else:
+        raise ModelError(f"unknown tail convention {tail!r}")
+    return tuple(pi), tail_mass
+
+
+def type_groups(pert, agent: int, type_index: int):
+    """A type's conditional weights ``pi[w] / P(type)``, grouped by
+    opponent type and merged by payoff class, from the raw masses."""
+    naive = NaivePerturbation(pert)
+    mass = naive.type_prob(agent, type_index)
+    by_opp: dict[int, dict] = {}
+    for w in pert.partitions[agent][type_index]:
+        if not pert.pi[w]:
+            continue
+        cells = by_opp.setdefault(naive.type_of(1 - agent, w), {})
+        cls = pert.payoff_class(agent, w)
+        rep, weight = cells.get(cls, (w, 0))
+        cells[cls] = (rep, weight + pert.pi[w] / mass)
+    return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
+
+
+def eta_of(perturbation) -> Number:
+    """One minus the probability that both agents are normal types."""
+    normal = [
+        {
+            idx
+            for idx in range(len(perturbation.partitions[agent]))
+            if perturbation.type_is_normal(agent, idx)
+        }
+        for agent in (0, 1)
+    ]
+    mass = sum(
+        perturbation.pi[w]
+        for w in range(perturbation.size)
+        if perturbation.type_of(0, w) in normal[0]
+        and perturbation.type_of(1, w) in normal[1]
+    )
+    return 1 - mass
+
+
+def outcome_distribution(game: Game, profile: StrategyProfile, state: int) -> Lottery:
+    """Implemented lottery conditional on the state, integrating over
+    circumstances, signals, mixtures, and trembles."""
+    pert = game.perturbation
+    coords = [
+        (k1, k2, p / game.scenario.prior[state])
+        for theta, k1, k2, p in game.coords
+        if theta == state
+    ]
+    parts = []
+    for w in range(pert.size):
+        mass = pert.pi[w]
+        if mass == 0:
+            continue
+        mix1 = profile[0][pert.type_of(0, w)]
+        mix2 = profile[1][pert.type_of(1, w)]
+        for s1, w1 in mix1.items():
+            for s2, w2 in mix2.items():
+                weight = mass * w1 * w2
+                if not weight:
+                    continue
+                for k1, k2, pc in coords:
+                    lot = game.pair_values(s1[k1], s2[k2])[2]
+                    parts.append((weight * pc, lot))
+    return Lottery.mix(parts)
+
+
+def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
+    """Probability that both agents' realized intent is the truthful one."""
+    pert = game.perturbation
+    mass = Fraction(0)
+    for w in range(pert.size):
+        p = pert.pi[w]
+        if not p:
+            continue
+        w1 = profile[0][pert.type_of(0, w)].get(game.truthful(0), Fraction(0))
+        w2 = profile[1][pert.type_of(1, w)].get(game.truthful(1), Fraction(0))
+        mass += p * w1 * w2
+    return mass
 
 
 class NaivePerturbation:
@@ -58,6 +157,7 @@ class NaiveGame:
         self.perturbation = NaivePerturbation(game.perturbation)
         self.coords = game.coords
         self.pair_values = game.pair_values
+        self.truthful = game.truthful
         self._u_cache = {}
         self._inner_cache = {}
 

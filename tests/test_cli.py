@@ -270,3 +270,41 @@ def test_experiment_scenario_without_perturbation_block_runs(capsys):
     )
     assert code == 0 and not err
     assert json.loads(out[out.index("{"):])["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("equilibrium", "check", "--epsilon", "abc"), "--epsilon"),
+        (("equilibrium", "check", "--epsilon", "-1"), "--epsilon"),
+        (("equilibrium", "check", "--c-bar", "x"), "--c-bar"),
+        (("mechanism", "build", "--kind", "maskin", "--reward", "x"), "--reward"),
+        (("dominance", "gamma", "--c-bar", "1/0"), "--c-bar"),
+        (("experiment", "run", "maskin-contagion", "--eta-grid", "1/0"), "--eta-grid"),
+        (("equilibrium", "br-iterate", "--max-rounds", "-1"), "--max-rounds"),
+        (("equilibrium", "br-iterate", "--max-rounds", "2.5"), "--max-rounds"),
+        (("dominance", "eliminate", "--mixture-denominator", "-3"), "--mixture-denominator"),
+    ],
+    ids=["epsilon-text", "epsilon-negative", "c-bar-text", "reward-text", "c-bar-zero-denominator",
+         "eta-grid-zero-denominator", "max-rounds-negative", "max-rounds-fraction",
+         "mixture-denominator-negative"],
+)
+def test_bad_numeric_option_exits_2_naming_the_option(argv, option):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+    assert f"error: argument {option}: " in proc.stderr
+
+
+def test_numeric_options_reach_the_commands(capsys):
+    """Parsed values are used as given: a zero learning cost bound is
+    checked against the scenario's costs, not replaced by them."""
+    code, _, err = run(capsys, "dominance", "gamma", "--kind", "sqr", "--c-bar", "0")
+    assert code == 2
+    assert err == "error: cost bound must dominate the unperturbed costs\n"
+    code, out, _ = run(capsys, "dominance", "gamma", "--kind", "sqr", "--c-bar", "1")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["gamma"] == "19/42"
+    code, out, _ = run(capsys, "equilibrium", "check", "--kind", "sqr", "--epsilon", "1/10")
+    assert code == 0

@@ -1,6 +1,8 @@
 """The compiled perturbation tables and the type-signature memos against
 the naive per-circumstance evaluator, by exact equality, plus the table
-invariants themselves."""
+invariants themselves.  The ladder masses, conditional weights, outcome
+lotteries and truthful mass are compared with the per-rung construction
+and the per-circumstance sums."""
 
 from fractions import Fraction as F
 
@@ -13,6 +15,7 @@ from generators import uniform_scenario
 from robustmech import (
     BiasSpec,
     Game,
+    Lottery,
     ModelError,
     Perturbation,
     SignalStructure,
@@ -25,11 +28,13 @@ from robustmech import (
     build_maskin,
     build_status_quo,
     equilibrium_residuals,
+    eta_of,
     expected_payoff,
     full_strategy_set,
     iterate_best_response,
     iterated_dominance,
     mislabel_signals,
+    outcome_distribution,
     restricted_strategy_set,
     simple_bias_ladder,
     three_state_scenario,
@@ -37,6 +42,7 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech import equilibrium
+from robustmech.equilibrium import truthful_probability_mass
 from robustmech.experiments import preferred_outcome_bias
 
 SCENARIO = binary_trial_scenario()
@@ -424,3 +430,108 @@ def test_same_class_circumstances_merge_into_one_weight():
     assert biased.payoff_class(0, 1) == 0
     assert biased.payoff_class(1, 1) is None
     assert biased.type_groups(0, 0) == ((0, ((0, F(1, 2)), (1, F(1, 2)))),)
+
+
+@given(
+    st.integers(2, 60),
+    st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000),
+    st.sampled_from(("collapse", "renormalize")),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_ladder_matches_per_rung_construction(depth, eta, tail, data):
+    """Masses, tail mass, type masses and conditional weights of the
+    recurrence and the ratio/coefficient tables equal those built from
+    each rung's own power, all of them Fractions."""
+    pert = build_ladder(SCENARIO, depth, eta, data.draw(bias_specs(depth + 1)), tail=tail)
+    assert (pert.pi, pert.tail_mass) == naive.ladder_masses(depth, eta, tail)
+    assert type(pert.tail_mass) is F and all(type(p) is F for p in pert.pi)
+    assert eta_of(pert) == naive.eta_of(pert)
+    reference = naive.NaivePerturbation(pert)
+    for agent in (0, 1):
+        for t in range(len(pert.partitions[agent])):
+            assert pert.type_prob(agent, t) == reference.type_prob(agent, t)
+            groups = pert.type_groups(agent, t)
+            assert groups == naive.type_groups(pert, agent, t)
+            assert all(type(m) is F for _, cells in groups for _, m in cells)
+
+
+def assert_lotteries_match_naive(game, data):
+    """Every state's lottery and the truthful mass, on the truthful
+    profile and on a drawn one whose plays change mid-ladder and carry
+    zero weights, against the per-circumstance sums."""
+    reference = naive.NaiveGame(game)
+    full = tuple(
+        full_strategy_set(game.mechanism.messages[a], game.strategy_length(a)) for a in (0, 1)
+    )
+    for profile in (truthful_profile(game), draw_profile(data, game, full)):
+        for j in range(SCENARIO.n):
+            got = outcome_distribution(game, profile, j)
+            assert got == naive.outcome_distribution(reference, profile, j)
+            assert all(type(x) is F for x in got.weights)
+        got = truthful_probability_mass(game, profile)
+        assert type(got) is F
+        assert got == naive.truthful_probability_mass(reference, profile)
+
+
+@given(st.one_of(ladders(), zero_mass_ladders(), coarse_partitions()),
+       st.sampled_from(sorted(MECHANISMS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_lotteries_and_truthful_mass_match_per_circumstance_sums(pert, kind, data):
+    assert_lotteries_match_naive(Game(SCENARIO, MECHANISMS[kind], pert), data)
+
+
+@given(ladders(), st.fractions(min_value=0, max_value=F(1, 2), max_denominator=20), taus,
+       st.sampled_from(sorted(MECHANISMS)), st.data())
+@settings(max_examples=15, deadline=None)
+def test_signal_and_tremble_lotteries_match_per_circumstance_sums(pert, delta, tau, kind, data):
+    mech = MECHANISMS[kind]
+    game = Game(SCENARIO, mech, pert, signals=mislabel_signals(SCENARIO, delta),
+                tremble=TrembleSpec.uniform(tau, mech.messages) if tau else None)
+    assert_lotteries_match_naive(game, data)
+
+
+def test_ladder_arithmetic_does_not_grow_with_depth(monkeypatch):
+    """At eta = 1/100, on either tail, the largest conditional-weight
+    denominator and the number of parts the truthful lottery mixes are the
+    same at depths 50 and 400."""
+    mixed = []
+    mix = Lottery.mix
+    monkeypatch.setattr(Lottery, "mix", staticmethod(lambda parts: mixed.append(len(parts))
+                                                     or mix(parts)))
+    for tail in ("collapse", "renormalize"):
+        sizes = []
+        for depth in (50, 400):
+            pert = build_ladder(SCENARIO, depth, F(1, 100), tail=tail)
+            bits = max(
+                m.denominator.bit_length()
+                for agent in (0, 1)
+                for t in range(len(pert.partitions[agent]))
+                for _, cells in pert.type_groups(agent, t)
+                for _, m in cells
+            )
+            game = Game(SCENARIO, MECHANISMS["sqr"], pert)
+            mixed.clear()
+            for j in range(SCENARIO.n):
+                outcome_distribution(game, truthful_profile(game), j)
+            sizes.append((bits, list(mixed)))
+        assert sizes[0] == sizes[1]
+
+
+def test_integer_masses_give_fraction_weights():
+    """Masses given as ints are read as Fractions, so a conditional weight
+    never becomes a float ``int / int``."""
+    pert = Perturbation(SCENARIO, (0, 1), (((0, 1),), ((0,), (1,))))
+    assert pert.type_groups(0, 0) == ((1, ((1, F(1)),)),)
+    assert type(pert.type_groups(0, 0)[0][1][0][1]) is F
+    assert type(pert.type_prob(0, 0)) is F and pert.type_prob(1, 0) == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"coef": (F(1, 2),)},
+    {"coef": (F(1), F(0))},
+    {"ratio": F(0)},
+], ids=["length", "zero-pattern", "ratio"])
+def test_coefficients_that_do_not_fit_the_masses_are_rejected(kwargs):
+    with pytest.raises(ModelError, match="mass coefficients"):
+        Perturbation(SCENARIO, (F(1, 2), F(1, 2)), (((0, 1),), ((0, 1),)), **kwargs)
