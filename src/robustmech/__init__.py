@@ -26,12 +26,10 @@ from .engine import (
     canonical_replacement,
     expected_payoff,
     full_strategy_set,
-    learning_cost_of,
     max_tv_to_target,
     mislabel_signals,
     outcome_distribution,
     pure_profile,
-    restricted_choices,
     restricted_strategy_set,
     revealing_signals,
     size_of_signal_structure,

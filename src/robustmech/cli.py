@@ -151,10 +151,8 @@ def cmd_equilibrium_br(args):
 def cmd_dominance_gamma(args):
     scenario, _ = _load(args)
     mech = _build_mechanism(args.kind, scenario, args)
-    variant = "sqr" if args.kind == "sqr" else "asqr"
-    rs = restricted_strategy_set(variant, scenario.n)
     c_bar = scenario.max_cost if args.c_bar is None else args.c_bar
-    cert = gamma_dominance_threshold(mech, scenario, (rs, rs), c_bar)
+    cert = gamma_dominance_threshold(mech, scenario, _strategy_sets(args.kind, scenario), c_bar)
     print(f"gamma* = {fmt(cert.gamma)}   below 1/2: {cert.below_half}")
     _emit({"gamma": cert.gamma, "below_half": cert.below_half,
            "witness": list(cert.witness)})

@@ -10,8 +10,11 @@ learning cost.  Type strategies are finite-support mixtures stored as
 
 All computations are pure functions of immutable inputs; the ``Game``
 wrapper only memoizes derived tables: payoffs and per-coordinate payoff
-rows by payoff class, and per-type payoff tables, best responses and
-dominance checks by ``type_signature``.
+rows by payoff class, and per-type payoff tables, whose best responses
+are memoized on the table, and dominance checks by ``type_signature``.
+
+A ``StrategySet`` holds per coordinate the messages a strategy may send
+there, ascending; its members are their product, in canonical order.
 
 Payoffs separate across the coordinates of an own strategy: a pure
 strategy's payoff is a sum of one-coordinate terms, less the learning
@@ -35,6 +38,7 @@ from .perturbations import Perturbation, unperturbed
 PureStrategy = tuple[int, ...]
 TypeStrategy = dict[PureStrategy, Number]
 StrategyProfile = list[dict[int, TypeStrategy]]
+StrategySet = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,6 @@ def is_constant(strategy: PureStrategy) -> bool:
     return len(set(strategy)) <= 1
 
 
-def learning_cost_of(strategy: PureStrategy, cost: Number) -> Number:
-    """Zero for constant intent vectors, the learning cost otherwise."""
-    return 0 * cost if is_constant(strategy) else cost
-
-
 @dataclass
 class Game:
     """A mechanism played under a perturbation, with optional signal noise
@@ -173,8 +172,6 @@ class Game:
     _row_cache: dict = field(default_factory=dict, repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
-    _br_cache: dict = field(default_factory=dict, repr=False)
-    _choices_cache: dict = field(default_factory=dict, repr=False)
     _dom_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -329,16 +326,52 @@ class PayoffTable:
     strategy; a type's table is their weighted sum.  A plain slotted
     class: a dataclass would cost every process about 1 ms at import."""
 
-    __slots__ = ("coords", "cost")
+    __slots__ = ("coords", "cost", "_best")
 
     def __init__(self, coords: tuple[dict[int, Number], ...], cost: Number):
         self.coords = coords
         self.cost = cost
+        self._best = {}
 
     def value(self, strategy: PureStrategy) -> Number:
         """Payoff of any pure strategy over the agent's messages."""
         total = sum(cell[m] for cell, m in zip(self.coords, strategy))
         return total if is_constant(strategy) else total - self.cost
+
+    def best(self, choices: StrategySet) -> tuple[tuple[PureStrategy, ...], Number]:
+        """Canonically ordered maximizers over the product of ``choices``
+        and their value, memoized per ``choices``.
+
+        A non-constant strategy is worth the sum of its coordinate entries
+        less ``cost``, so the best of them takes a per-coordinate argmax,
+        when the product of the argmax sets has a non-constant member.
+        Otherwise that product is one constant, which is worth at least as
+        much as every non-constant strategy because the cost is
+        non-negative.  Constants pay no cost and are compared directly.
+        """
+        hit = self._best.get(choices)
+        if hit is not None:
+            return hit
+        if len(choices) != len(self.coords) or not all(choices):
+            raise ModelError(f"strategy set needs {len(self.coords)} non-empty coordinates")
+        top = 0
+        argmax = []
+        for cell, ms in zip(self.coords, choices):
+            high = max(cell[m] for m in ms)
+            top += high
+            argmax.append(tuple(m for m in ms if cell[m] == high))
+        constants = {
+            (m,) * len(choices): self.value((m,) * len(choices))
+            for m in choices[0]
+            if all(m in ms for ms in choices[1:])
+        }
+        mixed = len(choices) > 1 and (any(len(a) > 1 for a in argmax) or len(set(argmax)) > 1)
+        best_value = max([*constants.values(), *([top - self.cost] if mixed else [])])
+        winners = [s for s, v in constants.items() if v == best_value]
+        if mixed and top - self.cost == best_value:
+            winners += [s for s in itertools.product(*argmax) if not is_constant(s)]
+        hit = self._best[choices] = (tuple(sorted(winners)), best_value)
+        return hit
 
 
 def expected_payoff(
@@ -437,17 +470,18 @@ def max_tv_to_target(game: Game, profile: StrategyProfile) -> Number:
 # -- restricted strategy sets and replacements -----------------------------
 
 
-def full_strategy_set(messages: tuple[int, ...], length: int) -> list[PureStrategy]:
-    return [tuple(s) for s in itertools.product(messages, repeat=length)]
+def full_strategy_set(messages: tuple[int, ...], length: int) -> StrategySet:
+    """Every message at each of ``length`` coordinates."""
+    return (tuple(sorted(messages)),) * length
 
 
-def restricted_choices(
+def restricted_strategy_set(
     variant: str,
     n: int,
     meanings: tuple[int, ...] | None = None,
-) -> list[tuple[int, ...]]:
-    """Per coordinate, the messages a strategy of each construction's
-    restricted game may send there, in ascending order.
+) -> StrategySet:
+    """The strategies kept by each construction's restricted game: per
+    coordinate, the messages they may send there, in ascending order.
 
     A coordinate's meaning is its state index, or, with a signal
     structure, the state index its signal means (pass the agent's meaning
@@ -462,17 +496,7 @@ def restricted_choices(
         raise ModelError(f"unknown restricted-set variant {variant!r}")
     if meanings is None:
         meanings = range(1, n + 1)
-    return [negatives + ((1,) if h == 1 else (1, h)) for h in meanings]
-
-
-def restricted_strategy_set(
-    variant: str,
-    n: int,
-    meanings: tuple[int, ...] | None = None,
-) -> list[PureStrategy]:
-    """The pure strategies kept by each construction's restricted game: the
-    product of ``restricted_choices``, in canonical order."""
-    return list(itertools.product(*restricted_choices(variant, n, meanings)))
+    return tuple(negatives + ((1,) if h == 1 else (1, h)) for h in meanings)
 
 
 def canonical_replacement(
@@ -487,7 +511,7 @@ def canonical_replacement(
     message; the augmented variant flips invalid entries to their negative,
     except a wholly-constant high vector which flips as a whole.
     """
-    allowed = restricted_choices(variant, n, meanings)
+    allowed = restricted_strategy_set(variant, n, meanings)
     if all(m in a for m, a in zip(strategy, allowed)):
         raise ModelError("strategy already belongs to the restricted set")
     if variant == "sqr":

@@ -10,7 +10,6 @@ numbers, so negative messages come before positive ones.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -19,8 +18,8 @@ from .engine import (
     Game,
     PureStrategy,
     StrategyProfile,
+    StrategySet,
     TypeStrategy,
-    is_constant,
     max_tv_to_target,
     type_signature,
 )
@@ -33,99 +32,24 @@ def best_response(
     agent: int,
     type_index: int,
     opponent: dict[int, TypeStrategy],
-    strategy_set: list[PureStrategy],
+    strategy_set: StrategySet,
 ) -> tuple[list[PureStrategy], Number]:
     """All exact maximizers over the strategy set, canonically ordered,
     with the attained value.
 
-    The set must be the product of its per-coordinate choices (every set
-    the library builds is), or ``ModelError`` is raised.  The type's
-    payoff table separates by coordinate, so the maximum is read per
-    coordinate instead of over every strategy (see ``_maximize``).
+    The set is given by its per-coordinate choices, and the type's payoff
+    table separates by coordinate, so the maximum is read per coordinate
+    instead of over every strategy (see ``PayoffTable.best``).
 
-    The result is memoized on the game by ``(agent, per-coordinate
-    choices, type_signature)``.  Two types with equal signatures have
-    equal payoffs for every strategy (see ``type_signature``), so they
-    share their maximizers and value exactly, and the interior rungs of a
-    ladder cost one evaluation per distinct rung kind instead of one per
-    rung.
+    The result is memoized on the type's payoff table, which the game
+    memoizes by ``(agent, type_signature)``.  Two types with equal
+    signatures have equal payoffs for every strategy (see
+    ``type_signature``), so they share their maximizers and value exactly,
+    and the interior rungs of a ladder cost one evaluation per distinct
+    rung kind instead of one per rung.
     """
-    winners, best_value, _ = _best_response_entry(
-        game, agent, type_index, opponent, _set_choices(game, strategy_set)
-    )
+    winners, best_value = game.payoff_table(agent, type_index, opponent).best(strategy_set)
     return list(winners), best_value
-
-
-def _choices(strategy_set) -> tuple[tuple[int, ...], ...]:
-    """The sorted messages each coordinate of the set takes; raises
-    ``ModelError`` unless the set is exactly their product."""
-    if not strategy_set:
-        raise ModelError("empty strategy set")
-    choices = tuple(tuple(sorted(set(column))) for column in zip(*strategy_set))
-    if len(set(strategy_set)) != math.prod(len(c) for c in choices):
-        raise ModelError("strategy set must be the product of its per-coordinate choices")
-    return choices
-
-
-def _set_choices(game, strategy_set):
-    """``_choices`` memoized on the game, since iteration passes the same
-    list for every type in every round.  The key is the list's identity
-    and the entry keeps a snapshot of its contents, which must still be
-    equal, so a list changed or replaced since is derived afresh; the
-    comparison of unchanged contents stops at identical items."""
-    snapshot = tuple(strategy_set)
-    hit = game._choices_cache.get(id(strategy_set))
-    if hit is None or hit[0] != snapshot:
-        hit = game._choices_cache[id(strategy_set)] = (snapshot, _choices(snapshot))
-    return hit[1]
-
-
-def _best_response_entry(game, agent, type_index, opponent, choices):
-    """The memo entry behind ``best_response``: the maximizers over the
-    product of ``choices``, their value, and the type's payoff table."""
-    if game.perturbation.type_prob(agent, type_index) == 0:
-        raise ModelError("expected payoff of a zero-probability type")
-    key = (agent, choices, type_signature(game, agent, type_index, opponent))
-    hit = game._br_cache.get(key)
-    if hit is None:
-        table = game.payoff_table(agent, type_index, opponent)
-        hit = game._br_cache[key] = _maximize(table, choices) + (table,)
-    return hit
-
-
-def _maximize(table, choices):
-    """Canonically ordered maximizers over the product of ``choices`` and
-    their value.
-
-    A non-constant strategy is worth the sum of its coordinate entries
-    less the weighted cost ``table.cost``, so the best of them takes a
-    per-coordinate argmax, when the product of the argmax sets has a
-    non-constant member.  Otherwise that product is one constant, which
-    is worth at least as much as every non-constant strategy because the
-    cost is non-negative.  Constants pay no cost and are compared
-    directly.
-    """
-    cells = table.coords
-    top = 0
-    argmax = []
-    for cell, ms in zip(cells, choices):
-        high = max(cell[m] for m in ms)
-        top += high
-        argmax.append(tuple(m for m in ms if cell[m] == high))
-    constants = {
-        (m,) * len(choices): table.value((m,) * len(choices))
-        for m in choices[0]
-        if all(m in ms for ms in choices[1:])
-    }
-    mixed = len(choices) > 1 and (any(len(a) > 1 for a in argmax) or len(set(argmax)) > 1)
-    values = list(constants.values())
-    if mixed:
-        values.append(top - table.cost)
-    best_value = max(values)
-    winners = [s for s, v in constants.items() if v == best_value]
-    if mixed and top - table.cost == best_value:
-        winners += [s for s in itertools.product(*argmax) if not is_constant(s)]
-    return tuple(sorted(winners)), best_value
 
 
 @dataclass(frozen=True)
@@ -159,14 +83,16 @@ def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
 def equilibrium_residuals(
     game: Game,
     profile: StrategyProfile,
-    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    strategy_sets: tuple[StrategySet, StrategySet],
 ) -> dict[tuple[int, int], Number]:
-    """Per positive-probability type, the best pure deviation value minus
-    the prescribed mixture's value.  Pure deviations suffice because
-    payoffs are affine in own mixtures.
+    """Per positive-probability type, the best pure deviation value over
+    the agent's strategy set (per-coordinate choices) minus the prescribed
+    mixture's value.  Pure deviations suffice because payoffs are affine
+    in own mixtures.
 
-    The mixture's value is read from the type's payoff table in the
-    best-response memo entry, which prices any message vector, so each
+    Both values are read from the type's payoff table: the best one from
+    ``PayoffTable.best``, and the mixture's from ``PayoffTable.value``,
+    which prices any message vector, inside the set or not.  So each
     residual equals ``best value - mixture_payoff``.
     """
     return _residuals(game, profile, strategy_sets)[0]
@@ -179,13 +105,11 @@ def _residuals(game, profile, strategy_sets):
     pert = game.perturbation
     for agent in (0, 1):
         opponent = profile[1 - agent]
-        choices = _set_choices(game, strategy_sets[agent])
         for t in range(len(pert.partitions[agent])):
             if pert.type_prob(agent, t) == 0:
                 continue
-            winners, best_value, table = _best_response_entry(
-                game, agent, t, opponent, choices
-            )
+            table = game.payoff_table(agent, t, opponent)
+            winners, best_value = table.best(strategy_sets[agent])
             own = sum(w * table.value(s) for s, w in profile[agent][t].items() if w)
             residuals[(agent, t)] = best_value - own
             deviations[(agent, t)] = winners[0]
@@ -195,7 +119,7 @@ def _residuals(game, profile, strategy_sets):
 def verify_equilibrium(
     game: Game,
     profile: StrategyProfile,
-    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    strategy_sets: tuple[StrategySet, StrategySet],
     epsilon: Number = 0,
 ) -> EquilibriumReport:
     """Interim check: the residuals of ``equilibrium_residuals``, with the
@@ -240,19 +164,22 @@ class DominanceCertificate:
 def gamma_dominance_threshold(
     mechanism: Mechanism,
     scenario: ScenarioModel,
-    restricted_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    restricted_sets: tuple[StrategySet, StrategySet],
     c_bar: Number,
 ) -> DominanceCertificate:
     """Exact threshold for truthful reporting on the unperturbed scenario.
 
-    Against a mixture putting weight gamma on the truthful opponent and
-    1 - gamma on an adversarial restricted strategy, the gain of truth over
-    a deviation is linear in gamma; the adversarial side separates across
-    states because the restricted sets are products over coordinates, so
-    the worst case is a per-state minimum; an opponent set that is not a
-    product raises ``ModelError``.  The reported gamma is the
-    largest root across agents and deviations (zero when every deviation
-    is dominated outright); strictness holds for truthful weight above it.
+    Each restricted set is given by its per-coordinate choices and must
+    allow the truthful message at every state.  Against a mixture putting
+    weight gamma on the truthful opponent and 1 - gamma on an adversarial
+    restricted strategy, the gain of truth over a deviation is linear in
+    gamma; the adversarial side separates across states because the
+    opponent may pick its message at each state from that state's
+    choices, so the worst case is a per-state minimum.  Deviations are
+    the product of the agent's own choices, in canonical order.  The
+    reported gamma is the largest root across agents and deviations (zero
+    when every deviation is dominated outright); strictness holds for
+    truthful weight above it.
 
     The learning-cost bound ``c_bar`` is charged in place of the scenario
     cost, which makes the certificate valid for every cost profile below
@@ -265,13 +192,13 @@ def gamma_dominance_threshold(
     witness = []
     charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mechanism)
-    for agent in (0, 1):
-        own_set = restricted_sets[agent]
-        opp_set = restricted_sets[1 - agent]
-        if truth not in own_set:
+    for choices in restricted_sets:
+        if len(choices) != scenario.n or any(t not in ms for t, ms in zip(truth, choices)):
             raise ModelError("restricted set must contain the truthful strategy")
-        msgs_own = sorted({m for s in own_set for m in s})
-        allowed = _choices(opp_set)
+    for agent in (0, 1):
+        own = restricted_sets[agent]
+        allowed = restricted_sets[1 - agent]
+        msgs_own = sorted({m for ms in own for m in ms})
         # phi[b][k][m]: the prior-weighted payoff of sending m at state k
         # against b, read from the coordinate row of the constant (b, ..., b).
         phi = {
@@ -286,7 +213,7 @@ def gamma_dominance_threshold(
             for m in msgs_own
         }
         truth_value = game.inner_value(agent, 0, truth, truth)
-        for s in own_set:
+        for s in itertools.product(*own):
             if s == truth:
                 continue
             d_truth = truth_value - game.inner_value(agent, 0, s, truth)
@@ -326,7 +253,7 @@ class BRIterationResult:
 
 def iterate_best_response(
     game: Game,
-    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    strategy_sets: tuple[StrategySet, StrategySet],
     initial: StrategyProfile | None = None,
     max_rounds: int = 200,
 ) -> BRIterationResult:
@@ -375,7 +302,7 @@ def _profile_key(profile: StrategyProfile):
 
 def iterated_dominance(
     game: Game,
-    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    strategy_sets: tuple[StrategySet, StrategySet],
     mixture_denominator: int = 0,
     max_rounds: int = 10_000,
 ) -> tuple[list[dict[int, list[PureStrategy]]], int]:
@@ -385,9 +312,11 @@ def iterated_dominance(
     (or, if ``mixture_denominator`` > 0, a two-point mixture on that grid)
     does strictly better against every selection of surviving opponent
     strategies.  The worst case separates across opponent types, so each
-    comparison is a sum of per-opponent-type minima.  Returns the
-    surviving sets per (agent, type) and the number of rounds to the
-    fixed point.
+    comparison is a sum of per-opponent-type minima.  Every type's pool
+    starts as the product of its agent's per-coordinate choices, in
+    canonical order; surviving pools are not products, so they are member
+    lists.  Returns the surviving lists per (agent, type) and the number
+    of rounds to the fixed point.
 
     A round checks agent 1's types, then agent 2's, so agent 2 sees agent
     1's eliminations of the same round.  A type is checked again only
@@ -408,7 +337,7 @@ def iterated_dominance(
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
         {
-            t: sorted(strategy_sets[agent])
+            t: list(itertools.product(*strategy_sets[agent]))
             for t in range(len(pert.partitions[agent]))
         }
         for agent in (0, 1)

@@ -38,7 +38,6 @@ from .engine import (
     full_strategy_set,
     is_constant,
     mislabel_signals,
-    restricted_choices,
     restricted_strategy_set,
     revealing_signals,
     truthful_profile,
@@ -157,15 +156,15 @@ def step3_closure_certificate(
     every message a restricted opponent may send there and (b) never earn
     a larger expected transfer against a restricted opponent, strictly
     smaller against the truthful one for constant vectors of a high
-    message.  The restricted opponent set is the product of
-    ``restricted_choices``, so the worst transfer gain over it is a sum
+    message.  The restricted opponent may pick its message at each state
+    from that state's choices, so the worst transfer gain over it is a sum
     of per-state minima.  Returns failures as witnesses: an outcome
     failure names the strategy, the state and the opponent's message
     there; a transfer failure names the strategy, the opponent strategy
     and the gain.
     """
     n = scenario.n
-    choices = restricted_choices(variant, n)
+    choices = restricted_strategy_set(variant, n)
     truth = tuple(range(1, n + 1))
     msgs_own, msgs_opp = mechanism.messages
     # Per message triple (a, a_star, b): whether a and its replacement
@@ -181,7 +180,7 @@ def step3_closure_certificate(
         for b in msgs_opp
     }
     failures = []
-    for s in full_strategy_set(msgs_own, n):
+    for s in itertools.product(*full_strategy_set(msgs_own, n)):
         if all(m in c for m, c in zip(s, choices)):
             continue
         s_star = canonical_replacement(s, variant, n)
@@ -385,7 +384,7 @@ def deviation_dominance_certificate(
     opp = 1 - agent
     h_own = structure.meanings[agent]
     h_opp = structure.meanings[opp]
-    opp_choices = restricted_choices("asqr", n, h_opp)
+    opp_choices = restricted_strategy_set("asqr", n, h_opp)
     noise_m = {m: noise_opp.get(m, Fraction(0)) for m in mechanism.messages[opp]}
     noise_low = sum(p for m, p in noise_m.items() if m <= 1)
     rows = []
@@ -633,7 +632,7 @@ def _single_circumstance(scenario, biases):
 def _candidate_type_strategies(n_states: int, messages, step: int = 20):
     """Pure strategies plus a grid of mixtures over constant vectors."""
     pures = [
-        {s: Fraction(1)} for s in full_strategy_set(messages, n_states)
+        {s: Fraction(1)} for s in itertools.product(*full_strategy_set(messages, n_states))
     ]
     constants = [tuple([m] * n_states) for m in messages]
     mixes = []

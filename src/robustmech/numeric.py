@@ -6,6 +6,7 @@ inequalities are decided exactly.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 Number = Fraction | int
@@ -25,5 +26,8 @@ def rat(value) -> Fraction:
 
 
 def fmt(value: Number) -> str:
-    """Render a number for reports: ``7/10``."""
-    return str(value)
+    """Render a number for reports: ``7/10``, as ``str`` would, but through
+    ``Decimal``, which converts an integer of any size exactly, so deep
+    ladder masses need no lift of Python's int-to-str digit limit."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

@@ -15,7 +15,9 @@ raw masses, and lotteries mixed once per circumstance.
 ``strict_cyclical_monotonicity`` enumerates every state
 permutation, the oracle for the class-graph check, and
 ``step3_closure_certificate`` every (strategy, restricted opponent
-strategy) pair, the oracle for the per-state check.
+strategy) pair, the oracle for the per-state check.  Strategy sets come
+as per-coordinate choices, and every function here enumerates their
+product itself, so the oracle scans every member.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from robustmech.core import Lottery, ModelError
 from robustmech.engine import (
     Game,
     PureStrategy,
+    StrategySet,
     TypeStrategy,
     canonical_replacement,
     full_strategy_set,
@@ -224,7 +227,7 @@ def expected_payoff(
 
 def iterated_dominance(
     game: Game,
-    strategy_sets: tuple[list[PureStrategy], list[PureStrategy]],
+    strategy_sets: tuple[StrategySet, StrategySet],
     mixture_denominator: int = 0,
     max_rounds: int = 10_000,
 ) -> tuple[list[dict[int, list[PureStrategy]]], int]:
@@ -241,7 +244,7 @@ def iterated_dominance(
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
         {
-            t: sorted(strategy_sets[agent])
+            t: sorted(itertools.product(*strategy_sets[agent]))
             for t in range(len(pert.partitions[agent]))
         }
         for agent in (0, 1)
@@ -325,7 +328,7 @@ def best_response(game, agent, type_index, opponent, strategy_set):
     ties in canonical (sorted) order, with the attained value."""
     best_value = None
     winners = []
-    for s in sorted(strategy_set):
+    for s in sorted(itertools.product(*strategy_set)):
         v = expected_payoff(game, agent, type_index, s, opponent)
         if best_value is None or v > best_value:
             best_value, winners = v, [s]
@@ -412,8 +415,8 @@ def step3_closure_certificate(mechanism, scenario, variant):
     message.  Returns failures as witnesses.
     """
     n = scenario.n
-    sigma_star = set(restricted_strategy_set(variant, n))
-    opp_set = restricted_strategy_set(variant, n)
+    sigma_star = set(itertools.product(*restricted_strategy_set(variant, n)))
+    opp_set = list(itertools.product(*restricted_strategy_set(variant, n)))
     # Per state j and message triple (a, a_star, b): whether a and its
     # replacement a_star give the same outcome against b, and the
     # prior-weighted transfer gain of a_star over a.
@@ -431,7 +434,7 @@ def step3_closure_certificate(mechanism, scenario, variant):
         for j in range(n)
     ]
     failures = []
-    for s in full_strategy_set(msgs_own, n):
+    for s in itertools.product(*full_strategy_set(msgs_own, n)):
         if s in sigma_star:
             continue
         s_star = canonical_replacement(s, variant, n)

@@ -4,6 +4,7 @@ invariants themselves.  The ladder masses, conditional weights, outcome
 lotteries and truthful mass are compared with the per-rung construction
 and the per-circumstance sums."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -123,8 +124,9 @@ def assert_matches_naive(game, sets, mixture_denominator):
     assert iterated_dominance(game, sets, mixture_denominator) == want
     assert iterated_dominance(game, sets, mixture_denominator) == want
     pert = game.perturbation
+    members = [list(itertools.product(*choices)) for choices in sets]
     for agent in (0, 1):
-        opp_set = sets[1 - agent]
+        opp_set = members[1 - agent]
         opponents = [
             {u: {opp_set[u % len(opp_set)]: F(1)} for u in range(len(pert.partitions[1 - agent]))},
             {u: {r: F(1, len(opp_set)) for r in opp_set}
@@ -132,7 +134,7 @@ def assert_matches_naive(game, sets, mixture_denominator):
         ]
         for t in range(len(pert.partitions[agent])):
             for opponent in opponents:
-                for s in sets[agent]:
+                for s in members[agent]:
                     if pert.type_prob(agent, t) == 0:
                         with pytest.raises(ModelError):
                             expected_payoff(game, agent, t, s, opponent)
@@ -153,13 +155,14 @@ def draw_profile(data, game, sets):
     pert = game.perturbation
     profile = []
     for agent in (0, 1):
-        pick = st.sampled_from(sets[agent])
+        members = list(itertools.product(*sets[agent]))
+        pick = st.sampled_from(members)
         a, b = data.draw(pick), data.draw(pick)
         palette = [{a: F(1)}, {b: F(1)}]
         if a != b:
             palette += [{a: F(1), b: F(0)}, {a: F(1, 3), b: F(2, 3)}]
         full = full_strategy_set(game.mechanism.messages[agent], game.strategy_length(agent))
-        outside = [s for s in full if s not in sets[agent]]
+        outside = [s for s in itertools.product(*full) if s not in members]
         if outside:
             c = data.draw(st.sampled_from(outside))
             palette += [{c: F(1)}, {a: F(1, 2), c: F(1, 2)}]
@@ -374,8 +377,9 @@ def _counted(monkeypatch, module, name):
 
 def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     """Cache and memo sizes, among them the coordinate rows and payoff
-    tables best responses build, and the dominance checks are all the
-    same at depths 50 and 100."""
+    tables best responses build, the best responses memoized on those
+    tables, and the dominance checks are all the same at depths 50 and
+    100."""
     checks = _counted(monkeypatch, equilibrium, "_is_dominated")
 
     three = three_state_scenario()
@@ -388,8 +392,9 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
         game = Game(three, mech, build_ladder(three, depth, F(1, 100), [bias]))
         result = iterate_best_response(game, (rs, rs))
         assert result.converged and result.report.is_equilibrium
-        br.append((len(game._inner_cache), len(game._u_cache), len(game._br_cache),
-                   len(game._row_cache), len(game._table_cache), result.rounds))
+        best = sum(len(table._best) for table in game._table_cache.values())
+        br.append((len(game._inner_cache), len(game._u_cache), len(game._row_cache),
+                   len(game._table_cache), best, result.rounds))
     assert br[0] == br[1]
 
     full = full_strategy_set((1, 2), SCENARIO.n)

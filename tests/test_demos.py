@@ -22,3 +22,16 @@ def test_demo_runs(demo):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The first ``python`` block of README.md (PAPER.md carries the same
+    one) runs against the source tree and prints what it promises."""
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True 0\n"

@@ -15,11 +15,9 @@ from robustmech import (
     canonical_replacement,
     expected_payoff,
     full_strategy_set,
-    learning_cost_of,
     max_tv_to_target,
     mislabel_signals,
     outcome_distribution,
-    restricted_choices,
     restricted_strategy_set,
     revealing_signals,
     size_of_signal_structure,
@@ -56,22 +54,16 @@ def test_signal_distribution_validated():
         SignalStructure((2, 2), {(0, 0, 0): F(1, 2)}, ((1, 2), (1, 2)))
 
 
-def test_learning_cost_only_for_nonconstant_strategies():
-    assert learning_cost_of((1, 1, 1), F(3)) == 0
-    assert learning_cost_of((1, 2, 1), F(3)) == 3
-
-
 def test_full_and_restricted_strategy_sets():
-    assert len(full_strategy_set((1, 2), 2)) == 4
-    assert restricted_strategy_set("sqr", 2) == [(1, 1), (1, 2)]
-    assert restricted_strategy_set("asqr", 2) == [
+    assert full_strategy_set((2, 1), 2) == ((1, 2), (1, 2))
+    assert restricted_strategy_set("sqr", 2) == ((1,), (1, 2))
+    assert list(itertools.product(*restricted_strategy_set("asqr", 2))) == [
         (-2, -2), (-2, 1), (-2, 2), (1, -2), (1, 1), (1, 2)
     ]
     # Per-state choices: negatives plus {1, k}; the first state adds
     # nothing beyond the status quo message.
     rs3 = restricted_strategy_set("asqr", 3)
-    assert len(rs3) == 3 * 4 * 4
-    assert (1, 2, 3) in rs3 and (2, 2, 2) not in rs3
+    assert rs3 == ((-3, -2, 1), (-3, -2, 1, 2), (-3, -2, 1, 3))
 
 
 def test_canonical_replacement():
@@ -93,13 +85,15 @@ def test_restricted_set_is_the_product_of_its_choices(variant, n, shifted):
     choices, and every full-set strategy outside it has a canonical
     replacement inside it."""
     meanings = tuple(j % n + 1 for j in range(1, n + 1)) if shifted else None
-    choices = restricted_choices(variant, n, meanings)
+    choices = restricted_strategy_set(variant, n, meanings)
     assert all(h in c for h, c in zip(meanings or range(1, n + 1), choices))
-    restricted = restricted_strategy_set(variant, n, meanings)
-    assert restricted == list(itertools.product(*choices)) == sorted(restricted)
+    assert all(list(c) == sorted(set(c)) for c in choices)
+    restricted = list(itertools.product(*choices))
+    assert restricted == sorted(restricted)
     inside = set(restricted)
     messages = tuple(range(1, n + 1)) if variant == "sqr" else augmented_messages(n)
-    outside = [s for s in full_strategy_set(messages, n) if s not in inside]
+    full = itertools.product(*full_strategy_set(messages, n))
+    outside = [s for s in full if s not in inside]
     assert outside
     for strategy in outside:
         assert canonical_replacement(strategy, variant, n, meanings) in inside
@@ -107,7 +101,7 @@ def test_restricted_set_is_the_product_of_its_choices(variant, n, shifted):
 
 def test_restricted_choices_reject_an_unknown_variant():
     with pytest.raises(ModelError):
-        restricted_choices("signals", 2)
+        restricted_strategy_set("signals", 2)
 
 
 def test_truthful_strategy_and_profile():
@@ -133,7 +127,7 @@ def test_zero_tremble_changes_nothing():
     plain = Game(s, mech)
     trembled = Game(s, mech, tremble=TrembleSpec.uniform(F(0), mech.messages))
     opp = truthful_profile(plain)[1]
-    for strat in full_strategy_set((1, 2), 2):
+    for strat in itertools.product(*full_strategy_set((1, 2), 2)):
         assert expected_payoff(plain, 0, 0, strat, opp) == expected_payoff(
             trembled, 0, 0, strat, opp
         )
@@ -165,6 +159,15 @@ def test_nonconstant_strategy_pays_the_cost():
     v_learn = expected_payoff(g, 0, 0, (1, 2), opp)
     r1 = g.mechanism.schedule.r(1)
     assert v_const - v_learn == s.prior[1] * r1 + 1
+    # A coordinate row charges its circumstance's cost to a non-constant
+    # strategy only.
+    costly = three_state_scenario(cost=3)
+    row = Game(costly, build_status_quo(costly, 3)).coordinate_row(0, 0, (1, 2, 3))
+    assert row.cost == 3
+    for strategy in ((1, 1, 1), (1, 2, 1)):
+        entries = sum(cell[m] for cell, m in zip(row.coords, strategy))
+        charged = 0 if strategy == (1, 1, 1) else 3
+        assert row.value(strategy) == entries - charged
 
 
 def test_game_rejects_foreign_perturbation():

@@ -16,6 +16,7 @@ from robustmech import (
     build_status_quo,
     expected_payoff,
     four_state_scenario,
+    full_strategy_set,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
@@ -71,34 +72,22 @@ def test_best_response_orders_ties_canonically():
         {k: (F(0), F(0)) for k in mech.transfer}, None,
     )
     g = Game(s, zero)
-    full = [(2, 2), (2, 1), (1, 2), (1, 1)]
+    full = full_strategy_set((1, 2), 2)
     winners, value = best_response(g, 0, 0, {0: {(1, 1): F(1)}}, full)
     assert winners == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert value == 0
 
 
-def test_best_response_rejects_a_non_product_set():
-    s = binary_trial_scenario()
-    game, _ = _sqr_game(s)
-    opponent = {0: {(1, 2): F(1)}}
-    with pytest.raises(ModelError, match="product"):
-        best_response(game, 0, 0, opponent, [(1, 1), (2, 2)])
-    with pytest.raises(ModelError, match="empty"):
-        best_response(game, 0, 0, opponent, [])
-
-
-def test_best_response_follows_a_strategy_set_changed_in_place():
-    """The per-coordinate choices are memoized by the list's identity, so a
-    list changed since its last use must be read afresh."""
+def test_best_response_rejects_malformed_choices():
+    """A strategy set is one tuple of choices per coordinate, none empty."""
     game, _ = _sqr_game(binary_trial_scenario())
     opponent = {0: {(1, 2): F(1)}}
-    strategies = [(2, 2)]
-    assert best_response(game, 0, 0, opponent, strategies)[0] == [(2, 2)]
-    strategies[0] = (1, 1)
-    assert best_response(game, 0, 0, opponent, strategies)[0] == [(1, 1)]
-    strategies.append((1, 2))
-    assert best_response(game, 0, 0, opponent, strategies) == naive.best_response(
-        naive.NaiveGame(game), 0, 0, opponent, strategies
+    for choices in (((1, 2),), ((1,), (1, 2), (1, 2)), ((1,), ())):
+        with pytest.raises(ModelError, match="non-empty coordinates"):
+            best_response(game, 0, 0, opponent, choices)
+    sqr = ((1,), (1, 2))
+    assert best_response(game, 0, 0, opponent, sqr) == naive.best_response(
+        naive.NaiveGame(game), 0, 0, opponent, sqr
     )
 
 
@@ -168,18 +157,6 @@ def test_gamma_rejects_non_dominant_truthtelling():
         gamma_dominance_threshold(mech, s, (rs, rs), F(1))
 
 
-def test_gamma_rejects_a_non_product_opponent_set():
-    s = binary_trial_scenario()
-    mech = build_augmented_status_quo(s)
-    rs = restricted_strategy_set("asqr", 2)
-    gamma_dominance_threshold(mech, s, (rs, rs), F(1))
-    # Without (1, 1) the per-state choices still span {-2, 1} x {-2, 1, 2},
-    # so the set is no longer their product.
-    holed = [r for r in rs if r != (1, 1)]
-    with pytest.raises(ModelError, match="product"):
-        gamma_dominance_threshold(mech, s, (rs, holed), F(1))
-
-
 def test_br_iteration_reaches_truthful_fixed_point():
     game, sets = _sqr_game(binary_trial_scenario())
     res = iterate_best_response(game, sets)
@@ -199,7 +176,7 @@ def test_br_iteration_detects_cycles():
     }
     pennies = Mechanism("pennies", msgs, outcome, transfer)
     g = Game(s, pennies)
-    full = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    full = full_strategy_set((1, 2), 2)
     init = [{0: {(1, 1): F(1)}}, {0: {(1, 1): F(1)}}]
     res = iterate_best_response(g, (full, full), initial=init, max_rounds=50)
     assert res.cycled and not res.converged

@@ -1,6 +1,8 @@
 """Named experiments: certificates, helper oracles, determinism."""
 
+import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -312,6 +314,25 @@ def test_result_json_is_deterministic():
     b = run_experiment("thm1").to_json()
     assert a == b
     assert a.endswith("\n")
+
+
+def test_deep_ladder_json_renders_every_digit():
+    """At depth 1500 and eta 1/1000 the tail mass's numerator and
+    denominator have about 4,500 digits, beyond Python's default limit on
+    int-to-str conversion; the JSON still carries it exactly, and the
+    limit is left as it was."""
+    limit = sys.get_int_max_str_digits()
+    result = run_experiment("maskin-contagion", depth=1500, eta_grid=("1/1000",))
+    text = result.to_json()
+    assert sys.get_int_max_str_digits() == limit
+    tail = result.artifacts["grid"][0]["tail_mass"]
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(tail)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 2 * 4300
+    assert json.loads(text)["artifacts"]["grid"][0]["tail_mass"] == want
 
 
 def test_grid_csv_shape():
