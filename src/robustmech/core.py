@@ -44,10 +44,6 @@ class StateSpace:
     def n(self) -> int:
         return len(self.states)
 
-    def q(self, j: int) -> Number:
-        """Prior probability of the state with canonical index ``j`` (0-based)."""
-        return self.prior[j]
-
 
 @dataclass(frozen=True)
 class OutcomeSpace:

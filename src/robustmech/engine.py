@@ -356,7 +356,10 @@ class PayoffTable:
             raise ModelError(f"strategy set needs {len(self.coords)} non-empty coordinates")
         top = 0
         argmax = []
-        for cell, ms in zip(self.coords, choices):
+        for k, (cell, ms) in enumerate(zip(self.coords, choices)):
+            for m in ms:
+                if m not in cell:
+                    raise ModelError(f"strategy set coordinate {k} names unknown message {m}")
             high = max(cell[m] for m in ms)
             top += high
             argmax.append(tuple(m for m in ms if cell[m] == high))

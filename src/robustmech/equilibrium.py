@@ -304,7 +304,6 @@ def iterated_dominance(
     game: Game,
     strategy_sets: tuple[StrategySet, StrategySet],
     mixture_denominator: int = 0,
-    max_rounds: int = 10_000,
 ) -> tuple[list[dict[int, list[PureStrategy]]], int]:
     """Interim iterated elimination of strictly dominated strategies.
 
@@ -343,8 +342,7 @@ def iterated_dominance(
         for agent in (0, 1)
     ]
     stale = [set(surviving[0]), set(surviving[1])]
-    rounds = 0
-    while rounds < max_rounds:
+    for rounds in itertools.count():
         changed = False
         for agent in (0, 1):
             opp = 1 - agent
@@ -369,9 +367,7 @@ def iterated_dominance(
                     changed = True
                     stale[opp].update(u for u, _ in pert.type_groups(agent, t))
         if not changed:
-            break
-        rounds += 1
-    return surviving, rounds
+            return surviving, rounds
 
 
 def _pair_margin(game: Game, agent: int, t: int, better, worse, opp_surviving):

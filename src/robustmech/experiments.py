@@ -752,25 +752,24 @@ def run_prop1(
     eps = Fraction(1, 10)
     candidates = _candidate_type_strategies(scenario.n, mechanism.messages[0], grid_step)
     full = full_strategy_set(mechanism.messages[0], scenario.n)
-    passes = {}
+    hits, passes = {}, {}
     for label, game in (("plus", plus), ("minus", minus)):
-        hits = _grid_equilibria(game, full, candidates, eps)
-        implements = [
-            rep for _, rep in hits if rep.max_tv <= Fraction(1, 10)
-        ]
-        passes[label] = bool(implements)
+        hits[label] = _grid_equilibria(game, full, candidates, eps)
+        passes[label] = any(rep.max_tv <= Fraction(1, 10) for _, rep in hits[label])
+    # The exact equilibria under the minus tilt: its hits without residual,
+    # the pairs a search at epsilon 0 finds, in the same order.
+    eq0 = [prof for prof, rep in hits["minus"] if rep.max_residual == 0]
 
     # Two-point perturbation: biased circumstance with probability eta.
     slack = Fraction(1, grid_step)
     tv_rows = []
     tv_ok = True
-    eq0 = _grid_equilibria(minus, full, candidates, Fraction(0))
     worst_match = max(
         (1 - tv_distance(
             outcome_distribution(minus, prof, j),
             scenario.scf(j),
         ))
-        for prof, _ in eq0
+        for prof in eq0
         for j in range(scenario.n)
         if not scenario.scf(j).same_as(scenario.scf.lotteries[star])
     ) if eq0 else Fraction(0)

@@ -7,9 +7,10 @@ Message conventions (integers):
 * the one-respondent rule of the full-implementation result uses ``1..n``
   for the respondent and the single message ``1`` for the other agent.
 
-Reward schedules are solved as the lexicographically minimal grid points
-satisfying the relevant constraint system with at least one full grid
-step of strict slack, so strictness survives exact arithmetic.
+Each schedule kind states its reward constraints once, as one list of
+strict inequalities ``R[variable] > bound(R)``: the checker reports each
+entry's exact slack, and the solver raises each variable to one unit above
+its bound.  The modified rule's rewards ascend, ``R^j > R^(j-1)`` for j >= 2.
 """
 
 from __future__ import annotations
@@ -53,117 +54,92 @@ class Constraint:
         return self.slack > 0
 
 
+def _reward_system(kind: str, prior: tuple[Number, ...], c: Number):
+    """The strict inequalities a schedule of ``kind`` must satisfy.
+
+    Each entry ``(name, variable, bound)`` means ``R[variable] > bound(R)``,
+    where ``R`` maps each reward index ``j`` to ``R^j`` and ``"x"`` to the
+    penalty.
+    """
+    q = tuple(rat(p) for p in prior)
+    c = rat(c)
+    n = len(q)
+    later = range(2, n + 1)
+    if kind == "sqr":
+        return [
+            ("R1 > 0", 1, lambda R: 0),
+            # Needed so replacing a constant misreport with a learning strategy
+            # gains more at the top state than the worst-case learning cost.
+            ("R1 > c_bar/q1", 1, lambda R: c / q[0]),
+            *((f"R{j} > R1 + 2c/q{j}", j, lambda R, j=j: R[1] + 2 * c / q[j - 1]) for j in later),
+        ]
+    if kind == "asqr":
+        return [
+            ("R0 > 0", 0, lambda R: 0),
+            *((f"R{j} > R{j - 1}", j, lambda R, j=j: R[j - 1]) for j in range(1, n + 1)),
+            ("R1 > R0 + 2c/q1", 1, lambda R: R[0] + 2 * c / q[0]),
+            *((f"R{j} > R1 + 2c/q{j}", j, lambda R, j=j: R[1] + 2 * c / q[j - 1]) for j in later),
+            ("R0 > Rn*q2/q1", 0, lambda R: R[n] * q[1] / q[0]),
+        ]
+    if kind == "msqr":
+        return [
+            ("x > c/qn", "x", lambda R: c / q[n - 1]),
+            *((f"R{j} > x", j, lambda R: R["x"]) for j in range(n + 1)),
+            *((f"R{j} > R{j - 1}", j, lambda R, j=j: R[j - 1]) for j in later),
+            ("R1 > R0 + 4c/q1", 1, lambda R: R[0] + 4 * c / q[0]),
+            *(
+                (f"R{j} > R1 + x + 2c/q{j}", j, lambda R, j=j: R[1] + R["x"] + 2 * c / q[j - 1])
+                for j in later
+            ),
+            *(
+                (f"x > q{j}*(R{j}-R0)/q1", "x", lambda R, j=j: q[j - 1] * (R[j] - R[0]) / q[0])
+                for j in later
+            ),
+        ]
+    raise ModelError(f"unknown schedule kind {kind!r}")
+
+
 def check_reward_constraints(
-    schedule: RewardSchedule, prior: tuple[Number, ...], c: Number, kind: str | None = None
+    schedule: RewardSchedule, prior: tuple[Number, ...], c: Number, kind: str
 ) -> list[Constraint]:
-    """Exact slack of every strict inequality the schedule must satisfy.
+    """Exact slack ``R[variable] - bound(R)`` of every strict inequality of
+    ``kind``'s system, in list order.
 
     All inequalities are strict, matching how the incentive arguments use
-    them; a slack of zero therefore fails.
+    them; a slack of zero therefore fails.  The modified rule's system
+    needs the schedule's penalty.
     """
-    kind = kind or schedule.kind
-    q = prior
-    n = len(q)
-    R = schedule.rewards
-    out: list[Constraint] = []
-    if kind == "sqr":
-        out.append(Constraint("R1 > 0", R[1]))
-        # Needed so replacing a constant misreport with a learning strategy
-        # gains more at the top state than the worst-case learning cost.
-        out.append(Constraint("R1*q1 > c_bar", R[1] * q[0] - c))
-        for j in range(2, n + 1):
-            out.append(Constraint(f"R{j} > R1 + 2c/q{j}", R[j] - R[1] - 2 * c / q[j - 1]))
-    elif kind == "asqr":
-        out.append(Constraint("R0 > 0", R[0]))
-        for j in range(1, n + 1):
-            out.append(Constraint(f"R{j} > R{j - 1}", R[j] - R[j - 1]))
-        out.append(Constraint("R1 > R0 + 2c/q1", R[1] - R[0] - 2 * c / q[0]))
-        for j in range(2, n + 1):
-            out.append(Constraint(f"R{j} > R1 + 2c/q{j}", R[j] - R[1] - 2 * c / q[j - 1]))
-        out.append(Constraint("R0*q1 > Rn*q2", R[0] * q[0] - R[n] * q[1]))
-    elif kind == "msqr":
-        x = schedule.penalty
-        if x is None:
-            raise ModelError("modified rule needs a penalty")
-        out.append(Constraint("x > c/qn", x - c / q[n - 1]))
-        for j in range(0, n + 1):
-            out.append(Constraint(f"R{j} > x", R[j] - x))
-        out.append(Constraint("R1 > R0 + 4c/q1", R[1] - R[0] - 4 * c / q[0]))
-        for j in range(2, n + 1):
-            out.append(Constraint(f"R{j} > R1 + x + 2c/q{j}", R[j] - R[1] - x - 2 * c / q[j - 1]))
-        for j in range(2, n + 1):
-            out.append(Constraint(f"x*q1 > q{j}*(R{j}-R0)", x * q[0] - q[j - 1] * (R[j] - R[0])))
-    else:
-        raise ModelError(f"unknown schedule kind {kind!r}")
-    return out
+    if kind == "msqr" and schedule.penalty is None:
+        raise ModelError("modified rule needs a penalty")
+    R = {**schedule.rewards, "x": schedule.penalty}
+    system = _reward_system(kind, prior, c)
+    return [Constraint(name, R[var] - bound(R)) for name, var, bound in system]
 
 
-def _grid_ceil(value: Number, step: Number) -> Number:
-    k = math.ceil(Fraction(value) / Fraction(step))
-    return k * step
-
-
-def solve_rewards(
-    prior: tuple[Number, ...],
-    c: Number,
-    kind: str,
-    step: Number = 1,
-    margin: int = 1,
-) -> RewardSchedule:
-    """Lexicographically minimal grid schedule with ``margin`` steps of slack.
-
-    The ratio constraints of the augmented and modified rules require a
-    generic prior; a tied maximum raises :class:`InfeasibleScheduleError`.
+def solve_rewards(prior: tuple[Number, ...], c: Number, kind: str) -> RewardSchedule:
+    """Integer schedule with at least one unit of slack on every inequality
+    of ``kind``'s system: every variable starts at 0, and each pass over the
+    list raises a short variable to ``ceil(bound + 1)``, until a pass moves
+    none.  The augmented and modified rules, whose ratio entries need
+    ``q_j < q_1`` to settle, raise :class:`InfeasibleScheduleError` unless
+    the first state is strictly the most likely, as the canonical order gives.
     """
     c = rat(c)
-    step = rat(step)
-    q = tuple(rat(p) for p in prior)
-    n = len(q)
-    slack = margin * step
-    if kind == "sqr":
-        r1 = _grid_ceil(max(slack, c / q[0] + slack), step)
-        rewards = {1: r1}
-        for j in range(2, n + 1):
-            rewards[j] = _grid_ceil(r1 + 2 * c / q[j - 1] + slack, step)
-        return RewardSchedule("sqr", rewards, cost=c)
-
-    generic, _ = is_generic(q)
-    if not generic:
+    system = _reward_system(kind, prior, c)
+    if kind != "sqr" and is_generic(tuple(rat(p) for p in prior)) != (True, 0):
         raise InfeasibleScheduleError(
-            "ratio constraints need a unique strictly-most-likely state"
+            "ratio constraints need the first state to be strictly the most likely"
         )
-
-    if kind == "asqr":
-        r0 = _grid_ceil(slack, step)
-        while True:
-            rewards = {0: r0}
-            rewards[1] = _grid_ceil(r0 + 2 * c / q[0] + slack, step)
-            for j in range(2, n + 1):
-                bound = max(rewards[j - 1] + slack, rewards[1] + 2 * c / q[j - 1] + slack)
-                rewards[j] = _grid_ceil(bound, step)
-            if r0 * q[0] - rewards[n] * q[1] >= slack * q[0]:
-                return RewardSchedule("asqr", rewards, cost=c)
-            r0 += step
-
-    if kind == "msqr":
-        x = _grid_ceil(c / q[n - 1] + slack, step)
-        while True:
-            rewards = {0: _grid_ceil(x + slack, step)}
-            rewards[1] = _grid_ceil(rewards[0] + 4 * c / q[0] + slack, step)
-            for j in range(2, n + 1):
-                bound = max(
-                    rewards[j - 1] + slack,
-                    rewards[1] + x + 2 * c / q[j - 1] + slack,
-                )
-                rewards[j] = _grid_ceil(bound, step)
-            if all(
-                x * q[0] - q[j - 1] * (rewards[j] - rewards[0]) >= slack * q[0]
-                for j in range(2, n + 1)
-            ):
-                return RewardSchedule("msqr", rewards, penalty=x, cost=c)
-            x += step
-
-    raise ModelError(f"unknown schedule kind {kind!r}")
+    R = {var: Fraction(0) for _, var, _ in system}
+    moved = True
+    while moved:
+        moved = False
+        for _, var, bound in system:
+            least = Fraction(math.ceil(bound(R) + 1))
+            if R[var] < least:
+                R[var], moved = least, True
+    penalty = R.pop("x", None)
+    return RewardSchedule(kind, dict(sorted(R.items())), penalty=penalty, cost=c)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,21 @@ raw masses, and lotteries mixed once per circumstance.
 ``strict_cyclical_monotonicity`` enumerates every state
 permutation, the oracle for the class-graph check, and
 ``step3_closure_certificate`` every (strategy, restricted opponent
-strategy) pair, the oracle for the per-state check.  Strategy sets come
+strategy) pair, the oracle for the per-state check.  ``solve_rewards``
+derives each schedule kind's closed form by hand and steps its ratio
+variable one unit at a time, the oracle for the solver that reads each
+kind's inequality list; it can loop forever when the first state is not
+the most likely, so it is only called on descending priors.  Strategy
+sets come
 as per-coordinate choices, and every function here enumerates their
 product itself, so the oracle scans every member.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from robustmech.core import Lottery, ModelError
+from robustmech.core import Lottery, ModelError, is_generic
 from robustmech.engine import (
     Game,
     PureStrategy,
@@ -35,7 +41,8 @@ from robustmech.engine import (
     StrategyProfile,
     restricted_strategy_set,
 )
-from robustmech.numeric import Number
+from robustmech.mechanisms import InfeasibleScheduleError, RewardSchedule
+from robustmech.numeric import Number, rat
 
 
 def ladder_masses(depth: int, eta: Fraction, tail: str = "collapse"):
@@ -449,3 +456,71 @@ def step3_closure_certificate(mechanism, scenario, variant):
             if gain < 0 or (want_strict and r == tuple(range(1, n + 1)) and gain <= 0):
                 failures.append({"strategy": s, "opponent": r, "gain": gain, "kind": "transfer"})
     return not failures, failures
+
+
+def _grid_ceil(value: Number, step: Number) -> Number:
+    k = math.ceil(Fraction(value) / Fraction(step))
+    return k * step
+
+
+def solve_rewards(
+    prior: tuple[Number, ...],
+    c: Number,
+    kind: str,
+    step: Number = 1,
+    margin: int = 1,
+) -> RewardSchedule:
+    """Lexicographically minimal grid schedule with ``margin`` steps of slack.
+
+    The ratio constraints of the augmented and modified rules require a
+    generic prior; a tied maximum raises :class:`InfeasibleScheduleError`.
+    """
+    c = rat(c)
+    step = rat(step)
+    q = tuple(rat(p) for p in prior)
+    n = len(q)
+    slack = margin * step
+    if kind == "sqr":
+        r1 = _grid_ceil(max(slack, c / q[0] + slack), step)
+        rewards = {1: r1}
+        for j in range(2, n + 1):
+            rewards[j] = _grid_ceil(r1 + 2 * c / q[j - 1] + slack, step)
+        return RewardSchedule("sqr", rewards, cost=c)
+
+    generic, _ = is_generic(q)
+    if not generic:
+        raise InfeasibleScheduleError(
+            "ratio constraints need a unique strictly-most-likely state"
+        )
+
+    if kind == "asqr":
+        r0 = _grid_ceil(slack, step)
+        while True:
+            rewards = {0: r0}
+            rewards[1] = _grid_ceil(r0 + 2 * c / q[0] + slack, step)
+            for j in range(2, n + 1):
+                bound = max(rewards[j - 1] + slack, rewards[1] + 2 * c / q[j - 1] + slack)
+                rewards[j] = _grid_ceil(bound, step)
+            if r0 * q[0] - rewards[n] * q[1] >= slack * q[0]:
+                return RewardSchedule("asqr", rewards, cost=c)
+            r0 += step
+
+    if kind == "msqr":
+        x = _grid_ceil(c / q[n - 1] + slack, step)
+        while True:
+            rewards = {0: _grid_ceil(x + slack, step)}
+            rewards[1] = _grid_ceil(rewards[0] + 4 * c / q[0] + slack, step)
+            for j in range(2, n + 1):
+                bound = max(
+                    rewards[j - 1] + slack,
+                    rewards[1] + x + 2 * c / q[j - 1] + slack,
+                )
+                rewards[j] = _grid_ceil(bound, step)
+            if all(
+                x * q[0] - q[j - 1] * (rewards[j] - rewards[0]) >= slack * q[0]
+                for j in range(2, n + 1)
+            ):
+                return RewardSchedule("msqr", rewards, penalty=x, cost=c)
+            x += step
+
+    raise ModelError(f"unknown schedule kind {kind!r}")

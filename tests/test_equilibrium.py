@@ -91,6 +91,19 @@ def test_best_response_rejects_malformed_choices():
     )
 
 
+def test_unknown_message_in_a_strategy_set_is_a_model_error():
+    """A strategy set naming a message the mechanism does not have is
+    refused with its coordinate, not a bare KeyError."""
+    game, (rs, _) = _sqr_game(binary_trial_scenario())
+    opponent = {0: {(1, 2): F(1)}}
+    bad = ((1,), (1, 5))
+    with pytest.raises(ModelError, match="coordinate 1 names unknown message 5"):
+        best_response(game, 0, 0, opponent, bad)
+    profile = [{0: {(1, 2): F(1)}}, {0: {(1, 2): F(1)}}]
+    with pytest.raises(ModelError, match="coordinate 1 names unknown message 5"):
+        verify_equilibrium(game, profile, (bad, rs))
+
+
 def test_best_deviation_accounts_for_the_residual():
     """Off equilibrium, each type's named deviation gains exactly its
     residual over the prescribed mixture, which here also plays (2, 2)

@@ -63,8 +63,9 @@ def test_prop1_impossibility():
 
 
 def _prop1_grid_calls(monkeypatch):
-    """The (game, strategy set, candidates) of each of prop1's three grid
-    searches: the two tilts and the two-point bound."""
+    """The (game, strategy set, candidates) of each of prop1's two grid
+    searches, one per tilt; the two-point bound reads the minus tilt's
+    hits without residual rather than searching again at epsilon 0."""
     calls = []
     search = experiments._grid_equilibria
 
@@ -75,7 +76,7 @@ def _prop1_grid_calls(monkeypatch):
     monkeypatch.setattr(experiments, "_grid_equilibria", recording)
     run_experiment("prop1")
     monkeypatch.undo()
-    assert len(calls) == 3
+    assert len(calls) == 2
     return calls
 
 
@@ -109,15 +110,16 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_prop1_builds_reports_only_for_passing_profiles(monkeypatch):
-    """21 of the 1,875 grid profiles pass; each of their reports measures
-    two states' outcome lotteries, and the two-point bound measures one
-    more state for each of its 4 exact equilibria."""
+    """17 of the 1,250 profiles of the two tilts' grid searches pass; each
+    of their reports measures two states' outcome lotteries, and the
+    two-point bound measures one more state for each of the 4 exact
+    equilibria among the minus tilt's hits."""
     reports = _count_calls(monkeypatch, experiments, "verify_equilibrium")
     lotteries = _count_calls(monkeypatch, engine, "outcome_distribution")
     bound_lotteries = _count_calls(monkeypatch, experiments, "outcome_distribution")
     run_experiment("prop1")
-    assert reports[0] == 21
-    assert lotteries[0] + bound_lotteries[0] == 46
+    assert reports[0] == 17
+    assert lotteries[0] + bound_lotteries[0] == 38
 
 
 def test_prop3_builds_the_class_graph_once(monkeypatch):

@@ -1,13 +1,20 @@
 """Mechanism builders: tables, reward schedules, export round trips."""
 
+import signal
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import naive_reference as naive
 from robustmech import (
     InfeasibleScheduleError,
     Lottery,
     ModelError,
+    StateSpace,
     binary_trial_scenario,
     build_augmented_status_quo,
     build_maskin,
@@ -73,6 +80,86 @@ def test_ratio_constraints_need_a_unique_modal_state():
             solve_rewards(uniform, 1, kind)
     # The base rule has no ratio constraint, so it stays feasible.
     assert solve_rewards(uniform, 1, "sqr").rewards[1] > 0
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: raise after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ratio_constraints_need_the_first_state_most_likely():
+    """A generic prior whose first state is not the most likely has no
+    settling ratio system: R0 > Rn*q2/q1 and x > q2*(R2-R0)/q1 then bound
+    each variable by more than itself."""
+    ascending = (F(3, 10), F(7, 10))
+    b = binary_trial_scenario()
+    reversed_ = replace(b, state_space=StateSpace(b.state_space.states[::-1], ascending))
+    assert reversed_.generic
+    with _deadline(10):
+        for kind in ("asqr", "msqr"):
+            with pytest.raises(InfeasibleScheduleError):
+                solve_rewards(ascending, 1, kind)
+        for build in (build_augmented_status_quo, build_modified_status_quo):
+            with pytest.raises(InfeasibleScheduleError):
+                build(reversed_)
+
+
+def test_modified_rule_rewards_ascend():
+    """R3 = R2 passes every other msqr inequality at this prior and cost 0;
+    the ascending entry R3 > R2 refuses it, and the solver lifts R3 to 12."""
+    s = make_scenario(
+        [("a", "33/59"), ("b", "15/59"), ("c", "11/59")],
+        ["o1", "o2", "o3"],
+        {"a": {"o1": 1}, "b": {"o2": 1}, "c": {"o3": 1}},
+        costs=(0, 0),
+    )
+    flat = RewardSchedule("msqr", {0: 5, 1: 6, 2: 11, 3: 11}, penalty=4, cost=0)
+    with pytest.raises(InfeasibleScheduleError, match=r"^R3 > R2 violated \(slack 0\)$"):
+        build_modified_status_quo(s, schedule=flat)
+    assert solve_rewards(s.prior, 0, "msqr") == replace(flat, rewards={**flat.rewards, 3: 12})
+
+
+@st.composite
+def descending_priors(draw):
+    """Priors on 2 to 5 states in descending order, some with a tied
+    maximum."""
+    weights = sorted(draw(st.lists(st.integers(1, 10), min_size=2, max_size=5)), reverse=True)
+    if draw(st.booleans()):
+        weights[1] = weights[0]
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+@given(
+    descending_priors(),
+    st.builds(F, st.integers(0, 15), st.integers(1, 5)),
+    st.sampled_from(("sqr", "asqr", "msqr")),
+)
+@settings(max_examples=200, deadline=None)
+def test_solver_equals_the_closed_form_oracle(prior, c, kind):
+    """The list-driven solver returns the closed-form solver's schedule, or
+    the same error class, and leaves a unit of slack on every entry."""
+
+    def outcome(solver):
+        try:
+            return solver(prior, c, kind)
+        except (InfeasibleScheduleError, ModelError) as exc:
+            return type(exc)
+
+    got = outcome(solve_rewards)
+    assert got == outcome(naive.solve_rewards)
+    if isinstance(got, RewardSchedule):
+        assert all(con.slack >= 1 for con in check_reward_constraints(got, prior, c, kind))
 
 
 def test_status_quo_table_against_direct_rule():
