@@ -294,7 +294,7 @@ class Game:
         and cost alike, summed over the type's signature cells.  Memoized
         by ``type_signature``."""
         pert = self.perturbation
-        if pert.type_prob(agent, type_index) == 0:
+        if not pert.type_groups(agent, type_index):
             raise ModelError("expected payoff of a zero-probability type")
         key = (agent, type_signature(self, agent, type_index, opponent))
         hit = self._table_cache.get(key)

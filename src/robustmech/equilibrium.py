@@ -106,7 +106,7 @@ def _residuals(game, profile, strategy_sets):
     for agent in (0, 1):
         opponent = profile[1 - agent]
         for t in range(len(pert.partitions[agent])):
-            if pert.type_prob(agent, t) == 0:
+            if not pert.type_groups(agent, t):
                 continue
             table = game.payoff_table(agent, t, opponent)
             winners, best_value = table.best(strategy_sets[agent])
@@ -272,7 +272,7 @@ def iterate_best_response(
         for agent in (0, 1):
             opponent = profile[1 - agent]
             for t in range(len(pert.partitions[agent])):
-                if pert.type_prob(agent, t) == 0:
+                if not pert.type_groups(agent, t):
                     nxt[agent][t] = dict(profile[agent][t])
                     continue
                 winners, _ = best_response(game, agent, t, opponent, strategy_sets[agent])
@@ -349,7 +349,7 @@ def iterated_dominance(
             todo, stale[agent] = stale[agent], set()
             for t in sorted(todo):
                 pool = surviving[agent][t]
-                if pert.type_prob(agent, t) == 0 or len(pool) <= 1:
+                if not pert.type_groups(agent, t) or len(pool) <= 1:
                     continue
                 key = (agent, tuple(pool), type_signature(game, agent, t, surviving[opp]),
                        mixture_denominator)

@@ -629,24 +629,22 @@ def _single_circumstance(scenario, biases):
     return Perturbation(scenario, (Fraction(1),), (((0,),), ((0,),)), tuple(biases))
 
 
+def _two_point_grid(a, b, step: int) -> list[dict]:
+    """``{a: k/step, b: 1 - k/step}`` for ``k = 0..step``, zero weights kept."""
+    return [{a: Fraction(k, step), b: 1 - Fraction(k, step)} for k in range(step + 1)]
+
+
 def _candidate_type_strategies(n_states: int, messages, step: int = 20):
     """Pure strategies plus a grid of mixtures over constant vectors."""
     pures = [
         {s: Fraction(1)} for s in itertools.product(*full_strategy_set(messages, n_states))
     ]
     constants = [tuple([m] * n_states) for m in messages]
-    mixes = []
-    if len(constants) == 2:
-        a, b = constants
-        for k in range(step + 1):
-            w = Fraction(k, step)
-            mix = {}
-            if w:
-                mix[a] = w
-            if 1 - w:
-                mix[b] = 1 - w
-            mixes.append(mix)
-    return pures + mixes
+    if len(constants) != 2:
+        return pures
+    return pures + [
+        {s: w for s, w in mix.items() if w} for mix in _two_point_grid(*constants, step)
+    ]
 
 
 def _grid_equilibria(game, strategy_set, candidates, epsilon):
@@ -717,14 +715,9 @@ def run_prop1(
     # Inequality chain on the message grid: any opponent mixture that
     # caps agent 1's tilted payoff at the target level must hand agent 2
     # a payoff too high for the remaining outcomes under the opposite tilt.
-    def mixtures(messages):
-        if len(messages) == 2:
-            a, b = messages
-            return [
-                {a: Fraction(k, grid_step), b: 1 - Fraction(k, grid_step)}
-                for k in range(grid_step + 1)
-            ]
-        return [{m: Fraction(1)} for m in messages]
+    msgs = mechanism.messages[1]
+    m2_grid = (_two_point_grid(*msgs, grid_step) if len(msgs) == 2
+               else [{m: Fraction(1)} for m in msgs])
 
     def constant(mix):
         """The type strategy mixing constant intent vectors by ``mix``."""
@@ -734,7 +727,7 @@ def run_prop1(
     chain_rows = []
     v_star_payoff = sep.scale * sep.of(scenario.scf.lotteries[star])
     y_best_neg = max(-sep.scale * sep.of(lot) for lot in others)
-    for m2_mix in mixtures(mechanism.messages[1]):
+    for m2_mix in m2_grid:
         lhs_41 = max(
             expected_payoff(plus, 0, 0, (m1,) * scenario.n, {0: constant(m2_mix)})
             for m1 in mechanism.messages[0]

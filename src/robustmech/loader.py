@@ -286,7 +286,7 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
     else:
         raise ScenarioFileError(f"perturbation: unknown kind {kind!r}", kind_line)
 
-    biases = []
+    biases, first_entry = [], {}
     if "bias" in block:
         for number, entry in enumerate(_expect(block["bias"], list, "bias")[0], start=1):
             item, b_line = _expect(entry, dict, f"bias entry {number}")
@@ -299,6 +299,11 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
                 raise ScenarioFileError(
                     f"bias entry {number} circumstance: expected an integer from 0 to "
                     f"{size - 1}, got {circ!r}", c_line
+                )
+            if first_entry.setdefault((agent, circ), number) != number:
+                raise ScenarioFileError(
+                    f"bias entry {number}: agent {agent} already has a bias at circumstance "
+                    f"{circ} (bias entry {first_entry[agent, circ]})", b_line
                 )
             cost = None
             if "cost" in item:

@@ -107,12 +107,16 @@ def check_reward_constraints(
 
     All inequalities are strict, matching how the incentive arguments use
     them; a slack of zero therefore fails.  The modified rule's system
-    needs the schedule's penalty.
+    needs the schedule's penalty.  A missing reward raises
+    :class:`InfeasibleScheduleError` before any bound is read.
     """
     if kind == "msqr" and schedule.penalty is None:
         raise ModelError("modified rule needs a penalty")
     R = {**schedule.rewards, "x": schedule.penalty}
     system = _reward_system(kind, prior, c)
+    for _, var, _ in system:
+        if var not in R:
+            raise InfeasibleScheduleError(f"schedule has no reward R{var}")
     return [Constraint(name, R[var] - bound(R)) for name, var, bound in system]
 
 

@@ -1,17 +1,18 @@
 """Finite perturbed environments: circumstance ladders, information
 partitions, perturbed payoffs and costs, and their size measures.
 
-A countable circumstance space is truncated to ``T + 1`` elements with the
-geometric tail mass collapsed onto the last circumstance, which always
-carries normal payoffs.  Every perturbation records its truncation tail
-mass so callers can report it next to their results.
+A countable circumstance space is truncated to ``T + 1`` elements whose
+last one always carries normal payoffs; every perturbation records its
+truncation tail mass so callers can report it next to their results.
+Masses are recorded once, as ``scale * coef[w] * ratio**w``, whose parts
+stay small on a ladder of any depth; exact masses are computed only when a
+caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .core import AgentPayoff, ModelError, ScenarioModel
 from .numeric import Number, rat
@@ -34,18 +35,6 @@ class BiasSpec:
     def __post_init__(self):
         if self.cost is not None and self.cost < 0:
             raise ModelError("learning cost must be non-negative")
-
-
-def _exact_sum(values) -> Fraction:
-    """Exact sum of rationals on one running common denominator, reduced
-    once at the end.  Ladder denominators divide one another, so each
-    step's gcd is cheap, where ``sum`` would reduce a fraction of growing
-    size at every step."""
-    num, den = 0, 1
-    for v in values:
-        g = gcd(den, v.denominator)
-        num, den = num * (v.denominator // g) + v.numerator * (den // g), den // g * v.denominator
-    return Fraction(num, den)
 
 
 def _conditional_groups(weights, opp_type_index, classes):
@@ -80,68 +69,70 @@ def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
 class Perturbation:
     """Circumstance ladder with partitions and perturbed payoffs.
 
-    Masses are recorded twice: exactly, as ``pi``, and as a common ratio
-    ``ratio`` with per-circumstance coefficients ``coef`` such that
-    ``pi[w] = K * coef[w] * ratio**w`` for one constant ``K > 0``.  A
+    Masses are recorded once, as ``pi[w] = scale * coef[w] * ratio**w``.  A
     geometric ladder has ratio ``1 - eta``, so its coefficients are the
-    same small number on every rung; any other distribution is ratio 1
-    with ``coef = pi`` (the default).  Ratios of masses are read from the
-    second form, whose operands stay small at any ladder depth, where
-    ladder masses themselves carry denominators that grow with it.
+    same small number on every rung, and a renormalized ladder puts its
+    renormalizing factor in ``scale``; any other distribution is its masses
+    as ``coef`` at ratio 1 and scale 1 (the defaults).  Exact masses, whose
+    denominators grow with the ladder depth, are computed only where a
+    caller asks: ``pi``, ``type_prob`` and ``masses_by``.
 
     Construction compiles the partitions into per-agent tables so that
     evaluators never rescan them:
 
-    * a circumstance -> type table and a type -> mass table, which make
-      ``type_of`` and ``type_prob`` lookups;
+    * a circumstance -> type table, which makes ``type_of`` a lookup;
     * payoff classes: a circumstance's class for an agent is ``None``
-      ("normal") or the index of the ``BiasSpec`` that applies to that
+      ("normal") or the index of the one ``BiasSpec`` that applies to that
       agent there, so every circumstance of a class has the same payoffs
       and cost;
     * per type, the conditional weights ``pi[w] / P(type)`` of its
       positive-mass circumstances, grouped by the opponent type they
       induce, with same-class circumstances merged by summing their
-      weights (``type_groups``).
+      weights (``type_groups``).  A type has zero mass exactly when it has
+      no group.
 
-    A type's weights and mass come from its circumstances' masses relative
-    to its first positive-mass circumstance ``a``, ``coef[w] / coef[a] *
+    A type's weights come from its circumstances' masses relative to its
+    first positive-mass circumstance ``a``, ``coef[w] / coef[a] *
     ratio**(w - a)``, memoized per block shape, so the interior rungs of a
-    ladder share one computation.  ``masses_by`` sums masses over runs of
-    circumstances in closed form.  Evaluators key their caches by payoff
-    class, so their size does not grow with the ladder depth either.
+    ladder share one computation and no table holds a number that grows
+    with the depth.  Evaluators key their caches by payoff class, so their
+    size does not grow with the ladder depth either.
     """
 
     scenario: ScenarioModel
-    pi: tuple[Number, ...]
+    coef: tuple[Number, ...]
     partitions: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
     biases: tuple[BiasSpec, ...] = ()
     tail_mass: Number = Fraction(0)
     ratio: Number = Fraction(1)
-    coef: tuple[Number, ...] | None = None
+    scale: Number = Fraction(1)
 
     def __post_init__(self):
-        if _exact_sum(self.pi) != 1:
-            raise ModelError("circumstance distribution must sum to one")
-        if any(p < 0 for p in self.pi):
-            raise ModelError("circumstance probabilities must be nonnegative")
-        coef = tuple(map(rat, self.pi if self.coef is None else self.coef))
-        if len(coef) != len(self.pi) or not self.ratio > 0 or any(
-            bool(c) != bool(p) for c, p in zip(coef, self.pi)
-        ):
-            raise ModelError("mass coefficients must match the circumstances")
-        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "coef", tuple(map(rat, self.coef)))
         object.__setattr__(self, "ratio", rat(self.ratio))
+        object.__setattr__(self, "scale", rat(self.scale))
+        size = len(self.coef)
+        if not (self.ratio > 0 and self.scale > 0):
+            raise ModelError("mass ratio and scale must be positive")
+        if sum(self.masses_by((None,) * size).values()) != 1:
+            raise ModelError("circumstance distribution must sum to one")
+        if any(c < 0 for c in self.coef):
+            raise ModelError("circumstance probabilities must be nonnegative")
         for part in self.partitions:
             seen = sorted(w for block in part for w in block)
-            if seen != list(range(len(self.pi))):
+            if seen != list(range(size)):
                 raise ModelError("partition must cover circumstances exactly once")
-        for b in self.biases:
-            if not 0 <= b.circumstance < len(self.pi):
+        bias_index: dict[tuple[int, int], int] = {}
+        for i, b in enumerate(self.biases):
+            if not 0 <= b.circumstance < size:
                 raise ModelError("bias refers to a missing circumstance")
-        bias_index = {(b.agent, b.circumstance): i for i, b in enumerate(self.biases)}
+            if bias_index.setdefault((b.agent, b.circumstance), i) != i:
+                raise ModelError(
+                    f"two biases apply to agent {b.agent} at circumstance {b.circumstance}"
+                )
         type_index = []
         for part in self.partitions:
-            index = [0] * len(self.pi)
+            index = [0] * size
             for t, block in enumerate(part):
                 for w in block:
                     index[w] = t
@@ -151,12 +142,8 @@ class Perturbation:
             tuple(self._relative_masses(block, shapes) for block in part)
             for part in self.partitions
         )
-        type_mass = tuple(
-            tuple(self.pi[anchor] * total for anchor, total, _ in part) for part in relative
-        )
         classes = tuple(
-            tuple(bias_index.get((agent, w)) for w in range(len(self.pi)))
-            for agent in (0, 1)
+            tuple(bias_index.get((agent, w)) for w in range(size)) for agent in (0, 1)
         )
         groups = tuple(
             tuple(
@@ -165,11 +152,10 @@ class Perturbation:
             )
             for agent in (0, 1)
         )
-        object.__setattr__(self, "_bias_map", {
-            (b.agent, b.circumstance): b for b in self.biases
-        })
         object.__setattr__(self, "_type_index", tuple(type_index))
-        object.__setattr__(self, "_type_mass", type_mass)
+        object.__setattr__(self, "_anchors", tuple(
+            tuple((anchor, total) for anchor, total, _ in part) for part in relative
+        ))
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_groups", groups)
 
@@ -197,33 +183,47 @@ class Perturbation:
         each label, for ``labels[w]`` a hashable per circumstance.
 
         Walks maximal runs of circumstances with one label and one
-        coefficient.  The masses of such a run are geometric, so its total
-        is ``pi[lo] * (1 - ratio**len) / (1 - ratio)``, or ``pi[lo] * len``
-        at ratio 1.  Labels met only at zero mass are left out."""
+        coefficient, carrying ``scale * ratio**lo`` from one run to the
+        next.  The masses of a run are geometric, so its total is
+        ``pi[lo] * (1 - ratio**len) / (1 - ratio)``, or ``pi[lo] * len`` at
+        ratio 1.  Labels met only at zero mass are left out."""
         out: dict = {}
-        coef, size, lo = self.coef, len(self.pi), 0
+        coef, ratio, size = self.coef, self.ratio, len(self.coef)
+        lo, step = 0, self.scale
         for w in range(1, size + 1):
             if w < size and labels[w] == labels[lo] and coef[w] == coef[lo]:
                 continue
+            length, label = w - lo, labels[lo]
+            power = ratio**length
             if coef[lo]:
-                length, label = w - lo, labels[lo]
-                run = length if self.ratio == 1 else (1 - self.ratio**length) / (1 - self.ratio)
-                mass = self.pi[lo] * run
+                run = length if ratio == 1 else (1 - power) / (1 - ratio)
+                mass = step * coef[lo] * run
                 out[label] = out[label] + mass if label in out else mass
-            lo = w
+            lo, step = w, step * power
         return out
 
     @property
+    def pi(self) -> tuple[Fraction, ...]:
+        """Every circumstance's mass, computed on each access."""
+        out, step = [], self.scale
+        for c in self.coef:
+            out.append(step * c)
+            step *= self.ratio
+        return tuple(out)
+
+    @property
     def size(self) -> int:
-        return len(self.pi)
+        return len(self.coef)
 
     def type_of(self, agent: int, circ: int) -> int:
-        if not 0 <= circ < len(self.pi):
+        if not 0 <= circ < len(self.coef):
             raise ModelError(f"circumstance {circ} not in agent {agent} partition")
         return self._type_index[agent][circ]
 
-    def type_prob(self, agent: int, type_index: int) -> Number:
-        return self._type_mass[agent][type_index]
+    def type_prob(self, agent: int, type_index: int) -> Fraction:
+        """The type's mass: its anchor's mass times its relative total."""
+        anchor, total = self._anchors[agent][type_index]
+        return self.scale * self.coef[anchor] * self.ratio**anchor * total
 
     def payoff_class(self, agent: int, circ: int) -> int | None:
         """``None`` where the agent has normal payoffs, else the index of
@@ -234,23 +234,28 @@ class Perturbation:
         """``((opp_type, ((circ, weight), ...)), ...)``: the type's
         positive-mass circumstances grouped by the opponent type they
         induce, one representative circumstance per payoff class, with the
-        class's summed conditional weight ``pi[w] / P(type)``."""
+        class's summed conditional weight ``pi[w] / P(type)``; empty for a
+        zero-mass type."""
         return self._groups[agent][type_index]
 
+    def _bias(self, agent: int, circ: int) -> BiasSpec | None:
+        cls = self._classes[agent][circ]
+        return None if cls is None else self.biases[cls]
+
     def cost(self, agent: int, circ: int) -> Number:
-        bias = self._bias_map.get((agent, circ))
+        bias = self._bias(agent, circ)
         if bias is not None and bias.cost is not None:
             return bias.cost
         return self.scenario.payoffs[agent].cost
 
     def utility(self, agent: int, circ: int, state: int, outcome: int) -> Number:
-        bias = self._bias_map.get((agent, circ))
+        bias = self._bias(agent, circ)
         if bias is not None and (state, outcome) in bias.u_overrides:
             return bias.u_overrides[(state, outcome)]
         return self.scenario.payoffs[agent].u[state][outcome]
 
     def is_biased_at(self, agent: int, circ: int) -> bool:
-        bias = self._bias_map.get((agent, circ))
+        bias = self._bias(agent, circ)
         if bias is None:
             return False
         base = self.scenario.payoffs[agent]
@@ -295,11 +300,11 @@ def build_ladder(
     circumstance keeps normal payoffs either way.  Agent 1's partition is
     {w0},{w1,w2},...; agent 2's is {w0,w1},{w2,w3},...
 
-    Masses are built by the recurrence ``pi[t] = pi[t-1] * (1 - eta)``
-    from ``pi[0] = eta`` (collapse) or ``eta / (1 - (1 - eta)^(depth+1))``
-    (renormalize; the truncated tail mass is ``(1 - eta)^(depth+1)``).
-    The perturbation records ratio ``1 - eta`` with coefficient ``eta`` on
-    every geometric rung and 1 on a collapsed tail.
+    The perturbation records ratio ``1 - eta`` and coefficient ``eta`` on
+    every geometric rung.  A collapsed tail has coefficient 1 and scale 1;
+    a renormalized ladder has coefficient ``eta`` on its last rung too and
+    scale ``1 / (1 - tail_mass)``, its truncated tail mass being
+    ``(1 - eta)^(depth+1)``.
     """
     eta = rat(eta)
     if not 0 < eta < 1:
@@ -308,30 +313,21 @@ def build_ladder(
         raise ModelError("ladder depth must be at least 2")
     ratio = 1 - eta
     if tail == "collapse":
-        tail_mass = ratio**depth
-        pi, last = _geometric(eta, ratio, depth) + [tail_mass], Fraction(1)
+        tail_mass, coef, scale = ratio**depth, (eta,) * depth + (Fraction(1),), Fraction(1)
     elif tail == "renormalize":
         tail_mass = ratio ** (depth + 1)
-        pi, last = _geometric(eta / (1 - tail_mass), ratio, depth + 1), eta
+        coef, scale = (eta,) * (depth + 1), 1 / (1 - tail_mass)
     else:
         raise ModelError(f"unknown tail convention {tail!r}")
     return Perturbation(
         scenario,
-        tuple(pi),
+        coef,
         (ladder_partition(depth + 1, 0), ladder_partition(depth + 1, 1)),
         tuple(biases or ()),
         tail_mass=tail_mass,
         ratio=ratio,
-        coef=(eta,) * depth + (last,),
+        scale=scale,
     )
-
-
-def _geometric(first: Fraction, ratio: Fraction, count: int) -> list[Fraction]:
-    """``first * ratio**t`` for ``t < count``, each from the one before."""
-    out = [first]
-    for _ in range(count - 1):
-        out.append(out[-1] * ratio)
-    return out
 
 
 def build_general_ladder(
@@ -340,7 +336,6 @@ def build_general_ladder(
     biases: list[BiasSpec] | None = None,
 ) -> Perturbation:
     """Ladder partition structure with an arbitrary finite distribution."""
-    pi = tuple(rat(p) for p in pi)
     return Perturbation(
         scenario,
         pi,
@@ -390,14 +385,15 @@ def is_c_bounded(perturbation: Perturbation, c_bar: Number) -> bool:
 
 
 def posterior(perturbation: Perturbation, agent: int, type_index: int) -> dict[int, Number]:
-    """Bayes posterior over the opponent's types given one's own type."""
-    element = perturbation.partitions[agent][type_index]
-    total = perturbation.type_prob(agent, type_index)
-    if total == 0:
+    """Bayes posterior over the opponent's types given one's own type: the
+    summed conditional weights of ``type_groups``.  Every opponent type the
+    partition element meets is a key, in order of first meeting, with
+    ``Fraction(0)`` where it is met only at zero-mass circumstances."""
+    groups = perturbation.type_groups(agent, type_index)
+    if not groups:
         raise ModelError("posterior of a zero-probability type")
-    other = 1 - agent
-    out: dict[int, Number] = {}
-    for w in element:
-        opp = perturbation.type_of(other, w)
-        out[opp] = out.get(opp, 0) + perturbation.pi[w] / total
+    element = perturbation.partitions[agent][type_index]
+    out = dict.fromkeys((perturbation.type_of(1 - agent, w) for w in element), Fraction(0))
+    for opp, cells in groups:
+        out[opp] = sum(weight for _, weight in cells)
     return out

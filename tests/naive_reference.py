@@ -7,11 +7,14 @@ dominance that rechecks every type in every round.  They are kept
 verbatim so that the compiled engine can be compared against them by
 exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
 ``inner_value``; ``NaivePerturbation`` supplies the old ``type_of`` and
-``type_prob``.  ``ladder_masses``, ``type_groups``, ``eta_of``,
+``type_prob``, summed from the masses it reads once from ``pi``.
+``ladder_masses``, ``type_groups``, ``posterior``, ``eta_of``,
 ``outcome_distribution`` and ``truthful_probability_mass`` are the
 ladder construction and the mass sums before the ratio/coefficient form:
-per-rung powers renormalized by a sum, conditional weights divided out of
-raw masses, and lotteries mixed once per circumstance.
+per-rung powers renormalized by a sum, conditional weights and posteriors
+divided out of raw masses, and lotteries mixed once per circumstance.
+A ``Perturbation`` computes ``pi`` on each access, so every function
+here reads it once.
 ``strict_cyclical_monotonicity`` enumerates every state
 permutation, the oracle for the class-graph check, and
 ``step3_closure_certificate`` every (strategy, restricted opponent
@@ -69,13 +72,28 @@ def type_groups(pert, agent: int, type_index: int):
     mass = naive.type_prob(agent, type_index)
     by_opp: dict[int, dict] = {}
     for w in pert.partitions[agent][type_index]:
-        if not pert.pi[w]:
+        if not naive.pi[w]:
             continue
         cells = by_opp.setdefault(naive.type_of(1 - agent, w), {})
         cls = pert.payoff_class(agent, w)
         rep, weight = cells.get(cls, (w, 0))
-        cells[cls] = (rep, weight + pert.pi[w] / mass)
+        cells[cls] = (rep, weight + naive.pi[w] / mass)
     return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
+
+
+def posterior(pert, agent: int, type_index: int) -> dict[int, Number]:
+    """Bayes posterior over the opponent's types given one's own type,
+    summed circumstance by circumstance from the raw masses."""
+    naive = NaivePerturbation(pert)
+    element = pert.partitions[agent][type_index]
+    total = naive.type_prob(agent, type_index)
+    if total == 0:
+        raise ModelError("posterior of a zero-probability type")
+    out: dict[int, Number] = {}
+    for w in element:
+        opp = naive.type_of(1 - agent, w)
+        out[opp] = out.get(opp, 0) + naive.pi[w] / total
+    return out
 
 
 def eta_of(perturbation) -> Number:
@@ -88,8 +106,9 @@ def eta_of(perturbation) -> Number:
         }
         for agent in (0, 1)
     ]
+    pi = perturbation.pi
     mass = sum(
-        perturbation.pi[w]
+        pi[w]
         for w in range(perturbation.size)
         if perturbation.type_of(0, w) in normal[0]
         and perturbation.type_of(1, w) in normal[1]
@@ -107,8 +126,9 @@ def outcome_distribution(game: Game, profile: StrategyProfile, state: int) -> Lo
         if theta == state
     ]
     parts = []
+    pi = pert.pi
     for w in range(pert.size):
-        mass = pert.pi[w]
+        mass = pi[w]
         if mass == 0:
             continue
         mix1 = profile[0][pert.type_of(0, w)]
@@ -128,8 +148,9 @@ def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
     """Probability that both agents' realized intent is the truthful one."""
     pert = game.perturbation
     mass = Fraction(0)
+    pi = pert.pi
     for w in range(pert.size):
-        p = pert.pi[w]
+        p = pi[w]
         if not p:
             continue
         w1 = profile[0][pert.type_of(0, w)].get(game.truthful(0), Fraction(0))
@@ -217,12 +238,13 @@ def expected_payoff(
     opponent side of a profile."""
     pert = game.perturbation
     element = pert.partitions[agent][type_index]
-    total_mass = sum(pert.pi[w] for w in element)
+    pi = pert.pi
+    total_mass = sum(pi[w] for w in element)
     if total_mass == 0:
         raise ModelError("expected payoff of a zero-probability type")
     value = Fraction(0)
     for w in element:
-        mass = pert.pi[w]
+        mass = pi[w]
         if mass == 0:
             continue
         opp_type = pert.type_of(1 - agent, w)
@@ -283,9 +305,10 @@ def iterated_dominance(
 def _type_groups(game: Game, agent: int, t: int):
     """Own-type circumstances grouped by the opponent type they induce."""
     pert = game.perturbation
+    pi = pert.pi
     groups: dict[int, list[int]] = {}
     for w in pert.partitions[agent][t]:
-        if pert.pi[w]:
+        if pi[w]:
             groups.setdefault(pert.type_of(1 - agent, w), []).append(w)
     return groups
 
@@ -293,14 +316,14 @@ def _type_groups(game: Game, agent: int, t: int):
 def _pair_margin(game: Game, agent: int, t: int, better, worse, opp_surviving):
     """Worst-case payoff gain of ``better`` over ``worse``; ``better`` may
     be a pure strategy or a [(strategy, weight)] mixture."""
-    pert = game.perturbation
+    pi = game.perturbation.pi
     total = Fraction(0)
     for opp_type, circs in _type_groups(game, agent, t).items():
         best = None
         for r in opp_surviving[opp_type]:
             gain = Fraction(0)
             for w in circs:
-                mass = pert.pi[w]
+                mass = pi[w]
                 if isinstance(better, tuple):
                     up = game.inner_value(agent, w, better, r)
                 else:

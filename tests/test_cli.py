@@ -150,6 +150,9 @@ def test_bad_bias_key_exits_2_without_traceback(tmp_path):
         ('- {agent: 1, circumstance: 0, cost: "0", u: {"*,acquit": "1000"}}', "- 3",
          "bias entry 1: expected a mapping, got 3"),
         ('cost: "0"', 'cost: "-3"', "bias entry 1: learning cost must be non-negative"),
+        ('u: {"*,acquit": "1000"}}',
+         'u: {"*,acquit": "1000"}}\n    - {agent: 1, circumstance: 0, u: {"*,convict": "1"}}',
+         "bias entry 2: agent 1 already has a bias at circumstance 0"),
     ],
 )
 def test_bad_perturbation_input_exits_2_naming_the_line(tmp_path, old, new, message):

@@ -36,6 +36,7 @@ from robustmech import (
     iterated_dominance,
     mislabel_signals,
     outcome_distribution,
+    posterior,
     restricted_strategy_set,
     simple_bias_ladder,
     three_state_scenario,
@@ -115,6 +116,28 @@ def strategy_sets(kind, game):
         )
     rs = restricted_strategy_set(kind, SCENARIO.n)
     return rs, rs
+
+
+def assert_masses_match_naive(pert):
+    """Every type's mass, conditional weights and posterior (keys, their
+    order and exact values) against the sums over raw masses; a zero-mass
+    type has no groups and no posterior."""
+    reference = naive.NaivePerturbation(pert)
+    for agent in (0, 1):
+        for t in range(len(pert.partitions[agent])):
+            mass = pert.type_prob(agent, t)
+            assert type(mass) is F and mass == reference.type_prob(agent, t)
+            groups = pert.type_groups(agent, t)
+            assert groups == naive.type_groups(pert, agent, t)
+            assert all(type(m) is F for _, cells in groups for _, m in cells)
+            assert bool(groups) == bool(mass)
+            if not mass:
+                with pytest.raises(ModelError):
+                    posterior(pert, agent, t)
+                continue
+            got = posterior(pert, agent, t)
+            assert list(got.items()) == list(naive.posterior(pert, agent, t).items())
+            assert all(type(x) is F for x in got.values())
 
 
 def assert_matches_naive(game, sets, mixture_denominator):
@@ -214,6 +237,7 @@ def assert_best_responses_match_naive(game, sets, data, passes=("fresh", "warmed
 @given(ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)), st.data())
 @settings(max_examples=25, deadline=None)
 def test_ladders_match_naive_evaluator(pert, kind, mixture_denominator, data):
+    assert_masses_match_naive(pert)
     game = Game(SCENARIO, MECHANISMS[kind], pert)
     sets = strategy_sets(kind, game)
     assert_matches_naive(game, sets, mixture_denominator)
@@ -224,6 +248,7 @@ def test_ladders_match_naive_evaluator(pert, kind, mixture_denominator, data):
        st.data())
 @settings(max_examples=20, deadline=None)
 def test_zero_mass_circumstances_match_naive_evaluator(pert, kind, mixture_denominator, data):
+    assert_masses_match_naive(pert)
     game = Game(SCENARIO, MECHANISMS[kind], pert)
     sets = strategy_sets(kind, game)
     assert_matches_naive(game, sets, mixture_denominator)
@@ -234,6 +259,7 @@ def test_zero_mass_circumstances_match_naive_evaluator(pert, kind, mixture_denom
        st.data())
 @settings(max_examples=20, deadline=None)
 def test_coarse_partitions_match_naive_evaluator(pert, kind, mixture_denominator, data):
+    assert_masses_match_naive(pert)
     game = Game(SCENARIO, MECHANISMS[kind], pert)
     sets = strategy_sets(kind, game)
     assert_matches_naive(game, sets, mixture_denominator)
@@ -445,20 +471,15 @@ def test_same_class_circumstances_merge_into_one_weight():
 )
 @settings(max_examples=40, deadline=None)
 def test_ladder_matches_per_rung_construction(depth, eta, tail, data):
-    """Masses, tail mass, type masses and conditional weights of the
-    recurrence and the ratio/coefficient tables equal those built from
-    each rung's own power, all of them Fractions."""
+    """Masses, tail mass, type masses, conditional weights and posteriors
+    of the ratio/coefficient record equal those built from each rung's own
+    power, all of them Fractions."""
     pert = build_ladder(SCENARIO, depth, eta, data.draw(bias_specs(depth + 1)), tail=tail)
-    assert (pert.pi, pert.tail_mass) == naive.ladder_masses(depth, eta, tail)
-    assert type(pert.tail_mass) is F and all(type(p) is F for p in pert.pi)
+    pi = pert.pi
+    assert (pi, pert.tail_mass) == naive.ladder_masses(depth, eta, tail)
+    assert type(pert.tail_mass) is F and all(type(p) is F for p in pi)
     assert eta_of(pert) == naive.eta_of(pert)
-    reference = naive.NaivePerturbation(pert)
-    for agent in (0, 1):
-        for t in range(len(pert.partitions[agent])):
-            assert pert.type_prob(agent, t) == reference.type_prob(agent, t)
-            groups = pert.type_groups(agent, t)
-            assert groups == naive.type_groups(pert, agent, t)
-            assert all(type(m) is F for _, cells in groups for _, m in cells)
+    assert_masses_match_naive(pert)
 
 
 def assert_lotteries_match_naive(game, data):
@@ -532,11 +553,36 @@ def test_integer_masses_give_fraction_weights():
     assert type(pert.type_prob(0, 0)) is F and pert.type_prob(1, 0) == 0
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"coef": (F(1, 2),)},
-    {"coef": (F(1), F(0))},
-    {"ratio": F(0)},
-], ids=["length", "zero-pattern", "ratio"])
-def test_coefficients_that_do_not_fit_the_masses_are_rejected(kwargs):
-    with pytest.raises(ModelError, match="mass coefficients"):
+def stored_fractions(value):
+    """Every Fraction inside nested tuples, lists and dicts."""
+    if isinstance(value, F):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from stored_fractions(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from stored_fractions(item)
+
+
+def test_stored_numbers_do_not_grow_with_depth():
+    """At eta = 1/100, on either tail, the largest denominator over every
+    Fraction a ladder stores, its coefficients and compiled tables, is the
+    same at depths 50 and 400; only ``tail_mass`` and ``scale`` grow."""
+    for tail in ("collapse", "renormalize"):
+        bits = []
+        for depth in (50, 400):
+            pert = build_ladder(SCENARIO, depth, F(1, 100), tail=tail)
+            kept = {k: v for k, v in vars(pert).items() if k not in ("tail_mass", "scale")}
+            bits.append(max(x.denominator.bit_length() for x in stored_fractions(kept)))
+        assert bits[0] == bits[1]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ratio": F(0)}, "ratio and scale must be positive"),
+    ({"scale": F(0)}, "ratio and scale must be positive"),
+    ({"ratio": F(1, 2)}, "must sum to one"),
+], ids=["ratio", "scale", "ratio-sum"])
+def test_coefficients_that_do_not_fit_the_masses_are_rejected(kwargs, message):
+    with pytest.raises(ModelError, match=message):
         Perturbation(SCENARIO, (F(1, 2), F(1, 2)), (((0, 1),), ((0, 1),)), **kwargs)

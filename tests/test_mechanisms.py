@@ -130,6 +130,18 @@ def test_modified_rule_rewards_ascend():
     assert solve_rewards(s.prior, 0, "msqr") == replace(flat, rewards={**flat.rewards, 3: 12})
 
 
+def test_schedule_missing_a_reward_is_infeasible():
+    """A custom schedule that lacks a reward its system names is refused
+    with that reward's name, not a bare ``KeyError``."""
+    s = three_state_scenario()
+    with pytest.raises(InfeasibleScheduleError, match=r"^schedule has no reward R3$"):
+        build_status_quo(s, 1, schedule=RewardSchedule("sqr", {1: 3, 2: 12}))
+    with pytest.raises(InfeasibleScheduleError, match=r"^schedule has no reward R0$"):
+        build_modified_status_quo(
+            s, schedule=RewardSchedule("msqr", {1: 3, 2: 12}, penalty=1)
+        )
+
+
 @st.composite
 def descending_priors(draw):
     """Priors on 2 to 5 states in descending order, some with a tied

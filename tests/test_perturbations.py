@@ -120,6 +120,17 @@ def test_bias_circumstance_in_range():
         build_general_ladder(s, (F(1, 2), F(1, 2)), [BiasSpec(0, 5, {})])
 
 
+def test_second_bias_at_one_circumstance_is_rejected():
+    """Two biases for one agent at one circumstance are refused rather
+    than the second silently replacing the first; the other agent may
+    have its own there."""
+    s = binary_trial_scenario()
+    with pytest.raises(ModelError, match="two biases apply to agent 0 at circumstance 0"):
+        build_ladder(s, 4, "1/10", [BiasSpec(0, 0, {(0, 0): 5}), BiasSpec(0, 0, {(0, 1): 7})])
+    p = build_ladder(s, 4, "1/10", [BiasSpec(0, 0, {(0, 0): 5}), BiasSpec(1, 0, {(0, 1): 7})])
+    assert p.utility(0, 0, 0, 0) == 5 and p.utility(1, 0, 0, 1) == 7
+
+
 def test_depth_and_eta_validation():
     s = binary_trial_scenario()
     with pytest.raises(ModelError):
