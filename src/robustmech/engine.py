@@ -376,6 +376,37 @@ class PayoffTable:
         hit = self._best[choices] = (tuple(sorted(winners)), best_value)
         return hit
 
+    def near_best(self, choices: StrategySet, slack: Number) -> list[PureStrategy]:
+        """Every member of the product of ``choices`` worth at least the
+        best value less ``slack``, in canonical order.
+
+        Depth first over the coordinates, in ascending message order.  A
+        prefix's entries plus the per-coordinate maxima of the coordinates
+        after it bound every completion's value from above, because the
+        cost is non-negative, and a prefix whose bound falls below the
+        threshold is dropped.  The bound is carried as ``room``, its excess
+        over the threshold, which each entry lowers by its gap to its
+        coordinate's maximum.  A completed strategy's room is its entries'
+        sum less the threshold, exactly, so it is kept iff its room covers
+        the cost it pays: pruning never decides membership.
+        """
+        floor = self.best(choices)[1] - slack
+        tops = [max(cell[m] for m in ms) for cell, ms in zip(self.coords, choices)]
+        gaps = [[(m, top - cell[m]) for m in ms] for cell, ms, top in zip(self.coords, choices, tops)]
+        out = []
+
+        def extend(prefix, room):
+            if len(prefix) == len(gaps):
+                if room >= (0 if is_constant(prefix) else self.cost):
+                    out.append(prefix)
+                return
+            for m, gap in gaps[len(prefix)]:
+                if gap <= room:
+                    extend(prefix + (m,), room - gap)
+
+        extend((), sum(tops) - floor)
+        return out
+
 
 def expected_payoff(
     game: Game,

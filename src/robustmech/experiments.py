@@ -652,29 +652,57 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
     reports; only passing pairs get one.
 
     An agent's residual depends on the pair only through the opponent's
-    candidate, which fixes its best value and payoff table, and its own
-    candidate's value in that table.  So both are read once per opponent
-    candidate, and agent 2's residual is taken only where agent 1's
-    passes."""
+    candidate, which fixes its payoff table and best value.  So each
+    agent gets, per opponent candidate, the set of own candidates that
+    pass against it, and a pair passes iff each side's candidate is in
+    its set against the other's.
+
+    A candidate mixes at most two pure strategies of the set, ``a`` with
+    weight ``w`` and ``b``.  With the deficits ``d = best - value``, its
+    residual is ``w * d_a + (1 - w) * d_b``, so it passes only if ``a``
+    or ``b`` is within ``epsilon`` of the best (``PayoffTable.near_best``).
+    For each support that meets that band the deficits are read once: the
+    passing weights lie on one side of the cut ``(epsilon - d_b) / (d_a -
+    d_b)``, and when ``d_a == d_b`` every weight passes."""
+    supports: dict[tuple, list] = {}
+    for i, mix in enumerate(candidates):
+        support = tuple(s for s, w in mix.items() if w)
+        if len(support) > 2 or sum(mix.values()) != 1 or not all(
+            len(s) == len(strategy_set) and all(m in ms for m, ms in zip(s, strategy_set))
+            for s in support
+        ):
+            raise ModelError(f"grid candidate {i} must mix at most two strategies of the set, "
+                             "with weights summing to one")
+        supports.setdefault(support, []).append((i, mix[support[0]]))
+
+    def passing(agent):
+        """Per opponent candidate, the own candidates passing against it."""
+        out = []
+        for opp in candidates:
+            table = game.payoff_table(agent, 0, {0: opp})
+            best = table.best(strategy_set)[1]
+            band = set(table.near_best(strategy_set, epsilon))
+            passed = set()
+            for support, members in supports.items():
+                if band.isdisjoint(support):
+                    continue
+                if len(support) == 2:
+                    d_a, d_b = (best - table.value(s) for s in support)
+                    if d_a != d_b:
+                        cut = (epsilon - d_b) / (d_a - d_b)
+                        passed.update(i for i, w in members if (w <= cut if d_a > d_b else w >= cut))
+                        continue
+                passed.update(i for i, _ in members)
+            out.append(passed)
+        return out
+
+    own, other = passing(0), passing(1)
     sets = (strategy_set, strategy_set)
-    reads = [
-        [
-            (best_response(game, agent, 0, {0: opp}, strategy_set)[1],
-             game.payoff_table(agent, 0, {0: opp}))
-            for opp in candidates
-        ]
-        for agent in (0, 1)
-    ]
-
-    def residual(agent, own, opp):
-        best, table = reads[agent][opp]
-        return best - sum(w * table.value(s) for s, w in candidates[own].items() if w)
-
     found = []
     for i, mix1 in enumerate(candidates):
-        for j, mix2 in enumerate(candidates):
-            if residual(0, i, j) <= epsilon and residual(1, j, i) <= epsilon:
-                profile = [{0: mix1}, {0: mix2}]
+        for j in sorted(other[i]):
+            if i in own[j]:
+                profile = [{0: mix1}, {0: candidates[j]}]
                 found.append((profile, verify_equilibrium(game, profile, sets, epsilon)))
     return found
 
@@ -693,6 +721,8 @@ def run_prop1(
     grid, runs the two equilibrium searches, and measures the outcome-gap
     lower bound on two-point perturbations for the linear-slope check.
     """
+    if isinstance(grid_step, bool) or not isinstance(grid_step, int) or grid_step < 1:
+        raise ModelError(f"grid_step must be an integer of at least 1, not {grid_step!r}")
     scenario = scenario or binary_trial_scenario()
     mechanism = mechanism or build_status_quo(scenario, scenario.max_cost)
     if not is_nonconstant(scenario.scf):

@@ -11,6 +11,7 @@ caller asks for them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -114,6 +115,9 @@ class Perturbation:
         size = len(self.coef)
         if not (self.ratio > 0 and self.scale > 0):
             raise ModelError("mass ratio and scale must be positive")
+        object.__setattr__(self, "_coef_runs", tuple(
+            (c, len(list(run))) for c, run in itertools.groupby(self.coef)
+        ))
         if sum(self.masses_by((None,) * size).values()) != 1:
             raise ModelError("circumstance distribution must sum to one")
         if any(c < 0 for c in self.coef):
@@ -184,22 +188,25 @@ class Perturbation:
 
         Walks maximal runs of circumstances with one label and one
         coefficient, carrying ``scale * ratio**lo`` from one run to the
-        next.  The masses of a run are geometric, so its total is
-        ``pi[lo] * (1 - ratio**len) / (1 - ratio)``, or ``pi[lo] * len`` at
-        ratio 1.  Labels met only at zero mass are left out."""
+        next.  The coefficient runs are recorded at construction, so only
+        labels are compared here.  The masses of a run are geometric, so
+        its total is ``pi[lo] * (1 - ratio**len) / (1 - ratio)``, or
+        ``pi[lo] * len`` at ratio 1.  Labels met only at zero mass are left
+        out."""
+        if len(labels) != len(self.coef):
+            raise ModelError(f"masses_by needs one label per circumstance, not {len(labels)}")
         out: dict = {}
-        coef, ratio, size = self.coef, self.ratio, len(self.coef)
-        lo, step = 0, self.scale
-        for w in range(1, size + 1):
-            if w < size and labels[w] == labels[lo] and coef[w] == coef[lo]:
-                continue
-            length, label = w - lo, labels[lo]
-            power = ratio**length
-            if coef[lo]:
-                run = length if ratio == 1 else (1 - power) / (1 - ratio)
-                mass = step * coef[lo] * run
-                out[label] = out[label] + mass if label in out else mass
-            lo, step = w, step * power
+        ratio, step, lo = self.ratio, self.scale, 0
+        geometric = ratio != 1
+        for c, width in self._coef_runs:
+            for label, run in itertools.groupby(labels[lo:lo + width]):
+                length = len(list(run))
+                power = ratio**length
+                if c:
+                    mass = step * c * ((1 - power) / (1 - ratio) if geometric else length)
+                    out[label] = out[label] + mass if label in out else mass
+                step *= power
+            lo += width
         return out
 
     @property

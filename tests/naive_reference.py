@@ -22,7 +22,9 @@ strategy) pair, the oracle for the per-state check.  ``solve_rewards``
 derives each schedule kind's closed form by hand and steps its ratio
 variable one unit at a time, the oracle for the solver that reads each
 kind's inequality list; it can loop forever when the first state is not
-the most likely, so it is only called on descending priors.  Strategy
+the most likely, so it is only called on descending priors.
+``near_best`` scans a whole product for the members within a slack of
+its best value, the oracle for ``PayoffTable.near_best``.  Strategy
 sets come
 as per-coordinate choices, and every function here enumerates their
 product itself, so the oracle scans every member.
@@ -365,6 +367,14 @@ def best_response(game, agent, type_index, opponent, strategy_set):
         elif v == best_value:
             winners.append(s)
     return winners, best_value
+
+
+def near_best(table, choices, slack):
+    """Every member of the product of ``choices`` worth at least its best
+    value less ``slack``, by scanning the product in canonical order."""
+    members = list(itertools.product(*choices))
+    best = max(table.value(s) for s in members)
+    return [s for s in members if table.value(s) >= best - slack]
 
 
 def residuals(game, profile, strategy_sets):

@@ -44,6 +44,7 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech import equilibrium
+from robustmech.engine import PayoffTable
 from robustmech.equilibrium import truthful_probability_mass
 from robustmech.experiments import preferred_outcome_bias
 
@@ -586,3 +587,53 @@ def test_stored_numbers_do_not_grow_with_depth():
 def test_coefficients_that_do_not_fit_the_masses_are_rejected(kwargs, message):
     with pytest.raises(ModelError, match=message):
         Perturbation(SCENARIO, (F(1, 2), F(1, 2)), (((0, 1),), ((0, 1),)), **kwargs)
+
+
+def test_masses_by_compares_no_coefficients(monkeypatch):
+    """The coefficient runs are recorded at construction, so summing a
+    ladder's masses by labels compares labels only: the number of
+    ``Fraction`` comparisons is the same at depths 50 and 400.  Labels
+    must cover every circumstance."""
+    calls = [0]
+    eq = F.__eq__
+
+    def counting(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(F, "__eq__", counting)
+    counts = []
+    for depth in (50, 400):
+        pert = build_ladder(SCENARIO, depth, F(1, 100), tail="renormalize")
+        calls[0] = 0
+        pert.masses_by([w % 2 for w in range(pert.size)])
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+    with pytest.raises(ModelError, match="one label per circumstance"):
+        pert.masses_by([0] * (pert.size - 1))
+
+
+@st.composite
+def payoff_tables(draw):
+    """A table over messages 1..3 at 1-4 coordinates, with entries from a
+    coarse grid so that ties are common, a zero or positive cost, and a
+    non-empty, possibly restricted, choice of messages per coordinate."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([F(k, 2) for k in range(-2, 3)])
+    coords = tuple({m: draw(entry) for m in (1, 2, 3)} for _ in range(n))
+    cost = draw(st.sampled_from([F(0), F(1, 2), F(3, 2)]))
+    choices = tuple(
+        tuple(sorted(draw(st.sets(st.sampled_from((1, 2, 3)), min_size=1)))) for _ in range(n)
+    )
+    return PayoffTable(coords, cost), choices
+
+
+@given(payoff_tables(), st.sampled_from([F(0), F(1, 4), F(1, 2), F(2)]))
+@settings(max_examples=200, deadline=None)
+def test_near_best_matches_brute_force(drawn, slack):
+    """``near_best`` lists exactly the members within ``slack`` of the best
+    value, in canonical order; at slack 0 they are the best response's
+    winners."""
+    table, choices = drawn
+    assert table.near_best(choices, slack) == naive.near_best(table, choices, slack)
+    assert table.near_best(choices, 0) == list(table.best(choices)[0])

@@ -13,6 +13,7 @@ from robustmech import (
     ModelError,
     binary_trial_scenario,
     build_augmented_status_quo,
+    build_maskin,
     build_status_quo,
     check_strict_cyclical_monotonicity,
     list_experiments,
@@ -31,7 +32,7 @@ from robustmech.experiments import (
 )
 
 import naive_reference as naive
-from generators import random_generic_prior, random_scm_instance
+from generators import random_generic_prior, random_scm_instance, uniform_scenario
 
 
 def test_experiment_registry():
@@ -62,7 +63,7 @@ def test_prop1_impossibility():
     assert result.certificates["not_both_passed"]
 
 
-def _prop1_grid_calls(monkeypatch):
+def _prop1_grid_calls(monkeypatch, scenario=None):
     """The (game, strategy set, candidates) of each of prop1's two grid
     searches, one per tilt; the two-point bound reads the minus tilt's
     hits without residual rather than searching again at epsilon 0."""
@@ -74,27 +75,96 @@ def _prop1_grid_calls(monkeypatch):
         return search(game, strategy_set, candidates, epsilon)
 
     monkeypatch.setattr(experiments, "_grid_equilibria", recording)
-    run_experiment("prop1")
+    run_experiment("prop1", scenario)
     monkeypatch.undo()
     assert len(calls) == 2
     return calls
 
 
+def _filter_every_report(game, strategy_set, candidates, epsilon):
+    """Every candidate pair whose full report passes, in (i, j) order."""
+    sets = (strategy_set, strategy_set)
+    fresh = Game(game.scenario, game.mechanism, game.perturbation)
+    found = []
+    for mix1 in candidates:
+        for mix2 in candidates:
+            profile = [{0: mix1}, {0: mix2}]
+            report = verify_equilibrium(fresh, profile, sets, epsilon)
+            if report.is_equilibrium:
+                found.append((profile, report))
+    return found
+
+
 def test_prop1_grid_search_equals_filtering_every_report(monkeypatch):
-    for game, strategy_set, candidates in _prop1_grid_calls(monkeypatch):
-        sets = (strategy_set, strategy_set)
-        for epsilon in (F(1, 10), F(0)):
-            fresh = [Game(game.scenario, game.mechanism, game.perturbation) for _ in (0, 1)]
-            want = []
-            for mix1 in candidates:
-                for mix2 in candidates:
-                    profile = [{0: mix1}, {0: mix2}]
-                    report = verify_equilibrium(fresh[0], profile, sets, epsilon)
-                    if report.is_equilibrium:
-                        want.append((profile, report))
-            assert want
-            assert experiments._grid_equilibria(fresh[1], strategy_set, candidates,
-                                                epsilon) == want
+    """On the binary default, whose grid mixes the two constant vectors,
+    and on a three-state scenario, whose grid is the 27 pure strategies."""
+    three = uniform_scenario((F(1, 2), F(3, 10), F(1, 5)))
+    for scenario in (None, three):
+        for game, strategy_set, candidates in _prop1_grid_calls(monkeypatch, scenario):
+            for epsilon in (F(1, 10), F(0)):
+                want = _filter_every_report(game, strategy_set, candidates, epsilon)
+                assert want
+                fresh = Game(game.scenario, game.mechanism, game.perturbation)
+                assert experiments._grid_equilibria(fresh, strategy_set, candidates,
+                                                    epsilon) == want
+
+
+def test_prop1_grid_passes_mixtures_with_a_member_outside_the_band(monkeypatch):
+    """Mixtures of the two constant vectors at every twentieth, some also
+    listed in the other order, under the plus tilt: mixtures pass although
+    one of their members is more than epsilon below the best value, at
+    epsilon 1/100 exactly at the cut, and the search equals filtering
+    every report."""
+    game, strategy_set, _ = _prop1_grid_calls(monkeypatch)[0]
+    a, b = (1, 1), (2, 2)
+    candidates = [{a: F(1)}, {b: F(1)}]
+    candidates += [{a: F(k, 20), b: 1 - F(k, 20)} for k in range(1, 20)]
+    candidates += [{b: F(k, 20), a: 1 - F(k, 20)} for k in (1, 4, 10)]
+    for epsilon in (F(1, 10), F(1, 100)):
+        found = experiments._grid_equilibria(game, strategy_set, candidates, epsilon)
+        assert found == _filter_every_report(game, strategy_set, candidates, epsilon)
+        outside = at_cut = 0
+        for profile, report in found:
+            for agent in (0, 1):
+                mix = profile[agent][0]
+                table = game.payoff_table(agent, 0, profile[1 - agent])
+                best = table.best(strategy_set)[1]
+                if len(mix) == 2 and any(best - table.value(s) > epsilon for s in mix):
+                    outside += 1
+                    at_cut += report.residuals[(agent, 0)] == epsilon
+        assert outside
+        if epsilon == F(1, 100):
+            assert at_cut
+
+
+def test_grid_passes_every_weight_when_both_members_tie():
+    """Against an even mix of the two constant vectors, the Maskin rule on
+    the binary trial pays both of them the best value, so every weight of
+    their mixture passes; the search equals filtering every report."""
+    scenario = binary_trial_scenario()
+    game = Game(scenario, build_maskin(scenario, 1))
+    messages = game.mechanism.messages[0]
+    full = engine.full_strategy_set(messages, scenario.n)
+    candidates = experiments._candidate_type_strategies(scenario.n, messages, 4)
+    found = experiments._grid_equilibria(game, full, candidates, F(0))
+    assert found == _filter_every_report(game, full, candidates, F(0))
+    half = {(1, 1): F(1, 2), (2, 2): F(1, 2)}
+    assert [{0: half}, {0: half}] in [profile for profile, _ in found]
+
+
+def test_prop1_grid_refuses_candidates_it_cannot_cut():
+    game = Game(binary_trial_scenario(), build_status_quo(binary_trial_scenario(), 1))
+    full = ((1, 2), (1, 2))
+    three = {(1, 1): F(1, 3), (1, 2): F(1, 3), (2, 2): F(1, 3)}
+    for bad in (three, {(1, 3): F(1)}, {(1, 1): F(1, 2)}):
+        with pytest.raises(ModelError, match="grid candidate"):
+            experiments._grid_equilibria(game, full, [{(1, 1): F(1)}, bad], F(1, 10))
+
+
+@pytest.mark.parametrize("grid_step", [0, -1, F(1, 2), True])
+def test_prop1_refuses_a_grid_step_below_one(grid_step):
+    with pytest.raises(ModelError, match="grid_step"):
+        run_experiment("prop1", grid_step=grid_step)
 
 
 def _count_calls(monkeypatch, module, name):
