@@ -10,8 +10,10 @@ learning cost.  Type strategies are finite-support mixtures stored as
 
 All computations are pure functions of immutable inputs; the ``Game``
 wrapper only memoizes derived tables: payoffs and per-coordinate payoff
-rows by payoff class, and per-type payoff tables, whose best responses
-are memoized on the table, and dominance checks by ``type_signature``.
+rows by payoff class, which ``Game.with_perturbation`` shares between the
+games of one scenario and biases, and per-type payoff tables, whose best
+responses are memoized on the table, and dominance checks by
+``type_signature``.
 
 A ``StrategySet`` holds per coordinate the messages a strategy may send
 there, ascending; its members are their product, in canonical order.
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 from .core import Lottery, ModelError, ScenarioModel, tv_distance
 from .mechanisms import Mechanism
-from .numeric import Number, rat
+from .numeric import Number, rat, weights_key
 from .perturbations import Perturbation, unperturbed
 
 PureStrategy = tuple[int, ...]
@@ -179,6 +181,33 @@ class Game:
             self.perturbation = unperturbed(self.scenario)
         if self.perturbation.scenario is not self.scenario:
             raise ModelError("perturbation was built for a different scenario")
+
+    def with_perturbation(self, perturbation: Perturbation) -> "Game":
+        """This game's mechanism, signals and trembles under another
+        perturbation of the same scenario object with equal biases.
+
+        The new game shares the caches keyed by payoff class: pair values,
+        state values, coordinate rows and ``inner_value``.  A payoff class
+        is ``None`` or an index into the biases, so equal biases give every
+        class the same payoffs and cost in both games.  Payoff tables and
+        dominance checks stay the new game's own, because their keys hold
+        the perturbation's type kinds (``type_signature``).
+        """
+        if perturbation.scenario is not self.scenario:
+            raise ModelError("perturbation was built for a different scenario")
+        if perturbation.biases != self.perturbation.biases:
+            raise ModelError("a game shares its payoff rows only under equal biases")
+        return Game(
+            self.scenario,
+            self.mechanism,
+            perturbation,
+            self.signals,
+            self.tremble,
+            _pair_cache=self._pair_cache,
+            _inner_cache=self._inner_cache,
+            _row_cache=self._row_cache,
+            _u_cache=self._u_cache,
+        )
 
     # -- information -------------------------------------------------------
 
@@ -426,27 +455,31 @@ def type_signature(
     type_index: int,
     opponent: dict[int, TypeStrategy] | dict[int, list[PureStrategy]],
 ) -> tuple:
-    """Everything a type's payoffs depend on besides its own strategy.
+    """Everything a type's payoffs depend on besides its own strategy:
+    ``(kind, plays)``.
 
-    Per opponent type the type meets (in ``type_groups`` order): the
-    opponent's play there, a mixture with its zero weights dropped or a
-    list of surviving strategies, and the type's ``(payoff class,
-    conditional weight)`` cells.  The payoff class fixes the coordinate
-    rows, ``inner_value`` and the learning cost, and ``payoff_table`` sums
-    cell weight x opponent weight x row over these cells, so two types of
-    one game with equal signatures have equal payoffs for every own
-    strategy.
+    ``kind`` is the type's ``Perturbation.type_kind``, which stands for its
+    per-group ``(payoff class, conditional weight)`` cells, and ``plays``
+    holds the opponent's play at each opponent type the type meets, in
+    ``type_groups`` order: a mixture as its ``weights_key``, or a list of
+    surviving strategies.  The payoff class fixes the coordinate rows,
+    ``inner_value`` and the learning cost, and ``payoff_table`` sums cell
+    weight x opponent weight x row over these cells, so two types of one
+    game with equal signatures have equal payoffs for every own strategy.
+    Kinds are interned per perturbation, so a signature means something
+    only within one game's perturbation.  A signature holds ints and
+    strategies only, so the memo lookups of every type in every round
+    hash no ``Fraction``.
     """
     pert = game.perturbation
-    out = []
-    for opp_type, cells in pert.type_groups(agent, type_index):
+    plays = []
+    for opp_type, _ in pert.type_groups(agent, type_index):
         play = opponent[opp_type]
         if isinstance(play, dict):
-            play = tuple((r, w) for r, w in play.items() if w)
+            plays.append(weights_key(play))
         else:
-            play = tuple(play)
-        out.append((play, tuple((pert.payoff_class(agent, w), m) for w, m in cells)))
-    return tuple(out)
+            plays.append(tuple(play))
+    return pert.type_kind(agent, type_index), tuple(plays)
 
 
 def mixture_payoff(
@@ -463,30 +496,55 @@ def mixture_payoff(
     )
 
 
-def outcome_distribution(game: Game, profile: StrategyProfile, state: int) -> Lottery:
+def play_groups(game: Game, profile: StrategyProfile) -> tuple[tuple[list, list], dict]:
+    """``(plays, masses)``: each agent's distinct plays, and the mass of the
+    circumstances at each pair of them, from one walk of the circumstances.
+
+    A play is a type's mixture as ``((strategy, weight), ...)`` with its
+    zero weights dropped.  ``plays[a][i]`` is agent ``a``'s ``i``-th
+    distinct play, numbered in type order, and ``masses`` maps ``(i, j)``
+    to the total mass of the circumstances where agent 1's type plays
+    ``plays[0][i]`` and agent 2's plays ``plays[1][j]``
+    (``Perturbation.masses_by``, in order of first meeting).  The labels
+    the walk compares are these small-int pairs, and plays are interned by
+    their ``weights_key``."""
+    pert = game.perturbation
+    plays: tuple[list, list] = ([], [])
+    ids: list[list[int]] = [[], []]
+    for agent in (0, 1):
+        index: dict[tuple, int] = {}
+        side = profile[agent]
+        for t in range(len(pert.partitions[agent])):
+            mix = side[t]
+            key = weights_key(mix)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(plays[agent])
+                plays[agent].append(tuple((s, x) for s, x in mix.items() if x))
+            ids[agent].append(i)
+    labels = [(ids[0][pert.type_of(0, w)], ids[1][pert.type_of(1, w)]) for w in range(pert.size)]
+    return plays, pert.masses_by(labels)
+
+
+def outcome_distribution(
+    game: Game, profile: StrategyProfile, state: int, groups: tuple | None = None
+) -> Lottery:
     """Implemented lottery conditional on the state, integrating over
     circumstances, signals, mixtures, and trembles.
 
     Circumstances are grouped by the pair of plays the agents' types make
-    there (mixtures with zero weights dropped), the group masses come from
-    ``Perturbation.masses_by``, and the lottery is mixed once per group."""
-    pert = game.perturbation
+    there (``play_groups``, or ``groups`` when the caller already has the
+    profile's), and the lottery is mixed once per group."""
+    plays, masses = groups if groups is not None else play_groups(game, profile)
     coords = [
         (k1, k2, p / game.scenario.prior[state])
         for theta, k1, k2, p in game.coords
         if theta == state
     ]
-    plays = [
-        {t: tuple((s, x) for s, x in mix.items() if x) for t, mix in side.items()}
-        for side in profile
-    ]
-    labels = [
-        (plays[0][pert.type_of(0, w)], plays[1][pert.type_of(1, w)]) for w in range(pert.size)
-    ]
     parts = []
-    for (play1, play2), mass in pert.masses_by(labels).items():
-        for s1, w1 in play1:
-            for s2, w2 in play2:
+    for (i, j), mass in masses.items():
+        for s1, w1 in plays[0][i]:
+            for s2, w2 in plays[1][j]:
                 weight = mass * w1 * w2
                 for k1, k2, pc in coords:
                     lot = game.pair_values(s1[k1], s2[k2])[2]
@@ -494,9 +552,14 @@ def outcome_distribution(game: Game, profile: StrategyProfile, state: int) -> Lo
     return Lottery.mix(parts)
 
 
-def max_tv_to_target(game: Game, profile: StrategyProfile) -> Number:
+def max_tv_to_target(game: Game, profile: StrategyProfile, groups: tuple | None = None) -> Number:
+    """Largest total variation distance, over the states, between the
+    implemented lottery and the target; one walk of the circumstances
+    (``play_groups``, or the caller's ``groups``)."""
+    if groups is None:
+        groups = play_groups(game, profile)
     return max(
-        tv_distance(outcome_distribution(game, profile, j), game.scenario.scf(j))
+        tv_distance(outcome_distribution(game, profile, j, groups), game.scenario.scf(j))
         for j in range(game.scenario.n)
     )
 

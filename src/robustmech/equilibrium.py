@@ -20,11 +20,13 @@ from .engine import (
     StrategyProfile,
     StrategySet,
     TypeStrategy,
+    is_constant,
     max_tv_to_target,
+    play_groups,
     type_signature,
 )
 from .mechanisms import Mechanism
-from .numeric import Number
+from .numeric import Number, weights_key
 
 
 def best_response(
@@ -65,18 +67,18 @@ class EquilibriumReport:
     best_deviation: dict[tuple[int, int], PureStrategy]  # canonically first maximizer
 
 
-def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
+def truthful_probability_mass(
+    game: Game, profile: StrategyProfile, groups: tuple | None = None
+) -> Number:
     """Probability that both agents' realized intent is the truthful one,
-    summed over circumstances grouped by the pair of truthful weights
-    their types carry (``Perturbation.masses_by``)."""
-    pert = game.perturbation
-    truthful = (game.truthful(0), game.truthful(1))
-    labels = [
-        tuple(profile[a][pert.type_of(a, w)].get(truthful[a], Fraction(0)) for a in (0, 1))
-        for w in range(pert.size)
+    summed over circumstances grouped by the pair of plays their types
+    make (``play_groups``, or the caller's ``groups``)."""
+    plays, masses = groups if groups is not None else play_groups(game, profile)
+    truthful = [
+        [dict(play).get(game.truthful(a), Fraction(0)) for play in plays[a]] for a in (0, 1)
     ]
     return sum(
-        (mass * w1 * w2 for (w1, w2), mass in pert.masses_by(labels).items()), Fraction(0)
+        (mass * truthful[0][i] * truthful[1][j] for (i, j), mass in masses.items()), Fraction(0)
     )
 
 
@@ -99,9 +101,12 @@ def equilibrium_residuals(
 
 
 def _residuals(game, profile, strategy_sets):
-    """Residuals and the canonically first best deviation per type."""
+    """Residuals and the canonically first best deviation per type.  Types
+    that share a payoff table and a mixture share the mixture's value,
+    which is summed once."""
     residuals: dict[tuple[int, int], Number] = {}
     deviations: dict[tuple[int, int], PureStrategy] = {}
+    values = {}
     pert = game.perturbation
     for agent in (0, 1):
         opponent = profile[1 - agent]
@@ -110,7 +115,11 @@ def _residuals(game, profile, strategy_sets):
                 continue
             table = game.payoff_table(agent, t, opponent)
             winners, best_value = table.best(strategy_sets[agent])
-            own = sum(w * table.value(s) for s, w in profile[agent][t].items() if w)
+            mix = profile[agent][t]
+            key = (table, weights_key(mix))
+            own = values.get(key)
+            if own is None:
+                own = values[key] = sum(w * table.value(s) for s, w in mix.items() if w)
             residuals[(agent, t)] = best_value - own
             deviations[(agent, t)] = winners[0]
     return residuals, deviations
@@ -124,18 +133,24 @@ def verify_equilibrium(
 ) -> EquilibriumReport:
     """Interim check: the residuals of ``equilibrium_residuals``, with the
     best deviation behind each, plus the implementation metrics
-    (``truthful_mass`` and ``max_tv``).  Callers that only need the
-    pass/fail verdict should filter on the residuals first: the metrics
-    walk every circumstance and are computed for every report built."""
+    (``truthful_mass`` and ``max_tv``).
+
+    Both metrics read one walk of the circumstances (``play_groups``),
+    which labels each circumstance by the small-int ids of its types'
+    plays: ``truthful_mass`` and every state's outcome lottery are summed
+    from its groups.  Callers that only need the pass/fail verdict should
+    still filter on the residuals first: that walk is made for every
+    report built."""
     residuals, deviations = _residuals(game, profile, strategy_sets)
     max_res = max(residuals.values())
+    groups = play_groups(game, profile)
     return EquilibriumReport(
         residuals=residuals,
         max_residual=max_res,
         is_equilibrium=max_res <= epsilon,
         epsilon=epsilon,
-        truthful_mass=truthful_probability_mass(game, profile),
-        max_tv=max_tv_to_target(game, profile),
+        truthful_mass=truthful_probability_mass(game, profile, groups),
+        max_tv=max_tv_to_target(game, profile, groups),
         best_deviation=deviations,
     )
 
@@ -183,9 +198,17 @@ def gamma_dominance_threshold(
 
     The learning-cost bound ``c_bar`` is charged in place of the scenario
     cost, which makes the certificate valid for every cost profile below
-    the bound.  Each gain is a difference of ``inner_value`` in the game
-    charging ``c_bar``; the adversary is chosen per state from the
-    coordinate rows of the constant opponent strategies.
+    the bound.  Each gain is the difference of two payoffs in the game
+    charging ``c_bar``, which has no signals, so the payoff against an
+    opponent vector ``b`` is the sum over states k of ``phi[b[k]][k][m]``,
+    the coordinate row of the constant ``(b[k], ..., b[k])`` at k, less the
+    cost when the own strategy is not constant.  The truthful strategy is
+    not constant (n >= 2), so a deviation's gain is the sum of its
+    per-(state, message) gains less the cost when the deviation is
+    constant.  Both gains are tabulated once per (state, own message):
+    against the truthful opponent, and against the adversary, who picks
+    per state the reply that minimizes that state's gain.  They are summed
+    along the product of the own choices (``_product_sums``).
     """
     truth = tuple(range(1, scenario.n + 1))
     gamma = Fraction(0)
@@ -198,32 +221,38 @@ def gamma_dominance_threshold(
     for agent in (0, 1):
         own = restricted_sets[agent]
         allowed = restricted_sets[1 - agent]
-        msgs_own = sorted({m for ms in own for m in ms})
         # phi[b][k][m]: the prior-weighted payoff of sending m at state k
         # against b, read from the coordinate row of the constant (b, ..., b).
         phi = {
             b: game.coordinate_row(agent, 0, (b,) * scenario.n).coords
             for b in {b for a in allowed for b in a}
         }
-        # The adversary's worst reply at state k depends on the deviation
-        # only through the message m it sends there.
-        worst = {
-            (k, m): min(allowed[k], key=lambda b: phi[b][k][t] - phi[b][k][m])
-            for k, t in enumerate(truth)
-            for m in msgs_own
-        }
-        truth_value = game.inner_value(agent, 0, truth, truth)
-        for s in itertools.product(*own):
+        cost = game.perturbation.cost(agent, 0)
+
+        def gain(b, k, m):
+            return phi[b][k][truth[k]] - phi[b][k][m]
+
+        # Per state k and own message m: the gain of truth over m against
+        # the truthful opponent, and the adversary's worst reply there with
+        # the gain against it.  A deviation meets the adversary at k only
+        # through the message it sends there.
+        gains = []
+        for k, ms in enumerate(own):
+            cells = {}
+            for m in ms:
+                b = min(allowed[k], key=lambda b: gain(b, k, m))
+                cells[m] = (gain(truth[k], k, m), b, gain(b, k, m))
+            gains.append(cells)
+        for s, picks, d_truth, d_adv in _product_sums(gains):
             if s == truth:
                 continue
-            d_truth = truth_value - game.inner_value(agent, 0, s, truth)
+            if is_constant(s):
+                d_truth, d_adv = d_truth - cost, d_adv - cost
             if d_truth <= 0:
                 raise ModelError(
                     f"truthful reporting is not strictly dominant at gamma=1 "
                     f"(deviation {s} gains {-d_truth})"
                 )
-            picks = tuple(worst[(k, m)] for k, m in enumerate(s))
-            d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
             root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
             gamma = max(gamma, root)
             witness.append(
@@ -239,16 +268,33 @@ def gamma_dominance_threshold(
     return DominanceCertificate(gamma, tuple(witness))
 
 
+def _product_sums(gains, prefix=(), picks=(), up=0, adv=0):
+    """Each deviation of the product of ``gains[k]``'s messages, in
+    canonical order, with its adversary and its two gains summed over the
+    coordinates.  The sums run along the product, so deviations that share
+    a prefix share its partial sums."""
+    k = len(prefix)
+    if k == len(gains):
+        yield prefix, picks, up, adv
+        return
+    for m, (g, b, a) in gains[k].items():
+        yield from _product_sums(gains, prefix + (m,), picks + (b,), up + g, adv + a)
+
+
 # -- best-response iteration ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class BRIterationResult:
+    """``moves[r]`` lists, sorted, the ``(agent, type)`` pairs whose play
+    changed in round ``r + 1``; a converged run's last round moves none."""
+
     profile: StrategyProfile
     rounds: int
     converged: bool
     cycled: bool
     report: EquilibriumReport | None
+    moves: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def iterate_best_response(
@@ -259,40 +305,65 @@ def iterate_best_response(
 ) -> BRIterationResult:
     """Synchronous pure best-response iteration from the truthful profile
     (or a given start).  Ties resolve to the canonically first maximizer.
-    On convergence the fixed point is re-verified."""
+    On convergence the fixed point is re-verified.
+
+    Round 1 computes every positive-mass type.  A type's best response
+    depends only on the plays at the opponent types it meets with
+    positive mass (``type_groups``), and meeting is symmetric, so from
+    round 2 on only the types that meet a type whose play changed in the
+    previous round are computed again; every other type's best response
+    equals its play, which it computed against the same opponent plays.
+    The profiles, rounds and flags are those of computing every type every
+    round, and the changed types are the round's ``moves``.
+    """
     from .engine import truthful_profile
 
     pert = game.perturbation
     profile = initial if initial is not None else truthful_profile(game)
     seen = {_profile_key(profile): 0}
+    todo = [range(len(pert.partitions[0])), range(len(pert.partitions[1]))]
+    moves = []
     rounds = 0
     cycled = False
     for rounds in range(1, max_rounds + 1):
-        nxt: StrategyProfile = [{}, {}]
+        nxt: StrategyProfile = [dict(profile[0]), dict(profile[1])]
+        moved = []
         for agent in (0, 1):
             opponent = profile[1 - agent]
-            for t in range(len(pert.partitions[agent])):
+            for t in todo[agent]:
                 if not pert.type_groups(agent, t):
                     nxt[agent][t] = dict(profile[agent][t])
                     continue
                 winners, _ = best_response(game, agent, t, opponent, strategy_sets[agent])
-                nxt[agent][t] = {winners[0]: Fraction(1)}
-        key = _profile_key(nxt)
-        if key == _profile_key(profile):
+                play = nxt[agent][t] = {winners[0]: Fraction(1)}
+                if play != profile[agent][t]:
+                    moved.append((agent, t))
+        moves.append(tuple(moved))
+        if not moved:
             report = verify_equilibrium(game, nxt, strategy_sets)
-            return BRIterationResult(nxt, rounds, True, False, report)
+            return BRIterationResult(nxt, rounds, True, False, report, tuple(moves))
+        key = _profile_key(nxt)
         if key in seen:
             cycled = True
             profile = nxt
             break
         seen[key] = rounds
         profile = nxt
-    return BRIterationResult(profile, rounds, False, cycled, None)
+        todo = [set(), set()]
+        for agent, t in moved:
+            todo[1 - agent].update(u for u, _ in pert.type_groups(agent, t))
+        todo = [sorted(side) for side in todo]
+    return BRIterationResult(profile, rounds, False, cycled, None, tuple(moves))
 
 
 def _profile_key(profile: StrategyProfile):
+    """A profile as nested tuples of ints and strategies, each weight as
+    its numerator and denominator, so hashing it hashes no ``Fraction``."""
     return tuple(
-        tuple(sorted((t, tuple(sorted(mix.items()))) for t, mix in side.items()))
+        tuple(sorted(
+            (t, tuple(sorted((s, w.numerator, w.denominator) for s, w in mix.items())))
+            for t, mix in side.items()
+        ))
         for side in profile
     )
 

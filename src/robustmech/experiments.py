@@ -231,15 +231,19 @@ def _ladder_grid_run(
     eta_grid,
     biases,
 ) -> tuple[list[dict], bool]:
-    """Best-response equilibria on a family of ladders; per-eta metrics."""
+    """Best-response equilibria on a family of ladders; per-eta metrics.
+    The ladders share the scenario and the biases, so every eta after the
+    first plays a game built by ``Game.with_perturbation``, which reuses
+    the payoff rows of the earlier ones."""
     rs = restricted_strategy_set(variant, scenario.n)
     sets = (rs, rs)
     grid = []
     all_ok = True
+    game = None
     for eta in eta_grid:
         eta = rat(eta)
         pert = build_ladder(scenario, depth, eta, list(biases))
-        game = Game(scenario, mechanism, pert)
+        game = Game(scenario, mechanism, pert) if game is None else game.with_perturbation(pert)
         res = iterate_best_response(game, sets)
         ok = res.converged and res.report is not None and res.report.is_equilibrium
         all_ok = all_ok and ok

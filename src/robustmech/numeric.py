@@ -31,3 +31,11 @@ def fmt(value: Number) -> str:
     ladder masses need no lift of Python's int-to-str digit limit."""
     text = str(Decimal(value.numerator))
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
+def weights_key(weights: dict) -> tuple:
+    """The positive entries of ``{key: weight}`` as ``(key, numerator,
+    denominator)`` triples: equal exactly when the positive entries are,
+    and hashed as ints, where hashing a ``Fraction`` runs a Python-level
+    modular inverse.  Memo keys built once per type and round use it."""
+    return tuple((k, w.numerator, w.denominator) for k, w in weights.items() if w)

@@ -49,6 +49,16 @@ def _conditional_groups(weights, opp_type_index, classes):
     return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
 
 
+def _cells_key(type_groups, classes):
+    """A type's per-group ``(payoff class, conditional weight)`` cells,
+    each weight as its numerator and denominator, which are hashed as
+    plain ints."""
+    return tuple(
+        tuple((classes[w], weight.numerator, weight.denominator) for w, weight in cells)
+        for _, cells in type_groups
+    )
+
+
 def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
     """Pairing partition of circumstances 0..size-1.
 
@@ -90,7 +100,8 @@ class Perturbation:
       positive-mass circumstances, grouped by the opponent type they
       induce, with same-class circumstances merged by summing their
       weights (``type_groups``).  A type has zero mass exactly when it has
-      no group.
+      no group;
+    * per type, its kind (``type_kind``): types with equal cells share one.
 
     A type's weights come from its circumstances' masses relative to its
     first positive-mass circumstance ``a``, ``coef[w] / coef[a] *
@@ -162,21 +173,32 @@ class Perturbation:
         ))
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_groups", groups)
+        kinds: dict[tuple, int] = {}
+        object.__setattr__(self, "_kinds", tuple(
+            tuple(
+                kinds.setdefault(_cells_key(type_groups, classes[agent]), len(kinds))
+                for type_groups in groups[agent]
+            )
+            for agent in (0, 1)
+        ))
 
     def _relative_masses(self, block, shapes):
         """``(anchor, total, ((w, weight), ...))`` for one partition block:
         its first positive-mass circumstance, its mass relative to the
         anchor's, and the conditional weight of each positive-mass
         circumstance.  Blocks of one shape (coefficients and offsets from
-        the anchor) share one entry of ``shapes``."""
+        the anchor) share one entry of ``shapes``, keyed by ints: each
+        coefficient as its numerator and denominator."""
         members = [w for w in block if self.coef[w]]
         if not members:
             return block[0], Fraction(0), ()
         anchor = members[0]
-        shape = tuple((self.coef[w], w - anchor) for w in members)
+        shape = tuple(
+            (self.coef[w].numerator, self.coef[w].denominator, w - anchor) for w in members
+        )
         hit = shapes.get(shape)
         if hit is None:
-            rel = [c / self.coef[anchor] * self.ratio ** k for c, k in shape]
+            rel = [self.coef[anchor + k] / self.coef[anchor] * self.ratio**k for _, _, k in shape]
             total = sum(rel)
             hit = shapes[shape] = (total, tuple(x / total for x in rel))
         total, weights = hit
@@ -244,6 +266,13 @@ class Perturbation:
         class's summed conditional weight ``pi[w] / P(type)``; empty for a
         zero-mass type."""
         return self._groups[agent][type_index]
+
+    def type_kind(self, agent: int, type_index: int) -> int:
+        """A small int shared by exactly the types of this perturbation
+        whose per-group ``(payoff class, conditional weight)`` cells are
+        equal, in ``type_groups`` order (``type_signature``).  Kinds are
+        interned at construction and mean nothing across perturbations."""
+        return self._kinds[agent][type_index]
 
     def _bias(self, agent: int, circ: int) -> BiasSpec | None:
         cls = self._classes[agent][circ]

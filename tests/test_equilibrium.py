@@ -1,10 +1,13 @@
 """Equilibrium verification, dominance thresholds, iteration, Nash solver."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import naive_reference as naive
+from generators import uniform_scenario
 from robustmech import (
     BiasSpec,
     Game,
@@ -151,6 +154,50 @@ def test_gamma_thresholds_frozen_values():
         cert = gamma_dominance_threshold(mech, scenario, (rs, rs), scenario.max_cost)
         assert cert.gamma == expected
         assert cert.below_half
+
+
+BASELINE_PRIORS = (
+    (F(7, 10), F(3, 10)),
+    (F(1, 2), F(3, 10), F(1, 5)),
+    (F(2, 5), F(3, 10), F(1, 5), F(1, 10)),
+    (F(3, 10), F(1, 4), F(1, 5), F(3, 20), F(1, 10)),
+)
+
+
+@pytest.mark.parametrize("kind", ["sqr", "asqr"])
+@pytest.mark.parametrize("prior", BASELINE_PRIORS, ids=lambda p: f"n{len(p)}")
+def test_gamma_witness_rows_equal_inner_value_differences(prior, kind):
+    """Every witness row's gains are the ``inner_value`` differences of the
+    game charging ``c_bar``: truth against the deviation, facing the
+    truthful opponent and facing the row's adversary.  Rows come in
+    canonical order per agent, and gamma is the largest threshold."""
+    scenario = uniform_scenario(prior)
+    mech = (build_status_quo(scenario, scenario.max_cost) if kind == "sqr"
+            else build_augmented_status_quo(scenario))
+    rs = restricted_strategy_set(kind, scenario.n)
+    cert = gamma_dominance_threshold(mech, scenario, (rs, rs), scenario.max_cost)
+    charged = tuple(replace(p, cost=scenario.max_cost) for p in scenario.payoffs)
+    game = Game(replace(scenario, payoffs=charged), mech)
+    truth = game.truthful(0)
+    deviations = [s for s in itertools.product(*rs) if s != truth]
+    assert [(row["agent"], row["deviation"]) for row in cert.witness] == [
+        (agent, s) for agent in (0, 1) for s in deviations
+    ]
+    for row in cert.witness:
+        agent, s, picks = row["agent"], row["deviation"], row["adversary"]
+        assert all(b in ms for b, ms in zip(picks, rs))
+        d_truth = game.inner_value(agent, 0, truth, truth) - game.inner_value(agent, 0, s, truth)
+        d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
+        assert (row["gain_vs_truthful"], row["worst_case_gain"]) == (d_truth, d_adv)
+        assert type(row["gain_vs_truthful"]) is type(row["worst_case_gain"]) is F
+        assert row["threshold"] == (0 if d_adv > 0 else d_adv / (d_adv - d_truth))
+        if scenario.n <= 3:
+            # Small enough to check that the adversary is the worst one.
+            assert d_adv == min(
+                game.inner_value(agent, 0, truth, b) - game.inner_value(agent, 0, s, b)
+                for b in itertools.product(*rs)
+            )
+    assert cert.gamma == max([F(0)] + [row["threshold"] for row in cert.witness])
 
 
 def test_gamma_threshold_four_states():

@@ -1,0 +1,196 @@
+"""Work that best-response runs on a ladder do only once: payoff rows
+shared across the games of one eta grid, best-response rounds that
+recheck only the neighbours of the last round's movers, and type kinds
+that key the payoff-table memo without hashing a weight."""
+
+import fractions
+from fractions import Fraction as F
+
+import pytest
+
+from robustmech import (
+    BiasSpec,
+    Game,
+    ModelError,
+    Perturbation,
+    binary_trial_scenario,
+    build_augmented_status_quo,
+    build_ladder,
+    iterate_best_response,
+    restricted_strategy_set,
+    three_state_scenario,
+    verify_equilibrium,
+)
+from robustmech import equilibrium
+from robustmech.engine import full_strategy_set, type_signature
+from robustmech.experiments import preferred_outcome_bias
+from robustmech.mechanisms import Mechanism
+
+THREE = three_state_scenario()
+MECH = build_augmented_status_quo(THREE)
+SETS = (restricted_strategy_set("asqr", THREE.n),) * 2
+# thm2's default bias and eta grid on the three-state scenario.
+BIAS = [BiasSpec(0, 0, preferred_outcome_bias(THREE, 1, 10 * MECH.schedule.top),
+                 cost=10**6 * THREE.payoffs[0].cost)]
+ETAS = ("1/1000", "1/100", "1/20", "1/10")
+
+
+def _ladder(eta, biases=BIAS, depth=50):
+    return build_ladder(THREE, depth, eta, biases)
+
+
+def _outcome(result):
+    report = result.report
+    return (result.profile, result.rounds, result.converged, result.cycled, result.moves,
+            report.residuals, report.best_deviation, report.truthful_mass, report.max_tv)
+
+
+@pytest.mark.parametrize("eta", ETAS)
+def test_shared_rows_give_the_fresh_game_result(eta):
+    """A game that reuses the rows the other etas' games built matches a
+    game built from nothing, report and all."""
+    others = [e for e in ETAS if e != eta]
+    game = Game(THREE, MECH, _ladder(others[0]))
+    iterate_best_response(game, SETS)
+    for other in others[1:]:
+        game = game.with_perturbation(_ladder(other))
+        iterate_best_response(game, SETS)
+    rows = len(game._row_cache)
+    game = game.with_perturbation(_ladder(eta))
+    fresh = Game(THREE, MECH, _ladder(eta))
+    assert _outcome(iterate_best_response(game, SETS)) == _outcome(
+        iterate_best_response(fresh, SETS))
+    assert len(game._row_cache) == rows == len(fresh._row_cache)
+
+
+def test_shared_rows_keep_per_perturbation_tables():
+    first = Game(THREE, MECH, _ladder(ETAS[0]))
+    second = first.with_perturbation(_ladder(ETAS[1]))
+    for name in ("_pair_cache", "_u_cache", "_row_cache", "_inner_cache"):
+        assert getattr(second, name) is getattr(first, name)
+    for name in ("_table_cache", "_dom_cache"):
+        assert getattr(second, name) is not getattr(first, name)
+    assert (second.signals, second.tremble) == (first.signals, first.tremble)
+
+
+def test_shared_rows_need_equal_biases_and_the_same_scenario():
+    game = Game(THREE, MECH, _ladder(ETAS[0]))
+    other_bias = [BiasSpec(0, 0, BIAS[0].u_overrides, cost=F(0))]
+    with pytest.raises(ModelError, match="equal biases"):
+        game.with_perturbation(_ladder(ETAS[1], other_bias))
+    with pytest.raises(ModelError, match="equal biases"):
+        game.with_perturbation(_ladder(ETAS[1], []))
+    # An equal scenario that is another object does not share the rows.
+    twin = three_state_scenario()
+    with pytest.raises(ModelError, match="different scenario"):
+        game.with_perturbation(build_ladder(twin, 50, ETAS[1], BIAS))
+    # An equal bias that is another object shares them.
+    equal = [BiasSpec(0, 0, dict(BIAS[0].u_overrides), BIAS[0].cost)]
+    shared = game.with_perturbation(_ladder(ETAS[1], equal))
+    assert shared._row_cache is game._row_cache
+
+
+def test_rounds_after_the_first_recheck_only_neighbours_of_movers(monkeypatch):
+    calls = []
+    best_response = equilibrium.best_response
+
+    def recorded(game, agent, t, *args):
+        calls.append((agent, t))
+        return best_response(game, agent, t, *args)
+
+    monkeypatch.setattr(equilibrium, "best_response", recorded)
+    pert = _ladder(ETAS[1])
+    result = iterate_best_response(Game(THREE, MECH, pert), SETS)
+    assert result.converged and result.rounds == 2
+    first = [(a, t) for a in (0, 1) for t in range(len(pert.partitions[a]))
+             if pert.type_groups(a, t)]
+    assert calls[:len(first)] == first
+    neighbours = sorted({(1 - a, u) for a, t in result.moves[0]
+                         for u, _ in pert.type_groups(a, t)})
+    assert calls[len(first):] == neighbours == [(1, 0)]
+
+
+def test_round_moves_record_the_changed_types():
+    """Round 1 moves only the biased type, agent 1's {w0}; the last round
+    of a converged run moves nothing."""
+    for eta in ETAS:
+        result = iterate_best_response(Game(THREE, MECH, _ladder(eta)), SETS)
+        assert result.converged
+        assert result.moves == (((0, 0),), ())
+        assert len(result.moves) == result.rounds
+
+
+def test_cycling_run_moves_in_every_round():
+    s = binary_trial_scenario(cost=0)
+    outcome = {(a, b): s.scf(0) for a in (1, 2) for b in (1, 2)}
+    transfer = {(a, b): (F(1) if a == b else F(-1), F(-1) if a == b else F(1))
+                for a in (1, 2) for b in (1, 2)}
+    game = Game(s, Mechanism("pennies", ((1, 2), (1, 2)), outcome, transfer))
+    full = full_strategy_set((1, 2), 2)
+    init = [{0: {(1, 1): F(1)}}, {0: {(1, 1): F(1)}}]
+    result = iterate_best_response(game, (full, full), initial=init, max_rounds=50)
+    assert result.cycled and len(result.moves) == result.rounds == 4
+    assert all(result.moves)
+
+
+def test_interior_rungs_share_a_kind():
+    pert = _ladder(ETAS[1])
+    for agent in (0, 1):
+        interior = {pert.type_kind(agent, t) for t in range(1, len(pert.partitions[agent]) - 1)}
+        assert len(interior) == 1
+    # Agent 1's {w0} is biased, so it is a kind of its own.
+    assert pert.type_kind(0, 0) != pert.type_kind(0, 1)
+
+
+def test_equal_weights_of_another_payoff_class_are_another_kind():
+    """Agent 1's types {w3, w4} and {w5, w6} of a renormalized ladder have
+    equal conditional weights; a bias at w5 alone splits their kinds."""
+    s = binary_trial_scenario()
+    plain = build_ladder(s, 10, F(1, 10), tail="renormalize")
+    biased = build_ladder(s, 10, F(1, 10), [BiasSpec(0, 5, {}, F(0))], tail="renormalize")
+    for pert in (plain, biased):
+        weights = [[m for _, cells in pert.type_groups(0, t) for _, m in cells] for t in (2, 3)]
+        assert weights[0] == weights[1]
+    assert plain.type_kind(0, 2) == plain.type_kind(0, 3)
+    assert biased.type_kind(0, 2) != biased.type_kind(0, 3)
+
+
+def test_best_response_rounds_hash_no_fraction(monkeypatch):
+    """Memo keys and the verification walk hold ints and strategies: a
+    whole best-response run, with its report, hashes no ``Fraction``."""
+    game = Game(THREE, MECH, _ladder(ETAS[1]))
+    opponent = {u: {(1, 2, 3): F(1)} for u in range(len(game.perturbation.partitions[1]))}
+    assert type_signature(game, 0, 1, opponent) == (
+        game.perturbation.type_kind(0, 1), ((((1, 2, 3), 1, 1),),) * 2)
+    hashed = [0]
+    fraction_hash = fractions.Fraction.__hash__
+
+    def counted(self):
+        hashed[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(fractions.Fraction, "__hash__", counted)
+    result = iterate_best_response(game, SETS)
+    assert result.converged and result.report.is_equilibrium
+    assert hashed[0] == 0
+    assert F(1, 3) in {F(1, 3)} and hashed[0] == 2
+
+
+def test_verification_walks_the_circumstances_once(monkeypatch):
+    """The truthful mass and every state's lottery come from one
+    ``masses_by`` walk, labelled by small-int play pairs."""
+    labels = []
+    masses_by = Perturbation.masses_by
+
+    def recorded(self, walked):
+        labels.append(walked)
+        return masses_by(self, walked)
+
+    game = Game(THREE, MECH, _ladder(ETAS[1]))
+    result = iterate_best_response(game, SETS)
+    monkeypatch.setattr(Perturbation, "masses_by", recorded)
+    report = verify_equilibrium(game, result.profile, SETS)
+    assert len(labels) == 1
+    assert set(labels[0]) == {(0, 0), (1, 0)}
+    assert (report.truthful_mass, report.max_tv) == (
+        result.report.truthful_mass, result.report.max_tv)
