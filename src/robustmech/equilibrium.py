@@ -20,13 +20,12 @@ from .engine import (
     StrategyProfile,
     StrategySet,
     TypeStrategy,
-    is_constant,
     max_tv_to_target,
     play_groups,
     type_signature,
 )
 from .mechanisms import Mechanism
-from .numeric import Number, weights_key
+from .numeric import Number, frac_key
 
 
 def best_response(
@@ -101,12 +100,9 @@ def equilibrium_residuals(
 
 
 def _residuals(game, profile, strategy_sets):
-    """Residuals and the canonically first best deviation per type.  Types
-    that share a payoff table and a mixture share the mixture's value,
-    which is summed once."""
+    """Residuals and the canonically first best deviation per type."""
     residuals: dict[tuple[int, int], Number] = {}
     deviations: dict[tuple[int, int], PureStrategy] = {}
-    values = {}
     pert = game.perturbation
     for agent in (0, 1):
         opponent = profile[1 - agent]
@@ -115,11 +111,7 @@ def _residuals(game, profile, strategy_sets):
                 continue
             table = game.payoff_table(agent, t, opponent)
             winners, best_value = table.best(strategy_sets[agent])
-            mix = profile[agent][t]
-            key = (table, weights_key(mix))
-            own = values.get(key)
-            if own is None:
-                own = values[key] = sum(w * table.value(s) for s, w in mix.items() if w)
+            own = sum(w * table.value(s) for s, w in profile[agent][t].items() if w)
             residuals[(agent, t)] = best_value - own
             deviations[(agent, t)] = winners[0]
     return residuals, deviations
@@ -198,17 +190,9 @@ def gamma_dominance_threshold(
 
     The learning-cost bound ``c_bar`` is charged in place of the scenario
     cost, which makes the certificate valid for every cost profile below
-    the bound.  Each gain is the difference of two payoffs in the game
-    charging ``c_bar``, which has no signals, so the payoff against an
-    opponent vector ``b`` is the sum over states k of ``phi[b[k]][k][m]``,
-    the coordinate row of the constant ``(b[k], ..., b[k])`` at k, less the
-    cost when the own strategy is not constant.  The truthful strategy is
-    not constant (n >= 2), so a deviation's gain is the sum of its
-    per-(state, message) gains less the cost when the deviation is
-    constant.  Both gains are tabulated once per (state, own message):
-    against the truthful opponent, and against the adversary, who picks
-    per state the reply that minimizes that state's gain.  They are summed
-    along the product of the own choices (``_product_sums``).
+    the bound.  Each gain is a difference of ``inner_value`` in the game
+    charging ``c_bar``; the adversary is chosen per state from the
+    coordinate rows of the constant opponent strategies.
     """
     truth = tuple(range(1, scenario.n + 1))
     gamma = Fraction(0)
@@ -221,38 +205,32 @@ def gamma_dominance_threshold(
     for agent in (0, 1):
         own = restricted_sets[agent]
         allowed = restricted_sets[1 - agent]
+        msgs_own = sorted({m for ms in own for m in ms})
         # phi[b][k][m]: the prior-weighted payoff of sending m at state k
         # against b, read from the coordinate row of the constant (b, ..., b).
         phi = {
             b: game.coordinate_row(agent, 0, (b,) * scenario.n).coords
             for b in {b for a in allowed for b in a}
         }
-        cost = game.perturbation.cost(agent, 0)
-
-        def gain(b, k, m):
-            return phi[b][k][truth[k]] - phi[b][k][m]
-
-        # Per state k and own message m: the gain of truth over m against
-        # the truthful opponent, and the adversary's worst reply there with
-        # the gain against it.  A deviation meets the adversary at k only
-        # through the message it sends there.
-        gains = []
-        for k, ms in enumerate(own):
-            cells = {}
-            for m in ms:
-                b = min(allowed[k], key=lambda b: gain(b, k, m))
-                cells[m] = (gain(truth[k], k, m), b, gain(b, k, m))
-            gains.append(cells)
-        for s, picks, d_truth, d_adv in _product_sums(gains):
+        # The adversary's worst reply at state k depends on the deviation
+        # only through the message m it sends there.
+        worst = {
+            (k, m): min(allowed[k], key=lambda b: phi[b][k][t] - phi[b][k][m])
+            for k, t in enumerate(truth)
+            for m in msgs_own
+        }
+        truth_value = game.inner_value(agent, 0, truth, truth)
+        for s in itertools.product(*own):
             if s == truth:
                 continue
-            if is_constant(s):
-                d_truth, d_adv = d_truth - cost, d_adv - cost
+            d_truth = truth_value - game.inner_value(agent, 0, s, truth)
             if d_truth <= 0:
                 raise ModelError(
                     f"truthful reporting is not strictly dominant at gamma=1 "
                     f"(deviation {s} gains {-d_truth})"
                 )
+            picks = tuple(worst[(k, m)] for k, m in enumerate(s))
+            d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
             root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
             gamma = max(gamma, root)
             witness.append(
@@ -266,19 +244,6 @@ def gamma_dominance_threshold(
                 }
             )
     return DominanceCertificate(gamma, tuple(witness))
-
-
-def _product_sums(gains, prefix=(), picks=(), up=0, adv=0):
-    """Each deviation of the product of ``gains[k]``'s messages, in
-    canonical order, with its adversary and its two gains summed over the
-    coordinates.  The sums run along the product, so deviations that share
-    a prefix share its partial sums."""
-    k = len(prefix)
-    if k == len(gains):
-        yield prefix, picks, up, adv
-        return
-    for m, (g, b, a) in gains[k].items():
-        yield from _product_sums(gains, prefix + (m,), picks + (b,), up + g, adv + a)
 
 
 # -- best-response iteration ----------------------------------------------
@@ -357,11 +322,12 @@ def iterate_best_response(
 
 
 def _profile_key(profile: StrategyProfile):
-    """A profile as nested tuples of ints and strategies, each weight as
-    its numerator and denominator, so hashing it hashes no ``Fraction``."""
+    """A profile as nested tuples of ints and strategies, each weight,
+    zero weights included, as its ``frac_key``, so hashing it hashes no
+    ``Fraction``."""
     return tuple(
         tuple(sorted(
-            (t, tuple(sorted((s, w.numerator, w.denominator) for s, w in mix.items())))
+            (t, tuple(sorted((s, *frac_key(w)) for s, w in mix.items())))
             for t, mix in side.items()
         ))
         for side in profile

@@ -33,9 +33,14 @@ def fmt(value: Number) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
+def frac_key(value: Number) -> tuple[int, int]:
+    """``(numerator, denominator)``: equal exactly when the values are, and
+    hashed as ints, where hashing a ``Fraction`` runs a Python-level
+    modular inverse.  Memo keys built once per type and round use it."""
+    return value.numerator, value.denominator
+
+
 def weights_key(weights: dict) -> tuple:
     """The positive entries of ``{key: weight}`` as ``(key, numerator,
-    denominator)`` triples: equal exactly when the positive entries are,
-    and hashed as ints, where hashing a ``Fraction`` runs a Python-level
-    modular inverse.  Memo keys built once per type and round use it."""
-    return tuple((k, w.numerator, w.denominator) for k, w in weights.items() if w)
+    denominator)`` triples (``frac_key``)."""
+    return tuple((k, *frac_key(w)) for k, w in weights.items() if w)

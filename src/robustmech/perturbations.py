@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import AgentPayoff, ModelError, ScenarioModel
-from .numeric import Number, rat
+from .numeric import Number, frac_key, rat
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,9 @@ def _conditional_groups(weights, opp_type_index, classes):
 
 def _cells_key(type_groups, classes):
     """A type's per-group ``(payoff class, conditional weight)`` cells,
-    each weight as its numerator and denominator, which are hashed as
-    plain ints."""
+    each weight as its ``frac_key``."""
     return tuple(
-        tuple((classes[w], weight.numerator, weight.denominator) for w, weight in cells)
+        tuple((classes[w], *frac_key(weight)) for w, weight in cells)
         for _, cells in type_groups
     )
 
@@ -188,14 +187,12 @@ class Perturbation:
         anchor's, and the conditional weight of each positive-mass
         circumstance.  Blocks of one shape (coefficients and offsets from
         the anchor) share one entry of ``shapes``, keyed by ints: each
-        coefficient as its numerator and denominator."""
+        coefficient as its ``frac_key``."""
         members = [w for w in block if self.coef[w]]
         if not members:
             return block[0], Fraction(0), ()
         anchor = members[0]
-        shape = tuple(
-            (self.coef[w].numerator, self.coef[w].denominator, w - anchor) for w in members
-        )
+        shape = tuple((*frac_key(self.coef[w]), w - anchor) for w in members)
         hit = shapes.get(shape)
         if hit is None:
             rel = [self.coef[anchor + k] / self.coef[anchor] * self.ratio**k for _, _, k in shape]
