@@ -23,12 +23,18 @@ strategy's payoff is a sum of one-coordinate terms, less the learning
 cost when the strategy is not constant (``PayoffTable``).
 ``Game.coordinate_row`` holds those terms at one circumstance against
 one opponent pure strategy, and ``Game.payoff_table`` their weighted
-sum for one type against the opponent side of a profile.
+sum for one type against the opponent side of a profile.  A table
+stores its entries and cost as integer numerators over one positive
+denominator: a row is converted once, when it is cached, a type's table
+is summed from rows on integers alone, and its reads (value, best
+response, near-best members, deficits) compare and sum integers and
+build one exact ``Fraction`` at their output.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -82,6 +88,15 @@ class SignalStructure:
     meanings: tuple[tuple[int, ...], tuple[int, ...]]  # h_i, 1-based state index
 
     def __post_init__(self):
+        for key, p in self.joint.items():
+            if p < 0:
+                raise ModelError(f"signal joint probability of {key} is negative: {p}")
+            for agent in (0, 1):
+                if not 0 <= key[1 + agent] < self.sizes[agent]:
+                    raise ModelError(
+                        f"signal {key[1 + agent]} of agent {agent + 1} at {key} lies outside "
+                        f"0..{self.sizes[agent] - 1}"
+                    )
         if sum(self.joint.values()) != 1:
             raise ModelError("signal joint distribution must sum to one")
         for i in (0, 1):
@@ -181,6 +196,27 @@ class Game:
             self.perturbation = unperturbed(self.scenario)
         if self.perturbation.scenario is not self.scenario:
             raise ModelError("perturbation was built for a different scenario")
+        n = self.scenario.n
+        if self.signals is not None:
+            for theta, _, _ in self.signals.joint:
+                if not 0 <= theta < n:
+                    raise ModelError(
+                        f"signal structure names state index {theta}; the scenario has {n}"
+                    )
+            for agent, meanings in enumerate(self.signals.meanings):
+                for k, h in enumerate(meanings):
+                    if not 1 <= h <= n:
+                        raise ModelError(
+                            f"agent {agent + 1}'s signal {k} means state {h}, outside 1..{n}"
+                        )
+        if self.tremble is not None:
+            for agent, dist in enumerate(self.tremble.noise):
+                for m in dist:
+                    if m not in self.mechanism.messages[agent]:
+                        raise ModelError(
+                            f"tremble noise of agent {agent + 1} names message {m}, "
+                            "which the mechanism lacks"
+                        )
 
     def with_perturbation(self, perturbation: Perturbation) -> "Game":
         """This game's mechanism, signals and trembles under another
@@ -284,7 +320,8 @@ class Game:
         strategy ``opp``, by own coordinate: entry ``[k][m]`` sums
         ``p * state_value`` over the coords whose own index is ``k``, with
         ``m`` sent there, and the cost is the learning cost at ``circ``.
-        Cached by the circumstance's payoff class, which fixes the row."""
+        Cached by the circumstance's payoff class, which fixes the row;
+        converted to integer numerators once, when it is cached."""
         key = (agent, self.perturbation.payoff_class(agent, circ), opp)
         hit = self._row_cache.get(key)
         if hit is not None:
@@ -300,7 +337,8 @@ class Game:
                 cell, a = cells[k2], opp[k1]
                 for m in msgs:
                     cell[m] += p * self.state_value(1, circ, theta, a, m)
-        row = self._row_cache[key] = PayoffTable(cells, self.perturbation.cost(agent, circ))
+        row = PayoffTable.from_fractions(cells, self.perturbation.cost(agent, circ))
+        self._row_cache[key] = row
         return row
 
     def inner_value(self, agent: int, circ: int, own: PureStrategy, opp: PureStrategy) -> Number:
@@ -321,7 +359,11 @@ class Game:
         """The type's payoffs against the opponent side of a profile, by
         coordinate: cell weight x opponent weight x coordinate row, entries
         and cost alike, summed over the type's signature cells.  Memoized
-        by ``type_signature``."""
+        by ``type_signature``.
+
+        The sum runs on integers: the table's denominator is the least
+        common multiple of every term's ``scale.denominator x row.den``,
+        and each row's numerators are scaled by one integer factor."""
         pert = self.perturbation
         if not pert.type_groups(agent, type_index):
             raise ModelError("expected payoff of a zero-probability type")
@@ -329,9 +371,7 @@ class Game:
         hit = self._table_cache.get(key)
         if hit is not None:
             return hit
-        msgs = self.mechanism.messages[agent]
-        coords = tuple(dict.fromkeys(msgs, Fraction(0)) for _ in range(self.strategy_length(agent)))
-        cost = Fraction(0)
+        terms = []
         for opp_type, cells in pert.type_groups(agent, type_index):
             for r, weight in opponent[opp_type].items():
                 if not weight:
@@ -339,37 +379,74 @@ class Game:
                 for w, mass in cells:
                     scale = mass * weight
                     row = self.coordinate_row(agent, w, r)
-                    cost += scale * row.cost
-                    for cell, terms in zip(coords, row.coords):
-                        for m, term in terms.items():
-                            cell[m] += scale * term
-        table = self._table_cache[key] = PayoffTable(coords, cost)
+                    terms.append((scale.numerator, scale.denominator * row.den, row))
+        den = math.lcm(*(d for _, d, _ in terms))
+        msgs = self.mechanism.messages[agent]
+        nums = tuple(dict.fromkeys(msgs, 0) for _ in range(self.strategy_length(agent)))
+        cost = 0
+        for num, d, row in terms:
+            factor = num * (den // d)
+            cost += factor * row.cost_num
+            for cell, entries in zip(nums, row.nums):
+                for m, e in entries.items():
+                    cell[m] += factor * e
+        table = self._table_cache[key] = PayoffTable(nums, cost, den)
         return table
 
 
 class PayoffTable:
-    """Payoffs against fixed opponent play, separated by own coordinate:
-    ``coords[k][m]`` is the payoff share of sending ``m`` at coordinate
-    ``k``, and ``cost`` the learning cost a non-constant strategy pays.
-    A coordinate row holds one circumstance's against one opponent pure
-    strategy; a type's table is their weighted sum.  A plain slotted
-    class: a dataclass would cost every process about 1 ms at import."""
+    """Payoffs against fixed opponent play, separated by own coordinate,
+    stored exactly as integer numerators over one positive denominator
+    ``den``: ``nums[k][m] / den`` is the payoff share of sending ``m`` at
+    coordinate ``k``, and ``cost_num / den`` the learning cost a
+    non-constant strategy pays.  A coordinate row holds one
+    circumstance's against one opponent pure strategy; a type's table is
+    their weighted sum.
 
-    __slots__ = ("coords", "cost", "_best")
+    Every comparison and sum runs on the integers, and each read builds
+    one ``Fraction`` at its output: ``value``, ``best``'s value,
+    ``deficit`` and ``entries``.  A plain slotted class: a
+    dataclass would cost every process about 1 ms at import."""
 
-    def __init__(self, coords: tuple[dict[int, Number], ...], cost: Number):
-        self.coords = coords
-        self.cost = cost
+    __slots__ = ("nums", "cost_num", "den", "_best")
+
+    def __init__(self, nums: tuple[dict[int, int], ...], cost_num: int, den: int):
+        self.nums = nums
+        self.cost_num = cost_num
+        self.den = den
         self._best = {}
 
-    def value(self, strategy: PureStrategy) -> Number:
-        """Payoff of any pure strategy over the agent's messages."""
-        total = sum(cell[m] for cell, m in zip(self.coords, strategy))
-        return total if is_constant(strategy) else total - self.cost
+    @classmethod
+    def from_fractions(cls, coords: tuple[dict[int, Number], ...], cost: Number) -> "PayoffTable":
+        """The table of exact entries ``coords[k][m]`` and ``cost``, over
+        the least common multiple of their denominators."""
+        den = math.lcm(cost.denominator, *(x.denominator for cell in coords for x in cell.values()))
+        nums = tuple(
+            {m: x.numerator * (den // x.denominator) for m, x in cell.items()} for cell in coords
+        )
+        return cls(nums, cost.numerator * (den // cost.denominator), den)
 
-    def best(self, choices: StrategySet) -> tuple[tuple[PureStrategy, ...], Number]:
+    def entries(self) -> tuple[dict[int, Fraction], ...]:
+        """The entries as exact ``Fraction``s, ``[k][m]``, built anew on
+        each call."""
+        return tuple({m: Fraction(x, self.den) for m, x in cell.items()} for cell in self.nums)
+
+    def _value_num(self, strategy: PureStrategy) -> int:
+        total = sum(cell[m] for cell, m in zip(self.nums, strategy))
+        return total if is_constant(strategy) else total - self.cost_num
+
+    def value(self, strategy: PureStrategy) -> Fraction:
+        """Payoff of any pure strategy over the agent's messages."""
+        return Fraction(self._value_num(strategy), self.den)
+
+    def best(self, choices: StrategySet) -> tuple[tuple[PureStrategy, ...], Fraction]:
         """Canonically ordered maximizers over the product of ``choices``
-        and their value, memoized per ``choices``.
+        and their value, memoized per ``choices``."""
+        winners, value, _ = self._top(choices)
+        return winners, value
+
+    def _top(self, choices: StrategySet) -> tuple[tuple[PureStrategy, ...], Fraction, int]:
+        """``best``'s maximizers and value, and the value's numerator.
 
         A non-constant strategy is worth the sum of its coordinate entries
         less ``cost``, so the best of them takes a per-coordinate argmax,
@@ -381,11 +458,11 @@ class PayoffTable:
         hit = self._best.get(choices)
         if hit is not None:
             return hit
-        if len(choices) != len(self.coords) or not all(choices):
-            raise ModelError(f"strategy set needs {len(self.coords)} non-empty coordinates")
+        if len(choices) != len(self.nums) or not all(choices):
+            raise ModelError(f"strategy set needs {len(self.nums)} non-empty coordinates")
         top = 0
         argmax = []
-        for k, (cell, ms) in enumerate(zip(self.coords, choices)):
+        for k, (cell, ms) in enumerate(zip(self.nums, choices)):
             for m in ms:
                 if m not in cell:
                     raise ModelError(f"strategy set coordinate {k} names unknown message {m}")
@@ -393,40 +470,56 @@ class PayoffTable:
             top += high
             argmax.append(tuple(m for m in ms if cell[m] == high))
         constants = {
-            (m,) * len(choices): self.value((m,) * len(choices))
+            (m,) * len(choices): self._value_num((m,) * len(choices))
             for m in choices[0]
             if all(m in ms for ms in choices[1:])
         }
         mixed = len(choices) > 1 and (any(len(a) > 1 for a in argmax) or len(set(argmax)) > 1)
-        best_value = max([*constants.values(), *([top - self.cost] if mixed else [])])
-        winners = [s for s, v in constants.items() if v == best_value]
-        if mixed and top - self.cost == best_value:
+        best_num = max([*constants.values(), *([top - self.cost_num] if mixed else [])])
+        winners = [s for s, v in constants.items() if v == best_num]
+        if mixed and top - self.cost_num == best_num:
             winners += [s for s in itertools.product(*argmax) if not is_constant(s)]
-        hit = self._best[choices] = (tuple(sorted(winners)), best_value)
+        hit = self._best[choices] = (tuple(sorted(winners)), Fraction(best_num, self.den), best_num)
         return hit
+
+    def deficit(self, choices: StrategySet, mixture: TypeStrategy) -> Fraction:
+        """The best value over ``choices`` less the value of ``mixture``,
+        ``{strategy: weight}``, whose weights need not sum to one: a
+        residual, or for a pure strategy of weight one its deficit.
+        Summed over the least common multiple of the weights'
+        denominators."""
+        scale = math.lcm(*(w.denominator for w in mixture.values() if w))
+        total = self._top(choices)[2] * scale
+        for s, w in mixture.items():
+            if w:
+                total -= w.numerator * (scale // w.denominator) * self._value_num(s)
+        return Fraction(total, self.den * scale)
 
     def near_best(self, choices: StrategySet, slack: Number) -> list[PureStrategy]:
         """Every member of the product of ``choices`` worth at least the
         best value less ``slack``, in canonical order.
 
-        Depth first over the coordinates, in ascending message order.  A
-        prefix's entries plus the per-coordinate maxima of the coordinates
-        after it bound every completion's value from above, because the
-        cost is non-negative, and a prefix whose bound falls below the
-        threshold is dropped.  The bound is carried as ``room``, its excess
-        over the threshold, which each entry lowers by its gap to its
-        coordinate's maximum.  A completed strategy's room is its entries'
-        sum less the threshold, exactly, so it is kept iff its room covers
-        the cost it pays: pruning never decides membership.
+        Values are numerators over ``den``, so a member is kept iff its
+        numerator is at least the best one less ``floor(slack * den)``,
+        exactly, whatever ``slack``'s denominator.  Depth first over the
+        coordinates, in ascending message order.  A prefix's entries plus
+        the per-coordinate maxima of the coordinates after it bound every
+        completion's value from above, because the cost is non-negative,
+        and a prefix whose bound falls below the threshold is dropped.  The
+        bound is carried as ``room``, its excess over the threshold, which
+        each entry lowers by its gap to its coordinate's maximum.  A
+        completed strategy's room is its entries' sum less the threshold,
+        exactly, so it is kept iff its room covers the cost it pays:
+        pruning never decides membership.
         """
-        floor = self.best(choices)[1] - slack
-        tops = [max(cell[m] for m in ms) for cell, ms in zip(self.coords, choices)]
-        gaps = [[(m, top - cell[m]) for m in ms] for cell, ms, top in zip(self.coords, choices, tops)]
+        floor = self._top(choices)[2] - slack.numerator * self.den // slack.denominator
+        tops = [max(cell[m] for m in ms) for cell, ms in zip(self.nums, choices)]
+        gaps = [[(m, top - cell[m]) for m in ms] for cell, ms, top in zip(self.nums, choices, tops)]
         out = []
 
         def extend(prefix, room):
             if len(prefix) == len(gaps):
-                if room >= (0 if is_constant(prefix) else self.cost):
+                if room >= (0 if is_constant(prefix) else self.cost_num):
                     out.append(prefix)
                 return
             for m, gap in gaps[len(prefix)]:

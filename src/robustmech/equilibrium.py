@@ -91,8 +91,9 @@ def equilibrium_residuals(
     mixture's value.  Pure deviations suffice because payoffs are affine
     in own mixtures.
 
-    Both values are read from the type's payoff table: the best one from
-    ``PayoffTable.best``, and the mixture's from ``PayoffTable.value``,
+    Both values are read from the type's payoff table by
+    ``PayoffTable.deficit``, on its integer numerators: the best one as in
+    ``PayoffTable.best``, and the mixture's as in ``PayoffTable.value``,
     which prices any message vector, inside the set or not.  So each
     residual equals ``best value - mixture_payoff``.
     """
@@ -110,10 +111,8 @@ def _residuals(game, profile, strategy_sets):
             if not pert.type_groups(agent, t):
                 continue
             table = game.payoff_table(agent, t, opponent)
-            winners, best_value = table.best(strategy_sets[agent])
-            own = sum(w * table.value(s) for s, w in profile[agent][t].items() if w)
-            residuals[(agent, t)] = best_value - own
-            deviations[(agent, t)] = winners[0]
+            residuals[(agent, t)] = table.deficit(strategy_sets[agent], profile[agent][t])
+            deviations[(agent, t)] = table.best(strategy_sets[agent])[0][0]
     return residuals, deviations
 
 
@@ -209,7 +208,7 @@ def gamma_dominance_threshold(
         # phi[b][k][m]: the prior-weighted payoff of sending m at state k
         # against b, read from the coordinate row of the constant (b, ..., b).
         phi = {
-            b: game.coordinate_row(agent, 0, (b,) * scenario.n).coords
+            b: game.coordinate_row(agent, 0, (b,) * scenario.n).entries()
             for b in {b for a in allowed for b in a}
         }
         # The adversary's worst reply at state k depends on the deviation

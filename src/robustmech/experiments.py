@@ -9,6 +9,7 @@ choice flows through a seeded generator recorded in the result.
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import itertools
 import json
@@ -667,7 +668,9 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
     or ``b`` is within ``epsilon`` of the best (``PayoffTable.near_best``).
     For each support that meets that band the deficits are read once: the
     passing weights lie on one side of the cut ``(epsilon - d_b) / (d_a -
-    d_b)``, and when ``d_a == d_b`` every weight passes."""
+    d_b)``, and when ``d_a == d_b`` every weight passes.  A support's
+    candidates are kept in ascending weight, so the passing ones are a
+    prefix or a suffix, found by bisection."""
     supports: dict[tuple, list] = {}
     for i, mix in enumerate(candidates):
         support = tuple(s for s, w in mix.items() if w)
@@ -677,26 +680,29 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
         ):
             raise ModelError(f"grid candidate {i} must mix at most two strategies of the set, "
                              "with weights summing to one")
-        supports.setdefault(support, []).append((i, mix[support[0]]))
+        supports.setdefault(support, []).append((mix[support[0]], i))
+    by_weight = {}
+    for support, members in supports.items():
+        members.sort()
+        by_weight[support] = ([w for w, _ in members], [i for _, i in members])
 
     def passing(agent):
         """Per opponent candidate, the own candidates passing against it."""
         out = []
         for opp in candidates:
             table = game.payoff_table(agent, 0, {0: opp})
-            best = table.best(strategy_set)[1]
             band = set(table.near_best(strategy_set, epsilon))
             passed = set()
-            for support, members in supports.items():
+            for support, (weights, ids) in by_weight.items():
                 if band.isdisjoint(support):
                     continue
                 if len(support) == 2:
-                    d_a, d_b = (best - table.value(s) for s in support)
-                    if d_a != d_b:
-                        cut = (epsilon - d_b) / (d_a - d_b)
-                        passed.update(i for i, w in members if (w <= cut if d_a > d_b else w >= cut))
-                        continue
-                passed.update(i for i, _ in members)
+                    d_a, d_b = (table.deficit(strategy_set, {s: 1}) for s in support)
+                    if d_a > d_b:
+                        ids = ids[:bisect.bisect_right(weights, (epsilon - d_b) / (d_a - d_b))]
+                    elif d_a < d_b:
+                        ids = ids[bisect.bisect_left(weights, (epsilon - d_b) / (d_a - d_b)):]
+                passed.update(ids)
             out.append(passed)
         return out
 

@@ -625,7 +625,7 @@ def payoff_tables(draw):
     choices = tuple(
         tuple(sorted(draw(st.sets(st.sampled_from((1, 2, 3)), min_size=1)))) for _ in range(n)
     )
-    return PayoffTable(coords, cost), choices
+    return PayoffTable.from_fractions(coords, cost), choices
 
 
 @given(payoff_tables(), st.sampled_from([F(0), F(1, 4), F(1, 2), F(2)]))
@@ -637,3 +637,71 @@ def test_near_best_matches_brute_force(drawn, slack):
     table, choices = drawn
     assert table.near_best(choices, slack) == naive.near_best(table, choices, slack)
     assert table.near_best(choices, 0) == list(table.best(choices)[0])
+
+
+# Primes, so the denominators of one table are unrelated and large.
+PRIMES = (3, 7, 10_007, 65_537, 999_983, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def exact_tables(draw):
+    """Exact entries at 1-4 coordinates over messages -1, 1, 2, 3, whose
+    denominators are products of unrelated large primes, drawn from a
+    small pool so that ties are common; a cost of zero or of another
+    such denominator; a non-empty, possibly restricted, choice per
+    coordinate; and a mixture over the members, whose weights need not
+    sum to one."""
+    msgs = (-1, 1, 2, 3)
+    big = st.builds(
+        lambda num, p, q: F(num, p * q),
+        st.integers(-(10**20), 10**20), st.sampled_from(PRIMES), st.sampled_from(PRIMES),
+    )
+    pool = draw(st.lists(big, min_size=1, max_size=3))
+    n = draw(st.integers(1, 4))
+    coords = tuple({m: draw(st.sampled_from(pool) | big) for m in msgs} for _ in range(n))
+    cost = draw(st.just(F(0)) | st.builds(abs, big))
+    choices = tuple(
+        tuple(sorted(draw(st.sets(st.sampled_from(msgs), min_size=1)))) for _ in range(n)
+    )
+    members = list(itertools.product(*choices))
+    weights = st.fractions(min_value=0, max_value=1, max_denominator=997)
+    mixture = draw(st.dictionaries(st.sampled_from(members), weights, min_size=1, max_size=3))
+    return coords, cost, choices, mixture
+
+
+@given(exact_tables(), st.integers(0, 10**12), st.integers(0, 255), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_payoff_table_matches_fraction_evaluation(drawn, slack_num, pick, shift):
+    """The integer table against brute-force ``Fraction`` sums of the same
+    entries: every value, the best value and maximizers, ``near_best``,
+    and the deficits of every member and of a mixture, all equal exactly
+    and of type ``Fraction``.  ``near_best`` runs under two slacks: one
+    drawn at random, whose denominator carries the prime 1,000,003, which
+    no entry uses, so it does not divide the table's, and one within
+    ``3 / (1,000,003 x den)`` of a member's deficit, where a threshold
+    rounded the wrong way would keep or drop that member, or on it."""
+    coords, cost, choices, mixture = drawn
+    table = PayoffTable.from_fractions(coords, cost)
+    assert table.entries() == coords and F(table.cost_num, table.den) == cost
+    value = {
+        s: sum(cell[m] for cell, m in zip(coords, s)) - (0 if len(set(s)) == 1 else cost)
+        for s in itertools.product(*full_strategy_set((-1, 1, 2, 3), len(coords)))
+    }
+    for s, v in value.items():
+        assert table.value(s) == v and type(table.value(s)) is F
+    members = list(itertools.product(*choices))
+    best = max(value[s] for s in members)
+    winners, best_value = table.best(choices)
+    assert winners == tuple(s for s in members if value[s] == best)
+    assert best_value == best and type(best_value) is F
+    far = F(slack_num, 1_000_003)
+    assert far == 0 or table.den % far.denominator
+    near = best - value[members[pick % len(members)]] + F(shift, 1_000_003 * table.den)
+    for slack in (far, max(near, F(0))):
+        assert table.near_best(choices, slack) == [s for s in members if value[s] >= best - slack]
+    for s in members:
+        deficit = table.deficit(choices, {s: 1})
+        assert deficit == best - value[s] and type(deficit) is F
+    residual = table.deficit(choices, mixture)
+    assert residual == best - sum(w * value[s] for s, w in mixture.items())
+    assert type(residual) is F

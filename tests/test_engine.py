@@ -54,6 +54,38 @@ def test_signal_distribution_validated():
         SignalStructure((2, 2), {(0, 0, 0): F(1, 2)}, ((1, 2), (1, 2)))
 
 
+def test_signal_structure_refuses_a_negative_probability():
+    """A negative mass is refused even when the masses sum to one."""
+    joint = {(0, 0, 0): F(3, 2), (1, 1, 1): F(-1, 2)}
+    with pytest.raises(ModelError, match=r"\(1, 1, 1\) is negative"):
+        SignalStructure((2, 2), joint, ((1, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("key", [(0, 2, 0), (0, 0, 2), (0, -1, 0)])
+def test_signal_structure_refuses_a_signal_outside_its_sizes(key):
+    """Agent 1 has two signals and agent 2 two: a signal index 2, or a
+    negative one, would end in an ``IndexError`` in ``coordinate_row``."""
+    joint = {(0, 0, 0): F(1, 2), key: F(1, 2)}
+    with pytest.raises(ModelError, match="lies outside 0..1"):
+        SignalStructure((2, 2), joint, ((1, 2), (1, 2)))
+
+
+def test_game_refuses_a_signal_state_outside_the_scenario():
+    s = binary_trial_scenario()
+    structure = SignalStructure((2, 2), {(0, 0, 0): F(1, 2), (2, 1, 1): F(1, 2)}, ((1, 2), (1, 2)))
+    with pytest.raises(ModelError, match="state index 2; the scenario has 2"):
+        Game(s, build_status_quo(s, 1), signals=structure)
+
+
+@pytest.mark.parametrize("meaning", [0, 3])
+def test_game_refuses_a_signal_meaning_outside_the_states(meaning):
+    s = binary_trial_scenario()
+    joint = {(0, 0, 0): F(7, 10), (1, 1, 1): F(3, 10)}
+    structure = SignalStructure((2, 2), joint, ((1, 2), (1, meaning)))
+    with pytest.raises(ModelError, match=f"agent 2's signal 1 means state {meaning}, outside 1..2"):
+        Game(s, build_status_quo(s, 1), signals=structure)
+
+
 def test_full_and_restricted_strategy_sets():
     assert full_strategy_set((2, 1), 2) == ((1, 2), (1, 2))
     assert restricted_strategy_set("sqr", 2) == ((1,), (1, 2))
@@ -149,6 +181,15 @@ def test_tremble_validation():
         TrembleSpec(F(1, 10), ({1: F(1, 2)}, {1: F(1)}))
 
 
+def test_game_refuses_tremble_noise_on_an_unknown_message():
+    """Noise on a message the mechanism lacks would end in a ``KeyError``
+    from ``pair_values``; the game refuses it, naming agent and message."""
+    s = binary_trial_scenario()
+    tremble = TrembleSpec(F(1, 10), ({1: F(1, 2), 7: F(1, 2)}, {1: F(1, 2), 2: F(1, 2)}))
+    with pytest.raises(ModelError, match="agent 1 names message 7"):
+        Game(s, build_status_quo(s, 1), tremble=tremble)
+
+
 def test_nonconstant_strategy_pays_the_cost():
     s = binary_trial_scenario()
     g = Game(s, build_status_quo(s, 1))
@@ -163,9 +204,9 @@ def test_nonconstant_strategy_pays_the_cost():
     # strategy only.
     costly = three_state_scenario(cost=3)
     row = Game(costly, build_status_quo(costly, 3)).coordinate_row(0, 0, (1, 2, 3))
-    assert row.cost == 3
+    assert row.cost_num == 3 * row.den
     for strategy in ((1, 1, 1), (1, 2, 1)):
-        entries = sum(cell[m] for cell, m in zip(row.coords, strategy))
+        entries = sum(cell[m] for cell, m in zip(row.entries(), strategy))
         charged = 0 if strategy == (1, 1, 1) else 3
         assert row.value(strategy) == entries - charged
 

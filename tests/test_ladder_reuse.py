@@ -1,7 +1,9 @@
 """Work that best-response runs on a ladder do only once: payoff rows
 shared across the games of one eta grid, best-response rounds that
-recheck only the neighbours of the last round's movers, and type kinds
-that key the payoff-table memo without hashing a weight."""
+recheck only the neighbours of the last round's movers, type kinds
+that key the payoff-table memo without hashing a weight, and rows
+converted to integers once, so that a type's table sums no
+``Fraction``."""
 
 import fractions
 from fractions import Fraction as F
@@ -194,3 +196,29 @@ def test_verification_walks_the_circumstances_once(monkeypatch):
     assert set(labels[0]) == {(0, 0), (1, 0)}
     assert (report.truthful_mass, report.max_tv) == (
         result.report.truthful_mass, result.report.max_tv)
+
+
+def test_tables_on_warm_rows_add_no_fraction(monkeypatch):
+    """With the rows a type meets already built, a fresh payoff table for
+    it, its best response and its near-best members run on integers:
+    no ``Fraction`` is added."""
+    game = Game(THREE, MECH, _ladder(ETAS[1]))
+    sides = len(game.perturbation.partitions[1])
+    for r in ((1, 2, 3), (1, 1, 1)):
+        game.payoff_table(0, 1, {u: {r: F(1)} for u in range(sides)})
+    rows = len(game._row_cache)
+    opponent = {u: {(1, 2, 3): F(1, 3), (1, 1, 1): F(2, 3)} for u in range(sides)}
+    added = [0]
+    for name in ("__add__", "__radd__"):
+        original = getattr(fractions.Fraction, name)
+
+        def counted(self, other, original=original):
+            added[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(fractions.Fraction, name, counted)
+    table = game.payoff_table(0, 1, opponent)
+    table.best(SETS[0])
+    table.near_best(SETS[0], F(1, 7))
+    assert added[0] == 0 and len(game._row_cache) == rows
+    assert F(1, 3) + 1 == 1 + F(1, 3) and added[0] == 2
