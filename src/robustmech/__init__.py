@@ -47,6 +47,7 @@ from .experiments import (
 from .equilibrium import (
     BRIterationResult,
     DominanceCertificate,
+    EliminationResult,
     EquilibriumReport,
     best_response,
     equilibrium_residuals,

@@ -168,7 +168,7 @@ def cmd_dominance_eliminate(args):
                 full_strategy_set(mech.messages[1], game.strategy_length(1)))
     else:
         sets = _strategy_sets(args.kind, scenario)
-    surviving, rounds = iterated_dominance(game, sets, args.mixture_denominator)
+    surviving, rounds, _ = iterated_dominance(game, sets, args.mixture_denominator)
     counts = {f"agent{a + 1}": {t: len(pool) for t, pool in surviving[a].items()}
               for a in (0, 1)}
     print(f"rounds: {rounds}")

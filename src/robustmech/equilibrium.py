@@ -10,8 +10,10 @@ numbers, so negative messages come before positive ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ModelError, ScenarioModel
 from .engine import (
@@ -336,11 +338,20 @@ def _profile_key(profile: StrategyProfile):
 # -- iterated strict dominance --------------------------------------------
 
 
+class EliminationResult(NamedTuple):
+    """``eliminated[r]`` lists the ``(agent, type, strategy)`` triples
+    removed in round ``r + 1``, sorted; the last round removes none."""
+
+    surviving: list[dict[int, list[PureStrategy]]]
+    rounds: int
+    eliminated: tuple[tuple[tuple[int, int, PureStrategy], ...], ...]
+
+
 def iterated_dominance(
     game: Game,
     strategy_sets: tuple[StrategySet, StrategySet],
     mixture_denominator: int = 0,
-) -> tuple[list[dict[int, list[PureStrategy]]], int]:
+) -> EliminationResult:
     """Interim iterated elimination of strictly dominated strategies.
 
     A type's strategy is eliminated when some other surviving strategy
@@ -350,8 +361,8 @@ def iterated_dominance(
     comparison is a sum of per-opponent-type minima.  Every type's pool
     starts as the product of its agent's per-coordinate choices, in
     canonical order; surviving pools are not products, so they are member
-    lists.  Returns the surviving lists per (agent, type) and the number
-    of rounds to the fixed point.
+    lists.  Returns the surviving lists per (agent, type), the number of
+    rounds to the fixed point and the strategies each round eliminated.
 
     A round checks agent 1's types, then agent 2's, so agent 2 sees agent
     1's eliminations of the same round.  A type is checked again only
@@ -359,15 +370,17 @@ def iterated_dominance(
     since its last check.  Its own pool shrinking needs no recheck: a
     strategy that no member or grid mixture of a pool dominates stays
     undominated within any subset of that pool.  Every skipped check would
-    have eliminated nothing, so the surviving sets after each round, and
-    the round count, equal those of checking every type every round.
+    have eliminated nothing, so the surviving sets after each round, the
+    round count and each round's eliminations equal those of checking
+    every type every round.
 
     A check's result is memoized on the game by ``(agent, pool,
     type_signature against the opponent surviving sets,
-    mixture_denominator)``.  Every dominance margin is a sum over the
-    signature's cells of weight x ``inner_value``, which the payoff class
-    fixes, minimized over the surviving opponent strategies, so types
-    with equal keys keep the same strategies.
+    mixture_denominator)``.  A check reads each pool member's value
+    against each surviving opponent strategy once (``_undominated``):
+    a sum over the signature's cells of weight x ``inner_value``, which
+    the payoff class fixes, so types with equal keys keep the same
+    strategies.
     """
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
@@ -378,8 +391,9 @@ def iterated_dominance(
         for agent in (0, 1)
     ]
     stale = [set(surviving[0]), set(surviving[1])]
+    eliminated = []
     for rounds in itertools.count():
-        changed = False
+        removed = []
         for agent in (0, 1):
             opp = 1 - agent
             todo, stale[agent] = stale[agent], set()
@@ -391,59 +405,75 @@ def iterated_dominance(
                        mixture_denominator)
                 keep = game._dom_cache.get(key)
                 if keep is None:
-                    keep = game._dom_cache[key] = tuple(
-                        s
-                        for s in pool
-                        if not _is_dominated(
-                            game, agent, t, s, pool, surviving[opp], mixture_denominator
-                        )
+                    keep = game._dom_cache[key] = _undominated(
+                        game, agent, t, pool, surviving[opp], mixture_denominator
                     )
                 if len(keep) != len(pool):
+                    removed.extend((agent, t, s) for s in pool if s not in keep)
                     surviving[agent][t] = list(keep)
-                    changed = True
                     stale[opp].update(u for u, _ in pert.type_groups(agent, t))
-        if not changed:
-            return surviving, rounds
+        # Agents, types and pools are walked in order, so ``removed`` is sorted.
+        eliminated.append(tuple(removed))
+        if not removed:
+            return EliminationResult(surviving, rounds, tuple(eliminated))
 
 
-def _pair_margin(game: Game, agent: int, t: int, better, worse, opp_surviving):
-    """Worst-case gain of ``better`` over ``worse`` in conditional weights
-    (the interim gain divided by the type's positive mass, so its sign is
-    the interim sign); ``better`` may be a pure strategy or a
-    [(strategy, weight)] mixture."""
-    total = Fraction(0)
-    for opp_type, cells in game.perturbation.type_groups(agent, t):
-        best = None
-        for r in opp_surviving[opp_type]:
-            gain = Fraction(0)
-            for w, mass in cells:
-                if isinstance(better, tuple):
-                    up = game.inner_value(agent, w, better, r)
-                else:
-                    up = sum(
-                        wt * game.inner_value(agent, w, s, r) for s, wt in better
-                    )
-                gain += mass * (up - game.inner_value(agent, w, worse, r))
-            if best is None or gain < best:
-                best = gain
-        total += best
-    return total
+def _undominated(game: Game, agent: int, t: int, pool, opp_surviving, mixture_denominator):
+    """The members of ``pool`` that no other member, nor a grid mixture
+    of two others, strictly dominates for type ``t``, in pool order.
 
+    ``v[g][r][s]`` is member ``s``'s value against the ``r``-th surviving
+    strategy of the ``g``-th opponent type the type meets: its cells'
+    conditional weight x ``inner_value``, summed.  Each is read once, as
+    an integer numerator over one least common multiple of every term's
+    ``weight.denominator x value.denominator``, as in ``payoff_table``.
+    Member ``j`` dominates ``i`` iff ``sum_g min_r (v[j] - v[i]) > 0``;
+    the mixture of ``a`` at ``k/D`` and ``b`` at ``(D - k)/D`` does iff
+    ``sum_g min_r (k v[a] + (D - k) v[b] - D v[i]) > 0``.
+    """
+    terms = [
+        [
+            [[(mass, game.inner_value(agent, w, s, r)) for w, mass in cells] for s in pool]
+            for r in opp_surviving[opp_type]
+        ]
+        for opp_type, cells in game.perturbation.type_groups(agent, t)
+    ]
+    den = math.lcm(*{
+        m.denominator * x.denominator
+        for rows in terms for row in rows for cell in row for m, x in cell
+    })
+    v = [
+        [
+            [
+                sum(m.numerator * x.numerator * (den // (m.denominator * x.denominator))
+                    for m, x in cell)
+                for cell in row
+            ]
+            for row in rows
+        ]
+        for rows in terms
+    ]
 
-def _is_dominated(game, agent, t, s, pool, opp_surviving, mixture_denominator):
-    for other in pool:
-        if other == s:
-            continue
-        if _pair_margin(game, agent, t, other, s, opp_surviving) > 0:
-            return True
-    if mixture_denominator > 1:
-        for a, b in itertools.combinations([x for x in pool if x != s], 2):
-            for k in range(1, mixture_denominator):
-                w = Fraction(k, mixture_denominator)
-                mix = [(a, w), (b, 1 - w)]
-                if _pair_margin(game, agent, t, mix, s, opp_surviving) > 0:
-                    return True
-    return False
+    def dominates(up, i, scale):
+        """Whether the member combination ``up(row)`` beats ``scale`` times
+        member ``i`` against every opponent selection."""
+        return sum(min(up(row) - scale * row[i] for row in rows) for rows in v) > 0
+
+    size = len(pool)
+    keep = []
+    for i in range(size):
+        others = [j for j in range(size) if j != i]
+        dominated = any(dominates(lambda row: row[j], i, 1) for j in others)
+        if not dominated and mixture_denominator > 1:
+            d = mixture_denominator
+            dominated = any(
+                dominates(lambda row: k * row[a] + (d - k) * row[b], i, d)
+                for a, b in itertools.combinations(others, 2)
+                for k in range(1, d)
+            )
+        if not dominated:
+            keep.append(pool[i])
+    return tuple(keep)
 
 
 # -- exact bimatrix solving ------------------------------------------------

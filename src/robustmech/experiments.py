@@ -1140,7 +1140,7 @@ def run_maskin_contagion(
             tail="renormalize",
         )
         game = Game(scenario, mech, pert)
-        surviving, rounds = iterated_dominance(game, (full, full))
+        surviving, rounds, _ = iterated_dominance(game, (full, full))
         unique = all(
             surviving[a][t] == [(1,) * scenario.n]
             for a in (0, 1)

@@ -261,7 +261,7 @@ def iterated_dominance(
     strategy_sets: tuple[StrategySet, StrategySet],
     mixture_denominator: int = 0,
     max_rounds: int = 10_000,
-) -> tuple[list[dict[int, list[PureStrategy]]], int]:
+) -> tuple[list[dict[int, list[PureStrategy]]], int, tuple]:
     """Interim iterated elimination of strictly dominated strategies.
 
     A type's strategy is eliminated when some other surviving strategy
@@ -269,8 +269,9 @@ def iterated_dominance(
     does strictly better against every selection of surviving opponent
     strategies.  The worst case separates across opponent types, so each
     comparison is a sum of per-opponent-type minima.  Returns the
-    surviving sets per (agent, type) and the number of rounds to the
-    fixed point.
+    surviving sets per (agent, type), the number of rounds to the fixed
+    point and, per round run, the sorted ``(agent, type, strategy)``
+    triples it eliminated.
     """
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
@@ -281,8 +282,10 @@ def iterated_dominance(
         for agent in (0, 1)
     ]
     rounds = 0
+    eliminated = []
     while rounds < max_rounds:
         changed = False
+        removed = []
         for agent in (0, 1):
             opp = 1 - agent
             for t, pool in surviving[agent].items():
@@ -296,12 +299,14 @@ def iterated_dominance(
                     )
                 ]
                 if len(keep) != len(pool):
+                    removed.extend((agent, t, s) for s in pool if s not in keep)
                     surviving[agent][t] = keep
                     changed = True
+        eliminated.append(tuple(sorted(removed)))
         if not changed:
             break
         rounds += 1
-    return surviving, rounds
+    return surviving, rounds, tuple(eliminated)
 
 
 def _type_groups(game: Game, agent: int, t: int):

@@ -17,6 +17,7 @@ from robustmech import (
     BiasSpec,
     Game,
     Lottery,
+    Mechanism,
     ModelError,
     Perturbation,
     SignalStructure,
@@ -144,7 +145,8 @@ def assert_masses_match_naive(pert):
 def assert_matches_naive(game, sets, mixture_denominator):
     reference = naive.NaiveGame(game)
     want = naive.iterated_dominance(reference, sets, mixture_denominator)
-    # Fresh dominance memo, then a warmed one that answers every check.
+    # Surviving lists, rounds and elimination history; a fresh dominance
+    # memo, then a warmed one that answers every check.
     assert iterated_dominance(game, sets, mixture_denominator) == want
     assert iterated_dominance(game, sets, mixture_denominator) == want
     pert = game.perturbation
@@ -389,6 +391,38 @@ def test_memo_separates_equal_weights_facing_different_play():
     assert values[0] != values[1]
 
 
+def test_a_grid_mixture_alone_eliminates():
+    """Agent 1 is paid only by transfers, under one constant outcome and
+    no learning cost: message 1 pays 12 when agent 2 sends 1 and 9
+    otherwise, message 2 the reverse, message 3 pays 10.  At the second
+    coordinate agent 1 always sends 3, so (3, 3) is worth 10, and (1, 3)
+    and (2, 3) each fall to 93/10 when agent 2 sends the other message at
+    the first coordinate.  No member dominates (3, 3), but the half-half
+    mixture of (1, 3) and (2, 3), worth 21/2 x 7/10 + 3 = 207/20, does;
+    the grid points 1/4 and 3/4 are worth 393/40 at worst and do not.
+    The payoffs sit well above zero, so a margin that weighs the mixture
+    and the dominated member on different scales decides otherwise.
+    Agent 2 is paid nothing and keeps everything."""
+    s = binary_trial_scenario(cost=0)
+    msgs = ((1, 2, 3), (1, 2))
+    pays = {1: (12, 9), 2: (9, 12), 3: (10, 10)}
+    mech = Mechanism(
+        "mixture",
+        msgs,
+        {(a, b): s.scf(0) for a in msgs[0] for b in msgs[1]},
+        {(a, b): (F(pays[a][b - 1]), F(0)) for a in msgs[0] for b in msgs[1]},
+    )
+    game = Game(s, mech)
+    sets = (((1, 2, 3), (3,)), full_strategy_set(msgs[1], 2))
+    pure = iterated_dominance(game, sets, 0)
+    assert pure.surviving[0][0] == [(1, 3), (2, 3), (3, 3)] and pure.rounds == 0
+    mixed = iterated_dominance(Game(s, mech), sets, 4)
+    assert mixed.surviving[0][0] == [(1, 3), (2, 3)]
+    assert mixed.eliminated == (((0, 0, (3, 3)),), ())
+    for mixture_denominator in (0, 4):
+        assert_matches_naive(Game(s, mech), sets, mixture_denominator)
+
+
 def _counted(monkeypatch, module, name):
     """Replace ``module.name`` by a wrapper that counts its calls."""
     calls = [0]
@@ -407,7 +441,7 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     tables best responses build, the best responses memoized on those
     tables, and the dominance checks are all the same at depths 50 and
     100."""
-    checks = _counted(monkeypatch, equilibrium, "_is_dominated")
+    checks = _counted(monkeypatch, equilibrium, "_undominated")
 
     three = three_state_scenario()
     mech = build_augmented_status_quo(three)

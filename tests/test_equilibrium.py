@@ -16,6 +16,7 @@ from robustmech import (
     binary_trial_scenario,
     build_augmented_status_quo,
     build_ladder,
+    build_maskin,
     build_status_quo,
     expected_payoff,
     four_state_scenario,
@@ -24,6 +25,7 @@ from robustmech import (
     iterate_best_response,
     iterated_dominance,
     restricted_strategy_set,
+    simple_bias_ladder,
     support_enumeration_nash,
     three_state_scenario,
     truthful_profile,
@@ -31,6 +33,7 @@ from robustmech import (
 )
 from robustmech.engine import mixture_payoff
 from robustmech.equilibrium import solve_linear
+from robustmech.experiments import preferred_outcome_bias
 from robustmech.mechanisms import Mechanism, RewardSchedule
 
 
@@ -245,9 +248,33 @@ def test_br_iteration_detects_cycles():
 
 def test_iterated_dominance_keeps_truthful():
     game, sets = _sqr_game(binary_trial_scenario())
-    surviving, _ = iterated_dominance(game, sets)
+    surviving = iterated_dominance(game, sets).surviving
     for agent in (0, 1):
         assert game.truthful(agent) in surviving[agent][0]
+
+
+def test_contagion_wavefront_moves_one_rung_per_round():
+    """On the biased ladder under the Maskin rule, round 1 removes the
+    non-constant reports everywhere and the constant report 2 at type 0
+    of each agent; each later round r removes that report at type r - 1
+    of each agent only, one rung up the ladder, until round 11."""
+    s = binary_trial_scenario()
+    pert = simple_bias_ladder(
+        s, 20, F(1, 20), 0, preferred_outcome_bias(s, 0, 10), tail="renormalize"
+    )
+    game = Game(s, build_maskin(s, 1), pert)
+    full = full_strategy_set((1, 2), s.n)
+    result = iterated_dominance(game, (full, full))
+    types = range(len(pert.partitions[0]))
+    assert [len(pert.partitions[a]) for a in (0, 1)] == [11, 11]
+    first = sorted(
+        [(a, t, m) for a in (0, 1) for t in types for m in ((1, 2), (2, 1))]
+        + [(0, 0, (2, 2)), (1, 0, (2, 2))]
+    )
+    later = [((0, r - 1, (2, 2)), (1, r - 1, (2, 2))) for r in range(2, 12)]
+    assert result.eliminated == (tuple(first), *later, ())
+    assert result.rounds == 11 == len(result.eliminated) - 1
+    assert result == naive.iterated_dominance(naive.NaiveGame(game), (full, full))
 
 
 def test_support_enumeration_mixed():

@@ -203,6 +203,20 @@ def test_contagion_fast_grid():
     assert result.passed
 
 
+def test_contagion_certificate_fails_without_a_strong_bias():
+    """With the bias equal to the reward, round 1 removes only the
+    non-constant reports and the biased type keeps the constant report
+    2 beside the status quo, so nothing unravels and the certificate
+    fails at every grid point; ``bias_factor=10`` passes with 11 rounds."""
+    weak = run_experiment("maskin-contagion", bias_factor=1, depth=20)
+    assert weak.certificates == {"unique_survivor_everywhere": False}
+    rows = weak.artifacts["grid"]
+    assert [(row["unique_always_status_quo"], row["rounds"]) for row in rows] == [(False, 1)] * 3
+    strong = run_experiment("maskin-contagion", bias_factor=10, depth=20)
+    assert strong.certificates == {"unique_survivor_everywhere": True}
+    assert [row["rounds"] for row in strong.artifacts["grid"]] == [11] * 3
+
+
 def test_random_generic_prior():
     rng = random.Random(7)
     for n in (2, 3, 4):
