@@ -1,12 +1,12 @@
 """Strategies and payoff computation for the induced incomplete-information
 game.
 
-A pure strategy is a tuple of messages indexed by information realization:
-state index in the baseline, signal index when a signal structure is
-present.  A non-constant tuple implies paying the (circumstance-dependent)
-learning cost.  Type strategies are finite-support mixtures stored as
-``{pure_tuple: weight}`` dicts, and a profile is a pair of
-``{type_index: TypeStrategy}`` maps.
+A pure strategy is a tuple of messages indexed by the agent's signal; a
+game given no signal structure plays ``revealing_signals``, whose signal
+is the state.  A non-constant tuple implies paying the
+(circumstance-dependent) learning cost.  Type strategies are
+finite-support mixtures stored as ``{pure_tuple: weight}`` dicts, and a
+profile is a pair of ``{type_index: TypeStrategy}`` maps.
 
 All computations are pure functions of immutable inputs; the ``Game``
 wrapper only memoizes derived tables: payoffs and per-coordinate payoff
@@ -14,6 +14,11 @@ rows by payoff class, which ``Game.with_perturbation`` shares between the
 games of one scenario and biases, and per-type payoff tables, whose best
 responses are memoized on the table, and dominance checks by
 ``type_signature``.
+
+Trembles enter once, when a game is built: ``TrembleSpec.apply`` folds
+the realized messages into a mechanism whose lottery and transfers at
+each intended pair are their expectations, and every payoff and outcome
+lottery of the game reads that played mechanism.
 
 A ``StrategySet`` holds per coordinate the messages a strategy may send
 there, ascending; its members are their product, in canonical order.
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import Lottery, ModelError, ScenarioModel, tv_distance
@@ -76,6 +81,33 @@ class TrembleSpec:
             for i in range(2)
         )
         return TrembleSpec(rat(tau), noise)
+
+    def realized(self, agent: int, intended: int) -> list[tuple[int, Number]]:
+        """The agent's realized messages and their probabilities when it
+        intends ``intended``."""
+        dist: dict[int, Number] = {intended: 1 - self.tau}
+        for m, p in self.noise[agent].items():
+            if p:
+                dist[m] = dist.get(m, Fraction(0)) + self.tau * p
+        return list(dist.items())
+
+    def apply(self, mechanism: Mechanism) -> Mechanism:
+        """The mechanism as the intended pairs play it: at each intended
+        pair, the expected lottery and transfers over the realized pairs."""
+        outcome, transfer = {}, {}
+        for m1 in mechanism.messages[0]:
+            for m2 in mechanism.messages[1]:
+                t1 = t2 = Fraction(0)
+                parts = []
+                for a, p in self.realized(0, m1):
+                    for b, q in self.realized(1, m2):
+                        w = p * q
+                        t1 += w * mechanism.t(0, a, b)
+                        t2 += w * mechanism.t(1, a, b)
+                        parts.append((w, mechanism.g(a, b)))
+                outcome[(m1, m2)] = Lottery.mix(parts)
+                transfer[(m1, m2)] = (t1, t2)
+        return replace(mechanism, outcome=outcome, transfer=transfer)
 
 
 @dataclass(frozen=True)
@@ -177,14 +209,17 @@ def is_constant(strategy: PureStrategy) -> bool:
 @dataclass
 class Game:
     """A mechanism played under a perturbation, with optional signal noise
-    and trembles.  Derived tables are memoized; inputs stay immutable."""
+    and trembles.  Derived tables are memoized; inputs stay immutable.
+    ``played`` is the mechanism the game plays: ``tremble.apply(mechanism)``
+    under a tremble of positive probability, the mechanism itself
+    otherwise.  A game given no signals plays ``revealing_signals``."""
 
     scenario: ScenarioModel
     mechanism: Mechanism
     perturbation: Perturbation | None = None
     signals: SignalStructure | None = None
     tremble: TrembleSpec | None = None
-    _pair_cache: dict = field(default_factory=dict, repr=False)
+    played: Mechanism = field(init=False, repr=False)
     _inner_cache: dict = field(default_factory=dict, repr=False)
     _row_cache: dict = field(default_factory=dict, repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
@@ -197,18 +232,20 @@ class Game:
         if self.perturbation.scenario is not self.scenario:
             raise ModelError("perturbation was built for a different scenario")
         n = self.scenario.n
-        if self.signals is not None:
-            for theta, _, _ in self.signals.joint:
-                if not 0 <= theta < n:
+        if self.signals is None:
+            self.signals = revealing_signals(self.scenario)
+        for theta, _, _ in self.signals.joint:
+            if not 0 <= theta < n:
+                raise ModelError(
+                    f"signal structure names state index {theta}; the scenario has {n}"
+                )
+        for agent, meanings in enumerate(self.signals.meanings):
+            for k, h in enumerate(meanings):
+                if not 1 <= h <= n:
                     raise ModelError(
-                        f"signal structure names state index {theta}; the scenario has {n}"
+                        f"agent {agent + 1}'s signal {k} means state {h}, outside 1..{n}"
                     )
-            for agent, meanings in enumerate(self.signals.meanings):
-                for k, h in enumerate(meanings):
-                    if not 1 <= h <= n:
-                        raise ModelError(
-                            f"agent {agent + 1}'s signal {k} means state {h}, outside 1..{n}"
-                        )
+        self.played = self.mechanism
         if self.tremble is not None:
             for agent, dist in enumerate(self.tremble.noise):
                 for m in dist:
@@ -217,13 +254,15 @@ class Game:
                             f"tremble noise of agent {agent + 1} names message {m}, "
                             "which the mechanism lacks"
                         )
+            if self.tremble.tau:
+                self.played = self.tremble.apply(self.mechanism)
 
     def with_perturbation(self, perturbation: Perturbation) -> "Game":
         """This game's mechanism, signals and trembles under another
         perturbation of the same scenario object with equal biases.
 
-        The new game shares the caches keyed by payoff class: pair values,
-        state values, coordinate rows and ``inner_value``.  A payoff class
+        The new game shares the caches keyed by payoff class: state
+        values, coordinate rows and ``inner_value``.  A payoff class
         is ``None`` or an index into the biases, so equal biases give every
         class the same payoffs and cost in both games.  Payoff tables and
         dominance checks stay the new game's own, because their keys hold
@@ -239,7 +278,6 @@ class Game:
             perturbation,
             self.signals,
             self.tremble,
-            _pair_cache=self._pair_cache,
             _inner_cache=self._inner_cache,
             _row_cache=self._row_cache,
             _u_cache=self._u_cache,
@@ -250,50 +288,15 @@ class Game:
     @property
     def coords(self) -> list[tuple[int, int, int, Number]]:
         """Joint support of (state, own-coordinate, opp-coordinate)."""
-        if self.signals is None:
-            return [(j, j, j, self.scenario.prior[j]) for j in range(self.scenario.n)]
         return [(theta, k1, k2, p) for (theta, k1, k2), p in self.signals.joint.items() if p]
 
     def strategy_length(self, agent: int) -> int:
-        if self.signals is None:
-            return self.scenario.n
         return self.signals.sizes[agent]
 
     def truthful(self, agent: int) -> PureStrategy:
-        """Report the state index, or the meaning of the signal."""
-        if self.signals is None:
-            return tuple(range(1, self.scenario.n + 1))
+        """Report the meaning of the signal: the state index, when signals
+        reveal it."""
         return self.signals.meanings[agent]
-
-    # -- realized-message tables -------------------------------------------
-
-    def realized(self, agent: int, intended: int) -> list[tuple[int, Number]]:
-        if self.tremble is None or self.tremble.tau == 0:
-            return [(intended, Fraction(1))]
-        tau = self.tremble.tau
-        dist: dict[int, Number] = {intended: 1 - tau}
-        for m, p in self.tremble.noise[agent].items():
-            if p:
-                dist[m] = dist.get(m, Fraction(0)) + tau * p
-        return list(dist.items())
-
-    def pair_values(self, m1: int, m2: int):
-        """Expected transfers and outcome lottery for an intended pair."""
-        key = (m1, m2)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        t1 = t2 = Fraction(0)
-        parts = []
-        for a, p in self.realized(0, m1):
-            for b, q in self.realized(1, m2):
-                w = p * q
-                t1 += w * self.mechanism.t(0, a, b)
-                t2 += w * self.mechanism.t(1, a, b)
-                parts.append((w, self.mechanism.g(a, b)))
-        lot = Lottery.mix(parts)
-        self._pair_cache[key] = (t1, t2, lot)
-        return t1, t2, lot
 
     # -- payoffs -----------------------------------------------------------
 
@@ -306,10 +309,9 @@ class Game:
         hit = self._u_cache.get(key)
         if hit is not None:
             return hit
-        pair = self.pair_values(m1, m2)
-        value = pair[agent] + sum(
+        value = self.played.t(agent, m1, m2) + sum(
             w * self.perturbation.utility(agent, circ, state, y)
-            for y, w in enumerate(pair[2].weights)
+            for y, w in enumerate(self.played.g(m1, m2).weights)
             if w
         )
         self._u_cache[key] = value
@@ -640,8 +642,7 @@ def outcome_distribution(
             for s2, w2 in plays[1][j]:
                 weight = mass * w1 * w2
                 for k1, k2, pc in coords:
-                    lot = game.pair_values(s1[k1], s2[k2])[2]
-                    parts.append((weight * pc, lot))
+                    parts.append((weight * pc, game.played.g(s1[k1], s2[k2])))
     return Lottery.mix(parts)
 
 

@@ -490,12 +490,7 @@ def run_thm3(
     msqr_ok, msqr_rows = deviation_dominance_certificate(msqr, noisy, tau, noise)
 
     def make_game(mech, structure, tau_now):
-        tremble = None
-        if tau_now:
-            dist = tuple(
-                {m: noise.get(m, Fraction(0)) for m in mech.messages[i]} for i in range(2)
-            )
-            tremble = TrembleSpec(tau_now, dist)
+        tremble = TrembleSpec.point(tau_now, mech.messages, (noise_target, noise_target))
         return Game(scenario, mech, signals=structure, tremble=tremble)
 
     sets = tuple(
@@ -1133,13 +1128,14 @@ def run_maskin_contagion(
     full = full_strategy_set((1, 2), scenario.n)
     grid = []
     all_unique = True
+    game = None
     for eta in eta_grid:
         eta = rat(eta)
         pert = simple_bias_ladder(
             scenario, depth, eta, 0, preferred_outcome_bias(scenario, 0, strength),
             tail="renormalize",
         )
-        game = Game(scenario, mech, pert)
+        game = Game(scenario, mech, pert) if game is None else game.with_perturbation(pert)
         surviving, rounds, _ = iterated_dominance(game, (full, full))
         unique = all(
             surviving[a][t] == [(1,) * scenario.n]

@@ -211,7 +211,6 @@ def build_status_quo(
     scenario: ScenarioModel,
     c_bar: Number,
     schedule: RewardSchedule | None = None,
-    validate: bool = True,
 ) -> Mechanism:
     """Status quo rule with ascending transfers: ``n`` messages per agent,
     matching reports implement the reported state, anything else the
@@ -222,8 +221,7 @@ def build_status_quo(
     n = scenario.n
     if schedule is None:
         schedule = solve_rewards(scenario.prior, c_bar, "sqr")
-    if validate:
-        _validated(schedule, scenario.prior, c_bar, "sqr")
+    _validated(schedule, scenario.prior, c_bar, "sqr")
     msgs = tuple(range(1, n + 1))
     f = scenario.scf
     outcome, transfer = {}, {}
@@ -251,7 +249,6 @@ def _magnitude_outcome(scenario: ScenarioModel, msgs):
 def build_augmented_status_quo(
     scenario: ScenarioModel,
     schedule: RewardSchedule | None = None,
-    validate: bool = True,
 ) -> Mechanism:
     """Augmented rule: ``2n - 1`` messages, negative messages mirror the
     positive ones in outcomes but coordinate on the base reward ``R^0``."""
@@ -261,8 +258,7 @@ def build_augmented_status_quo(
     c = scenario.max_cost
     if schedule is None:
         schedule = solve_rewards(scenario.prior, c, "asqr")
-    if validate:
-        _validated(schedule, scenario.prior, c, "asqr")
+    _validated(schedule, scenario.prior, c, "asqr")
     msgs = augmented_messages(n)
     outcome = _magnitude_outcome(scenario, msgs)
     transfer = {}
@@ -281,7 +277,6 @@ def build_augmented_status_quo(
 def build_modified_status_quo(
     scenario: ScenarioModel,
     schedule: RewardSchedule | None = None,
-    validate: bool = True,
 ) -> Mechanism:
     """Modified rule: same outcomes as the augmented rule, but a sender of
     a high message pays penalty ``x`` when the opponent stays low."""
@@ -291,8 +286,7 @@ def build_modified_status_quo(
     c = scenario.max_cost
     if schedule is None:
         schedule = solve_rewards(scenario.prior, c, "msqr")
-    if validate:
-        _validated(schedule, scenario.prior, c, "msqr")
+    _validated(schedule, scenario.prior, c, "msqr")
     msgs = augmented_messages(n)
     outcome = _magnitude_outcome(scenario, msgs)
     x = schedule.penalty

@@ -6,8 +6,11 @@ ladder masses as weights, caches keyed by circumstance, and iterated
 dominance that rechecks every type in every round.  They are kept
 verbatim so that the compiled engine can be compared against them by
 exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
-``inner_value``; ``NaivePerturbation`` supplies the old ``type_of`` and
-``type_prob``, summed from the masses it reads once from ``pi``.
+``inner_value``, and ``pair_values``, which integrates each intended
+pair over its realized pairs from the tremble's ``tau`` and noise, the
+oracle for ``TrembleSpec.apply``; ``NaivePerturbation`` supplies the old
+``type_of`` and ``type_prob``, summed from the masses it reads once from
+``pi``.
 ``ladder_masses``, ``type_groups``, ``posterior``, ``eta_of``,
 ``outcome_distribution`` and ``truthful_probability_mass`` are the
 ladder construction and the mass sums before the ratio/coefficient form:
@@ -189,10 +192,41 @@ class NaiveGame:
         self.scenario = game.scenario
         self.perturbation = NaivePerturbation(game.perturbation)
         self.coords = game.coords
-        self.pair_values = game.pair_values
+        self.mechanism = game.mechanism
+        self.tremble = game.tremble
         self.truthful = game.truthful
+        self._pairs = {}
         self._u_cache = {}
         self._inner_cache = {}
+
+    def _realized_prob(self, agent: int, intended: int, m: int) -> Number:
+        """Probability that the agent's message ``m`` is realized when it
+        intends ``intended``."""
+        stays = Fraction(1 if m == intended else 0)
+        if self.tremble is None:
+            return stays
+        tau = self.tremble.tau
+        return (1 - tau) * stays + tau * self.tremble.noise[agent].get(m, 0)
+
+    def pair_values(self, m1: int, m2: int):
+        """Expected transfers and outcome lottery of an intended pair, a
+        sum over every pair of messages the mechanism has.  Cached by the
+        intended pair."""
+        hit = self._pairs.get((m1, m2))
+        if hit is not None:
+            return hit
+        mech = self.mechanism
+        t1 = t2 = Fraction(0)
+        parts = []
+        for a in mech.messages[0]:
+            for b in mech.messages[1]:
+                w = self._realized_prob(0, m1, a) * self._realized_prob(1, m2, b)
+                if w:
+                    t1 += w * mech.t(0, a, b)
+                    t2 += w * mech.t(1, a, b)
+                    parts.append((w, mech.g(a, b)))
+        hit = self._pairs[(m1, m2)] = (t1, t2, Lottery.mix(parts))
+        return hit
 
     def _expected_u(self, agent: int, circ: int, state: int, m1: int, m2: int) -> Number:
         key = (agent, circ, state, m1, m2)

@@ -30,7 +30,7 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech.experiments import preferred_outcome_bias, step3_closure_certificate
-from robustmech.mechanisms import RewardSchedule
+from robustmech.mechanisms import Mechanism
 
 import naive_reference as naive
 from generators import random_generic_prior, random_scm_instance, uniform_scenario
@@ -66,8 +66,12 @@ def test_criterion_1_gamma_dominance_below_half():
     # With the reward-growth requirement deliberately broken, the
     # threshold must fail: either at or above one half, or an error.
     s = binary_trial_scenario()
-    bad = RewardSchedule("sqr", {1: F(3), 2: F(4)}, cost=F(1))
-    mech = build_status_quo(s, 1, schedule=bad, validate=False)
+    bad = {1: F(3), 2: F(4)}
+    sqr = build_status_quo(s, 1)
+    mech = Mechanism(
+        "sqr", sqr.messages, sqr.outcome,
+        {(a, b): (bad[a], bad[a]) if a == b else (F(0), F(0)) for a, b in sqr.transfer},
+    )
     rs = restricted_strategy_set("sqr", 2)
     try:
         cert = gamma_dominance_threshold(mech, s, (rs, rs), F(1))

@@ -39,6 +39,7 @@ from robustmech import (
     outcome_distribution,
     posterior,
     restricted_strategy_set,
+    revealing_signals,
     simple_bias_ladder,
     three_state_scenario,
     truthful_profile,
@@ -111,7 +112,11 @@ def coarse_partitions(draw):
 
 
 def strategy_sets(kind, game):
-    if kind == "maskin" or game.signals is not None:
+    """Full sets for the Maskin rule and for games given a signal
+    structure other than the revealing one; the restricted per-coordinate
+    sets for the other rules on revealing signals, which a game given no
+    signal structure plays."""
+    if kind == "maskin" or game.signals != revealing_signals(game.scenario):
         mech = game.mechanism
         return tuple(
             full_strategy_set(mech.messages[a], game.strategy_length(a)) for a in (0, 1)

@@ -7,6 +7,7 @@ import pytest
 
 from robustmech import (
     Game,
+    Lottery,
     ModelError,
     SignalStructure,
     TrembleSpec,
@@ -32,6 +33,7 @@ def test_revealing_signals_have_size_zero():
     st = revealing_signals(s)
     assert size_of_signal_structure(st, s.prior) == 0
     assert st.theta_marginal(s.n) == s.prior
+    assert Game(s, build_status_quo(s, 1)).signals == st
 
 
 def test_mislabel_signals_have_size_delta():
@@ -166,12 +168,37 @@ def test_zero_tremble_changes_nothing():
 
 
 def test_point_tremble_realization():
+    mech = build_status_quo(binary_trial_scenario(), 1)
+    tr = TrembleSpec.point(F(1, 10), mech.messages, (2, 2))
+    assert tr.realized(0, 1) == [(1, F(9, 10)), (2, F(1, 10))]
+    assert tr.realized(0, 2) == [(2, F(1))]
+
+
+def test_tremble_apply_takes_expectations_over_realized_pairs():
+    """A point tremble of 1/10 onto message 2, on the binary status-quo
+    rule: at each intended pair, the lottery and transfers are the
+    expectations over the realized pairs, computed by hand."""
     s = binary_trial_scenario()
     mech = build_status_quo(s, 1)
+    r1, r2 = mech.schedule.r(1), mech.schedule.r(2)
+    f0, f1 = s.scf(0), s.scf(1)
     tr = TrembleSpec.point(F(1, 10), mech.messages, (2, 2))
-    g = Game(s, mech, tremble=tr)
-    assert g.realized(0, 1) == [(1, F(9, 10)), (2, F(1, 10))]
-    assert g.realized(0, 2) == [(2, F(1))]
+    played = tr.apply(mech)
+    assert (played.kind, played.messages, played.schedule) == (
+        mech.kind, mech.messages, mech.schedule
+    )
+    expected = {
+        # (1, 1) w.p. 81/100, (2, 2) w.p. 1/100, a mismatch otherwise.
+        (1, 1): (F(81, 100) * r1 + F(1, 100) * r2, [(F(99, 100), f0), (F(1, 100), f1)]),
+        (1, 2): (F(1, 10) * r2, [(F(9, 10), f0), (F(1, 10), f1)]),
+        (2, 1): (F(1, 10) * r2, [(F(9, 10), f0), (F(1, 10), f1)]),
+        (2, 2): (r2, [(F(1), f1)]),
+    }
+    for pair, (t, parts) in expected.items():
+        assert played.transfer[pair] == (t, t)
+        assert played.g(*pair) == Lottery.mix(parts)
+    assert Game(s, mech, tremble=tr).played == played
+    assert Game(s, mech, tremble=TrembleSpec.point(0, mech.messages, (2, 2))).played is mech
 
 
 def test_tremble_validation():
@@ -183,7 +210,8 @@ def test_tremble_validation():
 
 def test_game_refuses_tremble_noise_on_an_unknown_message():
     """Noise on a message the mechanism lacks would end in a ``KeyError``
-    from ``pair_values``; the game refuses it, naming agent and message."""
+    from ``TrembleSpec.apply``; the game refuses it, naming agent and
+    message."""
     s = binary_trial_scenario()
     tremble = TrembleSpec(F(1, 10), ({1: F(1, 2), 7: F(1, 2)}, {1: F(1, 2), 2: F(1, 2)}))
     with pytest.raises(ModelError, match="agent 1 names message 7"):

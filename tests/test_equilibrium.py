@@ -34,7 +34,7 @@ from robustmech import (
 from robustmech.engine import mixture_payoff
 from robustmech.equilibrium import solve_linear
 from robustmech.experiments import preferred_outcome_bias
-from robustmech.mechanisms import Mechanism, RewardSchedule
+from robustmech.mechanisms import Mechanism
 
 
 def _sqr_game(scenario):
@@ -213,8 +213,8 @@ def test_gamma_threshold_four_states():
 
 def test_gamma_rejects_non_dominant_truthtelling():
     s = binary_trial_scenario()
-    zero = RewardSchedule("sqr", {1: F(0), 2: F(0)}, cost=F(1))
-    mech = build_status_quo(s, 1, schedule=zero, validate=False)
+    sqr = build_status_quo(s, 1)
+    mech = Mechanism("sqr", sqr.messages, sqr.outcome, {k: (F(0), F(0)) for k in sqr.transfer})
     rs = restricted_strategy_set("sqr", 2)
     with pytest.raises(ModelError):
         gamma_dominance_threshold(mech, s, (rs, rs), F(1))

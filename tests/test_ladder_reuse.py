@@ -68,7 +68,7 @@ def test_shared_rows_give_the_fresh_game_result(eta):
 def test_shared_rows_keep_per_perturbation_tables():
     first = Game(THREE, MECH, _ladder(ETAS[0]))
     second = first.with_perturbation(_ladder(ETAS[1]))
-    for name in ("_pair_cache", "_u_cache", "_row_cache", "_inner_cache"):
+    for name in ("_u_cache", "_row_cache", "_inner_cache"):
         assert getattr(second, name) is getattr(first, name)
     for name in ("_table_cache", "_dom_cache"):
         assert getattr(second, name) is not getattr(first, name)

@@ -238,13 +238,17 @@ def test_augmented_messages():
 
 
 def test_custom_schedule_is_validated():
+    """Every builder checks a schedule it is given, with no way to skip
+    the check."""
     s = binary_trial_scenario()
     bad = RewardSchedule("sqr", {1: F(3), 2: F(4)}, cost=F(1))
     with pytest.raises(InfeasibleScheduleError):
         build_status_quo(s, 1, schedule=bad)
-    # Validation can be skipped deliberately, e.g. to study failures.
-    m = build_status_quo(s, 1, schedule=bad, validate=False)
-    assert m.t(0, 2, 2) == 4
+    for build in (build_augmented_status_quo, build_modified_status_quo):
+        good = build(s).schedule
+        flat = replace(good, rewards={**good.rewards, 2: good.rewards[1]})
+        with pytest.raises(InfeasibleScheduleError, match="R2 > R1"):
+            build(s, schedule=flat)
 
 
 def test_cost_bound_must_cover_scenario_costs():
