@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import ModelError, binary_trial_scenario
 from .engine import Game, full_strategy_set, restricted_strategy_set, truthful_profile

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .numeric import Number, rat
@@ -86,7 +86,8 @@ class Lottery:
         acc = [Fraction(0)] * size
         for p, lot in parts:
             for k, w in enumerate(lot.weights):
-                acc[k] = acc[k] + p * w
+                if w:
+                    acc[k] = acc[k] + p * w
         return Lottery(tuple(acc))
 
     def same_as(self, other: "Lottery") -> bool:

@@ -3,10 +3,12 @@ game.
 
 A pure strategy is a tuple of messages indexed by the agent's signal; a
 game given no signal structure plays ``revealing_signals``, whose signal
-is the state.  A non-constant tuple implies paying the
-(circumstance-dependent) learning cost.  Type strategies are
-finite-support mixtures stored as ``{pure_tuple: weight}`` dicts, and a
-profile is a pair of ``{type_index: TypeStrategy}`` maps.
+is the state.  Payoffs, outcome lotteries and a structure's size read
+its joint from one agent's side, ``SignalStructure.seen_by``.  A
+non-constant tuple implies paying the (circumstance-dependent) learning
+cost.  Type strategies are finite-support mixtures stored as
+``{pure_tuple: weight}`` dicts, and a profile is a pair of
+``{type_index: TypeStrategy}`` maps.
 
 All computations are pure functions of immutable inputs; the ``Game``
 wrapper only memoizes derived tables: payoffs and per-coordinate payoff
@@ -76,6 +78,12 @@ class TrembleSpec:
 
     @staticmethod
     def point(tau: Number, messages, target: tuple[int, int]) -> "TrembleSpec":
+        for i in range(2):
+            if target[i] not in messages[i]:
+                raise ModelError(
+                    f"tremble target {target[i]} of agent {i + 1} is not one of its "
+                    f"messages {messages[i]}"
+                )
         noise = tuple(
             {m: Fraction(1) if m == target[i] else Fraction(0) for m in messages[i]}
             for i in range(2)
@@ -95,12 +103,13 @@ class TrembleSpec:
         """The mechanism as the intended pairs play it: at each intended
         pair, the expected lottery and transfers over the realized pairs."""
         outcome, transfer = {}, {}
+        realized = [{m: self.realized(i, m) for m in mechanism.messages[i]} for i in (0, 1)]
         for m1 in mechanism.messages[0]:
             for m2 in mechanism.messages[1]:
                 t1 = t2 = Fraction(0)
                 parts = []
-                for a, p in self.realized(0, m1):
-                    for b, q in self.realized(1, m2):
+                for a, p in realized[0][m1]:
+                    for b, q in realized[1][m2]:
                         w = p * q
                         t1 += w * mechanism.t(0, a, b)
                         t2 += w * mechanism.t(1, a, b)
@@ -141,9 +150,17 @@ class SignalStructure:
             out[theta] += p
         return tuple(out)
 
+    def seen_by(self, agent: int) -> list[tuple[int, int, int, Number]]:
+        """``(state, own signal, opponent signal, p)`` for every point of
+        the joint of positive probability, from the agent's side."""
+        return [
+            (theta, s1, s2, p) if agent == 0 else (theta, s2, s1, p)
+            for (theta, s1, s2), p in self.joint.items()
+            if p
+        ]
+
     def signal_prob(self, agent: int, k: int) -> Number:
-        pos = 1 + agent
-        return sum(p for key, p in self.joint.items() if key[pos] == k)
+        return sum(p for _, own, _, p in self.seen_by(agent) if own == k)
 
 
 def revealing_signals(scenario: ScenarioModel) -> SignalStructure:
@@ -182,22 +199,14 @@ def size_of_signal_structure(
     for agent in (0, 1):
         h_own = structure.meanings[agent]
         h_opp = structure.meanings[1 - agent]
+        seen = structure.seen_by(agent)
         for k in range(structure.sizes[agent]):
             total = structure.signal_prob(agent, k)
             if total == 0:
                 continue
-            agree = sum(
-                p
-                for (theta, s1, s2), p in structure.joint.items()
-                if (s1 if agent == 0 else s2) == k
-                and h_opp[s2 if agent == 0 else s1] == h_own[k]
-            )
+            agree = sum(p for _, own, opp, p in seen if own == k and h_opp[opp] == h_own[k])
             tau = max(tau, 1 - agree / total)
-        matched = sum(
-            p
-            for (theta, s1, s2), p in structure.joint.items()
-            if h_own[s1 if agent == 0 else s2] == theta + 1
-        )
+        matched = sum(p for theta, own, _, p in seen if h_own[own] == theta + 1)
         tau = max(tau, 1 - matched)
     return tau
 
@@ -285,11 +294,6 @@ class Game:
 
     # -- information -------------------------------------------------------
 
-    @property
-    def coords(self) -> list[tuple[int, int, int, Number]]:
-        """Joint support of (state, own-coordinate, opp-coordinate)."""
-        return [(theta, k1, k2, p) for (theta, k1, k2), p in self.signals.joint.items() if p]
-
     def strategy_length(self, agent: int) -> int:
         return self.signals.sizes[agent]
 
@@ -300,15 +304,17 @@ class Game:
 
     # -- payoffs -----------------------------------------------------------
 
-    def state_value(self, agent: int, circ: int, state: int, m1: int, m2: int) -> Number:
-        """Expected transfer plus expected utility of an intended pair at one
-        state, with the agent's payoffs at ``circ``.  Every payoff of the
-        game is a weighted sum of these values.  Cached by the
-        circumstance's payoff class, which fixes the value."""
-        key = (agent, self.perturbation.payoff_class(agent, circ), state, m1, m2)
+    def state_value(self, agent: int, circ: int, state: int, own: int, opp: int) -> Number:
+        """Expected transfer plus expected utility to the agent of intending
+        ``own`` against the opponent's ``opp`` at one state, with the
+        agent's payoffs at ``circ``.  Every payoff of the game is a
+        weighted sum of these values.  Cached by the circumstance's payoff
+        class, which fixes the value."""
+        key = (agent, self.perturbation.payoff_class(agent, circ), state, own, opp)
         hit = self._u_cache.get(key)
         if hit is not None:
             return hit
+        m1, m2 = (own, opp) if agent == 0 else (opp, own)
         value = self.played.t(agent, m1, m2) + sum(
             w * self.perturbation.utility(agent, circ, state, y)
             for y, w in enumerate(self.played.g(m1, m2).weights)
@@ -320,25 +326,21 @@ class Game:
     def coordinate_row(self, agent: int, circ: int, opp: PureStrategy) -> "PayoffTable":
         """The agent's payoffs at ``circ`` against the opponent pure
         strategy ``opp``, by own coordinate: entry ``[k][m]`` sums
-        ``p * state_value`` over the coords whose own index is ``k``, with
-        ``m`` sent there, and the cost is the learning cost at ``circ``.
-        Cached by the circumstance's payoff class, which fixes the row;
-        converted to integer numerators once, when it is cached."""
+        ``p * state_value`` over the points the agent sees with own signal
+        ``k`` (``SignalStructure.seen_by``), with ``m`` sent there, and the
+        cost is the learning cost at ``circ``.  Cached by the
+        circumstance's payoff class, which fixes the row; converted to
+        integer numerators once, when it is cached."""
         key = (agent, self.perturbation.payoff_class(agent, circ), opp)
         hit = self._row_cache.get(key)
         if hit is not None:
             return hit
         msgs = self.mechanism.messages[agent]
         cells = tuple(dict.fromkeys(msgs, Fraction(0)) for _ in range(self.strategy_length(agent)))
-        for theta, k1, k2, p in self.coords:
-            if agent == 0:
-                cell, b = cells[k1], opp[k2]
-                for m in msgs:
-                    cell[m] += p * self.state_value(0, circ, theta, m, b)
-            else:
-                cell, a = cells[k2], opp[k1]
-                for m in msgs:
-                    cell[m] += p * self.state_value(1, circ, theta, a, m)
+        for theta, k, j, p in self.signals.seen_by(agent):
+            cell, b = cells[k], opp[j]
+            for m in msgs:
+                cell[m] += p * self.state_value(agent, circ, theta, m, b)
         row = PayoffTable.from_fractions(cells, self.perturbation.cost(agent, circ))
         self._row_cache[key] = row
         return row
@@ -633,7 +635,7 @@ def outcome_distribution(
     plays, masses = groups if groups is not None else play_groups(game, profile)
     coords = [
         (k1, k2, p / game.scenario.prior[state])
-        for theta, k1, k2, p in game.coords
+        for theta, k1, k2, p in game.signals.seen_by(0)
         if theta == state
     ]
     parts = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,6 +24,7 @@ from .engine import (
     TypeStrategy,
     max_tv_to_target,
     play_groups,
+    truthful_profile,
     type_signature,
 )
 from .mechanisms import Mechanism
@@ -282,8 +283,6 @@ def iterate_best_response(
     The profiles, rounds and flags are those of computing every type every
     round, and the changed types are the round's ``moves``.
     """
-    from .engine import truthful_profile
-
     pert = game.perturbation
     profile = initial if initial is not None else truthful_profile(game)
     seen = {_profile_key(profile): 0}

@@ -33,7 +33,6 @@ from .engine import (
     mixture_payoff,
     outcome_distribution,
     size_of_signal_structure,
-    SignalStructure,
     TrembleSpec,
     canonical_replacement,
     full_strategy_set,
@@ -58,7 +57,6 @@ from .mechanisms import (
     build_modified_status_quo,
     build_one_respondent,
     build_status_quo,
-    solve_rewards,
 )
 from .numeric import Number, fmt, rat
 from .perturbations import (
@@ -364,66 +362,59 @@ def run_thm2(
     )
 
 
-def deviation_dominance_certificate(
-    mechanism: Mechanism,
-    structure: SignalStructure,
-    tau: Number,
-    noise_opp: dict[int, Number],
-    agent: int = 0,
-) -> tuple[bool, list]:
-    """Replacement-transfer check under trembles and signal noise.
+def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
+    """Agent 1's replacement-transfer check in a game with trembles.
 
-    For every own signal and every high realized message that is neither
-    the status quo nor the signal's meaning, the worst-case expected
-    transfer over restricted opponent play must stay strictly below the
-    transfer from the mirrored negative message.  Also checks the
-    ex ante comparison for wholly-constant high vectors.  Returns the
-    witness rows; ``ok`` is False as soon as one comparison fails.
+    Reads the game's mechanism, signals and tremble: agent 2's intended
+    messages are realized by ``game.tremble.realized``.  For every own
+    signal and every high message that is neither the status quo nor the
+    signal's meaning, the worst-case expected transfer of that realized
+    message over agent 2's restricted play must stay below the transfer
+    from the mirrored negative message: strictly for the modified rule,
+    weakly for the augmented rule.  Also checks the ex ante comparison
+    for wholly-constant high vectors.  Returns the verdict and every
+    witness row; raises ``ModelError`` for a game with no tremble.
     """
-    tau = rat(tau)
-    sched = mechanism.schedule
+    tremble = game.tremble
+    if tremble is None:
+        raise ModelError("the deviation dominance certificate needs a game with a tremble")
+    tau = tremble.tau
+    sched = game.mechanism.schedule
     n = max(sched.rewards)
     x = sched.penalty if sched.penalty is not None else Fraction(0)
     modified = sched.penalty is not None
     r0 = sched.r(0)
-    opp = 1 - agent
-    h_own = structure.meanings[agent]
-    h_opp = structure.meanings[opp]
+    h_own, h_opp = game.signals.meanings
     opp_choices = restricted_strategy_set("asqr", n, h_opp)
-    noise_m = {m: noise_opp.get(m, Fraction(0)) for m in mechanism.messages[opp]}
-    noise_low = sum(p for m, p in noise_m.items() if m <= 1)
+    noise = tremble.noise[1]
+    noise_low = sum(p for m, p in noise.items() if m <= 1)
+    realized = {b: tremble.realized(1, b) for b in game.mechanism.messages[1]}
+    seen = game.signals.seen_by(0)
+    by_signal: dict[int, dict[int, Number]] = {}
+    for _, k, j, p in seen:
+        cond = by_signal.setdefault(k, {})
+        cond[j] = cond.get(j, Fraction(0)) + p
     rows = []
     ok = True
-
-    def realized_probs(intent: int, m: int):
-        p_m = (1 - tau) * (1 if intent == m else 0) + tau * noise_m[m]
-        p_low = (1 - tau) * (1 if intent <= 1 else 0) + tau * noise_low
-        return p_m, p_low
-
-    for k in range(structure.sizes[agent]):
-        own_total = structure.signal_prob(agent, k)
-        if own_total == 0:
-            continue
-        cond = {}
-        for (theta, s1, s2), p in structure.joint.items():
-            if (s1 if agent == 0 else s2) == k and p:
-                key = s2 if agent == 0 else s1
-                cond[key] = cond.get(key, Fraction(0)) + p / own_total
+    for k in sorted(by_signal):
+        cond = by_signal[k]
+        own_total = sum(cond.values())
         for m in range(2, n + 1):
             if m == h_own[k]:
                 continue
             worst = Fraction(0)
-            for s_opp, p_cond in cond.items():
+            for j, p in cond.items():
                 best = None
-                for b in opp_choices[s_opp]:
-                    p_m, p_low = realized_probs(b, m)
+                for b in opp_choices[j]:
+                    p_m = sum(q for a, q in realized[b] if a == m)
+                    p_low = sum(q for a, q in realized[b] if a <= 1)
                     if modified:
                         value = p_m * sched.r(m) + p_low * (r0 - x)
                     else:
                         value = p_m * sched.r(m) - p_low * r0
                     if best is None or value > best:
                         best = value
-                worst += p_cond * best
+                worst += p / own_total * best
             # The modified rule promises a strict gap; the augmented rule
             # only ever had a weak one, so ties do not count against it.
             bound = r0 if modified else Fraction(0)
@@ -440,15 +431,10 @@ def deviation_dominance_certificate(
             )
     # Constant high vectors, compared ex ante against their negation.
     prob_meaning = {
-        j: sum(
-            p
-            for (theta, s1, s2), p in structure.joint.items()
-            if h_opp[s2 if agent == 0 else s1] == j
-        )
-        for j in range(1, n + 1)
+        j: sum(p for _, _, s_opp, p in seen if h_opp[s_opp] == j) for j in range(1, n + 1)
     }
     for m in range(2, n + 1):
-        p_m_max = (1 - tau) * prob_meaning[m] + tau * noise_m[m]
+        p_m_max = (1 - tau) * prob_meaning[m] + tau * noise.get(m, Fraction(0))
         p_low_min = (1 - tau) * prob_meaning[1] + tau * noise_low
         if modified:
             worst = p_m_max * sched.r(m) + max(
@@ -482,27 +468,25 @@ def run_thm3(
     msqr = build_modified_status_quo(scenario)
     asqr = build_augmented_status_quo(scenario)
     n = scenario.n
-    noise = {noise_target: Fraction(1)}
+    tremble = TrembleSpec.point(tau, msqr.messages, (noise_target, noise_target))
     revealing = revealing_signals(scenario)
     noisy = mislabel_signals(scenario, delta)
 
-    asqr_ok, asqr_rows = deviation_dominance_certificate(asqr, revealing, tau, noise)
-    msqr_ok, msqr_rows = deviation_dominance_certificate(msqr, noisy, tau, noise)
-
-    def make_game(mech, structure, tau_now):
-        tremble = TrembleSpec.point(tau_now, mech.messages, (noise_target, noise_target))
-        return Game(scenario, mech, signals=structure, tremble=tremble)
+    asqr_ok, asqr_rows = deviation_dominance_certificate(
+        Game(scenario, asqr, signals=revealing, tremble=tremble)
+    )
+    game = Game(scenario, msqr, signals=noisy, tremble=tremble)
+    msqr_ok, msqr_rows = deviation_dominance_certificate(game)
 
     sets = tuple(
         restricted_strategy_set("asqr", n, meanings=noisy.meanings[i]) for i in (0, 1)
     )
-    game = make_game(msqr, noisy, tau)
     report = verify_equilibrium(game, truthful_profile(game), sets)
 
     sets0 = tuple(
         restricted_strategy_set("asqr", n, meanings=revealing.meanings[i]) for i in (0, 1)
     )
-    game0 = make_game(msqr, revealing, Fraction(0))
+    game0 = Game(scenario, msqr, signals=revealing)
     report0 = verify_equilibrium(game0, truthful_profile(game0), sets0)
 
     certificates = {

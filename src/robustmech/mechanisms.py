@@ -16,7 +16,7 @@ its bound.  The modified rule's rewards ascend, ``R^j > R^(j-1)`` for j >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Lottery, ModelError, ScenarioModel, is_generic

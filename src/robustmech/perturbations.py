@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import AgentPayoff, ModelError, ScenarioModel
+from .core import ModelError, ScenarioModel
 from .numeric import Number, frac_key, rat
 
 

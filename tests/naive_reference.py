@@ -21,7 +21,10 @@ here reads it once.
 ``strict_cyclical_monotonicity`` enumerates every state
 permutation, the oracle for the class-graph check, and
 ``step3_closure_certificate`` every (strategy, restricted opponent
-strategy) pair, the oracle for the per-state check.  ``solve_rewards``
+strategy) pair, the oracle for the per-state check.
+``deviation_dominance_certificate`` takes the tremble's realized
+probabilities in closed form and the signal conditionals straight from
+the joint, the oracle for the certificate that reads a ``Game``.  ``solve_rewards``
 derives each schedule kind's closed form by hand and steps its ratio
 variable one unit at a time, the oracle for the solver that reads each
 kind's inequality list; it can loop forever when the first state is not
@@ -127,8 +130,8 @@ def outcome_distribution(game: Game, profile: StrategyProfile, state: int) -> Lo
     pert = game.perturbation
     coords = [
         (k1, k2, p / game.scenario.prior[state])
-        for theta, k1, k2, p in game.coords
-        if theta == state
+        for (theta, k1, k2), p in game.signals.joint.items()
+        if theta == state and p
     ]
     parts = []
     pi = pert.pi
@@ -191,7 +194,7 @@ class NaiveGame:
     def __init__(self, game):
         self.scenario = game.scenario
         self.perturbation = NaivePerturbation(game.perturbation)
-        self.coords = game.coords
+        self.signals = game.signals
         self.mechanism = game.mechanism
         self.tremble = game.tremble
         self.truthful = game.truthful
@@ -250,7 +253,7 @@ class NaiveGame:
         if hit is not None:
             return hit
         total = Fraction(0)
-        for theta, k1, k2, p in self.coords:
+        for (theta, k1, k2), p in self.signals.joint.items():
             if agent == 0:
                 m1, m2 = own[k1], opp[k2]
             else:
@@ -528,6 +531,78 @@ def step3_closure_certificate(mechanism, scenario, variant):
             if gain < 0 or (want_strict and r == tuple(range(1, n + 1)) and gain <= 0):
                 failures.append({"strategy": s, "opponent": r, "gain": gain, "kind": "transfer"})
     return not failures, failures
+
+
+def deviation_dominance_certificate(mechanism, structure, tau, noise_opp):
+    """Agent 1's replacement-transfer check from the closed form: agent 2
+    realizes ``m`` when it intends ``b`` w.p. ``(1 - tau)[b = m] + tau *
+    noise[m]``, and its signal's conditional law is divided out of the
+    joint one own signal at a time."""
+    tau = rat(tau)
+    sched = mechanism.schedule
+    n = max(sched.rewards)
+    x = sched.penalty if sched.penalty is not None else Fraction(0)
+    modified = sched.penalty is not None
+    r0 = sched.r(0)
+    h_own, h_opp = structure.meanings
+    opp_choices = restricted_strategy_set("asqr", n, h_opp)
+    noise_m = {m: noise_opp.get(m, Fraction(0)) for m in mechanism.messages[1]}
+    noise_low = sum(p for m, p in noise_m.items() if m <= 1)
+    rows = []
+    ok = True
+
+    def realized_probs(intent: int, m: int):
+        p_m = (1 - tau) * (1 if intent == m else 0) + tau * noise_m[m]
+        p_low = (1 - tau) * (1 if intent <= 1 else 0) + tau * noise_low
+        return p_m, p_low
+
+    for k in range(structure.sizes[0]):
+        own_total = sum(p for (_, s1, _), p in structure.joint.items() if s1 == k)
+        if own_total == 0:
+            continue
+        cond = {}
+        for (theta, s1, s2), p in structure.joint.items():
+            if s1 == k and p:
+                cond[s2] = cond.get(s2, Fraction(0)) + p / own_total
+        for m in range(2, n + 1):
+            if m == h_own[k]:
+                continue
+            worst = Fraction(0)
+            for s_opp, p_cond in cond.items():
+                best = None
+                for b in opp_choices[s_opp]:
+                    p_m, p_low = realized_probs(b, m)
+                    if modified:
+                        value = p_m * sched.r(m) + p_low * (r0 - x)
+                    else:
+                        value = p_m * sched.r(m) - p_low * r0
+                    if best is None or value > best:
+                        best = value
+                worst += p_cond * best
+            bound = r0 if modified else Fraction(0)
+            passed = worst < bound if modified else worst <= bound
+            ok = ok and passed
+            rows.append(
+                {"signal": k, "message": m, "worst_case": worst, "bound": bound, "ok": passed}
+            )
+    prob_meaning = {
+        j: sum(p for (theta, s1, s2), p in structure.joint.items() if h_opp[s2] == j)
+        for j in range(1, n + 1)
+    }
+    for m in range(2, n + 1):
+        p_m_max = (1 - tau) * prob_meaning[m] + tau * noise_m[m]
+        p_low_min = (1 - tau) * prob_meaning[1] + tau * noise_low
+        if modified:
+            worst = p_m_max * sched.r(m) + max(
+                (r0 - x) * ((1 - tau) + tau * noise_low), (r0 - x) * (tau * noise_low)
+            )
+            passed = worst < r0
+        else:
+            worst = p_m_max * sched.r(m) - p_low_min * r0
+            passed = worst < 0
+        ok = ok and passed
+        rows.append({"signal": "constant", "message": m, "worst_case": worst, "ok": passed})
+    return ok, rows
 
 
 def _grid_ceil(value: Number, step: Number) -> Number:

@@ -376,23 +376,81 @@ def test_synthesized_transfers_make_truth_strictly_best():
 
 def test_deviation_certificate_weak_vs_strict():
     from robustmech import build_augmented_status_quo, build_modified_status_quo
-    from robustmech.engine import revealing_signals
+    from robustmech.engine import TrembleSpec, revealing_signals
 
     s = three_state_scenario()
-    noise = {2: F(1)}
     rev = revealing_signals(s)
-    asqr_ok, asqr_rows = deviation_dominance_certificate(
-        build_augmented_status_quo(s), rev, F(1, 100), noise
-    )
-    msqr_ok, _ = deviation_dominance_certificate(
-        build_modified_status_quo(s), rev, F(1, 100), noise
-    )
+
+    def certify(mech):
+        tremble = TrembleSpec.point(F(1, 100), mech.messages, (2, 2))
+        return deviation_dominance_certificate(Game(s, mech, signals=rev, tremble=tremble))
+
+    asqr_ok, asqr_rows = certify(build_augmented_status_quo(s))
+    msqr_ok, _ = certify(build_modified_status_quo(s))
     assert not asqr_ok
     assert msqr_ok
     # The failing comparison is driven by noise mass landing on the high
     # reward: worst case tau * R^2.
     bad = [r for r in asqr_rows if not r["ok"]]
     assert any(r["worst_case"] == F(1, 100) * 30 for r in bad)
+
+
+def test_deviation_certificate_matches_closed_form():
+    """Every witness row and the verdict equal the closed-form oracle's:
+    both rules, revealing and mislabeled signals, and a private structure
+    whose agents see different signals; point noise onto each high
+    message and uniform noise; two tremble probabilities."""
+    from robustmech import build_modified_status_quo
+    from robustmech.engine import (
+        SignalStructure,
+        TrembleSpec,
+        mislabel_signals,
+        revealing_signals,
+    )
+
+    s = three_state_scenario()
+    # Agent 1 tells the first state from the others; agent 2 sees the state.
+    private = SignalStructure(
+        (2, 3), {(j, min(j, 1), j): s.prior[j] for j in range(s.n)}, ((1, 2), (1, 2, 3))
+    )
+    structures = [revealing_signals(s), private] + [
+        mislabel_signals(s, d) for d in (F(1, 100), F(1, 10))
+    ]
+    verdicts = set()
+    for mech in (build_augmented_status_quo(s), build_modified_status_quo(s)):
+        msgs = mech.messages[1]
+        noises = [
+            (TrembleSpec.point(tau, mech.messages, (m, m)), {m: F(1)})
+            for tau in (F(1, 100), F(1, 10))
+            for m in range(2, s.n + 1)
+        ] + [
+            (TrembleSpec.uniform(tau, mech.messages), {m: F(1, len(msgs)) for m in msgs})
+            for tau in (F(1, 100), F(1, 10))
+        ]
+        for structure in structures:
+            for tremble, noise in noises:
+                got = deviation_dominance_certificate(
+                    Game(s, mech, signals=structure, tremble=tremble)
+                )
+                assert got == naive.deviation_dominance_certificate(
+                    mech, structure, tremble.tau, noise
+                )
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_deviation_certificate_needs_a_tremble():
+    from robustmech.engine import revealing_signals
+
+    s = three_state_scenario()
+    game = Game(s, build_augmented_status_quo(s), signals=revealing_signals(s))
+    with pytest.raises(ModelError, match="needs a game with a tremble"):
+        deviation_dominance_certificate(game)
+
+
+def test_thm3_refuses_a_noise_target_that_is_not_a_message():
+    with pytest.raises(ModelError, match="tremble target 7 of agent 1 is not one of its messages"):
+        run_experiment("thm3", noise_target=7)
 
 
 def test_result_json_is_deterministic():
