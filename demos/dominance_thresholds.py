@@ -1,9 +1,10 @@
 """Dominance thresholds of truth-telling across scenarios and rules.
 
-For each built-in scenario and each status-quo variant, computes the
+For each built-in scenario and each status-quo rule, computes the
 smallest opponent-truthfulness probability gamma* above which truthful
 learning is a strict best response against the worst adversarial play of
-the restricted strategies.  All values land strictly below one half,
+the rule's restricted strategies, which the certificate reads off the
+rule's messages.  All values land strictly below one half,
 which is what makes the truthful equilibrium survive every small
 perturbation.
 """
@@ -14,7 +15,6 @@ from robustmech import (
     build_status_quo,
     four_state_scenario,
     gamma_dominance_threshold,
-    restricted_strategy_set,
     three_state_scenario,
 )
 from robustmech.numeric import fmt
@@ -34,10 +34,7 @@ def main():
                 if kind == "sqr"
                 else build_augmented_status_quo(scenario)
             )
-            rs = restricted_strategy_set(kind, scenario.n)
-            cert = gamma_dominance_threshold(
-                mech, scenario, (rs, rs), scenario.max_cost
-            )
+            cert = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
             print(f"{label:>12} {kind:>10} {fmt(cert.gamma):>10} "
                   f"{str(cert.below_half):>6}")
 

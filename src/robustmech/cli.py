@@ -84,13 +84,12 @@ def _build_mechanism(kind, scenario, args):
     raise ModelError(f"unknown mechanism kind {kind!r}")
 
 
-def _strategy_sets(kind, scenario):
-    if kind == "maskin":
-        full = full_strategy_set(tuple(range(1, scenario.n + 1)), scenario.n)
-        return full, full
-    variant = "sqr" if kind == "sqr" else "asqr"
-    rs = restricted_strategy_set(variant, scenario.n)
-    return rs, rs
+def _strategy_sets(mech, scenario):
+    """Maskin's full sets; any other rule's restricted sets."""
+    truth = tuple(range(1, scenario.n + 1))
+    if mech.kind == "maskin":
+        return tuple(full_strategy_set(ms, scenario.n) for ms in mech.messages)
+    return tuple(restricted_strategy_set(ms, truth) for ms in mech.messages)
 
 
 def _emit(record):
@@ -117,7 +116,7 @@ def cmd_equilibrium_check(args):
     scenario, pert = _load(args)
     mech = _build_mechanism(args.kind, scenario, args)
     game = Game(scenario, mech, pert)
-    sets = _strategy_sets(args.kind, scenario)
+    sets = _strategy_sets(mech, scenario)
     report = verify_equilibrium(game, truthful_profile(game), sets, args.epsilon)
     print(f"equilibrium: {report.is_equilibrium}   max residual: {fmt(report.max_residual)}"
           f"   max TV: {fmt(report.max_tv)}")
@@ -135,7 +134,7 @@ def cmd_equilibrium_br(args):
     scenario, pert = _load(args)
     mech = _build_mechanism(args.kind, scenario, args)
     game = Game(scenario, mech, pert)
-    sets = _strategy_sets(args.kind, scenario)
+    sets = _strategy_sets(mech, scenario)
     result = iterate_best_response(game, sets, max_rounds=args.max_rounds)
     print(f"converged: {result.converged}  rounds: {result.rounds}  cycled: {result.cycled}")
     record = {"converged": result.converged, "rounds": result.rounds, "cycled": result.cycled}
@@ -151,7 +150,7 @@ def cmd_dominance_gamma(args):
     scenario, _ = _load(args)
     mech = _build_mechanism(args.kind, scenario, args)
     c_bar = scenario.max_cost if args.c_bar is None else args.c_bar
-    cert = gamma_dominance_threshold(mech, scenario, _strategy_sets(args.kind, scenario), c_bar)
+    cert = gamma_dominance_threshold(mech, scenario, c_bar)
     print(f"gamma* = {fmt(cert.gamma)}   below 1/2: {cert.below_half}")
     _emit({"gamma": cert.gamma, "below_half": cert.below_half,
            "witness": list(cert.witness)})
@@ -166,7 +165,7 @@ def cmd_dominance_eliminate(args):
         sets = (full_strategy_set(mech.messages[0], game.strategy_length(0)),
                 full_strategy_set(mech.messages[1], game.strategy_length(1)))
     else:
-        sets = _strategy_sets(args.kind, scenario)
+        sets = _strategy_sets(mech, scenario)
     surviving, rounds, _ = iterated_dominance(game, sets, args.mixture_denominator)
     counts = {f"agent{a + 1}": {t: len(pool) for t, pool in surviving[a].items()}
               for a in (0, 1)}

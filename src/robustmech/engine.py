@@ -17,10 +17,11 @@ games of one scenario and biases, and per-type payoff tables, whose best
 responses are memoized on the table, and dominance checks by
 ``type_signature``.
 
-Trembles enter once, when a game is built: ``TrembleSpec.apply`` folds
-the realized messages into a mechanism whose lottery and transfers at
-each intended pair are their expectations, and every payoff and outcome
-lottery of the game reads that played mechanism.
+Trembles enter once, when a game first reads its payoffs or outcome
+lotteries: ``TrembleSpec.apply`` folds the realized messages into a
+mechanism whose lottery and transfers at each intended pair are their
+expectations, and every payoff and outcome lottery of the game reads
+that played mechanism (``Game.played``).
 
 A ``StrategySet`` holds per coordinate the messages a strategy may send
 there, ascending; its members are their product, in canonical order.
@@ -40,6 +41,7 @@ build one exact ``Fraction`` at their output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -219,16 +221,16 @@ def is_constant(strategy: PureStrategy) -> bool:
 class Game:
     """A mechanism played under a perturbation, with optional signal noise
     and trembles.  Derived tables are memoized; inputs stay immutable.
-    ``played`` is the mechanism the game plays: ``tremble.apply(mechanism)``
-    under a tremble of positive probability, the mechanism itself
-    otherwise.  A game given no signals plays ``revealing_signals``."""
+    ``played`` is the mechanism the game plays, built on first read:
+    ``tremble.apply(mechanism)`` under a tremble of positive probability,
+    the mechanism itself otherwise.  A game given no signals plays
+    ``revealing_signals``."""
 
     scenario: ScenarioModel
     mechanism: Mechanism
     perturbation: Perturbation | None = None
     signals: SignalStructure | None = None
     tremble: TrembleSpec | None = None
-    played: Mechanism = field(init=False, repr=False)
     _inner_cache: dict = field(default_factory=dict, repr=False)
     _row_cache: dict = field(default_factory=dict, repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
@@ -254,7 +256,6 @@ class Game:
                     raise ModelError(
                         f"agent {agent + 1}'s signal {k} means state {h}, outside 1..{n}"
                     )
-        self.played = self.mechanism
         if self.tremble is not None:
             for agent, dist in enumerate(self.tremble.noise):
                 for m in dist:
@@ -263,8 +264,12 @@ class Game:
                             f"tremble noise of agent {agent + 1} names message {m}, "
                             "which the mechanism lacks"
                         )
-            if self.tremble.tau:
-                self.played = self.tremble.apply(self.mechanism)
+
+    @functools.cached_property
+    def played(self) -> Mechanism:
+        if self.tremble is not None and self.tremble.tau:
+            return self.tremble.apply(self.mechanism)
+        return self.mechanism
 
     def with_perturbation(self, perturbation: Perturbation) -> "Game":
         """This game's mechanism, signals and trembles under another
@@ -669,45 +674,34 @@ def full_strategy_set(messages: tuple[int, ...], length: int) -> StrategySet:
 
 
 def restricted_strategy_set(
-    variant: str,
-    n: int,
-    meanings: tuple[int, ...] | None = None,
+    messages: tuple[int, ...], meanings: tuple[int, ...]
 ) -> StrategySet:
-    """The strategies kept by each construction's restricted game: per
-    coordinate, the messages they may send there, in ascending order.
+    """The strategies kept by a rule's restricted game: per coordinate,
+    the messages they may send there, in ascending order.
 
-    A coordinate's meaning is its state index, or, with a signal
-    structure, the state index its signal means (pass the agent's meaning
-    map).  ``"sqr"``: the status-quo message or the meaning.  ``"asqr"``:
-    any negative message as well.
+    ``messages`` is the agent's message set under the rule, and a
+    coordinate's meaning is its state index, or, with a signal structure,
+    the state index its signal means (pass the agent's meaning map).  A
+    coordinate keeps the rule's negative messages, the status-quo message
+    1 and its meaning.
     """
-    if variant == "sqr":
-        negatives = ()
-    elif variant == "asqr":
-        negatives = tuple(range(-n, -1))
-    else:
-        raise ModelError(f"unknown restricted-set variant {variant!r}")
-    if meanings is None:
-        meanings = range(1, n + 1)
+    negatives = tuple(sorted(m for m in messages if m < 0))
     return tuple(negatives + ((1,) if h == 1 else (1, h)) for h in meanings)
 
 
 def canonical_replacement(
-    strategy: PureStrategy,
-    variant: str,
-    n: int,
-    meanings: tuple[int, ...] | None = None,
+    strategy: PureStrategy, messages: tuple[int, ...], meanings: tuple[int, ...]
 ) -> PureStrategy:
     """Map a strategy outside the restricted set to its canonical stand-in.
 
-    The plain-rule variant replaces invalid entries by the status quo
-    message; the augmented variant flips invalid entries to their negative,
-    except a wholly-constant high vector which flips as a whole.
+    A rule without negative messages replaces invalid entries by the
+    status quo message; a rule with them flips invalid entries to their
+    negative, except a wholly-constant high vector which flips as a whole.
     """
-    allowed = restricted_strategy_set(variant, n, meanings)
+    allowed = restricted_strategy_set(messages, meanings)
     if all(m in a for m, a in zip(strategy, allowed)):
         raise ModelError("strategy already belongs to the restricted set")
-    if variant == "sqr":
+    if min(messages) > 0:
         return tuple(m if m in a else 1 for m, a in zip(strategy, allowed))
     if is_constant(strategy) and strategy[0] >= 2:
         return tuple(-m for m in strategy)

@@ -24,6 +24,7 @@ from .engine import (
     TypeStrategy,
     max_tv_to_target,
     play_groups,
+    restricted_strategy_set,
     truthful_profile,
     type_signature,
 )
@@ -171,15 +172,13 @@ class DominanceCertificate:
 
 
 def gamma_dominance_threshold(
-    mechanism: Mechanism,
-    scenario: ScenarioModel,
-    restricted_sets: tuple[StrategySet, StrategySet],
-    c_bar: Number,
+    mechanism: Mechanism, scenario: ScenarioModel, c_bar: Number
 ) -> DominanceCertificate:
     """Exact threshold for truthful reporting on the unperturbed scenario.
 
-    Each restricted set is given by its per-coordinate choices and must
-    allow the truthful message at every state.  Against a mixture putting
+    Each agent plays the rule's restricted game: its set is
+    ``restricted_strategy_set`` of the agent's messages under the
+    mechanism, with the states as meanings.  Against a mixture putting
     weight gamma on the truthful opponent and 1 - gamma on an adversarial
     restricted strategy, the gain of truth over a deviation is linear in
     gamma; the adversarial side separates across states because the
@@ -201,9 +200,7 @@ def gamma_dominance_threshold(
     witness = []
     charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mechanism)
-    for choices in restricted_sets:
-        if len(choices) != scenario.n or any(t not in ms for t, ms in zip(truth, choices)):
-            raise ModelError("restricted set must contain the truthful strategy")
+    restricted_sets = tuple(restricted_strategy_set(ms, truth) for ms in mechanism.messages)
     for agent in (0, 1):
         own = restricted_sets[agent]
         allowed = restricted_sets[1 - agent]

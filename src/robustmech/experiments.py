@@ -61,7 +61,7 @@ from .mechanisms import (
 from .numeric import Number, fmt, rat
 from .perturbations import (
     BiasSpec,
-    Perturbation,
+    build_general_ladder,
     build_ladder,
     simple_bias_ladder,
 )
@@ -146,26 +146,28 @@ def preferred_outcome_bias(
 
 
 def step3_closure_certificate(
-    mechanism: Mechanism, scenario: ScenarioModel, variant: str
+    mechanism: Mechanism, scenario: ScenarioModel
 ) -> tuple[bool, list]:
     """Exhaustive replacement-dominance check.
 
-    Every pure strategy outside the restricted set must (a) induce the
-    same outcome as its canonical replacement at every state against
-    every message a restricted opponent may send there and (b) never earn
-    a larger expected transfer against a restricted opponent, strictly
-    smaller against the truthful one for constant vectors of a high
-    message.  The restricted opponent may pick its message at each state
-    from that state's choices, so the worst transfer gain over it is a sum
-    of per-state minima.  Returns failures as witnesses: an outcome
+    The restricted set and the canonical replacement are the rule's, read
+    off the mechanism's messages.  Every pure strategy outside the
+    restricted set must (a) induce the same outcome as its canonical
+    replacement at every state against every message a restricted
+    opponent may send there and (b) never earn a larger expected
+    transfer against a restricted opponent, strictly smaller against the
+    truthful one for constant vectors of a high message when the rule has
+    negative messages.  The restricted opponent may pick its message at
+    each state from that state's choices, so the worst transfer gain over
+    it is a sum of per-state minima.  Returns failures as witnesses: an outcome
     failure names the strategy, the state and the opponent's message
     there; a transfer failure names the strategy, the opponent strategy
     and the gain.
     """
     n = scenario.n
-    choices = restricted_strategy_set(variant, n)
     truth = tuple(range(1, n + 1))
     msgs_own, msgs_opp = mechanism.messages
+    choices = restricted_strategy_set(msgs_own, truth)
     # Per message triple (a, a_star, b): whether a and its replacement
     # a_star give the same outcome against b, and the transfer gain of
     # a_star over a.
@@ -182,7 +184,7 @@ def step3_closure_certificate(
     for s in itertools.product(*full_strategy_set(msgs_own, n)):
         if all(m in c for m, c in zip(s, choices)):
             continue
-        s_star = canonical_replacement(s, variant, n)
+        s_star = canonical_replacement(s, msgs_own, truth)
         worst_gain = Fraction(0)
         picks = []
         for j, (a, a_star) in enumerate(zip(s, s_star)):
@@ -198,7 +200,7 @@ def step3_closure_certificate(
             failures.append(
                 {"strategy": s, "opponent": tuple(picks), "gain": worst_gain, "kind": "transfer"}
             )
-        elif is_constant(s) and s[0] >= 2 and variant != "sqr":
+        elif is_constant(s) and s[0] >= 2 and min(msgs_own) < 0:
             gain = sum(
                 scenario.prior[j] * coordinate[(a, a_star, b)][1]
                 for j, (a, a_star, b) in enumerate(zip(s, s_star, truth))
@@ -225,7 +227,6 @@ def _mass_linear_fit(grid: list[dict]) -> tuple[Fraction, Fraction]:
 def _ladder_grid_run(
     scenario: ScenarioModel,
     mechanism: Mechanism,
-    variant: str,
     depth: int,
     eta_grid,
     biases,
@@ -234,8 +235,8 @@ def _ladder_grid_run(
     The ladders share the scenario and the biases, so every eta after the
     first plays a game built by ``Game.with_perturbation``, which reuses
     the payoff rows of the earlier ones."""
-    rs = restricted_strategy_set(variant, scenario.n)
-    sets = (rs, rs)
+    truth = tuple(range(1, scenario.n + 1))
+    sets = tuple(restricted_strategy_set(ms, truth) for ms in mechanism.messages)
     grid = []
     all_ok = True
     game = None
@@ -282,9 +283,8 @@ def run_thm1(
     if biases is None:
         bias_strength = 10 * mech.schedule.top
         biases = [BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_strength))]
-    rs = restricted_strategy_set("sqr", scenario.n)
-    cert_gamma = gamma_dominance_threshold(mech, scenario, (rs, rs), c_bar)
-    grid, ladder_ok = _ladder_grid_run(scenario, mech, "sqr", depth, eta_grid, biases)
+    cert_gamma = gamma_dominance_threshold(mech, scenario, c_bar)
+    grid, ladder_ok = _ladder_grid_run(scenario, mech, depth, eta_grid, biases)
     k, resid = _mass_linear_fit(grid)
     certificates = {
         "gamma_below_half": cert_gamma.below_half,
@@ -295,7 +295,7 @@ def run_thm1(
         "mass_fit_residual_small": resid <= Fraction(1, 20),
     }
     if scenario.n <= 3:
-        ok, failures = step3_closure_certificate(mech, scenario, "sqr")
+        ok, failures = step3_closure_certificate(mech, scenario)
         certificates["step3_closure"] = ok
     return ExperimentResult(
         name="thm1",
@@ -336,9 +336,8 @@ def run_thm2(
                 cost=rat(cost_cap) * scenario.payoffs[0].cost,
             )
         ]
-    rs = restricted_strategy_set("asqr", scenario.n)
-    cert_gamma = gamma_dominance_threshold(mech, scenario, (rs, rs), scenario.max_cost)
-    grid, ladder_ok = _ladder_grid_run(scenario, mech, "asqr", depth, eta_grid, biases)
+    cert_gamma = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
+    grid, ladder_ok = _ladder_grid_run(scenario, mech, depth, eta_grid, biases)
     # Constant high reports lose to coordinated low play under the ratio
     # constraint: q(j) R^j < q(1) R^0 for every j >= 2.
     constant_cmp = all(
@@ -351,7 +350,7 @@ def run_thm2(
         "constant_deviation_comparison": constant_cmp,
     }
     if scenario.n <= 3:
-        ok, _ = step3_closure_certificate(mech, scenario, "asqr")
+        ok, _ = step3_closure_certificate(mech, scenario)
         certificates["step3_closure"] = ok
     return ExperimentResult(
         name="thm2",
@@ -385,7 +384,7 @@ def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
     modified = sched.penalty is not None
     r0 = sched.r(0)
     h_own, h_opp = game.signals.meanings
-    opp_choices = restricted_strategy_set("asqr", n, h_opp)
+    opp_choices = restricted_strategy_set(game.mechanism.messages[1], h_opp)
     noise = tremble.noise[1]
     noise_low = sum(p for m, p in noise.items() if m <= 1)
     realized = {b: tremble.realized(1, b) for b in game.mechanism.messages[1]}
@@ -478,15 +477,11 @@ def run_thm3(
     game = Game(scenario, msqr, signals=noisy, tremble=tremble)
     msqr_ok, msqr_rows = deviation_dominance_certificate(game)
 
-    sets = tuple(
-        restricted_strategy_set("asqr", n, meanings=noisy.meanings[i]) for i in (0, 1)
-    )
+    sets = tuple(restricted_strategy_set(msqr.messages[i], game.truthful(i)) for i in (0, 1))
     report = verify_equilibrium(game, truthful_profile(game), sets)
 
-    sets0 = tuple(
-        restricted_strategy_set("asqr", n, meanings=revealing.meanings[i]) for i in (0, 1)
-    )
     game0 = Game(scenario, msqr, signals=revealing)
+    sets0 = tuple(restricted_strategy_set(msqr.messages[i], game0.truthful(i)) for i in (0, 1))
     report0 = verify_equilibrium(game0, truthful_profile(game0), sets0)
 
     certificates = {
@@ -609,10 +604,6 @@ def separating_functional(
     raise ModelError("no separable target lottery found")
 
 
-def _single_circumstance(scenario, biases):
-    return Perturbation(scenario, (Fraction(1),), (((0,),), ((0,),)), tuple(biases))
-
-
 def _two_point_grid(a, b, step: int) -> list[dict]:
     """``{a: k/step, b: 1 - k/step}`` for ``k = 0..step``, zero weights kept."""
     return [{a: Fraction(k, step), b: 1 - Fraction(k, step)} for k in range(step + 1)]
@@ -728,8 +719,8 @@ def run_prop1(
     # The two opposed payoff tilts, each on a single circumstance.
     bias_plus = BiasSpec(0, 0, {(s, y): cv[y] for s in range(scenario.n) for y in range(len(cv))})
     bias_minus = BiasSpec(1, 0, {(s, y): -cv[y] for s in range(scenario.n) for y in range(len(cv))})
-    plus = Game(scenario, mechanism, _single_circumstance(scenario, [bias_plus]))
-    minus = Game(scenario, mechanism, _single_circumstance(scenario, [bias_minus]))
+    plus = Game(scenario, mechanism, build_general_ladder(scenario, (1,), [bias_plus]))
+    minus = Game(scenario, mechanism, build_general_ladder(scenario, (1,), [bias_minus]))
 
     # Inequality chain on the message grid: any opponent mixture that
     # caps agent 1's tilted payoff at the target level must hand agent 2

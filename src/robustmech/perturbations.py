@@ -85,7 +85,7 @@ class Perturbation:
     renormalizing factor in ``scale``; any other distribution is its masses
     as ``coef`` at ratio 1 and scale 1 (the defaults).  Exact masses, whose
     denominators grow with the ladder depth, are computed only where a
-    caller asks: ``pi``, ``type_prob`` and ``masses_by``.
+    caller asks: ``pi`` and ``masses_by``.
 
     Construction compiles the partitions into per-agent tables so that
     evaluators never rescan them:
@@ -162,14 +162,11 @@ class Perturbation:
         groups = tuple(
             tuple(
                 _conditional_groups(weights, type_index[1 - agent], classes[agent])
-                for _, _, weights in relative[agent]
+                for weights in relative[agent]
             )
             for agent in (0, 1)
         )
         object.__setattr__(self, "_type_index", tuple(type_index))
-        object.__setattr__(self, "_anchors", tuple(
-            tuple((anchor, total) for anchor, total, _ in part) for part in relative
-        ))
         object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_groups", groups)
         kinds: dict[tuple, int] = {}
@@ -182,24 +179,23 @@ class Perturbation:
         ))
 
     def _relative_masses(self, block, shapes):
-        """``(anchor, total, ((w, weight), ...))`` for one partition block:
-        its first positive-mass circumstance, its mass relative to the
-        anchor's, and the conditional weight of each positive-mass
-        circumstance.  Blocks of one shape (coefficients and offsets from
-        the anchor) share one entry of ``shapes``, keyed by ints: each
-        coefficient as its ``frac_key``."""
+        """``((w, weight), ...)`` for one partition block: the conditional
+        weight of each positive-mass circumstance, from its mass relative
+        to the block's first positive-mass circumstance, the anchor.
+        Blocks of one shape (coefficients and offsets from the anchor)
+        share one entry of ``shapes``, keyed by ints: each coefficient as
+        its ``frac_key``."""
         members = [w for w in block if self.coef[w]]
         if not members:
-            return block[0], Fraction(0), ()
+            return ()
         anchor = members[0]
         shape = tuple((*frac_key(self.coef[w]), w - anchor) for w in members)
-        hit = shapes.get(shape)
-        if hit is None:
+        weights = shapes.get(shape)
+        if weights is None:
             rel = [self.coef[anchor + k] / self.coef[anchor] * self.ratio**k for _, _, k in shape]
             total = sum(rel)
-            hit = shapes[shape] = (total, tuple(x / total for x in rel))
-        total, weights = hit
-        return anchor, total, tuple(zip(members, weights))
+            weights = shapes[shape] = tuple(x / total for x in rel)
+        return tuple(zip(members, weights))
 
     def masses_by(self, labels) -> dict:
         """``{label: mass}``: the total mass of the circumstances carrying
@@ -245,11 +241,6 @@ class Perturbation:
         if not 0 <= circ < len(self.coef):
             raise ModelError(f"circumstance {circ} not in agent {agent} partition")
         return self._type_index[agent][circ]
-
-    def type_prob(self, agent: int, type_index: int) -> Fraction:
-        """The type's mass: its anchor's mass times its relative total."""
-        anchor, total = self._anchors[agent][type_index]
-        return self.scale * self.coef[anchor] * self.ratio**anchor * total
 
     def payoff_class(self, agent: int, circ: int) -> int | None:
         """``None`` where the agent has normal payoffs, else the index of

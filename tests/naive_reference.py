@@ -10,7 +10,8 @@ exact equality.  ``NaiveGame`` wraps a ``Game`` and supplies the old
 pair over its realized pairs from the tremble's ``tau`` and noise, the
 oracle for ``TrembleSpec.apply``; ``NaivePerturbation`` supplies the old
 ``type_of`` and ``type_prob``, summed from the masses it reads once from
-``pi``.
+``pi``; the functions that skip zero-mass types take a ``NaiveGame``
+and read those masses.
 ``ladder_masses``, ``type_groups``, ``posterior``, ``eta_of``,
 ``outcome_distribution`` and ``truthful_probability_mass`` are the
 ladder construction and the mass sums before the ratio/coefficient form:
@@ -18,6 +19,9 @@ per-rung powers renormalized by a sum, conditional weights and posteriors
 divided out of raw masses, and lotteries mixed once per circumstance.
 A ``Perturbation`` computes ``pi`` on each access, so every function
 here reads it once.
+``restricted_strategy_set`` and ``canonical_replacement`` name a rule's
+restricted game by a variant string, ``"sqr"`` or ``"asqr"``, the
+oracle for the functions that read it off the rule's messages.
 ``strict_cyclical_monotonicity`` enumerates every state
 permutation, the oracle for the class-graph check, and
 ``step3_closure_certificate`` every (strategy, restricted opponent
@@ -46,11 +50,9 @@ from robustmech.engine import (
     PureStrategy,
     StrategySet,
     TypeStrategy,
-    canonical_replacement,
     full_strategy_set,
     is_constant,
     StrategyProfile,
-    restricted_strategy_set,
 )
 from robustmech.mechanisms import InfeasibleScheduleError, RewardSchedule
 from robustmech.numeric import Number, rat
@@ -294,7 +296,7 @@ def expected_payoff(
 
 
 def iterated_dominance(
-    game: Game,
+    game: NaiveGame,
     strategy_sets: tuple[StrategySet, StrategySet],
     mixture_denominator: int = 0,
     max_rounds: int = 10_000,
@@ -485,6 +487,53 @@ def strict_cyclical_monotonicity(u, scf) -> bool:
         if total > diag or (changes and total == diag):
             return False
     return True
+
+
+def restricted_strategy_set(
+    variant: str,
+    n: int,
+    meanings: tuple[int, ...] | None = None,
+) -> StrategySet:
+    """The strategies kept by each construction's restricted game, named
+    by a variant string instead of read off the rule's messages.
+
+    A coordinate's meaning is its state index, or, with a signal
+    structure, the state index its signal means (pass the agent's meaning
+    map).  ``"sqr"``: the status-quo message or the meaning.  ``"asqr"``:
+    any negative message as well.
+    """
+    if variant == "sqr":
+        negatives = ()
+    elif variant == "asqr":
+        negatives = tuple(range(-n, -1))
+    else:
+        raise ModelError(f"unknown restricted-set variant {variant!r}")
+    if meanings is None:
+        meanings = range(1, n + 1)
+    return tuple(negatives + ((1,) if h == 1 else (1, h)) for h in meanings)
+
+
+def canonical_replacement(
+    strategy: PureStrategy,
+    variant: str,
+    n: int,
+    meanings: tuple[int, ...] | None = None,
+) -> PureStrategy:
+    """Map a strategy outside the variant's restricted set to its
+    canonical stand-in.
+
+    The plain-rule variant replaces invalid entries by the status quo
+    message; the augmented variant flips invalid entries to their negative,
+    except a wholly-constant high vector which flips as a whole.
+    """
+    allowed = restricted_strategy_set(variant, n, meanings)
+    if all(m in a for m, a in zip(strategy, allowed)):
+        raise ModelError("strategy already belongs to the restricted set")
+    if variant == "sqr":
+        return tuple(m if m in a else 1 for m, a in zip(strategy, allowed))
+    if is_constant(strategy) and strategy[0] >= 2:
+        return tuple(-m for m in strategy)
+    return tuple(m if m in a else -m for m, a in zip(strategy, allowed))
 
 
 def step3_closure_certificate(mechanism, scenario, variant):

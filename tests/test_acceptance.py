@@ -47,8 +47,7 @@ def _gamma(scenario, kind):
         if kind == "sqr"
         else build_augmented_status_quo(scenario)
     )
-    rs = restricted_strategy_set(kind, scenario.n)
-    return gamma_dominance_threshold(mech, scenario, (rs, rs), scenario.max_cost)
+    return gamma_dominance_threshold(mech, scenario, scenario.max_cost)
 
 
 def test_criterion_1_gamma_dominance_below_half():
@@ -72,9 +71,8 @@ def test_criterion_1_gamma_dominance_below_half():
         "sqr", sqr.messages, sqr.outcome,
         {(a, b): (bad[a], bad[a]) if a == b else (F(0), F(0)) for a, b in sqr.transfer},
     )
-    rs = restricted_strategy_set("sqr", 2)
     try:
-        cert = gamma_dominance_threshold(mech, s, (rs, rs), F(1))
+        cert = gamma_dominance_threshold(mech, s, F(1))
         ok = ok and cert.gamma >= F(1, 2)
     except ModelError:
         pass
@@ -97,7 +95,7 @@ def test_criterion_2_matching_rule_contagion():
 def test_criterion_3_truthful_survives_conviction_bias():
     s = binary_trial_scenario()
     mech = build_status_quo(s, 1)
-    rs = restricted_strategy_set("sqr", 2)
+    rs = restricted_strategy_set(mech.messages[0], (1, 2))
     ok = True
     for strength in (F(10), F(10) ** 3, F(10) ** 6):
         bias = BiasSpec(0, 0, preferred_outcome_bias(s, 1, strength))
@@ -126,11 +124,11 @@ def test_criterion_5_replacement_closure_exhaustive():
     ok = True
     for scenario in (binary_trial_scenario(), three_state_scenario()):
         good, failures = step3_closure_certificate(
-            build_status_quo(scenario, scenario.max_cost), scenario, "sqr"
+            build_status_quo(scenario, scenario.max_cost), scenario
         )
         ok = ok and good and not failures
         good, failures = step3_closure_certificate(
-            build_augmented_status_quo(scenario), scenario, "asqr"
+            build_augmented_status_quo(scenario), scenario
         )
         ok = ok and good and not failures
     elapsed = time.monotonic() - start

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import naive_reference as naive
 from robustmech import (
     Game,
     Lottery,
@@ -12,6 +13,7 @@ from robustmech import (
     SignalStructure,
     TrembleSpec,
     binary_trial_scenario,
+    build_modified_status_quo,
     build_status_quo,
     canonical_replacement,
     expected_payoff,
@@ -21,6 +23,7 @@ from robustmech import (
     outcome_distribution,
     restricted_strategy_set,
     revealing_signals,
+    run_experiment,
     size_of_signal_structure,
     three_state_scenario,
     truthful_profile,
@@ -90,52 +93,89 @@ def test_game_refuses_a_signal_meaning_outside_the_states(meaning):
 
 def test_full_and_restricted_strategy_sets():
     assert full_strategy_set((2, 1), 2) == ((1, 2), (1, 2))
-    assert restricted_strategy_set("sqr", 2) == ((1,), (1, 2))
-    assert list(itertools.product(*restricted_strategy_set("asqr", 2))) == [
+    assert restricted_strategy_set((1, 2), (1, 2)) == ((1,), (1, 2))
+    assert list(itertools.product(*restricted_strategy_set(augmented_messages(2), (1, 2)))) == [
         (-2, -2), (-2, 1), (-2, 2), (1, -2), (1, 1), (1, 2)
     ]
     # Per-state choices: negatives plus {1, k}; the first state adds
     # nothing beyond the status quo message.
-    rs3 = restricted_strategy_set("asqr", 3)
+    rs3 = restricted_strategy_set(augmented_messages(3), (1, 2, 3))
     assert rs3 == ((-3, -2, 1), (-3, -2, 1, 2), (-3, -2, 1, 3))
+    # The modified rule has the augmented rule's messages, so its
+    # restricted game is the same.
+    binary, three = binary_trial_scenario(), three_state_scenario()
+    msqr2, msqr3 = build_modified_status_quo(binary), build_modified_status_quo(three)
+    assert restricted_strategy_set(msqr2.messages[1], (1, 2)) == ((-2, 1), (-2, 1, 2))
+    assert restricted_strategy_set(msqr3.messages[0], (1, 2, 3)) == rs3
+    assert restricted_strategy_set(msqr3.messages[1], (2, 3, 1)) == (
+        (-3, -2, 1, 2), (-3, -2, 1, 3), (-3, -2, 1)
+    )
 
 
 def test_canonical_replacement():
-    assert canonical_replacement((2, 1), "sqr", 2) == (1, 1)
-    assert canonical_replacement((3, 3, 3), "asqr", 3) == (-3, -3, -3)
-    assert canonical_replacement((2, 3, 2), "asqr", 3) == (-2, -3, -2)
+    aug3 = augmented_messages(3)
+    assert canonical_replacement((2, 1), (1, 2), (1, 2)) == (1, 1)
+    assert canonical_replacement((3, 3, 3), aug3, (1, 2, 3)) == (-3, -3, -3)
+    assert canonical_replacement((2, 3, 2), aug3, (1, 2, 3)) == (-2, -3, -2)
     # Strategies already in the restricted set have no replacement.
-    for strat, variant in (((1, 2), "sqr"), ((1, 2, 3), "asqr")):
+    for strat, messages in (((1, 2), (1, 2)), ((1, 2, 3), aug3)):
         with pytest.raises(ModelError):
-            canonical_replacement(strat, variant, len(strat))
+            canonical_replacement(strat, messages, tuple(range(1, len(strat) + 1)))
 
 
-@pytest.mark.parametrize("variant", ["sqr", "asqr"])
+def rule_messages(negatives, n):
+    """The plain rule's messages, or the augmented and modified rules'."""
+    return augmented_messages(n) if negatives else tuple(range(1, n + 1))
+
+
+def meaning_maps(n):
+    """The identity meanings and a cyclic shift, as a mislabeled signal
+    structure has."""
+    return tuple(range(1, n + 1)), tuple(j % n + 1 for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize("negatives", [False, True], ids=["sqr", "asqr"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("shifted", [False, True])
-def test_restricted_set_is_the_product_of_its_choices(variant, n, shifted):
-    """With and without a meaning map (a cyclic shift, as a mislabeled
-    signal structure has): the set is the product of the per-coordinate
-    choices, and every full-set strategy outside it has a canonical
-    replacement inside it."""
-    meanings = tuple(j % n + 1 for j in range(1, n + 1)) if shifted else None
-    choices = restricted_strategy_set(variant, n, meanings)
-    assert all(h in c for h, c in zip(meanings or range(1, n + 1), choices))
+def test_restricted_set_is_the_product_of_its_choices(negatives, n, shifted):
+    """With the identity meanings and a cyclic shift: the set is the
+    product of the per-coordinate choices, and every full-set strategy
+    outside it has a canonical replacement inside it."""
+    messages = rule_messages(negatives, n)
+    meanings = meaning_maps(n)[shifted]
+    choices = restricted_strategy_set(messages, meanings)
+    assert all(h in c for h, c in zip(meanings, choices))
     assert all(list(c) == sorted(set(c)) for c in choices)
     restricted = list(itertools.product(*choices))
     assert restricted == sorted(restricted)
     inside = set(restricted)
-    messages = tuple(range(1, n + 1)) if variant == "sqr" else augmented_messages(n)
     full = itertools.product(*full_strategy_set(messages, n))
     outside = [s for s in full if s not in inside]
     assert outside
     for strategy in outside:
-        assert canonical_replacement(strategy, variant, n, meanings) in inside
+        assert canonical_replacement(strategy, messages, meanings) in inside
 
 
-def test_restricted_choices_reject_an_unknown_variant():
-    with pytest.raises(ModelError):
-        restricted_strategy_set("signals", 2)
+@pytest.mark.parametrize("negatives", [False, True], ids=["sqr", "asqr"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_restricted_sets_match_the_variant_reference(negatives, n):
+    """Read off the rule's messages, the restricted set equals the one
+    named by the variant string, for n = 2..5 under the identity and the
+    shifted meanings; up to n = 4, so does the replacement of every
+    full-set strategy outside it."""
+    messages = rule_messages(negatives, n)
+    variant = "asqr" if negatives else "sqr"
+    for meanings in meaning_maps(n):
+        choices = restricted_strategy_set(messages, meanings)
+        assert choices == naive.restricted_strategy_set(variant, n, meanings)
+        if n > 4:
+            continue
+        inside = set(itertools.product(*choices))
+        for s in itertools.product(*full_strategy_set(messages, n)):
+            if s not in inside:
+                assert canonical_replacement(s, messages, meanings) == (
+                    naive.canonical_replacement(s, variant, n, meanings)
+                )
 
 
 def test_truthful_strategy_and_profile():
@@ -199,6 +239,31 @@ def test_tremble_apply_takes_expectations_over_realized_pairs():
         assert played.g(*pair) == Lottery.mix(parts)
     assert Game(s, mech, tremble=tr).played == played
     assert Game(s, mech, tremble=TrembleSpec.point(0, mech.messages, (2, 2))).played is mech
+
+
+def test_a_game_folds_its_tremble_on_first_read(monkeypatch):
+    """``played`` is built when first read, once per game: ``run_thm3``
+    plays only the modified rule's trembling game, so it folds one
+    tremble; the augmented rule's game is read by its certificate alone.
+    A game without a tremble plays its own mechanism."""
+    calls = []
+    apply = TrembleSpec.apply
+
+    def counted(self, mechanism):
+        calls.append(mechanism.kind)
+        return apply(self, mechanism)
+
+    monkeypatch.setattr(TrembleSpec, "apply", counted)
+    s = binary_trial_scenario()
+    mech = build_status_quo(s, 1)
+    game = Game(s, mech, tremble=TrembleSpec.point(F(1, 10), mech.messages, (2, 2)))
+    assert calls == []
+    assert game.played is game.played
+    assert calls == ["sqr"]
+    assert Game(s, mech).played is mech
+    calls.clear()
+    run_experiment("thm3")
+    assert calls == ["msqr"]
 
 
 def test_tremble_validation():

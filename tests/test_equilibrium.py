@@ -17,6 +17,7 @@ from robustmech import (
     build_augmented_status_quo,
     build_ladder,
     build_maskin,
+    build_modified_status_quo,
     build_status_quo,
     expected_payoff,
     four_state_scenario,
@@ -39,7 +40,7 @@ from robustmech.mechanisms import Mechanism
 
 def _sqr_game(scenario):
     mech = build_status_quo(scenario, scenario.max_cost)
-    rs = restricted_strategy_set("sqr", scenario.n)
+    rs = restricted_strategy_set(mech.messages[0], tuple(range(1, scenario.n + 1)))
     return Game(scenario, mech), (rs, rs)
 
 
@@ -63,7 +64,7 @@ def test_residuals_invariant_to_constant_transfer_shift():
         {k: (a + 7, b + 7) for k, (a, b) in mech.transfer.items()},
         mech.schedule,
     )
-    rs = restricted_strategy_set("sqr", 2)
+    rs = restricted_strategy_set(mech.messages[0], (1, 2))
     r1 = verify_equilibrium(Game(s, mech), truthful_profile(Game(s, mech)), (rs, rs))
     g2 = Game(s, shifted)
     r2 = verify_equilibrium(g2, truthful_profile(g2), (rs, rs))
@@ -118,7 +119,7 @@ def test_best_deviation_accounts_for_the_residual():
     its other types to (1, 2)."""
     s = binary_trial_scenario()
     mech = build_status_quo(s, s.max_cost)
-    rs = restricted_strategy_set("sqr", s.n)
+    rs = restricted_strategy_set(mech.messages[0], (1, 2))
     pert = build_ladder(s, 6, F(1, 10), [BiasSpec(0, 0, {(0, 0): F(100), (1, 0): F(100)}, F(0))])
     game = Game(s, mech, pert)
     reference = naive.NaiveGame(game)
@@ -153,8 +154,7 @@ def test_gamma_thresholds_frozen_values():
             if kind == "sqr"
             else build_augmented_status_quo(scenario)
         )
-        rs = restricted_strategy_set(kind, scenario.n)
-        cert = gamma_dominance_threshold(mech, scenario, (rs, rs), scenario.max_cost)
+        cert = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
         assert cert.gamma == expected
         assert cert.below_half
 
@@ -167,7 +167,7 @@ BASELINE_PRIORS = (
 )
 
 
-@pytest.mark.parametrize("kind", ["sqr", "asqr"])
+@pytest.mark.parametrize("kind", ["sqr", "asqr", "msqr"])
 @pytest.mark.parametrize("prior", BASELINE_PRIORS, ids=lambda p: f"n{len(p)}")
 def test_gamma_witness_rows_equal_inner_value_differences(prior, kind):
     """Every witness row's gains are the ``inner_value`` differences of the
@@ -175,13 +175,14 @@ def test_gamma_witness_rows_equal_inner_value_differences(prior, kind):
     truthful opponent and facing the row's adversary.  Rows come in
     canonical order per agent, and gamma is the largest threshold."""
     scenario = uniform_scenario(prior)
-    mech = (build_status_quo(scenario, scenario.max_cost) if kind == "sqr"
-            else build_augmented_status_quo(scenario))
-    rs = restricted_strategy_set(kind, scenario.n)
-    cert = gamma_dominance_threshold(mech, scenario, (rs, rs), scenario.max_cost)
+    mech = {"sqr": lambda s: build_status_quo(s, s.max_cost),
+            "asqr": build_augmented_status_quo,
+            "msqr": build_modified_status_quo}[kind](scenario)
+    cert = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
     charged = tuple(replace(p, cost=scenario.max_cost) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mech)
     truth = game.truthful(0)
+    rs = restricted_strategy_set(mech.messages[0], truth)
     deviations = [s for s in itertools.product(*rs) if s != truth]
     assert [(row["agent"], row["deviation"]) for row in cert.witness] == [
         (agent, s) for agent in (0, 1) for s in deviations
@@ -206,8 +207,7 @@ def test_gamma_witness_rows_equal_inner_value_differences(prior, kind):
 def test_gamma_threshold_four_states():
     s = four_state_scenario()
     mech = build_status_quo(s, 1)
-    rs = restricted_strategy_set("sqr", 4)
-    cert = gamma_dominance_threshold(mech, s, (rs, rs), 1)
+    cert = gamma_dominance_threshold(mech, s, 1)
     assert cert.below_half
 
 
@@ -215,9 +215,8 @@ def test_gamma_rejects_non_dominant_truthtelling():
     s = binary_trial_scenario()
     sqr = build_status_quo(s, 1)
     mech = Mechanism("sqr", sqr.messages, sqr.outcome, {k: (F(0), F(0)) for k in sqr.transfer})
-    rs = restricted_strategy_set("sqr", 2)
     with pytest.raises(ModelError):
-        gamma_dominance_threshold(mech, s, (rs, rs), F(1))
+        gamma_dominance_threshold(mech, s, F(1))
 
 
 def test_br_iteration_reaches_truthful_fixed_point():

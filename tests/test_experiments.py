@@ -235,7 +235,7 @@ def test_preferred_outcome_bias_targets_the_modal_outcome():
 
 def test_step3_closure_small():
     s = binary_trial_scenario()
-    ok, failures = step3_closure_certificate(build_status_quo(s, 1), s, "sqr")
+    ok, failures = step3_closure_certificate(build_status_quo(s, 1), s)
     assert ok and not failures
 
 
@@ -271,7 +271,7 @@ def test_step3_closure_matches_the_enumeration_oracle(scenario, variant):
     rng = random.Random(f"step3:{variant}:{scenario.n}")
     verdicts, kinds = [], set()
     for mechanism in [mech] + [_corrupted(mech, rng, rng.randint(1, 3)) for _ in range(10)]:
-        ok, failures = step3_closure_certificate(mechanism, scenario, variant)
+        ok, failures = step3_closure_certificate(mechanism, scenario)
         want_ok, want = naive.step3_closure_certificate(mechanism, scenario, variant)
         assert ok == want_ok
         assert {
@@ -300,7 +300,7 @@ def test_step3_closure_fails_on_a_corrupted_mechanism_with_its_witness():
     mech = build_status_quo(s, 1)
     other = next(lot for lot in s.scf.lotteries if not lot.same_as(mech.g(1, 1)))
     bad_outcome = replace(mech, outcome={**mech.outcome, (2, 1): other})
-    ok, failures = step3_closure_certificate(bad_outcome, s, "sqr")
+    ok, failures = step3_closure_certificate(bad_outcome, s)
     assert not ok
     assert failures == [
         {"strategy": (2, 1), "state": 0, "opponent_message": 1, "kind": "outcome"},
@@ -309,7 +309,7 @@ def test_step3_closure_fails_on_a_corrupted_mechanism_with_its_witness():
     t1, t2 = mech.transfer[(2, 1)]
     gap = mech.t(0, 1, 1) - t1 + 1
     bad_transfer = replace(mech, transfer={**mech.transfer, (2, 1): (t1 + gap, t2)})
-    ok, failures = step3_closure_certificate(bad_transfer, s, "sqr")
+    ok, failures = step3_closure_certificate(bad_transfer, s)
     assert not ok
     assert [(f["strategy"], f["opponent"], f["kind"]) for f in failures] == [
         ((2, 1), (1, 1), "transfer"), ((2, 2), (1, 1), "transfer"),
@@ -321,7 +321,7 @@ def test_step3_closure_fails_on_a_corrupted_mechanism_with_its_witness():
     asqr = build_augmented_status_quo(s)
     tied = {(a, b): (asqr.t(0, -2, b), t2) if a == 2 else (t1, t2)
             for (a, b), (t1, t2) in asqr.transfer.items()}
-    ok, failures = step3_closure_certificate(replace(asqr, transfer=tied), s, "asqr")
+    ok, failures = step3_closure_certificate(replace(asqr, transfer=tied), s)
     assert not ok
     assert failures == [{"strategy": (2, 2), "opponent": (1, 2), "gain": 0, "kind": "transfer"}]
 

@@ -30,7 +30,7 @@ from robustmech.mechanisms import Mechanism
 
 THREE = three_state_scenario()
 MECH = build_augmented_status_quo(THREE)
-SETS = (restricted_strategy_set("asqr", THREE.n),) * 2
+SETS = tuple(restricted_strategy_set(ms, (1, 2, 3)) for ms in MECH.messages)
 # thm2's default bias and eta grid on the three-state scenario.
 BIAS = [BiasSpec(0, 0, preferred_outcome_bias(THREE, 1, 10 * MECH.schedule.top),
                  cost=10**6 * THREE.payoffs[0].cost)]
