@@ -14,8 +14,9 @@ import os
 import sys
 
 from .core import ModelError, binary_trial_scenario
-from .engine import Game, full_strategy_set, restricted_strategy_set, truthful_profile
+from .engine import Game, full_strategy_set, truthful_profile
 from .equilibrium import (
+    _strategy_sets,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
@@ -82,14 +83,6 @@ def _build_mechanism(kind, scenario, args):
     if kind == "msqr":
         return build_modified_status_quo(scenario)
     raise ModelError(f"unknown mechanism kind {kind!r}")
-
-
-def _strategy_sets(mech, scenario):
-    """Maskin's full sets; any other rule's restricted sets."""
-    truth = tuple(range(1, scenario.n + 1))
-    if mech.kind == "maskin":
-        return tuple(full_strategy_set(ms, scenario.n) for ms in mech.messages)
-    return tuple(restricted_strategy_set(ms, truth) for ms in mech.messages)
 
 
 def _emit(record):

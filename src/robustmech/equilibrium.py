@@ -22,6 +22,7 @@ from .engine import (
     StrategyProfile,
     StrategySet,
     TypeStrategy,
+    full_strategy_set,
     max_tv_to_target,
     play_groups,
     restricted_strategy_set,
@@ -171,6 +172,16 @@ class DominanceCertificate:
         return self.gamma < Fraction(1, 2)
 
 
+def _strategy_sets(
+    mechanism: Mechanism, scenario: ScenarioModel
+) -> tuple[StrategySet, StrategySet]:
+    """Maskin's full sets; any other rule's restricted sets."""
+    truth = tuple(range(1, scenario.n + 1))
+    if mechanism.kind == "maskin":
+        return tuple(full_strategy_set(ms, scenario.n) for ms in mechanism.messages)
+    return tuple(restricted_strategy_set(ms, truth) for ms in mechanism.messages)
+
+
 def gamma_dominance_threshold(
     mechanism: Mechanism, scenario: ScenarioModel, c_bar: Number
 ) -> DominanceCertificate:
@@ -178,16 +189,17 @@ def gamma_dominance_threshold(
 
     Each agent plays the rule's restricted game: its set is
     ``restricted_strategy_set`` of the agent's messages under the
-    mechanism, with the states as meanings.  Against a mixture putting
-    weight gamma on the truthful opponent and 1 - gamma on an adversarial
-    restricted strategy, the gain of truth over a deviation is linear in
-    gamma; the adversarial side separates across states because the
-    opponent may pick its message at each state from that state's
-    choices, so the worst case is a per-state minimum.  Deviations are
-    the product of the agent's own choices, in canonical order.  The
-    reported gamma is the largest root across agents and deviations (zero
-    when every deviation is dominated outright); strictness holds for
-    truthful weight above it.
+    mechanism, with the states as meanings.  The matching rule has no
+    status-quo message to fall back on and plays its full sets.  Against
+    a mixture putting weight gamma on the truthful opponent and 1 - gamma
+    on an adversarial strategy from those sets, the gain of truth over a
+    deviation is linear in gamma; the adversarial side separates across
+    states because the opponent may pick its message at each state from
+    that state's choices, so the worst case is a per-state minimum.
+    Deviations are the product of the agent's own choices, in canonical
+    order.  The reported gamma is the largest root across agents and
+    deviations (zero when every deviation is dominated outright);
+    strictness holds for truthful weight above it.
 
     The learning-cost bound ``c_bar`` is charged in place of the scenario
     cost, which makes the certificate valid for every cost profile below
@@ -200,10 +212,10 @@ def gamma_dominance_threshold(
     witness = []
     charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mechanism)
-    restricted_sets = tuple(restricted_strategy_set(ms, truth) for ms in mechanism.messages)
+    sets = _strategy_sets(mechanism, scenario)
     for agent in (0, 1):
-        own = restricted_sets[agent]
-        allowed = restricted_sets[1 - agent]
+        own = sets[agent]
+        allowed = sets[1 - agent]
         msgs_own = sorted({m for ms in own for m in ms})
         # phi[b][k][m]: the prior-weighted payoff of sending m at state k
         # against b, read from the coordinate row of the constant (b, ..., b).

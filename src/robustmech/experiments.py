@@ -43,6 +43,7 @@ from .engine import (
     truthful_profile,
 )
 from .equilibrium import (
+    _strategy_sets,
     best_response,
     gamma_dominance_threshold,
     iterate_best_response,
@@ -235,8 +236,7 @@ def _ladder_grid_run(
     The ladders share the scenario and the biases, so every eta after the
     first plays a game built by ``Game.with_perturbation``, which reuses
     the payoff rows of the earlier ones."""
-    truth = tuple(range(1, scenario.n + 1))
-    sets = tuple(restricted_strategy_set(ms, truth) for ms in mechanism.messages)
+    sets = _strategy_sets(mechanism, scenario)
     grid = []
     all_ok = True
     game = None

@@ -211,6 +211,27 @@ def test_gamma_threshold_four_states():
     assert cert.below_half
 
 
+def test_gamma_matching_rule_plays_full_sets():
+    # The matching rule has no status-quo message, so every agent may
+    # deviate to any of its three non-truthful strategies and the adversary
+    # picks from the full set; the rows are the full-set certificate.
+    s = binary_trial_scenario()
+    cert = gamma_dominance_threshold(build_maskin(s, 10), s, 1)
+    rows = [
+        (w["deviation"], w["gain_vs_truthful"], w["worst_case_gain"], w["adversary"],
+         w["threshold"])
+        for w in cert.witness
+    ]
+    per_agent = [
+        ((1, 1), F(2), F(-4), (1, 1), F(2, 3)),
+        ((2, 1), F(10), F(-10), (2, 1), F(1, 2)),
+        ((2, 2), F(6), F(-8), (2, 1), F(4, 7)),
+    ]
+    assert [w["agent"] for w in cert.witness] == [0, 0, 0, 1, 1, 1]
+    assert rows == per_agent * 2
+    assert cert.gamma == F(2, 3)
+
+
 def test_gamma_rejects_non_dominant_truthtelling():
     s = binary_trial_scenario()
     sqr = build_status_quo(s, 1)
