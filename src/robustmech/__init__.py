@@ -80,7 +80,6 @@ from .perturbations import (
     eta_of,
     is_c_bounded,
     posterior,
-    simple_bias_ladder,
     unperturbed,
 )
 

@@ -109,7 +109,7 @@ def cmd_equilibrium_check(args):
     scenario, pert = _load(args)
     mech = _build_mechanism(args.kind, scenario, args)
     game = Game(scenario, mech, pert)
-    sets = _strategy_sets(mech, scenario)
+    sets = _strategy_sets(game)
     report = verify_equilibrium(game, truthful_profile(game), sets, args.epsilon)
     print(f"equilibrium: {report.is_equilibrium}   max residual: {fmt(report.max_residual)}"
           f"   max TV: {fmt(report.max_tv)}")
@@ -127,7 +127,7 @@ def cmd_equilibrium_br(args):
     scenario, pert = _load(args)
     mech = _build_mechanism(args.kind, scenario, args)
     game = Game(scenario, mech, pert)
-    sets = _strategy_sets(mech, scenario)
+    sets = _strategy_sets(game)
     result = iterate_best_response(game, sets, max_rounds=args.max_rounds)
     print(f"converged: {result.converged}  rounds: {result.rounds}  cycled: {result.cycled}")
     record = {"converged": result.converged, "rounds": result.rounds, "cycled": result.cycled}
@@ -158,7 +158,7 @@ def cmd_dominance_eliminate(args):
         sets = (full_strategy_set(mech.messages[0], game.strategy_length(0)),
                 full_strategy_set(mech.messages[1], game.strategy_length(1)))
     else:
-        sets = _strategy_sets(mech, scenario)
+        sets = _strategy_sets(game)
     surviving, rounds, _ = iterated_dominance(game, sets, args.mixture_denominator)
     counts = {f"agent{a + 1}": {t: len(pool) for t, pool in surviving[a].items()}
               for a in (0, 1)}

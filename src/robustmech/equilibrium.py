@@ -172,14 +172,14 @@ class DominanceCertificate:
         return self.gamma < Fraction(1, 2)
 
 
-def _strategy_sets(
-    mechanism: Mechanism, scenario: ScenarioModel
-) -> tuple[StrategySet, StrategySet]:
-    """Maskin's full sets; any other rule's restricted sets."""
-    truth = tuple(range(1, scenario.n + 1))
-    if mechanism.kind == "maskin":
-        return tuple(full_strategy_set(ms, scenario.n) for ms in mechanism.messages)
-    return tuple(restricted_strategy_set(ms, truth) for ms in mechanism.messages)
+def _strategy_sets(game: Game) -> tuple[StrategySet, StrategySet]:
+    """Maskin's full sets; any other rule's restricted sets.  Each agent's
+    strategies have the game's signal count as length, and its restricted
+    set keeps each signal's meaning."""
+    messages = game.mechanism.messages
+    if game.mechanism.kind == "maskin":
+        return tuple(full_strategy_set(messages[i], game.strategy_length(i)) for i in (0, 1))
+    return tuple(restricted_strategy_set(messages[i], game.truthful(i)) for i in (0, 1))
 
 
 def gamma_dominance_threshold(
@@ -212,7 +212,7 @@ def gamma_dominance_threshold(
     witness = []
     charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mechanism)
-    sets = _strategy_sets(mechanism, scenario)
+    sets = _strategy_sets(game)
     for agent in (0, 1):
         own = sets[agent]
         allowed = sets[1 - agent]

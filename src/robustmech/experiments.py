@@ -24,6 +24,7 @@ from .core import (
     SocialChoiceFunction,
     binary_trial_scenario,
     is_nonconstant,
+    make_scenario,
     three_state_scenario,
     tv_distance,
 )
@@ -48,6 +49,7 @@ from .equilibrium import (
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
+    solve_linear,
     support_enumeration_nash,
     verify_equilibrium,
 )
@@ -60,12 +62,7 @@ from .mechanisms import (
     build_status_quo,
 )
 from .numeric import Number, fmt, rat
-from .perturbations import (
-    BiasSpec,
-    build_general_ladder,
-    build_ladder,
-    simple_bias_ladder,
-)
+from .perturbations import BiasSpec, build_general_ladder, build_ladder
 
 
 def _jsonable(value):
@@ -225,28 +222,35 @@ def _mass_linear_fit(grid: list[dict]) -> tuple[Fraction, Fraction]:
     return k, resid
 
 
-def _ladder_grid_run(
-    scenario: ScenarioModel,
-    mechanism: Mechanism,
-    depth: int,
-    eta_grid,
-    biases,
-) -> tuple[list[dict], bool]:
-    """Best-response equilibria on a family of ladders; per-eta metrics.
-    The ladders share the scenario and the biases, so every eta after the
-    first plays a game built by ``Game.with_perturbation``, which reuses
+def _ladder_games(scenario, mechanism, depth, eta_grid, biases, tail):
+    """``(eta, perturbation, game)`` for each eta of the grid: the ladder
+    ``build_ladder(scenario, depth, eta, biases, tail)`` and the mechanism
+    played on it.  The ladders share the scenario and the biases, so every
+    game after the first is built by ``Game.with_perturbation`` and reuses
     the payoff rows of the earlier ones."""
-    sets = _strategy_sets(mechanism, scenario)
-    grid = []
-    all_ok = True
     game = None
     for eta in eta_grid:
         eta = rat(eta)
-        pert = build_ladder(scenario, depth, eta, list(biases))
+        pert = build_ladder(scenario, depth, eta, list(biases), tail=tail)
         game = Game(scenario, mechanism, pert) if game is None else game.with_perturbation(pert)
-        res = iterate_best_response(game, sets)
+        yield eta, pert, game
+
+
+def _status_quo_run(scenario, mech, c_bar, depth, eta_grid, biases):
+    """What thm1 and thm2 certify alike about a status-quo rule.
+
+    Returns the certificates (the dominance threshold below 1/2, a
+    best-response equilibrium on every collapsed-tail ladder of the grid
+    and, for n <= 3, the exhaustive replacement closure) and the
+    artifacts (``gamma``, the schedule's rewards and the per-eta grid).
+    """
+    cert_gamma = gamma_dominance_threshold(mech, scenario, c_bar)
+    grid = []
+    ladder_ok = True
+    for eta, pert, game in _ladder_games(scenario, mech, depth, eta_grid, biases, "collapse"):
+        res = iterate_best_response(game, _strategy_sets(game))
         ok = res.converged and res.report is not None and res.report.is_equilibrium
-        all_ok = all_ok and ok
+        ladder_ok = ladder_ok and ok
         grid.append(
             {
                 "eta": eta,
@@ -258,7 +262,11 @@ def _ladder_grid_run(
                 "tail_mass": pert.tail_mass,
             }
         )
-    return grid, all_ok
+    certificates = {"gamma_below_half": cert_gamma.below_half, "ladder_equilibria": ladder_ok}
+    if scenario.n <= 3:
+        certificates["step3_closure"] = step3_closure_certificate(mech, scenario)[0]
+    artifacts = {"gamma": cert_gamma.gamma, "schedule": mech.schedule.rewards, "grid": grid}
+    return certificates, artifacts
 
 
 # -- named experiment runs -------------------------------------------------
@@ -283,31 +291,18 @@ def run_thm1(
     if biases is None:
         bias_strength = 10 * mech.schedule.top
         biases = [BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_strength))]
-    cert_gamma = gamma_dominance_threshold(mech, scenario, c_bar)
-    grid, ladder_ok = _ladder_grid_run(scenario, mech, depth, eta_grid, biases)
+    certificates, artifacts = _status_quo_run(scenario, mech, c_bar, depth, eta_grid, biases)
+    grid = artifacts["grid"]
     k, resid = _mass_linear_fit(grid)
-    certificates = {
-        "gamma_below_half": cert_gamma.below_half,
-        "ladder_equilibria": ladder_ok,
-        "mass_linear_bound": all(
-            (1 - row["truthful_mass"]) <= k * row["eta"] for row in grid
-        ),
-        "mass_fit_residual_small": resid <= Fraction(1, 20),
-    }
-    if scenario.n <= 3:
-        ok, failures = step3_closure_certificate(mech, scenario)
-        certificates["step3_closure"] = ok
+    certificates["mass_linear_bound"] = all(
+        (1 - row["truthful_mass"]) <= k * row["eta"] for row in grid
+    )
+    certificates["mass_fit_residual_small"] = resid <= Fraction(1, 20)
     return ExperimentResult(
         name="thm1",
         parameters={"n": scenario.n, "c_bar": c_bar, "depth": depth, "eta_grid": list(eta_grid)},
         certificates=certificates,
-        artifacts={
-            "gamma": cert_gamma.gamma,
-            "schedule": mech.schedule.rewards,
-            "grid": grid,
-            "mass_slope_K": k,
-            "mass_fit_residual": resid,
-        },
+        artifacts={**artifacts, "mass_slope_K": k, "mass_fit_residual": resid},
         provenance={"scenario_states": scenario.state_space.states, "prior": scenario.prior},
     )
 
@@ -336,27 +331,20 @@ def run_thm2(
                 cost=rat(cost_cap) * scenario.payoffs[0].cost,
             )
         ]
-    cert_gamma = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
-    grid, ladder_ok = _ladder_grid_run(scenario, mech, depth, eta_grid, biases)
+    certificates, artifacts = _status_quo_run(
+        scenario, mech, scenario.max_cost, depth, eta_grid, biases
+    )
     # Constant high reports lose to coordinated low play under the ratio
     # constraint: q(j) R^j < q(1) R^0 for every j >= 2.
-    constant_cmp = all(
+    certificates["constant_deviation_comparison"] = all(
         scenario.prior[j - 1] * sched.r(j) < scenario.prior[0] * sched.r(0)
         for j in range(2, scenario.n + 1)
     )
-    certificates = {
-        "gamma_below_half": cert_gamma.below_half,
-        "ladder_equilibria": ladder_ok,
-        "constant_deviation_comparison": constant_cmp,
-    }
-    if scenario.n <= 3:
-        ok, _ = step3_closure_certificate(mech, scenario)
-        certificates["step3_closure"] = ok
     return ExperimentResult(
         name="thm2",
         parameters={"n": scenario.n, "depth": depth, "eta_grid": list(eta_grid), "cost_cap": rat(cost_cap)},
         certificates=certificates,
-        artifacts={"gamma": cert_gamma.gamma, "schedule": sched.rewards, "grid": grid},
+        artifacts=artifacts,
         provenance={"scenario_states": scenario.state_space.states, "prior": scenario.prior},
     )
 
@@ -477,12 +465,10 @@ def run_thm3(
     game = Game(scenario, msqr, signals=noisy, tremble=tremble)
     msqr_ok, msqr_rows = deviation_dominance_certificate(game)
 
-    sets = tuple(restricted_strategy_set(msqr.messages[i], game.truthful(i)) for i in (0, 1))
-    report = verify_equilibrium(game, truthful_profile(game), sets)
+    report = verify_equilibrium(game, truthful_profile(game), _strategy_sets(game))
 
     game0 = Game(scenario, msqr, signals=revealing)
-    sets0 = tuple(restricted_strategy_set(msqr.messages[i], game0.truthful(i)) for i in (0, 1))
-    report0 = verify_equilibrium(game0, truthful_profile(game0), sets0)
+    report0 = verify_equilibrium(game0, truthful_profile(game0), _strategy_sets(game0))
 
     certificates = {
         "asqr_certificate_fails": not asqr_ok,
@@ -536,8 +522,6 @@ def _nearest_in_hull(points: list[tuple[Number, ...]], target: tuple[Number, ...
     Enumerates support subsets and solves the normal equations over the
     rationals; valid at desk scale (few points, low dimension).
     """
-    from .equilibrium import solve_linear
-
     best = None
     m = len(points)
     for size in range(1, m + 1):
@@ -1099,19 +1083,11 @@ def run_maskin_contagion(
     scenario = scenario or binary_trial_scenario()
     reward = rat(reward)
     mech = build_maskin(scenario, reward)
-    strength = bias_factor * reward
-    full = full_strategy_set((1, 2), scenario.n)
+    bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_factor * reward))
     grid = []
     all_unique = True
-    game = None
-    for eta in eta_grid:
-        eta = rat(eta)
-        pert = simple_bias_ladder(
-            scenario, depth, eta, 0, preferred_outcome_bias(scenario, 0, strength),
-            tail="renormalize",
-        )
-        game = Game(scenario, mech, pert) if game is None else game.with_perturbation(pert)
-        surviving, rounds, _ = iterated_dominance(game, (full, full))
+    for eta, pert, game in _ladder_games(scenario, mech, depth, eta_grid, [bias], "renormalize"):
+        surviving, rounds, _ = iterated_dominance(game, _strategy_sets(game))
         unique = all(
             surviving[a][t] == [(1,) * scenario.n]
             for a in (0, 1)
@@ -1134,8 +1110,6 @@ def run_maskin_contagion(
 
 
 def _default_prop2_scenario():
-    from .core import make_scenario
-
     # State-independent stakes: both agents value the second outcome.
     return make_scenario(
         states=[("innocent", "7/10"), ("guilty", "3/10")],
@@ -1150,8 +1124,6 @@ def _default_prop2_scenario():
 
 
 def _default_prop3_scenario():
-    from .core import make_scenario
-
     return make_scenario(
         states=[("alpha", "3/5"), ("beta", "1/4"), ("gamma", "3/20")],
         outcomes=["left", "middle", "right"],

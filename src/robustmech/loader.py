@@ -62,14 +62,13 @@ class _Mapping(dict):
 
 
 def _build(node):
-    """Turn a YAML node graph into plain values, remembering source lines."""
+    """Turn a YAML node graph into plain values, remembering source lines.
+    A decimal keeps its text, which ``_rat`` reads exactly."""
     if isinstance(node, yaml.ScalarNode):
         value = yaml.SafeLoader("").construct_scalar(node)
         tag = node.tag
         if tag.endswith(":int"):
             value = int(value)
-        elif tag.endswith(":float"):
-            value = float(value)
         elif tag.endswith(":bool"):
             value = value.lower() in ("true", "yes", "on")
         elif tag.endswith(":null"):
@@ -92,7 +91,7 @@ def _rat(entry, what):
     value, line = entry
     try:
         return rat(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ScenarioFileError(f"{what}: expected a rational, got {value!r}", line)
 
 

@@ -29,12 +29,13 @@ class InfeasibleScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class RewardSchedule:
-    """Diagonal rewards ``R^j``, optional base reward ``R^0`` and penalty x."""
+    """Diagonal rewards ``R^j``, optional base reward ``R^0`` and penalty x.
 
-    kind: str  # "sqr" | "asqr" | "msqr"
+    A schedule names no rule or cost: each builder checks the schedule it
+    plays against its own rule's system at its own cost."""
+
     rewards: dict[int, Number]  # j -> R^j; includes 0 for asqr/msqr
     penalty: Number | None = None  # x, modified rule only
-    cost: Number = Fraction(1)  # c (or c-bar for the plain rule)
 
     def r(self, j: int) -> Number:
         return self.rewards[j]
@@ -128,7 +129,6 @@ def solve_rewards(prior: tuple[Number, ...], c: Number, kind: str) -> RewardSche
     ``q_j < q_1`` to settle, raise :class:`InfeasibleScheduleError` unless
     the first state is strictly the most likely, as the canonical order gives.
     """
-    c = rat(c)
     system = _reward_system(kind, prior, c)
     if kind != "sqr" and is_generic(tuple(rat(p) for p in prior)) != (True, 0):
         raise InfeasibleScheduleError(
@@ -143,7 +143,7 @@ def solve_rewards(prior: tuple[Number, ...], c: Number, kind: str) -> RewardSche
             if R[var] < least:
                 R[var], moved = least, True
     penalty = R.pop("x", None)
-    return RewardSchedule(kind, dict(sorted(R.items())), penalty=penalty, cost=c)
+    return RewardSchedule(dict(sorted(R.items())), penalty=penalty)
 
 
 @dataclass(frozen=True)
@@ -174,16 +174,6 @@ class Mechanism:
         return max(abs(v) for pair in self.transfer.values() for v in pair)
 
 
-def _validated(schedule, prior, c, kind):
-    report = check_reward_constraints(schedule, prior, c, kind)
-    bad = [r for r in report if not r.ok]
-    if bad:
-        raise InfeasibleScheduleError(
-            "; ".join(f"{r.name} violated (slack {fmt(r.slack)})" for r in bad)
-        )
-    return schedule
-
-
 def build_maskin(scenario: ScenarioModel, reward: Number) -> Mechanism:
     """Symmetric matching rule: agree and implement the report, disagree
     and implement the midpoint lottery with zero transfers."""
@@ -207,43 +197,50 @@ def build_maskin(scenario: ScenarioModel, reward: Number) -> Mechanism:
     return Mechanism("maskin", (msgs, msgs), outcome, transfer)
 
 
+def _status_quo_family(scenario, kind, c, schedule, messages, transfer):
+    """The body the status-quo rules share: equal-magnitude reports
+    implement that state and any other pair the status quo ``f(theta^1)``.
+
+    Solves ``kind``'s schedule at cost ``c`` when none is given, and
+    otherwise refuses a given one that violates that system, naming every
+    violated entry.  ``transfer(schedule, own, other)`` is one agent's
+    transfer when it sends ``own`` against ``other``.
+    """
+    if schedule is None:
+        schedule = solve_rewards(scenario.prior, c, kind)
+    bad = [r for r in check_reward_constraints(schedule, scenario.prior, c, kind) if not r.ok]
+    if bad:
+        raise InfeasibleScheduleError(
+            "; ".join(f"{r.name} violated (slack {fmt(r.slack)})" for r in bad)
+        )
+    f = scenario.scf
+    outcome, table = {}, {}
+    for a in messages:
+        for b in messages:
+            outcome[(a, b)] = f(abs(a) - 1) if abs(a) == abs(b) else f(0)
+            table[(a, b)] = (transfer(schedule, a, b), transfer(schedule, b, a))
+    return Mechanism(kind, (messages, messages), outcome, table, schedule)
+
+
 def build_status_quo(
     scenario: ScenarioModel,
     c_bar: Number,
     schedule: RewardSchedule | None = None,
 ) -> Mechanism:
     """Status quo rule with ascending transfers: ``n`` messages per agent,
-    matching reports implement the reported state, anything else the
-    status quo ``f(theta^1)``."""
+    matching reports implement the reported state and pay ``R^j``,
+    anything else the status quo ``f(theta^1)`` and nothing."""
     c_bar = rat(c_bar)
     if c_bar < scenario.max_cost:
         raise ModelError("cost bound must dominate the unperturbed costs")
-    n = scenario.n
-    if schedule is None:
-        schedule = solve_rewards(scenario.prior, c_bar, "sqr")
-    _validated(schedule, scenario.prior, c_bar, "sqr")
-    msgs = tuple(range(1, n + 1))
-    f = scenario.scf
-    outcome, transfer = {}, {}
-    for a in msgs:
-        for b in msgs:
-            outcome[(a, b)] = f(a - 1) if a == b else f(0)
-            r = schedule.r(a) if a == b else Fraction(0)
-            transfer[(a, b)] = (r, r)
-    return Mechanism("sqr", (msgs, msgs), outcome, transfer, schedule)
+    return _status_quo_family(
+        scenario, "sqr", c_bar, schedule, tuple(range(1, scenario.n + 1)),
+        lambda sched, own, other: sched.r(own) if own == other else Fraction(0),
+    )
 
 
 def augmented_messages(n: int) -> tuple[int, ...]:
     return tuple(range(-n, -1)) + tuple(range(1, n + 1))
-
-
-def _magnitude_outcome(scenario: ScenarioModel, msgs):
-    f = scenario.scf
-    out = {}
-    for a in msgs:
-        for b in msgs:
-            out[(a, b)] = f(abs(a) - 1) if abs(a) == abs(b) else f(0)
-    return out
 
 
 def build_augmented_status_quo(
@@ -254,24 +251,17 @@ def build_augmented_status_quo(
     positive ones in outcomes but coordinate on the base reward ``R^0``."""
     if not scenario.generic:
         raise ModelError("augmented rule needs a generic prior")
-    n = scenario.n
-    c = scenario.max_cost
-    if schedule is None:
-        schedule = solve_rewards(scenario.prior, c, "asqr")
-    _validated(schedule, scenario.prior, c, "asqr")
-    msgs = augmented_messages(n)
-    outcome = _magnitude_outcome(scenario, msgs)
-    transfer = {}
-    for a in msgs:
-        for b in msgs:
-            if a == b and a >= 1:
-                r = schedule.r(a)
-            elif a <= 1 and b <= 1 and (a, b) != (1, 1):
-                r = schedule.r(0)
-            else:
-                r = Fraction(0)
-            transfer[(a, b)] = (r, r)
-    return Mechanism("asqr", (msgs, msgs), outcome, transfer, schedule)
+
+    def transfer(sched, own, other):
+        if own == other and own >= 1:
+            return sched.r(own)
+        if own <= 1 and other <= 1:
+            return sched.r(0)
+        return Fraction(0)
+
+    return _status_quo_family(
+        scenario, "asqr", scenario.max_cost, schedule, augmented_messages(scenario.n), transfer
+    )
 
 
 def build_modified_status_quo(
@@ -282,30 +272,19 @@ def build_modified_status_quo(
     a high message pays penalty ``x`` when the opponent stays low."""
     if not scenario.generic:
         raise ModelError("modified rule needs a generic prior")
-    n = scenario.n
-    c = scenario.max_cost
-    if schedule is None:
-        schedule = solve_rewards(scenario.prior, c, "msqr")
-    _validated(schedule, scenario.prior, c, "msqr")
-    msgs = augmented_messages(n)
-    outcome = _magnitude_outcome(scenario, msgs)
-    x = schedule.penalty
 
-    def t_for(own: int, other: int, j_equal: bool) -> Number:
-        if j_equal and own >= 1:
-            return schedule.r(own)
+    def transfer(sched, own, other):
+        if own == other and own >= 1:
+            return sched.r(own)
         if own <= 1:
-            return schedule.r(0)
-        if own >= 2 and other <= 1:
-            return schedule.r(0) - x
+            return sched.r(0)
+        if other <= 1:
+            return sched.r(0) - sched.penalty
         return Fraction(0)
 
-    transfer = {}
-    for a in msgs:
-        for b in msgs:
-            same = a == b
-            transfer[(a, b)] = (t_for(a, b, same), t_for(b, a, same))
-    return Mechanism("msqr", (msgs, msgs), outcome, transfer, schedule)
+    return _status_quo_family(
+        scenario, "msqr", scenario.max_cost, schedule, augmented_messages(scenario.n), transfer
+    )
 
 
 def build_one_respondent(

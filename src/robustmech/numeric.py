@@ -20,8 +20,6 @@ def rat(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
-    if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

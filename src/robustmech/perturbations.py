@@ -368,20 +368,6 @@ def build_general_ladder(
     )
 
 
-def simple_bias_ladder(
-    scenario: ScenarioModel,
-    depth: int,
-    eta: Number | str,
-    biased_agent: int,
-    u_overrides: dict[tuple[int, int], Number],
-    biased_cost: Number | None = None,
-    tail: str = "collapse",
-) -> Perturbation:
-    """Ladder with a single biased circumstance ``w0`` for one agent."""
-    bias = BiasSpec(biased_agent, 0, dict(u_overrides), biased_cost)
-    return build_ladder(scenario, depth, eta, [bias], tail=tail)
-
-
 def eta_of(perturbation: Perturbation) -> Number:
     """One minus the probability that both agents are normal types."""
     normal = [

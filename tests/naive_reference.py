@@ -681,7 +681,7 @@ def solve_rewards(
         rewards = {1: r1}
         for j in range(2, n + 1):
             rewards[j] = _grid_ceil(r1 + 2 * c / q[j - 1] + slack, step)
-        return RewardSchedule("sqr", rewards, cost=c)
+        return RewardSchedule(rewards)
 
     generic, _ = is_generic(q)
     if not generic:
@@ -698,7 +698,7 @@ def solve_rewards(
                 bound = max(rewards[j - 1] + slack, rewards[1] + 2 * c / q[j - 1] + slack)
                 rewards[j] = _grid_ceil(bound, step)
             if r0 * q[0] - rewards[n] * q[1] >= slack * q[0]:
-                return RewardSchedule("asqr", rewards, cost=c)
+                return RewardSchedule(rewards)
             r0 += step
 
     if kind == "msqr":
@@ -716,7 +716,7 @@ def solve_rewards(
                 x * q[0] - q[j - 1] * (rewards[j] - rewards[0]) >= slack * q[0]
                 for j in range(2, n + 1)
             ):
-                return RewardSchedule("msqr", rewards, penalty=x, cost=c)
+                return RewardSchedule(rewards, penalty=x)
             x += step
 
     raise ModelError(f"unknown schedule kind {kind!r}")

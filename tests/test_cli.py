@@ -216,6 +216,15 @@ def test_unknown_key_exits_2_naming_the_key_and_its_line(tmp_path, old, new, mes
     assert message in proc.stderr and f"(line {line})" in proc.stderr
 
 
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan", "1/0"])
+def test_non_rational_number_exits_2_naming_the_line(tmp_path, value):
+    proc, line = eliminate_on_edited_ladder(tmp_path, 'agents:\n  - cost: "1"',
+                                            f"agents:\n  - cost: {value}")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"agent 1 cost: expected a rational, got '{value}' (line {line})" in proc.stderr
+
+
 def test_prop3_refusal_prints_its_witness_in_fractions():
     proc = run_cli("experiment", "run", "prop3", "--scenario", str(SCENARIOS / "three_state.yaml"))
     assert proc.returncode == 2

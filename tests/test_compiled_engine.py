@@ -40,7 +40,6 @@ from robustmech import (
     posterior,
     restricted_strategy_set,
     revealing_signals,
-    simple_bias_ladder,
     three_state_scenario,
     truthful_profile,
     verify_equilibrium,
@@ -464,8 +463,8 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     full = full_strategy_set((1, 2), SCENARIO.n)
     dominance = []
     for depth in (50, 100):
-        pert = simple_bias_ladder(
-            SCENARIO, depth, F(1, 10), 0, preferred_outcome_bias(SCENARIO, 0, 10),
+        pert = build_ladder(
+            SCENARIO, depth, F(1, 10), [BiasSpec(0, 0, preferred_outcome_bias(SCENARIO, 0, 10))],
             tail="renormalize",
         )
         game = Game(SCENARIO, MECHANISMS["maskin"], pert)

@@ -26,7 +26,6 @@ from robustmech import (
     iterate_best_response,
     iterated_dominance,
     restricted_strategy_set,
-    simple_bias_ladder,
     support_enumeration_nash,
     three_state_scenario,
     truthful_profile,
@@ -279,8 +278,8 @@ def test_contagion_wavefront_moves_one_rung_per_round():
     of each agent; each later round r removes that report at type r - 1
     of each agent only, one rung up the ladder, until round 11."""
     s = binary_trial_scenario()
-    pert = simple_bias_ladder(
-        s, 20, F(1, 20), 0, preferred_outcome_bias(s, 0, 10), tail="renormalize"
+    pert = build_ladder(
+        s, 20, F(1, 20), [BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10))], tail="renormalize"
     )
     game = Game(s, build_maskin(s, 1), pert)
     full = full_strategy_set((1, 2), s.n)

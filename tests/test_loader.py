@@ -142,3 +142,15 @@ def test_decimal_numbers_load_as_exact_fractions():
     assert scenario.prior == (F(7, 10), F(3, 10))
     assert scenario.payoffs[0].cost == F(1, 10)
     assert all(type(p) is F for p in scenario.prior)
+    # Read from the text: no float rounds a long decimal first.
+    long_cost, _ = parse_scenario(GOOD.replace('cost: "1"', "cost: 0.1234567890123456789"))
+    assert long_cost.payoffs[0].cost == F(1234567890123456789, 10**19)
+    thirds = GOOD.replace('"7/10"', "0.6666666666666666667").replace('"3/10"', "0.3333333333333333333")
+    long_prior, _ = parse_scenario(thirds)
+    assert long_prior.prior == (F(6666666666666666667, 10**19), F(3333333333333333333, 10**19))
+    stakes, _ = parse_scenario(
+        GOOD.replace('cost: "1"\n  - cost', 'cost: "1"\n    u: {"guilty,convict": 1.5e+3}\n  - cost')
+    )
+    assert stakes.payoffs[0].u[1][1] == 1500
+    with pytest.raises(ScenarioFileError, match="non-negative"):
+        parse_scenario(GOOD.replace('cost: "1"', "cost: -.5"))

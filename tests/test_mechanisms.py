@@ -23,6 +23,7 @@ from robustmech import (
     build_status_quo,
     check_reward_constraints,
     export_mechanism,
+    four_state_scenario,
     import_mechanism,
     make_scenario,
     solve_rewards,
@@ -124,7 +125,7 @@ def test_modified_rule_rewards_ascend():
         {"a": {"o1": 1}, "b": {"o2": 1}, "c": {"o3": 1}},
         costs=(0, 0),
     )
-    flat = RewardSchedule("msqr", {0: 5, 1: 6, 2: 11, 3: 11}, penalty=4, cost=0)
+    flat = RewardSchedule({0: 5, 1: 6, 2: 11, 3: 11}, penalty=4)
     with pytest.raises(InfeasibleScheduleError, match=r"^R3 > R2 violated \(slack 0\)$"):
         build_modified_status_quo(s, schedule=flat)
     assert solve_rewards(s.prior, 0, "msqr") == replace(flat, rewards={**flat.rewards, 3: 12})
@@ -135,10 +136,10 @@ def test_schedule_missing_a_reward_is_infeasible():
     with that reward's name, not a bare ``KeyError``."""
     s = three_state_scenario()
     with pytest.raises(InfeasibleScheduleError, match=r"^schedule has no reward R3$"):
-        build_status_quo(s, 1, schedule=RewardSchedule("sqr", {1: 3, 2: 12}))
+        build_status_quo(s, 1, schedule=RewardSchedule({1: 3, 2: 12}))
     with pytest.raises(InfeasibleScheduleError, match=r"^schedule has no reward R0$"):
         build_modified_status_quo(
-            s, schedule=RewardSchedule("msqr", {1: 3, 2: 12}, penalty=1)
+            s, schedule=RewardSchedule({1: 3, 2: 12}, penalty=1)
         )
 
 
@@ -174,8 +175,16 @@ def test_solver_equals_the_closed_form_oracle(prior, c, kind):
         assert all(con.slack >= 1 for con in check_reward_constraints(got, prior, c, kind))
 
 
-def test_status_quo_table_against_direct_rule():
-    s = three_state_scenario()
+# The binary, three- and four-state scenarios: the oracle tables of the
+# builder body the three status-quo rules share.
+TABLE_SCENARIOS = pytest.mark.parametrize(
+    "s", [binary_trial_scenario(), three_state_scenario(), four_state_scenario()],
+    ids=["binary", "three", "four"],
+)
+
+
+@TABLE_SCENARIOS
+def test_status_quo_table_against_direct_rule(s):
     m = build_status_quo(s, 1)
     R = m.schedule.rewards
     for a in m.messages[0]:
@@ -187,11 +196,11 @@ def test_status_quo_table_against_direct_rule():
             assert m.t(1, a, b) == want_t
 
 
-def test_augmented_table_against_direct_rule():
-    s = three_state_scenario()
+@TABLE_SCENARIOS
+def test_augmented_table_against_direct_rule(s):
     m = build_augmented_status_quo(s)
     R = m.schedule.rewards
-    assert m.messages[0] == (-3, -2, 1, 2, 3)
+    assert m.messages[0] == tuple(range(-s.n, -1)) + tuple(range(1, s.n + 1))
     for a in m.messages[0]:
         for b in m.messages[1]:
             want_outcome = s.scf(abs(a) - 1) if abs(a) == abs(b) else s.scf(0)
@@ -207,8 +216,8 @@ def test_augmented_table_against_direct_rule():
             assert m.t(1, b, a) == want_t
 
 
-def test_modified_table_against_direct_rule():
-    s = three_state_scenario()
+@TABLE_SCENARIOS
+def test_modified_table_against_direct_rule(s):
     m = build_modified_status_quo(s)
     R, x = m.schedule.rewards, m.schedule.penalty
     for a in m.messages[0]:
@@ -221,6 +230,8 @@ def test_modified_table_against_direct_rule():
                 want_t = R[0] - x
             else:
                 want_t = F(0)
+            want_outcome = s.scf(abs(a) - 1) if abs(a) == abs(b) else s.scf(0)
+            assert m.g(a, b).same_as(want_outcome)
             assert m.t(0, a, b) == want_t
             assert m.t(1, b, a) == want_t
 
@@ -241,7 +252,7 @@ def test_custom_schedule_is_validated():
     """Every builder checks a schedule it is given, with no way to skip
     the check."""
     s = binary_trial_scenario()
-    bad = RewardSchedule("sqr", {1: F(3), 2: F(4)}, cost=F(1))
+    bad = RewardSchedule({1: F(3), 2: F(4)})
     with pytest.raises(InfeasibleScheduleError):
         build_status_quo(s, 1, schedule=bad)
     for build in (build_augmented_status_quo, build_modified_status_quo):

@@ -14,7 +14,6 @@ from robustmech import (
     eta_of,
     is_c_bounded,
     posterior,
-    simple_bias_ladder,
     unperturbed,
 )
 from robustmech.perturbations import ladder_partition
@@ -59,7 +58,7 @@ def test_unknown_tail_convention():
 def test_eta_of_single_bias():
     s = binary_trial_scenario()
     eta = F(1, 100)
-    p = simple_bias_ladder(s, 10, eta, 0, {(0, 1): F(50)})
+    p = build_ladder(s, 10, eta, [BiasSpec(0, 0, {(0, 1): F(50)})])
     # Only the first circumstance carries a biased type, and agent 1's
     # first partition element is exactly that circumstance.
     assert eta_of(p) == eta
@@ -73,14 +72,14 @@ def test_eta_of_unperturbed_is_zero():
 
 def test_override_equal_to_base_is_not_a_bias():
     s = binary_trial_scenario()
-    p = simple_bias_ladder(s, 4, F(1, 10), 0, {(0, 0): s.payoffs[0].u[0][0]})
+    p = build_ladder(s, 4, F(1, 10), [BiasSpec(0, 0, {(0, 0): s.payoffs[0].u[0][0]})])
     assert p.type_is_normal(0, 0)
     assert eta_of(p) == 0
 
 
 def test_cost_bound():
     s = binary_trial_scenario()
-    p = simple_bias_ladder(s, 4, F(1, 10), 0, {}, biased_cost=F(5))
+    p = build_ladder(s, 4, F(1, 10), [BiasSpec(0, 0, {}, F(5))])
     assert is_c_bounded(p, 5)
     assert not is_c_bounded(p, 4)
     assert p.cost(0, 0) == 5
