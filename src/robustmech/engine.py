@@ -33,10 +33,12 @@ cost when the strategy is not constant (``PayoffTable``).
 one opponent pure strategy, and ``Game.payoff_table`` their weighted
 sum for one type against the opponent side of a profile.  A table
 stores its entries and cost as integer numerators over one positive
-denominator: a row is converted once, when it is cached, a type's table
-is summed from rows on integers alone, and its reads (value, best
-response, near-best members, deficits) compare and sum integers and
-build one exact ``Fraction`` at their output.
+denominator.  A game puts each payoff class's state values and cost, and
+each agent's signal probabilities, over one denominator once, so a row
+is summed on integers, a type's table is summed from rows on integers,
+and a table's reads (value, best response, near-best members, deficits)
+compare and sum integers and build one exact ``Fraction`` at their
+output.
 """
 
 from __future__ import annotations
@@ -309,45 +311,88 @@ class Game:
 
     # -- payoffs -----------------------------------------------------------
 
-    def state_value(self, agent: int, circ: int, state: int, own: int, opp: int) -> Number:
-        """Expected transfer plus expected utility to the agent of intending
-        ``own`` against the opponent's ``opp`` at one state, with the
-        agent's payoffs at ``circ``.  Every payoff of the game is a
-        weighted sum of these values.  Cached by the circumstance's payoff
-        class, which fixes the value."""
-        key = (agent, self.perturbation.payoff_class(agent, circ), state, own, opp)
+    @functools.cached_property
+    def _seen(self) -> tuple[tuple[int, list], tuple[int, list]]:
+        """Per agent, ``(den, points)``: the ``seen_by`` points, each
+        probability an integer numerator over one denominator ``den``."""
+        out = []
+        for agent in (0, 1):
+            points = self.signals.seen_by(agent)
+            den = math.lcm(*(p.denominator for *_, p in points))
+            out.append((den, [(theta, k, j, p.numerator * (den // p.denominator))
+                              for theta, k, j, p in points]))
+        return tuple(out)
+
+    def _state_values(self, agent: int, circ: int) -> tuple[int, int, list]:
+        """``(den, cost_num, values)`` of the circumstance's payoff class:
+        ``values[state][opp][own] / den`` is ``state_value`` and
+        ``cost_num / den`` the learning cost.  ``den`` clears the played
+        mechanism's transfers to the agent, its lottery weights times the
+        class's utilities, and the cost, once.  Cached in ``_u_cache`` by
+        payoff class, which fixes the table."""
+        key = (agent, self.perturbation.payoff_class(agent, circ))
         hit = self._u_cache.get(key)
         if hit is not None:
             return hit
-        m1, m2 = (own, opp) if agent == 0 else (opp, own)
-        value = self.played.t(agent, m1, m2) + sum(
-            w * self.perturbation.utility(agent, circ, state, y)
-            for y, w in enumerate(self.played.g(m1, m2).weights)
-            if w
+        played, pert = self.played, self.perturbation
+        pairs = [(m1, m2) for m1 in played.messages[0] for m2 in played.messages[1]]
+        utils = [
+            [pert.utility(agent, circ, state, y) for y in range(self.scenario.outcome_space.size)]
+            for state in range(self.scenario.n)
+        ]
+        cost = pert.cost(agent, circ)
+        w_den = math.lcm(*(w.denominator for m in pairs for w in played.g(*m).weights))
+        u_den = math.lcm(*(u.denominator for row in utils for u in row))
+        den = math.lcm(
+            w_den * u_den, cost.denominator, *(played.t(agent, *m).denominator for m in pairs)
         )
-        self._u_cache[key] = value
-        return value
+        u_nums = [[u.numerator * (u_den // u.denominator) for u in row] for row in utils]
+        scale = den // (w_den * u_den)
+        values = [{b: {} for b in played.messages[1 - agent]} for _ in utils]
+        for m1, m2 in pairs:
+            t = played.t(agent, m1, m2)
+            t_num = t.numerator * (den // t.denominator)
+            weights = [
+                (y, w.numerator * (w_den // w.denominator))
+                for y, w in enumerate(played.g(m1, m2).weights)
+                if w
+            ]
+            own, opp = (m1, m2) if agent == 0 else (m2, m1)
+            for state, row in enumerate(u_nums):
+                values[state][opp][own] = t_num + scale * sum(w * row[y] for y, w in weights)
+        hit = self._u_cache[key] = (den, cost.numerator * (den // cost.denominator), values)
+        return hit
+
+    def state_value(self, agent: int, circ: int, state: int, own: int, opp: int) -> Fraction:
+        """Expected transfer plus expected utility to the agent of intending
+        ``own`` against the opponent's ``opp`` at one state, with the
+        agent's payoffs at ``circ``.  Every payoff of the game is a
+        weighted sum of these values; read off the payoff class's integer
+        table (``_state_values``)."""
+        den, _, values = self._state_values(agent, circ)
+        return Fraction(values[state][opp][own], den)
 
     def coordinate_row(self, agent: int, circ: int, opp: PureStrategy) -> "PayoffTable":
         """The agent's payoffs at ``circ`` against the opponent pure
         strategy ``opp``, by own coordinate: entry ``[k][m]`` sums
         ``p * state_value`` over the points the agent sees with own signal
         ``k`` (``SignalStructure.seen_by``), with ``m`` sent there, and the
-        cost is the learning cost at ``circ``.  Cached by the
-        circumstance's payoff class, which fixes the row; converted to
-        integer numerators once, when it is cached."""
+        cost is the learning cost at ``circ``.  Summed on integers: the
+        row's denominator is the points' times the state values'.  Cached
+        by the circumstance's payoff class, which fixes the row."""
         key = (agent, self.perturbation.payoff_class(agent, circ), opp)
         hit = self._row_cache.get(key)
         if hit is not None:
             return hit
+        den, cost_num, values = self._state_values(agent, circ)
+        p_den, points = self._seen[agent]
         msgs = self.mechanism.messages[agent]
-        cells = tuple(dict.fromkeys(msgs, Fraction(0)) for _ in range(self.strategy_length(agent)))
-        for theta, k, j, p in self.signals.seen_by(agent):
-            cell, b = cells[k], opp[j]
-            for m in msgs:
-                cell[m] += p * self.state_value(agent, circ, theta, m, b)
-        row = PayoffTable.from_fractions(cells, self.perturbation.cost(agent, circ))
-        self._row_cache[key] = row
+        cells = tuple(dict.fromkeys(msgs, 0) for _ in range(self.strategy_length(agent)))
+        for theta, k, j, p in points:
+            cell = cells[k]
+            for m, v in values[theta][opp[j]].items():
+                cell[m] += p * v
+        row = self._row_cache[key] = PayoffTable(cells, cost_num * p_den, den * p_den)
         return row
 
     def inner_value(self, agent: int, circ: int, own: PureStrategy, opp: PureStrategy) -> Number:
@@ -424,16 +469,6 @@ class PayoffTable:
         self.cost_num = cost_num
         self.den = den
         self._best = {}
-
-    @classmethod
-    def from_fractions(cls, coords: tuple[dict[int, Number], ...], cost: Number) -> "PayoffTable":
-        """The table of exact entries ``coords[k][m]`` and ``cost``, over
-        the least common multiple of their denominators."""
-        den = math.lcm(cost.denominator, *(x.denominator for cell in coords for x in cell.values()))
-        nums = tuple(
-            {m: x.numerator * (den // x.denominator) for m, x in cell.items()} for cell in coords
-        )
-        return cls(nums, cost.numerator * (den // cost.denominator), den)
 
     def entries(self) -> tuple[dict[int, Fraction], ...]:
         """The entries as exact ``Fraction``s, ``[k][m]``, built anew on

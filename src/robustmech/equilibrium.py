@@ -18,11 +18,13 @@ from typing import NamedTuple
 from .core import ModelError, ScenarioModel
 from .engine import (
     Game,
+    PayoffTable,
     PureStrategy,
     StrategyProfile,
     StrategySet,
     TypeStrategy,
     full_strategy_set,
+    is_constant,
     max_tv_to_target,
     play_groups,
     restricted_strategy_set,
@@ -159,9 +161,10 @@ class DominanceCertificate:
     """Threshold above which truthful reporting is the strict best reply
     whenever the opponent's truthful weight exceeds it.
 
-    ``witness`` records, for each agent and deviation, the truth-vs-truth
-    gain, the adversarial worst-case gain with its per-state message
-    choices, and that deviation's own threshold.
+    ``witness`` holds one row per agent with a deviation: the deviation
+    whose threshold is the agent's largest, its truth-vs-truth gain, its
+    adversarial worst-case gain with the adversary's per-state message
+    choices, and that threshold.
     """
 
     gamma: Number
@@ -191,70 +194,130 @@ def gamma_dominance_threshold(
     ``restricted_strategy_set`` of the agent's messages under the
     mechanism, with the states as meanings.  The matching rule has no
     status-quo message to fall back on and plays its full sets.  Against
-    a mixture putting weight gamma on the truthful opponent and 1 - gamma
-    on an adversarial strategy from those sets, the gain of truth over a
-    deviation is linear in gamma; the adversarial side separates across
-    states because the opponent may pick its message at each state from
-    that state's choices, so the worst case is a per-state minimum.
-    Deviations are the product of the agent's own choices, in canonical
-    order.  The reported gamma is the largest root across agents and
-    deviations (zero when every deviation is dominated outright);
-    strictness holds for truthful weight above it.
+    a mixture putting weight g on the truthful opponent and 1 - g on an
+    adversarial strategy from those sets, the gain of truth over a
+    deviation ``s`` is ``(1 - g) d_adv(s) + g d_truth(s)``; the
+    adversarial side separates across states because the opponent may
+    pick its message at each state from that state's choices, so the
+    worst case is a per-state minimum.  A deviation's threshold is the
+    root of that gain, zero when ``d_adv(s) > 0``; the reported gamma is
+    the largest threshold across agents and deviations, and strictness
+    holds for truthful weight above it.
 
     The learning-cost bound ``c_bar`` is charged in place of the scenario
     cost, which makes the certificate valid for every cost profile below
-    the bound.  Each gain is a difference of ``inner_value`` in the game
-    charging ``c_bar``; the adversary is chosen per state from the
-    coordinate rows of the constant opponent strategies.
+    the bound.  Gamma is found per agent without enumerating the
+    deviations (``_largest_threshold``); the witness row's gains are then
+    read as differences of ``inner_value`` in the game charging
+    ``c_bar``, and must give the same threshold.
     """
     truth = tuple(range(1, scenario.n + 1))
-    gamma = Fraction(0)
-    witness = []
     charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mechanism)
     sets = _strategy_sets(game)
+    witness = []
     for agent in (0, 1):
-        own = sets[agent]
-        allowed = sets[1 - agent]
-        msgs_own = sorted({m for ms in own for m in ms})
-        # phi[b][k][m]: the prior-weighted payoff of sending m at state k
-        # against b, read from the coordinate row of the constant (b, ..., b).
-        phi = {
-            b: game.coordinate_row(agent, 0, (b,) * scenario.n).entries()
-            for b in {b for a in allowed for b in a}
-        }
-        # The adversary's worst reply at state k depends on the deviation
-        # only through the message m it sends there.
-        worst = {
-            (k, m): min(allowed[k], key=lambda b: phi[b][k][t] - phi[b][k][m])
-            for k, t in enumerate(truth)
-            for m in msgs_own
-        }
-        truth_value = game.inner_value(agent, 0, truth, truth)
+        found = _largest_threshold(game, agent, sets[agent], sets[1 - agent], truth)
+        if found is None:
+            continue
+        s, picks, g = found
+        d_truth = game.inner_value(agent, 0, truth, truth) - game.inner_value(agent, 0, s, truth)
+        d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
+        root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
+        if root != g:
+            raise ModelError(
+                f"deviation {s}: inner_value gives threshold {root}, the separable gains {g}"
+            )
+        witness.append(
+            {
+                "agent": agent,
+                "deviation": s,
+                "gain_vs_truthful": d_truth,
+                "worst_case_gain": d_adv,
+                "adversary": picks,
+                "threshold": root,
+            }
+        )
+    return DominanceCertificate(max([Fraction(0)] + [w["threshold"] for w in witness]),
+                                tuple(witness))
+
+
+def _largest_threshold(game, agent, own, allowed, truth):
+    """``(deviation, adversary, threshold)`` of the agent's largest
+    threshold over the product of ``own`` less the truth, or ``None`` when
+    that product holds no deviation.
+
+    The gains separate by coordinate, on the integer numerators of the
+    constant opponents' coordinate rows ``phi[b]``: ``d_truth(s) = sum_k
+    gt[k][s_k] - c [s constant]``, and ``d_adv(s)`` is the same sum over
+    ``ga``, whose adversary at state k depends on ``s`` only through
+    ``s_k``.  So gamma is the maximum of a ratio of separable sums, which
+    Dinkelbach's iteration finds exactly (Dinkelbach 1967; Schaible
+    1976): from g = 0, take a deviation maximizing ``-(1 - g) d_adv -
+    g d_truth``; if that maximum is positive, set g to the deviation's
+    threshold, which exceeds g, and repeat.  A maximum of at most zero
+    means no threshold exceeds g, and the maximizer's threshold is g.
+    Each maximum is read by ``PayoffTable.best`` over the product with
+    one coordinate at a time kept off the truth.
+
+    Raises ``ModelError`` first if truth does not strictly beat some
+    deviation against the truthful opponent (the maximum of ``-d_truth``
+    is non-negative), naming the first such deviation in canonical order
+    and its gain, both read through ``inner_value``.
+    """
+    n = len(truth)
+    rows = {b: game.coordinate_row(agent, 0, (b,) * n) for b in {b for a in allowed for b in a}}
+    den = math.lcm(*(row.den for row in rows.values()))
+    phi = {b: [{m: x * (den // row.den) for m, x in cell.items()} for cell in row.nums]
+           for b, row in rows.items()}
+    row = next(iter(rows.values()))
+    cost = row.cost_num * (den // row.den)
+    adversary = [
+        {m: min(allowed[k], key=lambda b: phi[b][k][t] - phi[b][k][m]) for m in own[k]}
+        for k, t in enumerate(truth)
+    ]
+    gt = [{m: phi[t][k][t] - phi[t][k][m] for m in own[k]} for k, t in enumerate(truth)]
+    ga = [{m: phi[b][k][t] - phi[b][k][m] for m, b in adversary[k].items()}
+          for k, t in enumerate(truth)]
+    off_truth = [
+        (*own[:k], tuple(m for m in own[k] if m != t), *own[k + 1:])
+        for k, t in enumerate(truth)
+        if own[k] != (t,)
+    ]
+    if not off_truth:
+        return None
+
+    def gains(s):
+        charge = cost if is_constant(s) else 0
+        return (sum(cell[m] for cell, m in zip(gt, s)) - charge,
+                sum(cell[m] for cell, m in zip(ga, s)) - charge)
+
+    def best_deviation(h, bonus):
+        """A deviation maximizing ``sum_k h[k][s_k] + bonus [s constant]``,
+        which is ``bonus`` plus a table's value at learning cost ``bonus``,
+        and that maximum."""
+        table = PayoffTable(tuple(h), bonus, 1)
+        winners, value = max((table.best(choices) for choices in off_truth), key=lambda x: x[1])
+        return value + bonus, winners[0]
+
+    if best_deviation([{m: -x for m, x in cell.items()} for cell in gt], cost)[0] >= 0:
         for s in itertools.product(*own):
-            if s == truth:
-                continue
-            d_truth = truth_value - game.inner_value(agent, 0, s, truth)
-            if d_truth <= 0:
+            d_truth = game.inner_value(agent, 0, truth, truth) - game.inner_value(agent, 0, s, truth)
+            if d_truth <= 0 and s != truth:
                 raise ModelError(
                     f"truthful reporting is not strictly dominant at gamma=1 "
                     f"(deviation {s} gains {-d_truth})"
                 )
-            picks = tuple(worst[(k, m)] for k, m in enumerate(s))
-            d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
-            root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
-            gamma = max(gamma, root)
-            witness.append(
-                {
-                    "agent": agent,
-                    "deviation": s,
-                    "gain_vs_truthful": d_truth,
-                    "worst_case_gain": d_adv,
-                    "adversary": picks,
-                    "threshold": root,
-                }
-            )
-    return DominanceCertificate(gamma, tuple(witness))
+    g = Fraction(0)
+    while True:
+        p, q = g.numerator, g.denominator
+        h = [{m: -(q - p) * ga[k][m] - p * x for m, x in cell.items()} for k, cell in enumerate(gt)]
+        score, s = best_deviation(h, q * cost)
+        if score <= 0:
+            break
+        d_truth, d_adv = gains(s)
+        g = Fraction(-d_adv, d_truth - d_adv)
+    return s, tuple(adversary[k][m] for k, m in enumerate(s)), g
 
 
 # -- best-response iteration ----------------------------------------------

@@ -10,6 +10,7 @@ choice flows through a seeded generator recorded in the result.
 from __future__ import annotations
 
 import bisect
+import functools
 import inspect
 import itertools
 import json
@@ -146,7 +147,8 @@ def preferred_outcome_bias(
 def step3_closure_certificate(
     mechanism: Mechanism, scenario: ScenarioModel
 ) -> tuple[bool, list]:
-    """Exhaustive replacement-dominance check.
+    """Replacement-dominance check over every strategy outside the
+    restricted set.
 
     The restricted set and the canonical replacement are the rule's, read
     off the mechanism's messages.  Every pure strategy outside the
@@ -157,55 +159,76 @@ def step3_closure_certificate(
     truthful one for constant vectors of a high message when the rule has
     negative messages.  The restricted opponent may pick its message at
     each state from that state's choices, so the worst transfer gain over
-    it is a sum of per-state minima.  Returns failures as witnesses: an outcome
-    failure names the strategy, the state and the opponent's message
-    there; a transfer failure names the strategy, the opponent strategy
-    and the gain.
+    it is a sum of per-state minima.
+
+    A non-constant strategy is replaced coordinate by coordinate, so it
+    fails exactly when one of its coordinates outside the restricted set
+    does: when ``(1, ..., a, ..., 1)``, with that coordinate's message
+    ``a`` at state j, fails.  The verdict checks those n x |M| strategies
+    and the constant ones; only a failure enumerates every strategy
+    outside the set, for the witnesses: an outcome failure names the
+    strategy, the state and the opponent's message there; a transfer
+    failure names the strategy, the opponent strategy and the gain.
     """
     n = scenario.n
     truth = tuple(range(1, n + 1))
-    msgs_own, msgs_opp = mechanism.messages
+    msgs_own = mechanism.messages[0]
     choices = restricted_strategy_set(msgs_own, truth)
-    # Per message triple (a, a_star, b): whether a and its replacement
-    # a_star give the same outcome against b, and the transfer gain of
-    # a_star over a.
-    coordinate = {
-        (a, a_star, b): (
+
+    @functools.cache
+    def coordinate(a, a_star, b):
+        """Whether a and its replacement a_star give the same outcome
+        against b, and the transfer gain of a_star over a."""
+        return (
             mechanism.g(a, b).same_as(mechanism.g(a_star, b)),
             mechanism.t(0, a_star, b) - mechanism.t(0, a, b),
         )
-        for a in msgs_own
-        for a_star in msgs_own
-        for b in msgs_opp
-    }
-    failures = []
-    for s in itertools.product(*full_strategy_set(msgs_own, n)):
-        if all(m in c for m, c in zip(s, choices)):
-            continue
+
+    def failures_of(s):
         s_star = canonical_replacement(s, msgs_own, truth)
+        failures = []
         worst_gain = Fraction(0)
         picks = []
         for j, (a, a_star) in enumerate(zip(s, s_star)):
             for b in choices[j]:
-                if not coordinate[(a, a_star, b)][0]:
+                if not coordinate(a, a_star, b)[0]:
                     failures.append(
                         {"strategy": s, "state": j, "opponent_message": b, "kind": "outcome"}
                     )
-            b_worst = min(choices[j], key=lambda b: coordinate[(a, a_star, b)][1])
+            b_worst = min(choices[j], key=lambda b: coordinate(a, a_star, b)[1])
             picks.append(b_worst)
-            worst_gain += scenario.prior[j] * coordinate[(a, a_star, b_worst)][1]
+            worst_gain += scenario.prior[j] * coordinate(a, a_star, b_worst)[1]
         if worst_gain < 0:
             failures.append(
                 {"strategy": s, "opponent": tuple(picks), "gain": worst_gain, "kind": "transfer"}
             )
         elif is_constant(s) and s[0] >= 2 and min(msgs_own) < 0:
             gain = sum(
-                scenario.prior[j] * coordinate[(a, a_star, b)][1]
+                scenario.prior[j] * coordinate(a, a_star, b)[1]
                 for j, (a, a_star, b) in enumerate(zip(s, s_star, truth))
             )
             if gain <= 0:
                 failures.append({"strategy": s, "opponent": truth, "gain": gain, "kind": "transfer"})
-    return not failures, failures
+        return failures
+
+    def outside(s):
+        return any(m not in c for m, c in zip(s, choices))
+
+    probes = [(m,) * n for m in msgs_own] + [
+        (1,) * j + (a,) + (1,) * (n - j - 1)
+        for j, c in enumerate(choices)
+        for a in msgs_own
+        if a not in c
+    ]
+    if not any(failures_of(s) for s in probes if outside(s)):
+        return True, []
+    failures = [
+        f
+        for s in itertools.product(*full_strategy_set(msgs_own, n))
+        if outside(s)
+        for f in failures_of(s)
+    ]
+    return False, failures
 
 
 def _mass_linear_fit(grid: list[dict]) -> tuple[Fraction, Fraction]:

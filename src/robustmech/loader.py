@@ -63,12 +63,20 @@ class _Mapping(dict):
 
 def _build(node):
     """Turn a YAML node graph into plain values, remembering source lines.
-    A decimal keeps its text, which ``_rat`` reads exactly."""
+    A decimal keeps its text, which ``_rat`` reads exactly; an integer is
+    read as ``yaml.safe_load`` reads it (``0x10``, ``0b101``, ``010`` in
+    octal, ``1:30`` in base 60), and one that does not parse, such as
+    ``!!int "ten"``, raises ``ScenarioFileError`` naming its line."""
     if isinstance(node, yaml.ScalarNode):
         value = yaml.SafeLoader("").construct_scalar(node)
         tag = node.tag
         if tag.endswith(":int"):
-            value = int(value)
+            try:
+                value = yaml.SafeLoader("").construct_yaml_int(node)
+            except (ValueError, IndexError):
+                raise ScenarioFileError(
+                    f"expected an integer, got {value!r}", node.start_mark.line
+                ) from None
         elif tag.endswith(":bool"):
             value = value.lower() in ("true", "yes", "on")
         elif tag.endswith(":null"):

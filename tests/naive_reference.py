@@ -34,7 +34,13 @@ variable one unit at a time, the oracle for the solver that reads each
 kind's inequality list; it can loop forever when the first state is not
 the most likely, so it is only called on descending priors.
 ``near_best`` scans a whole product for the members within a slack of
-its best value, the oracle for ``PayoffTable.near_best``.  Strategy
+its best value, the oracle for ``PayoffTable.near_best``, and
+``PayoffTable.from_fractions`` builds a table from exact entries over the
+least common multiple of their denominators, as the engine converted
+each row before it summed rows on integers.
+``gamma_dominance_threshold`` computes one threshold per deviation over
+the whole product of the agent's choices, the oracle for the
+per-coordinate fractional program.  Strategy
 sets come
 as per-coordinate choices, and every function here enumerates their
 product itself, so the oracle scans every member.
@@ -42,8 +48,10 @@ product itself, so the oracle scans every member.
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
+from robustmech import engine
 from robustmech.core import Lottery, ModelError, is_generic
 from robustmech.engine import (
     Game,
@@ -54,6 +62,7 @@ from robustmech.engine import (
     is_constant,
     StrategyProfile,
 )
+from robustmech.equilibrium import DominanceCertificate
 from robustmech.mechanisms import InfeasibleScheduleError, RewardSchedule
 from robustmech.numeric import Number, rat
 
@@ -473,6 +482,78 @@ def iterate_best_response(game, strategy_sets, initial, max_rounds=200):
         seen.add(key(nxt))
         profile = nxt
     return profile, rounds, False, False
+
+
+class PayoffTable(engine.PayoffTable):
+    """The engine's table, built from exact entries."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_fractions(cls, coords, cost) -> "PayoffTable":
+        """The table of exact entries ``coords[k][m]`` and ``cost``, over
+        the least common multiple of their denominators."""
+        den = math.lcm(cost.denominator, *(x.denominator for cell in coords for x in cell.values()))
+        nums = tuple(
+            {m: x.numerator * (den // x.denominator) for m, x in cell.items()} for cell in coords
+        )
+        return cls(nums, cost.numerator * (den // cost.denominator), den)
+
+
+def gamma_dominance_threshold(mechanism, scenario, c_bar) -> DominanceCertificate:
+    """The dominance threshold by enumeration: one witness row per agent
+    and deviation, in canonical order, each with its gains read from
+    ``inner_value`` and its own threshold; gamma is the largest.  Raises
+    the ``ModelError`` naming the first deviation, in canonical order,
+    that truth does not strictly beat against the truthful opponent."""
+    truth = tuple(range(1, scenario.n + 1))
+    gamma = Fraction(0)
+    witness = []
+    charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
+    game = Game(replace(scenario, payoffs=charged), mechanism)
+    messages = mechanism.messages
+    if mechanism.kind == "maskin":
+        sets = tuple(full_strategy_set(messages[i], scenario.n) for i in (0, 1))
+    else:
+        sets = tuple(engine.restricted_strategy_set(messages[i], truth) for i in (0, 1))
+    for agent in (0, 1):
+        own = sets[agent]
+        allowed = sets[1 - agent]
+        msgs_own = sorted({m for ms in own for m in ms})
+        phi = {
+            b: game.coordinate_row(agent, 0, (b,) * scenario.n).entries()
+            for b in {b for a in allowed for b in a}
+        }
+        worst = {
+            (k, m): min(allowed[k], key=lambda b: phi[b][k][t] - phi[b][k][m])
+            for k, t in enumerate(truth)
+            for m in msgs_own
+        }
+        truth_value = game.inner_value(agent, 0, truth, truth)
+        for s in itertools.product(*own):
+            if s == truth:
+                continue
+            d_truth = truth_value - game.inner_value(agent, 0, s, truth)
+            if d_truth <= 0:
+                raise ModelError(
+                    f"truthful reporting is not strictly dominant at gamma=1 "
+                    f"(deviation {s} gains {-d_truth})"
+                )
+            picks = tuple(worst[(k, m)] for k, m in enumerate(s))
+            d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
+            root = Fraction(0) if d_adv > 0 else d_adv / (d_adv - d_truth)
+            gamma = max(gamma, root)
+            witness.append(
+                {
+                    "agent": agent,
+                    "deviation": s,
+                    "gain_vs_truthful": d_truth,
+                    "worst_case_gain": d_adv,
+                    "adversary": picks,
+                    "threshold": root,
+                }
+            )
+    return DominanceCertificate(gamma, tuple(witness))
 
 
 def strict_cyclical_monotonicity(u, scf) -> bool:

@@ -225,6 +225,34 @@ def test_non_rational_number_exits_2_naming_the_line(tmp_path, value):
     assert f"agent 1 cost: expected a rational, got '{value}' (line {line})" in proc.stderr
 
 
+def gamma_on_costs(tmp_path, cost):
+    """``dominance gamma`` in a subprocess on the binary scenario with both
+    learning costs written as ``cost``; returns the process and the line
+    of the first cost."""
+    text = (SCENARIOS / "binary_trial.yaml").read_text()
+    old = '  - cost: "1"\n  - cost: "1"'
+    edited = tmp_path / "scenario.yaml"
+    edited.write_text(text.replace(old, f"  - cost: {cost}\n  - cost: {cost}"))
+    proc = run_cli("dominance", "gamma", "--kind", "sqr", "--scenario", str(edited))
+    return proc, text[: text.index(old)].count("\n") + 1
+
+
+@pytest.mark.parametrize("form, quoted", [("0x10", '"16"'), ("1:30", '"90"'), ("010", '"8"')])
+def test_integer_forms_in_a_scenario_reach_the_command(tmp_path, form, quoted):
+    """A cost written in another YAML integer form prints what the same
+    cost written as a quoted integer does."""
+    proc, _ = gamma_on_costs(tmp_path, form)
+    assert proc.returncode == 0 and not proc.stderr
+    assert proc.stdout == gamma_on_costs(tmp_path, quoted)[0].stdout
+
+
+def test_integer_tag_that_does_not_parse_exits_2_naming_the_line(tmp_path):
+    proc, line = gamma_on_costs(tmp_path, '!!int "ten"')
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"expected an integer, got 'ten' (line {line})" in proc.stderr
+
+
 def test_prop3_refusal_prints_its_witness_in_fractions():
     proc = run_cli("experiment", "run", "prop3", "--scenario", str(SCENARIOS / "three_state.yaml"))
     assert proc.returncode == 2

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
+from naive_reference import PayoffTable
 from generators import uniform_scenario
 from robustmech import (
     BiasSpec,
@@ -45,7 +46,6 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech import equilibrium
-from robustmech.engine import PayoffTable
 from robustmech.equilibrium import truthful_probability_mass
 from robustmech.experiments import preferred_outcome_bias
 

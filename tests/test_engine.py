@@ -7,12 +7,14 @@ import pytest
 
 import naive_reference as naive
 from robustmech import (
+    BiasSpec,
     Game,
     Lottery,
     ModelError,
     SignalStructure,
     TrembleSpec,
     binary_trial_scenario,
+    build_ladder,
     build_modified_status_quo,
     build_status_quo,
     canonical_replacement,
@@ -28,6 +30,7 @@ from robustmech import (
     three_state_scenario,
     truthful_profile,
 )
+from robustmech.experiments import preferred_outcome_bias
 from robustmech.mechanisms import augmented_messages
 
 
@@ -311,3 +314,35 @@ def test_game_rejects_foreign_perturbation():
     b = binary_trial_scenario()
     with pytest.raises(ModelError):
         Game(a, build_status_quo(a, 1), unperturbed(b))
+
+
+def test_integer_rows_match_fraction_sums_with_trembles_and_mislabelled_signals():
+    """Rows summed on integer state values and signal probabilities equal
+    the naive ``Fraction`` sums in thm3's kind of game: the modified rule
+    under a point tremble, signals mislabelled with probability 1/7, and
+    a ladder whose first circumstance gives agent 1 other utilities and
+    another cost.  Every own strategy of the full set is priced against
+    opponents inside and outside the restricted set, at the biased and
+    at a normal circumstance, and every state value is compared too."""
+    s = three_state_scenario()
+    mech = build_modified_status_quo(s)
+    bias = BiasSpec(0, 0, preferred_outcome_bias(s, 1, F(7, 2)), cost=F(5, 3))
+    game = Game(s, mech, build_ladder(s, 4, F(1, 10), [bias]),
+                signals=mislabel_signals(s, F(1, 7)),
+                tremble=TrembleSpec.point(F(1, 20), mech.messages, (3, 3)))
+    assert [game.perturbation.payoff_class(0, circ) for circ in (0, 1)] == [0, None]
+    reference = naive.NaiveGame(game)
+    msgs = mech.messages[0]
+    for agent in (0, 1):
+        for circ in (0, 1):
+            for state in range(s.n):
+                for own in msgs:
+                    for opp in msgs:
+                        m1, m2 = (own, opp) if agent == 0 else (opp, own)
+                        want = reference.pair_values(m1, m2)[agent] + reference._expected_u(
+                            agent, circ, state, m1, m2)
+                        assert game.state_value(agent, circ, state, own, opp) == want
+            for opp in ((1, 2, 3), (-3, 1, 2), (2, 2, 2)):
+                row = game.coordinate_row(agent, circ, opp)
+                for own in itertools.product(*full_strategy_set(msgs, s.n)):
+                    assert row.value(own) == reference.inner_value(agent, circ, own, opp)

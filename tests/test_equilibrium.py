@@ -1,13 +1,14 @@
 """Equilibrium verification, dominance thresholds, iteration, Nash solver."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import naive_reference as naive
-from generators import uniform_scenario
+from generators import random_generic_prior, uniform_scenario
 from robustmech import (
     BiasSpec,
     Game,
@@ -166,41 +167,111 @@ BASELINE_PRIORS = (
 )
 
 
+MECHANISM_KINDS = {
+    "sqr": lambda s: build_status_quo(s, s.max_cost),
+    "asqr": build_augmented_status_quo,
+    "msqr": build_modified_status_quo,
+}
+
+
 @pytest.mark.parametrize("kind", ["sqr", "asqr", "msqr"])
 @pytest.mark.parametrize("prior", BASELINE_PRIORS, ids=lambda p: f"n{len(p)}")
 def test_gamma_witness_rows_equal_inner_value_differences(prior, kind):
-    """Every witness row's gains are the ``inner_value`` differences of the
-    game charging ``c_bar``: truth against the deviation, facing the
-    truthful opponent and facing the row's adversary.  Rows come in
-    canonical order per agent, and gamma is the largest threshold."""
+    """Each agent's one witness row holds a deviation from its restricted
+    set whose gains are the ``inner_value`` differences of the game
+    charging ``c_bar``: truth against the deviation, facing the truthful
+    opponent and facing the row's adversary.  Its threshold is the root
+    of those gains and equals the agent's largest threshold in the
+    enumerating oracle, and gamma is the largest row threshold."""
     scenario = uniform_scenario(prior)
-    mech = {"sqr": lambda s: build_status_quo(s, s.max_cost),
-            "asqr": build_augmented_status_quo,
-            "msqr": build_modified_status_quo}[kind](scenario)
+    mech = MECHANISM_KINDS[kind](scenario)
     cert = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
+    oracle = naive.gamma_dominance_threshold(mech, scenario, scenario.max_cost)
     charged = tuple(replace(p, cost=scenario.max_cost) for p in scenario.payoffs)
     game = Game(replace(scenario, payoffs=charged), mech)
     truth = game.truthful(0)
     rs = restricted_strategy_set(mech.messages[0], truth)
-    deviations = [s for s in itertools.product(*rs) if s != truth]
-    assert [(row["agent"], row["deviation"]) for row in cert.witness] == [
-        (agent, s) for agent in (0, 1) for s in deviations
-    ]
+    assert [row["agent"] for row in cert.witness] == [0, 1]
     for row in cert.witness:
         agent, s, picks = row["agent"], row["deviation"], row["adversary"]
+        assert s != truth and all(m in ms for m, ms in zip(s, rs))
         assert all(b in ms for b, ms in zip(picks, rs))
         d_truth = game.inner_value(agent, 0, truth, truth) - game.inner_value(agent, 0, s, truth)
         d_adv = game.inner_value(agent, 0, truth, picks) - game.inner_value(agent, 0, s, picks)
         assert (row["gain_vs_truthful"], row["worst_case_gain"]) == (d_truth, d_adv)
         assert type(row["gain_vs_truthful"]) is type(row["worst_case_gain"]) is F
         assert row["threshold"] == (0 if d_adv > 0 else d_adv / (d_adv - d_truth))
+        assert row["threshold"] == max(
+            w["threshold"] for w in oracle.witness if w["agent"] == agent
+        )
         if scenario.n <= 3:
             # Small enough to check that the adversary is the worst one.
             assert d_adv == min(
                 game.inner_value(agent, 0, truth, b) - game.inner_value(agent, 0, s, b)
                 for b in itertools.product(*rs)
             )
-    assert cert.gamma == max([F(0)] + [row["threshold"] for row in cert.witness])
+    assert cert.gamma == oracle.gamma == max(row["threshold"] for row in cert.witness)
+
+
+def _gamma_or_error(mech, scenario, c_bar, solver):
+    try:
+        return solver(mech, scenario, c_bar).gamma
+    except ModelError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gamma_matches_the_enumeration_oracle(n):
+    """Gamma, or the error naming the first deviation truth does not
+    strictly beat, equals the enumerating oracle's on a drawn generic
+    prior, for each status-quo rule and learning-cost bound, and on the
+    binary matching rule for several rewards and bounds.  Corrupted rules
+    fail the check: one paying no transfers, under a positive bound and
+    under a zero one, where the constant deviation ties truth, and one
+    paying none to agent 2 only, so that agent 1 passes first."""
+    rng = random.Random(f"gamma:{n}")
+    scenario = uniform_scenario(random_generic_prior(rng, n))
+    cases = [
+        (MECHANISM_KINDS[kind](scenario), c_bar)
+        for kind in MECHANISM_KINDS
+        for c_bar in (scenario.max_cost, F(0), 2 * scenario.max_cost)
+    ]
+    sqr, asqr = MECHANISM_KINDS["sqr"](scenario), MECHANISM_KINDS["asqr"](scenario)
+    unpaid = replace(sqr, transfer={k: (F(0), F(0)) for k in sqr.transfer})
+    cases += [
+        (unpaid, scenario.max_cost),
+        (unpaid, F(0)),
+        (replace(asqr, transfer={k: (t1, F(0)) for k, (t1, _) in asqr.transfer.items()}),
+         scenario.max_cost),
+    ]
+    if n == 2:
+        cases += [(build_maskin(scenario, r), F(c)) for r in (1, 3, 10) for c in (0, 1, 2)]
+    outcomes = set()
+    for mech, c_bar in cases:
+        got = _gamma_or_error(mech, scenario, c_bar, gamma_dominance_threshold)
+        assert got == _gamma_or_error(mech, scenario, c_bar, naive.gamma_dominance_threshold)
+        outcomes.add(type(got))
+    assert outcomes == {F, str}
+
+
+def test_gamma_does_not_enumerate_deviations(monkeypatch):
+    """At n=6 the augmented rule's restricted set has 8^5 x 7 members per
+    agent; one gamma call reads O(n + |M|) values and rows."""
+    scenario = uniform_scenario((F(1, 4), F(1, 5), F(1, 6), F(3, 20), F(7, 60), F(7, 60)))
+    mech = build_augmented_status_quo(scenario)
+    calls = {"inner_value": 0, "coordinate_row": 0}
+    for name in calls:
+        original = getattr(Game, name)
+
+        def counted(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Game, name, counted)
+    cert = gamma_dominance_threshold(mech, scenario, scenario.max_cost)
+    assert cert.below_half
+    bound = 2 * (scenario.n + len(mech.messages[0]))
+    assert 0 < calls["inner_value"] <= bound and 0 < calls["coordinate_row"] <= bound
 
 
 def test_gamma_threshold_four_states():
@@ -210,24 +281,25 @@ def test_gamma_threshold_four_states():
     assert cert.below_half
 
 
+def _row(w):
+    return w["deviation"], w["gain_vs_truthful"], w["worst_case_gain"], w["adversary"], w["threshold"]
+
+
 def test_gamma_matching_rule_plays_full_sets():
     # The matching rule has no status-quo message, so every agent may
     # deviate to any of its three non-truthful strategies and the adversary
-    # picks from the full set; the rows are the full-set certificate.
+    # picks from the full set: the enumerating oracle's rows are the
+    # full-set certificate, and each agent's witness row is the largest.
     s = binary_trial_scenario()
     cert = gamma_dominance_threshold(build_maskin(s, 10), s, 1)
-    rows = [
-        (w["deviation"], w["gain_vs_truthful"], w["worst_case_gain"], w["adversary"],
-         w["threshold"])
-        for w in cert.witness
-    ]
+    oracle = naive.gamma_dominance_threshold(build_maskin(s, 10), s, 1)
     per_agent = [
         ((1, 1), F(2), F(-4), (1, 1), F(2, 3)),
         ((2, 1), F(10), F(-10), (2, 1), F(1, 2)),
         ((2, 2), F(6), F(-8), (2, 1), F(4, 7)),
     ]
-    assert [w["agent"] for w in cert.witness] == [0, 0, 0, 1, 1, 1]
-    assert rows == per_agent * 2
+    assert [_row(w) for w in oracle.witness] == per_agent * 2
+    assert [(w["agent"], *_row(w)) for w in cert.witness] == [(a, *per_agent[0]) for a in (0, 1)]
     assert cert.gamma == F(2, 3)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import yaml
 
 from robustmech import ScenarioFileError, binary_trial_scenario, load_scenario, parse_scenario
 from robustmech.perturbations import eta_of
@@ -154,3 +155,18 @@ def test_decimal_numbers_load_as_exact_fractions():
     assert stakes.payoffs[0].u[1][1] == 1500
     with pytest.raises(ScenarioFileError, match="non-negative"):
         parse_scenario(GOOD.replace('cost: "1"', "cost: -.5"))
+
+
+@pytest.mark.parametrize("form", ["0x10", "0b101", "1:30", "010", "1_000", "16"])
+def test_integer_forms_load_as_yaml_reads_them(form):
+    """Hexadecimal, binary, base-60, leading-zero octal and underscored
+    integers load as ``yaml.safe_load`` reads them."""
+    scenario, _ = parse_scenario(GOOD.replace('  - cost: "1"\n', f"  - cost: {form}\n", 1))
+    assert scenario.payoffs[0].cost == yaml.safe_load(f"cost: {form}")["cost"]
+    assert scenario.payoffs[1].cost == 1
+
+
+@pytest.mark.parametrize("form", ['!!int "ten"', '!!int ""'])
+def test_integer_tag_that_does_not_parse_names_its_line(form):
+    with pytest.raises(ScenarioFileError, match=r"expected an integer, got '(ten)?' \(line 10\)"):
+        parse_scenario(GOOD.replace('  - cost: "1"\n', f"  - cost: {form}\n", 1))
