@@ -171,7 +171,7 @@ def cmd_dominance_eliminate(args):
 def cmd_experiment_run(args):
     scenario = load_unperturbed_scenario(args.scenario) if args.scenario else None
     kwargs = {}
-    if args.eta_grid:
+    if args.eta_grid is not None:
         kwargs["eta_grid"] = tuple(args.eta_grid)
     result = run_experiment(args.name, scenario, **kwargs)
     for name, value in sorted(result.certificates.items()):

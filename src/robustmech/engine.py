@@ -8,14 +8,15 @@ its joint from one agent's side, ``SignalStructure.seen_by``.  A
 non-constant tuple implies paying the (circumstance-dependent) learning
 cost.  Type strategies are finite-support mixtures stored as
 ``{pure_tuple: weight}`` dicts, and a profile is a pair of
-``{type_index: TypeStrategy}`` maps.
+``{type_index: TypeStrategy}`` maps.  Wherever a play is read, it may
+also be given as its small-int id in the game (``Game.play_id``).
 
 All computations are pure functions of immutable inputs; the ``Game``
 wrapper only memoizes derived tables: payoffs and per-coordinate payoff
 rows by payoff class, which ``Game.with_perturbation`` shares between the
-games of one scenario and biases, and per-type payoff tables, whose best
-responses are memoized on the table, and dominance checks by
-``type_signature``.
+games of one scenario and biases, per-type payoff tables by type kind
+and opponent play ids, whose best responses are memoized on the table,
+and dominance checks by type kind and pool ids.
 
 Trembles enter once, when a game first reads its payoffs or outcome
 lotteries: ``TrembleSpec.apply`` folds the realized messages into a
@@ -51,7 +52,7 @@ from fractions import Fraction
 
 from .core import Lottery, ModelError, ScenarioModel, tv_distance
 from .mechanisms import Mechanism
-from .numeric import Number, rat, weights_key
+from .numeric import ONE, Number, rat, weights_key
 from .perturbations import Perturbation, unperturbed
 
 PureStrategy = tuple[int, ...]
@@ -238,6 +239,9 @@ class Game:
     _table_cache: dict = field(default_factory=dict, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
     _dom_cache: dict = field(default_factory=dict, repr=False)
+    _pool_ids: dict = field(default_factory=dict, repr=False)
+    _play_ids: dict = field(default_factory=dict, repr=False)
+    _plays: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.perturbation is None:
@@ -280,9 +284,10 @@ class Game:
         The new game shares the caches keyed by payoff class: state
         values, coordinate rows and ``inner_value``.  A payoff class
         is ``None`` or an index into the biases, so equal biases give every
-        class the same payoffs and cost in both games.  Payoff tables and
-        dominance checks stay the new game's own, because their keys hold
-        the perturbation's type kinds (``type_signature``).
+        class the same payoffs and cost in both games.  Payoff tables,
+        dominance checks and the play and pool ids their keys hold stay the
+        new game's own, because those keys hold the perturbation's type
+        kinds.
         """
         if perturbation.scenario is not self.scenario:
             raise ModelError("perturbation was built for a different scenario")
@@ -407,29 +412,45 @@ class Game:
         total = self._inner_cache[key] = self.coordinate_row(agent, circ, opp).value(own)
         return total
 
+    def play_id(self, play: TypeStrategy | int) -> int:
+        """A small int given once per distinct ``weights_key`` in this game;
+        ``_plays[id]`` holds the mixture without its zero weights.  An int
+        is taken to be an id already."""
+        if type(play) is int:
+            return play
+        key = weights_key(play)
+        i = self._play_ids.get(key)
+        if i is None:
+            i = self._play_ids[key] = len(self._plays)
+            self._plays.append({s: w for s, w in play.items() if w})
+        return i
+
     def payoff_table(
-        self, agent: int, type_index: int, opponent: dict[int, TypeStrategy]
+        self, agent: int, type_index: int, opponent: dict[int, TypeStrategy] | list[int]
     ) -> "PayoffTable":
         """The type's payoffs against the opponent side of a profile, by
         coordinate: cell weight x opponent weight x coordinate row, entries
-        and cost alike, summed over the type's signature cells.  Memoized
-        by ``type_signature``.
+        and cost alike, summed over the type's cells.  Memoized by the
+        type's kind (its ``(payoff class, conditional weight)`` cells) and
+        the ``play_id`` at each opponent type it meets, in ``type_groups``
+        order: ints only, meaningful within this game.  The payoff class
+        fixes the rows and the cost, so equal keys give equal tables.
 
         The sum runs on integers: the table's denominator is the least
         common multiple of every term's ``scale.denominator x row.den``,
         and each row's numerators are scaled by one integer factor."""
         pert = self.perturbation
-        if not pert.type_groups(agent, type_index):
+        groups = pert.type_groups(agent, type_index)
+        if not groups:
             raise ModelError("expected payoff of a zero-probability type")
-        key = (agent, type_signature(self, agent, type_index, opponent))
+        ids = tuple(self.play_id(opponent[u]) for u, _ in groups)
+        key = (agent, pert.type_kind(agent, type_index), ids)
         hit = self._table_cache.get(key)
         if hit is not None:
             return hit
         terms = []
-        for opp_type, cells in pert.type_groups(agent, type_index):
-            for r, weight in opponent[opp_type].items():
-                if not weight:
-                    continue
+        for (_, cells), i in zip(groups, ids):
+            for r, weight in self._plays[i].items():
                 for w, mass in cells:
                     scale = mass * weight
                     row = self.coordinate_row(agent, w, r)
@@ -586,39 +607,6 @@ def expected_payoff(
     return game.payoff_table(agent, type_index, opponent).value(strategy)
 
 
-def type_signature(
-    game: Game,
-    agent: int,
-    type_index: int,
-    opponent: dict[int, TypeStrategy] | dict[int, list[PureStrategy]],
-) -> tuple:
-    """Everything a type's payoffs depend on besides its own strategy:
-    ``(kind, plays)``.
-
-    ``kind`` is the type's ``Perturbation.type_kind``, which stands for its
-    per-group ``(payoff class, conditional weight)`` cells, and ``plays``
-    holds the opponent's play at each opponent type the type meets, in
-    ``type_groups`` order: a mixture as its ``weights_key``, or a list of
-    surviving strategies.  The payoff class fixes the coordinate rows,
-    ``inner_value`` and the learning cost, and ``payoff_table`` sums cell
-    weight x opponent weight x row over these cells, so two types of one
-    game with equal signatures have equal payoffs for every own strategy.
-    Kinds are interned per perturbation, so a signature means something
-    only within one game's perturbation.  A signature holds ints and
-    strategies only, so the memo lookups of every type in every round
-    hash no ``Fraction``.
-    """
-    pert = game.perturbation
-    plays = []
-    for opp_type, _ in pert.type_groups(agent, type_index):
-        play = opponent[opp_type]
-        if isinstance(play, dict):
-            plays.append(weights_key(play))
-        else:
-            plays.append(tuple(play))
-    return pert.type_kind(agent, type_index), tuple(plays)
-
-
 def mixture_payoff(
     game: Game,
     agent: int,
@@ -638,26 +626,24 @@ def play_groups(game: Game, profile: StrategyProfile) -> tuple[tuple[list, list]
     circumstances at each pair of them, from one walk of the circumstances.
 
     A play is a type's mixture as ``((strategy, weight), ...)`` with its
-    zero weights dropped.  ``plays[a][i]`` is agent ``a``'s ``i``-th
-    distinct play, numbered in type order, and ``masses`` maps ``(i, j)``
-    to the total mass of the circumstances where agent 1's type plays
-    ``plays[0][i]`` and agent 2's plays ``plays[1][j]``
-    (``Perturbation.masses_by``, in order of first meeting).  The labels
-    the walk compares are these small-int pairs, and plays are interned by
-    their ``weights_key``."""
+    zero weights dropped, as ``Game.play_id`` interns it.  ``plays[a][i]``
+    is agent ``a``'s ``i``-th distinct play, numbered in type order, and
+    ``masses`` maps ``(i, j)`` to the total mass of the circumstances
+    where agent 1's type plays ``plays[0][i]`` and agent 2's plays
+    ``plays[1][j]`` (``Perturbation.masses_by``, in order of first
+    meeting).  The labels the walk compares are these small-int pairs."""
     pert = game.perturbation
     plays: tuple[list, list] = ([], [])
     ids: list[list[int]] = [[], []]
     for agent in (0, 1):
-        index: dict[tuple, int] = {}
+        index: dict[int, int] = {}
         side = profile[agent]
         for t in range(len(pert.partitions[agent])):
-            mix = side[t]
-            key = weights_key(mix)
-            i = index.get(key)
+            play = game.play_id(side[t])
+            i = index.get(play)
             if i is None:
-                i = index[key] = len(plays[agent])
-                plays[agent].append(tuple((s, x) for s, x in mix.items() if x))
+                i = index[play] = len(plays[agent])
+                plays[agent].append(tuple(game._plays[play].items()))
             ids[agent].append(i)
     labels = [(ids[0][pert.type_of(0, w)], ids[1][pert.type_of(1, w)]) for w in range(pert.size)]
     return plays, pert.masses_by(labels)
@@ -750,7 +736,7 @@ def pure_profile(game: Game, strategies: tuple[PureStrategy, PureStrategy]) -> S
     """Every type of each agent plays the given pure strategy."""
     pert = game.perturbation
     return [
-        {t: {strategies[agent]: Fraction(1)} for t in range(len(pert.partitions[agent]))}
+        {t: {strategies[agent]: ONE} for t in range(len(pert.partitions[agent]))}
         for agent in (0, 1)
     ]
 

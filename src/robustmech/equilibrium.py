@@ -29,32 +29,32 @@ from .engine import (
     play_groups,
     restricted_strategy_set,
     truthful_profile,
-    type_signature,
 )
 from .mechanisms import Mechanism
-from .numeric import Number, frac_key
+from .numeric import ONE, Number, frac_key
 
 
 def best_response(
     game: Game,
     agent: int,
     type_index: int,
-    opponent: dict[int, TypeStrategy],
+    opponent: dict[int, TypeStrategy] | list[int],
     strategy_set: StrategySet,
 ) -> tuple[list[PureStrategy], Number]:
     """All exact maximizers over the strategy set, canonically ordered,
-    with the attained value.
+    with the attained value, against the opponent side of a profile: each
+    opponent type's play, or its ``Game.play_id``.
 
     The set is given by its per-coordinate choices, and the type's payoff
     table separates by coordinate, so the maximum is read per coordinate
     instead of over every strategy (see ``PayoffTable.best``).
 
     The result is memoized on the type's payoff table, which the game
-    memoizes by ``(agent, type_signature)``.  Two types with equal
-    signatures have equal payoffs for every strategy (see
-    ``type_signature``), so they share their maximizers and value exactly,
-    and the interior rungs of a ladder cost one evaluation per distinct
-    rung kind instead of one per rung.
+    memoizes by the type's kind and the ids of the opponent plays it
+    meets (``Game.payoff_table``).  Types with equal keys have equal
+    payoffs for every strategy, so they share their maximizers and value
+    exactly, and the interior rungs of a ladder cost one evaluation per
+    distinct rung kind instead of one per rung.
     """
     winners, best_value = game.payoff_table(agent, type_index, opponent).best(strategy_set)
     return list(winners), best_value
@@ -104,22 +104,32 @@ def equilibrium_residuals(
     which prices any message vector, inside the set or not.  So each
     residual equals ``best value - mixture_payoff``.
     """
-    return _residuals(game, profile, strategy_sets)[0]
+    return _residuals(game, _play_ids(game, profile), strategy_sets)[0]
 
 
-def _residuals(game, profile, strategy_sets):
-    """Residuals and the canonically first best deviation per type."""
+def _play_ids(game, profile):
+    """Every type's ``Game.play_id``, per agent, read once per profile."""
+    return [[game.play_id(side[t]) for t in range(len(part))]
+            for side, part in zip(profile, game.perturbation.partitions)]
+
+
+def _residuals(game, ids, strategy_sets):
+    """Residuals and the canonically first best deviation per type, from
+    play ids, computed once per payoff table and own play."""
     residuals: dict[tuple[int, int], Number] = {}
     deviations: dict[tuple[int, int], PureStrategy] = {}
     pert = game.perturbation
     for agent in (0, 1):
-        opponent = profile[1 - agent]
-        for t in range(len(pert.partitions[agent])):
+        choices, shared = strategy_sets[agent], {}
+        for t, own in enumerate(ids[agent]):
             if not pert.type_groups(agent, t):
                 continue
-            table = game.payoff_table(agent, t, opponent)
-            residuals[(agent, t)] = table.deficit(strategy_sets[agent], profile[agent][t])
-            deviations[(agent, t)] = table.best(strategy_sets[agent])[0][0]
+            table = game.payoff_table(agent, t, ids[1 - agent])
+            hit = shared.get((table, own))
+            if hit is None:
+                hit = shared[(table, own)] = (table.deficit(choices, game._plays[own]),
+                                              table.best(choices)[0][0])
+            residuals[(agent, t)], deviations[(agent, t)] = hit
     return residuals, deviations
 
 
@@ -133,15 +143,17 @@ def verify_equilibrium(
     best deviation behind each, plus the implementation metrics
     (``truthful_mass`` and ``max_tv``).
 
-    Both metrics read one walk of the circumstances (``play_groups``),
-    which labels each circumstance by the small-int ids of its types'
-    plays: ``truthful_mass`` and every state's outcome lottery are summed
-    from its groups.  Callers that only need the pass/fail verdict should
-    still filter on the residuals first: that walk is made for every
-    report built."""
-    residuals, deviations = _residuals(game, profile, strategy_sets)
+    All read one list of play ids per profile (``Game.play_id``).  Both
+    metrics read one walk of the circumstances (``play_groups``), which
+    labels each circumstance by the small-int ids of its types' plays:
+    ``truthful_mass`` and every state's outcome lottery are summed from
+    its groups.  Callers that only need the pass/fail verdict should still
+    filter on the residuals first: that walk is made for every report
+    built."""
+    ids = _play_ids(game, profile)
+    residuals, deviations = _residuals(game, ids, strategy_sets)
     max_res = max(residuals.values())
-    groups = play_groups(game, profile)
+    groups = play_groups(game, ids)
     return EquilibriumReport(
         residuals=residuals,
         max_residual=max_res,
@@ -354,10 +366,27 @@ def iterate_best_response(
     equals its play, which it computed against the same opponent plays.
     The profiles, rounds and flags are those of computing every type every
     round, and the changed types are the round's ``moves``.
+
+    Each type's play is carried as its ``Game.play_id``, which only a type
+    that moved gets anew.  A cycle is found on exact ids, which tell a zero
+    weight from a missing strategy as dict equality does.
     """
     pert = game.perturbation
     profile = initial if initial is not None else truthful_profile(game)
-    seen = {_profile_key(profile): 0}
+    exact: dict[tuple, int] = {}
+
+    def exact_id(mix):
+        return exact.setdefault(tuple(sorted((s, *frac_key(w)) for s, w in mix.items())),
+                                len(exact))
+
+    if initial is None:  # one play per agent
+        ids = [[game.play_id(side[0])] * len(side) for side in profile]
+        exact_ids = [[exact_id(side[0])] * len(side) for side in profile]
+    else:
+        ids = _play_ids(game, profile)
+        exact_ids = [[exact_id(side[t]) for t in range(len(part))]
+                     for side, part in zip(profile, pert.partitions)]
+    seen = {(tuple(exact_ids[0]), tuple(exact_ids[1])): 0}
     todo = [range(len(pert.partitions[0])), range(len(pert.partitions[1]))]
     moves = []
     rounds = 0
@@ -366,20 +395,23 @@ def iterate_best_response(
         nxt: StrategyProfile = [dict(profile[0]), dict(profile[1])]
         moved = []
         for agent in (0, 1):
-            opponent = profile[1 - agent]
+            opponent = ids[1 - agent]
             for t in todo[agent]:
                 if not pert.type_groups(agent, t):
                     nxt[agent][t] = dict(profile[agent][t])
                     continue
                 winners, _ = best_response(game, agent, t, opponent, strategy_sets[agent])
-                play = nxt[agent][t] = {winners[0]: Fraction(1)}
+                play = nxt[agent][t] = {winners[0]: ONE}
                 if play != profile[agent][t]:
                     moved.append((agent, t))
         moves.append(tuple(moved))
         if not moved:
-            report = verify_equilibrium(game, nxt, strategy_sets)
+            report = verify_equilibrium(game, ids, strategy_sets)
             return BRIterationResult(nxt, rounds, True, False, report, tuple(moves))
-        key = _profile_key(nxt)
+        for agent, t in moved:
+            ids[agent][t] = game.play_id(nxt[agent][t])
+            exact_ids[agent][t] = exact_id(nxt[agent][t])
+        key = (tuple(exact_ids[0]), tuple(exact_ids[1]))
         if key in seen:
             cycled = True
             profile = nxt
@@ -391,19 +423,6 @@ def iterate_best_response(
             todo[1 - agent].update(u for u, _ in pert.type_groups(agent, t))
         todo = [sorted(side) for side in todo]
     return BRIterationResult(profile, rounds, False, cycled, None, tuple(moves))
-
-
-def _profile_key(profile: StrategyProfile):
-    """A profile as nested tuples of ints and strategies, each weight,
-    zero weights included, as its ``frac_key``, so hashing it hashes no
-    ``Fraction``."""
-    return tuple(
-        tuple(sorted(
-            (t, tuple(sorted((s, *frac_key(w)) for s, w in mix.items())))
-            for t, mix in side.items()
-        ))
-        for side in profile
-    )
 
 
 # -- iterated strict dominance --------------------------------------------
@@ -445,13 +464,14 @@ def iterated_dominance(
     round count and each round's eliminations equal those of checking
     every type every round.
 
-    A check's result is memoized on the game by ``(agent, pool,
-    type_signature against the opponent surviving sets,
-    mixture_denominator)``.  A check reads each pool member's value
-    against each surviving opponent strategy once (``_undominated``):
-    a sum over the signature's cells of weight x ``inner_value``, which
-    the payoff class fixes, so types with equal keys keep the same
-    strategies.
+    A check's result is memoized on the game by ``(agent, own pool id,
+    type kind, opponent pool ids, mixture_denominator)``, the opponent
+    pools at the types it meets in ``type_groups`` order.  A pool is
+    interned on the game (``_pool_ids``, which outlives a call, as the memo
+    does) when it first appears or shrinks.  A check reads each pool
+    member's value against each surviving opponent strategy once
+    (``_undominated``): a sum over the kind's cells of weight x
+    ``inner_value``, so types with equal keys keep the same strategies.
     """
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
@@ -461,6 +481,12 @@ def iterated_dominance(
         }
         for agent in (0, 1)
     ]
+    interned = game._pool_ids
+
+    def pool_id(pool):
+        return interned.setdefault(tuple(pool), len(interned))
+
+    pools = [[pool_id(side[0])] * len(side) for side in surviving]
     stale = [set(surviving[0]), set(surviving[1])]
     eliminated = []
     for rounds in itertools.count():
@@ -469,11 +495,11 @@ def iterated_dominance(
             opp = 1 - agent
             todo, stale[agent] = stale[agent], set()
             for t in sorted(todo):
-                pool = surviving[agent][t]
-                if not pert.type_groups(agent, t) or len(pool) <= 1:
+                pool, groups = surviving[agent][t], pert.type_groups(agent, t)
+                if not groups or len(pool) <= 1:
                     continue
-                key = (agent, tuple(pool), type_signature(game, agent, t, surviving[opp]),
-                       mixture_denominator)
+                key = (agent, pools[agent][t], pert.type_kind(agent, t),
+                       tuple(pools[opp][u] for u, _ in groups), mixture_denominator)
                 keep = game._dom_cache.get(key)
                 if keep is None:
                     keep = game._dom_cache[key] = _undominated(
@@ -482,7 +508,8 @@ def iterated_dominance(
                 if len(keep) != len(pool):
                     removed.extend((agent, t, s) for s in pool if s not in keep)
                     surviving[agent][t] = list(keep)
-                    stale[opp].update(u for u, _ in pert.type_groups(agent, t))
+                    pools[agent][t] = pool_id(keep)
+                    stale[opp].update(u for u, _ in groups)
         # Agents, types and pools are walked in order, so ``removed`` is sorted.
         eliminated.append(tuple(removed))
         if not removed:

@@ -250,7 +250,10 @@ def _ladder_games(scenario, mechanism, depth, eta_grid, biases, tail):
     ``build_ladder(scenario, depth, eta, biases, tail)`` and the mechanism
     played on it.  The ladders share the scenario and the biases, so every
     game after the first is built by ``Game.with_perturbation`` and reuses
-    the payoff rows of the earlier ones."""
+    the payoff rows of the earlier ones.  An empty grid raises
+    ``ModelError``: a certificate over no ladder would hold vacuously."""
+    if not eta_grid:
+        raise ModelError("eta grid is empty: a ladder certificate needs at least one eta")
     game = None
     for eta in eta_grid:
         eta = rat(eta)

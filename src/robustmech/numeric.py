@@ -11,6 +11,8 @@ from fractions import Fraction
 
 Number = Fraction | int
 
+ONE = Fraction(1)  # a pure play's weight: plays sharing it compare by identity
+
 
 def rat(value) -> Fraction:
     """Parse a number or a string like ``"7/10"`` into an exact Fraction."""

@@ -38,24 +38,22 @@ class BiasSpec:
             raise ModelError("learning cost must be non-negative")
 
 
-def _conditional_groups(weights, opp_type_index, classes):
-    """A type's ``(circ, weight)`` pairs grouped by the opponent type they
-    induce, same-class circumstances merged into their first one."""
+def _template_groups(template, runs, ratio, kinds):
+    """A template's ``type_groups`` relative to its anchor, ``((opp offset,
+    ((circ offset, weight), ...)), ...)``, same-class members merged into
+    the first one, and the kind that ``kinds`` interns for its cells."""
+    rel = [runs[r][0] / runs[template[0][0]][0] * ratio**k for r, k, _, _ in template]
+    total = sum(rel)
     by_opp: dict[int, dict] = {}
-    for w, weight in weights:
-        cells = by_opp.setdefault(opp_type_index[w], {})
-        first = cells.get(classes[w])
-        cells[classes[w]] = (w, weight) if first is None else (first[0], first[1] + weight)
-    return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
-
-
-def _cells_key(type_groups, classes):
-    """A type's per-group ``(payoff class, conditional weight)`` cells,
-    each weight as its ``frac_key``."""
-    return tuple(
-        tuple((classes[w], *frac_key(weight)) for w, weight in cells)
-        for _, cells in type_groups
+    for (_, k, cls, opp), x in zip(template, rel):
+        cells = by_opp.setdefault(opp, {})
+        first = cells.get(cls)
+        cells[cls] = (k, x / total) if first is None else (first[0], first[1] + x / total)
+    cells_key = tuple(
+        tuple((cls, *frac_key(x)) for cls, (_, x) in cells.items()) for cells in by_opp.values()
     )
+    groups = tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
+    return groups, kinds.setdefault(cells_key, len(kinds))
 
 
 def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
@@ -102,12 +100,15 @@ class Perturbation:
       no group;
     * per type, its kind (``type_kind``): types with equal cells share one.
 
-    A type's weights come from its circumstances' masses relative to its
-    first positive-mass circumstance ``a``, ``coef[w] / coef[a] *
-    ratio**(w - a)``, memoized per block shape, so the interior rungs of a
-    ladder share one computation and no table holds a number that grows
-    with the depth.  Evaluators key their caches by payoff class, so their
-    size does not grow with the ladder depth either.
+    A type's weights come from masses relative to its first positive-mass
+    circumstance ``a``, ``coef[w] / coef[a] * ratio**(w - a)``.  Its
+    template fixes its groups and kind up to a shift by ``a``: per
+    positive-mass ``w``, its coefficient run (``_coef_runs``), ``w - a``,
+    its payoff class and its opponent type less ``a``'s.  Weights and kinds
+    are built once per distinct template, so a new ladder rung costs a
+    dict lookup and no table holds a number that grows with the depth.
+    Evaluators key their caches by payoff class, so their size does not
+    grow with the ladder depth either.
     """
 
     scenario: ScenarioModel
@@ -125,77 +126,57 @@ class Perturbation:
         size = len(self.coef)
         if not (self.ratio > 0 and self.scale > 0):
             raise ModelError("mass ratio and scale must be positive")
-        object.__setattr__(self, "_coef_runs", tuple(
-            (c, len(list(run))) for c, run in itertools.groupby(self.coef)
-        ))
+        runs = tuple((c, len(list(run))) for c, run in itertools.groupby(self.coef))
+        object.__setattr__(self, "_coef_runs", runs)
         if sum(self.masses_by((None,) * size).values()) != 1:
             raise ModelError("circumstance distribution must sum to one")
-        if any(c < 0 for c in self.coef):
+        if any(c < 0 for c, _ in runs):
             raise ModelError("circumstance probabilities must be nonnegative")
         for part in self.partitions:
             seen = sorted(w for block in part for w in block)
             if seen != list(range(size)):
                 raise ModelError("partition must cover circumstances exactly once")
-        bias_index: dict[tuple[int, int], int] = {}
+        classes = ([None] * size, [None] * size)
         for i, b in enumerate(self.biases):
-            if not 0 <= b.circumstance < size:
-                raise ModelError("bias refers to a missing circumstance")
-            if bias_index.setdefault((b.agent, b.circumstance), i) != i:
+            if b.agent not in (0, 1) or not 0 <= b.circumstance < size:
+                raise ModelError("bias refers to a missing agent or circumstance")
+            if classes[b.agent][b.circumstance] is not None:
                 raise ModelError(
                     f"two biases apply to agent {b.agent} at circumstance {b.circumstance}"
                 )
+            classes[b.agent][b.circumstance] = i
         type_index = []
         for part in self.partitions:
             index = [0] * size
             for t, block in enumerate(part):
                 for w in block:
                     index[w] = t
-            type_index.append(tuple(index))
-        shapes: dict[tuple, tuple] = {}
-        relative = tuple(
-            tuple(self._relative_masses(block, shapes) for block in part)
-            for part in self.partitions
-        )
-        classes = tuple(
-            tuple(bias_index.get((agent, w)) for w in range(size)) for agent in (0, 1)
-        )
-        groups = tuple(
-            tuple(
-                _conditional_groups(weights, type_index[1 - agent], classes[agent])
-                for weights in relative[agent]
-            )
-            for agent in (0, 1)
-        )
-        object.__setattr__(self, "_type_index", tuple(type_index))
-        object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_groups", groups)
+            type_index.append(index)
+        run_of: list = []  # per circumstance, its run's index; None at zero mass
+        for r, (c, width) in enumerate(runs):
+            run_of += [r if c else None] * width
+        templates: dict[tuple, tuple] = {}
         kinds: dict[tuple, int] = {}
-        object.__setattr__(self, "_kinds", tuple(
-            tuple(
-                kinds.setdefault(_cells_key(type_groups, classes[agent]), len(kinds))
-                for type_groups in groups[agent]
-            )
-            for agent in (0, 1)
-        ))
-
-    def _relative_masses(self, block, shapes):
-        """``((w, weight), ...)`` for one partition block: the conditional
-        weight of each positive-mass circumstance, from its mass relative
-        to the block's first positive-mass circumstance, the anchor.
-        Blocks of one shape (coefficients and offsets from the anchor)
-        share one entry of ``shapes``, keyed by ints: each coefficient as
-        its ``frac_key``."""
-        members = [w for w in block if self.coef[w]]
-        if not members:
-            return ()
-        anchor = members[0]
-        shape = tuple((*frac_key(self.coef[w]), w - anchor) for w in members)
-        weights = shapes.get(shape)
-        if weights is None:
-            rel = [self.coef[anchor + k] / self.coef[anchor] * self.ratio**k for _, _, k in shape]
-            total = sum(rel)
-            weights = shapes[shape] = tuple(x / total for x in rel)
-        return tuple(zip(members, weights))
+        groups, type_kinds = ([], []), ([], [])
+        for agent, part in enumerate(self.partitions):
+            opp_index, cls = type_index[1 - agent], classes[agent]
+            for block in part:
+                members = [w for w in block if run_of[w] is not None]
+                a = members[0] if members else 0
+                template = tuple([(run_of[w], w - a, cls[w], opp_index[w] - opp_index[a])
+                                  for w in members])
+                if template not in templates:
+                    templates[template] = _template_groups(template, runs, self.ratio, kinds)
+                relative, kind = templates[template]
+                groups[agent].append(tuple([
+                    (opp + opp_index[a], tuple([(a + k, x) for k, x in cells]))
+                    for opp, cells in relative
+                ]))
+                type_kinds[agent].append(kind)
+        object.__setattr__(self, "_type_index", tuple(map(tuple, type_index)))
+        object.__setattr__(self, "_classes", tuple(map(tuple, classes)))
+        object.__setattr__(self, "_groups", tuple(map(tuple, groups)))
+        object.__setattr__(self, "_kinds", tuple(map(tuple, type_kinds)))
 
     def masses_by(self, labels) -> dict:
         """``{label: mass}``: the total mass of the circumstances carrying
@@ -258,7 +239,7 @@ class Perturbation:
     def type_kind(self, agent: int, type_index: int) -> int:
         """A small int shared by exactly the types of this perturbation
         whose per-group ``(payoff class, conditional weight)`` cells are
-        equal, in ``type_groups`` order (``type_signature``).  Kinds are
+        equal, in ``type_groups`` order (``Game.payoff_table``).  Kinds are
         interned at construction and mean nothing across perturbations."""
         return self._kinds[agent][type_index]
 

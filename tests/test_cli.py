@@ -272,6 +272,18 @@ def test_experiment_option_it_does_not_take_exits_2(name):
     assert not proc.stdout
 
 
+def test_empty_eta_grid_exits_2():
+    """``--eta-grid`` given no values reaches the run, which refuses the
+    empty grid, instead of running the default one."""
+    proc = run_cli("experiment", "run", "thm2", "--eta-grid")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: eta grid is empty: a ladder certificate needs at least one eta\n"
+    )
+    assert not proc.stdout
+
+
 def test_prop3_on_a_constant_target_exits_2(tmp_path):
     path = tmp_path / "constant.yaml"
     path.write_text(

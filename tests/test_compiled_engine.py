@@ -126,13 +126,19 @@ def strategy_sets(kind, game):
 def assert_masses_match_naive(pert):
     """Every type's conditional weights and posterior (keys, their order
     and exact values) against the sums over raw masses; a type has no
-    groups exactly when its raw mass is zero, and then no posterior."""
+    groups exactly when its raw mass is zero, and then no posterior.  Two
+    types share a kind exactly when their per-group ``(payoff class,
+    weight)`` cells are equal."""
     reference = naive.NaivePerturbation(pert)
+    kinds = {}
     for agent in (0, 1):
         for t in range(len(pert.partitions[agent])):
             mass = reference.type_prob(agent, t)
             groups = pert.type_groups(agent, t)
             assert groups == naive.type_groups(pert, agent, t)
+            type_cells = tuple(tuple((pert.payoff_class(agent, w), m) for w, m in group)
+                               for _, group in naive.type_groups(pert, agent, t))
+            kinds[(agent, t)] = (pert.type_kind(agent, t), type_cells)
             assert all(type(m) is F for _, cells in groups for _, m in cells)
             assert bool(groups) == bool(mass)
             if not mass:
@@ -142,6 +148,8 @@ def assert_masses_match_naive(pert):
             got = posterior(pert, agent, t)
             assert list(got.items()) == list(naive.posterior(pert, agent, t).items())
             assert all(type(x) is F for x in got.values())
+    pairs = set(kinds.values())
+    assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
 
 
 def assert_matches_naive(game, sets, mixture_denominator):

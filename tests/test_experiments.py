@@ -43,6 +43,14 @@ def test_experiment_registry():
         run_experiment("nope")
 
 
+@pytest.mark.parametrize("name", ["thm1", "thm2", "maskin-contagion"])
+def test_empty_eta_grid_is_refused(name):
+    """No ladder certifies nothing: an empty grid is an error, not a
+    vacuous pass nor a division by zero in the mass fit."""
+    with pytest.raises(ModelError, match="eta grid is empty"):
+        run_experiment(name, eta_grid=[])
+
+
 @pytest.mark.parametrize("name", ["thm1", "thm2", "prop2", "prop3"])
 def test_experiments_pass(name):
     result = run_experiment(name)

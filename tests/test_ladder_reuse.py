@@ -19,12 +19,13 @@ from robustmech import (
     build_augmented_status_quo,
     build_ladder,
     iterate_best_response,
+    iterated_dominance,
     restricted_strategy_set,
     three_state_scenario,
     verify_equilibrium,
 )
 from robustmech import equilibrium
-from robustmech.engine import full_strategy_set, type_signature
+from robustmech.engine import full_strategy_set
 from robustmech.experiments import preferred_outcome_bias
 from robustmech.mechanisms import Mechanism
 
@@ -144,6 +145,42 @@ def test_interior_rungs_share_a_kind():
     assert pert.type_kind(0, 0) != pert.type_kind(0, 1)
 
 
+def _mixture_game():
+    """``test_a_grid_mixture_alone_eliminates``'s game: on its restricted
+    sets, only the half-half grid mixture eliminates anything."""
+    s = binary_trial_scenario(cost=0)
+    msgs = ((1, 2, 3), (1, 2))
+    pays = {1: (12, 9), 2: (9, 12), 3: (10, 10)}
+    mech = Mechanism("mixture", msgs, {(a, b): s.scf(0) for a in msgs[0] for b in msgs[1]},
+                     {(a, b): (F(pays[a][b - 1]), F(0)) for a in msgs[0] for b in msgs[1]})
+    return s, mech, None, (((1, 2, 3), (3,)), full_strategy_set(msgs[1], 2))
+
+
+def _contagion_game():
+    """A renormalized two-state ladder whose pools shrink over rounds."""
+    s = binary_trial_scenario()
+    mech = build_augmented_status_quo(s)
+    pert = build_ladder(s, 10, F(1, 10), [BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10))],
+                        tail="renormalize")
+    return s, mech, pert, tuple(restricted_strategy_set(ms, (1, 2)) for ms in mech.messages)
+
+
+@pytest.mark.parametrize("build", [_mixture_game, _contagion_game])
+def test_one_game_eliminates_as_fresh_games_do(build):
+    """A game's pool ids live beside its dominance memo and outlive a
+    call: runs on one game with full sets, then restricted sets, the same
+    sets with their coordinates reversed (pools of the same sizes), then
+    grid mixtures each give a fresh game's result."""
+    s, mech, pert, restricted = build()
+    full = tuple(full_strategy_set(ms, s.n) for ms in mech.messages)
+    reversed_sets = tuple(choices[::-1] for choices in restricted)
+    game = Game(s, mech, pert)
+    for sets, mixture_denominator in ((full, 0), (restricted, 0), (reversed_sets, 0),
+                                      (restricted, 3), (restricted, 4)):
+        assert iterated_dominance(game, sets, mixture_denominator) == iterated_dominance(
+            Game(s, mech, pert), sets, mixture_denominator)
+
+
 def test_equal_weights_of_another_payoff_class_are_another_kind():
     """Agent 1's types {w3, w4} and {w5, w6} of a renormalized ladder have
     equal conditional weights; a bias at w5 alone splits their kinds."""
@@ -161,9 +198,11 @@ def test_best_response_rounds_hash_no_fraction(monkeypatch):
     """Memo keys and the verification walk hold ints and strategies: a
     whole best-response run, with its report, hashes no ``Fraction``."""
     game = Game(THREE, MECH, _ladder(ETAS[1]))
+    keyed = Game(THREE, MECH, game.perturbation)
     opponent = {u: {(1, 2, 3): F(1)} for u in range(len(game.perturbation.partitions[1]))}
-    assert type_signature(game, 0, 1, opponent) == (
-        game.perturbation.type_kind(0, 1), ((((1, 2, 3), 1, 1),),) * 2)
+    table = keyed.payoff_table(0, 1, opponent)
+    truth = keyed.play_id({(1, 2, 3): F(1)})
+    assert keyed._table_cache == {(0, keyed.perturbation.type_kind(0, 1), (truth, truth)): table}
     hashed = [0]
     fraction_hash = fractions.Fraction.__hash__
 

@@ -119,6 +119,15 @@ def test_bias_circumstance_in_range():
         build_general_ladder(s, (F(1, 2), F(1, 2)), [BiasSpec(0, 5, {})])
 
 
+@pytest.mark.parametrize("agent", [2, -1])
+def test_bias_agent_in_range(agent):
+    """A bias names agent 0 or 1; another index is refused, not ignored
+    nor read from the end."""
+    s = binary_trial_scenario()
+    with pytest.raises(ModelError, match="missing agent"):
+        build_general_ladder(s, (F(1, 2), F(1, 2)), [BiasSpec(agent, 0, {}, F(0))])
+
+
 def test_second_bias_at_one_circumstance_is_rejected():
     """Two biases for one agent at one circumstance are refused rather
     than the second silently replacing the first; the other agent may
