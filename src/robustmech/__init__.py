@@ -36,6 +36,7 @@ from .engine import (
     truthful_profile,
 )
 from .experiments import (
+    Certificate,
     ExperimentResult,
     check_strict_cyclical_monotonicity,
     deviation_dominance_certificate,

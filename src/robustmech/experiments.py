@@ -16,6 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     AgentPayoff,
@@ -126,6 +127,20 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
+class Certificate(NamedTuple):
+    """A pass/fail check and the exact witness behind its verdict.  A
+    pair, so ``ok, witness = certificate`` unpacks it; a pair is always
+    truthy, so read ``.ok`` and never test the certificate itself."""
+
+    ok: bool
+    witness: object
+
+    @classmethod
+    def of_rows(cls, rows: list[dict]) -> Certificate:
+        """Passes iff every row's ``"ok"`` does; the rows are the witness."""
+        return cls(all(row["ok"] for row in rows), rows)
+
+
 # -- shared helpers --------------------------------------------------------
 
 
@@ -144,9 +159,7 @@ def preferred_outcome_bias(
     return {(s, target): rat(strength) for s in range(scenario.n)}
 
 
-def step3_closure_certificate(
-    mechanism: Mechanism, scenario: ScenarioModel
-) -> tuple[bool, list]:
+def step3_closure_certificate(mechanism: Mechanism, scenario: ScenarioModel) -> Certificate:
     """Replacement-dominance check over every strategy outside the
     restricted set.
 
@@ -168,7 +181,8 @@ def step3_closure_certificate(
     and the constant ones; only a failure enumerates every strategy
     outside the set, for the witnesses: an outcome failure names the
     strategy, the state and the opponent's message there; a transfer
-    failure names the strategy, the opponent strategy and the gain.
+    failure names the strategy, the opponent strategy and the gain.  The
+    witness is the list of failures.
     """
     n = scenario.n
     truth = tuple(range(1, n + 1))
@@ -221,14 +235,14 @@ def step3_closure_certificate(
         if a not in c
     ]
     if not any(failures_of(s) for s in probes if outside(s)):
-        return True, []
+        return Certificate(True, [])
     failures = [
         f
         for s in itertools.product(*full_strategy_set(msgs_own, n))
         if outside(s)
         for f in failures_of(s)
     ]
-    return False, failures
+    return Certificate(False, failures)
 
 
 def _mass_linear_fit(grid: list[dict]) -> tuple[Fraction, Fraction]:
@@ -272,25 +286,24 @@ def _status_quo_run(scenario, mech, c_bar, depth, eta_grid, biases):
     """
     cert_gamma = gamma_dominance_threshold(mech, scenario, c_bar)
     grid = []
-    ladder_ok = True
     for eta, pert, game in _ladder_games(scenario, mech, depth, eta_grid, biases, "collapse"):
         res = iterate_best_response(game, _strategy_sets(game))
-        ok = res.converged and res.report is not None and res.report.is_equilibrium
-        ladder_ok = ladder_ok and ok
         grid.append(
             {
                 "eta": eta,
                 "converged": res.converged,
-                "equilibrium": ok,
+                # A run carries its report iff it converged.
+                "equilibrium": res.converged and res.report.is_equilibrium,
                 "rounds": res.rounds,
                 "truthful_mass": res.report.truthful_mass if res.report else None,
                 "max_tv": res.report.max_tv if res.report else None,
                 "tail_mass": pert.tail_mass,
             }
         )
-    certificates = {"gamma_below_half": cert_gamma.below_half, "ladder_equilibria": ladder_ok}
+    certificates = {"gamma_below_half": cert_gamma.below_half,
+                    "ladder_equilibria": all(row["equilibrium"] for row in grid)}
     if scenario.n <= 3:
-        certificates["step3_closure"] = step3_closure_certificate(mech, scenario)[0]
+        certificates["step3_closure"] = step3_closure_certificate(mech, scenario).ok
     artifacts = {"gamma": cert_gamma.gamma, "schedule": mech.schedule.rewards, "grid": grid}
     return certificates, artifacts
 
@@ -375,7 +388,7 @@ def run_thm2(
     )
 
 
-def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
+def deviation_dominance_certificate(game: Game) -> Certificate:
     """Agent 1's replacement-transfer check in a game with trembles.
 
     Reads the game's mechanism, signals and tremble: agent 2's intended
@@ -385,8 +398,8 @@ def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
     message over agent 2's restricted play must stay below the transfer
     from the mirrored negative message: strictly for the modified rule,
     weakly for the augmented rule.  Also checks the ex ante comparison
-    for wholly-constant high vectors.  Returns the verdict and every
-    witness row; raises ``ModelError`` for a game with no tremble.
+    for wholly-constant high vectors.  Passes iff every witness row does;
+    raises ``ModelError`` for a game with no tremble.
     """
     tremble = game.tremble
     if tremble is None:
@@ -408,7 +421,6 @@ def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
         cond = by_signal.setdefault(k, {})
         cond[j] = cond.get(j, Fraction(0)) + p
     rows = []
-    ok = True
     for k in sorted(by_signal):
         cond = by_signal[k]
         own_total = sum(cond.values())
@@ -431,17 +443,8 @@ def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
             # The modified rule promises a strict gap; the augmented rule
             # only ever had a weak one, so ties do not count against it.
             bound = r0 if modified else Fraction(0)
-            passed = worst < bound if modified else worst <= bound
-            ok = ok and passed
-            rows.append(
-                {
-                    "signal": k,
-                    "message": m,
-                    "worst_case": worst,
-                    "bound": bound,
-                    "ok": passed,
-                }
-            )
+            rows.append({"signal": k, "message": m, "worst_case": worst, "bound": bound,
+                         "ok": worst < bound if modified else worst <= bound})
     # Constant high vectors, compared ex ante against their negation.
     prob_meaning = {
         j: sum(p for _, _, s_opp, p in seen if h_opp[s_opp] == j) for j in range(1, n + 1)
@@ -453,13 +456,11 @@ def deviation_dominance_certificate(game: Game) -> tuple[bool, list]:
             worst = p_m_max * sched.r(m) + max(
                 (r0 - x) * ((1 - tau) + tau * noise_low), (r0 - x) * (tau * noise_low)
             )
-            passed = worst < r0
         else:
             worst = p_m_max * sched.r(m) - p_low_min * r0
-            passed = worst < 0
-        ok = ok and passed
-        rows.append({"signal": "constant", "message": m, "worst_case": worst, "ok": passed})
-    return ok, rows
+        rows.append({"signal": "constant", "message": m, "worst_case": worst,
+                     "ok": worst < (r0 if modified else 0)})
+    return Certificate.of_rows(rows)
 
 
 def run_thm3(
@@ -485,11 +486,11 @@ def run_thm3(
     revealing = revealing_signals(scenario)
     noisy = mislabel_signals(scenario, delta)
 
-    asqr_ok, asqr_rows = deviation_dominance_certificate(
+    asqr_cert = deviation_dominance_certificate(
         Game(scenario, asqr, signals=revealing, tremble=tremble)
     )
     game = Game(scenario, msqr, signals=noisy, tremble=tremble)
-    msqr_ok, msqr_rows = deviation_dominance_certificate(game)
+    msqr_cert = deviation_dominance_certificate(game)
 
     report = verify_equilibrium(game, truthful_profile(game), _strategy_sets(game))
 
@@ -497,8 +498,8 @@ def run_thm3(
     report0 = verify_equilibrium(game0, truthful_profile(game0), _strategy_sets(game0))
 
     certificates = {
-        "asqr_certificate_fails": not asqr_ok,
-        "msqr_certificate": msqr_ok,
+        "asqr_certificate_fails": not asqr_cert.ok,
+        "msqr_certificate": msqr_cert.ok,
         "msqr_truthful_equilibrium": report.is_equilibrium,
         "revealing_limit_equilibrium": report0.is_equilibrium,
         "structure_size_matches": Fraction(delta)
@@ -509,8 +510,8 @@ def run_thm3(
         parameters={"n": n, "tau": tau, "delta": delta, "noise_target": noise_target},
         certificates=certificates,
         artifacts={
-            "asqr_witness": asqr_rows,
-            "msqr_witness": msqr_rows,
+            "asqr_witness": asqr_cert.witness,
+            "msqr_witness": msqr_cert.witness,
             "schedule": msqr.schedule.rewards,
             "penalty": msqr.schedule.penalty,
             "equilibrium_max_residual": report.max_residual,
@@ -713,6 +714,12 @@ def run_prop1(
     """
     if isinstance(grid_step, bool) or not isinstance(grid_step, int) or grid_step < 1:
         raise ModelError(f"grid_step must be an integer of at least 1, not {grid_step!r}")
+    if not eta_values:
+        raise ModelError("eta_values is empty: the TV lower bound needs at least one eta")
+    etas = [rat(e) for e in eta_values]
+    for eta in etas:
+        if not 0 < eta < 1:
+            raise ModelError(f"eta_values: eta {fmt(eta)} must lie strictly between 0 and 1")
     scenario = scenario or binary_trial_scenario()
     mechanism = mechanism or build_status_quo(scenario, scenario.max_cost)
     if not is_nonconstant(scenario.scf):
@@ -743,7 +750,6 @@ def run_prop1(
         """The type strategy mixing constant intent vectors by ``mix``."""
         return {(m,) * scenario.n: w for m, w in mix.items()}
 
-    chain_ok = True
     chain_rows = []
     v_star_payoff = sep.scale * sep.of(scenario.scf.lotteries[star])
     y_best_neg = max(-sep.scale * sep.of(lot) for lot in others)
@@ -757,9 +763,8 @@ def run_prop1(
                 mixture_payoff(minus, 1, 0, constant(m2_mix), {0: constant({m1: 1})})
                 for m1 in mechanism.messages[0]
             )
-            ok = lhs_43 > y_best_neg + x_bound
-            chain_ok = chain_ok and ok
-            chain_rows.append({"m2": m2_mix, "value": lhs_43, "bound": y_best_neg + x_bound, "ok": ok})
+            bound = y_best_neg + x_bound
+            chain_rows.append({"m2": m2_mix, "value": lhs_43, "bound": bound, "ok": lhs_43 > bound})
 
     # Equilibrium searches under the two tilts.
     eps = Fraction(1, 10)
@@ -775,8 +780,6 @@ def run_prop1(
 
     # Two-point perturbation: biased circumstance with probability eta.
     slack = Fraction(1, grid_step)
-    tv_rows = []
-    tv_ok = True
     worst_match = max(
         (1 - tv_distance(
             outcome_distribution(minus, prof, j),
@@ -786,21 +789,19 @@ def run_prop1(
         for j in range(scenario.n)
         if not scenario.scf(j).same_as(scenario.scf.lotteries[star])
     ) if eq0 else Fraction(0)
-    for eta in eta_values:
-        eta = rat(eta)
+    tv_rows = []
+    for eta in etas:
         bound = eta * (1 - worst_match) if eq0 else eta
-        ok = bound >= eta * (1 - slack)
-        tv_ok = tv_ok and ok
-        tv_rows.append({"eta": eta, "tv_lower_bound": bound, "ok": ok})
+        tv_rows.append({"eta": eta, "tv_lower_bound": bound, "ok": bound >= eta * (1 - slack)})
 
     certificates = {
-        "inequality_chain": chain_ok,
+        "inequality_chain": Certificate.of_rows(chain_rows).ok,
         "not_both_passed": not (passes["plus"] and passes["minus"]),
-        "tv_linear_lower_bound": tv_ok,
+        "tv_linear_lower_bound": Certificate.of_rows(tv_rows).ok,
     }
     return ExperimentResult(
         name="prop1",
-        parameters={"eta_values": [rat(e) for e in eta_values], "grid_step": grid_step},
+        parameters={"eta_values": etas, "grid_step": grid_step},
         certificates=certificates,
         artifacts={
             "separating_values": sep.values,
@@ -876,7 +877,6 @@ def run_prop2(
     if not state_independent:
         # Learning-value bound (E max minus max E) per pure opponent message.
         rows = []
-        ok = True
         for col, m2 in enumerate(msgs2):
             e_max = sum(
                 max(q * game.state_value(0, 0, j, m1, m2) for m1 in msgs1)
@@ -884,10 +884,8 @@ def run_prop2(
             )
             max_e = max(row[col] for row in a)
             val = e_max - max_e
-            good = val <= 2 * x_u
-            ok = ok and good
-            rows.append({"m2": m2, "learning_value": val, "bound": 2 * x_u, "ok": good})
-        certificates["learning_value_bounded"] = ok
+            rows.append({"m2": m2, "learning_value": val, "bound": 2 * x_u, "ok": val <= 2 * x_u})
+        certificates["learning_value_bounded"] = Certificate.of_rows(rows).ok
         artifacts["learning_rows"] = rows
     return ExperimentResult(
         "prop2",
@@ -956,20 +954,18 @@ def _min_cycle(arcs, k):
     return best, best_start
 
 
-def _cycle_verdict(k, cycle):
+def _cycle_verdict(k, cycle) -> Certificate:
     """Strict cyclical monotonicity from the class graph's minimum cycle,
     with its witness."""
     weight, start = cycle
     if weight is None:
-        return True, {"classes": k}
+        return Certificate(True, {"classes": k})
     if weight <= 0:
-        return False, {"min_cycle_weight": weight, "at_class": start}
-    return True, {"min_cycle_weight": weight}
+        return Certificate(False, {"min_cycle_weight": weight, "at_class": start})
+    return Certificate(True, {"min_cycle_weight": weight})
 
 
-def check_strict_cyclical_monotonicity(
-    u: AgentPayoff, scf: SocialChoiceFunction
-) -> tuple[bool, dict]:
+def check_strict_cyclical_monotonicity(u: AgentPayoff, scf: SocialChoiceFunction) -> Certificate:
     """Whether truthful assignment beats every state permutation.
 
     By Rochet (1987) that holds exactly when every cycle of the graph of
@@ -978,6 +974,18 @@ def check_strict_cyclical_monotonicity(
     """
     _, k, _, cycle = _class_graph(u, scf)
     return _cycle_verdict(k, cycle)
+
+
+def _truthful_margin(u: AgentPayoff, scf: SocialChoiceFunction, assign, transfers) -> Number:
+    """Smallest gain, transfers included, of each state's own target over
+    another class's: positive iff the transfers make truth strictly best."""
+    return min(
+        u.expected_utility(j, scf(j)) + transfers[j]
+        - u.expected_utility(j, scf(j2)) - transfers[j2]
+        for j in range(len(assign))
+        for j2 in range(len(assign))
+        if assign[j] != assign[j2]
+    )
 
 
 def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int, Number]:
@@ -991,11 +999,11 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
     ``ModelError`` when strict cyclical monotonicity fails.
     """
     assign, k, arcs, cycle = _class_graph(u, scf)
-    ok, witness = _cycle_verdict(k, cycle)
-    if not ok:
+    verdict = _cycle_verdict(k, cycle)
+    if not verdict.ok:
         raise ModelError(
             "strict cyclical monotonicity fails: minimum cycle weight "
-            f"{fmt(witness['min_cycle_weight'])} at class {witness['at_class']}"
+            f"{fmt(verdict.witness['min_cycle_weight'])} at class {verdict.witness['at_class']}"
         )
     if k == 1:
         return {j: Fraction(0) for j in range(len(scf.lotteries))}
@@ -1014,14 +1022,8 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
     potentials = [d - low for d in dist]
     out = {j: potentials[assign[j]] for j in range(len(scf.lotteries))}
     # Independent strictness re-check over all state pairs.
-    for j in range(len(assign)):
-        for j2 in range(len(assign)):
-            if assign[j] == assign[j2]:
-                continue
-            lhs = u.expected_utility(j, scf(j)) + out[j]
-            rhs = u.expected_utility(j, scf(j2)) + out[j2]
-            if lhs <= rhs:
-                raise ModelError("transfer synthesis failed its strictness re-check")
+    if _truthful_margin(u, scf, assign, out) <= 0:
+        raise ModelError("transfer synthesis failed its strictness re-check")
     return out
 
 
@@ -1040,19 +1042,13 @@ def run_prop3(
     scenario = scenario or _default_prop3_scenario()
     if not is_nonconstant(scenario.scf):
         raise ModelError("full implementation run needs a non-constant target")
+    if isinstance(agent, bool) or not isinstance(agent, int) or agent not in (0, 1):
+        raise ModelError(f"prop3: the respondent must be agent 0 or 1, not {agent!r}")
     u = scenario.payoffs[agent]
     transfers = synthesize_transfers(u, scenario.scf)
     n = scenario.n
     assign, _ = _f_classes(scenario.scf)
-    pair_margin = min(
-        (
-            u.expected_utility(j, scenario.scf(j)) + transfers[j]
-            - u.expected_utility(j, scenario.scf(j2)) - transfers[j2]
-        )
-        for j in range(n)
-        for j2 in range(n)
-        if assign[j] != assign[j2]
-    )
+    pair_margin = _truthful_margin(u, scenario.scf, assign, transfers)
     mech = build_one_respondent(scenario, agent, {j + 1: transfers[j] for j in range(n)})
     truthful = tuple(range(1, n + 1))
     other = (1,) * n  # the other agent's only message
@@ -1068,12 +1064,10 @@ def run_prop3(
     game = Game(_with_cost(scenario, c), mech)
     strategies = full_strategy_set(truthful, n)
     argmax, _ = best_response(game, agent, 0, {0: {other: Fraction(1)}}, strategies)
-    full_impl = argmax == [truthful] or all(
-        all(assign[s[j] - 1] == assign[j] for j in range(n)) for s in argmax
-    )
+    full_impl = all(all(assign[s[j] - 1] == assign[j] for j in range(n)) for s in argmax)
     certificates = {
         "cyclical_monotonicity": True,
-        "transfer_conditions": True,  # synthesize_transfers re-checks internally
+        "transfer_conditions": pair_margin > 0,
         "cost_below_threshold": c < threshold,
         "truthful_strict_best": argmax == [truthful] or full_impl,
         "full_implementation": full_impl,
@@ -1111,7 +1105,6 @@ def run_maskin_contagion(
     mech = build_maskin(scenario, reward)
     bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_factor * reward))
     grid = []
-    all_unique = True
     for eta, pert, game in _ladder_games(scenario, mech, depth, eta_grid, [bias], "renormalize"):
         surviving, rounds, _ = iterated_dominance(game, _strategy_sets(game))
         unique = all(
@@ -1119,14 +1112,13 @@ def run_maskin_contagion(
             for a in (0, 1)
             for t in surviving[a]
         )
-        all_unique = all_unique and unique
         grid.append({"eta": eta, "rounds": rounds, "unique_always_status_quo": unique,
                      "tail_mass": pert.tail_mass})
     return ExperimentResult(
         "maskin-contagion",
         {"reward": reward, "bias_factor": bias_factor, "depth": depth,
          "eta_grid": [rat(e) for e in eta_grid]},
-        {"unique_survivor_everywhere": all_unique},
+        {"unique_survivor_everywhere": all(row["unique_always_status_quo"] for row in grid)},
         {"grid": grid},
         {"scenario_states": scenario.state_space.states, "prior": scenario.prior},
     )

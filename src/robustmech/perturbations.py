@@ -314,6 +314,8 @@ def build_ladder(
     eta = rat(eta)
     if not 0 < eta < 1:
         raise ModelError("eta must lie strictly between 0 and 1")
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise ModelError(f"ladder depth must be an integer, not {depth!r}")
     if depth < 2:
         raise ModelError("ladder depth must be at least 2")
     ratio = 1 - eta

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from robustmech import (
+    Certificate,
     Game,
     ModelError,
     binary_trial_scenario,
@@ -175,6 +177,19 @@ def test_prop1_refuses_a_grid_step_below_one(grid_step):
         run_experiment("prop1", grid_step=grid_step)
 
 
+@pytest.mark.parametrize("eta_values, match", [
+    ((), "eta_values is empty: the TV lower bound needs at least one eta"),
+    (("2",), "eta 2 must lie strictly between 0 and 1"),
+    (("1/10", "0"), "eta 0 must lie strictly between 0 and 1"),
+    (("1",), "eta 1 must lie strictly between 0 and 1"),
+])
+def test_prop1_refuses_an_empty_or_out_of_range_eta_list(eta_values, match):
+    """An empty list would pass the TV lower bound vacuously, and eta is
+    the biased circumstance's probability, so it lies strictly in (0, 1)."""
+    with pytest.raises(ModelError, match=match):
+        run_experiment("prop1", eta_values=eta_values)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = [0]
     fn = getattr(module, name)
@@ -204,6 +219,31 @@ def test_prop3_builds_the_class_graph_once(monkeypatch):
     graphs = _count_calls(monkeypatch, experiments, "_class_graph")
     assert run_experiment("prop3").passed
     assert graphs[0] == 1
+
+
+@pytest.mark.parametrize("agent", [2, -1, True, 1.0])
+def test_prop3_refuses_a_respondent_other_than_agent_0_or_1(agent):
+    """Agent 2 used to raise an ``IndexError`` and agent -1 to certify
+    agent 2's payoffs under another name."""
+    with pytest.raises(ModelError, match=re.escape(f"agent 0 or 1, not {agent!r}")):
+        run_experiment("prop3", agent=agent)
+
+
+@pytest.mark.parametrize("depth", [F(5, 2), 2.5, True, "100"])
+def test_ladder_depth_must_be_an_integer(depth):
+    with pytest.raises(ModelError, match="ladder depth must be an integer"):
+        run_experiment("thm1", depth=depth)
+
+
+def test_certificate_of_rows():
+    """A certificate of rows passes iff every row does and unpacks as
+    ``(ok, witness)``; the builders return one."""
+    rows = [{"ok": True}, {"ok": False}]
+    assert Certificate.of_rows(rows) == (False, rows)
+    ok, witness = Certificate.of_rows(rows[:1])
+    assert ok and witness == rows[:1]
+    s = binary_trial_scenario()
+    assert step3_closure_certificate(build_status_quo(s, 1), s) == Certificate(True, [])
 
 
 def test_contagion_fast_grid():

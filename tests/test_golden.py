@@ -10,6 +10,8 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import robustmech
 from generators import uniform_scenario
 from robustmech.cli import main
@@ -83,3 +85,34 @@ def test_certificate_json_matches_golden_hashes():
         got[entry["id"]] = hashlib.sha256(result.to_json().encode()).hexdigest()
         want[entry["id"]] = entry["sha256"]
     assert got == want
+
+
+def _rows_pass(rows, field="ok"):
+    assert rows, "a verdict over no rows would hold vacuously"
+    return all(row[field] for row in rows)
+
+
+ROW_VERDICTS = {
+    "inequality_chain": lambda a: _rows_pass(a["chain_rows"]),
+    "tv_linear_lower_bound": lambda a: _rows_pass(a["grid"]),
+    "learning_value_bounded": lambda a: _rows_pass(a["learning_rows"]),
+    "msqr_certificate": lambda a: _rows_pass(a["msqr_witness"]),
+    "asqr_certificate_fails": lambda a: not _rows_pass(a["asqr_witness"]),
+    "ladder_equilibria": lambda a: _rows_pass(a["grid"], "equilibrium"),
+    "unique_survivor_everywhere": lambda a: _rows_pass(a["grid"], "unique_always_status_quo"),
+}
+
+
+@pytest.mark.parametrize("entry", CORPUS + CERTIFICATE_CORPUS, ids=lambda entry: entry["id"])
+def test_row_backed_verdicts_are_the_all_of_their_rows(entry):
+    """Every certificate that sums up witness rows equals the ``all`` of
+    the rows it emits, on the seven defaults and every corpus input."""
+    kwargs = dict(entry.get("kwargs", {}))
+    if "scenario" in entry:
+        kwargs["scenario"] = SCENARIOS[entry["scenario"]]()
+    if "prior" in entry:
+        kwargs["scenario"] = uniform_scenario(tuple(Fraction(p) for p in entry["prior"]))
+    result = robustmech.run_experiment(entry["experiment"], **kwargs)
+    for key, verdict in ROW_VERDICTS.items():
+        if key in result.certificates:
+            assert result.certificates[key] == verdict(result.artifacts), key
