@@ -240,6 +240,7 @@ class Game:
     _u_cache: dict = field(default_factory=dict, repr=False)
     _dom_cache: dict = field(default_factory=dict, repr=False)
     _pool_ids: dict = field(default_factory=dict, repr=False)
+    _pools: list = field(default_factory=list, repr=False)
     _play_ids: dict = field(default_factory=dict, repr=False)
     _plays: list = field(default_factory=list, repr=False)
 
@@ -413,7 +414,8 @@ class Game:
         return total
 
     def play_id(self, play: TypeStrategy | int) -> int:
-        """A small int given once per distinct ``weights_key`` in this game;
+        """A small int given once per distinct ``weights_key`` in this game,
+        so two plays share an id exactly when they are equal as dicts;
         ``_plays[id]`` holds the mixture without its zero weights.  An int
         is taken to be an id already."""
         if type(play) is int:
@@ -423,6 +425,21 @@ class Game:
         if i is None:
             i = self._play_ids[key] = len(self._plays)
             self._plays.append({s: w for s, w in play.items() if w})
+        return i
+
+    def play_ids(self, profile: StrategyProfile | list[list[int]]) -> list[list[int]]:
+        """Every type's ``play_id``, per agent, read once per profile."""
+        return [[self.play_id(side[t]) for t in range(len(part))]
+                for side, part in zip(profile, self.perturbation.partitions)]
+
+    def pool_id(self, pool) -> int:
+        """A small int given once per distinct pool (a sequence of pure
+        strategies) in this game; ``_pools[id]`` holds the pool's tuple."""
+        key = tuple(pool)
+        i = self._pool_ids.get(key)
+        if i is None:
+            i = self._pool_ids[key] = len(self._pools)
+            self._pools.append(key)
         return i
 
     def payoff_table(
@@ -621,44 +638,30 @@ def mixture_payoff(
     )
 
 
-def play_groups(game: Game, profile: StrategyProfile) -> tuple[tuple[list, list], dict]:
-    """``(plays, masses)``: each agent's distinct plays, and the mass of the
-    circumstances at each pair of them, from one walk of the circumstances.
-
-    A play is a type's mixture as ``((strategy, weight), ...)`` with its
-    zero weights dropped, as ``Game.play_id`` interns it.  ``plays[a][i]``
-    is agent ``a``'s ``i``-th distinct play, numbered in type order, and
-    ``masses`` maps ``(i, j)`` to the total mass of the circumstances
-    where agent 1's type plays ``plays[0][i]`` and agent 2's plays
-    ``plays[1][j]`` (``Perturbation.masses_by``, in order of first
-    meeting).  The labels the walk compares are these small-int pairs."""
+def play_groups(game: Game, profile: StrategyProfile | list[list[int]]) -> dict:
+    """The mass of the circumstances at each pair of plays, from one walk
+    of the circumstances: ``(i, j)`` maps to the total mass of the
+    circumstances where agent 1's type plays ``game._plays[i]`` and agent
+    2's plays ``game._plays[j]`` (``Perturbation.masses_by``, in order of
+    first meeting).  Each circumstance is labelled by the ``Game.play_id``
+    pair of its types, read once per profile (``Game.play_ids``)."""
     pert = game.perturbation
-    plays: tuple[list, list] = ([], [])
-    ids: list[list[int]] = [[], []]
-    for agent in (0, 1):
-        index: dict[int, int] = {}
-        side = profile[agent]
-        for t in range(len(pert.partitions[agent])):
-            play = game.play_id(side[t])
-            i = index.get(play)
-            if i is None:
-                i = index[play] = len(plays[agent])
-                plays[agent].append(tuple(game._plays[play].items()))
-            ids[agent].append(i)
+    ids = game.play_ids(profile)
     labels = [(ids[0][pert.type_of(0, w)], ids[1][pert.type_of(1, w)]) for w in range(pert.size)]
-    return plays, pert.masses_by(labels)
+    return pert.masses_by(labels)
 
 
 def outcome_distribution(
-    game: Game, profile: StrategyProfile, state: int, groups: tuple | None = None
+    game: Game, profile: StrategyProfile, state: int, groups: dict | None = None
 ) -> Lottery:
     """Implemented lottery conditional on the state, integrating over
     circumstances, signals, mixtures, and trembles.
 
-    Circumstances are grouped by the pair of plays the agents' types make
-    there (``play_groups``, or ``groups`` when the caller already has the
-    profile's), and the lottery is mixed once per group."""
-    plays, masses = groups if groups is not None else play_groups(game, profile)
+    Circumstances are grouped by the pair of play ids the agents' types
+    have there (``play_groups``, or ``groups`` when the caller already has
+    the profile's), and the lottery is mixed once per group from the plays
+    ``game._plays`` holds."""
+    masses = groups if groups is not None else play_groups(game, profile)
     coords = [
         (k1, k2, p / game.scenario.prior[state])
         for theta, k1, k2, p in game.signals.seen_by(0)
@@ -666,15 +669,15 @@ def outcome_distribution(
     ]
     parts = []
     for (i, j), mass in masses.items():
-        for s1, w1 in plays[0][i]:
-            for s2, w2 in plays[1][j]:
+        for s1, w1 in game._plays[i].items():
+            for s2, w2 in game._plays[j].items():
                 weight = mass * w1 * w2
                 for k1, k2, pc in coords:
                     parts.append((weight * pc, game.played.g(s1[k1], s2[k2])))
     return Lottery.mix(parts)
 
 
-def max_tv_to_target(game: Game, profile: StrategyProfile, groups: tuple | None = None) -> Number:
+def max_tv_to_target(game: Game, profile: StrategyProfile, groups: dict | None = None) -> Number:
     """Largest total variation distance, over the states, between the
     implemented lottery and the target; one walk of the circumstances
     (``play_groups``, or the caller's ``groups``)."""

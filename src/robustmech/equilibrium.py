@@ -31,7 +31,7 @@ from .engine import (
     truthful_profile,
 )
 from .mechanisms import Mechanism
-from .numeric import ONE, Number, frac_key
+from .numeric import ONE, Number
 
 
 def best_response(
@@ -74,17 +74,18 @@ class EquilibriumReport:
 
 
 def truthful_probability_mass(
-    game: Game, profile: StrategyProfile, groups: tuple | None = None
+    game: Game, profile: StrategyProfile, groups: dict | None = None
 ) -> Number:
     """Probability that both agents' realized intent is the truthful one,
-    summed over circumstances grouped by the pair of plays their types
-    make (``play_groups``, or the caller's ``groups``)."""
-    plays, masses = groups if groups is not None else play_groups(game, profile)
-    truthful = [
-        [dict(play).get(game.truthful(a), Fraction(0)) for play in plays[a]] for a in (0, 1)
-    ]
+    summed over circumstances grouped by the pair of play ids their types
+    have (``play_groups``, or the caller's ``groups``), each play's
+    truthful weight read from ``game._plays``."""
+    masses = groups if groups is not None else play_groups(game, profile)
+    plays, truth = game._plays, (game.truthful(0), game.truthful(1))
     return sum(
-        (mass * truthful[0][i] * truthful[1][j] for (i, j), mass in masses.items()), Fraction(0)
+        (mass * plays[i].get(truth[0], 0) * plays[j].get(truth[1], 0)
+         for (i, j), mass in masses.items()),
+        Fraction(0),
     )
 
 
@@ -104,13 +105,7 @@ def equilibrium_residuals(
     which prices any message vector, inside the set or not.  So each
     residual equals ``best value - mixture_payoff``.
     """
-    return _residuals(game, _play_ids(game, profile), strategy_sets)[0]
-
-
-def _play_ids(game, profile):
-    """Every type's ``Game.play_id``, per agent, read once per profile."""
-    return [[game.play_id(side[t]) for t in range(len(part))]
-            for side, part in zip(profile, game.perturbation.partitions)]
+    return _residuals(game, game.play_ids(profile), strategy_sets)[0]
 
 
 def _residuals(game, ids, strategy_sets):
@@ -143,14 +138,14 @@ def verify_equilibrium(
     best deviation behind each, plus the implementation metrics
     (``truthful_mass`` and ``max_tv``).
 
-    All read one list of play ids per profile (``Game.play_id``).  Both
+    All read one list of play ids per profile (``Game.play_ids``).  Both
     metrics read one walk of the circumstances (``play_groups``), which
-    labels each circumstance by the small-int ids of its types' plays:
+    labels each circumstance by the play ids of its types:
     ``truthful_mass`` and every state's outcome lottery are summed from
-    its groups.  Callers that only need the pass/fail verdict should still
-    filter on the residuals first: that walk is made for every report
-    built."""
-    ids = _play_ids(game, profile)
+    its groups and the plays the game holds for those ids.  Callers that
+    only need the pass/fail verdict should still filter on the residuals
+    first: that walk is made for every report built."""
+    ids = game.play_ids(profile)
     residuals, deviations = _residuals(game, ids, strategy_sets)
     max_res = max(residuals.values())
     groups = play_groups(game, ids)
@@ -368,58 +363,47 @@ def iterate_best_response(
     round, and the changed types are the round's ``moves``.
 
     Each type's play is carried as its ``Game.play_id``, which only a type
-    that moved gets anew.  A cycle is found on exact ids, which tell a zero
-    weight from a missing strategy as dict equality does.
+    that moved gets anew, and the ids are exact (equal iff the plays are
+    equal as dicts), so a cycle is found on them.  The start profile is
+    copied once, and each mover's play is written into it after its round.
     """
     pert = game.perturbation
-    profile = initial if initial is not None else truthful_profile(game)
-    exact: dict[tuple, int] = {}
-
-    def exact_id(mix):
-        return exact.setdefault(tuple(sorted((s, *frac_key(w)) for s, w in mix.items())),
-                                len(exact))
-
+    start = initial if initial is not None else truthful_profile(game)
     if initial is None:  # one play per agent
-        ids = [[game.play_id(side[0])] * len(side) for side in profile]
-        exact_ids = [[exact_id(side[0])] * len(side) for side in profile]
+        ids = [[game.play_id(side[0])] * len(side) for side in start]
     else:
-        ids = _play_ids(game, profile)
-        exact_ids = [[exact_id(side[t]) for t in range(len(part))]
-                     for side, part in zip(profile, pert.partitions)]
-    seen = {(tuple(exact_ids[0]), tuple(exact_ids[1])): 0}
+        ids = game.play_ids(start)
+    profile: StrategyProfile = [dict(start[0]), dict(start[1])]
+    seen = {(tuple(ids[0]), tuple(ids[1]))}
     todo = [range(len(pert.partitions[0])), range(len(pert.partitions[1]))]
     moves = []
     rounds = 0
     cycled = False
     for rounds in range(1, max_rounds + 1):
-        nxt: StrategyProfile = [dict(profile[0]), dict(profile[1])]
         moved = []
         for agent in (0, 1):
             opponent = ids[1 - agent]
             for t in todo[agent]:
                 if not pert.type_groups(agent, t):
-                    nxt[agent][t] = dict(profile[agent][t])
                     continue
                 winners, _ = best_response(game, agent, t, opponent, strategy_sets[agent])
-                play = nxt[agent][t] = {winners[0]: ONE}
+                play = {winners[0]: ONE}
                 if play != profile[agent][t]:
-                    moved.append((agent, t))
-        moves.append(tuple(moved))
+                    moved.append((agent, t, play))
+        moves.append(tuple((agent, t) for agent, t, _ in moved))
         if not moved:
             report = verify_equilibrium(game, ids, strategy_sets)
-            return BRIterationResult(nxt, rounds, True, False, report, tuple(moves))
-        for agent, t in moved:
-            ids[agent][t] = game.play_id(nxt[agent][t])
-            exact_ids[agent][t] = exact_id(nxt[agent][t])
-        key = (tuple(exact_ids[0]), tuple(exact_ids[1]))
+            return BRIterationResult(profile, rounds, True, False, report, tuple(moves))
+        for agent, t, play in moved:
+            profile[agent][t] = play
+            ids[agent][t] = game.play_id(play)
+        key = (tuple(ids[0]), tuple(ids[1]))
         if key in seen:
             cycled = True
-            profile = nxt
             break
-        seen[key] = rounds
-        profile = nxt
+        seen.add(key)
         todo = [set(), set()]
-        for agent, t in moved:
+        for agent, t, _ in moved:
             todo[1 - agent].update(u for u, _ in pert.type_groups(agent, t))
         todo = [sorted(side) for side in todo]
     return BRIterationResult(profile, rounds, False, cycled, None, tuple(moves))
@@ -464,30 +448,21 @@ def iterated_dominance(
     round count and each round's eliminations equal those of checking
     every type every round.
 
-    A check's result is memoized on the game by ``(agent, own pool id,
-    type kind, opponent pool ids, mixture_denominator)``, the opponent
-    pools at the types it meets in ``type_groups`` order.  A pool is
-    interned on the game (``_pool_ids``, which outlives a call, as the memo
-    does) when it first appears or shrinks.  A check reads each pool
-    member's value against each surviving opponent strategy once
-    (``_undominated``): a sum over the kind's cells of weight x
-    ``inner_value``, so types with equal keys keep the same strategies.
+    Each type's pool is carried as its ``Game.pool_id`` alone, which only
+    a pool that shrinks gets anew; the surviving lists are read off the
+    game's pools once, at the fixed point.  A check's result is memoized
+    on the game by ``(agent, own pool id, type kind, opponent pool ids,
+    mixture_denominator)``, the opponent pools at the types it meets in
+    ``type_groups`` order; the pool ids and the memo outlive a call.  A
+    check reads each pool member's value against each surviving opponent
+    strategy once (``_undominated``): a sum over the kind's cells of
+    weight x ``inner_value``, so types with equal keys keep the same
+    strategies.
     """
     pert = game.perturbation
-    surviving: list[dict[int, list[PureStrategy]]] = [
-        {
-            t: list(itertools.product(*strategy_sets[agent]))
-            for t in range(len(pert.partitions[agent]))
-        }
-        for agent in (0, 1)
-    ]
-    interned = game._pool_ids
-
-    def pool_id(pool):
-        return interned.setdefault(tuple(pool), len(interned))
-
-    pools = [[pool_id(side[0])] * len(side) for side in surviving]
-    stale = [set(surviving[0]), set(surviving[1])]
+    pools = [[game.pool_id(itertools.product(*strategy_sets[agent]))] * len(part)
+             for agent, part in enumerate(pert.partitions)]
+    stale = [set(range(len(side))) for side in pools]
     eliminated = []
     for rounds in itertools.count():
         removed = []
@@ -495,30 +470,33 @@ def iterated_dominance(
             opp = 1 - agent
             todo, stale[agent] = stale[agent], set()
             for t in sorted(todo):
-                pool, groups = surviving[agent][t], pert.type_groups(agent, t)
+                pool, groups = game._pools[pools[agent][t]], pert.type_groups(agent, t)
                 if not groups or len(pool) <= 1:
                     continue
-                key = (agent, pools[agent][t], pert.type_kind(agent, t),
-                       tuple(pools[opp][u] for u, _ in groups), mixture_denominator)
+                opp_pools = tuple(pools[opp][u] for u, _ in groups)
+                key = (agent, pools[agent][t], pert.type_kind(agent, t), opp_pools,
+                       mixture_denominator)
                 keep = game._dom_cache.get(key)
                 if keep is None:
                     keep = game._dom_cache[key] = _undominated(
-                        game, agent, t, pool, surviving[opp], mixture_denominator
+                        game, agent, t, pool, opp_pools, mixture_denominator
                     )
                 if len(keep) != len(pool):
                     removed.extend((agent, t, s) for s in pool if s not in keep)
-                    surviving[agent][t] = list(keep)
-                    pools[agent][t] = pool_id(keep)
+                    pools[agent][t] = game.pool_id(keep)
                     stale[opp].update(u for u, _ in groups)
         # Agents, types and pools are walked in order, so ``removed`` is sorted.
         eliminated.append(tuple(removed))
         if not removed:
+            surviving = [{t: list(game._pools[i]) for t, i in enumerate(side)} for side in pools]
             return EliminationResult(surviving, rounds, tuple(eliminated))
 
 
-def _undominated(game: Game, agent: int, t: int, pool, opp_surviving, mixture_denominator):
+def _undominated(game: Game, agent: int, t: int, pool, opp_pools, mixture_denominator):
     """The members of ``pool`` that no other member, nor a grid mixture
     of two others, strictly dominates for type ``t``, in pool order.
+    ``opp_pools`` holds the ``Game.pool_id`` of the surviving strategies
+    at each opponent type the type meets, in ``type_groups`` order.
 
     ``v[g][r][s]`` is member ``s``'s value against the ``r``-th surviving
     strategy of the ``g``-th opponent type the type meets: its cells'
@@ -532,9 +510,9 @@ def _undominated(game: Game, agent: int, t: int, pool, opp_surviving, mixture_de
     terms = [
         [
             [[(mass, game.inner_value(agent, w, s, r)) for w, mass in cells] for s in pool]
-            for r in opp_surviving[opp_type]
+            for r in game._pools[i]
         ]
-        for opp_type, cells in game.perturbation.type_groups(agent, t)
+        for (_, cells), i in zip(game.perturbation.type_groups(agent, t), opp_pools)
     ]
     den = math.lcm(*{
         m.denominator * x.denominator

@@ -144,6 +144,16 @@ class Certificate(NamedTuple):
 # -- shared helpers --------------------------------------------------------
 
 
+def _exact(experiment: str, option: str, value) -> Fraction:
+    """``rat(value)`` for an option of a run.  A float was rounded to
+    binary before it arrived, so it raises ``ModelError`` naming the
+    experiment, the option and the value."""
+    if isinstance(value, float):
+        raise ModelError(f"experiment {experiment}: option {option} must be exact (an int, a "
+                         f"Fraction or a string such as '1/10'), not the float {value!r}")
+    return rat(value)
+
+
 def _with_cost(scenario: ScenarioModel, cost: Number) -> ScenarioModel:
     payoffs = tuple(replace(p, cost=rat(cost)) for p in scenario.payoffs)
     return ScenarioModel(scenario.state_space, scenario.outcome_space, scenario.scf, payoffs)
@@ -259,8 +269,8 @@ def _mass_linear_fit(grid: list[dict]) -> tuple[Fraction, Fraction]:
     return k, resid
 
 
-def _ladder_games(scenario, mechanism, depth, eta_grid, biases, tail):
-    """``(eta, perturbation, game)`` for each eta of the grid: the ladder
+def _ladder_games(experiment, scenario, mechanism, depth, eta_grid, biases, tail):
+    """``(eta, perturbation, game)`` for each eta of ``experiment``'s grid: the ladder
     ``build_ladder(scenario, depth, eta, biases, tail)`` and the mechanism
     played on it.  The ladders share the scenario and the biases, so every
     game after the first is built by ``Game.with_perturbation`` and reuses
@@ -270,14 +280,14 @@ def _ladder_games(scenario, mechanism, depth, eta_grid, biases, tail):
         raise ModelError("eta grid is empty: a ladder certificate needs at least one eta")
     game = None
     for eta in eta_grid:
-        eta = rat(eta)
+        eta = _exact(experiment, "eta_grid", eta)
         pert = build_ladder(scenario, depth, eta, list(biases), tail=tail)
         game = Game(scenario, mechanism, pert) if game is None else game.with_perturbation(pert)
         yield eta, pert, game
 
 
-def _status_quo_run(scenario, mech, c_bar, depth, eta_grid, biases):
-    """What thm1 and thm2 certify alike about a status-quo rule.
+def _status_quo_run(experiment, scenario, mech, c_bar, depth, eta_grid, biases):
+    """What thm1 and thm2 (``experiment``) certify alike about a status-quo rule.
 
     Returns the certificates (the dominance threshold below 1/2, a
     best-response equilibrium on every collapsed-tail ladder of the grid
@@ -286,7 +296,9 @@ def _status_quo_run(scenario, mech, c_bar, depth, eta_grid, biases):
     """
     cert_gamma = gamma_dominance_threshold(mech, scenario, c_bar)
     grid = []
-    for eta, pert, game in _ladder_games(scenario, mech, depth, eta_grid, biases, "collapse"):
+    for eta, pert, game in _ladder_games(
+        experiment, scenario, mech, depth, eta_grid, biases, "collapse"
+    ):
         res = iterate_best_response(game, _strategy_sets(game))
         grid.append(
             {
@@ -325,12 +337,14 @@ def run_thm1(
     and (for small n) checks replacement closure exhaustively.
     """
     scenario = scenario or binary_trial_scenario()
-    c_bar = rat(c_bar)
+    c_bar = _exact("thm1", "c_bar", c_bar)
     mech = build_status_quo(scenario, c_bar)
     if biases is None:
         bias_strength = 10 * mech.schedule.top
         biases = [BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_strength))]
-    certificates, artifacts = _status_quo_run(scenario, mech, c_bar, depth, eta_grid, biases)
+    certificates, artifacts = _status_quo_run(
+        "thm1", scenario, mech, c_bar, depth, eta_grid, biases
+    )
     grid = artifacts["grid"]
     k, resid = _mass_linear_fit(grid)
     certificates["mass_linear_bound"] = all(
@@ -358,6 +372,7 @@ def run_thm2(
     scenario = scenario or binary_trial_scenario()
     if not scenario.generic:
         raise ModelError("augmented rule run needs a generic prior")
+    cost_cap = _exact("thm2", "cost_cap", cost_cap)
     mech = build_augmented_status_quo(scenario)
     sched = mech.schedule
     if biases is None:
@@ -367,11 +382,11 @@ def run_thm2(
                 0,
                 0,
                 preferred_outcome_bias(scenario, min(1, scenario.n - 1), strength),
-                cost=rat(cost_cap) * scenario.payoffs[0].cost,
+                cost=cost_cap * scenario.payoffs[0].cost,
             )
         ]
     certificates, artifacts = _status_quo_run(
-        scenario, mech, scenario.max_cost, depth, eta_grid, biases
+        "thm2", scenario, mech, scenario.max_cost, depth, eta_grid, biases
     )
     # Constant high reports lose to coordinated low play under the ratio
     # constraint: q(j) R^j < q(1) R^0 for every j >= 2.
@@ -381,7 +396,7 @@ def run_thm2(
     )
     return ExperimentResult(
         name="thm2",
-        parameters={"n": scenario.n, "depth": depth, "eta_grid": list(eta_grid), "cost_cap": rat(cost_cap)},
+        parameters={"n": scenario.n, "depth": depth, "eta_grid": list(eta_grid), "cost_cap": cost_cap},
         certificates=certificates,
         artifacts=artifacts,
         provenance={"scenario_states": scenario.state_space.states, "prior": scenario.prior},
@@ -477,8 +492,8 @@ def run_thm3(
     perfectly-revealing limit at zero noise.
     """
     scenario = scenario or three_state_scenario()
-    tau = rat(tau)
-    delta = rat(delta)
+    tau = _exact("thm3", "tau", tau)
+    delta = _exact("thm3", "delta", delta)
     msqr = build_modified_status_quo(scenario)
     asqr = build_augmented_status_quo(scenario)
     n = scenario.n
@@ -716,7 +731,7 @@ def run_prop1(
         raise ModelError(f"grid_step must be an integer of at least 1, not {grid_step!r}")
     if not eta_values:
         raise ModelError("eta_values is empty: the TV lower bound needs at least one eta")
-    etas = [rat(e) for e in eta_values]
+    etas = [_exact("prop1", "eta_values", e) for e in eta_values]
     for eta in etas:
         if not 0 < eta < 1:
             raise ModelError(f"eta_values: eta {fmt(eta)} must lie strictly between 0 and 1")
@@ -1057,7 +1072,7 @@ def run_prop3(
     best_constant = max(zero_cost.inner_value(agent, 0, (m,) * n, other) for m in truthful)
     learning_margin = truthful_value - best_constant
     threshold = learning_margin / 2
-    c = rat(cost) if cost is not None else learning_margin / 4
+    c = _exact("prop3", "cost", cost) if cost is not None else learning_margin / 4
 
     # The other agent has one message, so equilibria are exactly the
     # mixtures over the respondent's best replies.
@@ -1101,11 +1116,13 @@ def run_maskin_contagion(
     to the status-quo report.
     """
     scenario = scenario or binary_trial_scenario()
-    reward = rat(reward)
+    reward = _exact("maskin-contagion", "reward", reward)
     mech = build_maskin(scenario, reward)
     bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_factor * reward))
     grid = []
-    for eta, pert, game in _ladder_games(scenario, mech, depth, eta_grid, [bias], "renormalize"):
+    for eta, pert, game in _ladder_games(
+        "maskin-contagion", scenario, mech, depth, eta_grid, [bias], "renormalize"
+    ):
         surviving, rounds, _ = iterated_dominance(game, _strategy_sets(game))
         unique = all(
             surviving[a][t] == [(1,) * scenario.n]

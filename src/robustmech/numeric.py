@@ -41,6 +41,7 @@ def frac_key(value: Number) -> tuple[int, int]:
 
 
 def weights_key(weights: dict) -> tuple:
-    """The positive entries of ``{key: weight}`` as ``(key, numerator,
-    denominator)`` triples (``frac_key``)."""
-    return tuple((k, *frac_key(w)) for k, w in weights.items() if w)
+    """Every entry of ``{key: weight}``, zero weights included, as sorted
+    ``(key, numerator, denominator)`` triples (``frac_key``): equal
+    exactly when the dicts are."""
+    return tuple(sorted((k, *frac_key(w)) for k, w in weights.items()))

@@ -735,6 +735,38 @@ def deviation_dominance_certificate(mechanism, structure, tau, noise_opp):
     return ok, rows
 
 
+def constant_deviation_gain(game: Game, m: int) -> Number:
+    """The exact ex ante gain, in agent 1's transfers, of the constant
+    high vector ``(m, ..., m)`` over its negation ``(-m, ..., -m)``
+    against the best of agent 2's restricted play at each of its signals:
+
+        sum_j P(agent 2 sees j) max_{b in restricted(j)} E[t1(m, a) - t1(-m, a)],
+
+    where agent 2 realizes ``a`` w.p. ``(1 - tau)[a = b] + tau noise[a]``
+    when it intends ``b``, and ``restricted(j)`` holds the rule's negative
+    messages, the status quo 1 and the meaning of ``j``.  The modified
+    rule always pays the negation ``R^0``, so there the gain is the
+    expected transfer of ``m`` less ``R^0``."""
+    mech, tremble = game.mechanism, game.tremble
+    negatives = [b for b in mech.messages[1] if b < 0]
+    seen: dict[int, Number] = {}
+    for (_, _, j), p in game.signals.joint.items():
+        seen[j] = seen.get(j, Fraction(0)) + p
+
+    def gain(b):
+        return sum(
+            ((1 - tremble.tau) * (a == b) + tremble.tau * tremble.noise[1].get(a, 0))
+            * (mech.t(0, m, a) - mech.t(0, -m, a))
+            for a in mech.messages[1]
+        )
+
+    return sum(
+        (p * max(gain(b) for b in negatives + [1, game.signals.meanings[1][j]])
+         for j, p in seen.items()),
+        Fraction(0),
+    )
+
+
 def _grid_ceil(value: Number, step: Number) -> Number:
     k = math.ceil(Fraction(value) / Fraction(step))
     return k * step

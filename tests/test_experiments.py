@@ -487,6 +487,55 @@ def test_deviation_certificate_matches_closed_form():
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize(
+    "prior",
+    [
+        (F(7, 10), F(3, 10)),
+        (F(1, 2), F(3, 10), F(1, 5)),
+        (F(2, 5), F(3, 10), F(1, 5), F(1, 10)),
+        (F(3, 10), F(1, 4), F(1, 5), F(3, 20), F(1, 10)),
+    ],
+    ids=["n2", "n3", "n4", "n5"],
+)
+def test_constant_rows_bound_the_exact_constant_gain(prior):
+    """Each constant row of the deviation certificate is at least the
+    exact ex ante gain of ``(m, ..., m)`` over its negation, for both
+    rules, on revealing and on mislabelled signals with thm3's point
+    tremble: the closed form never passes where the exact value fails.
+    The modified rule's row is an expected transfer set against the
+    ``R^0`` its negation always gets, so it is compared less ``R^0``.
+    The augmented rule's row is the exact value."""
+    from robustmech import build_modified_status_quo
+    from robustmech.engine import TrembleSpec, mislabel_signals, revealing_signals
+
+    s = uniform_scenario(prior)
+    for mech in (build_augmented_status_quo(s), build_modified_status_quo(s)):
+        tremble = TrembleSpec.point(F(1, 100), mech.messages, (2, 2))
+        modified = mech.schedule.penalty is not None
+        for signals in (revealing_signals(s), mislabel_signals(s, F(1, 100))):
+            game = Game(s, mech, signals=signals, tremble=tremble)
+            rows = [r for r in deviation_dominance_certificate(game).witness
+                    if r["signal"] == "constant"]
+            assert [r["message"] for r in rows] == list(range(2, s.n + 1))
+            for row in rows:
+                exact = naive.constant_deviation_gain(game, row["message"])
+                row_gain = row["worst_case"] - (mech.schedule.r(0) if modified else 0)
+                assert row_gain >= exact if modified else row_gain == exact
+
+
+@pytest.mark.parametrize(
+    "name, option, value",
+    [("prop1", "eta_values", (0.1,)), ("thm1", "eta_grid", (0.1,)), ("thm3", "tau", 0.01)],
+)
+def test_a_float_option_is_refused_by_name(name, option, value):
+    """A float reaches a run already rounded to binary: the run refuses
+    it with a ``ModelError`` that names the experiment, the option and
+    the value, not a bare ``TypeError`` from the exact parser."""
+    shown = re.escape(repr(value[0] if isinstance(value, tuple) else value))
+    with pytest.raises(ModelError, match=rf"experiment {name}: option {option} .*float {shown}"):
+        run_experiment(name, **{option: value})
+
+
 def test_deviation_certificate_needs_a_tremble():
     from robustmech.engine import revealing_signals
 

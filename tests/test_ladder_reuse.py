@@ -194,6 +194,20 @@ def test_equal_weights_of_another_payoff_class_are_another_kind():
     assert biased.type_kind(0, 2) != biased.type_kind(0, 3)
 
 
+def test_play_ids_are_equal_iff_the_plays_are():
+    """``Game.play_id`` gives two plays one id exactly when they are
+    equal as dicts: a zero weight tells a play from the one without it,
+    the order of the keys does not, and an int is an id already."""
+    game = Game(THREE, MECH, _ladder(ETAS[1]))
+    a, b = (1, 2, 3), (1, 1, 1)
+    pure = game.play_id({a: F(1)})
+    assert game.play_id({a: F(1), b: F(0)}) != pure
+    assert game._plays[game.play_id({a: F(1), b: F(0)})] == game._plays[pure] == {a: F(1)}
+    assert game.play_id({a: F(1, 3), b: F(2, 3)}) == game.play_id({b: F(2, 3), a: F(1, 3)})
+    assert game.play_id({a: 1}) == pure
+    assert game.play_id(pure) == pure
+
+
 def test_best_response_rounds_hash_no_fraction(monkeypatch):
     """Memo keys and the verification walk hold ints and strategies: a
     whole best-response run, with its report, hashes no ``Fraction``."""
