@@ -42,7 +42,6 @@ from .engine import (
     is_constant,
     mislabel_signals,
     restricted_strategy_set,
-    revealing_signals,
     truthful_profile,
 )
 from .equilibrium import (
@@ -406,30 +405,36 @@ def run_thm2(
 def deviation_dominance_certificate(game: Game) -> Certificate:
     """Agent 1's replacement-transfer check in a game with trembles.
 
-    Reads the game's mechanism, signals and tremble: agent 2's intended
-    messages are realized by ``game.tremble.realized``.  For every own
-    signal and every high message that is neither the status quo nor the
-    signal's meaning, the worst-case expected transfer of that realized
-    message over agent 2's restricted play must stay below the transfer
-    from the mirrored negative message: strictly for the modified rule,
-    weakly for the augmented rule.  Also checks the ex ante comparison
-    for wholly-constant high vectors.  Passes iff every witness row does;
-    raises ``ModelError`` for a game with no tremble.
+    Reads agent 1's transfers ``t(own, other)`` off the game's mechanism,
+    and its signals and tremble: agent 2's intended messages are realized
+    by ``game.tremble.realized``.  For every own signal and every high
+    message ``m`` that is neither the status quo nor the signal's meaning,
+    the worst case over agent 2's restricted play of ``E[t(m) - t(-m)]``
+    must stay below zero: strictly for the modified rule, weakly for the
+    augmented rule.  The modified rule always pays ``-m`` its base reward,
+    so its rows show ``E[t(m)]`` against that reward.  Also checks the ex
+    ante comparison for wholly-constant high vectors.  Passes iff every
+    witness row does; raises ``ModelError`` for a game with no tremble or
+    a rule without negative messages.
     """
-    tremble = game.tremble
+    tremble, mech = game.tremble, game.mechanism
     if tremble is None:
         raise ModelError("the deviation dominance certificate needs a game with a tremble")
+    n = game.scenario.n
+    if -n not in mech.messages[0]:
+        raise ModelError(f"the deviation dominance certificate needs a rule with negative "
+                         f"messages; the {mech.kind} rule has none")
     tau = tremble.tau
-    sched = game.mechanism.schedule
-    n = max(sched.rewards)
-    x = sched.penalty if sched.penalty is not None else Fraction(0)
-    modified = sched.penalty is not None
-    r0 = sched.r(0)
+    strict = mech.kind == "msqr"
+    t = functools.partial(mech.t, 0)  # agent 1's transfer t(own, other)
     h_own, h_opp = game.signals.meanings
-    opp_choices = restricted_strategy_set(game.mechanism.messages[1], h_opp)
+    opp_choices = restricted_strategy_set(mech.messages[1], h_opp)
     noise = tremble.noise[1]
     noise_low = sum(p for m, p in noise.items() if m <= 1)
-    realized = {b: tremble.realized(1, b) for b in game.mechanism.messages[1]}
+    realized = {b: tremble.realized(1, b) for b in mech.messages[1]}
+    # E[t(m) - t(-m)] when agent 2 intends b.
+    gain = {(m, b): sum(q * (t(m, a) - t(-m, a)) for a, q in pairs)
+            for m in range(2, n + 1) for b, pairs in realized.items()}
     seen = game.signals.seen_by(0)
     by_signal: dict[int, dict[int, Number]] = {}
     for _, k, j, p in seen:
@@ -444,22 +449,12 @@ def deviation_dominance_certificate(game: Game) -> Certificate:
                 continue
             worst = Fraction(0)
             for j, p in cond.items():
-                best = None
-                for b in opp_choices[j]:
-                    p_m = sum(q for a, q in realized[b] if a == m)
-                    p_low = sum(q for a, q in realized[b] if a <= 1)
-                    if modified:
-                        value = p_m * sched.r(m) + p_low * (r0 - x)
-                    else:
-                        value = p_m * sched.r(m) - p_low * r0
-                    if best is None or value > best:
-                        best = value
-                worst += p / own_total * best
+                worst += p / own_total * max(gain[m, b] for b in opp_choices[j])
             # The modified rule promises a strict gap; the augmented rule
             # only ever had a weak one, so ties do not count against it.
-            bound = r0 if modified else Fraction(0)
-            rows.append({"signal": k, "message": m, "worst_case": worst, "bound": bound,
-                         "ok": worst < bound if modified else worst <= bound})
+            bound = t(-m, 1) if strict else Fraction(0)
+            rows.append({"signal": k, "message": m, "worst_case": worst + bound, "bound": bound,
+                         "ok": worst < 0 if strict else worst <= 0})
     # Constant high vectors, compared ex ante against their negation.
     prob_meaning = {
         j: sum(p for _, _, s_opp, p in seen if h_opp[s_opp] == j) for j in range(1, n + 1)
@@ -467,14 +462,14 @@ def deviation_dominance_certificate(game: Game) -> Certificate:
     for m in range(2, n + 1):
         p_m_max = (1 - tau) * prob_meaning[m] + tau * noise.get(m, Fraction(0))
         p_low_min = (1 - tau) * prob_meaning[1] + tau * noise_low
-        if modified:
-            worst = p_m_max * sched.r(m) + max(
-                (r0 - x) * ((1 - tau) + tau * noise_low), (r0 - x) * (tau * noise_low)
+        if strict:
+            worst = p_m_max * t(m, m) + max(
+                t(m, 1) * ((1 - tau) + tau * noise_low), t(m, 1) * (tau * noise_low)
             )
         else:
-            worst = p_m_max * sched.r(m) - p_low_min * r0
+            worst = p_m_max * t(m, m) - p_low_min * t(-m, 1)
         rows.append({"signal": "constant", "message": m, "worst_case": worst,
-                     "ok": worst < (r0 if modified else 0)})
+                     "ok": worst < (t(-m, 1) if strict else 0)})
     return Certificate.of_rows(rows)
 
 
@@ -498,18 +493,15 @@ def run_thm3(
     asqr = build_augmented_status_quo(scenario)
     n = scenario.n
     tremble = TrembleSpec.point(tau, msqr.messages, (noise_target, noise_target))
-    revealing = revealing_signals(scenario)
     noisy = mislabel_signals(scenario, delta)
 
-    asqr_cert = deviation_dominance_certificate(
-        Game(scenario, asqr, signals=revealing, tremble=tremble)
-    )
+    asqr_cert = deviation_dominance_certificate(Game(scenario, asqr, tremble=tremble))
     game = Game(scenario, msqr, signals=noisy, tremble=tremble)
     msqr_cert = deviation_dominance_certificate(game)
 
     report = verify_equilibrium(game, truthful_profile(game), _strategy_sets(game))
 
-    game0 = Game(scenario, msqr, signals=revealing)
+    game0 = Game(scenario, msqr)
     report0 = verify_equilibrium(game0, truthful_profile(game0), _strategy_sets(game0))
 
     certificates = {
@@ -762,8 +754,9 @@ def run_prop1(
                else [{m: Fraction(1)} for m in msgs])
 
     def constant(mix):
-        """The type strategy mixing constant intent vectors by ``mix``."""
-        return {(m,) * scenario.n: w for m, w in mix.items()}
+        """The type strategy mixing constant intent vectors by ``mix``,
+        zero weights dropped so that equal plays share one play id."""
+        return {(m,) * scenario.n: w for m, w in mix.items() if w}
 
     chain_rows = []
     v_star_payoff = sep.scale * sep.of(scenario.scf.lotteries[star])
@@ -915,24 +908,16 @@ def run_prop2(
 
 
 def _f_classes(scf: SocialChoiceFunction) -> tuple[list[int], list[Lottery]]:
-    """Map each state to the index of its distinct target lottery."""
-    reps: list[Lottery] = []
-    assign = []
-    for lot in scf.lotteries:
-        for idx, rep in enumerate(reps):
-            if lot.same_as(rep):
-                assign.append(idx)
-                break
-        else:
-            reps.append(lot)
-            assign.append(len(reps) - 1)
-    return assign, reps
+    """Each state's class, the index of its target among the distinct
+    target lotteries, and those lotteries in order of first appearance."""
+    reps = list(dict.fromkeys(scf.lotteries))
+    return [reps.index(lot) for lot in scf.lotteries], reps
 
 
 def _class_graph(u: AgentPayoff, scf: SocialChoiceFunction):
-    """Each state's class, the number of classes, the complete graph of
-    arcs W(A, B) (the smallest truthful advantage of class A's target
-    over class B's among A's states), and its minimum cycle."""
+    """Each state's class, the number of classes and the complete graph
+    of arcs W(A, B): the smallest truthful advantage of class A's target
+    over class B's among A's states."""
     assign, reps = _f_classes(scf)
     k = len(reps)
     arcs = {
@@ -945,14 +930,13 @@ def _class_graph(u: AgentPayoff, scf: SocialChoiceFunction):
         for b in range(k)
         if a != b
     }
-    return assign, k, arcs, _min_cycle(arcs, k)
+    return assign, k, arcs
 
 
-def _min_cycle(arcs, k):
-    """Minimum weight of a directed cycle over the complete class graph,
-    with the class it was found at; (None, None) when k < 2."""
-    if k < 2:
-        return None, None
+def _shortest_paths(arcs, k):
+    """Floyd-Warshall over the complete graph on ``k`` classes: the least
+    weight of a path from ``a`` to ``b != a``, exact while no cycle has
+    negative weight."""
     dist = dict(arcs)
     for mid in range(k):
         for a in range(k):
@@ -961,20 +945,20 @@ def _min_cycle(arcs, k):
                     continue
                 if dist[(a, mid)] + dist[(mid, b)] < dist[(a, b)]:
                     dist[(a, b)] = dist[(a, mid)] + dist[(mid, b)]
-    best = best_start = None
-    for a in range(k):
-        loop = min(dist[(a, b)] + arcs[(b, a)] for b in range(k) if b != a)
-        if best is None or loop < best:
-            best, best_start = loop, a
-    return best, best_start
+    return dist
 
 
-def _cycle_verdict(k, cycle) -> Certificate:
+def _cycle_verdict(arcs, k) -> Certificate:
     """Strict cyclical monotonicity from the class graph's minimum cycle,
-    with its witness."""
-    weight, start = cycle
-    if weight is None:
+    a shortest path closed by one arc: it passes iff that weight is
+    positive.  A failure's witness names the lowest class the minimum
+    cycle was found at; with fewer than two classes there is no cycle."""
+    if k < 2:
         return Certificate(True, {"classes": k})
+    dist = _shortest_paths(arcs, k)
+    weight, start = min(
+        (min(dist[(a, b)] + arcs[(b, a)] for b in range(k) if b != a), a) for a in range(k)
+    )
     if weight <= 0:
         return Certificate(False, {"min_cycle_weight": weight, "at_class": start})
     return Certificate(True, {"min_cycle_weight": weight})
@@ -987,8 +971,8 @@ def check_strict_cyclical_monotonicity(u: AgentPayoff, scf: SocialChoiceFunction
     distinct target lotteries has positive weight, so the check is the
     graph's minimum cycle; the witness is its weight and start class.
     """
-    _, k, _, cycle = _class_graph(u, scf)
-    return _cycle_verdict(k, cycle)
+    _, k, arcs = _class_graph(u, scf)
+    return _cycle_verdict(arcs, k)
 
 
 def _truthful_margin(u: AgentPayoff, scf: SocialChoiceFunction, assign, transfers) -> Number:
@@ -1009,12 +993,14 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
     Solves the difference constraints t(B) - t(A) <= W(A,B) - delta by
     shortest-path potentials on the class graph, where W(A,B) is the
     smallest truthful advantage of class A over class B and delta eats
-    half the minimum cycle slack.  States sharing a target lottery share
-    a transfer; the minimum transfer is normalized to zero.  Raises
-    ``ModelError`` when strict cyclical monotonicity fails.
+    half the minimum cycle slack: class B's potential is the least of 0
+    and every path weight into B under W - delta, read off the same
+    ``_shortest_paths`` the cycle check uses.  States sharing a target
+    lottery share a transfer; the minimum transfer is normalized to zero.
+    Raises ``ModelError`` when strict cyclical monotonicity fails.
     """
-    assign, k, arcs, cycle = _class_graph(u, scf)
-    verdict = _cycle_verdict(k, cycle)
+    assign, k, arcs = _class_graph(u, scf)
+    verdict = _cycle_verdict(arcs, k)
     if not verdict.ok:
         raise ModelError(
             "strict cyclical monotonicity fails: minimum cycle weight "
@@ -1022,20 +1008,11 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
         )
     if k == 1:
         return {j: Fraction(0) for j in range(len(scf.lotteries))}
-    delta = cycle[0] / (2 * k)
-    # Bellman-Ford from a virtual source connected by zero arcs.
-    dist = [Fraction(0)] * k
-    for _ in range(k):
-        changed = False
-        for (a, b), w in arcs.items():
-            if dist[a] + w - delta < dist[b]:
-                dist[b] = dist[a] + w - delta
-                changed = True
-        if not changed:
-            break
-    low = min(dist)
-    potentials = [d - low for d in dist]
-    out = {j: potentials[assign[j]] for j in range(len(scf.lotteries))}
+    delta = verdict.witness["min_cycle_weight"] / (2 * k)
+    dist = _shortest_paths({arc: w - delta for arc, w in arcs.items()}, k)
+    reach = [min(Fraction(0), *(dist[(a, b)] for a in range(k) if a != b)) for b in range(k)]
+    low = min(reach)
+    out = {j: reach[assign[j]] - low for j in range(len(scf.lotteries))}
     # Independent strictness re-check over all state pairs.
     if _truthful_margin(u, scf, assign, out) <= 0:
         raise ModelError("transfer synthesis failed its strictness re-check")
@@ -1105,7 +1082,7 @@ def run_prop3(
 def run_maskin_contagion(
     scenario: ScenarioModel | None = None,
     reward: Number = 1,
-    bias_factor: int = 10,
+    bias_factor: Number = 10,
     depth: int = 100,
     eta_grid=("1/100", "1/20", "1/10"),
 ) -> ExperimentResult:
@@ -1118,7 +1095,8 @@ def run_maskin_contagion(
     scenario = scenario or binary_trial_scenario()
     reward = _exact("maskin-contagion", "reward", reward)
     mech = build_maskin(scenario, reward)
-    bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, bias_factor * reward))
+    factor = _exact("maskin-contagion", "bias_factor", bias_factor)
+    bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, factor * reward))
     grid = []
     for eta, pert, game in _ladder_games(
         "maskin-contagion", scenario, mech, depth, eta_grid, [bias], "renormalize"

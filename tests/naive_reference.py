@@ -570,6 +570,38 @@ def strict_cyclical_monotonicity(u, scf) -> bool:
     return True
 
 
+def transfer_potentials(u, scf) -> dict[int, Number]:
+    """Per-state transfers by path enumeration, for instances where strict
+    cyclical monotonicity holds.  Classes are the distinct target
+    lotteries; the arc ``W(A, B)`` is the least, over A's states, of the
+    utility of A's target less B's; ``delta`` is the minimum simple cycle
+    weight over twice the class count.  A class's potential is the least
+    of 0 and the weight under ``W - delta`` of every simple path into it;
+    the potentials are shifted so that the least is 0."""
+    reps: list[Lottery] = []
+    for lot in scf.lotteries:
+        if not any(lot.same_as(rep) for rep in reps):
+            reps.append(lot)
+    cls = [next(i for i, rep in enumerate(reps) if lot.same_as(rep)) for lot in scf.lotteries]
+    k = len(reps)
+
+    def arc(a, b):
+        return min(u.expected_utility(j, reps[a]) - u.expected_utility(j, reps[b])
+                   for j in range(len(cls)) if cls[j] == a)
+
+    def weight(path):
+        return sum((arc(a, b) for a, b in zip(path, path[1:])), Fraction(0))
+
+    paths = [p for size in range(2, k + 1) for p in itertools.permutations(range(k), size)]
+    delta = min(weight(p + p[:1]) for p in paths) / (2 * k) if paths else Fraction(0)
+    reach = [
+        min([Fraction(0)] + [weight(p) - (len(p) - 1) * delta for p in paths if p[-1] == b])
+        for b in range(k)
+    ]
+    low = min(reach)
+    return {j: reach[cls[j]] - low for j in range(len(cls))}
+
+
 def restricted_strategy_set(
     variant: str,
     n: int,

@@ -91,6 +91,15 @@ def _prop1_grid_calls(monkeypatch, scenario=None):
     return calls
 
 
+def test_prop1_games_hold_each_play_once(monkeypatch):
+    """The chain's opponent mixtures reach the tilted games without their
+    zero weights, so no two play ids of a default prop1 game hold equal
+    plays (``Game._plays`` drops zeros, ``Game.play_id`` keys by them)."""
+    for game, _, _ in _prop1_grid_calls(monkeypatch):
+        plays = [frozenset(play.items()) for play in game._plays]
+        assert len(set(plays)) == len(plays)
+
+
 def _filter_every_report(game, strategy_set, candidates, epsilon):
     """Every candidate pair whose full report passes, in (i, j) order."""
     sets = (strategy_set, strategy_set)
@@ -392,6 +401,27 @@ def test_cyclical_monotonicity_oracles_agree():
         assert naive.strict_cyclical_monotonicity(u, scf) == by_cycle
 
 
+def test_synthesized_transfers_match_path_enumeration():
+    """On the seeded draws where strict cyclical monotonicity holds, the
+    transfers equal the least of 0 and every simple path weight into each
+    class under W - delta, found by enumeration and normalized to 0: 40
+    draws each of three, four and five states and outcomes, of which
+    15, 4 and 2 pass, and 13, 2 and 2 have at least two classes."""
+    counts = []
+    for n in (3, 4, 5):
+        rng = random.Random(11)
+        checked = multi_class = 0
+        for _ in range(40):
+            u, scf = random_scm_instance(rng, n, n)
+            if not check_strict_cyclical_monotonicity(u, scf).ok:
+                continue
+            assert synthesize_transfers(u, scf) == naive.transfer_potentials(u, scf)
+            checked += 1
+            multi_class += len(set(scf.lotteries)) > 1
+        counts.append((checked, multi_class))
+    assert counts == [(15, 13), (4, 2), (2, 2)]
+
+
 def test_cyclical_monotonicity_counterexample():
     # Two states whose targets swap but whose owner strictly prefers the
     # other state's target in both states: the swap permutation gains.
@@ -443,11 +473,23 @@ def test_deviation_certificate_weak_vs_strict():
     assert any(r["worst_case"] == F(1, 100) * 30 for r in bad)
 
 
+# The Baseline priors of the state-count sweep, n = 2..5.
+BASELINE_PRIORS = [
+    (F(7, 10), F(3, 10)),
+    (F(1, 2), F(3, 10), F(1, 5)),
+    (F(2, 5), F(3, 10), F(1, 5), F(1, 10)),
+    (F(3, 10), F(1, 4), F(1, 5), F(3, 20), F(1, 10)),
+]
+
+
 def test_deviation_certificate_matches_closed_form():
     """Every witness row and the verdict equal the closed-form oracle's:
-    both rules, revealing and mislabeled signals, and a private structure
-    whose agents see different signals; point noise onto each high
-    message and uniform noise; two tremble probabilities."""
+    both rules on three states and on the Baseline priors (n = 2..5);
+    revealing and mislabeled signals, and on three states a private
+    structure whose agents see different signals; point noise onto each
+    high message and uniform noise; two tremble probabilities.  The
+    oracle writes the payments from the reward schedule, the certificate
+    reads them off the mechanism."""
     from robustmech import build_modified_status_quo
     from robustmech.engine import (
         SignalStructure,
@@ -456,47 +498,39 @@ def test_deviation_certificate_matches_closed_form():
         revealing_signals,
     )
 
-    s = three_state_scenario()
-    # Agent 1 tells the first state from the others; agent 2 sees the state.
-    private = SignalStructure(
-        (2, 3), {(j, min(j, 1), j): s.prior[j] for j in range(s.n)}, ((1, 2), (1, 2, 3))
-    )
-    structures = [revealing_signals(s), private] + [
-        mislabel_signals(s, d) for d in (F(1, 100), F(1, 10))
-    ]
-    verdicts = set()
-    for mech in (build_augmented_status_quo(s), build_modified_status_quo(s)):
-        msgs = mech.messages[1]
-        noises = [
-            (TrembleSpec.point(tau, mech.messages, (m, m)), {m: F(1)})
-            for tau in (F(1, 100), F(1, 10))
-            for m in range(2, s.n + 1)
-        ] + [
-            (TrembleSpec.uniform(tau, mech.messages), {m: F(1, len(msgs)) for m in msgs})
-            for tau in (F(1, 100), F(1, 10))
+    for s in [three_state_scenario()] + [uniform_scenario(prior) for prior in BASELINE_PRIORS]:
+        structures = [revealing_signals(s)] + [
+            mislabel_signals(s, d) for d in (F(1, 100), F(1, 10))
         ]
-        for structure in structures:
-            for tremble, noise in noises:
-                got = deviation_dominance_certificate(
-                    Game(s, mech, signals=structure, tremble=tremble)
-                )
-                assert got == naive.deviation_dominance_certificate(
-                    mech, structure, tremble.tau, noise
-                )
-                verdicts.add(got[0])
-    assert verdicts == {True, False}
+        if s.n == 3:
+            # Agent 1 tells the first state from the others; agent 2 sees the state.
+            structures.append(SignalStructure(
+                (2, 3), {(j, min(j, 1), j): s.prior[j] for j in range(s.n)}, ((1, 2), (1, 2, 3))
+            ))
+        verdicts = set()
+        for mech in (build_augmented_status_quo(s), build_modified_status_quo(s)):
+            msgs = mech.messages[1]
+            noises = [
+                (TrembleSpec.point(tau, mech.messages, (m, m)), {m: F(1)})
+                for tau in (F(1, 100), F(1, 10))
+                for m in range(2, s.n + 1)
+            ] + [
+                (TrembleSpec.uniform(tau, mech.messages), {m: F(1, len(msgs)) for m in msgs})
+                for tau in (F(1, 100), F(1, 10))
+            ]
+            for structure in structures:
+                for tremble, noise in noises:
+                    got = deviation_dominance_certificate(
+                        Game(s, mech, signals=structure, tremble=tremble)
+                    )
+                    assert got == naive.deviation_dominance_certificate(
+                        mech, structure, tremble.tau, noise
+                    )
+                    verdicts.add(got[0])
+        assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize(
-    "prior",
-    [
-        (F(7, 10), F(3, 10)),
-        (F(1, 2), F(3, 10), F(1, 5)),
-        (F(2, 5), F(3, 10), F(1, 5), F(1, 10)),
-        (F(3, 10), F(1, 4), F(1, 5), F(3, 20), F(1, 10)),
-    ],
-    ids=["n2", "n3", "n4", "n5"],
-)
+@pytest.mark.parametrize("prior", BASELINE_PRIORS, ids=["n2", "n3", "n4", "n5"])
 def test_constant_rows_bound_the_exact_constant_gain(prior):
     """Each constant row of the deviation certificate is at least the
     exact ex ante gain of ``(m, ..., m)`` over its negation, for both
@@ -525,7 +559,8 @@ def test_constant_rows_bound_the_exact_constant_gain(prior):
 
 @pytest.mark.parametrize(
     "name, option, value",
-    [("prop1", "eta_values", (0.1,)), ("thm1", "eta_grid", (0.1,)), ("thm3", "tau", 0.01)],
+    [("prop1", "eta_values", (0.1,)), ("thm1", "eta_grid", (0.1,)), ("thm3", "tau", 0.01),
+     ("maskin-contagion", "bias_factor", 2.5)],
 )
 def test_a_float_option_is_refused_by_name(name, option, value):
     """A float reaches a run already rounded to binary: the run refuses
@@ -543,6 +578,29 @@ def test_deviation_certificate_needs_a_tremble():
     game = Game(s, build_augmented_status_quo(s), signals=revealing_signals(s))
     with pytest.raises(ModelError, match="needs a game with a tremble"):
         deviation_dominance_certificate(game)
+
+
+def test_maskin_contagion_takes_an_exact_bias_factor():
+    """A string bias factor multiplies the reward exactly, as a Fraction
+    does, and the parameters keep the value the caller gave."""
+    by_string = run_experiment("maskin-contagion", bias_factor="21/2", depth=10)
+    by_fraction = run_experiment("maskin-contagion", bias_factor=F(21, 2), depth=10)
+    assert by_string.parameters["bias_factor"] == "21/2"
+    assert by_string.certificates == by_fraction.certificates
+    assert by_string.artifacts == by_fraction.artifacts
+
+
+@pytest.mark.parametrize("kind", ["sqr", "maskin"])
+def test_deviation_certificate_needs_negative_messages(kind):
+    """A rule without negative messages has no mirrored deviation to set
+    a high message against: the certificate names the rule."""
+    from robustmech.engine import TrembleSpec
+
+    s = binary_trial_scenario()
+    mech = build_status_quo(s, s.max_cost) if kind == "sqr" else build_maskin(s, 1)
+    tremble = TrembleSpec.point(F(1, 100), mech.messages, (2, 2))
+    with pytest.raises(ModelError, match=f"needs a rule with negative messages; the {kind} rule"):
+        deviation_dominance_certificate(Game(s, mech, tremble=tremble))
 
 
 def test_thm3_refuses_a_noise_target_that_is_not_a_message():
