@@ -647,7 +647,7 @@ def play_groups(game: Game, profile: StrategyProfile | list[list[int]]) -> dict:
     pair of its types, read once per profile (``Game.play_ids``)."""
     pert = game.perturbation
     ids = game.play_ids(profile)
-    labels = [(ids[0][pert.type_of(0, w)], ids[1][pert.type_of(1, w)]) for w in range(pert.size)]
+    labels = [(ids[0][t1], ids[1][t2]) for t1, t2 in zip(*pert._type_index)]
     return pert.masses_by(labels)
 
 

@@ -453,42 +453,45 @@ def iterated_dominance(
     game's pools once, at the fixed point.  A check's result is memoized
     on the game by ``(agent, own pool id, type kind, opponent pool ids,
     mixture_denominator)``, the opponent pools at the types it meets in
-    ``type_groups`` order; the pool ids and the memo outlive a call.  A
-    check reads each pool member's value against each surviving opponent
-    strategy once (``_undominated``): a sum over the kind's cells of
-    weight x ``inner_value``, so types with equal keys keep the same
-    strategies.
+    ``type_groups`` order; the pool ids and the memo outlive a call.  An
+    entry holds the surviving pool id and the dropped strategies in pool
+    order, found once, on the miss.  A miss reads each member's value
+    against each surviving opponent strategy once (``_undominated``): a
+    sum over the kind's cells of weight x ``inner_value``, so types with
+    equal keys keep the same strategies.
     """
-    pert = game.perturbation
+    pert, cache, members = game.perturbation, game._dom_cache, game._pools
     pools = [[game.pool_id(itertools.product(*strategy_sets[agent]))] * len(part)
+             for agent, part in enumerate(pert.partitions)]
+    meets = [[tuple([u for u, _ in pert.type_groups(agent, t)]) for t in range(len(part))]
              for agent, part in enumerate(pert.partitions)]
     stale = [set(range(len(side))) for side in pools]
     eliminated = []
     for rounds in itertools.count():
         removed = []
-        for agent in (0, 1):
-            opp = 1 - agent
+        for agent, opp in ((0, 1), (1, 0)):
+            own, opp_pools, kinds = pools[agent], pools[opp], pert._kinds[agent]
             todo, stale[agent] = stale[agent], set()
             for t in sorted(todo):
-                pool, groups = game._pools[pools[agent][t]], pert.type_groups(agent, t)
-                if not groups or len(pool) <= 1:
+                nbrs, pid = meets[agent][t], own[t]
+                if not nbrs or len(members[pid]) <= 1:
                     continue
-                opp_pools = tuple(pools[opp][u] for u, _ in groups)
-                key = (agent, pools[agent][t], pert.type_kind(agent, t), opp_pools,
-                       mixture_denominator)
-                keep = game._dom_cache.get(key)
-                if keep is None:
-                    keep = game._dom_cache[key] = _undominated(
-                        game, agent, t, pool, opp_pools, mixture_denominator
-                    )
-                if len(keep) != len(pool):
-                    removed.extend((agent, t, s) for s in pool if s not in keep)
-                    pools[agent][t] = game.pool_id(keep)
-                    stale[opp].update(u for u, _ in groups)
+                opp_ids = tuple([opp_pools[u] for u in nbrs])
+                key = (agent, pid, kinds[t], opp_ids, mixture_denominator)
+                entry = cache.get(key)
+                if entry is None:
+                    pool = members[pid]
+                    keep = _undominated(game, agent, t, pool, opp_ids, mixture_denominator)
+                    entry = cache[key] = (game.pool_id(keep),
+                                          tuple([s for s in pool if s not in keep]))
+                if entry[1]:
+                    removed.extend([(agent, t, s) for s in entry[1]])
+                    own[t] = entry[0]
+                    stale[opp].update(nbrs)
         # Agents, types and pools are walked in order, so ``removed`` is sorted.
         eliminated.append(tuple(removed))
         if not removed:
-            surviving = [{t: list(game._pools[i]) for t, i in enumerate(side)} for side in pools]
+            surviving = [{t: list(members[i]) for t, i in enumerate(side)} for side in pools]
             return EliminationResult(surviving, rounds, tuple(eliminated))
 
 

@@ -1097,16 +1097,12 @@ def run_maskin_contagion(
     mech = build_maskin(scenario, reward)
     factor = _exact("maskin-contagion", "bias_factor", bias_factor)
     bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, factor * reward))
-    grid = []
+    grid, status_quo = [], [(1,) * scenario.n]
     for eta, pert, game in _ladder_games(
         "maskin-contagion", scenario, mech, depth, eta_grid, [bias], "renormalize"
     ):
         surviving, rounds, _ = iterated_dominance(game, _strategy_sets(game))
-        unique = all(
-            surviving[a][t] == [(1,) * scenario.n]
-            for a in (0, 1)
-            for t in surviving[a]
-        )
+        unique = all(pool == status_quo for side in surviving for pool in side.values())
         grid.append({"eta": eta, "rounds": rounds, "unique_always_status_quo": unique,
                      "tail_mass": pert.tail_mass})
     return ExperimentResult(

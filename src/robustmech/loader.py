@@ -61,18 +61,19 @@ class _Mapping(dict):
     key_lines: dict
 
 
-def _build(node):
-    """Turn a YAML node graph into plain values, remembering source lines.
-    A decimal keeps its text, which ``_rat`` reads exactly; an integer is
-    read as ``yaml.safe_load`` reads it (``0x10``, ``0b101``, ``010`` in
-    octal, ``1:30`` in base 60), and one that does not parse, such as
-    ``!!int "ten"``, raises ``ScenarioFileError`` naming its line."""
+def _build(node, loader):
+    """Turn a YAML node graph into plain values, remembering source lines,
+    with one ``yaml.SafeLoader`` per parse.  A decimal keeps its text for
+    ``_rat``; an integer is read as ``yaml.safe_load`` reads it (``0x10``,
+    ``0b101``, ``010`` in octal, ``1:30`` in base 60), and one that does
+    not parse, such as ``!!int "ten"``, raises ``ScenarioFileError`` naming
+    its line."""
     if isinstance(node, yaml.ScalarNode):
-        value = yaml.SafeLoader("").construct_scalar(node)
+        value = loader.construct_scalar(node)
         tag = node.tag
         if tag.endswith(":int"):
             try:
-                value = yaml.SafeLoader("").construct_yaml_int(node)
+                value = loader.construct_yaml_int(node)
             except (ValueError, IndexError):
                 raise ScenarioFileError(
                     f"expected an integer, got {value!r}", node.start_mark.line
@@ -83,13 +84,13 @@ def _build(node):
             value = None
         return value, node.start_mark.line
     if isinstance(node, yaml.SequenceNode):
-        return [_build(child) for child in node.value], node.start_mark.line
+        return [_build(child, loader) for child in node.value], node.start_mark.line
     if isinstance(node, yaml.MappingNode):
         out = _Mapping()
         out.key_lines = {}
         for key_node, val_node in node.value:
-            key, key_line = _build(key_node)
-            out[key] = _build(val_node)
+            key, key_line = _build(key_node, loader)
+            out[key] = _build(val_node, loader)
             out.key_lines[key] = key_line
         return out, node.start_mark.line
     raise ScenarioFileError(f"unsupported YAML node {node!r}")
@@ -199,7 +200,7 @@ def parse_scenario(text: str):
         raise ScenarioFileError(f"not valid YAML: {exc}", mark.line if mark else None)
     if node is None:
         raise ScenarioFileError("empty scenario file")
-    doc, top_line = _expect(_build(node), dict, "scenario file")
+    doc, top_line = _expect(_build(node, yaml.SafeLoader("")), dict, "scenario file")
     _known_keys(doc, ("states", "outcomes", "scf", "agents", "perturbation"), "scenario file")
 
     states_raw, states_line = _expect(_require(doc, "states", top_line, "scenario"), list, "states")

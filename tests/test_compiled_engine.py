@@ -483,6 +483,26 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     assert dominance[0] == dominance[1]
 
 
+@pytest.mark.parametrize("mixture_denominator", [0, 3])
+def test_a_second_elimination_is_answered_by_the_memo(monkeypatch, mixture_denominator):
+    """A second run on the same game repeats the first's result from the
+    dominance memo alone: no check is recomputed and no pool or memo
+    entry is added."""
+    checks = _counted(monkeypatch, equilibrium, "_undominated")
+    pert = build_ladder(
+        SCENARIO, 20, F(1, 20), [BiasSpec(0, 0, preferred_outcome_bias(SCENARIO, 0, 10))],
+        tail="renormalize",
+    )
+    game = Game(SCENARIO, MECHANISMS["maskin"], pert)
+    full = full_strategy_set((1, 2), SCENARIO.n)
+    first = iterated_dominance(game, (full, full), mixture_denominator)
+    assert first.rounds == 11 and any(first.eliminated)
+    made, pools, memo = checks[0], len(game._pools), len(game._dom_cache)
+    assert made > 0
+    assert iterated_dominance(game, (full, full), mixture_denominator) == first
+    assert (checks[0], len(game._pools), len(game._dom_cache)) == (made, pools, memo)
+
+
 def test_type_of_rejects_out_of_range_circumstances():
     p = build_ladder(SCENARIO, 4, F(1, 10))
     assert p.type_of(0, 4) == 2
