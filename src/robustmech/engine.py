@@ -331,11 +331,13 @@ class Game:
 
     def _state_values(self, agent: int, circ: int) -> tuple[int, int, list]:
         """``(den, cost_num, values)`` of the circumstance's payoff class:
-        ``values[state][opp][own] / den`` is ``state_value`` and
-        ``cost_num / den`` the learning cost.  ``den`` clears the played
-        mechanism's transfers to the agent, its lottery weights times the
-        class's utilities, and the cost, once.  Cached in ``_u_cache`` by
-        payoff class, which fixes the table."""
+        ``values[state][opp][own] / den`` is the state value, the expected
+        transfer plus expected utility to the agent of intending ``own``
+        against the opponent's ``opp`` at one state, and ``cost_num / den``
+        the learning cost.  ``den`` clears the played mechanism's transfers
+        to the agent, its lottery weights times the class's utilities, and
+        the cost, once.  Cached in ``_u_cache`` by payoff class, which fixes
+        the table."""
         key = (agent, self.perturbation.payoff_class(agent, circ))
         hit = self._u_cache.get(key)
         if hit is not None:
@@ -369,23 +371,14 @@ class Game:
         hit = self._u_cache[key] = (den, cost.numerator * (den // cost.denominator), values)
         return hit
 
-    def state_value(self, agent: int, circ: int, state: int, own: int, opp: int) -> Fraction:
-        """Expected transfer plus expected utility to the agent of intending
-        ``own`` against the opponent's ``opp`` at one state, with the
-        agent's payoffs at ``circ``.  Every payoff of the game is a
-        weighted sum of these values; read off the payoff class's integer
-        table (``_state_values``)."""
-        den, _, values = self._state_values(agent, circ)
-        return Fraction(values[state][opp][own], den)
-
     def coordinate_row(self, agent: int, circ: int, opp: PureStrategy) -> "PayoffTable":
         """The agent's payoffs at ``circ`` against the opponent pure
-        strategy ``opp``, by own coordinate: entry ``[k][m]`` sums
-        ``p * state_value`` over the points the agent sees with own signal
-        ``k`` (``SignalStructure.seen_by``), with ``m`` sent there, and the
-        cost is the learning cost at ``circ``.  Summed on integers: the
-        row's denominator is the points' times the state values'.  Cached
-        by the circumstance's payoff class, which fixes the row."""
+        strategy ``opp``, by own coordinate: entry ``[k][m]`` sums ``p``
+        times the state value of ``m`` (``_state_values``) over the points
+        the agent sees with own signal ``k`` (``SignalStructure.seen_by``),
+        and the cost is the learning cost at ``circ``.  Summed on integers:
+        the row's denominator is the points' times the state values'.
+        Cached by the circumstance's payoff class, which fixes the row."""
         key = (agent, self.perturbation.payoff_class(agent, circ), opp)
         hit = self._row_cache.get(key)
         if hit is not None:

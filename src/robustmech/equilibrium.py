@@ -270,7 +270,7 @@ def _largest_threshold(game, agent, own, allowed, truth):
     Raises ``ModelError`` first if truth does not strictly beat some
     deviation against the truthful opponent (the maximum of ``-d_truth``
     is non-negative), naming the first such deviation in canonical order
-    and its gain, both read through ``inner_value``.
+    and its gain, read off the truthful opponent's coordinate row.
     """
     n = len(truth)
     rows = {b: game.coordinate_row(agent, 0, (b,) * n) for b in {b for a in allowed for b in a}}
@@ -308,8 +308,9 @@ def _largest_threshold(game, agent, own, allowed, truth):
         return value + bonus, winners[0]
 
     if best_deviation([{m: -x for m, x in cell.items()} for cell in gt], cost)[0] >= 0:
+        truthful = game.coordinate_row(agent, 0, truth)
         for s in itertools.product(*own):
-            d_truth = game.inner_value(agent, 0, truth, truth) - game.inner_value(agent, 0, s, truth)
+            d_truth = truthful.value(truth) - truthful.value(s)
             if d_truth <= 0 and s != truth:
                 raise ModelError(
                     f"truthful reporting is not strictly dominant at gamma=1 "

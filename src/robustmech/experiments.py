@@ -831,12 +831,16 @@ def run_prop2(
     """No-learning equilibria when payoffs barely respond to the state.
 
     Applies when utilities are state-independent with positive costs, or
-    when both costs exceed twice the utility range; otherwise the result
-    is flagged inapplicable rather than failed.  The default mechanism is
-    the status quo rule built at unit costs with the scenario's cost bound.
+    when both costs exceed twice the utility range; otherwise the run
+    holds the one certificate ``applicable: False``.  The default
+    mechanism is the status quo rule built on the scenario at its
+    largest cost.  Payoffs are read off each agent's coordinate row
+    against each constant opponent message; with revealing signals,
+    entry ``[k][m1]`` of agent 1's row is state ``k``'s prior times its
+    state value, so E max sums each coordinate's largest entry.
     """
     scenario = scenario or _default_prop2_scenario()
-    mechanism = mechanism or build_status_quo(_with_cost(scenario, 1), scenario.max_cost)
+    mechanism = mechanism or build_status_quo(scenario, scenario.max_cost)
     u_range = []
     for p in scenario.payoffs:
         flat = [v for row in p.u for v in row]
@@ -863,9 +867,10 @@ def run_prop2(
     msgs1, msgs2 = mechanism.messages
     n = scenario.n
     game = Game(scenario, mechanism)
-    # inner_value takes the agent's own strategy first.
-    a = [[game.inner_value(0, 0, (m1,) * n, (m2,) * n) for m2 in msgs2] for m1 in msgs1]
-    b = [[game.inner_value(1, 0, (m2,) * n, (m1,) * n) for m2 in msgs2] for m1 in msgs1]
+    rows1 = {m2: game.coordinate_row(0, 0, (m2,) * n) for m2 in msgs2}
+    rows2 = {m1: game.coordinate_row(1, 0, (m1,) * n) for m1 in msgs1}
+    a = [[rows1[m2].value((m1,) * n) for m2 in msgs2] for m1 in msgs1]
+    b = [[rows2[m1].value((m2,) * n) for m2 in msgs2] for m1 in msgs1]
     x_mix, y_mix, va, vb = support_enumeration_nash(a, b)
 
     profile = [
@@ -886,10 +891,7 @@ def run_prop2(
         # Learning-value bound (E max minus max E) per pure opponent message.
         rows = []
         for col, m2 in enumerate(msgs2):
-            e_max = sum(
-                max(q * game.state_value(0, 0, j, m1, m2) for m1 in msgs1)
-                for j, q in enumerate(scenario.prior)
-            )
+            e_max = sum(max(cell.values()) for cell in rows1[m2].entries())
             max_e = max(row[col] for row in a)
             val = e_max - max_e
             rows.append({"m2": m2, "learning_value": val, "bound": 2 * x_u, "ok": val <= 2 * x_u})

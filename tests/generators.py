@@ -1,6 +1,6 @@
 """Seeded input generators for the tests: random generic priors, the
-pure-outcome scenario of a prior, and random instances for the
-cyclical-monotonicity oracle."""
+pure-outcome scenario of a prior, a binary scenario with state-dependent
+stakes, and random instances for the cyclical-monotonicity oracle."""
 
 import random
 from fractions import Fraction
@@ -33,6 +33,23 @@ def uniform_scenario(prior: tuple[Fraction, ...], cost: Number = 1) -> ScenarioM
     outcomes = [f"y{j + 1}" for j in range(n)]
     rows = {f"s{j + 1}": {f"y{j + 1}": 1} for j in range(n)}
     return make_scenario(states, outcomes, rows, costs=(cost, cost))
+
+
+def state_dependent_binary(costs: tuple[Number, Number] = (5, 5)) -> ScenarioModel:
+    """Binary verdict scenario whose stakes depend on the state: agent 1's
+    utilities range over 2 and agent 2's over 1, so x_u = 2, and at the
+    default costs, above twice that, prop2 applies and emits its
+    learning-value rows."""
+    return make_scenario(
+        states=[("innocent", "7/10"), ("guilty", "3/10")],
+        outcomes=["acquit", "convict"],
+        scf_rows={"innocent": {"acquit": 1}, "guilty": {"convict": 1}},
+        costs=costs,
+        u_tables=(
+            {("innocent", "convict"): -1, ("guilty", "convict"): 1},
+            {("innocent", "convict"): 1, ("guilty", "acquit"): 1},
+        ),
+    )
 
 
 def random_scm_instance(rng: random.Random, n: int = 3, n_outcomes: int = 3):

@@ -324,6 +324,20 @@ def test_experiment_scenario_without_perturbation_block_runs(capsys):
     assert json.loads(out[out.index("{"):])["passed"] is True
 
 
+def test_prop2_at_zero_costs_reports_inapplicable(tmp_path):
+    """A scenario whose costs are 0 builds prop2's default mechanism and
+    comes back inapplicable: the run's one certificate is
+    ``applicable: False``, a verdict that does not pass (exit 1), with no
+    error and no traceback."""
+    path = tmp_path / "free.yaml"
+    path.write_text((SCENARIOS / "binary_trial.yaml").read_text().replace('cost: "1"', 'cost: "0"'))
+    proc = run_cli("experiment", "run", "prop2", "--scenario", str(path))
+    assert proc.returncode == 1
+    assert not proc.stderr
+    assert proc.stdout.splitlines()[0] == "FAIL  applicable"
+    assert json.loads(proc.stdout.splitlines()[1])["certificates"] == {"applicable": False}
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -449,9 +449,11 @@ def _counted(monkeypatch, module, name):
 def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     """Cache and memo sizes, among them the coordinate rows and payoff
     tables best responses build, the best responses memoized on those
-    tables, and the dominance checks are all the same at depths 50 and
-    100."""
+    tables, the dominance checks and the interned plays and pools, are
+    all the same at depths 50, 100 and 400; only the dominance rounds
+    follow the depth, T/2 + 1 of them."""
     checks = _counted(monkeypatch, equilibrium, "_undominated")
+    depths = (50, 100, 400)
 
     three = three_state_scenario()
     mech = build_augmented_status_quo(three)
@@ -459,28 +461,31 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     bias = BiasSpec(0, 0, preferred_outcome_bias(three, 1, 10 * mech.schedule.top),
                     cost=10**6 * three.payoffs[0].cost)
     br = []
-    for depth in (50, 100):
+    for depth in depths:
         game = Game(three, mech, build_ladder(three, depth, F(1, 100), [bias]))
         result = iterate_best_response(game, (rs, rs))
         assert result.converged and result.report.is_equilibrium
         best = sum(len(table._best) for table in game._table_cache.values())
         br.append((len(game._inner_cache), len(game._u_cache), len(game._row_cache),
-                   len(game._table_cache), best, result.rounds))
-    assert br[0] == br[1]
+                   len(game._table_cache), best, len(game._plays), len(game._pools),
+                   result.rounds))
+    assert br[0] == br[1] == br[2]
 
     full = full_strategy_set((1, 2), SCENARIO.n)
-    dominance = []
-    for depth in (50, 100):
+    dominance, rounds = [], []
+    for depth in depths:
         pert = build_ladder(
             SCENARIO, depth, F(1, 10), [BiasSpec(0, 0, preferred_outcome_bias(SCENARIO, 0, 10))],
             tail="renormalize",
         )
         game = Game(SCENARIO, MECHANISMS["maskin"], pert)
         checks[0] = 0
-        iterated_dominance(game, (full, full))
+        rounds.append(iterated_dominance(game, (full, full)).rounds)
         dominance.append((len(game._inner_cache), len(game._u_cache), len(game._dom_cache),
-                          checks[0]))
-    assert dominance[0] == dominance[1]
+                          len(game._pools), len(game._plays), checks[0]))
+    assert dominance[0] == dominance[1] == dominance[2]
+    assert dominance[0][2:4] == (9, 3)
+    assert rounds == [depth // 2 + 1 for depth in depths]
 
 
 @pytest.mark.parametrize("mixture_denominator", [0, 3])

@@ -322,8 +322,8 @@ def test_integer_rows_match_fraction_sums_with_trembles_and_mislabelled_signals(
     under a point tremble, signals mislabelled with probability 1/7, and
     a ladder whose first circumstance gives agent 1 other utilities and
     another cost.  Every own strategy of the full set is priced against
-    opponents inside and outside the restricted set, at the biased and
-    at a normal circumstance, and every state value is compared too."""
+    opponents inside and outside the restricted set, which between them
+    send every message, at the biased and at a normal circumstance."""
     s = three_state_scenario()
     mech = build_modified_status_quo(s)
     bias = BiasSpec(0, 0, preferred_outcome_bias(s, 1, F(7, 2)), cost=F(5, 3))
@@ -335,14 +335,7 @@ def test_integer_rows_match_fraction_sums_with_trembles_and_mislabelled_signals(
     msgs = mech.messages[0]
     for agent in (0, 1):
         for circ in (0, 1):
-            for state in range(s.n):
-                for own in msgs:
-                    for opp in msgs:
-                        m1, m2 = (own, opp) if agent == 0 else (opp, own)
-                        want = reference.pair_values(m1, m2)[agent] + reference._expected_u(
-                            agent, circ, state, m1, m2)
-                        assert game.state_value(agent, circ, state, own, opp) == want
-            for opp in ((1, 2, 3), (-3, 1, 2), (2, 2, 2)):
+            for opp in ((1, 2, 3), (-3, 1, 2), (2, 2, 2), (-2, 3, -2)):
                 row = game.coordinate_row(agent, circ, opp)
                 for own in itertools.product(*full_strategy_set(msgs, s.n)):
                     assert row.value(own) == reference.inner_value(agent, circ, own, opp)

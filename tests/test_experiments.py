@@ -34,7 +34,12 @@ from robustmech.experiments import (
 )
 
 import naive_reference as naive
-from generators import random_generic_prior, random_scm_instance, uniform_scenario
+from generators import (
+    random_generic_prior,
+    random_scm_instance,
+    state_dependent_binary,
+    uniform_scenario,
+)
 
 
 def test_experiment_registry():
@@ -184,6 +189,13 @@ def test_prop1_grid_refuses_candidates_it_cannot_cut():
 def test_prop1_refuses_a_grid_step_below_one(grid_step):
     with pytest.raises(ModelError, match="grid_step"):
         run_experiment("prop1", grid_step=grid_step)
+
+
+def test_prop1_accepts_a_grid_step_of_one():
+    """A grid step of 1 is the coarsest grid, pure messages only."""
+    result = run_experiment("prop1", grid_step=1)
+    assert result.parameters["grid_step"] == 1
+    assert result.passed
 
 
 @pytest.mark.parametrize("eta_values, match", [
@@ -663,3 +675,64 @@ def test_prop2_values_are_engine_payoffs_on_an_asymmetric_mechanism():
     for agent in (0, 1):
         value = mixture_payoff(game, agent, 0, profile[agent][0], profile[1 - agent])
         assert value == nash["values"][agent]
+
+
+def _costs(scenario, costs):
+    payoffs = tuple(replace(p, cost=F(c)) for p, c in zip(scenario.payoffs, costs))
+    return replace(scenario, payoffs=payoffs)
+
+
+def test_prop2_builds_its_default_mechanism_below_unit_cost():
+    """The default mechanism is the status quo rule built on the scenario
+    itself, so a largest cost below 1 no longer refuses the run: at costs
+    1/2 state-independent stakes satisfy the proposition, and at costs 0
+    the run is inapplicable.  Where the unit-cost build succeeded, it
+    gives the same mechanism."""
+    stakes = experiments._default_prop2_scenario()
+    half = experiments.run_prop2(_costs(stakes, ("1/2", "1/2")))
+    assert half.certificates["applicable"] and half.passed
+    zero = experiments.run_prop2(_costs(stakes, (0, 0)))
+    assert zero.certificates == {"applicable": False}
+    costly, unit = _costs(stakes, (3, 2)), _costs(stakes, (1, 1))
+    assert build_status_quo(costly, 3) == build_status_quo(unit, 3)
+
+
+def test_prop2_applicability_boundaries():
+    """Positive costs are needed with state-independent stakes, and costs
+    strictly above twice the utility range otherwise."""
+    stakes = experiments._default_prop2_scenario()
+    assert not experiments.run_prop2(_costs(stakes, (0, 1))).certificates["applicable"]
+    assert experiments.run_prop2(_costs(stakes, (1, "1/100"))).certificates["applicable"]
+    assert not experiments.run_prop2(state_dependent_binary((4, 4))).certificates["applicable"]
+    assert not experiments.run_prop2(state_dependent_binary((5, 4))).certificates["applicable"]
+
+
+def test_prop2_learning_values_match_a_naive_e_max_less_max_e():
+    """Just above twice the utility range prop2 applies, and each learning
+    value is agent 1's expected best payoff per state less its best
+    expected payoff, summed from the scenario's utilities and the
+    mechanism's transfers: on the default mechanism, whose rewards make
+    matching best in every state, and on a matching rule with a small
+    reward, where learning pays."""
+    scenario = state_dependent_binary(("41/10", "41/10"))
+    u = scenario.payoffs[0].u
+    learning = []
+    for mech in (build_status_quo(scenario, scenario.max_cost), build_maskin(scenario, F(1, 10))):
+        result = experiments.run_prop2(scenario, mech)
+        assert result.certificates["applicable"]
+
+        def value(state, m1, m2):
+            weights = mech.g(m1, m2).weights
+            return mech.t(0, m1, m2) + sum(w * u[state][y] for y, w in enumerate(weights))
+
+        want = []
+        for m2 in mech.messages[1]:
+            e_max = sum(q * max(value(j, m1, m2) for m1 in mech.messages[0])
+                        for j, q in enumerate(scenario.prior))
+            max_e = max(sum(q * value(j, m1, m2) for j, q in enumerate(scenario.prior))
+                        for m1 in mech.messages[0])
+            want.append((m2, e_max - max_e))
+        got = [(row["m2"], row["learning_value"]) for row in result.artifacts["learning_rows"]]
+        assert got == want
+        learning.append(max(v for _, v in want))
+    assert learning[0] == 0 < learning[1]

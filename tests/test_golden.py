@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 import robustmech
-from generators import uniform_scenario
+from generators import state_dependent_binary, uniform_scenario
 from robustmech.cli import main
-from robustmech.core import make_scenario
 from robustmech.experiments import _default_prop3_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -23,21 +22,6 @@ ROOT = GOLDEN.parent.parent
 CORPUS = json.loads((GOLDEN / "experiments.json").read_text())
 CLI_CORPUS = json.loads((GOLDEN / "cli.json").read_text())
 CERTIFICATE_CORPUS = json.loads((GOLDEN / "certificates.json").read_text())
-
-
-def state_dependent_binary():
-    """Both costs above twice the utility range, so prop2 applies and,
-    payoffs depending on the state, emits its learning-value rows."""
-    return make_scenario(
-        states=[("innocent", "7/10"), ("guilty", "3/10")],
-        outcomes=["acquit", "convict"],
-        scf_rows={"innocent": {"acquit": 1}, "guilty": {"convict": 1}},
-        costs=(5, 5),
-        u_tables=(
-            {("innocent", "convict"): -1, ("guilty", "convict"): 1},
-            {("innocent", "convict"): 1, ("guilty", "acquit"): 1},
-        ),
-    )
 
 
 def prop3_swapped_payoffs():
