@@ -446,24 +446,29 @@ class Game:
         order: ints only, meaningful within this game.  The payoff class
         fixes the rows and the cost, so equal keys give equal tables.
 
+        The key and the sum read the type's template tables
+        (``Perturbation._templates``) and add its opponent-type base and
+        its anchor circumstance to their offsets, so no group is shifted.
         The sum runs on integers: the table's denominator is the least
         common multiple of every term's ``scale.denominator x row.den``,
         and each row's numerators are scaled by one integer factor."""
         pert = self.perturbation
-        groups = pert.type_groups(agent, type_index)
+        groups, kind, offsets = pert._templates[pert._type_template[agent][type_index]]
         if not groups:
             raise ModelError("expected payoff of a zero-probability type")
-        ids = tuple(self.play_id(opponent[u]) for u, _ in groups)
-        key = (agent, pert.type_kind(agent, type_index), ids)
+        base = pert._type_base[agent][type_index]
+        ids = tuple([self.play_id(opponent[base + u]) for u in offsets])
+        key = (agent, kind, ids)
         hit = self._table_cache.get(key)
         if hit is not None:
             return hit
+        anchor = pert._type_anchor[agent][type_index]
         terms = []
-        for (_, cells), i in zip(groups, ids):
+        for cells, i in zip(groups, ids):
             for r, weight in self._plays[i].items():
-                for w, mass in cells:
+                for k, mass in cells:
                     scale = mass * weight
-                    row = self.coordinate_row(agent, w, r)
+                    row = self.coordinate_row(agent, anchor + k, r)
                     terms.append((scale.numerator, scale.denominator * row.den, row))
         den = math.lcm(*(d for _, d, _ in terms))
         msgs = self.mechanism.messages[agent]

@@ -117,7 +117,7 @@ def _residuals(game, ids, strategy_sets):
     for agent in (0, 1):
         choices, shared = strategy_sets[agent], {}
         for t, own in enumerate(ids[agent]):
-            if not pert.type_groups(agent, t):
+            if not pert._templates[pert._type_template[agent][t]][0]:  # zero mass
                 continue
             table = game.payoff_table(agent, t, ids[1 - agent])
             hit = shared.get((table, own))
@@ -356,7 +356,8 @@ def iterate_best_response(
 
     Round 1 computes every positive-mass type.  A type's best response
     depends only on the plays at the opponent types it meets with
-    positive mass (``type_groups``), and meeting is symmetric, so from
+    positive mass (``type_groups``, read here as the type's opponent-type
+    base plus its template's offsets), and meeting is symmetric, so from
     round 2 on only the types that meet a type whose play changed in the
     previous round are computed again; every other type's best response
     equals its play, which it computed against the same opponent plays.
@@ -369,6 +370,7 @@ def iterate_best_response(
     copied once, and each mover's play is written into it after its round.
     """
     pert = game.perturbation
+    templates, tids, bases = pert._templates, pert._type_template, pert._type_base
     start = initial if initial is not None else truthful_profile(game)
     if initial is None:  # one play per agent
         ids = [[game.play_id(side[0])] * len(side) for side in start]
@@ -385,7 +387,7 @@ def iterate_best_response(
         for agent in (0, 1):
             opponent = ids[1 - agent]
             for t in todo[agent]:
-                if not pert.type_groups(agent, t):
+                if not templates[tids[agent][t]][0]:  # zero mass
                     continue
                 winners, _ = best_response(game, agent, t, opponent, strategy_sets[agent])
                 play = {winners[0]: ONE}
@@ -405,7 +407,8 @@ def iterate_best_response(
         seen.add(key)
         todo = [set(), set()]
         for agent, t, _ in moved:
-            todo[1 - agent].update(u for u, _ in pert.type_groups(agent, t))
+            base = bases[agent][t]
+            todo[1 - agent].update([base + u for u in templates[tids[agent][t]][2]])
         todo = [sorted(side) for side in todo]
     return BRIterationResult(profile, rounds, False, cycled, None, tuple(moves))
 
@@ -454,7 +457,10 @@ def iterated_dominance(
     game's pools once, at the fixed point.  A check's result is memoized
     on the game by ``(agent, own pool id, type kind, opponent pool ids,
     mixture_denominator)``, the opponent pools at the types it meets in
-    ``type_groups`` order; the pool ids and the memo outlive a call.  An
+    ``type_groups`` order; the pool ids and the memo outlive a call.  The
+    types met and the kinds are read once per call off the perturbation's
+    template tables, each type's opponent-type base plus its template's
+    offsets, so no group is shifted.  An
     entry holds the surviving pool id and the dropped strategies in pool
     order, found once, on the miss.  A miss reads each member's value
     against each surviving opponent strategy once (``_undominated``): a
@@ -464,21 +470,23 @@ def iterated_dominance(
     pert, cache, members = game.perturbation, game._dom_cache, game._pools
     pools = [[game.pool_id(itertools.product(*strategy_sets[agent]))] * len(part)
              for agent, part in enumerate(pert.partitions)]
-    meets = [[tuple([u for u, _ in pert.type_groups(agent, t)]) for t in range(len(part))]
-             for agent, part in enumerate(pert.partitions)]
+    templates = pert._templates
+    meets = [[tuple([b + u for u in templates[i][2]]) for i, b in zip(tids, bases)]
+             for tids, bases in zip(pert._type_template, pert._type_base)]
+    kinds = [[templates[i][1] for i in tids] for tids in pert._type_template]
     stale = [set(range(len(side))) for side in pools]
     eliminated = []
     for rounds in itertools.count():
         removed = []
         for agent, opp in ((0, 1), (1, 0)):
-            own, opp_pools, kinds = pools[agent], pools[opp], pert._kinds[agent]
+            own, opp_pools, own_kinds = pools[agent], pools[opp], kinds[agent]
             todo, stale[agent] = stale[agent], set()
             for t in sorted(todo):
                 nbrs, pid = meets[agent][t], own[t]
                 if not nbrs or len(members[pid]) <= 1:
                     continue
                 opp_ids = tuple([opp_pools[u] for u in nbrs])
-                key = (agent, pid, kinds[t], opp_ids, mixture_denominator)
+                key = (agent, pid, own_kinds[t], opp_ids, mixture_denominator)
                 entry = cache.get(key)
                 if entry is None:
                     pool = members[pid]

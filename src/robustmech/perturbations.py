@@ -38,10 +38,11 @@ class BiasSpec:
             raise ModelError("learning cost must be non-negative")
 
 
-def _template_groups(template, runs, ratio, kinds):
-    """A template's ``type_groups`` relative to its anchor, ``((opp offset,
-    ((circ offset, weight), ...)), ...)``, same-class members merged into
-    the first one, and the kind that ``kinds`` interns for its cells."""
+def _template_tables(template, runs, ratio, kinds):
+    """A template's tables, relative to its anchor: per opponent type its
+    members meet, the group ``((circ offset, weight), ...)`` with
+    same-class members merged into the first one; the kind that ``kinds``
+    interns for its cells; and the opponent-type offsets, in group order."""
     rel = [runs[r][0] / runs[template[0][0]][0] * ratio**k for r, k, _, _ in template]
     total = sum(rel)
     by_opp: dict[int, dict] = {}
@@ -52,8 +53,8 @@ def _template_groups(template, runs, ratio, kinds):
     cells_key = tuple(
         tuple((cls, *frac_key(x)) for cls, (_, x) in cells.items()) for cells in by_opp.values()
     )
-    groups = tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
-    return groups, kinds.setdefault(cells_key, len(kinds))
+    groups = tuple(tuple(cells.values()) for cells in by_opp.values())
+    return groups, kinds.setdefault(cells_key, len(kinds)), tuple(by_opp)
 
 
 def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
@@ -62,15 +63,10 @@ def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
     ``offset=0`` gives {w0},{w1,w2},... and ``offset=1`` gives
     {w0,w1},{w2,w3},...; a leftover element becomes a singleton.
     """
-    blocks = []
-    start = 0
-    if offset == 0:
-        blocks.append((0,))
-        start = 1
-    while start < size:
-        blocks.append(tuple(range(start, min(start + 2, size))))
-        start += 2
-    return tuple(blocks)
+    start = 1 if offset == 0 else 0
+    head = ((0,),) if offset == 0 else ()
+    tail = ((size - 1,),) if (size - start) % 2 else ()
+    return head + tuple(zip(range(start, size - 1, 2), range(start + 1, size, 2))) + tail
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,19 @@ class Perturbation:
     * per type, its kind (``type_kind``): types with equal cells share one.
 
     A type's weights come from masses relative to its first positive-mass
-    circumstance ``a``, ``coef[w] / coef[a] * ratio**(w - a)``.  Its
-    template fixes its groups and kind up to a shift by ``a``: per
-    positive-mass ``w``, its coefficient run (``_coef_runs``), ``w - a``,
-    its payoff class and its opponent type less ``a``'s.  Weights and kinds
-    are built once per distinct template, so a new ladder rung costs a
-    dict lookup and no table holds a number that grows with the depth.
-    Evaluators key their caches by payoff class, so their size does not
-    grow with the ladder depth either.
+    circumstance ``a``, its anchor: ``coef[w] / coef[a] * ratio**(w - a)``.
+    Its template fixes its groups and kind up to a shift by ``a`` and by
+    ``a``'s opponent type ``b``, its base: per positive-mass ``w``, its
+    coefficient run (``_coef_runs``), ``w - a``, its payoff class and its
+    opponent type less ``b``.  A type keeps three ints, its template id,
+    ``a`` and ``b`` (``_type_template``, ``_type_anchor``, ``_type_base``);
+    each distinct template keeps once, in ``_templates``, its groups'
+    cells as circumstance offsets and weights, its kind and its groups'
+    opponent-type offsets.  So a new ladder rung costs a dict lookup and three ints, and
+    no table holds a number that grows with the depth.  Evaluators read
+    the template tables and add the type's ints, and key their caches by
+    payoff class and kind, so their size does not grow with the ladder
+    depth either.
     """
 
     scenario: ScenarioModel
@@ -133,8 +134,7 @@ class Perturbation:
         if any(c < 0 for c, _ in runs):
             raise ModelError("circumstance probabilities must be nonnegative")
         for part in self.partitions:
-            seen = sorted(w for block in part for w in block)
-            if seen != list(range(size)):
+            if sorted(itertools.chain.from_iterable(part)) != list(range(size)):
                 raise ModelError("partition must cover circumstances exactly once")
         classes = ([None] * size, [None] * size)
         for i, b in enumerate(self.biases):
@@ -155,28 +155,31 @@ class Perturbation:
         run_of: list = []  # per circumstance, its run's index; None at zero mass
         for r, (c, width) in enumerate(runs):
             run_of += [r if c else None] * width
-        templates: dict[tuple, tuple] = {}
+        template_ids: dict[tuple, int] = {}
+        templates: list[tuple] = []
         kinds: dict[tuple, int] = {}
-        groups, type_kinds = ([], []), ([], [])
+        type_template, anchors, bases = ([], []), ([], []), ([], [])
         for agent, part in enumerate(self.partitions):
             opp_index, cls = type_index[1 - agent], classes[agent]
+            tids, anchor, base = type_template[agent], anchors[agent], bases[agent]
             for block in part:
                 members = [w for w in block if run_of[w] is not None]
                 a = members[0] if members else 0
-                template = tuple([(run_of[w], w - a, cls[w], opp_index[w] - opp_index[a])
-                                  for w in members])
-                if template not in templates:
-                    templates[template] = _template_groups(template, runs, self.ratio, kinds)
-                relative, kind = templates[template]
-                groups[agent].append(tuple([
-                    (opp + opp_index[a], tuple([(a + k, x) for k, x in cells]))
-                    for opp, cells in relative
-                ]))
-                type_kinds[agent].append(kind)
+                b = opp_index[a]
+                template = tuple([(run_of[w], w - a, cls[w], opp_index[w] - b) for w in members])
+                tid = template_ids.get(template)
+                if tid is None:
+                    tid = template_ids[template] = len(templates)
+                    templates.append(_template_tables(template, runs, self.ratio, kinds))
+                tids.append(tid)
+                anchor.append(a)
+                base.append(b)
         object.__setattr__(self, "_type_index", tuple(map(tuple, type_index)))
         object.__setattr__(self, "_classes", tuple(map(tuple, classes)))
-        object.__setattr__(self, "_groups", tuple(map(tuple, groups)))
-        object.__setattr__(self, "_kinds", tuple(map(tuple, type_kinds)))
+        object.__setattr__(self, "_templates", tuple(templates))
+        object.__setattr__(self, "_type_template", tuple(map(tuple, type_template)))
+        object.__setattr__(self, "_type_anchor", tuple(map(tuple, anchors)))
+        object.__setattr__(self, "_type_base", tuple(map(tuple, bases)))
 
     def masses_by(self, labels) -> dict:
         """``{label: mass}``: the total mass of the circumstances carrying
@@ -233,15 +236,19 @@ class Perturbation:
         positive-mass circumstances grouped by the opponent type they
         induce, one representative circumstance per payoff class, with the
         class's summed conditional weight ``pi[w] / P(type)``; empty for a
-        zero-mass type."""
-        return self._groups[agent][type_index]
+        zero-mass type.  Built on each call, by shifting the template's
+        groups by the type's anchor and opponent-type base."""
+        groups, _, offsets = self._templates[self._type_template[agent][type_index]]
+        a, b = self._type_anchor[agent][type_index], self._type_base[agent][type_index]
+        return tuple([(b + u, tuple([(a + k, x) for k, x in cells]))
+                      for u, cells in zip(offsets, groups)])
 
     def type_kind(self, agent: int, type_index: int) -> int:
         """A small int shared by exactly the types of this perturbation
         whose per-group ``(payoff class, conditional weight)`` cells are
         equal, in ``type_groups`` order (``Game.payoff_table``).  Kinds are
         interned at construction and mean nothing across perturbations."""
-        return self._kinds[agent][type_index]
+        return self._templates[self._type_template[agent][type_index]][1]
 
     def _bias(self, agent: int, circ: int) -> BiasSpec | None:
         cls = self._classes[agent][circ]

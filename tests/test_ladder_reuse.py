@@ -24,7 +24,7 @@ from robustmech import (
     three_state_scenario,
     verify_equilibrium,
 )
-from robustmech import equilibrium
+from robustmech import equilibrium, experiments
 from robustmech.engine import full_strategy_set
 from robustmech.experiments import preferred_outcome_bias
 from robustmech.mechanisms import Mechanism
@@ -275,3 +275,25 @@ def test_tables_on_warm_rows_add_no_fraction(monkeypatch):
     table.near_best(SETS[0], F(1, 7))
     assert added[0] == 0 and len(game._row_cache) == rows
     assert F(1, 3) + 1 == 1 + F(1, 3) and added[0] == 2
+
+
+@pytest.mark.parametrize("scenario", [THREE, binary_trial_scenario()], ids=["three", "binary"])
+def test_thm2_caches_do_not_grow_with_depth(monkeypatch, scenario):
+    """thm2 at its defaults keeps, in every game of its eta grid, 6 payoff
+    tables, 2 plays and 4 coordinate rows, and converges in 2 rounds, at
+    depth 50 and at depth 400 alike."""
+    runs = []
+
+    def recorded(game, *args, **kwargs):
+        result = iterate_best_response(game, *args, **kwargs)
+        runs.append((game, result.rounds))
+        return result
+
+    monkeypatch.setattr(experiments, "iterate_best_response", recorded)
+    for depth in (50, 400):
+        runs.clear()
+        assert experiments.run_thm2(scenario, depth=depth).passed
+        assert len(runs) == len(ETAS)
+        for game, rounds in runs:
+            sizes = (len(game._table_cache), len(game._plays), len(game._row_cache), rounds)
+            assert sizes == (6, 2, 4, 2)

@@ -19,9 +19,41 @@ from robustmech import (
 from robustmech.perturbations import ladder_partition
 
 
+def _pairing_loop(size, offset):
+    """The pairing partition, built block by block."""
+    blocks = []
+    start = 0
+    if offset == 0:
+        blocks.append((0,))
+        start = 1
+    while start < size:
+        blocks.append(tuple(range(start, min(start + 2, size))))
+        start += 2
+    return tuple(blocks)
+
+
 def test_ladder_partition_offsets():
     assert ladder_partition(5, 0) == ((0,), (1, 2), (3, 4))
     assert ladder_partition(5, 1) == ((0, 1), (2, 3), (4,))
+    for size in range(1, 13):
+        for offset in (0, 1):
+            assert ladder_partition(size, offset) == _pairing_loop(size, offset)
+
+
+@pytest.mark.parametrize("tail, biased, tables", [
+    ("collapse", False, (4, 3)),
+    ("collapse", True, (4, 4)),
+    ("renormalize", False, (2, 2)),
+    ("renormalize", True, (3, 3)),
+])
+def test_ladders_store_no_per_rung_tables(tail, biased, tables):
+    """A ladder keeps one table per distinct template, and as many kinds,
+    at every depth: ``(templates, distinct kinds)`` does not follow T."""
+    s = binary_trial_scenario()
+    biases = [BiasSpec(0, 0, {(0, 0): 5})] if biased else []
+    for depth in (2, 3, 50, 51, 400, 401):
+        pert = build_ladder(s, depth, F(1, 10), biases, tail=tail)
+        assert (len(pert._templates), len({kind for _, kind, _ in pert._templates})) == tables
 
 
 def test_collapse_tail_masses():
