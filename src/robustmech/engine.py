@@ -39,7 +39,10 @@ each agent's signal probabilities, over one denominator once, so a row
 is summed on integers, a type's table is summed from rows on integers,
 and a table's reads (value, best response, near-best members, deficits)
 compare and sum integers and build one exact ``Fraction`` at their
-output.
+output.  The outcome side works the same way: ``lottery_nums`` sums
+every state's outcome lottery on integers in one walk, which
+``outcome_distribution`` and ``max_tv_to_target`` read, and
+``TrembleSpec.apply`` folds the realized pairs on integers.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import Lottery, ModelError, ScenarioModel, tv_distance
+from .core import Lottery, ModelError, ScenarioModel
 from .mechanisms import Mechanism
 from .numeric import ONE, Number, rat, weights_key
 from .perturbations import Perturbation, unperturbed
@@ -106,20 +109,34 @@ class TrembleSpec:
 
     def apply(self, mechanism: Mechanism) -> Mechanism:
         """The mechanism as the intended pairs play it: at each intended
-        pair, the expected lottery and transfers over the realized pairs."""
+        pair, the expected lottery and transfers over the realized pairs.
+
+        Summed on integers: every pair's lottery weights and transfers go
+        over one denominator, each agent's realized probabilities over
+        another, and each intended pair's lottery and transfers are built
+        once, one ``Fraction`` per entry."""
+        entries = {m: (*g.weights, *mechanism.transfer[m]) for m, g in mechanism.outcome.items()}
+        den = math.lcm(*(x.denominator for row in entries.values() for x in row))
+        nums = {m: [(y, x.numerator * (den // x.denominator)) for y, x in enumerate(row) if x]
+                for m, row in entries.items()}
+        realized = []
+        for i in (0, 1):
+            rows = {m: self.realized(i, m) for m in mechanism.messages[i]}
+            r_den = math.lcm(*(p.denominator for row in rows.values() for _, p in row))
+            realized.append([(m, [(a, p.numerator * (r_den // p.denominator)) for a, p in row])
+                             for m, row in rows.items()])
+            den *= r_den
         outcome, transfer = {}, {}
-        realized = [{m: self.realized(i, m) for m in mechanism.messages[i]} for i in (0, 1)]
-        for m1 in mechanism.messages[0]:
-            for m2 in mechanism.messages[1]:
-                t1 = t2 = Fraction(0)
-                parts = []
-                for a, p in realized[0][m1]:
-                    for b, q in realized[1][m2]:
+        for m1, row1 in realized[0]:
+            for m2, row2 in realized[1]:
+                acc = [0] * len(entries[(m1, m2)])
+                for a, p in row1:
+                    for b, q in row2:
                         w = p * q
-                        t1 += w * mechanism.t(0, a, b)
-                        t2 += w * mechanism.t(1, a, b)
-                        parts.append((w, mechanism.g(a, b)))
-                outcome[(m1, m2)] = Lottery.mix(parts)
+                        for y, x in nums[(a, b)]:
+                            acc[y] += w * x
+                *weights, t1, t2 = (Fraction(x, den) for x in acc)
+                outcome[(m1, m2)] = Lottery(tuple(weights))
                 transfer[(m1, m2)] = (t1, t2)
         return replace(mechanism, outcome=outcome, transfer=transfer)
 
@@ -329,6 +346,16 @@ class Game:
                               for theta, k, j, p in points]))
         return tuple(out)
 
+    @functools.cached_property
+    def _outcomes(self) -> tuple[int, dict]:
+        """``(den, lotteries)``: the played mechanism's lotteries over one
+        denominator, ``lotteries[(m1, m2)]`` the ``(outcome, numerator)``
+        pairs of its positive weights."""
+        lots = self.played.outcome
+        den = math.lcm(*(w.denominator for lot in lots.values() for w in lot.weights))
+        return den, {m: [(y, w.numerator * (den // w.denominator))
+                         for y, w in enumerate(lot.weights) if w] for m, lot in lots.items()}
+
     def _state_values(self, agent: int, circ: int) -> tuple[int, int, list]:
         """``(den, cost_num, values)`` of the circumstance's payoff class:
         ``values[state][opp][own] / den`` is the state value, the expected
@@ -336,8 +363,8 @@ class Game:
         against the opponent's ``opp`` at one state, and ``cost_num / den``
         the learning cost.  ``den`` clears the played mechanism's transfers
         to the agent, its lottery weights times the class's utilities, and
-        the cost, once.  Cached in ``_u_cache`` by payoff class, which fixes
-        the table."""
+        the cost, once (the weights read ``_outcomes``).  Cached in
+        ``_u_cache`` by payoff class, which fixes the table."""
         key = (agent, self.perturbation.payoff_class(agent, circ))
         hit = self._u_cache.get(key)
         if hit is not None:
@@ -349,7 +376,7 @@ class Game:
             for state in range(self.scenario.n)
         ]
         cost = pert.cost(agent, circ)
-        w_den = math.lcm(*(w.denominator for m in pairs for w in played.g(*m).weights))
+        w_den, lotteries = self._outcomes
         u_den = math.lcm(*(u.denominator for row in utils for u in row))
         den = math.lcm(
             w_den * u_den, cost.denominator, *(played.t(agent, *m).denominator for m in pairs)
@@ -360,11 +387,7 @@ class Game:
         for m1, m2 in pairs:
             t = played.t(agent, m1, m2)
             t_num = t.numerator * (den // t.denominator)
-            weights = [
-                (y, w.numerator * (w_den // w.denominator))
-                for y, w in enumerate(played.g(m1, m2).weights)
-                if w
-            ]
+            weights = lotteries[(m1, m2)]
             own, opp = (m1, m2) if agent == 0 else (m2, m1)
             for state, row in enumerate(u_nums):
                 values[state][opp][own] = t_num + scale * sum(w * row[y] for y, w in weights)
@@ -550,7 +573,7 @@ class PayoffTable:
             top += high
             argmax.append(tuple(m for m in ms if cell[m] == high))
         constants = {
-            (m,) * len(choices): self._value_num((m,) * len(choices))
+            (m,) * len(choices): sum(cell[m] for cell in self.nums)
             for m in choices[0]
             if all(m in ms for ms in choices[1:])
         }
@@ -575,6 +598,12 @@ class PayoffTable:
                 total -= w.numerator * (scale // w.denominator) * self._value_num(s)
         return Fraction(total, self.den * scale)
 
+    def deficit_nums(self, choices: StrategySet, strategies) -> list[int]:
+        """``deficit`` of each pure strategy at weight one, as a numerator
+        over ``den``: the best value's numerator less the strategy's."""
+        top = self._top(choices)[2]
+        return [top - self._value_num(s) for s in strategies]
+
     def near_best(self, choices: StrategySet, slack: Number) -> list[PureStrategy]:
         """Every member of the product of ``choices`` worth at least the
         best value less ``slack``, in canonical order.
@@ -582,31 +611,31 @@ class PayoffTable:
         Values are numerators over ``den``, so a member is kept iff its
         numerator is at least the best one less ``floor(slack * den)``,
         exactly, whatever ``slack``'s denominator.  Depth first over the
-        coordinates, in ascending message order.  A prefix's entries plus
-        the per-coordinate maxima of the coordinates after it bound every
-        completion's value from above, because the cost is non-negative,
-        and a prefix whose bound falls below the threshold is dropped.  The
-        bound is carried as ``room``, its excess over the threshold, which
-        each entry lowers by its gap to its coordinate's maximum.  A
-        completed strategy's room is its entries' sum less the threshold,
-        exactly, so it is kept iff its room covers the cost it pays:
-        pruning never decides membership.
+        coordinates, in ascending message order, carrying each prefix's
+        room: its entries plus the maxima of the coordinates after it,
+        less the cost once two of its messages differ, less the threshold.
+        No completion has more room than its prefix, because the gaps to
+        the maxima and the cost are non-negative, so a prefix of negative
+        room is dropped; a completed strategy's room is its value less the
+        threshold, exactly.  Constancy is carried down as ``lone``, the
+        message a constant prefix sends, so no completion is tested for it.
         """
         floor = self._top(choices)[2] - slack.numerator * self.den // slack.denominator
         tops = [max(cell[m] for m in ms) for cell, ms in zip(self.nums, choices)]
         gaps = [[(m, top - cell[m]) for m in ms] for cell, ms, top in zip(self.nums, choices, tops)]
         out = []
 
-        def extend(prefix, room):
+        def extend(prefix, room, lone):
             if len(prefix) == len(gaps):
-                if room >= (0 if is_constant(prefix) else self.cost_num):
-                    out.append(prefix)
+                out.append(prefix)
                 return
             for m, gap in gaps[len(prefix)]:
-                if gap <= room:
-                    extend(prefix + (m,), room - gap)
+                same = not prefix or m == lone
+                left = room - gap - (self.cost_num if lone is not None and not same else 0)
+                if left >= 0:
+                    extend(prefix + (m,), left, m if same else None)
 
-        extend((), sum(tops) - floor)
+        extend((), sum(tops) - floor, None)
         return out
 
 
@@ -649,42 +678,69 @@ def play_groups(game: Game, profile: StrategyProfile | list[list[int]]) -> dict:
     return pert.masses_by(labels)
 
 
+def lottery_nums(
+    game: Game, profile: StrategyProfile | list[list[int]], groups: dict | None = None
+) -> list[tuple[int, list[int]]]:
+    """Per state, ``(den, nums)``: ``nums[y] / den`` is the implemented
+    lottery's weight on outcome ``y`` conditional on the state, integrating
+    over circumstances, signals, mixtures, and trembles, from one walk of
+    the circumstances (``play_groups``, or the caller's ``groups``).
+
+    Summed on integers: each term, a group's mass times one play's weight
+    from each side, is put over the least common multiple of the terms'
+    denominators, and the signal points (``Game._seen``) and the played
+    lotteries (``Game._outcomes``) are on integers already.  Each state's
+    numerators are checked as ``Lottery`` checks its weights."""
+    masses = groups if groups is not None else play_groups(game, profile)
+    plays = game._plays
+    terms = [
+        (mass.numerator * w1.numerator * w2.numerator,
+         mass.denominator * w1.denominator * w2.denominator, s1, s2)
+        for (i, j), mass in masses.items()
+        for s1, w1 in plays[i].items()
+        for s2, w2 in plays[j].items()
+    ]
+    den = math.lcm(*(d for _, d, _, _ in terms))
+    p_den, points = game._seen[0]
+    g_den, lotteries = game._outcomes
+    joint = [[0] * game.scenario.outcome_space.size for _ in range(game.scenario.n)]
+    for num, d, s1, s2 in terms:
+        factor = num * (den // d)
+        for theta, k1, k2, p in points:
+            cell, fp = joint[theta], factor * p
+            for y, w in lotteries[(s1[k1], s2[k2])]:
+                cell[y] += fp * w
+    den *= p_den * g_den
+    out = [(den * q.numerator, [x * q.denominator for x in cell])
+           for cell, q in zip(joint, game.scenario.prior)]
+    for state, (d, nums) in enumerate(out):
+        if min(nums) < 0 or sum(nums) != d:
+            raise ModelError(f"state {state}'s lottery weights must be non-negative and sum to one")
+    return out
+
+
 def outcome_distribution(
     game: Game, profile: StrategyProfile, state: int, groups: dict | None = None
 ) -> Lottery:
     """Implemented lottery conditional on the state, integrating over
-    circumstances, signals, mixtures, and trembles.
-
-    Circumstances are grouped by the pair of play ids the agents' types
-    have there (``play_groups``, or ``groups`` when the caller already has
-    the profile's), and the lottery is mixed once per group from the plays
-    ``game._plays`` holds."""
-    masses = groups if groups is not None else play_groups(game, profile)
-    coords = [
-        (k1, k2, p / game.scenario.prior[state])
-        for theta, k1, k2, p in game.signals.seen_by(0)
-        if theta == state
-    ]
-    parts = []
-    for (i, j), mass in masses.items():
-        for s1, w1 in game._plays[i].items():
-            for s2, w2 in game._plays[j].items():
-                weight = mass * w1 * w2
-                for k1, k2, pc in coords:
-                    parts.append((weight * pc, game.played.g(s1[k1], s2[k2])))
-    return Lottery.mix(parts)
+    circumstances, signals, mixtures, and trembles: the state's
+    ``lottery_nums``, one ``Fraction`` per outcome."""
+    den, nums = lottery_nums(game, profile, groups)[state]
+    return Lottery(tuple(Fraction(x, den) for x in nums))
 
 
 def max_tv_to_target(game: Game, profile: StrategyProfile, groups: dict | None = None) -> Number:
     """Largest total variation distance, over the states, between the
-    implemented lottery and the target; one walk of the circumstances
-    (``play_groups``, or the caller's ``groups``)."""
-    if groups is None:
-        groups = play_groups(game, profile)
-    return max(
-        tv_distance(outcome_distribution(game, profile, j, groups), game.scenario.scf(j))
-        for j in range(game.scenario.n)
-    )
+    implemented lottery and the target, from one ``lottery_nums`` walk:
+    each state's distance is one integer sum, with the target's weights
+    over one denominator, and one ``Fraction``."""
+    worst, targets = Fraction(0), game.scenario.scf.lotteries
+    for (den, nums), target in zip(lottery_nums(game, profile, groups), targets):
+        t_den = math.lcm(*(w.denominator for w in target.weights))
+        gap = sum(abs(x * t_den - w.numerator * (t_den // w.denominator) * den)
+                  for x, w in zip(nums, target.weights))
+        worst = max(worst, Fraction(gap, 2 * den * t_den))
+    return worst
 
 
 # -- restricted strategy sets and replacements -----------------------------

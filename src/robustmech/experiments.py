@@ -654,11 +654,13 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
     weight ``w`` and ``b``.  With the deficits ``d = best - value``, its
     residual is ``w * d_a + (1 - w) * d_b``, so it passes only if ``a``
     or ``b`` is within ``epsilon`` of the best (``PayoffTable.near_best``).
-    For each support that meets that band the deficits are read once: the
-    passing weights lie on one side of the cut ``(epsilon - d_b) / (d_a -
-    d_b)``, and when ``d_a == d_b`` every weight passes.  A support's
-    candidates are kept in ascending weight, so the passing ones are a
-    prefix or a suffix, found by bisection."""
+    Supports are indexed by member, so only those that meet that band are
+    visited.  For each, the deficits are read once, as numerators over the
+    table's denominator (``PayoffTable.deficit_nums``): the passing
+    weights lie on one side of the cut ``(epsilon - d_b) / (d_a - d_b)``,
+    one ``Fraction``, and when ``d_a == d_b`` every weight passes.  A
+    support's candidates are kept in ascending weight, so the passing ones
+    are a prefix or a suffix, found by bisection."""
     supports: dict[tuple, list] = {}
     for i, mix in enumerate(candidates):
         support = tuple(s for s, w in mix.items() if w)
@@ -669,27 +671,29 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
             raise ModelError(f"grid candidate {i} must mix at most two strategies of the set, "
                              "with weights summing to one")
         supports.setdefault(support, []).append((mix[support[0]], i))
-    by_weight = {}
+    by_weight, by_member = {}, {}
     for support, members in supports.items():
         members.sort()
         by_weight[support] = ([w for w, _ in members], [i for _, i in members])
+        for s in support:
+            by_member.setdefault(s, []).append(support)
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
 
     def passing(agent):
         """Per opponent candidate, the own candidates passing against it."""
         out = []
         for opp in candidates:
             table = game.payoff_table(agent, 0, {0: opp})
-            band = set(table.near_best(strategy_set, epsilon))
+            band = table.near_best(strategy_set, epsilon)
             passed = set()
-            for support, (weights, ids) in by_weight.items():
-                if band.isdisjoint(support):
-                    continue
+            for support in dict.fromkeys(u for s in band for u in by_member.get(s, ())):
+                weights, ids = by_weight[support]
                 if len(support) == 2:
-                    d_a, d_b = (table.deficit(strategy_set, {s: 1}) for s in support)
-                    if d_a > d_b:
-                        ids = ids[:bisect.bisect_right(weights, (epsilon - d_b) / (d_a - d_b))]
-                    elif d_a < d_b:
-                        ids = ids[bisect.bisect_left(weights, (epsilon - d_b) / (d_a - d_b)):]
+                    d_a, d_b = table.deficit_nums(strategy_set, support)
+                    if d_a != d_b:
+                        cut = Fraction(eps_num * table.den - d_b * eps_den, (d_a - d_b) * eps_den)
+                        ids = (ids[:bisect.bisect_right(weights, cut)] if d_a > d_b
+                               else ids[bisect.bisect_left(weights, cut):])
                 passed.update(ids)
             out.append(passed)
         return out

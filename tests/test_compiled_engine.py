@@ -5,6 +5,7 @@ lotteries and truthful mass are compared with the per-rung construction
 and the per-circumstance sums."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,6 @@ from generators import uniform_scenario
 from robustmech import (
     BiasSpec,
     Game,
-    Lottery,
     Mechanism,
     ModelError,
     Perturbation,
@@ -36,6 +36,7 @@ from robustmech import (
     full_strategy_set,
     iterate_best_response,
     iterated_dominance,
+    max_tv_to_target,
     mislabel_signals,
     outcome_distribution,
     posterior,
@@ -43,9 +44,10 @@ from robustmech import (
     revealing_signals,
     three_state_scenario,
     truthful_profile,
+    tv_distance,
     verify_equilibrium,
 )
-from robustmech import equilibrium
+from robustmech import engine, equilibrium
 from robustmech.equilibrium import truthful_probability_mass
 from robustmech.experiments import preferred_outcome_bias
 
@@ -553,18 +555,23 @@ def test_ladder_matches_per_rung_construction(depth, eta, tail, data):
 
 
 def assert_lotteries_match_naive(game, data):
-    """Every state's lottery and the truthful mass, on the truthful
-    profile and on a drawn one whose plays change mid-ladder and carry
-    zero weights, against the per-circumstance sums."""
+    """Every state's lottery, the largest TV distance to the target and
+    the truthful mass, on the truthful profile and on a drawn one whose
+    plays change mid-ladder and carry zero weights, against the
+    per-circumstance sums."""
     reference = naive.NaiveGame(game)
     full = tuple(
         full_strategy_set(game.mechanism.messages[a], game.strategy_length(a)) for a in (0, 1)
     )
     for profile in (truthful_profile(game), draw_profile(data, game, full)):
+        expected = [naive.outcome_distribution(reference, profile, j) for j in range(SCENARIO.n)]
         for j in range(SCENARIO.n):
             got = outcome_distribution(game, profile, j)
-            assert got == naive.outcome_distribution(reference, profile, j)
+            assert got == expected[j]
             assert all(type(x) is F for x in got.weights)
+        got = max_tv_to_target(game, profile)
+        assert type(got) is F
+        assert got == max(tv_distance(lot, SCENARIO.scf(j)) for j, lot in enumerate(expected))
         got = truthful_probability_mass(game, profile)
         assert type(got) is F
         assert got == naive.truthful_probability_mass(reference, profile)
@@ -589,12 +596,19 @@ def test_signal_and_tremble_lotteries_match_per_circumstance_sums(pert, delta, t
 
 def test_ladder_arithmetic_does_not_grow_with_depth(monkeypatch):
     """At eta = 1/100, on either tail, the largest conditional-weight
-    denominator and the number of parts the truthful lottery mixes are the
-    same at depths 50 and 400."""
-    mixed = []
-    mix = Lottery.mix
-    monkeypatch.setattr(Lottery, "mix", staticmethod(lambda parts: mixed.append(len(parts))
-                                                     or mix(parts)))
+    denominator, and the groups and terms that the integer walk of the
+    truthful lotteries and TV distance sums, are the same at depths 50
+    and 400."""
+    walked = []
+    groups_of = engine.play_groups
+
+    def counted(game, profile):
+        groups = groups_of(game, profile)
+        walked.append((len(groups), sum(len(game._plays[i]) * len(game._plays[j])
+                                        for i, j in groups)))
+        return groups
+
+    monkeypatch.setattr(engine, "play_groups", counted)
     for tail in ("collapse", "renormalize"):
         sizes = []
         for depth in (50, 400):
@@ -607,11 +621,54 @@ def test_ladder_arithmetic_does_not_grow_with_depth(monkeypatch):
                 for _, m in cells
             )
             game = Game(SCENARIO, MECHANISMS["sqr"], pert)
-            mixed.clear()
+            walked.clear()
             for j in range(SCENARIO.n):
                 outcome_distribution(game, truthful_profile(game), j)
-            sizes.append((bits, list(mixed)))
+            max_tv_to_target(game, truthful_profile(game))
+            sizes.append((bits, list(walked)))
+        assert len(sizes[0][1]) == SCENARIO.n + 1
         assert sizes[0] == sizes[1]
+
+
+@st.composite
+def tremble_specs(draw, messages):
+    """Uniform noise, point noise, whose other entries are zero, or noise
+    drawn per message with zero entries allowed, at a tremble
+    probability from 0 to 19/20."""
+    tau = draw(st.fractions(min_value=0, max_value=F(19, 20), max_denominator=20))
+    kind = draw(st.sampled_from(("uniform", "point", "drawn")))
+    if kind == "uniform":
+        return TrembleSpec.uniform(tau, messages)
+    if kind == "point":
+        return TrembleSpec.point(tau, messages, tuple(draw(st.sampled_from(ms)) for ms in messages))
+    noise = []
+    for ms in messages:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(ms), max_size=len(ms)).filter(any))
+        noise.append({m: F(w, sum(weights)) for m, w in zip(ms, weights)})
+    return TrembleSpec(tau, tuple(noise))
+
+
+@given(st.sampled_from(sorted(MECHANISMS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tremble_apply_matches_realized_pair_sums(kind, data):
+    """At every intended pair, ``TrembleSpec.apply``'s lottery and both
+    transfers equal the naive sums over every realized pair
+    (``NaiveGame.pair_values``), and every one is a ``Fraction``.  Agent
+    2's transfers may be skewed by thirds that depend on the pair, so
+    the two agents' transfers differ."""
+    mech = MECHANISMS[kind]
+    if data.draw(st.booleans()):
+        mech = replace(mech, transfer={m: (t1, t2 / 3 + m[0] - 2 * m[1])
+                                       for m, (t1, t2) in mech.transfer.items()})
+    tremble = data.draw(tremble_specs(mech.messages))
+    played = tremble.apply(mech)
+    reference = naive.NaiveGame(Game(SCENARIO, mech, tremble=tremble))
+    for m1 in mech.messages[0]:
+        for m2 in mech.messages[1]:
+            t1, t2, lottery = reference.pair_values(m1, m2)
+            assert (played.t(0, m1, m2), played.t(1, m1, m2), played.g(m1, m2)) == (t1, t2, lottery)
+            outputs = (*played.transfer[(m1, m2)], *played.g(m1, m2).weights)
+            assert all(type(x) is F for x in outputs)
 
 
 def test_integer_masses_give_fraction_weights():
@@ -706,6 +763,23 @@ def test_near_best_matches_brute_force(drawn, slack):
     table, choices = drawn
     assert table.near_best(choices, slack) == naive.near_best(table, choices, slack)
     assert table.near_best(choices, 0) == list(table.best(choices)[0])
+
+
+@pytest.mark.parametrize("slack, kept", [
+    (F(1, 2), [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]),
+    (F(1, 2) - F(1, 1000), [(1, 1, 1)]),
+])
+def test_near_best_keeps_a_member_whose_room_is_exactly_the_cost(slack, kept):
+    """The best member is the constant ``(1, 1, 1)``, worth 3.  At slack
+    1/2 the threshold is 5/2, and each non-constant member that sends 1
+    first has entries summing to 3: room 1/2 over the threshold, exactly
+    the cost, whether the first differing message comes second or third.
+    It is kept at that slack and dropped just below it."""
+    table = PayoffTable.from_fractions(
+        ({1: F(1), 2: F(0)}, {1: F(1), 2: F(1)}, {1: F(1), 2: F(1)}), F(1, 2)
+    )
+    choices = ((1, 2),) * 3
+    assert table.near_best(choices, slack) == naive.near_best(table, choices, slack) == kept
 
 
 # Primes, so the denominators of one table are unrelated and large.

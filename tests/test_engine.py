@@ -198,6 +198,20 @@ def test_truthful_profile_hits_the_target_exactly():
     assert max_tv_to_target(g, prof) == 0
 
 
+def test_signals_off_the_prior_give_no_outcome_lottery():
+    """A signal structure whose state marginal is not the prior (1/2 on
+    each state against 7/10 and 3/10) gives conditional outcome weights
+    that do not sum to one, so the outcome lotteries and the TV distance
+    are refused, as ``Lottery`` refuses such weights."""
+    s = binary_trial_scenario()
+    signals = SignalStructure((2, 2), {(0, 0, 0): F(1, 2), (1, 1, 1): F(1, 2)}, ((1, 2), (1, 2)))
+    g = Game(s, build_status_quo(s, 1), signals=signals)
+    for read in (lambda: outcome_distribution(g, truthful_profile(g), 1),
+                 lambda: max_tv_to_target(g, truthful_profile(g))):
+        with pytest.raises(ModelError, match="state 0's lottery weights .* sum to one"):
+            read()
+
+
 def test_zero_tremble_changes_nothing():
     s = binary_trial_scenario()
     mech = build_status_quo(s, 1)

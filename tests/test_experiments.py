@@ -1,5 +1,6 @@
 """Named experiments: certificates, helper oracles, determinism."""
 
+import hashlib
 import json
 import random
 import re
@@ -225,15 +226,16 @@ def _count_calls(monkeypatch, module, name):
 
 def test_prop1_builds_reports_only_for_passing_profiles(monkeypatch):
     """17 of the 1,250 profiles of the two tilts' grid searches pass; each
-    of their reports measures two states' outcome lotteries, and the
-    two-point bound measures one more state for each of the 4 exact
-    equilibria among the minus tilt's hits."""
+    of their reports measures every state's outcome lottery from one
+    integer walk of the circumstances, and the two-point bound makes one
+    more walk for each of the 4 exact equilibria among the minus tilt's
+    hits."""
     reports = _count_calls(monkeypatch, experiments, "verify_equilibrium")
-    lotteries = _count_calls(monkeypatch, engine, "outcome_distribution")
+    walks = _count_calls(monkeypatch, engine, "lottery_nums")
     bound_lotteries = _count_calls(monkeypatch, experiments, "outcome_distribution")
     run_experiment("prop1")
-    assert reports[0] == 17
-    assert lotteries[0] + bound_lotteries[0] == 38
+    assert (reports[0], bound_lotteries[0]) == (17, 4)
+    assert walks[0] == 17 + 4
 
 
 def test_prop3_builds_the_class_graph_once(monkeypatch):
@@ -492,6 +494,19 @@ BASELINE_PRIORS = [
     (F(2, 5), F(3, 10), F(1, 5), F(1, 10)),
     (F(3, 10), F(1, 4), F(1, 5), F(3, 20), F(1, 10)),
 ]
+
+
+@pytest.mark.parametrize("prior, digest", [
+    (BASELINE_PRIORS[1], "b4f825d090ee5cc2cca8cdf27d120411379e29f01a174fc3c2d713a4f32fcdc5"),
+    (BASELINE_PRIORS[2], "8f8687f6f926f32164a571c6662dc630efd8fcbf76feb5d96624fc14b2eb0be2"),
+], ids=["n3", "n4"])
+def test_prop1_json_is_pinned_on_the_baseline_priors(prior, digest):
+    """prop1's JSON on the Baseline priors at n = 3 and 4, whose grid
+    searches run over every pure strategy of 3 and 4 messages: the
+    searches find each passing pair from the band's supports alone, as a
+    scan of every support against every band did."""
+    result = run_experiment("prop1", scenario=uniform_scenario(prior))
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
 
 
 def test_deviation_certificate_matches_closed_form():
