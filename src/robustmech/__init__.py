@@ -26,7 +26,7 @@ from .engine import (
     canonical_replacement,
     expected_payoff,
     full_strategy_set,
-    max_tv_to_target,
+    implementation_metrics,
     mislabel_signals,
     outcome_distribution,
     pure_profile,

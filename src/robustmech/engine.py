@@ -40,9 +40,11 @@ is summed on integers, a type's table is summed from rows on integers,
 and a table's reads (value, best response, near-best members, deficits)
 compare and sum integers and build one exact ``Fraction`` at their
 output.  The outcome side works the same way: ``lottery_nums`` sums
-every state's outcome lottery on integers in one walk, which
-``outcome_distribution`` and ``max_tv_to_target`` read, and
-``TrembleSpec.apply`` folds the realized pairs on integers.
+every state's outcome lottery on integers from the groups of one walk
+of the circumstances (``play_groups``), ``outcome_distribution`` reads
+every state's lottery from one such walk and ``implementation_metrics``
+both implementation metrics, and ``TrembleSpec.apply`` folds the
+realized pairs on integers.
 """
 
 from __future__ import annotations
@@ -181,9 +183,6 @@ class SignalStructure:
             if p
         ]
 
-    def signal_prob(self, agent: int, k: int) -> Number:
-        return sum(p for _, own, _, p in self.seen_by(agent) if own == k)
-
 
 def revealing_signals(scenario: ScenarioModel) -> SignalStructure:
     """Each agent's signal equals the state; size zero."""
@@ -221,14 +220,18 @@ def size_of_signal_structure(
     for agent in (0, 1):
         h_own = structure.meanings[agent]
         h_opp = structure.meanings[1 - agent]
-        seen = structure.seen_by(agent)
-        for k in range(structure.sizes[agent]):
-            total = structure.signal_prob(agent, k)
-            if total == 0:
-                continue
-            agree = sum(p for _, own, opp, p in seen if own == k and h_opp[opp] == h_own[k])
-            tau = max(tau, 1 - agree / total)
-        matched = sum(p for theta, own, _, p in seen if h_own[own] == theta + 1)
+        total = [Fraction(0)] * structure.sizes[agent]
+        agree = [Fraction(0)] * structure.sizes[agent]
+        matched = Fraction(0)
+        for theta, own, opp, p in structure.seen_by(agent):
+            total[own] += p
+            if h_opp[opp] == h_own[own]:
+                agree[own] += p
+            if h_own[own] == theta + 1:
+                matched += p
+        for mass, same in zip(total, agree):
+            if mass:
+                tau = max(tau, 1 - same / mass)
         tau = max(tau, 1 - matched)
     return tau
 
@@ -678,25 +681,22 @@ def play_groups(game: Game, profile: StrategyProfile | list[list[int]]) -> dict:
     return pert.masses_by(labels)
 
 
-def lottery_nums(
-    game: Game, profile: StrategyProfile | list[list[int]], groups: dict | None = None
-) -> list[tuple[int, list[int]]]:
+def lottery_nums(game: Game, groups: dict) -> list[tuple[int, list[int]]]:
     """Per state, ``(den, nums)``: ``nums[y] / den`` is the implemented
     lottery's weight on outcome ``y`` conditional on the state, integrating
-    over circumstances, signals, mixtures, and trembles, from one walk of
-    the circumstances (``play_groups``, or the caller's ``groups``).
+    over circumstances, signals, mixtures, and trembles, from the groups
+    of one walk of the circumstances (``play_groups``).
 
     Summed on integers: each term, a group's mass times one play's weight
     from each side, is put over the least common multiple of the terms'
     denominators, and the signal points (``Game._seen``) and the played
     lotteries (``Game._outcomes``) are on integers already.  Each state's
     numerators are checked as ``Lottery`` checks its weights."""
-    masses = groups if groups is not None else play_groups(game, profile)
     plays = game._plays
     terms = [
         (mass.numerator * w1.numerator * w2.numerator,
          mass.denominator * w1.denominator * w2.denominator, s1, s2)
-        for (i, j), mass in masses.items()
+        for (i, j), mass in groups.items()
         for s1, w1 in plays[i].items()
         for s2, w2 in plays[j].items()
     ]
@@ -719,28 +719,40 @@ def lottery_nums(
     return out
 
 
-def outcome_distribution(
-    game: Game, profile: StrategyProfile, state: int, groups: dict | None = None
-) -> Lottery:
-    """Implemented lottery conditional on the state, integrating over
-    circumstances, signals, mixtures, and trembles: the state's
-    ``lottery_nums``, one ``Fraction`` per outcome."""
-    den, nums = lottery_nums(game, profile, groups)[state]
-    return Lottery(tuple(Fraction(x, den) for x in nums))
+def outcome_distribution(game: Game, profile: StrategyProfile | list[list[int]]) -> list[Lottery]:
+    """Every state's implemented lottery, integrating over circumstances,
+    signals, mixtures, and trembles, from one walk of the circumstances:
+    each state's ``lottery_nums``, one ``Fraction`` per outcome."""
+    return [Lottery(tuple(Fraction(x, den) for x in nums))
+            for den, nums in lottery_nums(game, play_groups(game, profile))]
 
 
-def max_tv_to_target(game: Game, profile: StrategyProfile, groups: dict | None = None) -> Number:
-    """Largest total variation distance, over the states, between the
-    implemented lottery and the target, from one ``lottery_nums`` walk:
-    each state's distance is one integer sum, with the target's weights
-    over one denominator, and one ``Fraction``."""
+def implementation_metrics(
+    game: Game, profile: StrategyProfile | list[list[int]]
+) -> tuple[Number, Number]:
+    """``(truthful_mass, max_tv)`` of a profile, from one walk of the
+    circumstances (``play_groups``).
+
+    ``truthful_mass`` is the probability that both agents' realized
+    intent is the truthful one, summed over the groups with each play's
+    truthful weight read from ``game._plays``.  ``max_tv`` is the largest
+    total variation distance, over the states, between the implemented
+    lottery and the target, from one ``lottery_nums`` walk of the same
+    groups: each state's distance is one integer sum, with the target's
+    weights over one denominator, and one ``Fraction``."""
+    groups = play_groups(game, profile)
+    plays, truth = game._plays, (game.truthful(0), game.truthful(1))
+    mass = sum(
+        (m * plays[i].get(truth[0], 0) * plays[j].get(truth[1], 0) for (i, j), m in groups.items()),
+        Fraction(0),
+    )
     worst, targets = Fraction(0), game.scenario.scf.lotteries
-    for (den, nums), target in zip(lottery_nums(game, profile, groups), targets):
+    for (den, nums), target in zip(lottery_nums(game, groups), targets):
         t_den = math.lcm(*(w.denominator for w in target.weights))
         gap = sum(abs(x * t_den - w.numerator * (t_den // w.denominator) * den)
                   for x, w in zip(nums, target.weights))
         worst = max(worst, Fraction(gap, 2 * den * t_den))
-    return worst
+    return mass, worst
 
 
 # -- restricted strategy sets and replacements -----------------------------

@@ -24,9 +24,8 @@ from .engine import (
     StrategySet,
     TypeStrategy,
     full_strategy_set,
+    implementation_metrics,
     is_constant,
-    max_tv_to_target,
-    play_groups,
     restricted_strategy_set,
     truthful_profile,
 )
@@ -71,22 +70,6 @@ class EquilibriumReport:
     truthful_mass: Number | None
     max_tv: Number
     best_deviation: dict[tuple[int, int], PureStrategy]  # canonically first maximizer
-
-
-def truthful_probability_mass(
-    game: Game, profile: StrategyProfile, groups: dict | None = None
-) -> Number:
-    """Probability that both agents' realized intent is the truthful one,
-    summed over circumstances grouped by the pair of play ids their types
-    have (``play_groups``, or the caller's ``groups``), each play's
-    truthful weight read from ``game._plays``."""
-    masses = groups if groups is not None else play_groups(game, profile)
-    plays, truth = game._plays, (game.truthful(0), game.truthful(1))
-    return sum(
-        (mass * plays[i].get(truth[0], 0) * plays[j].get(truth[1], 0)
-         for (i, j), mass in masses.items()),
-        Fraction(0),
-    )
 
 
 def equilibrium_residuals(
@@ -139,23 +122,23 @@ def verify_equilibrium(
     (``truthful_mass`` and ``max_tv``).
 
     All read one list of play ids per profile (``Game.play_ids``).  Both
-    metrics read one walk of the circumstances (``play_groups``), which
-    labels each circumstance by the play ids of its types:
-    ``truthful_mass`` and every state's outcome lottery are summed from
-    its groups and the plays the game holds for those ids.  Callers that
-    only need the pass/fail verdict should still filter on the residuals
+    metrics come from ``implementation_metrics`` on those ids, which
+    makes one walk of the circumstances (``play_groups``), labelling each
+    circumstance by the play ids of its types, and sums the truthful mass
+    and every state's outcome lottery from its groups.  Callers that only
+    need the pass/fail verdict should still filter on the residuals
     first: that walk is made for every report built."""
     ids = game.play_ids(profile)
     residuals, deviations = _residuals(game, ids, strategy_sets)
     max_res = max(residuals.values())
-    groups = play_groups(game, ids)
+    truthful_mass, max_tv = implementation_metrics(game, ids)
     return EquilibriumReport(
         residuals=residuals,
         max_residual=max_res,
         is_equilibrium=max_res <= epsilon,
         epsilon=epsilon,
-        truthful_mass=truthful_probability_mass(game, profile, groups),
-        max_tv=max_tv_to_target(game, profile, groups),
+        truthful_mass=truthful_mass,
+        max_tv=max_tv,
         best_deviation=deviations,
     )
 
@@ -629,7 +612,7 @@ def _supports(k: int):
     out = []
     for size in range(1, k + 1):
         out.extend(itertools.combinations(range(k), size))
-    return sorted(out, key=lambda s: (len(s), s))
+    return out
 
 
 def _try_supports(a, b, sr, sc):

@@ -793,12 +793,9 @@ def run_prop1(
     # Two-point perturbation: biased circumstance with probability eta.
     slack = Fraction(1, grid_step)
     worst_match = max(
-        (1 - tv_distance(
-            outcome_distribution(minus, prof, j),
-            scenario.scf(j),
-        ))
+        1 - tv_distance(lot, scenario.scf(j))
         for prof in eq0
-        for j in range(scenario.n)
+        for j, lot in enumerate(outcome_distribution(minus, prof))
         if not scenario.scf(j).same_as(scenario.scf.lotteries[star])
     ) if eq0 else Fraction(0)
     tv_rows = []
@@ -884,8 +881,8 @@ def run_prop2(
     full1 = full_strategy_set(msgs1, n)
     full2 = full_strategy_set(msgs2, n)
     report = verify_equilibrium(game, profile, (full1, full2))
-    outcome = [outcome_distribution(game, profile, j) for j in range(n)]
-    constant_outcome = all(tv_distance(outcome[0], outcome[j]) == 0 for j in range(1, n))
+    outcome = outcome_distribution(game, profile)
+    constant_outcome = all(lot == outcome[0] for lot in outcome[1:])
     certificates["no_learning_equilibrium"] = report.is_equilibrium
     certificates["state_constant_outcome"] = constant_outcome
     artifacts["nash"] = {"x": x_mix, "y": y_mix, "values": (va, vb)}

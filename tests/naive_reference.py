@@ -38,6 +38,9 @@ its best value, the oracle for ``PayoffTable.near_best``, and
 ``PayoffTable.from_fractions`` builds a table from exact entries over the
 least common multiple of their denominators, as the engine converted
 each row before it summed rows on integers.
+``size_of_signal_structure`` sums the joint once per (agent, signal)
+for each of the two agreement conditions, the oracle for the one pass
+per agent that gathers every signal's total and agreement mass.
 ``gamma_dominance_threshold`` computes one threshold per deviation over
 the whole product of the agent's choices, the oracle for the
 per-coordinate fractional program.  Strategy
@@ -176,6 +179,29 @@ def truthful_probability_mass(game: Game, profile: StrategyProfile) -> Number:
         w2 = profile[1][pert.type_of(1, w)].get(game.truthful(1), Fraction(0))
         mass += p * w1 * w2
     return mass
+
+
+def size_of_signal_structure(structure, prior) -> Number:
+    """Smallest ``tau`` with, for each agent, (a) every signal of positive
+    probability agreeing with the opponent's signal's meaning with
+    conditional probability at least ``1 - tau``, and (b) the agent's
+    signal meaning the state with probability at least ``1 - tau``."""
+    joint, h = structure.joint, structure.meanings
+    for j, q in enumerate(prior):
+        if sum(p for (theta, _, _), p in joint.items() if theta == j) != q:
+            raise ModelError("signal structure marginal on states differs from the prior")
+    tau = Fraction(0)
+    for i in (0, 1):
+        for k in range(structure.sizes[i]):
+            total = sum(p for key, p in joint.items() if key[1 + i] == k)
+            if total == 0:
+                continue
+            agree = sum(p for key, p in joint.items()
+                        if key[1 + i] == k and h[1 - i][key[2 - i]] == h[i][k])
+            tau = max(tau, 1 - agree / total)
+        correct = sum(p for key, p in joint.items() if h[i][key[1 + i]] == key[0] + 1)
+        tau = max(tau, 1 - correct)
+    return tau
 
 
 class NaivePerturbation:

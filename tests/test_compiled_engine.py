@@ -34,9 +34,9 @@ from robustmech import (
     eta_of,
     expected_payoff,
     full_strategy_set,
+    implementation_metrics,
     iterate_best_response,
     iterated_dominance,
-    max_tv_to_target,
     mislabel_signals,
     outcome_distribution,
     posterior,
@@ -48,7 +48,6 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech import engine, equilibrium
-from robustmech.equilibrium import truthful_probability_mass
 from robustmech.experiments import preferred_outcome_bias
 
 SCENARIO = binary_trial_scenario()
@@ -558,23 +557,22 @@ def assert_lotteries_match_naive(game, data):
     """Every state's lottery, the largest TV distance to the target and
     the truthful mass, on the truthful profile and on a drawn one whose
     plays change mid-ladder and carry zero weights, against the
-    per-circumstance sums."""
+    per-circumstance sums; the metrics are the same for the profile given
+    as plays and as play ids."""
     reference = naive.NaiveGame(game)
     full = tuple(
         full_strategy_set(game.mechanism.messages[a], game.strategy_length(a)) for a in (0, 1)
     )
     for profile in (truthful_profile(game), draw_profile(data, game, full)):
         expected = [naive.outcome_distribution(reference, profile, j) for j in range(SCENARIO.n)]
-        for j in range(SCENARIO.n):
-            got = outcome_distribution(game, profile, j)
-            assert got == expected[j]
-            assert all(type(x) is F for x in got.weights)
-        got = max_tv_to_target(game, profile)
-        assert type(got) is F
-        assert got == max(tv_distance(lot, SCENARIO.scf(j)) for j, lot in enumerate(expected))
-        got = truthful_probability_mass(game, profile)
-        assert type(got) is F
-        assert got == naive.truthful_probability_mass(reference, profile)
+        got = outcome_distribution(game, profile)
+        assert got == expected
+        assert all(type(x) is F for lot in got for x in lot.weights)
+        mass, tv = implementation_metrics(game, profile)
+        assert type(mass) is F and type(tv) is F
+        assert tv == max(tv_distance(lot, SCENARIO.scf(j)) for j, lot in enumerate(expected))
+        assert mass == naive.truthful_probability_mass(reference, profile)
+        assert implementation_metrics(game, game.play_ids(profile)) == (mass, tv)
 
 
 @given(st.one_of(ladders(), zero_mass_ladders(), coarse_partitions()),
@@ -596,9 +594,9 @@ def test_signal_and_tremble_lotteries_match_per_circumstance_sums(pert, delta, t
 
 def test_ladder_arithmetic_does_not_grow_with_depth(monkeypatch):
     """At eta = 1/100, on either tail, the largest conditional-weight
-    denominator, and the groups and terms that the integer walk of the
-    truthful lotteries and TV distance sums, are the same at depths 50
-    and 400."""
+    denominator, and the groups and terms that the integer walks of the
+    truthful lotteries and of the implementation metrics sum, are the
+    same at depths 50 and 400."""
     walked = []
     groups_of = engine.play_groups
 
@@ -622,12 +620,33 @@ def test_ladder_arithmetic_does_not_grow_with_depth(monkeypatch):
             )
             game = Game(SCENARIO, MECHANISMS["sqr"], pert)
             walked.clear()
-            for j in range(SCENARIO.n):
-                outcome_distribution(game, truthful_profile(game), j)
-            max_tv_to_target(game, truthful_profile(game))
+            outcome_distribution(game, truthful_profile(game))
+            implementation_metrics(game, truthful_profile(game))
             sizes.append((bits, list(walked)))
-        assert len(sizes[0][1]) == SCENARIO.n + 1
+        assert len(sizes[0][1]) == 2
         assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("kind", sorted(MECHANISMS))
+def test_verify_equilibrium_walks_the_circumstances_once(monkeypatch, kind):
+    """A report's truthful mass and TV distance come from one walk of the
+    circumstances: one ``play_groups`` and one ``lottery_nums`` call per
+    ``verify_equilibrium``, on the truthful profile and on one whose plays
+    mix and change mid-ladder."""
+    groups = _counted(monkeypatch, engine, "play_groups")
+    walks = _counted(monkeypatch, engine, "lottery_nums")
+    game = Game(SCENARIO, MECHANISMS[kind], build_ladder(SCENARIO, 12, F(1, 10)))
+    sets = strategy_sets(kind, game)
+    mixed = [
+        {t: {game.truthful(a): F(1, 3), (1,) * SCENARIO.n: F(2, 3)} if t > 4
+         else {game.truthful(a): F(1)} for t in range(len(part))}
+        for a, part in enumerate(game.perturbation.partitions)
+    ]
+    for profile in (truthful_profile(game), mixed):
+        groups[0] = walks[0] = 0
+        report = verify_equilibrium(game, profile, sets)
+        assert (groups[0], walks[0]) == (1, 1)
+        assert (report.truthful_mass, report.max_tv) == implementation_metrics(game, profile)
 
 
 @st.composite

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import naive_reference as naive
 from robustmech import (
@@ -20,7 +22,7 @@ from robustmech import (
     canonical_replacement,
     expected_payoff,
     full_strategy_set,
-    max_tv_to_target,
+    implementation_metrics,
     mislabel_signals,
     outcome_distribution,
     restricted_strategy_set,
@@ -55,6 +57,43 @@ def test_size_checks_the_marginal():
     st = mislabel_signals(s, F(1, 10))
     with pytest.raises(ModelError):
         size_of_signal_structure(st, (F(1, 2), F(1, 2)))
+
+
+@st.composite
+def signal_structures(draw):
+    """Revealing and mislabel structures, and drawn ones: per state, the
+    prior spread over the signal pairs with zero entries allowed, one
+    signal per agent optionally left at probability zero, and meaning
+    maps drawn per agent, so they may differ between the agents."""
+    s = draw(st.sampled_from((binary_trial_scenario(), three_state_scenario())))
+    kind = draw(st.sampled_from(("revealing", "mislabel", "drawn")))
+    if kind == "revealing":
+        return s, revealing_signals(s)
+    if kind == "mislabel":
+        return s, mislabel_signals(s, draw(st.fractions(0, 1, max_denominator=12)))
+    used = [draw(st.integers(1, 3)) for _ in (0, 1)]
+    sizes = tuple(k + draw(st.integers(0, 1)) for k in used)
+    cells = list(itertools.product(range(used[0]), range(used[1])))
+    joint = {}
+    for theta, q in enumerate(s.prior):
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells))
+                       .filter(any))
+        for (s1, s2), w in zip(cells, weights):
+            joint[(theta, s1, s2)] = q * F(w, sum(weights))
+    meanings = tuple(
+        tuple(draw(st.lists(st.integers(1, s.n), min_size=k, max_size=k))) for k in sizes
+    )
+    return s, SignalStructure(sizes, joint, meanings)
+
+
+@seed(1729)
+@given(signal_structures())
+@settings(max_examples=150, deadline=None)
+def test_size_matches_per_signal_agreement_sums(drawn):
+    s, structure = drawn
+    got = size_of_signal_structure(structure, s.prior)
+    assert got == naive.size_of_signal_structure(structure, s.prior)
+    assert type(got) is F
 
 
 def test_signal_distribution_validated():
@@ -193,9 +232,8 @@ def test_truthful_profile_hits_the_target_exactly():
     s = three_state_scenario()
     g = Game(s, build_status_quo(s, 1))
     prof = truthful_profile(g)
-    for j in range(s.n):
-        assert outcome_distribution(g, prof, j).same_as(s.scf(j))
-    assert max_tv_to_target(g, prof) == 0
+    assert outcome_distribution(g, prof) == list(s.scf.lotteries)
+    assert implementation_metrics(g, prof) == (1, 0)
 
 
 def test_signals_off_the_prior_give_no_outcome_lottery():
@@ -206,8 +244,8 @@ def test_signals_off_the_prior_give_no_outcome_lottery():
     s = binary_trial_scenario()
     signals = SignalStructure((2, 2), {(0, 0, 0): F(1, 2), (1, 1, 1): F(1, 2)}, ((1, 2), (1, 2)))
     g = Game(s, build_status_quo(s, 1), signals=signals)
-    for read in (lambda: outcome_distribution(g, truthful_profile(g), 1),
-                 lambda: max_tv_to_target(g, truthful_profile(g))):
+    for read in (lambda: outcome_distribution(g, truthful_profile(g)),
+                 lambda: implementation_metrics(g, truthful_profile(g))):
         with pytest.raises(ModelError, match="state 0's lottery weights .* sum to one"):
             read()
 
