@@ -24,7 +24,6 @@ from .engine import (
     SignalStructure,
     TrembleSpec,
     canonical_replacement,
-    expected_payoff,
     full_strategy_set,
     implementation_metrics,
     mislabel_signals,
@@ -50,8 +49,6 @@ from .equilibrium import (
     DominanceCertificate,
     EliminationResult,
     EquilibriumReport,
-    best_response,
-    equilibrium_residuals,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,

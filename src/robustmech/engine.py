@@ -470,7 +470,10 @@ class Game:
         type's kind (its ``(payoff class, conditional weight)`` cells) and
         the ``play_id`` at each opponent type it meets, in ``type_groups``
         order: ints only, meaningful within this game.  The payoff class
-        fixes the rows and the cost, so equal keys give equal tables.
+        fixes the rows and the cost, so equal keys give equal tables: types
+        with equal keys have equal payoffs for every strategy, and the
+        interior rungs of a ladder cost one table per distinct rung kind
+        instead of one per rung.
 
         The key and the sum read the type's template tables
         (``Perturbation._templates``) and add its opponent-type base and
@@ -547,7 +550,9 @@ class PayoffTable:
 
     def best(self, choices: StrategySet) -> tuple[tuple[PureStrategy, ...], Fraction]:
         """Canonically ordered maximizers over the product of ``choices``
-        and their value, memoized per ``choices``."""
+        and their value, memoized per ``choices``.  The table is shared by
+        every type with its ``Game.payoff_table`` key, so those types share
+        their maximizers and value exactly, and each is read once."""
         winners, value, _ = self._top(choices)
         return winners, value
 
@@ -640,32 +645,6 @@ class PayoffTable:
 
         extend((), sum(tops) - floor, None)
         return out
-
-
-def expected_payoff(
-    game: Game,
-    agent: int,
-    type_index: int,
-    strategy: PureStrategy,
-    opponent: dict[int, TypeStrategy],
-) -> Number:
-    """Interim expected payoff of a type playing a pure strategy against the
-    opponent side of a profile, read from the type's payoff table."""
-    return game.payoff_table(agent, type_index, opponent).value(strategy)
-
-
-def mixture_payoff(
-    game: Game,
-    agent: int,
-    type_index: int,
-    mixture: TypeStrategy,
-    opponent: dict[int, TypeStrategy],
-) -> Number:
-    return sum(
-        w * expected_payoff(game, agent, type_index, s, opponent)
-        for s, w in mixture.items()
-        if w
-    )
 
 
 def play_groups(game: Game, profile: StrategyProfile | list[list[int]]) -> dict:

@@ -22,7 +22,6 @@ from .engine import (
     PureStrategy,
     StrategyProfile,
     StrategySet,
-    TypeStrategy,
     full_strategy_set,
     implementation_metrics,
     is_constant,
@@ -33,32 +32,6 @@ from .mechanisms import Mechanism
 from .numeric import ONE, Number
 
 
-def best_response(
-    game: Game,
-    agent: int,
-    type_index: int,
-    opponent: dict[int, TypeStrategy] | list[int],
-    strategy_set: StrategySet,
-) -> tuple[list[PureStrategy], Number]:
-    """All exact maximizers over the strategy set, canonically ordered,
-    with the attained value, against the opponent side of a profile: each
-    opponent type's play, or its ``Game.play_id``.
-
-    The set is given by its per-coordinate choices, and the type's payoff
-    table separates by coordinate, so the maximum is read per coordinate
-    instead of over every strategy (see ``PayoffTable.best``).
-
-    The result is memoized on the type's payoff table, which the game
-    memoizes by the type's kind and the ids of the opponent plays it
-    meets (``Game.payoff_table``).  Types with equal keys have equal
-    payoffs for every strategy, so they share their maximizers and value
-    exactly, and the interior rungs of a ladder cost one evaluation per
-    distinct rung kind instead of one per rung.
-    """
-    winners, best_value = game.payoff_table(agent, type_index, opponent).best(strategy_set)
-    return list(winners), best_value
-
-
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Best-response residuals of a profile plus implementation metrics."""
@@ -67,33 +40,23 @@ class EquilibriumReport:
     max_residual: Number
     is_equilibrium: bool
     epsilon: Number
-    truthful_mass: Number | None
+    truthful_mass: Number
     max_tv: Number
     best_deviation: dict[tuple[int, int], PureStrategy]  # canonically first maximizer
 
 
-def equilibrium_residuals(
-    game: Game,
-    profile: StrategyProfile,
-    strategy_sets: tuple[StrategySet, StrategySet],
-) -> dict[tuple[int, int], Number]:
-    """Per positive-probability type, the best pure deviation value over
-    the agent's strategy set (per-coordinate choices) minus the prescribed
-    mixture's value.  Pure deviations suffice because payoffs are affine
-    in own mixtures.
-
-    Both values are read from the type's payoff table by
-    ``PayoffTable.deficit``, on its integer numerators: the best one as in
-    ``PayoffTable.best``, and the mixture's as in ``PayoffTable.value``,
-    which prices any message vector, inside the set or not.  So each
-    residual equals ``best value - mixture_payoff``.
-    """
-    return _residuals(game, game.play_ids(profile), strategy_sets)[0]
-
-
 def _residuals(game, ids, strategy_sets):
-    """Residuals and the canonically first best deviation per type, from
-    play ids, computed once per payoff table and own play."""
+    """Per positive-probability type, its residual and its canonically
+    first best deviation, from play ids, computed once per payoff table
+    and own play.
+
+    The residual is the best pure deviation's value over the agent's
+    strategy set (per-coordinate choices) less the prescribed mixture's
+    value; pure deviations suffice because payoffs are affine in own
+    mixtures.  ``PayoffTable.deficit`` reads both on the table's integer
+    numerators: the best one as in ``PayoffTable.best``, and the
+    mixture's as the weighted sum of ``PayoffTable.value``, which prices
+    any message vector, inside the set or not."""
     residuals: dict[tuple[int, int], Number] = {}
     deviations: dict[tuple[int, int], PureStrategy] = {}
     pert = game.perturbation
@@ -117,8 +80,8 @@ def verify_equilibrium(
     strategy_sets: tuple[StrategySet, StrategySet],
     epsilon: Number = 0,
 ) -> EquilibriumReport:
-    """Interim check: the residuals of ``equilibrium_residuals``, with the
-    best deviation behind each, plus the implementation metrics
+    """Interim check: each type's residual, with the best deviation behind
+    it (``_residuals``), plus the implementation metrics
     (``truthful_mass`` and ``max_tv``).
 
     All read one list of play ids per profile (``Game.play_ids``).  Both
@@ -372,8 +335,8 @@ def iterate_best_response(
             for t in todo[agent]:
                 if not templates[tids[agent][t]][0]:  # zero mass
                     continue
-                winners, _ = best_response(game, agent, t, opponent, strategy_sets[agent])
-                play = {winners[0]: ONE}
+                best = game.payoff_table(agent, t, opponent).best(strategy_sets[agent])[0][0]
+                play = {best: ONE}
                 if play != profile[agent][t]:
                     moved.append((agent, t, play))
         moves.append(tuple((agent, t) for agent, t, _ in moved))

@@ -32,8 +32,6 @@ from .core import (
 )
 from .engine import (
     Game,
-    expected_payoff,
-    mixture_payoff,
     outcome_distribution,
     size_of_signal_structure,
     TrembleSpec,
@@ -46,7 +44,6 @@ from .engine import (
 )
 from .equilibrium import (
     _strategy_sets,
-    best_response,
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
@@ -766,13 +763,13 @@ def run_prop1(
     v_star_payoff = sep.scale * sep.of(scenario.scf.lotteries[star])
     y_best_neg = max(-sep.scale * sep.of(lot) for lot in others)
     for m2_mix in m2_grid:
-        lhs_41 = max(
-            expected_payoff(plus, 0, 0, (m1,) * scenario.n, {0: constant(m2_mix)})
-            for m1 in mechanism.messages[0]
-        )
+        mix = constant(m2_mix)
+        tilted = plus.payoff_table(0, 0, {0: mix})
+        lhs_41 = max(tilted.value((m1,) * scenario.n) for m1 in mechanism.messages[0])
         if lhs_41 <= v_star_payoff + x_bound:
             lhs_43 = min(
-                mixture_payoff(minus, 1, 0, constant(m2_mix), {0: constant({m1: 1})})
+                sum(w * minus.payoff_table(1, 0, {0: constant({m1: 1})}).value(s)
+                    for s, w in mix.items())
                 for m1 in mechanism.messages[0]
             )
             bound = y_best_neg + x_bound
@@ -1058,13 +1055,13 @@ def run_prop3(
     # mixtures over the respondent's best replies.
     game = Game(_with_cost(scenario, c), mech)
     strategies = full_strategy_set(truthful, n)
-    argmax, _ = best_response(game, agent, 0, {0: {other: Fraction(1)}}, strategies)
+    argmax = game.payoff_table(agent, 0, {0: {other: Fraction(1)}}).best(strategies)[0]
     full_impl = all(all(assign[s[j] - 1] == assign[j] for j in range(n)) for s in argmax)
     certificates = {
         "cyclical_monotonicity": True,
         "transfer_conditions": pair_margin > 0,
         "cost_below_threshold": c < threshold,
-        "truthful_strict_best": argmax == [truthful] or full_impl,
+        "truthful_strict_best": argmax == (truthful,) or full_impl,
         "full_implementation": full_impl,
     }
     return ExperimentResult(

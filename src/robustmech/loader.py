@@ -89,6 +89,8 @@ def _build(node, loader):
         out = _Mapping()
         out.key_lines = {}
         for key_node, val_node in node.value:
+            if not isinstance(key_node, yaml.ScalarNode):
+                raise ScenarioFileError("a mapping key must be a scalar", key_node.start_mark.line)
             key, key_line = _build(key_node, loader)
             out[key] = _build(val_node, loader)
             out.key_lines[key] = key_line

@@ -1,12 +1,17 @@
 """Command line interface behavior and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from robustmech import import_mechanism
 from robustmech.cli import main
@@ -374,3 +379,58 @@ def test_numeric_options_reach_the_commands(capsys):
     assert json.loads(out.strip().splitlines()[-1])["gamma"] == "19/42"
     code, out, _ = run(capsys, "equilibrium", "check", "--kind", "sqr", "--epsilon", "1/10")
     assert code == 0
+
+
+FUZZED_COMMANDS = (
+    ("equilibrium", "check"),
+    ("dominance", "gamma"),
+    ("dominance", "eliminate"),
+    ("experiment", "run", "prop2"),
+)
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A scenario file with one to three lines or space-separated tokens
+    deleted, duplicated or swapped.  Nothing is edited inside a token, so
+    no number grows and no run asks for a larger ladder or state space
+    than the file names."""
+    path = draw(st.sampled_from(sorted(SCENARIOS.glob("*.yaml"))))
+    lines = [line.split(" ") for line in path.read_text().splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        if draw(st.booleans()):  # a whole line
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, list(lines[i]))
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            continue
+        cells = [(i, k) for i, line in enumerate(lines) for k in range(len(line))]
+        (i, k), (j, m) = (draw(st.sampled_from(cells)) for _ in range(2))
+        if op == "delete":
+            del lines[i][k]
+        elif op == "duplicate":
+            lines[i].insert(k, lines[i][k])
+        else:
+            lines[i][k], lines[j][m] = lines[j][m], lines[i][k]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@seed(20211213)
+@settings(max_examples=40, deadline=None)
+@given(mutated_scenario())
+def test_mutated_scenarios_exit_cleanly(text):
+    """Bad input ends in exit 2 with an error, never a traceback: every
+    fuzzed command returns 0, 1 or 2 in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.yaml")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command in FUZZED_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*command, "--scenario", path])
+            assert code in (0, 1, 2), (command, text)

@@ -23,16 +23,13 @@ from robustmech import (
     Perturbation,
     SignalStructure,
     TrembleSpec,
-    best_response,
     binary_trial_scenario,
     build_augmented_status_quo,
     build_general_ladder,
     build_ladder,
     build_maskin,
     build_status_quo,
-    equilibrium_residuals,
     eta_of,
-    expected_payoff,
     full_strategy_set,
     implementation_metrics,
     iterate_best_response,
@@ -174,9 +171,9 @@ def assert_matches_naive(game, sets, mixture_denominator):
                 for s in members[agent]:
                     if reference.perturbation.type_prob(agent, t) == 0:
                         with pytest.raises(ModelError):
-                            expected_payoff(game, agent, t, s, opponent)
+                            game.payoff_table(agent, t, opponent)
                         continue
-                    got = expected_payoff(game, agent, t, s, opponent)
+                    got = game.payoff_table(agent, t, opponent).value(s)
                     want = naive.expected_payoff(reference, agent, t, s, opponent)
                     assert type(got) is F
                     assert got == want
@@ -220,17 +217,15 @@ def assert_best_responses_match_naive(game, sets, data, passes=("fresh", "warmed
     for _ in passes:
         for agent in (0, 1):
             for t in range(len(pert.partitions[agent])):
-                args = (agent, t, profile[1 - agent], sets[agent])
                 if reference.perturbation.type_prob(agent, t) == 0:
                     with pytest.raises(ModelError):
-                        best_response(game, *args)
+                        game.payoff_table(agent, t, profile[1 - agent])
                     continue
-                got = best_response(game, *args)
-                assert got == naive.best_response(reference, *args)
-                got[0].clear()  # callers own the winners list
-                assert best_response(game, *args)[0]
+                got = game.payoff_table(agent, t, profile[1 - agent]).best(sets[agent])
+                winners, value = naive.best_response(reference, agent, t, profile[1 - agent],
+                                                     sets[agent])
+                assert got == (tuple(winners), value)
         want = naive.residuals(reference, profile, sets)
-        assert equilibrium_residuals(game, profile, sets) == want
         report = verify_equilibrium(game, profile, sets)
         assert report.residuals == want
         assert report.best_deviation == {
@@ -377,9 +372,9 @@ def test_memo_separates_equal_weights_of_different_payoff_class():
     opponent = truthful_profile(game)[1]
     values = []
     for t in (2, 3):
-        got = best_response(game, 0, t, opponent, sets[0])
-        assert got == naive.best_response(reference, 0, t, opponent, sets[0])
-        values.append(got[1])
+        winners, value = naive.best_response(reference, 0, t, opponent, sets[0])
+        assert game.payoff_table(0, t, opponent).best(sets[0]) == (tuple(winners), value)
+        values.append(value)
     assert values[0] != values[1]
 
 
@@ -396,9 +391,9 @@ def test_memo_separates_equal_weights_facing_different_play():
     }
     values = []
     for t in (2, 3):
-        got = best_response(game, 0, t, opponent, sets[0])
-        assert got == naive.best_response(reference, 0, t, opponent, sets[0])
-        values.append(got[1])
+        winners, value = naive.best_response(reference, 0, t, opponent, sets[0])
+        assert game.payoff_table(0, t, opponent).best(sets[0]) == (tuple(winners), value)
+        values.append(value)
     assert values[0] != values[1]
 
 

@@ -20,7 +20,6 @@ from robustmech import (
     build_modified_status_quo,
     build_status_quo,
     canonical_replacement,
-    expected_payoff,
     full_strategy_set,
     implementation_metrics,
     mislabel_signals,
@@ -256,10 +255,9 @@ def test_zero_tremble_changes_nothing():
     plain = Game(s, mech)
     trembled = Game(s, mech, tremble=TrembleSpec.uniform(F(0), mech.messages))
     opp = truthful_profile(plain)[1]
+    tables = [g.payoff_table(0, 0, opp) for g in (plain, trembled)]
     for strat in itertools.product(*full_strategy_set((1, 2), 2)):
-        assert expected_payoff(plain, 0, 0, strat, opp) == expected_payoff(
-            trembled, 0, 0, strat, opp
-        )
+        assert tables[0].value(strat) == tables[1].value(strat)
 
 
 def test_point_tremble_realization():
@@ -344,8 +342,9 @@ def test_nonconstant_strategy_pays_the_cost():
     opp = {0: {(1, 1): F(1)}}
     # Against the constant status quo report, learning only costs: both
     # strategies face the same transfers but (1, 2) pays c in state 2.
-    v_const = expected_payoff(g, 0, 0, (1, 1), opp)
-    v_learn = expected_payoff(g, 0, 0, (1, 2), opp)
+    table = g.payoff_table(0, 0, opp)
+    v_const = table.value((1, 1))
+    v_learn = table.value((1, 2))
     r1 = g.mechanism.schedule.r(1)
     assert v_const - v_learn == s.prior[1] * r1 + 1
     # A coordinate row charges its circumstance's cost to a non-constant

@@ -13,14 +13,12 @@ from robustmech import (
     BiasSpec,
     Game,
     ModelError,
-    best_response,
     binary_trial_scenario,
     build_augmented_status_quo,
     build_ladder,
     build_maskin,
     build_modified_status_quo,
     build_status_quo,
-    expected_payoff,
     four_state_scenario,
     full_strategy_set,
     gamma_dominance_threshold,
@@ -32,7 +30,6 @@ from robustmech import (
     truthful_profile,
     verify_equilibrium,
 )
-from robustmech.engine import mixture_payoff
 from robustmech.equilibrium import solve_linear
 from robustmech.experiments import preferred_outcome_bias
 from robustmech.mechanisms import Mechanism
@@ -80,8 +77,8 @@ def test_best_response_orders_ties_canonically():
     )
     g = Game(s, zero)
     full = full_strategy_set((1, 2), 2)
-    winners, value = best_response(g, 0, 0, {0: {(1, 1): F(1)}}, full)
-    assert winners == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    winners, value = g.payoff_table(0, 0, {0: {(1, 1): F(1)}}).best(full)
+    assert winners == ((1, 1), (1, 2), (2, 1), (2, 2))
     assert value == 0
 
 
@@ -89,13 +86,13 @@ def test_best_response_rejects_malformed_choices():
     """A strategy set is one tuple of choices per coordinate, none empty."""
     game, _ = _sqr_game(binary_trial_scenario())
     opponent = {0: {(1, 2): F(1)}}
+    table = game.payoff_table(0, 0, opponent)
     for choices in (((1, 2),), ((1,), (1, 2), (1, 2)), ((1,), ())):
         with pytest.raises(ModelError, match="non-empty coordinates"):
-            best_response(game, 0, 0, opponent, choices)
+            table.best(choices)
     sqr = ((1,), (1, 2))
-    assert best_response(game, 0, 0, opponent, sqr) == naive.best_response(
-        naive.NaiveGame(game), 0, 0, opponent, sqr
-    )
+    winners, value = naive.best_response(naive.NaiveGame(game), 0, 0, opponent, sqr)
+    assert table.best(sqr) == (tuple(winners), value)
 
 
 def test_unknown_message_in_a_strategy_set_is_a_model_error():
@@ -105,7 +102,7 @@ def test_unknown_message_in_a_strategy_set_is_a_model_error():
     opponent = {0: {(1, 2): F(1)}}
     bad = ((1,), (1, 5))
     with pytest.raises(ModelError, match="coordinate 1 names unknown message 5"):
-        best_response(game, 0, 0, opponent, bad)
+        game.payoff_table(0, 0, opponent).best(bad)
     profile = [{0: {(1, 2): F(1)}}, {0: {(1, 2): F(1)}}]
     with pytest.raises(ModelError, match="coordinate 1 names unknown message 5"):
         verify_equilibrium(game, profile, (bad, rs))
@@ -134,9 +131,8 @@ def test_best_deviation_accounts_for_the_residual():
     for (agent, t), residual in report.residuals.items():
         opponent = profile[1 - agent]
         deviation = report.best_deviation[(agent, t)]
-        gain = expected_payoff(game, agent, t, deviation, opponent) - mixture_payoff(
-            game, agent, t, profile[agent][t], opponent
-        )
+        table = game.payoff_table(agent, t, opponent)
+        gain = table.value(deviation) - sum(w * table.value(s) for s, w in profile[agent][t].items())
         assert gain == residual
         assert deviation == naive.best_response(reference, agent, t, opponent, rs)[0][0]
 

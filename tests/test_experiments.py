@@ -244,6 +244,17 @@ def test_prop3_builds_the_class_graph_once(monkeypatch):
     assert graphs[0] == 1
 
 
+def test_prop3_cost_below_threshold_is_strict_at_the_threshold():
+    """On the default scenario the learning threshold is 2/5: a cost equal
+    to it is not below it, one step less is, and no other key moves."""
+    threshold = run_experiment("prop3").artifacts["threshold"]
+    assert threshold == F(2, 5)
+    for cost, below in ((threshold, False), (threshold - F(1, 10**9), True)):
+        certificates = run_experiment("prop3", cost=cost).certificates
+        assert certificates.pop("cost_below_threshold") is below
+        assert all(v is True for v in certificates.values()), certificates
+
+
 @pytest.mark.parametrize("agent", [2, -1, True, 1.0])
 def test_prop3_refuses_a_respondent_other_than_agent_0_or_1(agent):
     """Agent 2 used to raise an ``IndexError`` and agent -1 to certify
@@ -674,7 +685,6 @@ def test_prop2_values_are_engine_payoffs_on_an_asymmetric_mechanism():
     agent 2 several, so an agent's payoff depends on which side sends
     which message; the Nash values prop2 reports must be each agent's
     engine payoff in the verified profile."""
-    from robustmech.engine import mixture_payoff
     from robustmech.mechanisms import build_one_respondent
 
     scenario = binary_trial_scenario()
@@ -688,7 +698,8 @@ def test_prop2_values_are_engine_payoffs_on_an_asymmetric_mechanism():
     ]
     game = Game(scenario, mech)
     for agent in (0, 1):
-        value = mixture_payoff(game, agent, 0, profile[agent][0], profile[1 - agent])
+        table = game.payoff_table(agent, 0, profile[1 - agent])
+        value = sum(w * table.value(s) for s, w in profile[agent][0].items())
         assert value == nash["values"][agent]
 
 

@@ -94,17 +94,25 @@ def test_shared_rows_need_equal_biases_and_the_same_scenario():
 
 
 def test_rounds_after_the_first_recheck_only_neighbours_of_movers(monkeypatch):
+    """The best-response loop's payoff-table reads, up to the converged
+    run's verification, whose reads are left out."""
     calls = []
-    best_response = equilibrium.best_response
+    payoff_table, verify_equilibrium = Game.payoff_table, equilibrium.verify_equilibrium
 
     def recorded(game, agent, t, *args):
         calls.append((agent, t))
-        return best_response(game, agent, t, *args)
+        return payoff_table(game, agent, t, *args)
 
-    monkeypatch.setattr(equilibrium, "best_response", recorded)
+    def verified(*args):
+        calls.append(None)  # the verification starts here
+        return verify_equilibrium(*args)
+
+    monkeypatch.setattr(Game, "payoff_table", recorded)
+    monkeypatch.setattr(equilibrium, "verify_equilibrium", verified)
     pert = _ladder(ETAS[1])
     result = iterate_best_response(Game(THREE, MECH, pert), SETS)
     assert result.converged and result.rounds == 2
+    calls = calls[:calls.index(None)]
     first = [(a, t) for a in (0, 1) for t in range(len(pert.partitions[a]))
              if pert.type_groups(a, t)]
     assert calls[:len(first)] == first

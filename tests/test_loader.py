@@ -170,3 +170,12 @@ def test_integer_forms_load_as_yaml_reads_them(form):
 def test_integer_tag_that_does_not_parse_names_its_line(form):
     with pytest.raises(ScenarioFileError, match=r"expected an integer, got '(ten)?' \(line 10\)"):
         parse_scenario(GOOD.replace('  - cost: "1"\n', f"  - cost: {form}\n", 1))
+
+
+@pytest.mark.parametrize("key", ["{guilty: 1}", "[guilty]"])
+def test_mapping_or_list_as_a_key_names_its_line(key):
+    """A flow mapping or list in key position is refused with its line,
+    not a bare ``TypeError`` for an unhashable key."""
+    text = GOOD.replace("  guilty: {convict", f"  {key}: {{convict")
+    with pytest.raises(ScenarioFileError, match=r"a mapping key must be a scalar \(line 8\)"):
+        parse_scenario(text)

@@ -12,14 +12,13 @@ from robustmech import (
     build_ladder,
     build_status_quo,
     check_reward_constraints,
-    expected_payoff,
+    full_strategy_set,
     mislabel_signals,
     posterior,
     size_of_signal_structure,
     solve_rewards,
     tv_distance,
 )
-from robustmech.engine import mixture_payoff
 
 
 def lotteries(size=3):
@@ -96,19 +95,22 @@ def test_expected_payoff_affine_in_opponent_mixture(k):
     own = (1, 2)
     a, b = (1, 1), (1, 2)
     mixed = {0: {a: lam, b: 1 - lam}}
-    va = expected_payoff(g, 0, 0, own, {0: {a: F(1)}})
-    vb = expected_payoff(g, 0, 0, own, {0: {b: F(1)}})
-    assert expected_payoff(g, 0, 0, own, mixed) == lam * va + (1 - lam) * vb
+    va = g.payoff_table(0, 0, {0: {a: F(1)}}).value(own)
+    vb = g.payoff_table(0, 0, {0: {b: F(1)}}).value(own)
+    assert g.payoff_table(0, 0, mixed).value(own) == lam * va + (1 - lam) * vb
 
 
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=13, deadline=None)
 def test_mixture_payoff_affine_in_own_mixture(k):
+    """A residual (``PayoffTable.deficit``) is affine in the type's own
+    mixture: the mixture's deficit is the weighted sum of its members'."""
     lam = F(k, 12)
     s = binary_trial_scenario()
     g = Game(s, build_status_quo(s, 1))
-    opp = {0: {(1, 2): F(1)}}
+    table = g.payoff_table(0, 0, {0: {(1, 2): F(1)}})
+    choices = full_strategy_set((1, 2), 2)
     a, b = (1, 1), (1, 2)
-    va = expected_payoff(g, 0, 0, a, opp)
-    vb = expected_payoff(g, 0, 0, b, opp)
-    assert mixture_payoff(g, 0, 0, {a: lam, b: 1 - lam}, opp) == lam * va + (1 - lam) * vb
+    da = table.deficit(choices, {a: F(1)})
+    db = table.deficit(choices, {b: F(1)})
+    assert table.deficit(choices, {a: lam, b: 1 - lam}) == lam * da + (1 - lam) * db
