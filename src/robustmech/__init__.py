@@ -17,7 +17,6 @@ from .core import (
     make_scenario,
     three_state_scenario,
     tv_distance,
-    zero_payoff,
 )
 from .engine import (
     Game,
@@ -28,7 +27,6 @@ from .engine import (
     implementation_metrics,
     mislabel_signals,
     outcome_distribution,
-    pure_profile,
     restricted_strategy_set,
     revealing_signals,
     size_of_signal_structure,
@@ -67,7 +65,6 @@ from .mechanisms import (
     build_status_quo,
     check_reward_constraints,
     export_mechanism,
-    import_mechanism,
     solve_rewards,
 )
 from .perturbations import (
@@ -77,7 +74,6 @@ from .perturbations import (
     build_ladder,
     eta_of,
     is_c_bounded,
-    posterior,
     unperturbed,
 )
 

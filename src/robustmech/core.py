@@ -151,11 +151,6 @@ class AgentPayoff:
         return sum(w * self.u[state][k] for k, w in enumerate(lottery.weights) if w)
 
 
-def zero_payoff(n_states: int, n_outcomes: int, cost: Number) -> AgentPayoff:
-    row = tuple(Fraction(0) for _ in range(n_outcomes))
-    return AgentPayoff(tuple(row for _ in range(n_states)), rat(cost))
-
-
 @dataclass(frozen=True)
 class ScenarioModel:
     """The unperturbed environment a mechanism is built around."""

@@ -780,14 +780,9 @@ def canonical_replacement(
 # -- profile helpers -------------------------------------------------------
 
 
-def pure_profile(game: Game, strategies: tuple[PureStrategy, PureStrategy]) -> StrategyProfile:
-    """Every type of each agent plays the given pure strategy."""
-    pert = game.perturbation
+def truthful_profile(game: Game) -> StrategyProfile:
+    """Every type of each agent plays its truthful strategy."""
     return [
-        {t: {strategies[agent]: ONE} for t in range(len(pert.partitions[agent]))}
+        {t: {game.truthful(agent): ONE} for t in range(len(game.perturbation.partitions[agent]))}
         for agent in (0, 1)
     ]
-
-
-def truthful_profile(game: Game) -> StrategyProfile:
-    return pure_profile(game, (game.truthful(0), game.truthful(1)))

@@ -60,7 +60,14 @@ from .mechanisms import (
     build_status_quo,
 )
 from .numeric import Number, fmt, rat
-from .perturbations import BiasSpec, build_general_ladder, build_ladder
+from .perturbations import (
+    BiasSpec,
+    _learning_costs,
+    build_general_ladder,
+    build_ladder,
+    eta_of,
+    is_c_bounded,
+)
 
 
 def _jsonable(value):
@@ -289,12 +296,26 @@ def _status_quo_run(experiment, scenario, mech, c_bar, depth, eta_grid, biases):
     best-response equilibrium on every collapsed-tail ladder of the grid
     and, for n <= 3, the exhaustive replacement closure) and the
     artifacts (``gamma``, the schedule's rewards and the per-eta grid).
+    Each ladder must meet the hypotheses, or ``ModelError`` names its eta
+    and the value that misses: ``eta_of`` is that eta and, for thm1 (thm2
+    allows costs up to its cap), every learning cost is at most ``c_bar``.
     """
     cert_gamma = gamma_dominance_threshold(mech, scenario, c_bar)
     grid = []
     for eta, pert, game in _ladder_games(
         experiment, scenario, mech, depth, eta_grid, biases, "collapse"
     ):
+        measured = eta_of(pert)
+        if measured != eta:
+            raise ModelError(
+                f"{experiment}: the ladder at eta = {fmt(eta)} has ex-ante perturbation "
+                f"probability {fmt(measured)}, not eta"
+            )
+        if experiment == "thm1" and not is_c_bounded(pert, c_bar):
+            raise ModelError(
+                f"thm1: the ladder at eta = {fmt(eta)} has learning cost "
+                f"{fmt(max(_learning_costs(pert)))} above c_bar = {fmt(c_bar)}"
+            )
         res = iterate_best_response(game, _strategy_sets(game))
         grid.append(
             {
@@ -1006,6 +1027,12 @@ def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int,
             "strict cyclical monotonicity fails: minimum cycle weight "
             f"{fmt(verdict.witness['min_cycle_weight'])} at class {verdict.witness['at_class']}"
         )
+    return _graph_transfers(u, scf, assign, k, arcs, verdict)
+
+
+def _graph_transfers(u, scf, assign, k, arcs, verdict) -> dict[int, Number]:
+    """``synthesize_transfers`` on the class graph ``assign, k, arcs``
+    once its cycle ``verdict`` has passed."""
     if k == 1:
         return {j: Fraction(0) for j in range(len(scf.lotteries))}
     delta = verdict.witness["min_cycle_weight"] / (2 * k)
@@ -1026,8 +1053,9 @@ def run_prop3(
 ) -> ExperimentResult:
     """Full implementation through a single informed respondent.
 
-    Requires a non-constant target and strict cyclical monotonicity for
-    the respondent; synthesizes transfers, computes the learning
+    Requires a non-constant target.  Without strict cyclical monotonicity
+    for the respondent it fails that one check, the minimum cycle its
+    witness; otherwise it synthesizes transfers, computes the learning
     threshold, and enumerates every equilibrium of the one-respondent
     mechanism to confirm each one implements the target exactly.
     """
@@ -1036,10 +1064,17 @@ def run_prop3(
         raise ModelError("full implementation run needs a non-constant target")
     if isinstance(agent, bool) or not isinstance(agent, int) or agent not in (0, 1):
         raise ModelError(f"prop3: the respondent must be agent 0 or 1, not {agent!r}")
+    if cost is not None:
+        cost = _exact("prop3", "cost", cost)
     u = scenario.payoffs[agent]
-    transfers = synthesize_transfers(u, scenario.scf)
+    provenance = {"scenario_states": scenario.state_space.states, "prior": scenario.prior}
+    assign, k, arcs = _class_graph(u, scenario.scf)
+    verdict = _cycle_verdict(arcs, k)
+    if not verdict.ok:
+        return ExperimentResult("prop3", {"agent": agent, "cost": cost},
+                                {"cyclical_monotonicity": False}, dict(verdict.witness), provenance)
+    transfers = _graph_transfers(u, scenario.scf, assign, k, arcs, verdict)
     n = scenario.n
-    assign, _ = _f_classes(scenario.scf)
     pair_margin = _truthful_margin(u, scenario.scf, assign, transfers)
     mech = build_one_respondent(scenario, agent, {j + 1: transfers[j] for j in range(n)})
     truthful = tuple(range(1, n + 1))
@@ -1049,7 +1084,7 @@ def run_prop3(
     best_constant = max(zero_cost.inner_value(agent, 0, (m,) * n, other) for m in truthful)
     learning_margin = truthful_value - best_constant
     threshold = learning_margin / 2
-    c = _exact("prop3", "cost", cost) if cost is not None else learning_margin / 4
+    c = cost if cost is not None else learning_margin / 4
 
     # The other agent has one message, so equilibria are exactly the
     # mixtures over the respondent's best replies.
@@ -1058,7 +1093,7 @@ def run_prop3(
     argmax = game.payoff_table(agent, 0, {0: {other: Fraction(1)}}).best(strategies)[0]
     full_impl = all(all(assign[s[j] - 1] == assign[j] for j in range(n)) for s in argmax)
     certificates = {
-        "cyclical_monotonicity": True,
+        "cyclical_monotonicity": verdict.ok,
         "transfer_conditions": pair_margin > 0,
         "cost_below_threshold": c < threshold,
         "truthful_strict_best": argmax == (truthful,) or full_impl,
@@ -1075,7 +1110,7 @@ def run_prop3(
             "threshold": threshold,
             "argmax": argmax,
         },
-        {"scenario_states": scenario.state_space.states, "prior": scenario.prior},
+        provenance,
     )
 
 

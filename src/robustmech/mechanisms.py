@@ -315,20 +315,3 @@ def export_mechanism(mechanism: Mechanism) -> str:
             t1, t2 = mechanism.transfer[(a, b)]
             lines.append(f"{a}\t{b}\t{lot}\t{fmt(t1)}\t{fmt(t2)}")
     return "\n".join(lines) + "\n"
-
-
-def import_mechanism(text: str, kind: str = "imported") -> Mechanism:
-    """Inverse of :func:`export_mechanism`."""
-    rows = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if rows and rows[0].startswith("m1"):
-        rows = rows[1:]
-    outcome, transfer = {}, {}
-    m1s, m2s = set(), set()
-    for ln in rows:
-        a, b, lot, t1, t2 = ln.split("\t")
-        a, b = int(a), int(b)
-        m1s.add(a)
-        m2s.add(b)
-        outcome[(a, b)] = Lottery(tuple(rat(w) for w in lot.split(",")))
-        transfer[(a, b)] = (rat(t1), rat(t2))
-    return Mechanism(kind, (tuple(sorted(m1s)), tuple(sorted(m2s))), outcome, transfer)

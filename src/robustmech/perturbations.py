@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ModelError, ScenarioModel
+from .core import AgentPayoff, ModelError, ScenarioModel
 from .numeric import Number, frac_key, rat
 
 
@@ -194,6 +194,12 @@ class Perturbation:
         out."""
         if len(labels) != len(self.coef):
             raise ModelError(f"masses_by needs one label per circumstance, not {len(labels)}")
+        return self._prefix_masses(labels)
+
+    def _prefix_masses(self, labels) -> dict:
+        """``masses_by`` of circumstances ``0 .. len(labels) - 1`` alone:
+        the walk stops after the last label, so the circumstances above it
+        cost nothing."""
         out: dict = {}
         ratio, step, lo = self.ratio, self.scale, 0
         geometric = ratio != 1
@@ -265,24 +271,6 @@ class Perturbation:
         if bias is not None and (state, outcome) in bias.u_overrides:
             return bias.u_overrides[(state, outcome)]
         return self.scenario.payoffs[agent].u[state][outcome]
-
-    def is_biased_at(self, agent: int, circ: int) -> bool:
-        bias = self._bias(agent, circ)
-        if bias is None:
-            return False
-        base = self.scenario.payoffs[agent]
-        if bias.cost is not None and bias.cost != base.cost:
-            return True
-        return any(
-            value != base.u[s][o] for (s, o), value in bias.u_overrides.items()
-        )
-
-    def type_is_normal(self, agent: int, type_index: int) -> bool:
-        """A type is normal iff payoffs and cost match the unperturbed model
-        on every circumstance of its partition element."""
-        return not any(
-            self.is_biased_at(agent, w) for w in self.partitions[agent][type_index]
-        )
 
 
 def unperturbed(scenario: ScenarioModel) -> Perturbation:
@@ -358,42 +346,41 @@ def build_general_ladder(
     )
 
 
+def _changes_payoffs(bias: BiasSpec, base: AgentPayoff) -> bool:
+    """Whether ``bias`` gives its agent a cost or a payoff other than the
+    unperturbed ``base``; a bias that changes nothing leaves a normal type."""
+    if bias.cost is not None and bias.cost != base.cost:
+        return True
+    return any(value != base.u[s][o] for (s, o), value in bias.u_overrides.items())
+
+
 def eta_of(perturbation: Perturbation) -> Number:
-    """One minus the probability that both agents are normal types."""
-    normal = [
-        {
-            idx
-            for idx in range(len(perturbation.partitions[agent]))
-            if perturbation.type_is_normal(agent, idx)
-        }
-        for agent in (0, 1)
-    ]
-    both_normal = [
-        perturbation.type_of(0, w) in normal[0] and perturbation.type_of(1, w) in normal[1]
-        for w in range(perturbation.size)
-    ]
-    return 1 - perturbation.masses_by(both_normal).get(True, 0)
+    """The ex-ante probability of a perturbed type: the mass of the
+    circumstances where some agent's type is not normal.  A type is normal
+    iff none of its circumstances carries a bias that changes its agent's
+    cost or payoffs, so only the biases are read, and the mass walk stops
+    at the highest circumstance of a type that is not normal."""
+    p = perturbation
+    abnormal = {
+        w
+        for bias in p.biases
+        if _changes_payoffs(bias, p.scenario.payoffs[bias.agent])
+        for w in p.partitions[bias.agent][p.type_of(bias.agent, bias.circumstance)]
+    }
+    flags = [w in abnormal for w in range(max(abnormal, default=-1) + 1)]
+    return p._prefix_masses(flags).get(True, Fraction(0))
+
+
+def _learning_costs(perturbation: Perturbation) -> set:
+    """Every learning cost in force at some circumstance: each bias's
+    cost, its agent's unperturbed one where it sets none, and the
+    unperturbed cost of each agent with a circumstance of class ``None``."""
+    p, base = perturbation, perturbation.scenario.payoffs
+    costs = {base[agent].cost for agent in (0, 1) if None in p._classes[agent]}
+    costs.update(base[b.agent].cost if b.cost is None else b.cost for b in p.biases)
+    return costs
 
 
 def is_c_bounded(perturbation: Perturbation, c_bar: Number) -> bool:
     """True iff every perturbed learning cost is at most ``c_bar``."""
-    return all(
-        perturbation.cost(agent, w) <= c_bar
-        for agent in (0, 1)
-        for w in range(perturbation.size)
-    )
-
-
-def posterior(perturbation: Perturbation, agent: int, type_index: int) -> dict[int, Number]:
-    """Bayes posterior over the opponent's types given one's own type: the
-    summed conditional weights of ``type_groups``.  Every opponent type the
-    partition element meets is a key, in order of first meeting, with
-    ``Fraction(0)`` where it is met only at zero-mass circumstances."""
-    groups = perturbation.type_groups(agent, type_index)
-    if not groups:
-        raise ModelError("posterior of a zero-probability type")
-    element = perturbation.partitions[agent][type_index]
-    out = dict.fromkeys((perturbation.type_of(1 - agent, w) for w in element), Fraction(0))
-    for opp, cells in groups:
-        out[opp] = sum(weight for _, weight in cells)
-    return out
+    return all(c <= c_bar for c in _learning_costs(perturbation))

@@ -17,6 +17,9 @@ and read those masses.
 ladder construction and the mass sums before the ratio/coefficient form:
 per-rung powers renormalized by a sum, conditional weights and posteriors
 divided out of raw masses, and lotteries mixed once per circumstance.
+``is_biased_at``, ``type_is_normal`` and ``is_c_bounded`` read every
+circumstance's bias and cost, the oracles for ``eta_of`` and
+``is_c_bounded``, which read each bias once.
 A ``Perturbation`` computes ``pi`` on each access, so every function
 here reads it once.
 ``restricted_strategy_set`` and ``canonical_replacement`` name a rule's
@@ -118,13 +121,36 @@ def posterior(pert, agent: int, type_index: int) -> dict[int, Number]:
     return out
 
 
+def is_biased_at(pert, agent: int, circ: int) -> bool:
+    """Whether the bias at ``circ``, if any, changes the agent's cost or
+    a payoff."""
+    cls = pert.payoff_class(agent, circ)
+    if cls is None:
+        return False
+    bias, base = pert.biases[cls], pert.scenario.payoffs[agent]
+    if bias.cost is not None and bias.cost != base.cost:
+        return True
+    return any(value != base.u[s][o] for (s, o), value in bias.u_overrides.items())
+
+
+def type_is_normal(pert, agent: int, type_index: int) -> bool:
+    """A type is normal iff payoffs and cost match the unperturbed model
+    on every circumstance of its partition element."""
+    return not any(is_biased_at(pert, agent, w) for w in pert.partitions[agent][type_index])
+
+
+def is_c_bounded(pert, c_bar: Number) -> bool:
+    """True iff every circumstance's learning cost is at most ``c_bar``."""
+    return all(pert.cost(agent, w) <= c_bar for agent in (0, 1) for w in range(pert.size))
+
+
 def eta_of(perturbation) -> Number:
     """One minus the probability that both agents are normal types."""
     normal = [
         {
             idx
             for idx in range(len(perturbation.partitions[agent]))
-            if perturbation.type_is_normal(agent, idx)
+            if type_is_normal(perturbation, agent, idx)
         }
         for agent in (0, 1)
     ]

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from robustmech import import_mechanism
+from robustmech import (
+    binary_trial_scenario,
+    build_augmented_status_quo,
+    build_status_quo,
+    export_mechanism,
+)
 from robustmech.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -36,19 +41,20 @@ def test_experiment_list(capsys):
 def test_mechanism_build_stdout(capsys):
     code, out, _ = run(capsys, "mechanism", "build", "--kind", "sqr")
     assert code == 0
+    # The table, byte for byte, and then the schedule's JSON line.
+    scenario = binary_trial_scenario()
+    table = export_mechanism(build_status_quo(scenario, scenario.max_cost))
     assert out.startswith("m1\tm2\toutcome\tt1\tt2")
-    # The table round-trips through the importer.
-    table = out.rsplit("\n", 2)[0] + "\n"
-    mech = import_mechanism(table)
-    assert mech.messages == ((1, 2), (1, 2))
+    assert out.rsplit("\n", 2)[0] + "\n" == table
 
 
 def test_mechanism_build_to_file(tmp_path, capsys):
     target = tmp_path / "mech.tsv"
     code, out, _ = run(capsys, "mechanism", "build", "--kind", "asqr", "--out", str(target))
     assert code == 0
-    mech = import_mechanism(target.read_text())
-    assert mech.messages == ((-2, 1, 2), (-2, 1, 2))
+    table = export_mechanism(build_augmented_status_quo(binary_trial_scenario()))
+    assert target.read_text() == table
+    assert out.startswith(f"wrote {target}\n")
 
 
 def test_equilibrium_check(capsys):
@@ -259,12 +265,17 @@ def test_integer_tag_that_does_not_parse_exits_2_naming_the_line(tmp_path):
 
 
 def test_prop3_refusal_prints_its_witness_in_fractions():
+    """Without strict cyclical monotonicity prop3 fails that one check,
+    with the minimum cycle as its witness, and exits 1."""
     proc = run_cli("experiment", "run", "prop3", "--scenario", str(SCENARIOS / "three_state.yaml"))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == (
-        "error: strict cyclical monotonicity fails: minimum cycle weight 0 at class 0\n"
-    )
+    assert proc.returncode == 1
+    assert not proc.stderr
+    head, payload = proc.stdout.split("\n", 1)
+    assert head == "FAIL  cyclical_monotonicity"
+    record = json.loads(payload)
+    assert record["certificates"] == {"cyclical_monotonicity": False}
+    assert record["artifacts"] == {"min_cycle_weight": "0", "at_class": 0}
+    assert record["passed"] is False
 
 
 @pytest.mark.parametrize("name", ["thm3", "prop2"])
@@ -286,6 +297,17 @@ def test_empty_eta_grid_exits_2():
     assert proc.stderr == (
         "error: eta grid is empty: a ladder certificate needs at least one eta\n"
     )
+    assert not proc.stdout
+
+
+def test_thm1_on_costs_above_c_bar_exits_2(tmp_path):
+    """Learning costs of 2 exceed thm1's default c_bar of 1."""
+    path = tmp_path / "costly.yaml"
+    path.write_text((SCENARIOS / "binary_trial.yaml").read_text().replace('cost: "1"', 'cost: "2"'))
+    proc = run_cli("experiment", "run", "thm1", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: cost bound must dominate the unperturbed costs\n"
     assert not proc.stdout
 
 

@@ -32,11 +32,11 @@ from robustmech import (
     eta_of,
     full_strategy_set,
     implementation_metrics,
+    is_c_bounded,
     iterate_best_response,
     iterated_dominance,
     mislabel_signals,
     outcome_distribution,
-    posterior,
     restricted_strategy_set,
     revealing_signals,
     three_state_scenario,
@@ -122,11 +122,21 @@ def strategy_sets(kind, game):
 
 
 def assert_masses_match_naive(pert):
-    """Every type's conditional weights and posterior (keys, their order
-    and exact values) against the sums over raw masses; a type has no
-    groups exactly when its raw mass is zero, and then no posterior.  Two
-    types share a kind exactly when their per-group ``(payoff class,
-    weight)`` cells are equal."""
+    """Every type's conditional weights (keys, their order and exact
+    values) against the sums over raw masses, and their sums per opponent
+    type against the posterior's positive entries; a type has no groups
+    exactly when its raw mass is zero.  Two types share a kind exactly
+    when their per-group ``(payoff class, weight)`` cells are equal.
+    ``eta_of`` and ``is_c_bounded``, which read each bias once, equal the
+    per-circumstance oracles, the cost bound at every cost in force and a
+    step either side of it.  The generators' biases often change nothing:
+    their base payoffs are 0 and their base cost 1, values the overrides
+    and costs can take."""
+    eta = eta_of(pert)
+    assert eta == naive.eta_of(pert) and type(eta) is F
+    costs = {pert.cost(agent, w) for agent in (0, 1) for w in range(pert.size)}
+    for c_bar in {c + step for c in costs for step in (F(-1, 8), 0, F(1, 8))}:
+        assert is_c_bounded(pert, c_bar) == naive.is_c_bounded(pert, c_bar)
     reference = naive.NaivePerturbation(pert)
     kinds = {}
     for agent in (0, 1):
@@ -140,12 +150,11 @@ def assert_masses_match_naive(pert):
             assert all(type(m) is F for _, cells in groups for _, m in cells)
             assert bool(groups) == bool(mass)
             if not mass:
-                with pytest.raises(ModelError):
-                    posterior(pert, agent, t)
                 continue
-            got = posterior(pert, agent, t)
-            assert list(got.items()) == list(naive.posterior(pert, agent, t).items())
-            assert all(type(x) is F for x in got.values())
+            got = {opp: sum(m for _, m in cells) for opp, cells in groups}
+            want = naive.posterior(pert, agent, t)
+            assert got == {opp: x for opp, x in want.items() if x}
+            assert sum(got.values()) == 1
     pairs = set(kinds.values())
     assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
 
@@ -544,8 +553,26 @@ def test_ladder_matches_per_rung_construction(depth, eta, tail, data):
     pi = pert.pi
     assert (pi, pert.tail_mass) == naive.ladder_masses(depth, eta, tail)
     assert type(pert.tail_mass) is F and all(type(p) is F for p in pi)
-    assert eta_of(pert) == naive.eta_of(pert)
     assert_masses_match_naive(pert)
+
+
+@pytest.mark.parametrize("tail", ["collapse", "renormalize"])
+def test_hypotheses_at_the_top_rung_and_at_zero_mass(tail):
+    """A bias at the top rung perturbs agent 2's type {w8, w9}; a bias that
+    sets the base payoff and cost leaves agent 1's type {w1, w2} normal; a
+    bias on a zero-mass type adds nothing to ``eta_of`` but its cost still
+    counts."""
+    idle = BiasSpec(0, 1, {(0, 0): F(0)}, cost=F(1))
+    top = BiasSpec(1, 9, {(1, 1): F(5)}, cost=F(3))
+    pert = build_ladder(SCENARIO, 9, F(1, 7), [idle, top], tail=tail)
+    assert_masses_match_naive(pert)
+    assert eta_of(pert) == pert.pi[8] + pert.pi[9]
+    assert is_c_bounded(pert, 3) and not is_c_bounded(pert, F(3) - F(1, 10**6))
+    zero_top = build_general_ladder(SCENARIO, (F(1, 2), F(1, 2), F(0), F(0)),
+                                    [BiasSpec(0, 3, {(0, 1): F(2)}, cost=F(4))])
+    assert_masses_match_naive(zero_top)
+    assert eta_of(zero_top) == 0
+    assert not is_c_bounded(zero_top, 3)
 
 
 def assert_lotteries_match_naive(game, data):

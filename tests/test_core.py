@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from robustmech import (
+    AgentPayoff,
     Lottery,
     ModelError,
     binary_trial_scenario,
@@ -14,7 +15,6 @@ from robustmech import (
     make_scenario,
     three_state_scenario,
     tv_distance,
-    zero_payoff,
 )
 from robustmech.core import StateSpace
 
@@ -92,7 +92,7 @@ def test_canonicalize_reorders_by_descending_prior():
 
 
 def test_expected_utility():
-    p = zero_payoff(2, 2, F(1))
+    p = AgentPayoff(((F(0), F(0)), (F(0), F(0))), F(1))
     assert p.expected_utility(0, Lottery.point(0, 2)) == 0
     s = make_scenario(
         [("x", "7/10"), ("y", "3/10")],

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from robustmech import (
+    BiasSpec,
     Certificate,
     Game,
     ModelError,
@@ -261,6 +262,34 @@ def test_prop3_refuses_a_respondent_other_than_agent_0_or_1(agent):
     agent 2's payoffs under another name."""
     with pytest.raises(ModelError, match=re.escape(f"agent 0 or 1, not {agent!r}")):
         run_experiment("prop3", agent=agent)
+
+
+def test_thm1_cost_bound_holds_at_c_bar_and_fails_just_above():
+    """thm1's ladders may carry learning costs up to c_bar = 1 and no
+    higher.  The bias overrides payoffs, so its type is perturbed and the
+    ladder's ex-ante perturbation probability is its eta."""
+    s = binary_trial_scenario()
+    at_bound = [BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10), cost=1)]
+    assert run_experiment("thm1", depth=10, eta_grid=("1/10",), biases=at_bound).passed
+    above = [BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10), cost=F(1000001, 1000000))]
+    with pytest.raises(ModelError, match=re.escape(
+        "thm1: the ladder at eta = 1/10 has learning cost 1000001/1000000 above c_bar = 1"
+    )):
+        run_experiment("thm1", depth=10, eta_grid=("1/10",), biases=above)
+
+
+@pytest.mark.parametrize("name, state", [("thm1", 0), ("thm2", 1)])
+def test_status_quo_runs_refuse_a_ladder_whose_eta_of_is_not_its_eta(name, state):
+    """A bias at circumstance 3 perturbs agent 1's type {w3, w4}, whose
+    mass is eta (1-eta)^3 (2 - eta), not eta."""
+    s = binary_trial_scenario()
+    eta = F(1, 10)
+    measured = eta * (1 - eta) ** 3 * (2 - eta)
+    biases = [BiasSpec(0, 3, preferred_outcome_bias(s, state, 10))]
+    with pytest.raises(ModelError, match=re.escape(
+        f"{name}: the ladder at eta = 1/10 has ex-ante perturbation probability {measured}, not eta"
+    )):
+        run_experiment(name, depth=10, eta_grid=("1/10",), biases=biases)
 
 
 @pytest.mark.parametrize("depth", [F(5, 2), 2.5, True, "100"])

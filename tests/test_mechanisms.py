@@ -24,7 +24,6 @@ from robustmech import (
     check_reward_constraints,
     export_mechanism,
     four_state_scenario,
-    import_mechanism,
     make_scenario,
     solve_rewards,
     three_state_scenario,
@@ -269,14 +268,20 @@ def test_cost_bound_must_cover_scenario_costs():
 
 
 def test_export_import_round_trip():
+    """Every message pair's row of the exported table parses back to its
+    exact lottery and transfers, in message order."""
     for build in (build_status_quo, build_augmented_status_quo, build_modified_status_quo):
         s = binary_trial_scenario()
         m = build(s, 1) if build is build_status_quo else build(s)
-        again = import_mechanism(export_mechanism(m))
-        assert again.messages == m.messages
-        for pair in m.outcome:
-            assert again.g(*pair).same_as(m.g(*pair))
-            assert again.transfer[pair] == m.transfer[pair]
+        header, *rows = export_mechanism(m).splitlines()
+        assert header == "m1\tm2\toutcome\tt1\tt2"
+        pairs = [(a, b) for a in m.messages[0] for b in m.messages[1]]
+        assert len(rows) == len(pairs)
+        for pair, row in zip(pairs, rows):
+            a, b, lot, t1, t2 = row.split("\t")
+            assert (int(a), int(b)) == pair
+            assert tuple(F(w) for w in lot.split(",")) == m.g(*pair).weights
+            assert (F(t1), F(t2)) == m.transfer[pair]
 
 
 def test_transfer_bound():

@@ -1,9 +1,10 @@
-"""Circumstance ladders, partitions, posteriors, and size measures."""
+"""Circumstance ladders, partitions, conditional weights, and size measures."""
 
 from fractions import Fraction as F
 
 import pytest
 
+import naive_reference as naive
 from robustmech import (
     BiasSpec,
     ModelError,
@@ -13,7 +14,6 @@ from robustmech import (
     build_ladder,
     eta_of,
     is_c_bounded,
-    posterior,
     unperturbed,
 )
 from robustmech.perturbations import ladder_partition
@@ -94,8 +94,8 @@ def test_eta_of_single_bias():
     # Only the first circumstance carries a biased type, and agent 1's
     # first partition element is exactly that circumstance.
     assert eta_of(p) == eta
-    assert not p.type_is_normal(0, 0)
-    assert p.type_is_normal(1, 0)
+    assert not naive.type_is_normal(p, 0, 0)
+    assert naive.type_is_normal(p, 1, 0)
 
 
 def test_eta_of_unperturbed_is_zero():
@@ -105,7 +105,7 @@ def test_eta_of_unperturbed_is_zero():
 def test_override_equal_to_base_is_not_a_bias():
     s = binary_trial_scenario()
     p = build_ladder(s, 4, F(1, 10), [BiasSpec(0, 0, {(0, 0): s.payoffs[0].u[0][0]})])
-    assert p.type_is_normal(0, 0)
+    assert naive.type_is_normal(p, 0, 0)
     assert eta_of(p) == 0
 
 
@@ -120,17 +120,17 @@ def test_cost_bound():
 
 
 def test_posterior_sums_to_one_and_matches_ladder():
+    """The posterior is the summed conditional weights of ``type_groups``."""
     s = binary_trial_scenario()
     eta = F(1, 10)
     p = build_ladder(s, 10, eta)
     for agent in (0, 1):
         for t in range(len(p.partitions[agent])):
-            post = posterior(p, agent, t)
-            assert sum(post.values()) == 1
+            assert sum(x for _, cells in p.type_groups(agent, t) for _, x in cells) == 1
     # Interior rung of agent 1: type {w1, w2} sees the opponent's
     # {w0, w1} with probability 1/(2 - eta).
-    post = posterior(p, 0, 1)
-    assert post[p.type_of(1, 1)] == 1 / (2 - eta)
+    groups = dict(p.type_groups(0, 1))
+    assert groups[p.type_of(1, 1)] == ((1, 1 / (2 - eta)),)
 
 
 def test_partition_must_cover():

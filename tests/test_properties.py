@@ -14,7 +14,6 @@ from robustmech import (
     check_reward_constraints,
     full_strategy_set,
     mislabel_signals,
-    posterior,
     size_of_signal_structure,
     solve_rewards,
     tv_distance,
@@ -63,7 +62,7 @@ def test_ladder_posteriors_are_distributions(depth, eta):
         assert sum(p.pi) == 1
         for agent in (0, 1):
             for t in range(len(p.partitions[agent])):
-                assert sum(posterior(p, agent, t).values()) == 1
+                assert sum(x for _, cells in p.type_groups(agent, t) for _, x in cells) == 1
 
 
 @given(st.fractions(min_value=F(0), max_value=F(1, 2)))
