@@ -159,7 +159,7 @@ def cmd_dominance_eliminate(args):
                 full_strategy_set(mech.messages[1], game.strategy_length(1)))
     else:
         sets = _strategy_sets(game)
-    surviving, rounds, _ = iterated_dominance(game, sets, args.mixture_denominator)
+    surviving, rounds, _ = iterated_dominance(game, sets)
     counts = {f"agent{a + 1}": {t: len(pool) for t, pool in surviving[a].items()}
               for a in (0, 1)}
     print(f"rounds: {rounds}")
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = dom.add_parser("eliminate", help="iterated strict dominance")
     add_common(e)
     e.add_argument("--full", action="store_true", help="use the full strategy set")
-    e.add_argument("--mixture-denominator", type=_nonnegative_int, default=0)
     e.set_defaults(func=cmd_dominance_eliminate)
 
     exp = sub.add_parser("experiment", help="named reproductions").add_subparsers(
@@ -257,10 +256,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ModelError, InfeasibleScheduleError, ScenarioFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (``robustmech ... | head -1``); stdout goes
+        # to the null device so that the interpreter's last flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -374,44 +374,43 @@ class EliminationResult(NamedTuple):
 def iterated_dominance(
     game: Game,
     strategy_sets: tuple[StrategySet, StrategySet],
-    mixture_denominator: int = 0,
 ) -> EliminationResult:
     """Interim iterated elimination of strictly dominated strategies.
 
-    A type's strategy is eliminated when some other surviving strategy
-    (or, if ``mixture_denominator`` > 0, a two-point mixture on that grid)
-    does strictly better against every selection of surviving opponent
-    strategies.  The worst case separates across opponent types, so each
-    comparison is a sum of per-opponent-type minima.  Every type's pool
-    starts as the product of its agent's per-coordinate choices, in
-    canonical order; surviving pools are not products, so they are member
-    lists.  Returns the surviving lists per (agent, type), the number of
-    rounds to the fixed point and the strategies each round eliminated.
+    A type's strategy is eliminated when some mixture of the other
+    surviving strategies does strictly better against every selection of
+    surviving opponent strategies.  The worst case separates across
+    opponent types, so each comparison is a sum of per-opponent-type
+    minima.  Every type's pool starts as the product of its agent's
+    per-coordinate choices, in canonical order; surviving pools are not
+    products, so they are member lists.  Returns the surviving lists per
+    (agent, type), the number of rounds to the fixed point and the
+    strategies each round eliminated.
 
     A round checks agent 1's types, then agent 2's, so agent 2 sees agent
     1's eliminations of the same round.  A type is checked again only
     when an opponent type it meets with positive mass has lost a strategy
     since its last check.  Its own pool shrinking needs no recheck: a
-    strategy that no member or grid mixture of a pool dominates stays
-    undominated within any subset of that pool.  Every skipped check would
-    have eliminated nothing, so the surviving sets after each round, the
-    round count and each round's eliminations equal those of checking
-    every type every round.
+    strategy that is a best response within a pool to some beliefs stays
+    one within any subset of that pool.  Every skipped check would have
+    eliminated nothing, so the surviving sets after each round, the round
+    count and each round's eliminations equal those of checking every
+    type every round.
 
     Each type's pool is carried as its ``Game.pool_id`` alone, which only
     a pool that shrinks gets anew; the surviving lists are read off the
     game's pools once, at the fixed point.  A check's result is memoized
-    on the game by ``(agent, own pool id, type kind, opponent pool ids,
-    mixture_denominator)``, the opponent pools at the types it meets in
-    ``type_groups`` order; the pool ids and the memo outlive a call.  The
-    types met and the kinds are read once per call off the perturbation's
-    template tables, each type's opponent-type base plus its template's
-    offsets, so no group is shifted.  An
-    entry holds the surviving pool id and the dropped strategies in pool
-    order, found once, on the miss.  A miss reads each member's value
-    against each surviving opponent strategy once (``_undominated``): a
-    sum over the kind's cells of weight x ``inner_value``, so types with
-    equal keys keep the same strategies.
+    on the game by ``(agent, own pool id, type kind, opponent pool ids)``,
+    the opponent pools at the types it meets in ``type_groups`` order; the
+    pool ids and the memo outlive a call.  The types met and the kinds are
+    read once per call off the perturbation's template tables, each type's
+    opponent-type base plus its template's offsets, so no group is
+    shifted.  An entry holds the surviving pool id, the dropped strategies
+    in pool order and every member's witness, found once, on the miss.  A
+    miss reads each member's value against each surviving opponent
+    strategy once (``_undominated``): a sum over the kind's cells of
+    weight x ``inner_value``, so types with equal keys keep the same
+    strategies for the same witnesses.
     """
     pert, cache, members = game.perturbation, game._dom_cache, game._pools
     pools = [[game.pool_id(itertools.product(*strategy_sets[agent]))] * len(part)
@@ -432,13 +431,13 @@ def iterated_dominance(
                 if not nbrs or len(members[pid]) <= 1:
                     continue
                 opp_ids = tuple([opp_pools[u] for u in nbrs])
-                key = (agent, pid, own_kinds[t], opp_ids, mixture_denominator)
+                key = (agent, pid, own_kinds[t], opp_ids)
                 entry = cache.get(key)
                 if entry is None:
                     pool = members[pid]
-                    keep = _undominated(game, agent, t, pool, opp_ids, mixture_denominator)
+                    keep, witness = _undominated(game, agent, t, pool, opp_ids)
                     entry = cache[key] = (game.pool_id(keep),
-                                          tuple([s for s in pool if s not in keep]))
+                                          tuple([s for s in pool if s not in keep]), witness)
                 if entry[1]:
                     removed.extend([(agent, t, s) for s in entry[1]])
                     own[t] = entry[0]
@@ -450,9 +449,9 @@ def iterated_dominance(
             return EliminationResult(surviving, rounds, tuple(eliminated))
 
 
-def _undominated(game: Game, agent: int, t: int, pool, opp_pools, mixture_denominator):
-    """The members of ``pool`` that no other member, nor a grid mixture
-    of two others, strictly dominates for type ``t``, in pool order.
+def _undominated(game: Game, agent: int, t: int, pool, opp_pools):
+    """The members of ``pool`` that no mixture of the others strictly
+    dominates for type ``t``, in pool order, and a witness per member.
     ``opp_pools`` holds the ``Game.pool_id`` of the surviving strategies
     at each opponent type the type meets, in ``type_groups`` order.
 
@@ -461,9 +460,15 @@ def _undominated(game: Game, agent: int, t: int, pool, opp_pools, mixture_denomi
     conditional weight x ``inner_value``, summed.  Each is read once, as
     an integer numerator over one least common multiple of every term's
     ``weight.denominator x value.denominator``, as in ``payoff_table``.
-    Member ``j`` dominates ``i`` iff ``sum_g min_r (v[j] - v[i]) > 0``;
-    the mixture of ``a`` at ``k/D`` and ``b`` at ``(D - k)/D`` does iff
-    ``sum_g min_r (k v[a] + (D - k) v[b] - D v[i]) > 0``.
+    With ``d = v - v[i]``, a mixture ``sigma`` dominates ``i`` iff
+    ``sum_g min_r sigma . d[g][r] > 0``; else, by LP duality, ``i`` is a
+    best response within the pool to one belief ``mu_g`` per opponent
+    type (Pearce 1984, Lemma 3).  The first of three steps that settles
+    ``i`` decides it: another member dominates it; it is a best response
+    to a pure selection of opponent strategies (``_supporting_selection``);
+    or ``_mixed_verdict`` solves the LP.  A dropped member's witness is
+    ``sigma``, a dict from members to weights, and a kept member's ``mu``,
+    one dict per opponent type from its strategies to weights.
     """
     terms = [
         [
@@ -487,27 +492,98 @@ def _undominated(game: Game, agent: int, t: int, pool, opp_pools, mixture_denomi
         ]
         for rows in terms
     ]
+    opps = [game._pools[i] for i in opp_pools]
+    # The LP has this many rows, and pivots over all of them at least once
+    # per opponent type, so trying as many selections costs less.
+    budget = sum(map(len, v)) + 1
+    tops = [[max(row) for row in rows] for rows in v]
+    # Per opponent type, each member's first row at which it is best.  A
+    # member with one at every type is a best response to those rows,
+    # which no mixture dominates: step 2 holds and step 1 is skipped.
+    firsts = [{m: r for r, (row, top) in reversed(list(enumerate(zip(rows, ts))))
+               for m, x in enumerate(row) if x == top} for rows, ts in zip(v, tops)]
+    keep, witness, size = [], {}, len(pool)
+    for i, s in enumerate(pool):
+        if all(i in first for first in firsts):
+            witness[s] = tuple([{opp[first[i]]: ONE} for opp, first in zip(opps, firsts)])
+            keep.append(s)
+            continue
+        j = next((j for j in range(size) if j != i
+                  and sum(min([row[j] - row[i] for row in rows]) for rows in v) > 0), None)
+        if j is not None:
+            witness[s] = {pool[j]: ONE}
+            continue
+        pick = _supporting_selection(v, tops, i, budget)
+        if pick is not None:
+            witness[s] = tuple([{opp[r]: ONE} for opp, r in zip(opps, pick)])
+        else:
+            dominated, witness[s] = _mixed_verdict(v, i, pool, opps)
+            if dominated:
+                continue
+        keep.append(s)
+    return tuple(keep), witness
 
-    def dominates(up, i, scale):
-        """Whether the member combination ``up(row)`` beats ``scale`` times
-        member ``i`` against every opponent selection."""
-        return sum(min(up(row) - scale * row[i] for row in rows) for rows in v) > 0
 
-    size = len(pool)
-    keep = []
-    for i in range(size):
-        others = [j for j in range(size) if j != i]
-        dominated = any(dominates(lambda row: row[j], i, 1) for j in others)
-        if not dominated and mixture_denominator > 1:
-            d = mixture_denominator
-            dominated = any(
-                dominates(lambda row: k * row[a] + (d - k) * row[b], i, d)
-                for a, b in itertools.combinations(others, 2)
-                for k in range(1, d)
-            )
-        if not dominated:
-            keep.append(pool[i])
-    return tuple(keep)
+def _supporting_selection(v, tops, i, budget):
+    """The first of at most ``budget`` selections of one row per group of
+    ``v`` on whose sum entry ``i`` is largest, or ``None``.  Each group's
+    rows are tried in increasing order of their lead, the row's largest
+    entry (``tops``) less entry ``i``."""
+    leads = [[top - row[i] for top, row in zip(ts, rows)] for ts, rows in zip(tops, v)]
+    orders = [sorted(range(len(lead)), key=lead.__getitem__) for lead in leads]
+    for pick in itertools.islice(itertools.product(*orders), budget):
+        totals = [sum(col) for col in zip(*[rows[r] for rows, r in zip(v, pick)])]
+        if totals[i] == max(totals):
+            return pick
+    return None
+
+
+def _mixed_verdict(v, i, pool, opps):
+    """``(True, sigma)`` if a mixture ``sigma`` of the members of ``pool``
+    other than member ``i`` strictly dominates it, else ``(False, mu)``,
+    beliefs over ``opps`` to which it is a best response.
+
+    With ``d = v - v[i]``, the LP ``max sum_g z_g`` subject to ``z_g <=
+    sigma . d[g][r]`` and ``sigma`` on the simplex is posed with ``z_g =
+    y_g + low_g``, where ``low_g`` is one below the group's least entry,
+    so that ``y >= 0`` loses nothing and the origin is a vertex.  Every
+    optimum has ``sum sigma = 1`` and ``y_g >= 1``, so by complementary
+    slackness each group's dual prices sum to 1: a belief ``mu_g``."""
+    others = [j for j in range(len(pool)) if j != i]
+    d = [[[row[j] - row[i] for j in others] for row in rows] for rows in v]
+    lows = [min(map(min, rows)) - 1 for rows in d]
+    a = [[low - x for x in row] + [int(h == g) for h in range(len(d))]
+         for g, (rows, low) in enumerate(zip(d, lows)) for row in rows]
+    a.append([1] * len(others) + [0] * len(d))
+    value, x, prices = _simplex(a, [0] * (len(a) - 1) + [1], [0] * len(others) + [1] * len(d))
+    if value + sum(lows) > 0:
+        return True, {pool[j]: x[k] for k, j in enumerate(others) if x.get(k)}
+    ends = list(itertools.accumulate(map(len, d), initial=0))
+    return False, tuple({opp[r]: p for r, p in enumerate(prices[lo:hi]) if p}
+                        for opp, lo, hi in zip(opps, ends, ends[1:]))
+
+
+def _simplex(a, b, c):
+    """``(optimum, x, prices)`` of ``max c . x`` subject to ``a x <= b``
+    and ``x >= 0``, where ``b >= 0`` and the program is bounded: ``x``
+    maps the basic columns to their values, and ``prices`` are the rows'
+    dual prices.  An exact tableau over ``Fraction`` pivots
+    by Bland's rule, which cannot cycle (Bland 1977): the lowest improving
+    column enters, and ratio ties leave by the lowest basic variable."""
+    m, n = len(a), len(c)
+    tab = [[Fraction(x) for x in row] + [Fraction(int(k == r)) for k in range(m)]
+           + [Fraction(b[r])] for r, row in enumerate(a)]
+    obj = [Fraction(-x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while (col := next((j for j, x in enumerate(obj[:-1]) if x < 0), None)) is not None:
+        _, _, r = min((row[-1] / row[col], basis[k], k)
+                      for k, row in enumerate(tab) if row[col] > 0)
+        pivot = tab[r] = [x / tab[r][col] for x in tab[r]]
+        for row in (*tab, obj):
+            if row is not pivot and (f := row[col]):
+                row[:] = [x - f * y for x, y in zip(row, pivot)]
+        basis[r] = col
+    return obj[-1], {j: row[-1] for j, row in zip(basis, tab)}, obj[n:n + m]
 
 
 # -- exact bimatrix solving ------------------------------------------------

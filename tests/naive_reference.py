@@ -50,6 +50,8 @@ per-coordinate fractional program.  Strategy
 sets come
 as per-coordinate choices, and every function here enumerates their
 product itself, so the oracle scans every member.
+``assert_witnesses`` checks the witnesses of exact dominance by mixtures
+on ``expected_payoff`` and ``_pair_margin``, one per verdict.
 """
 
 import itertools
@@ -362,16 +364,18 @@ def iterated_dominance(
     mixture_denominator: int = 0,
     max_rounds: int = 10_000,
 ) -> tuple[list[dict[int, list[PureStrategy]]], int, tuple]:
-    """Interim iterated elimination of strictly dominated strategies.
+    """Interim iterated elimination of strategies strictly dominated by
+    a member or, if ``mixture_denominator`` > 0, by a two-point mixture on
+    that grid: a bound on exact dominance by any mixture, whose survivors
+    it contains.
 
     A type's strategy is eliminated when some other surviving strategy
-    (or, if ``mixture_denominator`` > 0, a two-point mixture on that grid)
-    does strictly better against every selection of surviving opponent
-    strategies.  The worst case separates across opponent types, so each
-    comparison is a sum of per-opponent-type minima.  Returns the
-    surviving sets per (agent, type), the number of rounds to the fixed
-    point and, per round run, the sorted ``(agent, type, strategy)``
-    triples it eliminated.
+    (or a grid mixture) does strictly better against every selection of
+    surviving opponent strategies.  The worst case separates across
+    opponent types, so each comparison is a sum of per-opponent-type
+    minima.  Returns the surviving sets per (agent, type), the number of
+    rounds to the fixed point and, per round run, the sorted ``(agent,
+    type, strategy)`` triples it eliminated.
     """
     pert = game.perturbation
     surviving: list[dict[int, list[PureStrategy]]] = [
@@ -451,13 +455,43 @@ def _is_dominated(game, agent, t, s, pool, opp_surviving, mixture_denominator):
         if _pair_margin(game, agent, t, other, s, opp_surviving) > 0:
             return True
     if mixture_denominator > 1:
-        for a, b in itertools.combinations([x for x in pool if x != s], 2):
-            for k in range(1, mixture_denominator):
-                w = Fraction(k, mixture_denominator)
-                mix = [(a, w), (b, 1 - w)]
-                if _pair_margin(game, agent, t, mix, s, opp_surviving) > 0:
+        # ``_pair_margin`` of the mixture k/D a + (1 - k/D) b, times D and
+        # a common denominator: each member's per-opponent-type values
+        # against each surviving strategy, as integers.
+        pi, groups = game.perturbation.pi, _type_groups(game, agent, t).items()
+        vals = {x: [[sum(pi[w] * game.inner_value(agent, w, x, r) for w in circs)
+                     for r in opp_surviving[u]] for u, circs in groups] for x in pool}
+        den = math.lcm(*(v.denominator for rows in vals.values() for row in rows for v in row))
+        ints = {x: [[int(v * den) for v in row] for row in rows] for x, rows in vals.items()}
+        d, low = mixture_denominator, ints.pop(s)
+        for a, b in itertools.combinations(ints, 2):
+            for k in range(1, d):
+                if sum(min(k * p + (d - k) * q - d * z for p, q, z in zip(*rows))
+                       for rows in zip(ints[a], ints[b], low)) > 0:
                     return True
     return False
+
+
+def assert_witnesses(game, agent, t, pool, opp_pools, keep, witness):
+    """Every member's witness from one dominance check of type ``t``, on
+    naive values: a dropped member's mixture ``sigma`` of the pool
+    strictly dominates it against every selection from ``opp_pools``, and
+    a kept member is a best response within the pool to its beliefs
+    ``mu``.  ``opp_pools`` and each ``mu`` follow ``type_groups`` order."""
+    met = [u for u, _ in game.perturbation.type_groups(agent, t)]
+    reference, opp = NaiveGame(game), dict(zip(met, opp_pools))
+    for s in pool:
+        w = witness[s]
+        weights = [w] if s not in keep else list(w)
+        assert all(sum(x.values()) == 1 and min(x.values()) > 0 for x in weights)
+        if s not in keep:
+            assert set(w) <= set(pool) - {s}
+            assert _pair_margin(reference, agent, t, list(w.items()), s, opp) > 0
+            continue
+        beliefs = dict(zip(met, w))
+        assert len(w) == len(met) and all(set(beliefs[u]) <= set(opp[u]) for u in met)
+        value = expected_payoff(reference, agent, t, s, beliefs)
+        assert all(expected_payoff(reference, agent, t, x, beliefs) <= value for x in pool)
 
 
 def best_response(game, agent, type_index, opponent, strategy_set):

@@ -7,6 +7,7 @@ and the per-circumstance sums."""
 import itertools
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech import engine, equilibrium
-from robustmech.experiments import preferred_outcome_bias
+from robustmech.experiments import preferred_outcome_bias, run_experiment
 
 SCENARIO = binary_trial_scenario()
 MECHANISMS = {
@@ -159,13 +160,32 @@ def assert_masses_match_naive(pert):
     assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
 
 
-def assert_matches_naive(game, sets, mixture_denominator):
+def checked_dominance(game, sets):
+    """``iterated_dominance`` on a game with an empty dominance memo, with
+    the witnesses of every check it made verified on naive values; each
+    check adds one memo entry, in order."""
+    assert not game._dom_cache
+    with mock.patch.object(equilibrium, "_undominated", wraps=equilibrium._undominated) as spy:
+        result = iterated_dominance(game, sets)
+    assert spy.call_count == len(game._dom_cache)
+    for call, (keep, _, witness) in zip(spy.call_args_list, game._dom_cache.values()):
+        _, agent, t, pool, opp_pools = call.args
+        naive.assert_witnesses(game, agent, t, pool, [game._pools[i] for i in opp_pools],
+                               game._pools[keep], witness)
+    assert iterated_dominance(game, sets) == result  # from the warmed memo
+    return result
+
+
+def assert_matches_naive(game, sets):
+    """Exact dominance by mixtures: every verdict has a witness that
+    checks, and the survivors lie inside the naive grid's at every
+    denominator, the pure check (0) among them."""
     reference = naive.NaiveGame(game)
-    want = naive.iterated_dominance(reference, sets, mixture_denominator)
-    # Surviving lists, rounds and elimination history; a fresh dominance
-    # memo, then a warmed one that answers every check.
-    assert iterated_dominance(game, sets, mixture_denominator) == want
-    assert iterated_dominance(game, sets, mixture_denominator) == want
+    surviving = checked_dominance(game, sets).surviving
+    for mixture_denominator in (0, 3, 4, 10):
+        grid = naive.iterated_dominance(reference, sets, mixture_denominator)[0]
+        for agent in (0, 1):
+            assert all(set(surviving[agent][t]) <= set(pool) for t, pool in grid[agent].items())
     pert = game.perturbation
     members = [list(itertools.product(*choices)) for choices in sets]
     for agent in (0, 1):
@@ -252,35 +272,33 @@ def assert_best_responses_match_naive(game, sets, data, passes=("fresh", "warmed
                 assert res.report.residuals == naive.residuals(reference, res.profile, sets)
 
 
-@given(ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)), st.data())
+@given(ladders(), st.sampled_from(sorted(MECHANISMS)), st.data())
 @settings(max_examples=25, deadline=None)
-def test_ladders_match_naive_evaluator(pert, kind, mixture_denominator, data):
+def test_ladders_match_naive_evaluator(pert, kind, data):
     assert_masses_match_naive(pert)
     game = Game(SCENARIO, MECHANISMS[kind], pert)
     sets = strategy_sets(kind, game)
-    assert_matches_naive(game, sets, mixture_denominator)
+    assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
 
 
-@given(zero_mass_ladders(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)),
-       st.data())
+@given(zero_mass_ladders(), st.sampled_from(sorted(MECHANISMS)), st.data())
 @settings(max_examples=20, deadline=None)
-def test_zero_mass_circumstances_match_naive_evaluator(pert, kind, mixture_denominator, data):
+def test_zero_mass_circumstances_match_naive_evaluator(pert, kind, data):
     assert_masses_match_naive(pert)
     game = Game(SCENARIO, MECHANISMS[kind], pert)
     sets = strategy_sets(kind, game)
-    assert_matches_naive(game, sets, mixture_denominator)
+    assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
 
 
-@given(coarse_partitions(), st.sampled_from(sorted(MECHANISMS)), st.sampled_from((0, 3)),
-       st.data())
+@given(coarse_partitions(), st.sampled_from(sorted(MECHANISMS)), st.data())
 @settings(max_examples=20, deadline=None)
-def test_coarse_partitions_match_naive_evaluator(pert, kind, mixture_denominator, data):
+def test_coarse_partitions_match_naive_evaluator(pert, kind, data):
     assert_masses_match_naive(pert)
     game = Game(SCENARIO, MECHANISMS[kind], pert)
     sets = strategy_sets(kind, game)
-    assert_matches_naive(game, sets, mixture_denominator)
+    assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
 
 
@@ -289,7 +307,7 @@ def test_coarse_partitions_match_naive_evaluator(pert, kind, mixture_denominator
 def test_signal_game_matches_naive_evaluator(pert, delta, data):
     game = Game(SCENARIO, MECHANISMS["maskin"], pert, signals=mislabel_signals(SCENARIO, delta))
     sets = strategy_sets("maskin", game)
-    assert_matches_naive(game, sets, 0)
+    assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
 
 
@@ -300,7 +318,7 @@ def test_tremble_game_matches_naive_evaluator(pert, tau, kind, data):
     mech = MECHANISMS[kind]
     game = Game(SCENARIO, mech, pert, tremble=TrembleSpec.uniform(tau, mech.messages))
     sets = strategy_sets(kind, game)
-    assert_matches_naive(game, sets, 3)
+    assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
 
 
@@ -359,7 +377,7 @@ def test_private_signal_game_matches_naive_evaluator(depth, signals, kind, tau, 
     tremble = TrembleSpec.uniform(tau, mech.messages) if tau else None
     game = Game(SCENARIO, mech, pert, signals=signals, tremble=tremble)
     sets = strategy_sets(kind, game)
-    assert_matches_naive(game, sets, 0)
+    assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
 
 
@@ -406,36 +424,77 @@ def test_memo_separates_equal_weights_facing_different_play():
     assert values[0] != values[1]
 
 
-def test_a_grid_mixture_alone_eliminates():
-    """Agent 1 is paid only by transfers, under one constant outcome and
-    no learning cost: message 1 pays 12 when agent 2 sends 1 and 9
-    otherwise, message 2 the reverse, message 3 pays 10.  At the second
-    coordinate agent 1 always sends 3, so (3, 3) is worth 10, and (1, 3)
-    and (2, 3) each fall to 93/10 when agent 2 sends the other message at
-    the first coordinate.  No member dominates (3, 3), but the half-half
-    mixture of (1, 3) and (2, 3), worth 21/2 x 7/10 + 3 = 207/20, does;
-    the grid points 1/4 and 3/4 are worth 393/40 at worst and do not.
-    The payoffs sit well above zero, so a margin that weighs the mixture
-    and the dominated member on different scales decides otherwise.
-    Agent 2 is paid nothing and keeps everything."""
+def _transfer_game(pays):
+    """Agent 1 is paid only by transfers, ``pays[a][b - 1]`` when it sends
+    ``a`` and agent 2 sends ``b``, under one constant outcome and no
+    learning cost; agent 2 is paid nothing and keeps everything.  At the
+    second coordinate agent 1 always sends 3.  A fresh game and its
+    sets."""
     s = binary_trial_scenario(cost=0)
-    msgs = ((1, 2, 3), (1, 2))
-    pays = {1: (12, 9), 2: (9, 12), 3: (10, 10)}
+    msgs = (tuple(sorted(pays)), (1, 2))
     mech = Mechanism(
         "mixture",
         msgs,
         {(a, b): s.scf(0) for a in msgs[0] for b in msgs[1]},
         {(a, b): (F(pays[a][b - 1]), F(0)) for a in msgs[0] for b in msgs[1]},
     )
-    game = Game(s, mech)
-    sets = (((1, 2, 3), (3,)), full_strategy_set(msgs[1], 2))
-    pure = iterated_dominance(game, sets, 0)
-    assert pure.surviving[0][0] == [(1, 3), (2, 3), (3, 3)] and pure.rounds == 0
-    mixed = iterated_dominance(Game(s, mech), sets, 4)
-    assert mixed.surviving[0][0] == [(1, 3), (2, 3)]
-    assert mixed.eliminated == (((0, 0, (3, 3)),), ())
-    for mixture_denominator in (0, 4):
-        assert_matches_naive(Game(s, mech), sets, mixture_denominator)
+    return Game(s, mech), ((msgs[0], (3,)), full_strategy_set(msgs[1], 2))
+
+
+def _dropped_witnesses(game, s):
+    """The witnesses of ``s`` from every check that dropped it."""
+    return [witness[s] for _, dropped, witness in game._dom_cache.values() if s in dropped]
+
+
+MIXTURE_PAYS = {1: (12, 9), 2: (9, 12), 3: (10, 10)}
+
+
+def test_a_grid_mixture_alone_eliminates():
+    """Message 1 pays 12 when agent 2 sends 1 and 9 otherwise, message 2
+    the reverse, message 3 pays 10, so (3, 3) is worth 10, and (1, 3)
+    and (2, 3) each fall to 93/10 when agent 2 sends the other message at
+    the first coordinate.  No member dominates (3, 3), and it is a best
+    response to no pure selection, so the LP decides it: the half-half
+    mixture of (1, 3) and (2, 3), worth 21/2 x 7/10 + 3 = 207/20 at
+    worst, dominates it and is its witness, while the pure check (the
+    naive grid at 0) keeps it.  The payoffs sit well above zero, so a
+    margin that weighs the mixture and the dominated member on different
+    scales decides otherwise."""
+    game, sets = _transfer_game(MIXTURE_PAYS)
+    with mock.patch.object(equilibrium, "_simplex", wraps=equilibrium._simplex) as lp:
+        result = checked_dominance(game, sets)
+    assert lp.called
+    assert result.surviving[0][0] == [(1, 3), (2, 3)]
+    assert result.eliminated == (((0, 0, (3, 3)),), ())
+    assert _dropped_witnesses(game, (3, 3)) == [{(1, 3): F(1, 2), (2, 3): F(1, 2)}]
+    assert naive.iterated_dominance(naive.NaiveGame(game), sets)[0][0][0] == [
+        (1, 3), (2, 3), (3, 3)]
+    assert_matches_naive(*_transfer_game(MIXTURE_PAYS))
+
+
+def test_dominance_is_strict_at_the_boundary():
+    """(3, 3) survives when its best dominator's ``sum_g min`` is 0
+    exactly, and 1/1000 more eliminates it with that dominator as its
+    witness.  Pure (step 1): (4, 3) pays what (3, 3) pays, 21/2, then
+    21/2 + 1/1000; (3, 3) is best against no opponent strategy, so a
+    strict check keeps it.  Mixed (step 3): the half-half mixture of
+    (1, 3) and (2, 3) is worth 21/2 at worst against (3, 3)'s 21/2, then
+    21/2 - 1/1000, and only the LP decides it."""
+    e, h = F(1, 1000), F(21, 2)
+    mixed = {1: (12, 9), 2: (9, 12)}
+    cases = [
+        ({**mixed, 3: (h, h), 4: (h, h)}, {**mixed, 3: (h, h), 4: (h + e, h + e)}, {(4, 3): 1}),
+        ({**mixed, 3: (h, h)}, {**mixed, 3: (h - e, h - e)}, {(1, 3): F(1, 2), (2, 3): F(1, 2)}),
+    ]
+    for tie, above, sigma in cases:
+        for pays in (tie, above):
+            game, sets = _transfer_game(pays)
+            with mock.patch.object(equilibrium, "_simplex", wraps=equilibrium._simplex) as lp:
+                result = checked_dominance(game, sets)
+            assert lp.called
+            dropped = pays is above
+            assert ((3, 3) in result.surviving[0][0]) != dropped
+            assert _dropped_witnesses(game, (3, 3)) == ([sigma] if dropped else [])
 
 
 def _counted(monkeypatch, module, name):
@@ -493,24 +552,38 @@ def test_payoff_caches_do_not_grow_with_depth(monkeypatch):
     assert rounds == [depth // 2 + 1 for depth in depths]
 
 
-@pytest.mark.parametrize("mixture_denominator", [0, 3])
-def test_a_second_elimination_is_answered_by_the_memo(monkeypatch, mixture_denominator):
+@pytest.mark.parametrize("circumstance", [0, 3])
+def test_a_second_elimination_is_answered_by_the_memo(monkeypatch, circumstance):
     """A second run on the same game repeats the first's result from the
     dominance memo alone: no check is recomputed and no pool or memo
-    entry is added."""
+    entry is added.  The bias sits at the ladder's bottom or above it,
+    and elimination runs from there to the top of the ladder."""
     checks = _counted(monkeypatch, equilibrium, "_undominated")
     pert = build_ladder(
-        SCENARIO, 20, F(1, 20), [BiasSpec(0, 0, preferred_outcome_bias(SCENARIO, 0, 10))],
+        SCENARIO, 20, F(1, 20),
+        [BiasSpec(0, circumstance, preferred_outcome_bias(SCENARIO, 0, 10))],
         tail="renormalize",
     )
     game = Game(SCENARIO, MECHANISMS["maskin"], pert)
     full = full_strategy_set((1, 2), SCENARIO.n)
-    first = iterated_dominance(game, (full, full), mixture_denominator)
-    assert first.rounds == 11 and any(first.eliminated)
+    first = iterated_dominance(game, (full, full))
+    assert first.rounds == (20 - circumstance) // 2 + 1 and any(first.eliminated)
     made, pools, memo = checks[0], len(game._pools), len(game._dom_cache)
     assert made > 0
-    assert iterated_dominance(game, (full, full), mixture_denominator) == first
+    assert iterated_dominance(game, (full, full)) == first
     assert (checks[0], len(game._pools), len(game._dom_cache)) == (made, pools, memo)
+
+
+def test_contagion_ladders_never_solve_an_lp(monkeypatch):
+    """On maskin-contagion's ladders every member that no other member
+    dominates is a best response to a pure selection of opponent
+    strategies, so the dominance LP never runs."""
+    checks = _counted(monkeypatch, equilibrium, "_undominated")
+    solves = _counted(monkeypatch, equilibrium, "_simplex")
+    for depth in (20, 100, 200):
+        for grid in ({}, {"eta_grid": ("1/10", "1/37", "1/100")}):
+            assert run_experiment("maskin-contagion", None, depth=depth, **grid).passed
+    assert checks[0] > 0 and solves[0] == 0
 
 
 def test_type_of_rejects_out_of_range_circumstances():

@@ -155,7 +155,7 @@ def test_interior_rungs_share_a_kind():
 
 def _mixture_game():
     """``test_a_grid_mixture_alone_eliminates``'s game: on its restricted
-    sets, only the half-half grid mixture eliminates anything."""
+    sets, only the half-half mixture eliminates anything."""
     s = binary_trial_scenario(cost=0)
     msgs = ((1, 2, 3), (1, 2))
     pays = {1: (12, 9), 2: (9, 12), 3: (10, 10)}
@@ -178,15 +178,13 @@ def test_one_game_eliminates_as_fresh_games_do(build):
     """A game's pool ids live beside its dominance memo and outlive a
     call: runs on one game with full sets, then restricted sets, the same
     sets with their coordinates reversed (pools of the same sizes), then
-    grid mixtures each give a fresh game's result."""
+    full sets again each give a fresh game's result."""
     s, mech, pert, restricted = build()
     full = tuple(full_strategy_set(ms, s.n) for ms in mech.messages)
     reversed_sets = tuple(choices[::-1] for choices in restricted)
     game = Game(s, mech, pert)
-    for sets, mixture_denominator in ((full, 0), (restricted, 0), (reversed_sets, 0),
-                                      (restricted, 3), (restricted, 4)):
-        assert iterated_dominance(game, sets, mixture_denominator) == iterated_dominance(
-            Game(s, mech, pert), sets, mixture_denominator)
+    for sets in (full, restricted, reversed_sets, full):
+        assert iterated_dominance(game, sets) == iterated_dominance(Game(s, mech, pert), sets)
 
 
 def test_equal_weights_of_another_payoff_class_are_another_kind():
