@@ -144,9 +144,6 @@ class AgentPayoff:
         if self.cost < 0:
             raise ModelError("learning cost must be non-negative")
 
-    def utility(self, state: int, outcome: int) -> Number:
-        return self.u[state][outcome]
-
     def expected_utility(self, state: int, lottery: Lottery) -> Number:
         return sum(w * self.u[state][k] for k, w in enumerate(lottery.weights) if w)
 

@@ -467,7 +467,8 @@ class Game:
         """The type's payoffs against the opponent side of a profile, by
         coordinate: cell weight x opponent weight x coordinate row, entries
         and cost alike, summed over the type's cells.  Memoized by the
-        type's kind (its ``(payoff class, conditional weight)`` cells) and
+        type's kind (the small int its template, ``Perturbation._templates``,
+        gives its ``(payoff class, conditional weight)`` cells) and
         the ``play_id`` at each opponent type it meets, in ``type_groups``
         order: ints only, meaningful within this game.  The payoff class
         fixes the rows and the cost, so equal keys give equal tables: types

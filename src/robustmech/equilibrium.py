@@ -88,9 +88,7 @@ def verify_equilibrium(
     metrics come from ``implementation_metrics`` on those ids, which
     makes one walk of the circumstances (``play_groups``), labelling each
     circumstance by the play ids of its types, and sums the truthful mass
-    and every state's outcome lottery from its groups.  Callers that only
-    need the pass/fail verdict should still filter on the residuals
-    first: that walk is made for every report built."""
+    and every state's outcome lottery from its groups."""
     ids = game.play_ids(profile)
     residuals, deviations = _residuals(game, ids, strategy_sets)
     max_res = max(residuals.values())

@@ -37,6 +37,7 @@ from .engine import (
     TrembleSpec,
     canonical_replacement,
     full_strategy_set,
+    implementation_metrics,
     is_constant,
     mislabel_signals,
     restricted_strategy_set,
@@ -504,6 +505,9 @@ def run_thm3(
     correlated signal structure of size exactly ``delta``, and its
     perfectly-revealing limit at zero noise.
     """
+    if isinstance(noise_target, bool) or not isinstance(noise_target, int):
+        raise ModelError(f"experiment thm3: option noise_target must be an int message, "
+                         f"not {noise_target!r}")
     scenario = scenario or three_state_scenario()
     tau = _exact("thm3", "tau", tau)
     delta = _exact("thm3", "delta", delta)
@@ -659,8 +663,8 @@ def _candidate_type_strategies(n_states: int, messages, step: int = 20):
 
 
 def _grid_equilibria(game, strategy_set, candidates, epsilon):
-    """All candidate profile pairs passing the residual check, with their
-    reports; only passing pairs get one.
+    """Every candidate profile pair passing the residual check, in
+    ``(i, j)`` order, as ``[{0: mix_i}, {0: mix_j}]``; no report is built.
 
     An agent's residual depends on the pair only through the opponent's
     candidate, which fixes its payoff table and best value.  So each
@@ -717,14 +721,8 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
         return out
 
     own, other = passing(0), passing(1)
-    sets = (strategy_set, strategy_set)
-    found = []
-    for i, mix1 in enumerate(candidates):
-        for j in sorted(other[i]):
-            if i in own[j]:
-                profile = [{0: mix1}, {0: candidates[j]}]
-                found.append((profile, verify_equilibrium(game, profile, sets, epsilon)))
-    return found
+    return [[{0: mix1}, {0: candidates[j]}]
+            for i, mix1 in enumerate(candidates) for j in sorted(other[i]) if i in own[j]]
 
 
 def run_prop1(
@@ -803,10 +801,14 @@ def run_prop1(
     hits, passes = {}, {}
     for label, game in (("plus", plus), ("minus", minus)):
         hits[label] = _grid_equilibria(game, full, candidates, eps)
-        passes[label] = any(rep.max_tv <= Fraction(1, 10) for _, rep in hits[label])
-    # The exact equilibria under the minus tilt: its hits without residual,
-    # the pairs a search at epsilon 0 finds, in the same order.
-    eq0 = [prof for prof, rep in hits["minus"] if rep.max_residual == 0]
+        passes[label] = any(implementation_metrics(game, prof)[1] <= Fraction(1, 10)
+                            for prof in hits[label])
+    # The exact equilibria under the minus tilt: its hits where both sides'
+    # deficits are 0 on the tables the search built, the pairs a search
+    # at epsilon 0 finds, in the same order.
+    eq0 = [prof for prof in hits["minus"]
+           if not any(minus.payoff_table(a, 0, prof[1 - a]).deficit(full, prof[a][0])
+                      for a in (0, 1))]
 
     # Two-point perturbation: biased circumstance with probability eta.
     slack = Fraction(1, grid_step)

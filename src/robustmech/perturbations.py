@@ -94,7 +94,9 @@ class Perturbation:
       induce, with same-class circumstances merged by summing their
       weights (``type_groups``).  A type has zero mass exactly when it has
       no group;
-    * per type, its kind (``type_kind``): types with equal cells share one.
+    * per type, its kind, a small int in its template (``_templates[i][1]``):
+      types with equal cells share one, and kinds mean nothing across
+      perturbations.
 
     A type's weights come from masses relative to its first positive-mass
     circumstance ``a``, its anchor: ``coef[w] / coef[a] * ratio**(w - a)``.
@@ -248,13 +250,6 @@ class Perturbation:
         a, b = self._type_anchor[agent][type_index], self._type_base[agent][type_index]
         return tuple([(b + u, tuple([(a + k, x) for k, x in cells]))
                       for u, cells in zip(offsets, groups)])
-
-    def type_kind(self, agent: int, type_index: int) -> int:
-        """A small int shared by exactly the types of this perturbation
-        whose per-group ``(payoff class, conditional weight)`` cells are
-        equal, in ``type_groups`` order (``Game.payoff_table``).  Kinds are
-        interned at construction and mean nothing across perturbations."""
-        return self._templates[self._type_template[agent][type_index]][1]
 
     def _bias(self, agent: int, circ: int) -> BiasSpec | None:
         cls = self._classes[agent][circ]

@@ -52,6 +52,8 @@ as per-coordinate choices, and every function here enumerates their
 product itself, so the oracle scans every member.
 ``assert_witnesses`` checks the witnesses of exact dominance by mixtures
 on ``expected_payoff`` and ``_pair_margin``, one per verdict.
+``type_kind`` reads a type's kind, the int that keys its payoff tables,
+off its template.
 """
 
 import itertools
@@ -106,6 +108,10 @@ def type_groups(pert, agent: int, type_index: int):
         rep, weight = cells.get(cls, (w, 0))
         cells[cls] = (rep, weight + naive.pi[w] / mass)
     return tuple((opp, tuple(cells.values())) for opp, cells in by_opp.items())
+
+
+def type_kind(pert, agent: int, type_index: int) -> int:
+    return pert._templates[pert._type_template[agent][type_index]][1]
 
 
 def posterior(pert, agent: int, type_index: int) -> dict[int, Number]:

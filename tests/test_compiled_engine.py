@@ -147,7 +147,7 @@ def assert_masses_match_naive(pert):
             assert groups == naive.type_groups(pert, agent, t)
             type_cells = tuple(tuple((pert.payoff_class(agent, w), m) for w, m in group)
                                for _, group in naive.type_groups(pert, agent, t))
-            kinds[(agent, t)] = (pert.type_kind(agent, t), type_cells)
+            kinds[(agent, t)] = (naive.type_kind(pert, agent, t), type_cells)
             assert all(type(m) is F for _, cells in groups for _, m in cells)
             assert bool(groups) == bool(mass)
             if not mass:

@@ -108,16 +108,16 @@ def test_prop1_games_hold_each_play_once(monkeypatch):
 
 
 def _filter_every_report(game, strategy_set, candidates, epsilon):
-    """Every candidate pair whose full report passes, in (i, j) order."""
+    """Every candidate profile pair whose full report passes, in (i, j)
+    order."""
     sets = (strategy_set, strategy_set)
     fresh = Game(game.scenario, game.mechanism, game.perturbation)
     found = []
     for mix1 in candidates:
         for mix2 in candidates:
             profile = [{0: mix1}, {0: mix2}]
-            report = verify_equilibrium(fresh, profile, sets, epsilon)
-            if report.is_equilibrium:
-                found.append((profile, report))
+            if verify_equilibrium(fresh, profile, sets, epsilon).is_equilibrium:
+                found.append(profile)
     return found
 
 
@@ -140,8 +140,10 @@ def test_prop1_grid_passes_mixtures_with_a_member_outside_the_band(monkeypatch):
     listed in the other order, under the plus tilt: mixtures pass although
     one of their members is more than epsilon below the best value, at
     epsilon 1/100 exactly at the cut, and the search equals filtering
-    every report."""
+    every report.  Residuals are read from a report on each profile
+    found."""
     game, strategy_set, _ = _prop1_grid_calls(monkeypatch)[0]
+    sets = (strategy_set, strategy_set)
     a, b = (1, 1), (2, 2)
     candidates = [{a: F(1)}, {b: F(1)}]
     candidates += [{a: F(k, 20), b: 1 - F(k, 20)} for k in range(1, 20)]
@@ -150,7 +152,8 @@ def test_prop1_grid_passes_mixtures_with_a_member_outside_the_band(monkeypatch):
         found = experiments._grid_equilibria(game, strategy_set, candidates, epsilon)
         assert found == _filter_every_report(game, strategy_set, candidates, epsilon)
         outside = at_cut = 0
-        for profile, report in found:
+        for profile in found:
+            report = verify_equilibrium(game, profile, sets, epsilon)
             for agent in (0, 1):
                 mix = profile[agent][0]
                 table = game.payoff_table(agent, 0, profile[1 - agent])
@@ -175,7 +178,7 @@ def test_grid_passes_every_weight_when_both_members_tie():
     found = experiments._grid_equilibria(game, full, candidates, F(0))
     assert found == _filter_every_report(game, full, candidates, F(0))
     half = {(1, 1): F(1, 2), (2, 2): F(1, 2)}
-    assert [{0: half}, {0: half}] in [profile for profile, _ in found]
+    assert [{0: half}, {0: half}] in found
 
 
 def test_prop1_grid_refuses_candidates_it_cannot_cut():
@@ -225,18 +228,21 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_prop1_builds_reports_only_for_passing_profiles(monkeypatch):
-    """17 of the 1,250 profiles of the two tilts' grid searches pass; each
-    of their reports measures every state's outcome lottery from one
-    integer walk of the circumstances, and the two-point bound makes one
-    more walk for each of the 4 exact equilibria among the minus tilt's
-    hits."""
+def test_prop1_builds_no_report(monkeypatch):
+    """17 of the 1,250 profiles of the two tilts' grid searches pass, and
+    none gets a report.  Each tilt measures its hits' implementation
+    metrics until one has ``max_tv <= 1/10``, 7 in all, each from one
+    integer walk of the circumstances; the two-point bound makes one more
+    walk for each of the 4 exact equilibria among the minus tilt's hits."""
+    searches = _prop1_grid_calls(monkeypatch)
+    assert sum(len(experiments._grid_equilibria(*call, F(1, 10))) for call in searches) == 17
     reports = _count_calls(monkeypatch, experiments, "verify_equilibrium")
+    metrics = _count_calls(monkeypatch, experiments, "implementation_metrics")
     walks = _count_calls(monkeypatch, engine, "lottery_nums")
     bound_lotteries = _count_calls(monkeypatch, experiments, "outcome_distribution")
     run_experiment("prop1")
-    assert (reports[0], bound_lotteries[0]) == (17, 4)
-    assert walks[0] == 17 + 4
+    assert (reports[0], metrics[0], bound_lotteries[0]) == (0, 7, 4)
+    assert walks[0] == 7 + 4
 
 
 def test_prop3_builds_the_class_graph_once(monkeypatch):
@@ -539,14 +545,56 @@ BASELINE_PRIORS = [
 @pytest.mark.parametrize("prior, digest", [
     (BASELINE_PRIORS[1], "b4f825d090ee5cc2cca8cdf27d120411379e29f01a174fc3c2d713a4f32fcdc5"),
     (BASELINE_PRIORS[2], "8f8687f6f926f32164a571c6662dc630efd8fcbf76feb5d96624fc14b2eb0be2"),
-], ids=["n3", "n4"])
+    (BASELINE_PRIORS[3], "7ccd531943334957106d0521631bc3b585ff7b8ceab91bec3d8262ef9774c82d"),
+], ids=["n3", "n4", "n5"])
 def test_prop1_json_is_pinned_on_the_baseline_priors(prior, digest):
-    """prop1's JSON on the Baseline priors at n = 3 and 4, whose grid
-    searches run over every pure strategy of 3 and 4 messages: the
+    """prop1's JSON on the Baseline priors at n = 3, 4 and 5, whose grid
+    searches run over every pure strategy of 3, 4 and 5 messages: the
     searches find each passing pair from the band's supports alone, as a
     scan of every support against every band did."""
     result = run_experiment("prop1", scenario=uniform_scenario(prior))
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("prior, rule", [
+    (BASELINE_PRIORS[1], None), (BASELINE_PRIORS[2], None), (BASELINE_PRIORS[0], build_maskin),
+], ids=["n3", "n4", "n2-maskin"])
+def test_prop1_verdicts_equal_the_reports_of_its_hits(monkeypatch, prior, rule):
+    """On the Baseline priors at n = 3 and 4, and at n = 2 under the
+    matching rule at reward 1/2, each tilt's ``implements_under_<tilt>``
+    is whether a report on some hit of its search has ``max_tv <= 1/10``,
+    and the two-point bound walks the outcomes of exactly the minus
+    tilt's hits whose report has residual 0, in order.  Only under the
+    matching rule do some minus hits have a positive residual, some of
+    them on one agent's side only, and some on the other's."""
+    searches, walked = [], []
+    search, walk = experiments._grid_equilibria, experiments.outcome_distribution
+
+    def recording(game, strategy_set, candidates, epsilon):
+        hits = search(game, strategy_set, candidates, epsilon)
+        searches.append((game, strategy_set, epsilon, hits))
+        return hits
+
+    def walking(game, profile):
+        walked.append(profile)
+        return walk(game, profile)
+
+    monkeypatch.setattr(experiments, "_grid_equilibria", recording)
+    monkeypatch.setattr(experiments, "outcome_distribution", walking)
+    scenario = uniform_scenario(prior)
+    mechanism = rule and rule(scenario, F(1, 2))
+    artifacts = run_experiment("prop1", scenario, mechanism=mechanism).artifacts
+    assert len(searches) == 2
+    for label, (game, strategy_set, epsilon, hits) in zip(("plus", "minus"), searches):
+        fresh = Game(game.scenario, game.mechanism, game.perturbation)
+        reports = [verify_equilibrium(fresh, p, (strategy_set, strategy_set), epsilon)
+                   for p in hits]
+        assert reports and all(r.is_equilibrium for r in reports)
+        passed = any(r.max_tv <= F(1, 10) for r in reports)
+        assert artifacts[f"implements_under_{label}"] is passed
+    minus_hits = searches[1][3]
+    assert walked == [p for p, r in zip(minus_hits, reports) if r.max_residual == 0]
+    assert walked and (rule is None or len(walked) < len(minus_hits))
 
 
 def test_deviation_certificate_matches_closed_form():
@@ -673,6 +721,16 @@ def test_deviation_certificate_needs_negative_messages(kind):
 def test_thm3_refuses_a_noise_target_that_is_not_a_message():
     with pytest.raises(ModelError, match="tremble target 7 of agent 1 is not one of its messages"):
         run_experiment("thm3", noise_target=7)
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_thm3_refuses_a_noise_target_that_is_not_an_int(value):
+    """A bool would run as message 1 and a float as message 2, each
+    written to the JSON as given: the run refuses both, naming the
+    experiment and the option."""
+    shown = re.escape(repr(value))
+    with pytest.raises(ModelError, match=rf"experiment thm3: option noise_target .*not {shown}$"):
+        run_experiment("thm3", noise_target=value)
 
 
 def test_result_json_is_deterministic():
