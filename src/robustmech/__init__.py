@@ -40,7 +40,6 @@ from .experiments import (
     list_experiments,
     run_experiment,
     separating_functional,
-    synthesize_transfers,
 )
 from .equilibrium import (
     BRIterationResult,

@@ -75,12 +75,6 @@ class Lottery:
             raise ModelError("lottery weights must sum to one")
 
     @staticmethod
-    def point(index: int, size: int) -> "Lottery":
-        w = [Fraction(0)] * size
-        w[index] = Fraction(1)
-        return Lottery(tuple(w))
-
-    @staticmethod
     def mix(parts: list[tuple[Number, "Lottery"]]) -> "Lottery":
         size = len(parts[0][1].weights)
         acc = [Fraction(0)] * size

@@ -82,11 +82,6 @@ class TrembleSpec:
                 raise ModelError("tremble noise must be a distribution")
 
     @staticmethod
-    def uniform(tau: Number, messages: tuple[tuple[int, ...], tuple[int, ...]]) -> "TrembleSpec":
-        noise = tuple({m: Fraction(1, len(ms)) for m in ms} for ms in messages)
-        return TrembleSpec(rat(tau), noise)
-
-    @staticmethod
     def point(tau: Number, messages, target: tuple[int, int]) -> "TrembleSpec":
         for i in range(2):
             if target[i] not in messages[i]:

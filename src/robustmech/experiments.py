@@ -76,20 +76,16 @@ def _jsonable(value):
         return fmt(value)
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, Lottery):
-        return [_jsonable(w) for w in value.weights]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(_key(k)): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(_key(kv[0])))}
-    return str(value)
+    raise TypeError(f"cannot write a {type(value).__name__} to JSON")
 
 
 def _key(k):
     if isinstance(k, tuple):
         return ",".join(str(x) for x in k)
-    if isinstance(k, Fraction):
-        return fmt(k)
     return k
 
 
@@ -371,7 +367,8 @@ def run_thm1(
     certificates["mass_fit_residual_small"] = resid <= Fraction(1, 20)
     return ExperimentResult(
         name="thm1",
-        parameters={"n": scenario.n, "c_bar": c_bar, "depth": depth, "eta_grid": list(eta_grid)},
+        parameters={"n": scenario.n, "c_bar": c_bar, "depth": depth,
+                    "eta_grid": [row["eta"] for row in grid]},
         certificates=certificates,
         artifacts={**artifacts, "mass_slope_K": k, "mass_fit_residual": resid},
         provenance={"scenario_states": scenario.state_space.states, "prior": scenario.prior},
@@ -414,7 +411,8 @@ def run_thm2(
     )
     return ExperimentResult(
         name="thm2",
-        parameters={"n": scenario.n, "depth": depth, "eta_grid": list(eta_grid), "cost_cap": cost_cap},
+        parameters={"n": scenario.n, "depth": depth,
+                    "eta_grid": [row["eta"] for row in artifacts["grid"]], "cost_cap": cost_cap},
         certificates=certificates,
         artifacts=artifacts,
         provenance={"scenario_states": scenario.state_space.states, "prior": scenario.prior},
@@ -650,16 +648,16 @@ def _two_point_grid(a, b, step: int) -> list[dict]:
 
 
 def _candidate_type_strategies(n_states: int, messages, step: int = 20):
-    """Pure strategies plus a grid of mixtures over constant vectors."""
+    """Pure strategies plus the interior of a grid of mixtures over two
+    constant vectors; the grid's end points are pure constants, listed
+    once among the pure strategies."""
     pures = [
         {s: Fraction(1)} for s in itertools.product(*full_strategy_set(messages, n_states))
     ]
     constants = [tuple([m] * n_states) for m in messages]
     if len(constants) != 2:
         return pures
-    return pures + [
-        {s: w for s, w in mix.items() if w} for mix in _two_point_grid(*constants, step)
-    ]
+    return pures + _two_point_grid(*constants, step)[1:-1]
 
 
 def _grid_equilibria(game, strategy_set, candidates, epsilon):
@@ -971,33 +969,6 @@ def _shortest_paths(arcs, k):
     return dist
 
 
-def _cycle_verdict(arcs, k) -> Certificate:
-    """Strict cyclical monotonicity from the class graph's minimum cycle,
-    a shortest path closed by one arc: it passes iff that weight is
-    positive.  A failure's witness names the lowest class the minimum
-    cycle was found at; with fewer than two classes there is no cycle."""
-    if k < 2:
-        return Certificate(True, {"classes": k})
-    dist = _shortest_paths(arcs, k)
-    weight, start = min(
-        (min(dist[(a, b)] + arcs[(b, a)] for b in range(k) if b != a), a) for a in range(k)
-    )
-    if weight <= 0:
-        return Certificate(False, {"min_cycle_weight": weight, "at_class": start})
-    return Certificate(True, {"min_cycle_weight": weight})
-
-
-def check_strict_cyclical_monotonicity(u: AgentPayoff, scf: SocialChoiceFunction) -> Certificate:
-    """Whether truthful assignment beats every state permutation.
-
-    By Rochet (1987) that holds exactly when every cycle of the graph of
-    distinct target lotteries has positive weight, so the check is the
-    graph's minimum cycle; the witness is its weight and start class.
-    """
-    _, k, arcs = _class_graph(u, scf)
-    return _cycle_verdict(arcs, k)
-
-
 def _truthful_margin(u: AgentPayoff, scf: SocialChoiceFunction, assign, transfers) -> Number:
     """Smallest gain, transfers included, of each state's own target over
     another class's: positive iff the transfers make truth strictly best."""
@@ -1010,42 +981,44 @@ def _truthful_margin(u: AgentPayoff, scf: SocialChoiceFunction, assign, transfer
     )
 
 
-def synthesize_transfers(u: AgentPayoff, scf: SocialChoiceFunction) -> dict[int, Number]:
-    """Per-state transfers making truthful outcome choice strictly optimal.
+def check_strict_cyclical_monotonicity(u: AgentPayoff, scf: SocialChoiceFunction) -> Certificate:
+    """Whether truthful assignment beats every state permutation, with
+    the transfers that make truthful outcome choice strictly optimal.
 
-    Solves the difference constraints t(B) - t(A) <= W(A,B) - delta by
-    shortest-path potentials on the class graph, where W(A,B) is the
-    smallest truthful advantage of class A over class B and delta eats
-    half the minimum cycle slack: class B's potential is the least of 0
-    and every path weight into B under W - delta, read off the same
-    ``_shortest_paths`` the cycle check uses.  States sharing a target
-    lottery share a transfer; the minimum transfer is normalized to zero.
-    Raises ``ModelError`` when strict cyclical monotonicity fails.
+    By Rochet (1987) that holds exactly when every cycle of the graph of
+    distinct target lotteries has positive weight, so the check is the
+    graph's minimum cycle, a shortest path closed by one arc.  A failure's
+    witness is that cycle's weight and the lowest class it was found at
+    (``min_cycle_weight``, ``at_class``).  A pass's witness adds
+    ``transfers``, state index to transfer: they solve the difference
+    constraints t(B) - t(A) <= W(A,B) - delta by shortest-path potentials
+    on the class graph, where W(A,B) is the smallest truthful advantage of
+    class A over class B and delta eats half the minimum cycle slack:
+    class B's potential is the least of 0 and every path weight into B
+    under W - delta, read off the same ``_shortest_paths`` the cycle check
+    uses.  States sharing a target lottery share a transfer; the minimum
+    transfer is normalized to zero.  With fewer than two classes there is
+    no cycle and every transfer is 0.
     """
     assign, k, arcs = _class_graph(u, scf)
-    verdict = _cycle_verdict(arcs, k)
-    if not verdict.ok:
-        raise ModelError(
-            "strict cyclical monotonicity fails: minimum cycle weight "
-            f"{fmt(verdict.witness['min_cycle_weight'])} at class {verdict.witness['at_class']}"
-        )
-    return _graph_transfers(u, scf, assign, k, arcs, verdict)
-
-
-def _graph_transfers(u, scf, assign, k, arcs, verdict) -> dict[int, Number]:
-    """``synthesize_transfers`` on the class graph ``assign, k, arcs``
-    once its cycle ``verdict`` has passed."""
-    if k == 1:
-        return {j: Fraction(0) for j in range(len(scf.lotteries))}
-    delta = verdict.witness["min_cycle_weight"] / (2 * k)
+    if k < 2:
+        zero = dict.fromkeys(range(len(assign)), Fraction(0))
+        return Certificate(True, {"classes": k, "transfers": zero})
+    dist = _shortest_paths(arcs, k)
+    weight, start = min(
+        (min(dist[(a, b)] + arcs[(b, a)] for b in range(k) if b != a), a) for a in range(k)
+    )
+    if weight <= 0:
+        return Certificate(False, {"min_cycle_weight": weight, "at_class": start})
+    delta = weight / (2 * k)
     dist = _shortest_paths({arc: w - delta for arc, w in arcs.items()}, k)
     reach = [min(Fraction(0), *(dist[(a, b)] for a in range(k) if a != b)) for b in range(k)]
     low = min(reach)
-    out = {j: reach[assign[j]] - low for j in range(len(scf.lotteries))}
+    transfers = {j: reach[cls] - low for j, cls in enumerate(assign)}
     # Independent strictness re-check over all state pairs.
-    if _truthful_margin(u, scf, assign, out) <= 0:
+    if _truthful_margin(u, scf, assign, transfers) <= 0:
         raise ModelError("transfer synthesis failed its strictness re-check")
-    return out
+    return Certificate(True, {"min_cycle_weight": weight, "transfers": transfers})
 
 
 def run_prop3(
@@ -1057,9 +1030,10 @@ def run_prop3(
 
     Requires a non-constant target.  Without strict cyclical monotonicity
     for the respondent it fails that one check, the minimum cycle its
-    witness; otherwise it synthesizes transfers, computes the learning
-    threshold, and enumerates every equilibrium of the one-respondent
-    mechanism to confirm each one implements the target exactly.
+    witness; otherwise it takes the transfers from the check's witness,
+    computes the learning threshold, and enumerates every equilibrium of
+    the one-respondent mechanism to confirm each one implements the
+    target exactly.
     """
     scenario = scenario or _default_prop3_scenario()
     if not is_nonconstant(scenario.scf):
@@ -1070,12 +1044,12 @@ def run_prop3(
         cost = _exact("prop3", "cost", cost)
     u = scenario.payoffs[agent]
     provenance = {"scenario_states": scenario.state_space.states, "prior": scenario.prior}
-    assign, k, arcs = _class_graph(u, scenario.scf)
-    verdict = _cycle_verdict(arcs, k)
+    verdict = check_strict_cyclical_monotonicity(u, scenario.scf)
     if not verdict.ok:
         return ExperimentResult("prop3", {"agent": agent, "cost": cost},
                                 {"cyclical_monotonicity": False}, dict(verdict.witness), provenance)
-    transfers = _graph_transfers(u, scenario.scf, assign, k, arcs, verdict)
+    transfers = verdict.witness["transfers"]
+    assign, _ = _f_classes(scenario.scf)
     n = scenario.n
     pair_margin = _truthful_margin(u, scenario.scf, assign, transfers)
     mech = build_one_respondent(scenario, agent, {j + 1: transfers[j] for j in range(n)})
@@ -1145,7 +1119,7 @@ def run_maskin_contagion(
     return ExperimentResult(
         "maskin-contagion",
         {"reward": reward, "bias_factor": bias_factor, "depth": depth,
-         "eta_grid": [rat(e) for e in eta_grid]},
+         "eta_grid": [row["eta"] for row in grid]},
         {"unique_survivor_everywhere": all(row["unique_always_status_quo"] for row in grid)},
         {"grid": grid},
         {"scenario_states": scenario.state_space.states, "prior": scenario.prior},

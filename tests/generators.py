@@ -1,6 +1,7 @@
 """Seeded input generators for the tests: random generic priors, the
 pure-outcome scenario of a prior, a binary scenario with state-dependent
-stakes, and random instances for the cyclical-monotonicity oracle."""
+stakes, random instances for the cyclical-monotonicity oracle, point
+lotteries and uniform trembles."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,19 @@ from robustmech.core import (
     SocialChoiceFunction,
     make_scenario,
 )
-from robustmech.numeric import Number
+from robustmech.engine import TrembleSpec
+from robustmech.numeric import Number, rat
+
+
+def point_lottery(index: int, size: int) -> Lottery:
+    """The lottery on ``size`` outcomes that puts all mass on ``index``."""
+    return Lottery(tuple(Fraction(y == index) for y in range(size)))
+
+
+def uniform_tremble(tau: Number, messages: tuple[tuple[int, ...], tuple[int, ...]]) -> TrembleSpec:
+    """A tremble of probability ``tau`` whose noise is uniform over each
+    agent's messages."""
+    return TrembleSpec(rat(tau), tuple({m: Fraction(1, len(ms)) for m in ms} for ms in messages))
 
 
 def random_generic_prior(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -58,5 +71,5 @@ def random_scm_instance(rng: random.Random, n: int = 3, n_outcomes: int = 3):
         tuple(Fraction(rng.randint(-6, 6)) for _ in range(n_outcomes)) for _ in range(n)
     )
     f = [rng.randrange(n_outcomes) for _ in range(n)]
-    lots = tuple(Lottery.point(y, n_outcomes) for y in f)
+    lots = tuple(point_lottery(y, n_outcomes) for y in f)
     return AgentPayoff(u, Fraction(0)), SocialChoiceFunction(lots)

@@ -141,6 +141,14 @@ def test_experiment_run_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "maskin-contagion.csv").exists()
 
 
+def test_experiment_run_writes_no_csv_without_grid_rows(tmp_path, capsys):
+    """prop3 measures no grid, so ``--out`` writes its JSON alone."""
+    code, out, _ = run(capsys, "experiment", "run", "prop3", "--out", str(tmp_path))
+    assert code == 0
+    assert out.endswith(f"wrote {tmp_path / 'prop3.json'}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prop3.json"]
+
+
 def test_experiment_run_unknown_name(capsys):
     code, _, err = run(capsys, "experiment", "run", "nope")
     assert code == 2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import naive_reference as naive
 from naive_reference import PayoffTable
-from generators import uniform_scenario
+from generators import uniform_scenario, uniform_tremble
 from robustmech import (
     BiasSpec,
     Game,
@@ -316,7 +316,7 @@ def test_signal_game_matches_naive_evaluator(pert, delta, data):
 @settings(max_examples=10, deadline=None)
 def test_tremble_game_matches_naive_evaluator(pert, tau, kind, data):
     mech = MECHANISMS[kind]
-    game = Game(SCENARIO, mech, pert, tremble=TrembleSpec.uniform(tau, mech.messages))
+    game = Game(SCENARIO, mech, pert, tremble=uniform_tremble(tau, mech.messages))
     sets = strategy_sets(kind, game)
     assert_matches_naive(game, sets)
     assert_best_responses_match_naive(game, sets, data)
@@ -339,7 +339,7 @@ def test_four_state_games_match_naive_evaluator(depth, kind, tau, data):
     eta = data.draw(st.fractions(min_value=F(1, 20), max_value=F(1, 2), max_denominator=20))
     pert = build_ladder(FOUR, depth, eta, data.draw(bias_specs(depth + 1, FOUR.n)))
     mech = FOUR_MECHANISMS[kind]
-    tremble = TrembleSpec.uniform(tau, mech.messages) if tau else None
+    tremble = uniform_tremble(tau, mech.messages) if tau else None
     game = Game(FOUR, mech, pert, tremble=tremble)
     rs = restricted_strategy_set(mech.messages[0], game.truthful(0))
     assert_best_responses_match_naive(game, (rs, rs), data, passes=("fresh",))
@@ -374,7 +374,7 @@ def test_private_signal_game_matches_naive_evaluator(depth, signals, kind, tau, 
     mechanisms, with and without trembles."""
     pert = build_ladder(SCENARIO, depth, F(1, 10), data.draw(bias_specs(depth + 1)))
     mech = MECHANISMS[kind]
-    tremble = TrembleSpec.uniform(tau, mech.messages) if tau else None
+    tremble = uniform_tremble(tau, mech.messages) if tau else None
     game = Game(SCENARIO, mech, pert, signals=signals, tremble=tremble)
     sets = strategy_sets(kind, game)
     assert_matches_naive(game, sets)
@@ -683,7 +683,7 @@ def test_lotteries_and_truthful_mass_match_per_circumstance_sums(pert, kind, dat
 def test_signal_and_tremble_lotteries_match_per_circumstance_sums(pert, delta, tau, kind, data):
     mech = MECHANISMS[kind]
     game = Game(SCENARIO, mech, pert, signals=mislabel_signals(SCENARIO, delta),
-                tremble=TrembleSpec.uniform(tau, mech.messages) if tau else None)
+                tremble=uniform_tremble(tau, mech.messages) if tau else None)
     assert_lotteries_match_naive(game, data)
 
 
@@ -752,7 +752,7 @@ def tremble_specs(draw, messages):
     tau = draw(st.fractions(min_value=0, max_value=F(19, 20), max_denominator=20))
     kind = draw(st.sampled_from(("uniform", "point", "drawn")))
     if kind == "uniform":
-        return TrembleSpec.uniform(tau, messages)
+        return uniform_tremble(tau, messages)
     if kind == "point":
         return TrembleSpec.point(tau, messages, tuple(draw(st.sampled_from(ms)) for ms in messages))
     noise = []

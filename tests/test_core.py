@@ -16,6 +16,7 @@ from robustmech import (
     three_state_scenario,
     tv_distance,
 )
+from generators import point_lottery
 from robustmech.core import StateSpace
 
 
@@ -30,9 +31,9 @@ def test_prior_must_be_positive():
 
 
 def test_lottery_point_and_mix():
-    p = Lottery.point(1, 3)
+    p = point_lottery(1, 3)
     assert p.weights == (F(0), F(1), F(0))
-    m = Lottery.mix([(F(1, 2), Lottery.point(0, 3)), (F(1, 2), p)])
+    m = Lottery.mix([(F(1, 2), point_lottery(0, 3)), (F(1, 2), p)])
     assert m.weights == (F(1, 2), F(1, 2), F(0))
 
 
@@ -44,8 +45,8 @@ def test_lottery_weights_validated():
 
 
 def test_tv_distance_extremes():
-    a = Lottery.point(0, 2)
-    b = Lottery.point(1, 2)
+    a = point_lottery(0, 2)
+    b = point_lottery(1, 2)
     assert tv_distance(a, b) == 1
     assert tv_distance(a, a) == 0
     mid = Lottery.mix([(F(1, 2), a), (F(1, 2), b)])
@@ -93,7 +94,7 @@ def test_canonicalize_reorders_by_descending_prior():
 
 def test_expected_utility():
     p = AgentPayoff(((F(0), F(0)), (F(0), F(0))), F(1))
-    assert p.expected_utility(0, Lottery.point(0, 2)) == 0
+    assert p.expected_utility(0, point_lottery(0, 2)) == 0
     s = make_scenario(
         [("x", "7/10"), ("y", "3/10")],
         ["a", "b"],

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
+from generators import uniform_tremble
 from robustmech import (
     BiasSpec,
     Game,
@@ -253,7 +254,7 @@ def test_zero_tremble_changes_nothing():
     s = binary_trial_scenario()
     mech = build_status_quo(s, 1)
     plain = Game(s, mech)
-    trembled = Game(s, mech, tremble=TrembleSpec.uniform(F(0), mech.messages))
+    trembled = Game(s, mech, tremble=uniform_tremble(F(0), mech.messages))
     opp = truthful_profile(plain)[1]
     tables = [g.payoff_table(0, 0, opp) for g in (plain, trembled)]
     for strat in itertools.product(*full_strategy_set((1, 2), 2)):

@@ -13,6 +13,7 @@ import pytest
 from robustmech import (
     BiasSpec,
     Certificate,
+    ExperimentResult,
     Game,
     ModelError,
     binary_trial_scenario,
@@ -23,12 +24,11 @@ from robustmech import (
     list_experiments,
     run_experiment,
     separating_functional,
-    synthesize_transfers,
     three_state_scenario,
     verify_equilibrium,
 )
 from robustmech import engine, experiments
-from robustmech.core import AgentPayoff, Lottery, SocialChoiceFunction
+from robustmech.core import AgentPayoff, SocialChoiceFunction
 from robustmech.experiments import (
     deviation_dominance_certificate,
     preferred_outcome_bias,
@@ -37,10 +37,12 @@ from robustmech.experiments import (
 
 import naive_reference as naive
 from generators import (
+    point_lottery,
     random_generic_prior,
     random_scm_instance,
     state_dependent_binary,
     uniform_scenario,
+    uniform_tremble,
 )
 
 
@@ -58,6 +60,16 @@ def test_empty_eta_grid_is_refused(name):
     vacuous pass nor a division by zero in the mass fit."""
     with pytest.raises(ModelError, match="eta grid is empty"):
         run_experiment(name, eta_grid=[])
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2", "maskin-contagion"])
+def test_ladder_runs_echo_the_exact_etas(name):
+    """A grid written as ``0.05`` and ``1/10`` builds the ladders at 1/20
+    and 1/10, and the parameters name those exact etas, as the rows do."""
+    result = run_experiment(name, eta_grid=("0.05", "1/10"), depth=10)
+    assert result.parameters["eta_grid"] == [F(1, 20), F(1, 10)]
+    assert [row["eta"] for row in result.artifacts["grid"]] == [F(1, 20), F(1, 10)]
+    assert json.loads(result.to_json())["parameters"]["eta_grid"] == ["1/20", "1/10"]
 
 
 @pytest.mark.parametrize("name", ["thm1", "thm2", "prop2", "prop3"])
@@ -96,6 +108,16 @@ def _prop1_grid_calls(monkeypatch, scenario=None):
     monkeypatch.undo()
     assert len(calls) == 2
     return calls
+
+
+@pytest.mark.parametrize("step", [1, 2, 20])
+def test_prop1_candidates_list_each_play_once(step):
+    """The pure strategies and the interior of the two-point grid: no
+    candidate carries a zero weight and no two are equal, since the
+    grid's end points are the pure constants already listed."""
+    candidates = experiments._candidate_type_strategies(2, (1, 2), step)
+    assert all(all(candidate.values()) for candidate in candidates)
+    assert len({frozenset(c.items()) for c in candidates}) == len(candidates) == 4 + step - 1
 
 
 def test_prop1_games_hold_each_play_once(monkeypatch):
@@ -229,20 +251,29 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_prop1_builds_no_report(monkeypatch):
-    """17 of the 1,250 profiles of the two tilts' grid searches pass, and
+    """8 of the 1,058 profiles of the two tilts' grid searches pass, and
     none gets a report.  Each tilt measures its hits' implementation
-    metrics until one has ``max_tv <= 1/10``, 7 in all, each from one
+    metrics until one has ``max_tv <= 1/10``, 3 in all, each from one
     integer walk of the circumstances; the two-point bound makes one more
-    walk for each of the 4 exact equilibria among the minus tilt's hits."""
+    walk for the one exact equilibrium among the minus tilt's hits."""
     searches = _prop1_grid_calls(monkeypatch)
-    assert sum(len(experiments._grid_equilibria(*call, F(1, 10))) for call in searches) == 17
+    assert sum(len(experiments._grid_equilibria(*call, F(1, 10))) for call in searches) == 8
     reports = _count_calls(monkeypatch, experiments, "verify_equilibrium")
     metrics = _count_calls(monkeypatch, experiments, "implementation_metrics")
     walks = _count_calls(monkeypatch, engine, "lottery_nums")
     bound_lotteries = _count_calls(monkeypatch, experiments, "outcome_distribution")
     run_experiment("prop1")
-    assert (reports[0], metrics[0], bound_lotteries[0]) == (0, 7, 4)
-    assert walks[0] == 7 + 4
+    assert (reports[0], metrics[0], bound_lotteries[0]) == (0, 3, 1)
+    assert walks[0] == 3 + 1
+
+
+@pytest.mark.parametrize("max_tv, implements", [(F(1, 10), True), (F(1, 10) + F(1, 1000), False)])
+def test_prop1_implements_at_a_max_tv_of_at_most_a_tenth(monkeypatch, max_tv, implements):
+    """A tilt is passed when a hit's ``max_tv`` is at most 1/10: exactly
+    1/10 passes under both tilts, and 1/10 + 1/1000 under neither."""
+    monkeypatch.setattr(experiments, "implementation_metrics", lambda game, profile: (F(1), max_tv))
+    artifacts = run_experiment("prop1").artifacts
+    assert artifacts["implements_under_plus"] is artifacts["implements_under_minus"] is implements
 
 
 def test_prop3_builds_the_class_graph_once(monkeypatch):
@@ -366,7 +397,7 @@ def _corrupted(mechanism, rng, edits):
     for _ in range(edits):
         cell = rng.choice(cells)
         if rng.random() < 0.5:
-            points = [Lottery.point(y, size) for y in range(size)]
+            points = [point_lottery(y, size) for y in range(size)]
             outcome[cell] = rng.choice([p for p in points if not p.same_as(outcome[cell])])
         else:
             t1, t2 = transfer[cell]
@@ -473,9 +504,10 @@ def test_synthesized_transfers_match_path_enumeration():
         checked = multi_class = 0
         for _ in range(40):
             u, scf = random_scm_instance(rng, n, n)
-            if not check_strict_cyclical_monotonicity(u, scf).ok:
+            verdict = check_strict_cyclical_monotonicity(u, scf)
+            if not verdict.ok:
                 continue
-            assert synthesize_transfers(u, scf) == naive.transfer_potentials(u, scf)
+            assert verdict.witness["transfers"] == naive.transfer_potentials(u, scf)
             checked += 1
             multi_class += len(set(scf.lotteries)) > 1
         counts.append((checked, multi_class))
@@ -486,7 +518,7 @@ def test_cyclical_monotonicity_counterexample():
     # Two states whose targets swap but whose owner strictly prefers the
     # other state's target in both states: the swap permutation gains.
     u = AgentPayoff(((F(0), F(1)), (F(1), F(0))), F(0))
-    scf = SocialChoiceFunction((Lottery.point(0, 2), Lottery.point(1, 2)))
+    scf = SocialChoiceFunction((point_lottery(0, 2), point_lottery(1, 2)))
     ok, witness = check_strict_cyclical_monotonicity(u, scf)
     assert not ok and witness
 
@@ -499,9 +531,9 @@ def test_synthesized_transfers_make_truth_strictly_best():
 
     sc = _default_prop3_scenario()
     u = sc.payoffs[0]
-    ok, _ = check_strict_cyclical_monotonicity(u, sc.scf)
+    ok, witness = check_strict_cyclical_monotonicity(u, sc.scf)
     assert ok
-    t = synthesize_transfers(u, sc.scf)
+    t = witness["transfers"]
     assert min(t.values()) == 0
     for a in range(sc.n):
         for b in range(sc.n):
@@ -630,7 +662,7 @@ def test_deviation_certificate_matches_closed_form():
                 for tau in (F(1, 100), F(1, 10))
                 for m in range(2, s.n + 1)
             ] + [
-                (TrembleSpec.uniform(tau, mech.messages), {m: F(1, len(msgs)) for m in msgs})
+                (uniform_tremble(tau, mech.messages), {m: F(1, len(msgs)) for m in msgs})
                 for tau in (F(1, 100), F(1, 10))
             ]
             for structure in structures:
@@ -731,6 +763,14 @@ def test_thm3_refuses_a_noise_target_that_is_not_an_int(value):
     shown = re.escape(repr(value))
     with pytest.raises(ModelError, match=rf"experiment thm3: option noise_target .*not {shown}$"):
         run_experiment("thm3", noise_target=value)
+
+
+@pytest.mark.parametrize("value", [object(), point_lottery(0, 2), 0.5])
+def test_result_json_refuses_an_unsupported_type(value):
+    """An artifact the serializer does not know, a ``Lottery`` or a float
+    among them, raises rather than being written as its ``str``."""
+    with pytest.raises(TypeError, match="cannot write a"):
+        ExperimentResult("x", {}, {}, {"value": value}).to_json()
 
 
 def test_result_json_is_deterministic():
