@@ -174,6 +174,10 @@ class ScenarioModel:
     def max_cost(self) -> Number:
         return max(p.cost for p in self.payoffs)
 
+    def with_cost(self, cost: Number) -> "ScenarioModel":
+        """The same scenario with both agents' learning cost set to ``cost``."""
+        return replace(self, payoffs=tuple(replace(p, cost=rat(cost)) for p in self.payoffs))
+
     def canonicalize(self) -> "ScenarioModel":
         """Reorder states so the prior is non-increasing (stable on ties)."""
         order = sorted(range(self.n), key=lambda j: (-self.prior[j], j))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -163,8 +163,7 @@ def gamma_dominance_threshold(
     ``c_bar``, and must give the same threshold.
     """
     truth = tuple(range(1, scenario.n + 1))
-    charged = tuple(replace(p, cost=c_bar) for p in scenario.payoffs)
-    game = Game(replace(scenario, payoffs=charged), mechanism)
+    game = Game(scenario.with_cost(c_bar), mechanism)
     sets = _strategy_sets(game)
     witness = []
     for agent in (0, 1):

@@ -14,7 +14,7 @@ import functools
 import inspect
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -152,11 +152,6 @@ def _exact(experiment: str, option: str, value) -> Fraction:
         raise ModelError(f"experiment {experiment}: option {option} must be exact (an int, a "
                          f"Fraction or a string such as '1/10'), not the float {value!r}")
     return rat(value)
-
-
-def _with_cost(scenario: ScenarioModel, cost: Number) -> ScenarioModel:
-    payoffs = tuple(replace(p, cost=rat(cost)) for p in scenario.payoffs)
-    return ScenarioModel(scenario.state_space, scenario.outcome_space, scenario.scf, payoffs)
 
 
 def preferred_outcome_bias(
@@ -339,19 +334,18 @@ def _status_quo_run(experiment, scenario, mech, c_bar, depth, eta_grid, biases):
 
 def run_thm1(
     scenario: ScenarioModel | None = None,
-    c_bar: Number = 1,
     depth: int = 100,
     eta_grid=("1/1000", "1/100", "1/20", "1/10"),
     biases: list[BiasSpec] | None = None,
 ) -> ExperimentResult:
-    """Status quo rule with ascending transfers on a ladder family.
+    """Status quo rule with ascending transfers, c_bar = 1, on a ladder family.
 
     Certifies the dominance threshold, constructs an equilibrium on every
     ladder in the grid, fits the linear containment of non-truthful mass,
     and (for small n) checks replacement closure exhaustively.
     """
     scenario = scenario or binary_trial_scenario()
-    c_bar = _exact("thm1", "c_bar", c_bar)
+    c_bar = Fraction(1)
     mech = build_status_quo(scenario, c_bar)
     if biases is None:
         bias_strength = 10 * mech.schedule.top
@@ -380,14 +374,13 @@ def run_thm2(
     depth: int = 100,
     eta_grid=("1/1000", "1/100", "1/20", "1/10"),
     biases: list[BiasSpec] | None = None,
-    cost_cap: Number = 10**6,
 ) -> ExperimentResult:
-    """Augmented rule run; allows unbounded-cost bias types (capped for
-    finite representation) and certifies the constant-deviation comparison."""
+    """Augmented rule run; allows unbounded-cost bias types (capped at 10**6
+    times agent 1's cost) and certifies the constant-deviation comparison."""
     scenario = scenario or binary_trial_scenario()
     if not scenario.generic:
         raise ModelError("augmented rule run needs a generic prior")
-    cost_cap = _exact("thm2", "cost_cap", cost_cap)
+    cost_cap = Fraction(10**6)
     mech = build_augmented_status_quo(scenario)
     sched = mech.schedule
     if biases is None:
@@ -490,25 +483,17 @@ def deviation_dominance_certificate(game: Game) -> Certificate:
     return Certificate.of_rows(rows)
 
 
-def run_thm3(
-    scenario: ScenarioModel | None = None,
-    tau: Number = "1/100",
-    delta: Number = "1/100",
-    noise_target: int = 2,
-) -> ExperimentResult:
+def run_thm3(scenario: ScenarioModel | None = None) -> ExperimentResult:
     """Trembles and noisy signals: the modified rule survives where the
     augmented rule's replacement argument breaks.
 
-    Uses adversarial tremble noise concentrated on one high message, a
-    correlated signal structure of size exactly ``delta``, and its
-    perfectly-revealing limit at zero noise.
+    Uses trembles of size tau = 1/100 whose adversarial noise is
+    concentrated on message 2, a correlated signal structure of size
+    exactly delta = 1/100, and its perfectly-revealing limit at zero noise.
     """
-    if isinstance(noise_target, bool) or not isinstance(noise_target, int):
-        raise ModelError(f"experiment thm3: option noise_target must be an int message, "
-                         f"not {noise_target!r}")
     scenario = scenario or three_state_scenario()
-    tau = _exact("thm3", "tau", tau)
-    delta = _exact("thm3", "delta", delta)
+    tau = delta = Fraction(1, 100)
+    noise_target = 2
     msqr = build_modified_status_quo(scenario)
     asqr = build_augmented_status_quo(scenario)
     n = scenario.n
@@ -529,8 +514,7 @@ def run_thm3(
         "msqr_certificate": msqr_cert.ok,
         "msqr_truthful_equilibrium": report.is_equilibrium,
         "revealing_limit_equilibrium": report0.is_equilibrium,
-        "structure_size_matches": Fraction(delta)
-        == size_of_signal_structure(noisy, scenario.prior),
+        "structure_size_matches": delta == size_of_signal_structure(noisy, scenario.prior),
     }
     return ExperimentResult(
         name="thm3",
@@ -726,7 +710,6 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
 def run_prop1(
     scenario: ScenarioModel | None = None,
     mechanism: Mechanism | None = None,
-    eta_values=("1/10", "1/5"),
     grid_step: int = 20,
 ) -> ExperimentResult:
     """Impossibility of implementation across all cost-bounded
@@ -735,16 +718,11 @@ def run_prop1(
     Builds the tilted perturbations from the separating functional,
     certifies the transfer-bound inequality chain over a mixed-message
     grid, runs the two equilibrium searches, and measures the outcome-gap
-    lower bound on two-point perturbations for the linear-slope check.
+    lower bound on two-point perturbations (eta 1/10, 1/5) for the linear-slope check.
     """
     if isinstance(grid_step, bool) or not isinstance(grid_step, int) or grid_step < 1:
         raise ModelError(f"grid_step must be an integer of at least 1, not {grid_step!r}")
-    if not eta_values:
-        raise ModelError("eta_values is empty: the TV lower bound needs at least one eta")
-    etas = [_exact("prop1", "eta_values", e) for e in eta_values]
-    for eta in etas:
-        if not 0 < eta < 1:
-            raise ModelError(f"eta_values: eta {fmt(eta)} must lie strictly between 0 and 1")
+    etas = (Fraction(1, 10), Fraction(1, 5))
     scenario = scenario or binary_trial_scenario()
     mechanism = mechanism or build_status_quo(scenario, scenario.max_cost)
     if not is_nonconstant(scenario.scf):
@@ -997,8 +975,10 @@ def check_strict_cyclical_monotonicity(u: AgentPayoff, scf: SocialChoiceFunction
     class B's potential is the least of 0 and every path weight into B
     under W - delta, read off the same ``_shortest_paths`` the cycle check
     uses.  States sharing a target lottery share a transfer; the minimum
-    transfer is normalized to zero.  With fewer than two classes there is
-    no cycle and every transfer is 0.
+    transfer is normalized to zero.  It also adds ``pair_margin``, the
+    smallest gain of a state's own target over another class's, transfers
+    included, which the check re-verifies is positive.  With fewer than
+    two classes there is no cycle and every transfer is 0.
     """
     assign, k, arcs = _class_graph(u, scf)
     if k < 2:
@@ -1016,9 +996,11 @@ def check_strict_cyclical_monotonicity(u: AgentPayoff, scf: SocialChoiceFunction
     low = min(reach)
     transfers = {j: reach[cls] - low for j, cls in enumerate(assign)}
     # Independent strictness re-check over all state pairs.
-    if _truthful_margin(u, scf, assign, transfers) <= 0:
+    pair_margin = _truthful_margin(u, scf, assign, transfers)
+    if pair_margin <= 0:
         raise ModelError("transfer synthesis failed its strictness re-check")
-    return Certificate(True, {"min_cycle_weight": weight, "transfers": transfers})
+    return Certificate(True, {"min_cycle_weight": weight, "transfers": transfers,
+                              "pair_margin": pair_margin})
 
 
 def run_prop3(
@@ -1048,14 +1030,13 @@ def run_prop3(
     if not verdict.ok:
         return ExperimentResult("prop3", {"agent": agent, "cost": cost},
                                 {"cyclical_monotonicity": False}, dict(verdict.witness), provenance)
-    transfers = verdict.witness["transfers"]
+    transfers, pair_margin = verdict.witness["transfers"], verdict.witness["pair_margin"]
     assign, _ = _f_classes(scenario.scf)
     n = scenario.n
-    pair_margin = _truthful_margin(u, scenario.scf, assign, transfers)
     mech = build_one_respondent(scenario, agent, {j + 1: transfers[j] for j in range(n)})
     truthful = tuple(range(1, n + 1))
     other = (1,) * n  # the other agent's only message
-    zero_cost = Game(_with_cost(scenario, 0), mech)
+    zero_cost = Game(scenario.with_cost(0), mech)
     truthful_value = zero_cost.inner_value(agent, 0, truthful, other)
     best_constant = max(zero_cost.inner_value(agent, 0, (m,) * n, other) for m in truthful)
     learning_margin = truthful_value - best_constant
@@ -1064,7 +1045,7 @@ def run_prop3(
 
     # The other agent has one message, so equilibria are exactly the
     # mixtures over the respondent's best replies.
-    game = Game(_with_cost(scenario, c), mech)
+    game = Game(scenario.with_cost(c), mech)
     strategies = full_strategy_set(truthful, n)
     argmax = game.payoff_table(agent, 0, {0: {other: Fraction(1)}}).best(strategies)[0]
     full_impl = all(all(assign[s[j] - 1] == assign[j] for j in range(n)) for s in argmax)
@@ -1092,19 +1073,19 @@ def run_prop3(
 
 def run_maskin_contagion(
     scenario: ScenarioModel | None = None,
-    reward: Number = 1,
     bias_factor: Number = 10,
     depth: int = 100,
     eta_grid=("1/100", "1/20", "1/10"),
 ) -> ExperimentResult:
-    """Matching-rule uniqueness on the renormalized geometric ladder.
+    """Matching-rule uniqueness, at reward 1, on the renormalized
+    geometric ladder.
 
     The ladder keeps the geometric posterior at every rung (see
     ``build_ladder``), so iterated strict dominance unravels every type
     to the status-quo report.
     """
     scenario = scenario or binary_trial_scenario()
-    reward = _exact("maskin-contagion", "reward", reward)
+    reward = Fraction(1)
     mech = build_maskin(scenario, reward)
     factor = _exact("maskin-contagion", "bias_factor", bias_factor)
     bias = BiasSpec(0, 0, preferred_outcome_bias(scenario, 0, factor * reward))

@@ -266,6 +266,8 @@ def test_point_tremble_realization():
     tr = TrembleSpec.point(F(1, 10), mech.messages, (2, 2))
     assert tr.realized(0, 1) == [(1, F(9, 10)), (2, F(1, 10))]
     assert tr.realized(0, 2) == [(2, F(1))]
+    with pytest.raises(ModelError, match="tremble target 7 of agent 1 is not one of its messages"):
+        TrembleSpec.point(F(1, 10), mech.messages, (7, 2))
 
 
 def test_tremble_apply_takes_expectations_over_realized_pairs():

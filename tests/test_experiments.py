@@ -1,6 +1,7 @@
 """Named experiments: certificates, helper oracles, determinism."""
 
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -28,7 +29,7 @@ from robustmech import (
     verify_equilibrium,
 )
 from robustmech import engine, experiments
-from robustmech.core import AgentPayoff, SocialChoiceFunction
+from robustmech.core import AgentPayoff, SocialChoiceFunction, StateSpace
 from robustmech.experiments import (
     deviation_dominance_certificate,
     preferred_outcome_bias,
@@ -225,19 +226,6 @@ def test_prop1_accepts_a_grid_step_of_one():
     assert result.passed
 
 
-@pytest.mark.parametrize("eta_values, match", [
-    ((), "eta_values is empty: the TV lower bound needs at least one eta"),
-    (("2",), "eta 2 must lie strictly between 0 and 1"),
-    (("1/10", "0"), "eta 0 must lie strictly between 0 and 1"),
-    (("1",), "eta 1 must lie strictly between 0 and 1"),
-])
-def test_prop1_refuses_an_empty_or_out_of_range_eta_list(eta_values, match):
-    """An empty list would pass the TV lower bound vacuously, and eta is
-    the biased circumstance's probability, so it lies strictly in (0, 1)."""
-    with pytest.raises(ModelError, match=match):
-        run_experiment("prop1", eta_values=eta_values)
-
-
 def _count_calls(monkeypatch, module, name):
     calls = [0]
     fn = getattr(module, name)
@@ -280,6 +268,18 @@ def test_prop3_builds_the_class_graph_once(monkeypatch):
     graphs = _count_calls(monkeypatch, experiments, "_class_graph")
     assert run_experiment("prop3").passed
     assert graphs[0] == 1
+
+
+def test_prop3_computes_its_pair_margin_once(monkeypatch):
+    """The check's strictness re-check computes the truthful pair margin
+    and hands it back in the passing witness; the run reports that value
+    rather than computing it again."""
+    margins = _count_calls(monkeypatch, experiments, "_truthful_margin")
+    result = run_experiment("prop3")
+    assert margins[0] == 1
+    s = experiments._default_prop3_scenario()
+    witness = check_strict_cyclical_monotonicity(s.payoffs[0], s.scf).witness
+    assert result.artifacts["pair_margin"] == witness["pair_margin"] > 0
 
 
 def test_prop3_cost_below_threshold_is_strict_at_the_threshold():
@@ -327,6 +327,20 @@ def test_status_quo_runs_refuse_a_ladder_whose_eta_of_is_not_its_eta(name, state
         f"{name}: the ladder at eta = 1/10 has ex-ante perturbation probability {measured}, not eta"
     )):
         run_experiment(name, depth=10, eta_grid=("1/10",), biases=biases)
+
+
+def test_thm2_constant_deviation_comparison_fails_on_a_prior_out_of_order():
+    """The key compares q(j) R^j with q(1) R^0 for every j >= 2.  On a
+    canonical prior it follows from the schedule's R^0 > R^n q(2) / q(1);
+    with the three-state prior reordered to (1/2, 1/10, 2/5), state 3's
+    side is 2/5 * 35 = 14 against 1/2 * 8 = 4, and step 3 fails as well."""
+    s = three_state_scenario()
+    s = replace(s, state_space=StateSpace(s.state_space.states, (F(1, 2), F(1, 10), F(2, 5))))
+    result = run_experiment("thm2", s, depth=10, eta_grid=("1/10",))
+    r = result.artifacts["schedule"]
+    assert (s.prior[2] * r[3], s.prior[0] * r[0]) == (14, 4)
+    assert {k for k, ok in result.certificates.items() if not ok} == {
+        "constant_deviation_comparison", "step3_closure"}
 
 
 @pytest.mark.parametrize("depth", [F(5, 2), 2.5, True, "100"])
@@ -706,7 +720,7 @@ def test_constant_rows_bound_the_exact_constant_gain(prior):
 
 @pytest.mark.parametrize(
     "name, option, value",
-    [("prop1", "eta_values", (0.1,)), ("thm1", "eta_grid", (0.1,)), ("thm3", "tau", 0.01),
+    [("thm2", "eta_grid", (0.1,)), ("thm1", "eta_grid", (0.1,)), ("prop3", "cost", 0.01),
      ("maskin-contagion", "bias_factor", 2.5)],
 )
 def test_a_float_option_is_refused_by_name(name, option, value):
@@ -716,6 +730,29 @@ def test_a_float_option_is_refused_by_name(name, option, value):
     shown = re.escape(repr(value[0] if isinstance(value, tuple) else value))
     with pytest.raises(ModelError, match=rf"experiment {name}: option {option} .*float {shown}"):
         run_experiment(name, **{option: value})
+
+
+@pytest.mark.parametrize("name, removed, kept", [
+    ("thm1", ("c_bar",), ("depth", "eta_grid", "biases")),
+    ("thm2", ("cost_cap",), ("depth", "eta_grid", "biases")),
+    ("thm3", ("tau", "delta", "noise_target"), ()),
+    ("prop1", ("eta_values",), ("mechanism", "grid_step")),
+    ("prop2", (), ("mechanism",)),
+    ("prop3", (), ("agent", "cost")),
+    ("maskin-contagion", ("reward",), ("bias_factor", "depth", "eta_grid")),
+])
+def test_each_run_takes_only_the_options_a_caller_sets(name, removed, kept):
+    """A run's fixed constants (thm1's c_bar, thm2's cost cap, thm3's tau,
+    delta and noise target, prop1's etas, maskin-contagion's reward) are
+    not options: passing one is refused by name, and the signature lists
+    the scenario and the options that remain."""
+    run = getattr(experiments, "run_" + name.replace("-", "_"))
+    assert tuple(inspect.signature(run).parameters) == ("scenario", *kept)
+    for option in removed:
+        with pytest.raises(ModelError, match=re.escape(
+            f"experiment {name}: got an unexpected keyword argument '{option}'"
+        )):
+            run_experiment(name, **{option: 1})
 
 
 def test_deviation_certificate_needs_a_tremble():
@@ -748,21 +785,6 @@ def test_deviation_certificate_needs_negative_messages(kind):
     tremble = TrembleSpec.point(F(1, 100), mech.messages, (2, 2))
     with pytest.raises(ModelError, match=f"needs a rule with negative messages; the {kind} rule"):
         deviation_dominance_certificate(Game(s, mech, tremble=tremble))
-
-
-def test_thm3_refuses_a_noise_target_that_is_not_a_message():
-    with pytest.raises(ModelError, match="tremble target 7 of agent 1 is not one of its messages"):
-        run_experiment("thm3", noise_target=7)
-
-
-@pytest.mark.parametrize("value", [True, 2.0])
-def test_thm3_refuses_a_noise_target_that_is_not_an_int(value):
-    """A bool would run as message 1 and a float as message 2, each
-    written to the JSON as given: the run refuses both, naming the
-    experiment and the option."""
-    shown = re.escape(repr(value))
-    with pytest.raises(ModelError, match=rf"experiment thm3: option noise_target .*not {shown}$"):
-        run_experiment("thm3", noise_target=value)
 
 
 @pytest.mark.parametrize("value", [object(), point_lottery(0, 2), 0.5])
