@@ -9,6 +9,7 @@ numbers, so negative messages come before positive ones.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -398,52 +399,128 @@ def iterated_dominance(
     a pool that shrinks gets anew; the surviving lists are read off the
     game's pools once, at the fixed point.  A check's result is memoized
     on the game by ``(agent, own pool id, type kind, opponent pool ids)``,
-    the opponent pools at the types it meets in ``type_groups`` order; the
-    pool ids and the memo outlive a call.  The types met and the kinds are
-    read once per call off the perturbation's template tables, each type's
-    opponent-type base plus its template's offsets, so no group is
-    shifted.  An entry holds the surviving pool id, the dropped strategies
-    in pool order and every member's witness, found once, on the miss.  A
-    miss reads each member's value against each surviving opponent
-    strategy once (``_undominated``): a sum over the kind's cells of
-    weight x ``inner_value``, so types with equal keys keep the same
-    strategies for the same witnesses.
+    in ``type_groups`` order; the pool ids and the memo outlive a call.
+    An entry holds the surviving pool id, the dropped strategies in pool
+    order and every member's witness, found on the miss by ``_undominated``.
+
+    Types are checked in runs (``Perturbation._type_runs``): a round cuts
+    its stale ranges where runs end and groups each piece by its own and
+    opponent pool ids, read by slice, so a group has one memo key: one
+    lookup, one slice write, one stale range per template offset.
+
+    Contagion up a ladder (Rubinstein 1989; Kajii and Morris 1997) is an
+    induction: each round is the one before, one rung higher.  A round
+    records its groups' ranges, templates, bases and pool ids.  When that
+    is the last round's record shifted by one type, with the same memo
+    keys, the next rounds repeat it one type higher each, until a group
+    would leave its run or the pools above what it read differ from what
+    it read (``_repeats``).  They are applied in one step: the round's
+    eliminations, shifted, each written pool's last value, in one slice,
+    and the stale types, shifted.  Equal keys are what make the memo
+    return the same entry, so the result and the memo are the replay's.
     """
     pert, cache, members = game.perturbation, game._dom_cache, game._pools
     pools = [[game.pool_id(itertools.product(*strategy_sets[agent]))] * len(part)
              for agent, part in enumerate(pert.partitions)]
-    templates = pert._templates
-    meets = [[tuple([b + u for u in templates[i][2]]) for i, b in zip(tids, bases)]
-             for tids, bases in zip(pert._type_template, pert._type_base)]
-    kinds = [[templates[i][1] for i in tids] for tids in pert._type_template]
-    stale = [set(range(len(side))) for side in pools]
-    eliminated = []
-    for rounds in itertools.count():
-        removed = []
+    stale = [[(0, len(side))] for side in pools]
+    eliminated, last, rounds = [], None, 0
+    while True:
+        removed, record = [], ([], [])
         for agent, opp in ((0, 1), (1, 0)):
-            own, opp_pools, own_kinds = pools[agent], pools[opp], kinds[agent]
-            todo, stale[agent] = stale[agent], set()
-            for t in sorted(todo):
-                nbrs, pid = meets[agent][t], own[t]
-                if not nbrs or len(members[pid]) <= 1:
-                    continue
-                opp_ids = tuple([opp_pools[u] for u in nbrs])
-                key = (agent, pid, own_kinds[t], opp_ids)
-                entry = cache.get(key)
-                if entry is None:
-                    pool = members[pid]
-                    keep, witness = _undominated(game, agent, t, pool, opp_ids)
-                    entry = cache[key] = (game.pool_id(keep),
-                                          tuple([s for s in pool if s not in keep]), witness)
-                if entry[1]:
-                    removed.extend([(agent, t, s) for s in entry[1]])
-                    own[t] = entry[0]
-                    stale[opp].update(nbrs)
+            own, opp_pools, bases = pools[agent], pools[opp], pert._type_base[agent]
+            todo, stale[agent] = stale[agent], []
+            for lo, hi in _pieces(todo, pert._type_runs[agent]):
+                tid, base = pert._type_template[agent][lo], bases[lo] - lo
+                _, kind, offsets = pert._templates[tid]
+                cols = [opp_pools[base + lo + u:base + hi + u] for u in offsets]
+                end = lo
+                for ids, group in itertools.groupby(zip(own[lo:hi], *cols)):
+                    t, end = end, end + len(list(group))
+                    pid, opp_ids, new = ids[0], ids[1:], None
+                    if offsets and len(members[pid]) > 1:
+                        key = (agent, pid, kind, opp_ids)
+                        entry = cache.get(key)
+                        if entry is None:
+                            pool = members[pid]
+                            keep, witness = _undominated(game, agent, t, pool, opp_ids)
+                            entry = cache[key] = (game.pool_id(keep),
+                                                  tuple([s for s in pool if s not in keep]), witness)
+                        if entry[1]:
+                            new = entry[0]
+                            removed.extend([(agent, x, s) for x in range(t, end) for s in entry[1]])
+                            own[t:end] = [new] * (end - t)
+                            stale[opp].extend([(base + t + u, base + end + u) for u in offsets])
+                    record[agent].append((t, end, tid, base + t, ids, new))
         # Agents, types and pools are walked in order, so ``removed`` is sorted.
         eliminated.append(tuple(removed))
         if not removed:
             surviving = [{t: list(members[i]) for t, i in enumerate(side)} for side in pools]
             return EliminationResult(surviving, rounds, tuple(eliminated))
+        rounds += 1
+        k = _repeats(pert, pools, record) if last and record == _shifted(last, 1) else 0
+        if k:
+            eliminated.extend(tuple([(a, t + j, s) for a, t, s in removed]) for j in range(1, k + 1))
+            for side, groups in zip(pools, record):
+                # A type gets its last write: the group lowest below it.
+                for t, end, *_, new in reversed(groups):
+                    if new is not None:
+                        side[t + 1:end + k] = [new] * (end + k - t - 1)
+            stale[0] = [(lo + k, hi + k) for lo, hi in stale[0]]
+            rounds += k
+        last = _shifted(record, k)
+
+
+def _merged(spans):
+    """The ranges ``spans`` (tuples led by ``lo, hi``) cover, as sorted
+    disjoint ``[lo, hi]`` lists."""
+    out = []
+    for lo, hi, *_ in sorted(spans):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return out
+
+
+def _pieces(ranges, starts):
+    """The types of ``ranges``, merged, as ranges cut at the run ``starts``."""
+    for lo, hi in _merged(ranges):
+        for cut in starts[bisect.bisect_right(starts, lo):bisect.bisect_left(starts, hi)] + (hi,):
+            yield lo, cut
+            lo = cut
+
+
+def _shifted(record, k):
+    """A round's record with every group moved up ``k`` types."""
+    return tuple([(t + k, end + k, tid, base + k, *rest) for t, end, tid, base, *rest in groups]
+                 for groups in record)
+
+
+def _repeats(pert, pools, record):
+    """How many rounds after a round with ``record`` repeat it, each one
+    type higher, given that it repeated the round before it.  Each group
+    must stay in its run.  Above the top ``p`` of each range a pool list
+    is read on (own groups, and the opponent's at each offset), the
+    repeats read what the round read at ``p`` (before its write there, if
+    the agent checked ``p``), so they stop where the pools ahead differ
+    from it or the next read range begins."""
+    k = len(pools[0]) + len(pools[1])
+    reads = ([], [])
+    for agent, groups in enumerate(record):
+        starts = pert._type_runs[agent]
+        for t, end, tid, base, ids, _ in groups:
+            i = bisect.bisect_right(starts, end - 1)
+            k = min(k, (starts[i] if i < len(starts) else len(pools[agent])) - end)
+            reads[agent].append((t, end, 0, ids[0]))
+            reads[1 - agent].extend((base + u, base + u + end - t, 1, v)
+                                    for u, v in zip(pert._templates[tid][2], ids[1:]))
+    for side, spans in zip(pools, reads):
+        covered = _merged(spans)
+        for (_, top), (nxt, _) in zip(covered, covered[1:] + [[len(side), None]]):
+            value = min((flag, v) for lo, hi, flag, v in spans if lo < top <= hi)[1]
+            ahead = itertools.islice(side, top, min(nxt, top + k))
+            k = min(k, len(list(itertools.takewhile(value.__eq__, ahead))))
+    return k
 
 
 def _undominated(game: Game, agent: int, t: int, pool, opp_pools):

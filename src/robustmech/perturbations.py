@@ -12,6 +12,7 @@ caller asks for them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,11 +108,12 @@ class Perturbation:
     ``a`` and ``b`` (``_type_template``, ``_type_anchor``, ``_type_base``);
     each distinct template keeps once, in ``_templates``, its groups'
     cells as circumstance offsets and weights, its kind and its groups'
-    opponent-type offsets.  So a new ladder rung costs a dict lookup and three ints, and
-    no table holds a number that grows with the depth.  Evaluators read
-    the template tables and add the type's ints, and key their caches by
-    payoff class and kind, so their size does not grow with the ladder
-    depth either.
+    opponent-type offsets.  So a new rung costs a dict lookup and three
+    ints, and no table holds a number that grows with the depth.
+    Evaluators read the template tables and add the type's ints, and key
+    their caches by payoff class and kind, so their size does not grow
+    with the depth either.  ``_type_runs`` holds each agent's run starts:
+    a run is a range of types of one template whose base steps by one.
     """
 
     scenario: ScenarioModel
@@ -131,7 +133,7 @@ class Perturbation:
             raise ModelError("mass ratio and scale must be positive")
         runs = tuple((c, len(list(run))) for c, run in itertools.groupby(self.coef))
         object.__setattr__(self, "_coef_runs", runs)
-        if sum(self.masses_by((None,) * size).values()) != 1:
+        if not self._sums_to_one():
             raise ModelError("circumstance distribution must sum to one")
         if any(c < 0 for c, _ in runs):
             raise ModelError("circumstance probabilities must be nonnegative")
@@ -160,7 +162,7 @@ class Perturbation:
         template_ids: dict[tuple, int] = {}
         templates: list[tuple] = []
         kinds: dict[tuple, int] = {}
-        type_template, anchors, bases = ([], []), ([], []), ([], [])
+        type_template, anchors, bases, starts = ([], []), ([], []), ([], []), ([], [])
         for agent, part in enumerate(self.partitions):
             opp_index, cls = type_index[1 - agent], classes[agent]
             tids, anchor, base = type_template[agent], anchors[agent], bases[agent]
@@ -173,6 +175,8 @@ class Perturbation:
                 if tid is None:
                     tid = template_ids[template] = len(templates)
                     templates.append(_template_tables(template, runs, self.ratio, kinds))
+                if not tids or tid != tids[-1] or b != base[-1] + 1:
+                    starts[agent].append(len(tids))
                 tids.append(tid)
                 anchor.append(a)
                 base.append(b)
@@ -182,6 +186,24 @@ class Perturbation:
         object.__setattr__(self, "_type_template", tuple(map(tuple, type_template)))
         object.__setattr__(self, "_type_anchor", tuple(map(tuple, anchors)))
         object.__setattr__(self, "_type_base", tuple(map(tuple, bases)))
+        object.__setattr__(self, "_type_runs", tuple(map(tuple, starts)))
+
+    def _sums_to_one(self) -> bool:
+        """Whether the masses sum to one, on integers: with ``ratio = p/q``
+        and the coefficients over their least common denominator ``d``,
+        the run of ``len`` rungs from ``lo`` sums to ``scale * c * p**lo *
+        (q**len - p**len) / (q**(lo + len - 1) * (q - p))``, so each run is
+        brought over ``q**(size - 1) * (q - p) * d`` and no gcd of
+        ladder-sized numbers is taken."""
+        p, q, size = self.ratio.numerator, self.ratio.denominator, len(self.coef)
+        d = math.lcm(*[c.denominator for c, _ in self._coef_runs])
+        total, lo = 0, 0
+        for c, width in self._coef_runs:
+            run = width if p == q else p**lo * (q**width - p**width) * q ** (size - lo - width)
+            total += c.numerator * (d // c.denominator) * run
+            lo += width
+        den = d if p == q else d * q ** (size - 1) * (q - p)
+        return self.scale.numerator * total == self.scale.denominator * den
 
     def masses_by(self, labels) -> dict:
         """``{label: mass}``: the total mass of the circumstances carrying

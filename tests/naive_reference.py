@@ -54,6 +54,9 @@ product itself, so the oracle scans every member.
 on ``expected_payoff`` and ``_pair_margin``, one per verdict.
 ``type_kind`` reads a type's kind, the int that keys its payoff tables,
 off its template.
+``round_by_round_dominance`` is the engine's iterated dominance before it
+checked types in runs and skipped a contagion's repeated rounds: one
+memo lookup per stale type and every round replayed, the oracle for both.
 """
 
 import itertools
@@ -72,7 +75,7 @@ from robustmech.engine import (
     is_constant,
     StrategyProfile,
 )
-from robustmech.equilibrium import DominanceCertificate
+from robustmech.equilibrium import DominanceCertificate, EliminationResult, _undominated
 from robustmech.mechanisms import InfeasibleScheduleError, RewardSchedule
 from robustmech.numeric import Number, rat
 
@@ -417,6 +420,51 @@ def iterated_dominance(
             break
         rounds += 1
     return surviving, rounds, tuple(eliminated)
+
+
+def round_by_round_dominance(
+    game: Game,
+    strategy_sets: tuple[StrategySet, StrategySet],
+) -> EliminationResult:
+    """``iterated_dominance`` type by type and round by round: the loop it
+    replaced, kept unchanged as its oracle.  It checks each stale type on
+    its own, with the engine's ``_undominated`` and the game's dominance
+    memo, and replays every round of a contagion up a ladder."""
+    pert, cache, members = game.perturbation, game._dom_cache, game._pools
+    pools = [[game.pool_id(itertools.product(*strategy_sets[agent]))] * len(part)
+             for agent, part in enumerate(pert.partitions)]
+    templates = pert._templates
+    meets = [[tuple([b + u for u in templates[i][2]]) for i, b in zip(tids, bases)]
+             for tids, bases in zip(pert._type_template, pert._type_base)]
+    kinds = [[templates[i][1] for i in tids] for tids in pert._type_template]
+    stale = [set(range(len(side))) for side in pools]
+    eliminated = []
+    for rounds in itertools.count():
+        removed = []
+        for agent, opp in ((0, 1), (1, 0)):
+            own, opp_pools, own_kinds = pools[agent], pools[opp], kinds[agent]
+            todo, stale[agent] = stale[agent], set()
+            for t in sorted(todo):
+                nbrs, pid = meets[agent][t], own[t]
+                if not nbrs or len(members[pid]) <= 1:
+                    continue
+                opp_ids = tuple([opp_pools[u] for u in nbrs])
+                key = (agent, pid, own_kinds[t], opp_ids)
+                entry = cache.get(key)
+                if entry is None:
+                    pool = members[pid]
+                    keep, witness = _undominated(game, agent, t, pool, opp_ids)
+                    entry = cache[key] = (game.pool_id(keep),
+                                          tuple([s for s in pool if s not in keep]), witness)
+                if entry[1]:
+                    removed.extend([(agent, t, s) for s in entry[1]])
+                    own[t] = entry[0]
+                    stale[opp].update(nbrs)
+        # Agents, types and pools are walked in order, so ``removed`` is sorted.
+        eliminated.append(tuple(removed))
+        if not removed:
+            surviving = [{t: list(members[i]) for t, i in enumerate(side)} for side in pools]
+            return EliminationResult(surviving, rounds, tuple(eliminated))
 
 
 def _type_groups(game: Game, agent: int, t: int):

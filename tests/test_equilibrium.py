@@ -4,8 +4,12 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import naive_reference as naive
 from generators import random_generic_prior, uniform_scenario
@@ -24,14 +28,16 @@ from robustmech import (
     gamma_dominance_threshold,
     iterate_best_response,
     iterated_dominance,
+    load_scenario,
     restricted_strategy_set,
     support_enumeration_nash,
     three_state_scenario,
     truthful_profile,
     verify_equilibrium,
 )
-from robustmech.equilibrium import solve_linear
-from robustmech.experiments import preferred_outcome_bias
+from robustmech import equilibrium
+from robustmech.equilibrium import _strategy_sets, solve_linear
+from robustmech.experiments import _status_quo_run, preferred_outcome_bias
 from robustmech.mechanisms import Mechanism
 
 
@@ -277,6 +283,35 @@ def test_gamma_threshold_four_states():
     assert cert.below_half
 
 
+def test_gamma_below_half_fails_with_its_witness():
+    """``gamma_below_half`` can be False.  The status-quo rule built for
+    c_bar = 1 on the binary trial, charged 5/4, has gamma 43/84: each
+    agent's witness row, the constant report (1, 1) against the same
+    adversary, has threshold (43/20) / (43/20 + 41/20) = gamma.  The
+    certificate key of a status-quo run on that rule and bound reads
+    False too."""
+    s = binary_trial_scenario()
+    mech = build_status_quo(s, 1)
+    cert = gamma_dominance_threshold(mech, s, F(5, 4))
+    assert cert.gamma == F(43, 84) and not cert.below_half
+    assert [(w["deviation"], w["threshold"]) for w in cert.witness] == [((1, 1), cert.gamma)] * 2
+    bias = BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10))
+    certificates, artifacts = _status_quo_run("thm2", s, mech, F(5, 4), 4, ("1/10",), [bias])
+    assert certificates["gamma_below_half"] is False and artifacts["gamma"] == F(43, 84)
+
+
+def test_gamma_exactly_one_half_is_not_below_half():
+    """The test is strict: the three-state status-quo rule charged c_bar =
+    9/4 has gamma exactly 1/2, which is not below 1/2, and 1/1000 less
+    cost puts it below."""
+    s = three_state_scenario()
+    mech = build_status_quo(s, s.max_cost)
+    cert = gamma_dominance_threshold(mech, s, F(9, 4))
+    assert cert.gamma == F(1, 2) and not cert.below_half
+    assert all(w["threshold"] == cert.gamma for w in cert.witness)
+    assert gamma_dominance_threshold(mech, s, F(9, 4) - F(1, 1000)).below_half
+
+
 def _row(w):
     return w["deviation"], w["gain_vs_truthful"], w["worst_case_gain"], w["adversary"], w["threshold"]
 
@@ -362,6 +397,172 @@ def test_contagion_wavefront_moves_one_rung_per_round():
     assert result.eliminated == (tuple(first), *later, ())
     assert result.rounds == 11 == len(result.eliminated) - 1
     assert result == naive.iterated_dominance(naive.NaiveGame(game), (full, full))
+
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+RULES = {
+    "maskin": lambda s: build_maskin(s, 1),
+    "sqr": lambda s: build_status_quo(s, s.max_cost),
+    "asqr": build_augmented_status_quo,
+    "msqr": build_modified_status_quo,
+}
+
+
+@st.composite
+def dominance_inputs(draw):
+    """A scenario file's scenario under one of the four rules on a ladder
+    of depth 2..200 with either tail, a drawn eta and one or two drawn
+    preferred-outcome biases (plus the file's own biases, if it has a
+    perturbation), its pairing partitions or drawn irregular ones; the
+    full or the restricted sets.  The matching rule is
+    defined on two states only.  Checks that take the dominance LP cost
+    up to a second each, so the augmented rules are drawn on two states
+    only, with their restricted sets;
+    ``test_iterated_dominance_equals_the_oracle_through_the_lp`` runs
+    their full sets once."""
+    path = draw(st.sampled_from(SCENARIO_FILES))
+    scenario, loaded = load_scenario(path)
+    kind = draw(st.sampled_from(sorted(RULES) if scenario.n == 2 else ["sqr"]))
+    depth = draw(st.integers(min_value=2, max_value=200))
+    eta = draw(st.fractions(min_value=F(1, 200), max_value=F(1, 2), max_denominator=200))
+    biases = {
+        (agent, circ): BiasSpec(agent, circ, preferred_outcome_bias(scenario, state, factor))
+        for agent, circ, state, factor in draw(st.lists(st.tuples(
+            st.integers(0, 1), st.integers(0, depth), st.integers(0, scenario.n - 1),
+            st.fractions(min_value=F(1, 2), max_value=40, max_denominator=8),
+        ), min_size=1, max_size=2))
+    }
+    for b in loaded.biases if loaded else ():
+        biases[(b.agent, b.circumstance)] = b
+    tail = draw(st.sampled_from(["collapse", "renormalize"]))
+    pert = build_ladder(scenario, depth, eta, list(biases.values()), tail=tail)
+    if draw(st.booleans()):
+        pert = replace(pert, partitions=(_irregular(draw, depth + 1), _irregular(draw, depth + 1)))
+    mech = RULES[kind](scenario)
+    full = scenario.n == 2 and kind in ("maskin", "sqr") and draw(st.booleans())
+    return scenario, mech, pert, _sets(mech, scenario.n, full)
+
+
+def _irregular(draw, size):
+    """A partition of ``size`` circumstances into blocks of two but for a
+    drawn first block and up to three drawn blocks of one or three, so
+    that templates change, and bases jump, at drawn rungs."""
+    sizes = [draw(st.sampled_from([1, 2]))] + [2] * size
+    for i in draw(st.lists(st.integers(0, size // 2), max_size=3)):
+        sizes[i] = draw(st.sampled_from([1, 3]))
+    ends = [end for end in itertools.accumulate(sizes) if end < size] + [size]
+    return tuple(tuple(range(lo, hi)) for lo, hi in zip([0] + ends, ends))
+
+
+def _sets(mech, n, full):
+    truth = tuple(range(1, n + 1))
+    return tuple(full_strategy_set(ms, n) if full else restricted_strategy_set(ms, truth)
+                 for ms in mech.messages)
+
+
+@seed(36)
+@settings(max_examples=40, deadline=None)
+@given(dominance_inputs())
+def test_iterated_dominance_equals_the_round_by_round_oracle(inputs):
+    """Runs and the inductive jump change no result: on fresh games,
+    ``iterated_dominance`` equals the type-by-type loop in its surviving
+    lists, its rounds and every round's eliminations, and leaves the same
+    memo, entry for entry and in the same order, and the same pools.
+    Every memo entry's witness checks on naive values."""
+    _assert_equals_round_by_round(*inputs)
+
+
+def test_iterated_dominance_equals_the_oracle_through_the_lp():
+    """The augmented rule's full sets on maskin-contagion's ladder at T =
+    200: every check reaches the dominance LP, and the contagion runs to
+    the top of the ladder, T/2 + 1 rounds."""
+    s = binary_trial_scenario()
+    mech = build_augmented_status_quo(s)
+    pert = build_ladder(s, 200, F(1, 20), [BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10))],
+                        tail="renormalize")
+    with mock.patch.object(equilibrium, "_simplex", wraps=equilibrium._simplex) as lp:
+        assert _assert_equals_round_by_round(s, mech, pert, _sets(mech, 2, True)).rounds == 101
+    assert lp.called
+
+
+def _assert_equals_round_by_round(scenario, mech, pert, sets):
+    game, oracle = Game(scenario, mech, pert), Game(scenario, mech, pert)
+    game, oracle = Game(scenario, mech, pert), Game(scenario, mech, pert)
+    with mock.patch.object(equilibrium, "_undominated", wraps=equilibrium._undominated) as spy:
+        result = iterated_dominance(game, sets)
+    expected = naive.round_by_round_dominance(oracle, sets)
+    assert (result.surviving, result.rounds, result.eliminated) == expected
+    assert list(game._dom_cache.items()) == list(oracle._dom_cache.items())
+    assert game._pools == oracle._pools
+    assert spy.call_count == len(game._dom_cache)
+    for call, (keep, _, witness) in zip(spy.call_args_list, game._dom_cache.values()):
+        _, agent, t, pool, opp_pools = call.args
+        naive.assert_witnesses(game, agent, t, pool, [game._pools[i] for i in opp_pools],
+                               game._pools[keep], witness)
+    return result
+
+
+def test_repeats_stop_where_the_round_read_something_else():
+    """``_repeats`` on hand-made rounds of a 21-rung ladder (agent 1's
+    type t meets agent 2's t - 1 and t; agent 2's t meets agent 1's t and
+    t + 1; runs end at the top types).  A record group is ``(t, end,
+    template, base, pool ids, pool id written)``."""
+    s = binary_trial_scenario()
+    pert = build_ladder(s, 20, F(1, 20), tail="renormalize")
+    assert pert._type_runs == ((0, 1), (0, 10))
+    # Agent 1 checks type 5 (pool 2, meeting pools 1 and 2) and writes
+    # pool 1; agent 2 then reads agent 1's types 4 and 5 as pools 1 and 1.
+    # The top of agent 1's reads is type 5, read before the write as pool
+    # 2, so type 6 must hold pool 2 for the next round to repeat this one.
+    record = ([(5, 6, 1, 4, (2, 1, 2), 1)], [(4, 5, 1, 4, (2, 1, 1), None)])
+    for ahead, repeats in ((1, 0), (2, 5)):
+        pools = [[1] * 6 + [ahead] * 5, [1] * 5 + [2] * 6]
+        assert equilibrium._repeats(pert, pools, record) == repeats
+    # Two read ranges of agent 1's pools, [2, 4) and [5, 7), with one
+    # unread type between: one repeat reads type 4, a second would read
+    # type 5 as if it were unread.
+    pert = build_ladder(s, 40, F(1, 20), tail="renormalize")
+    record = ([], [(2, 3, 1, 2, (2, 2, 2), None), (5, 6, 1, 5, (2, 2, 2), None)])
+    assert equilibrium._repeats(pert, [[2] * 21, [2] * 21], record) == 1
+    # A repeat moves each group's base with it.
+    assert equilibrium._shifted(record, 3) == (
+        [], [(5, 6, 1, 5, (2, 2, 2), None), (8, 9, 1, 8, (2, 2, 2), None)])
+
+
+class CountingDict(dict):
+    """A dominance memo that counts its reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def test_dominance_memo_reads_do_not_grow_with_depth():
+    """On maskin-contagion's ladder (bias factor 10, reward 1, eta 1/100,
+    renormalized tail), one call reads the dominance memo as often at T =
+    50 as at T = 400, though it reports T/2 + 1 rounds: each run of equal
+    types is one read, and the rounds that repeat the one before them one
+    rung higher are not replayed."""
+    s = binary_trial_scenario()
+    reads, rounds = [], []
+    for depth in (50, 400):
+        pert = build_ladder(s, depth, F(1, 100),
+                            [BiasSpec(0, 0, preferred_outcome_bias(s, 0, 10))], tail="renormalize")
+        game = Game(s, build_maskin(s, 1), pert, _dom_cache=CountingDict())
+        rounds.append(iterated_dominance(game, _strategy_sets(game)).rounds)
+        reads.append(game._dom_cache.reads)
+    assert rounds == [26, 201]
+    assert reads[0] == reads[1]
 
 
 def test_support_enumeration_mixed():

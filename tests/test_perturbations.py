@@ -145,6 +145,46 @@ def test_distribution_must_sum_to_one():
         build_general_ladder(s, (F(1, 2), F(1, 3)))
 
 
+@pytest.mark.parametrize("tail", ["collapse", "renormalize"])
+def test_a_deep_ladder_one_part_in_10_30_off_is_refused(tail):
+    """The sum-to-one check stays exact on a deep ladder: at T = 4000, the
+    ladder with its last coefficient raised by one part in 10**30, or
+    lowered by as much, is refused with the same message."""
+    s = binary_trial_scenario()
+    ladder = build_ladder(s, 4000, F(1, 100), tail=tail)
+    last = ladder.coef[-1]
+    for off in (last * (1 + F(1, 10**30)), last * (1 - F(1, 10**30))):
+        with pytest.raises(ModelError, match="^circumstance distribution must sum to one$"):
+            Perturbation(s, ladder.coef[:-1] + (off,), ladder.partitions,
+                         ratio=ladder.ratio, scale=ladder.scale)
+
+
+@pytest.mark.parametrize("coef, ratio, scale", [
+    ((F(1, 2), F(1, 3), F(1, 6)), 1, 1),
+    ((F(1, 2), F(1, 3), F(1, 7)), 1, 1),
+    ((F(3, 2), F(-1, 2)), 1, 1),
+    ((F(1, 4),) * 3 + (F(1, 8),) * 2, 1, 1),
+    ((F(1, 10),) * 5 + (F(0),) + (F(1, 10),) * 2, F(9, 10), 1 / (1 - F(9, 10)**5 + F(9, 10)**6
+                                                                  - F(9, 10)**8)),
+    ((F(1, 10),) * 5 + (F(0),) + (F(1, 10),) * 2, F(9, 10), 1),
+    ((F(2),) * 3, F(3, 2), F(2, 19)),
+    ((F(2),) * 3, F(3, 2), F(1, 19)),
+])
+def test_the_sum_check_agrees_with_the_exact_sum(coef, ratio, scale):
+    """The integer check accepts exactly the coefficients whose masses
+    ``scale * coef[w] * ratio**w`` sum to one in ``Fraction``s, on runs of
+    equal coefficients, zero ones and a ratio above one alike."""
+    s = binary_trial_scenario()
+    parts = (tuple((w,) for w in range(len(coef))),) * 2
+    exact = sum(scale * c * F(ratio)**w for w, c in enumerate(coef)) == 1
+    try:
+        Perturbation(s, coef, parts, ratio=ratio, scale=scale)
+        accepted = True
+    except ModelError as error:
+        accepted = str(error) != "circumstance distribution must sum to one"
+    assert accepted == exact
+
+
 def test_bias_circumstance_in_range():
     s = binary_trial_scenario()
     with pytest.raises(ModelError):
