@@ -476,7 +476,10 @@ class Game:
         its anchor circumstance to their offsets, so no group is shifted.
         The sum runs on integers: the table's denominator is the least
         common multiple of every term's ``scale.denominator x row.den``,
-        and each row's numerators are scaled by one integer factor."""
+        and each row's numerators are scaled by one integer factor.  A sum
+        of one term at scale 1 (one circumstance of mass 1 against one
+        pure play of weight 1) is that coordinate row, which is stored and
+        returned itself."""
         pert = self.perturbation
         groups, kind, offsets = pert._templates[pert._type_template[agent][type_index]]
         if not groups:
@@ -495,6 +498,9 @@ class Game:
                     scale = mass * weight
                     row = self.coordinate_row(agent, anchor + k, r)
                     terms.append((scale.numerator, scale.denominator * row.den, row))
+        if len(terms) == 1 and terms[0][0] == 1 and terms[0][1] == terms[0][2].den:
+            table = self._table_cache[key] = terms[0][2]
+            return table
         den = math.lcm(*(d for _, d, _ in terms))
         msgs = self.mechanism.messages[agent]
         nums = tuple(dict.fromkeys(msgs, 0) for _ in range(self.strategy_length(agent)))
@@ -507,6 +513,14 @@ class Game:
                     cell[m] += factor * e
         table = self._table_cache[key] = PayoffTable(nums, cost, den)
         return table
+
+
+@functools.cache
+def _constants(choices: StrategySet) -> tuple[tuple[int, PureStrategy], ...]:
+    """Each message that every coordinate of ``choices`` allows, with its
+    constant strategy, ascending; read once per strategy set."""
+    return tuple((m, (m,) * len(choices)) for m in choices[0]
+                 if all(m in ms for ms in choices[1:]))
 
 
 class PayoffTable:
@@ -576,11 +590,7 @@ class PayoffTable:
             high = max(cell[m] for m in ms)
             top += high
             argmax.append(tuple(m for m in ms if cell[m] == high))
-        constants = {
-            (m,) * len(choices): sum(cell[m] for cell in self.nums)
-            for m in choices[0]
-            if all(m in ms for ms in choices[1:])
-        }
+        constants = {s: sum(cell[m] for cell in self.nums) for m, s in _constants(choices)}
         mixed = len(choices) > 1 and (any(len(a) > 1 for a in argmax) or len(set(argmax)) > 1)
         best_num = max([*constants.values(), *([top - self.cost_num] if mixed else [])])
         winners = [s for s, v in constants.items() if v == best_num]

@@ -646,13 +646,17 @@ def _candidate_type_strategies(n_states: int, messages, step: int = 20):
 
 def _grid_equilibria(game, strategy_set, candidates, epsilon):
     """Every candidate profile pair passing the residual check, in
-    ``(i, j)`` order, as ``[{0: mix_i}, {0: mix_j}]``; no report is built.
+    ``(i, j)`` order, as ``[{0: mix_i}, {0: mix_j}]``, yielded lazily; no
+    report is built.  The candidates are checked at call time, so a bad
+    one raises ``ModelError`` before any pair is asked for.
 
     An agent's residual depends on the pair only through the opponent's
-    candidate, which fixes its payoff table and best value.  So each
-    agent gets, per opponent candidate, the set of own candidates that
-    pass against it, and a pair passes iff each side's candidate is in
-    its set against the other's.
+    candidate, which fixes its payoff table and best value.  So the
+    search takes, per candidate ``i`` of agent 1, the set of agent 2's
+    candidates passing against it; for each ``j`` in that set, agent 1's
+    passing set against ``j`` is computed the first time it is needed and
+    kept, and the pair passes iff ``i`` is in it.  A caller that stops at
+    the first pair it wants builds only the tables read up to that pair.
 
     A candidate mixes at most two pure strategies of the set, ``a`` with
     weight ``w`` and ``b``.  With the deficits ``d = best - value``, its
@@ -683,28 +687,32 @@ def _grid_equilibria(game, strategy_set, candidates, epsilon):
             by_member.setdefault(s, []).append(support)
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
 
-    def passing(agent):
-        """Per opponent candidate, the own candidates passing against it."""
-        out = []
-        for opp in candidates:
-            table = game.payoff_table(agent, 0, {0: opp})
-            band = table.near_best(strategy_set, epsilon)
-            passed = set()
-            for support in dict.fromkeys(u for s in band for u in by_member.get(s, ())):
-                weights, ids = by_weight[support]
-                if len(support) == 2:
-                    d_a, d_b = table.deficit_nums(strategy_set, support)
-                    if d_a != d_b:
-                        cut = Fraction(eps_num * table.den - d_b * eps_den, (d_a - d_b) * eps_den)
-                        ids = (ids[:bisect.bisect_right(weights, cut)] if d_a > d_b
-                               else ids[bisect.bisect_left(weights, cut):])
-                passed.update(ids)
-            out.append(passed)
-        return out
+    def passing(agent, opp):
+        """The agent's candidates passing against the opponent's ``opp``."""
+        table = game.payoff_table(agent, 0, {0: opp})
+        band = table.near_best(strategy_set, epsilon)
+        passed = set()
+        for support in dict.fromkeys(u for s in band for u in by_member.get(s, ())):
+            weights, ids = by_weight[support]
+            if len(support) == 2:
+                d_a, d_b = table.deficit_nums(strategy_set, support)
+                if d_a != d_b:
+                    cut = Fraction(eps_num * table.den - d_b * eps_den, (d_a - d_b) * eps_den)
+                    ids = (ids[:bisect.bisect_right(weights, cut)] if d_a > d_b
+                           else ids[bisect.bisect_left(weights, cut):])
+            passed.update(ids)
+        return passed
 
-    own, other = passing(0), passing(1)
-    return [[{0: mix1}, {0: candidates[j]}]
-            for i, mix1 in enumerate(candidates) for j in sorted(other[i]) if i in own[j]]
+    def pairs():
+        own = {}
+        for i, mix1 in enumerate(candidates):
+            for j in sorted(passing(1, mix1)):
+                if j not in own:
+                    own[j] = passing(0, candidates[j])
+                if i in own[j]:
+                    yield [{0: mix1}, {0: candidates[j]}]
+
+    return pairs()
 
 
 def run_prop1(
@@ -719,6 +727,10 @@ def run_prop1(
     certifies the transfer-bound inequality chain over a mixed-message
     grid, runs the two equilibrium searches, and measures the outcome-gap
     lower bound on two-point perturbations (eta 1/10, 1/5) for the linear-slope check.
+    The plus tilt's search is read only up to its first hit with
+    ``max_tv <= 1/10``; the minus tilt's is drained, because its hits
+    with a zero deficit on both sides are the exact equilibria the bound
+    walks.
     """
     if isinstance(grid_step, bool) or not isinstance(grid_step, int) or grid_step < 1:
         raise ModelError(f"grid_step must be an integer of at least 1, not {grid_step!r}")
@@ -774,15 +786,18 @@ def run_prop1(
     eps = Fraction(1, 10)
     candidates = _candidate_type_strategies(scenario.n, mechanism.messages[0], grid_step)
     full = full_strategy_set(mechanism.messages[0], scenario.n)
-    hits, passes = {}, {}
-    for label, game in (("plus", plus), ("minus", minus)):
-        hits[label] = _grid_equilibria(game, full, candidates, eps)
-        passes[label] = any(implementation_metrics(game, prof)[1] <= Fraction(1, 10)
-                            for prof in hits[label])
+
+    def implements(game, hits):
+        """Whether some hit has ``max_tv <= 1/10``, read up to the first."""
+        return any(implementation_metrics(game, prof)[1] <= Fraction(1, 10) for prof in hits)
+
+    passes_plus = implements(plus, _grid_equilibria(plus, full, candidates, eps))
+    minus_hits = list(_grid_equilibria(minus, full, candidates, eps))
+    passes_minus = implements(minus, minus_hits)
     # The exact equilibria under the minus tilt: its hits where both sides'
     # deficits are 0 on the tables the search built, the pairs a search
     # at epsilon 0 finds, in the same order.
-    eq0 = [prof for prof in hits["minus"]
+    eq0 = [prof for prof in minus_hits
            if not any(minus.payoff_table(a, 0, prof[1 - a]).deficit(full, prof[a][0])
                       for a in (0, 1))]
 
@@ -801,7 +816,7 @@ def run_prop1(
 
     certificates = {
         "inequality_chain": Certificate.of_rows(chain_rows).ok,
-        "not_both_passed": not (passes["plus"] and passes["minus"]),
+        "not_both_passed": not (passes_plus and passes_minus),
         "tv_linear_lower_bound": Certificate.of_rows(tv_rows).ok,
     }
     return ExperimentResult(
@@ -814,8 +829,8 @@ def run_prop1(
             "scale": sep.scale,
             "transfer_bound": x_bound,
             "chain_rows": chain_rows,
-            "implements_under_plus": passes["plus"],
-            "implements_under_minus": passes["minus"],
+            "implements_under_plus": passes_plus,
+            "implements_under_minus": passes_minus,
             "grid": tv_rows,
         },
         provenance={"scenario_states": scenario.state_space.states, "prior": scenario.prior},

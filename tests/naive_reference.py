@@ -57,8 +57,13 @@ off its template.
 ``round_by_round_dominance`` is the engine's iterated dominance before it
 checked types in runs and skipped a contagion's repeated rounds: one
 memo lookup per stale type and every round replayed, the oracle for both.
+``grid_equilibria`` is prop1's grid search before it went lazy: both
+agents' passing sets against every candidate, built in full, then every
+pair filtered, the oracle for the joint search that builds a passing set
+only when a pair needs it.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import replace
@@ -1005,3 +1010,66 @@ def solve_rewards(
             x += step
 
     raise ModelError(f"unknown schedule kind {kind!r}")
+
+
+def grid_equilibria(game, strategy_set, candidates, epsilon):
+    """Every candidate profile pair passing the residual check, in
+    ``(i, j)`` order, as ``[{0: mix_i}, {0: mix_j}]``; no report is built.
+
+    An agent's residual depends on the pair only through the opponent's
+    candidate, which fixes its payoff table and best value.  So each
+    agent gets, per opponent candidate, the set of own candidates that
+    pass against it, and a pair passes iff each side's candidate is in
+    its set against the other's.
+
+    A candidate mixes at most two pure strategies of the set, ``a`` with
+    weight ``w`` and ``b``.  With the deficits ``d = best - value``, its
+    residual is ``w * d_a + (1 - w) * d_b``, so it passes only if ``a``
+    or ``b`` is within ``epsilon`` of the best (``PayoffTable.near_best``).
+    Supports are indexed by member, so only those that meet that band are
+    visited.  For each, the deficits are read once, as numerators over the
+    table's denominator (``PayoffTable.deficit_nums``): the passing
+    weights lie on one side of the cut ``(epsilon - d_b) / (d_a - d_b)``,
+    one ``Fraction``, and when ``d_a == d_b`` every weight passes.  A
+    support's candidates are kept in ascending weight, so the passing ones
+    are a prefix or a suffix, found by bisection."""
+    supports: dict[tuple, list] = {}
+    for i, mix in enumerate(candidates):
+        support = tuple(s for s, w in mix.items() if w)
+        if len(support) > 2 or sum(mix.values()) != 1 or not all(
+            len(s) == len(strategy_set) and all(m in ms for m, ms in zip(s, strategy_set))
+            for s in support
+        ):
+            raise ModelError(f"grid candidate {i} must mix at most two strategies of the set, "
+                             "with weights summing to one")
+        supports.setdefault(support, []).append((mix[support[0]], i))
+    by_weight, by_member = {}, {}
+    for support, members in supports.items():
+        members.sort()
+        by_weight[support] = ([w for w, _ in members], [i for _, i in members])
+        for s in support:
+            by_member.setdefault(s, []).append(support)
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
+
+    def passing(agent):
+        """Per opponent candidate, the own candidates passing against it."""
+        out = []
+        for opp in candidates:
+            table = game.payoff_table(agent, 0, {0: opp})
+            band = table.near_best(strategy_set, epsilon)
+            passed = set()
+            for support in dict.fromkeys(u for s in band for u in by_member.get(s, ())):
+                weights, ids = by_weight[support]
+                if len(support) == 2:
+                    d_a, d_b = table.deficit_nums(strategy_set, support)
+                    if d_a != d_b:
+                        cut = Fraction(eps_num * table.den - d_b * eps_den, (d_a - d_b) * eps_den)
+                        ids = (ids[:bisect.bisect_right(weights, cut)] if d_a > d_b
+                               else ids[bisect.bisect_left(weights, cut):])
+                passed.update(ids)
+            out.append(passed)
+        return out
+
+    own, other = passing(0), passing(1)
+    return [[{0: mix1}, {0: candidates[j]}]
+            for i, mix1 in enumerate(candidates) for j in sorted(other[i]) if i in own[j]]

@@ -1,15 +1,20 @@
 """Named experiments: certificates, helper oracles, determinism."""
 
+import functools
 import hashlib
 import inspect
+import itertools
 import json
 import random
 import re
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustmech import (
     BiasSpec,
@@ -154,8 +159,8 @@ def test_prop1_grid_search_equals_filtering_every_report(monkeypatch):
                 want = _filter_every_report(game, strategy_set, candidates, epsilon)
                 assert want
                 fresh = Game(game.scenario, game.mechanism, game.perturbation)
-                assert experiments._grid_equilibria(fresh, strategy_set, candidates,
-                                                    epsilon) == want
+                assert list(experiments._grid_equilibria(fresh, strategy_set, candidates,
+                                                         epsilon)) == want
 
 
 def test_prop1_grid_passes_mixtures_with_a_member_outside_the_band(monkeypatch):
@@ -172,7 +177,7 @@ def test_prop1_grid_passes_mixtures_with_a_member_outside_the_band(monkeypatch):
     candidates += [{a: F(k, 20), b: 1 - F(k, 20)} for k in range(1, 20)]
     candidates += [{b: F(k, 20), a: 1 - F(k, 20)} for k in (1, 4, 10)]
     for epsilon in (F(1, 10), F(1, 100)):
-        found = experiments._grid_equilibria(game, strategy_set, candidates, epsilon)
+        found = list(experiments._grid_equilibria(game, strategy_set, candidates, epsilon))
         assert found == _filter_every_report(game, strategy_set, candidates, epsilon)
         outside = at_cut = 0
         for profile in found:
@@ -198,7 +203,7 @@ def test_grid_passes_every_weight_when_both_members_tie():
     messages = game.mechanism.messages[0]
     full = engine.full_strategy_set(messages, scenario.n)
     candidates = experiments._candidate_type_strategies(scenario.n, messages, 4)
-    found = experiments._grid_equilibria(game, full, candidates, F(0))
+    found = list(experiments._grid_equilibria(game, full, candidates, F(0)))
     assert found == _filter_every_report(game, full, candidates, F(0))
     half = {(1, 1): F(1, 2), (2, 2): F(1, 2)}
     assert [{0: half}, {0: half}] in found
@@ -211,6 +216,83 @@ def test_prop1_grid_refuses_candidates_it_cannot_cut():
     for bad in (three, {(1, 3): F(1)}, {(1, 1): F(1, 2)}):
         with pytest.raises(ModelError, match="grid candidate"):
             experiments._grid_equilibria(game, full, [{(1, 1): F(1)}, bad], F(1, 10))
+
+
+@functools.cache
+def _tilted_games(setup):
+    """prop1's plus and minus games and their strategy set under one
+    rule and state count, recorded from a run: the status quo and the
+    matching rule at reward 1/2 at n = 2, and the status quo at n = 3."""
+    prior, rule = {"status-quo-n2": (BASELINE_PRIORS[0], None),
+                   "maskin-n2": (BASELINE_PRIORS[0], build_maskin),
+                   "status-quo-n3": (BASELINE_PRIORS[1], None)}[setup]
+    scenario = uniform_scenario(prior)
+    calls = []
+    search = experiments._grid_equilibria
+
+    def recording(game, strategy_set, candidates, epsilon):
+        calls.append((game, strategy_set))
+        return search(game, strategy_set, candidates, epsilon)
+
+    with mock.patch.object(experiments, "_grid_equilibria", recording):
+        run_experiment("prop1", scenario, mechanism=rule and rule(scenario, F(1, 2)))
+    return calls
+
+
+@st.composite
+def grid_candidates(draw, strategy_set):
+    """A candidate list over the set: at n = 2, prop1's grid at a drawn
+    step (whose even mix ties both constants against the matching rule),
+    with extra mixtures of any two pure strategies, in either order of
+    their support, shuffled; at n = 3, pure strategies, repeats allowed."""
+    pures = list(itertools.product(*strategy_set))
+    if len(strategy_set) == 3:
+        return [{s: F(1)} for s in draw(st.lists(st.sampled_from(pures), min_size=1,
+                                                 max_size=len(pures)))]
+    candidates = experiments._candidate_type_strategies(2, strategy_set[0],
+                                                        draw(st.sampled_from([1, 2, 4, 5])))
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.permutations(pures))[:2]
+        w = draw(st.fractions(min_value=0, max_value=1, max_denominator=10).filter(lambda w: 0 < w < 1))
+        candidates.append({a: w, b: 1 - w})
+    return draw(st.permutations(candidates))
+
+
+@given(st.sampled_from(["status-quo-n2", "maskin-n2", "status-quo-n3"]), st.sampled_from([0, 1]),
+       st.sampled_from([F(0), F(1, 100), F(1, 10)])
+       | st.fractions(min_value=0, max_value=1, max_denominator=50), st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_search_equals_the_eager_filter(setup, tilt, epsilon, data):
+    """The lazy joint search yields the pairs of the eager filter that
+    builds both agents' passing sets against every candidate, in the same
+    order, on either tilt's game; each runs on a fresh game."""
+    game, strategy_set = _tilted_games(setup)[tilt]
+    candidates = data.draw(grid_candidates(strategy_set))
+
+    def fresh():
+        return Game(game.scenario, game.mechanism, game.perturbation)
+
+    want = naive.grid_equilibria(fresh(), strategy_set, candidates, epsilon)
+    assert list(experiments._grid_equilibria(fresh(), strategy_set, candidates, epsilon)) == want
+
+
+def test_pure_opponent_tables_are_coordinate_rows():
+    """Under either prop1 tilt at n = 3, a type's table against a pure
+    opponent strategy is that strategy's coordinate row itself, worth
+    what the naive evaluator gives every own strategy; against a mixture
+    it is a new table."""
+    for game, strategy_set in _tilted_games("status-quo-n3"):
+        naive_game = naive.NaiveGame(game)
+        pures = list(itertools.product(*strategy_set))
+        for agent in (0, 1):
+            for opp in pures[::5]:
+                table = game.payoff_table(agent, 0, {0: {opp: F(1)}})
+                assert table is game.coordinate_row(agent, 0, opp)
+                for own in pures:
+                    assert table.value(own) == naive.expected_payoff(
+                        naive_game, agent, 0, own, {0: {opp: F(1)}})
+            mixed = game.payoff_table(agent, 0, {0: {pures[0]: F(1, 2), pures[-1]: F(1, 2)}})
+            assert all(mixed is not game.coordinate_row(agent, 0, s) for s in pures)
 
 
 @pytest.mark.parametrize("grid_step", [0, -1, F(1, 2), True])
@@ -245,7 +327,8 @@ def test_prop1_builds_no_report(monkeypatch):
     integer walk of the circumstances; the two-point bound makes one more
     walk for the one exact equilibrium among the minus tilt's hits."""
     searches = _prop1_grid_calls(monkeypatch)
-    assert sum(len(experiments._grid_equilibria(*call, F(1, 10))) for call in searches) == 8
+    assert sum(len(list(experiments._grid_equilibria(*call, F(1, 10))))
+               for call in searches) == 8
     reports = _count_calls(monkeypatch, experiments, "verify_equilibrium")
     metrics = _count_calls(monkeypatch, experiments, "implementation_metrics")
     walks = _count_calls(monkeypatch, engine, "lottery_nums")
@@ -253,6 +336,40 @@ def test_prop1_builds_no_report(monkeypatch):
     run_experiment("prop1")
     assert (reports[0], metrics[0], bound_lotteries[0]) == (0, 3, 1)
     assert walks[0] == 3 + 1
+
+
+def test_prop1_reads_65_payoff_tables(monkeypatch):
+    """A default prop1 run makes 65 ``payoff_table`` calls: 21 plus and 14
+    minus tables for the inequality chain, 4 for the plus search up to its
+    first implementing hit, and 26 for the drained minus search and the
+    exact-equilibrium deficits."""
+    tables = _count_calls(monkeypatch, engine.Game, "payoff_table")
+    run_experiment("prop1")
+    assert tables[0] == 65
+
+
+def test_prop1_plus_search_stops_at_its_first_implementing_hit(monkeypatch):
+    """The plus tilt's verdict computes agent 2's passing set against
+    fewer than all 23 candidates: its search is read only up to the first
+    hit with ``max_tv <= 1/10``."""
+    searches, agent2_sets = [], []
+    search, table = experiments._grid_equilibria, engine.Game.payoff_table
+
+    def recording(game, strategy_set, candidates, epsilon):
+        searches.append((game, candidates))
+        return search(game, strategy_set, candidates, epsilon)
+
+    def reading(game, agent, type_index, opponent):
+        if searches and game is searches[0][0] and agent == 1:
+            agent2_sets.append(opponent)
+        return table(game, agent, type_index, opponent)
+
+    monkeypatch.setattr(experiments, "_grid_equilibria", recording)
+    monkeypatch.setattr(engine.Game, "payoff_table", reading)
+    assert run_experiment("prop1").artifacts["implements_under_plus"]
+    candidates = searches[0][1]
+    assert len(candidates) == 23
+    assert 0 < len(agent2_sets) < len(candidates)
 
 
 @pytest.mark.parametrize("max_tv, implements", [(F(1, 10), True), (F(1, 10) + F(1, 1000), False)])
@@ -617,7 +734,7 @@ def test_prop1_verdicts_equal_the_reports_of_its_hits(monkeypatch, prior, rule):
     search, walk = experiments._grid_equilibria, experiments.outcome_distribution
 
     def recording(game, strategy_set, candidates, epsilon):
-        hits = search(game, strategy_set, candidates, epsilon)
+        hits = list(search(game, strategy_set, candidates, epsilon))
         searches.append((game, strategy_set, epsilon, hits))
         return hits
 
