@@ -60,29 +60,28 @@ def _nonnegative_int(text):
     return value
 
 
-def _rational_text(text):
-    """A rational option passed on as written, checked when the command
-    line is parsed."""
-    _rational(text)
-    return text
-
-
-def _load(args):
-    if args.scenario:
-        return load_scenario(args.scenario)
-    return binary_trial_scenario(), None
-
-
-def _build_mechanism(kind, scenario, args):
-    if kind == "maskin":
+def _mechanism(scenario, args):
+    if args.kind == "maskin":
         return build_maskin(scenario, args.reward)
-    if kind == "sqr":
+    if args.kind == "sqr":
         return build_status_quo(scenario, scenario.max_cost if args.c_bar is None else args.c_bar)
-    if kind == "asqr":
+    if args.kind == "asqr":
         return build_augmented_status_quo(scenario)
-    if kind == "msqr":
-        return build_modified_status_quo(scenario)
-    raise ModelError(f"unknown mechanism kind {kind!r}")
+    return build_modified_status_quo(scenario)
+
+
+def _unperturbed(args):
+    return load_unperturbed_scenario(args.scenario) if args.scenario else binary_trial_scenario()
+
+
+def _game(args):
+    """The ``--kind`` mechanism's game on the scenario file, playing the
+    file's perturbation block when it has one."""
+    if args.scenario:
+        scenario, perturbation = load_scenario(args.scenario)
+    else:
+        scenario, perturbation = binary_trial_scenario(), None
+    return Game(scenario, _mechanism(scenario, args), perturbation)
 
 
 def _emit(record):
@@ -90,8 +89,7 @@ def _emit(record):
 
 
 def cmd_mechanism_build(args):
-    scenario, _ = _load(args)
-    mech = _build_mechanism(args.kind, scenario, args)
+    mech = _mechanism(_unperturbed(args), args)
     table = export_mechanism(mech)
     if args.out:
         with open(args.out, "w") as fh:
@@ -106,9 +104,7 @@ def cmd_mechanism_build(args):
 
 
 def cmd_equilibrium_check(args):
-    scenario, pert = _load(args)
-    mech = _build_mechanism(args.kind, scenario, args)
-    game = Game(scenario, mech, pert)
+    game = _game(args)
     sets = _strategy_sets(game)
     report = verify_equilibrium(game, truthful_profile(game), sets, args.epsilon)
     print(f"equilibrium: {report.is_equilibrium}   max residual: {fmt(report.max_residual)}"
@@ -124,9 +120,7 @@ def cmd_equilibrium_check(args):
 
 
 def cmd_equilibrium_br(args):
-    scenario, pert = _load(args)
-    mech = _build_mechanism(args.kind, scenario, args)
-    game = Game(scenario, mech, pert)
+    game = _game(args)
     sets = _strategy_sets(game)
     result = iterate_best_response(game, sets, max_rounds=args.max_rounds)
     print(f"converged: {result.converged}  rounds: {result.rounds}  cycled: {result.cycled}")
@@ -140,8 +134,8 @@ def cmd_equilibrium_br(args):
 
 
 def cmd_dominance_gamma(args):
-    scenario, _ = _load(args)
-    mech = _build_mechanism(args.kind, scenario, args)
+    scenario = _unperturbed(args)
+    mech = _mechanism(scenario, args)
     c_bar = scenario.max_cost if args.c_bar is None else args.c_bar
     cert = gamma_dominance_threshold(mech, scenario, c_bar)
     print(f"gamma* = {fmt(cert.gamma)}   below 1/2: {cert.below_half}")
@@ -151,12 +145,10 @@ def cmd_dominance_gamma(args):
 
 
 def cmd_dominance_eliminate(args):
-    scenario, pert = _load(args)
-    mech = _build_mechanism(args.kind, scenario, args)
-    game = Game(scenario, mech, pert)
+    game = _game(args)
     if args.full:
-        sets = (full_strategy_set(mech.messages[0], game.strategy_length(0)),
-                full_strategy_set(mech.messages[1], game.strategy_length(1)))
+        sets = tuple(full_strategy_set(game.mechanism.messages[a], game.strategy_length(a))
+                     for a in (0, 1))
     else:
         sets = _strategy_sets(game)
     surviving, rounds, _ = iterated_dominance(game, sets)
@@ -243,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = exp.add_parser("run", help="run one named experiment")
     r.add_argument("name")
     r.add_argument("--scenario")
-    r.add_argument("--eta-grid", nargs="*", type=_rational_text,
+    r.add_argument("--eta-grid", nargs="*", type=_rational,
                    help="eta values, e.g. 1/100 1/10")
     r.add_argument("--out", help="directory for JSON/CSV output")
     r.set_defaults(func=cmd_experiment_run)

@@ -61,13 +61,14 @@ class _Mapping(dict):
     key_lines: dict
 
 
-def _build(node, loader):
+def _build(node, loader, inside):
     """Turn a YAML node graph into plain values, remembering source lines,
     with one ``yaml.SafeLoader`` per parse.  A decimal keeps its text for
     ``_rat``; an integer is read as ``yaml.safe_load`` reads it (``0x10``,
     ``0b101``, ``010`` in octal, ``1:30`` in base 60), and one that does
     not parse, such as ``!!int "ten"``, raises ``ScenarioFileError`` naming
-    its line."""
+    its line.  ``inside`` holds the ids of the collections around ``node``,
+    so an alias to one of them raises instead of recursing without end."""
     if isinstance(node, yaml.ScalarNode):
         value = loader.construct_scalar(node)
         tag = node.tag
@@ -83,16 +84,20 @@ def _build(node, loader):
         elif tag.endswith(":null"):
             value = None
         return value, node.start_mark.line
+    if id(node) in inside:
+        raise ScenarioFileError("an alias refers to a collection that contains it",
+                                node.start_mark.line)
+    inside = inside | {id(node)}
     if isinstance(node, yaml.SequenceNode):
-        return [_build(child, loader) for child in node.value], node.start_mark.line
+        return [_build(child, loader, inside) for child in node.value], node.start_mark.line
     if isinstance(node, yaml.MappingNode):
         out = _Mapping()
         out.key_lines = {}
         for key_node, val_node in node.value:
             if not isinstance(key_node, yaml.ScalarNode):
                 raise ScenarioFileError("a mapping key must be a scalar", key_node.start_mark.line)
-            key, key_line = _build(key_node, loader)
-            out[key] = _build(val_node, loader)
+            key, key_line = _build(key_node, loader, inside)
+            out[key] = _build(val_node, loader, inside)
             out.key_lines[key] = key_line
         return out, node.start_mark.line
     raise ScenarioFileError(f"unsupported YAML node {node!r}")
@@ -161,48 +166,57 @@ def _require(mapping, key, line, what):
     return mapping[key]
 
 
+def _read(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ScenarioFileError(f"cannot read scenario file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioFileError(f"scenario file {path} is not UTF-8 at byte {exc.start}") from None
+
+
 def load_scenario(path) -> tuple[ScenarioModel, Perturbation | None]:
     """Parse and validate a scenario file.
 
     Returns the canonicalized scenario and the optional perturbation
     described in the file (``None`` when no perturbation block exists).
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioFileError(f"cannot read scenario file {path}: {exc.strerror}")
-    return parse_scenario(text)
+    return parse_scenario(_read(path))
 
 
 def load_unperturbed_scenario(path) -> ScenarioModel:
-    """Parse a scenario file for the named experiments.
-
-    Experiments build their own ladders and would drop the file's
-    ``perturbation`` block without a word, so a block raises
-    ``ScenarioFileError`` naming the file and the block's line instead.
-    """
-    scenario, perturbation = load_scenario(path)
-    if perturbation is not None:
-        with open(path) as fh:
-            node = yaml.compose(fh, Loader=yaml.SafeLoader)
-        line = next(key.start_mark.line for key, _ in node.value if key.value == "perturbation")
+    """Parse a scenario file for a command that plays no perturbation: a
+    ``perturbation`` block, which it would drop without a word, raises
+    ``ScenarioFileError`` naming the file and the block's line unbuilt."""
+    doc, scenario = _parse(_read(path))
+    if "perturbation" in doc:
         raise ScenarioFileError(
-            f"{path}: experiments build their own ladders, so the perturbation "
-            "block would be ignored; remove it", line
+            f"{path}: this command plays no perturbation, so the perturbation "
+            "block would be ignored; remove it", doc.key_lines["perturbation"]
         )
     return scenario
 
 
 def parse_scenario(text: str):
+    doc, scenario = _parse(text)
+    if "perturbation" not in doc:
+        return scenario, None
+    return scenario, _parse_perturbation(doc["perturbation"], scenario)
+
+
+def _parse(text):
+    """The built document and its validated, canonicalized scenario."""
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ScenarioFileError(f"not valid YAML: {exc}", mark.line if mark else None)
+    except RecursionError:
+        raise ScenarioFileError("not valid YAML: nesting too deep") from None
     if node is None:
         raise ScenarioFileError("empty scenario file")
-    doc, top_line = _expect(_build(node, yaml.SafeLoader("")), dict, "scenario file")
+    doc, top_line = _expect(_build(node, yaml.SafeLoader(""), frozenset()), dict, "scenario file")
     _known_keys(doc, ("states", "outcomes", "scf", "agents", "perturbation"), "scenario file")
 
     states_raw, states_line = _expect(_require(doc, "states", top_line, "scenario"), list, "states")
@@ -262,17 +276,12 @@ def parse_scenario(text: str):
         except ModelError as exc:
             raise ScenarioFileError(f"agent {i + 1}: {exc}", line)
 
-    scenario = ScenarioModel(
+    return doc, ScenarioModel(
         state_space, outcome_space, SocialChoiceFunction(tuple(lots)), tuple(payoffs)
     ).canonicalize()
 
-    perturbation = None
-    if "perturbation" in doc:
-        perturbation = _parse_perturbation(doc["perturbation"], scenario, labels, outcomes)
-    return scenario, perturbation
 
-
-def _parse_perturbation(entry, scenario, labels, outcomes):
+def _parse_perturbation(entry, scenario):
     block, line = _expect(entry, dict, "perturbation")
     kind, kind_line = _require(block, "kind", line, "perturbation")
     _known_keys(block, ("kind", "depth", "eta", "pi", "bias"), "perturbation")
@@ -321,7 +330,8 @@ def _parse_perturbation(entry, scenario, labels, outcomes):
             overrides = {}
             if item.get("u", (None,))[0] is not None:
                 # Bias rows follow the scenario's canonical state order.
-                overrides = _u_overrides(item["u"], scenario.state_space.states, outcomes,
+                overrides = _u_overrides(item["u"], scenario.state_space.states,
+                                         scenario.outcome_space.outcomes,
                                          f"bias entry {number} u", True)
             try:
                 biases.append(BiasSpec(agent - 1, circ, overrides, cost))

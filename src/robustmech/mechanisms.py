@@ -197,17 +197,16 @@ def build_maskin(scenario: ScenarioModel, reward: Number) -> Mechanism:
     return Mechanism("maskin", (msgs, msgs), outcome, transfer)
 
 
-def _status_quo_family(scenario, kind, c, schedule, messages, transfer):
+def _status_quo_family(scenario, kind, c, messages, transfer):
     """The body the status-quo rules share: equal-magnitude reports
     implement that state and any other pair the status quo ``f(theta^1)``.
 
-    Solves ``kind``'s schedule at cost ``c`` when none is given, and
-    otherwise refuses a given one that violates that system, naming every
-    violated entry.  ``transfer(schedule, own, other)`` is one agent's
-    transfer when it sends ``own`` against ``other``.
+    Solves ``kind``'s schedule at cost ``c`` and checks it, the exact
+    certificate of the rule's rewards, naming every violated entry.
+    ``transfer(schedule, own, other)`` is one agent's transfer when it
+    sends ``own`` against ``other``.
     """
-    if schedule is None:
-        schedule = solve_rewards(scenario.prior, c, kind)
+    schedule = solve_rewards(scenario.prior, c, kind)
     bad = [r for r in check_reward_constraints(schedule, scenario.prior, c, kind) if not r.ok]
     if bad:
         raise InfeasibleScheduleError(
@@ -222,11 +221,7 @@ def _status_quo_family(scenario, kind, c, schedule, messages, transfer):
     return Mechanism(kind, (messages, messages), outcome, table, schedule)
 
 
-def build_status_quo(
-    scenario: ScenarioModel,
-    c_bar: Number,
-    schedule: RewardSchedule | None = None,
-) -> Mechanism:
+def build_status_quo(scenario: ScenarioModel, c_bar: Number) -> Mechanism:
     """Status quo rule with ascending transfers: ``n`` messages per agent,
     matching reports implement the reported state and pay ``R^j``,
     anything else the status quo ``f(theta^1)`` and nothing."""
@@ -234,7 +229,7 @@ def build_status_quo(
     if c_bar < scenario.max_cost:
         raise ModelError("cost bound must dominate the unperturbed costs")
     return _status_quo_family(
-        scenario, "sqr", c_bar, schedule, tuple(range(1, scenario.n + 1)),
+        scenario, "sqr", c_bar, tuple(range(1, scenario.n + 1)),
         lambda sched, own, other: sched.r(own) if own == other else Fraction(0),
     )
 
@@ -243,10 +238,7 @@ def augmented_messages(n: int) -> tuple[int, ...]:
     return tuple(range(-n, -1)) + tuple(range(1, n + 1))
 
 
-def build_augmented_status_quo(
-    scenario: ScenarioModel,
-    schedule: RewardSchedule | None = None,
-) -> Mechanism:
+def build_augmented_status_quo(scenario: ScenarioModel) -> Mechanism:
     """Augmented rule: ``2n - 1`` messages, negative messages mirror the
     positive ones in outcomes but coordinate on the base reward ``R^0``."""
     if not scenario.generic:
@@ -260,14 +252,11 @@ def build_augmented_status_quo(
         return Fraction(0)
 
     return _status_quo_family(
-        scenario, "asqr", scenario.max_cost, schedule, augmented_messages(scenario.n), transfer
+        scenario, "asqr", scenario.max_cost, augmented_messages(scenario.n), transfer
     )
 
 
-def build_modified_status_quo(
-    scenario: ScenarioModel,
-    schedule: RewardSchedule | None = None,
-) -> Mechanism:
+def build_modified_status_quo(scenario: ScenarioModel) -> Mechanism:
     """Modified rule: same outcomes as the augmented rule, but a sender of
     a high message pays penalty ``x`` when the opponent stays low."""
     if not scenario.generic:
@@ -283,7 +272,7 @@ def build_modified_status_quo(
         return Fraction(0)
 
     return _status_quo_family(
-        scenario, "msqr", scenario.max_cost, schedule, augmented_messages(scenario.n), transfer
+        scenario, "msqr", scenario.max_cost, augmented_messages(scenario.n), transfer
     )
 
 

@@ -390,6 +390,31 @@ def test_experiment_scenario_with_perturbation_block_exits_2(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [("mechanism", "build"), ("dominance", "gamma")])
+def test_command_that_plays_no_perturbation_refuses_the_block(command):
+    """Like ``experiment run``, these commands would drop the block."""
+    path = SCENARIOS / "binary_trial_ladder.yaml"
+    proc = run_cli(*command, "--kind", "sqr", "--scenario", str(path))
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == (
+        f"error: {path}: this command plays no perturbation, so the perturbation block "
+        "would be ignored; remove it (line 14)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"states: caf\xe9\n", b"a: &x [*x]\n", b"states: " + b"[" * 3000 + b"\n"],
+    ids=["not-utf8", "self-alias", "deep-nesting"],
+)
+def test_unreadable_scenario_exits_2_without_traceback(tmp_path, content):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    proc = run_cli("equilibrium", "check", "--scenario", str(path))
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+
+
 def test_experiment_scenario_without_perturbation_block_runs(capsys):
     code, out, err = run(
         capsys, "experiment", "run", "prop2", "--scenario", str(SCENARIOS / "binary_trial.yaml"),

@@ -1,5 +1,7 @@
 """Core model objects: lotteries, payoffs, scenarios."""
 
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +19,7 @@ from robustmech import (
     tv_distance,
 )
 from generators import point_lottery
-from robustmech.core import StateSpace
+from robustmech.core import OutcomeSpace, SocialChoiceFunction, StateSpace
 
 
 def test_prior_must_sum_to_one():
@@ -104,3 +106,33 @@ def test_expected_utility():
     mid = Lottery((F(1, 2), F(1, 2)))
     assert s.payoffs[0].expected_utility(0, mid) == 1
     assert s.payoffs[0].expected_utility(1, mid) == 2
+
+
+HALF = (F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StateSpace(("a", "a"), HALF), "state labels must be distinct"),
+        (lambda: StateSpace(("a", "b", "c"), HALF), "prior length does not match states"),
+        (lambda: OutcomeSpace(()), "outcome space is empty"),
+        (lambda: OutcomeSpace(("x", "x")), "outcome labels must be distinct"),
+        (lambda: tv_distance(Lottery((F(1),)), Lottery(HALF)),
+         "lotteries live on different outcome spaces"),
+        (lambda: replace(binary_trial_scenario(),
+                         scf=SocialChoiceFunction((Lottery(HALF),))),
+         "scf is not total on the state space"),
+        (lambda: replace(binary_trial_scenario(),
+                         scf=SocialChoiceFunction((Lottery((F(1),)),) * 2)),
+         "scf lottery dimension mismatch"),
+        (lambda: replace(binary_trial_scenario(),
+                         payoffs=(AgentPayoff(((0,), (0,)), 1),) * 2),
+         "payoff table dimension mismatch"),
+    ],
+    ids=["state-labels", "prior-length", "no-outcomes", "outcome-labels", "tv-spaces",
+         "scf-states", "scf-dimension", "payoff-dimension"],
+)
+def test_model_constructors_refuse_bad_input(build, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build()

@@ -101,6 +101,14 @@ def test_signal_distribution_validated():
         SignalStructure((2, 2), {(0, 0, 0): F(1, 2)}, ((1, 2), (1, 2)))
 
 
+@pytest.mark.parametrize("meanings", [((1,), (1, 2)), ((1, 2), (2,))], ids=["agent1", "agent2"])
+def test_signal_structure_refuses_a_short_meaning_map(meanings):
+    """Each agent has two signals; a meaning map of one entry is refused."""
+    joint = {(0, 0, 0): F(7, 10), (1, 1, 1): F(3, 10)}
+    with pytest.raises(ModelError, match="^meaning map must cover every signal$"):
+        SignalStructure((2, 2), joint, meanings)
+
+
 def test_signal_structure_refuses_a_negative_probability():
     """A negative mass is refused even when the masses sum to one."""
     joint = {(0, 0, 0): F(3, 2), (1, 1, 1): F(-1, 2)}

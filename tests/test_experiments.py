@@ -28,6 +28,7 @@ from robustmech import (
     build_status_quo,
     check_strict_cyclical_monotonicity,
     list_experiments,
+    make_scenario,
     run_experiment,
     separating_functional,
     three_state_scenario,
@@ -1028,3 +1029,24 @@ def test_prop2_learning_values_match_a_naive_e_max_less_max_e():
         assert got == want
         learning.append(max(v for _, v in want))
     assert learning[0] == 0 < learning[1]
+
+
+CONSTANT = make_scenario([("a", "7/10"), ("b", "3/10")], ["x", "y"],
+                         {"a": {"x": 1}, "b": {"x": 1}})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: run_experiment("thm2", make_scenario(
+            [("a", "1/2"), ("b", "1/2")], ["x", "y"], {"a": {"x": 1}, "b": {"y": 1}})),
+         "augmented rule run needs a generic prior"),
+        (lambda: separating_functional(CONSTANT.scf, build_status_quo(CONSTANT, 1)),
+         "separating functional needs a non-constant target"),
+        (lambda: run_experiment("prop1", CONSTANT), "impossibility run needs a non-constant target"),
+    ],
+    ids=["thm2-tied", "separating-constant", "prop1-constant"],
+)
+def test_experiments_refuse_bad_input(build, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build()

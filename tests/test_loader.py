@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from robustmech import ScenarioFileError, binary_trial_scenario, load_scenario, parse_scenario
+from robustmech import loader
+from robustmech.loader import load_unperturbed_scenario
 from robustmech.perturbations import eta_of
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -179,3 +181,58 @@ def test_mapping_or_list_as_a_key_names_its_line(key):
     text = GOOD.replace("  guilty: {convict", f"  {key}: {{convict")
     with pytest.raises(ScenarioFileError, match=r"a mapping key must be a scalar \(line 8\)"):
         parse_scenario(text)
+
+
+def test_unperturbed_load_refuses_the_block_before_building_it(tmp_path, monkeypatch):
+    """A 200,000-rung ladder is refused without a ladder built, and an eta
+    out of range is refused as a block, not as a bad eta; the same
+    counter sees the one ladder ``load_scenario`` builds."""
+    calls = []
+    build = loader.build_ladder
+    monkeypatch.setattr(loader, "build_ladder", lambda *args: calls.append(args) or build(*args))
+    text = (SCENARIOS / "binary_trial_ladder.yaml").read_text()
+    for old, new in (("depth: 50", "depth: 200000"), ('eta: "1/100"', 'eta: "2"')):
+        path = tmp_path / "edited.yaml"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ScenarioFileError) as info:
+            load_unperturbed_scenario(path)
+        assert str(info.value) == (
+            f"{path}: this command plays no perturbation, so the perturbation block "
+            "would be ignored; remove it (line 14)"
+        )
+    assert calls == []
+    load_scenario(SCENARIOS / "binary_trial_ladder.yaml")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a: &x [*x]\n", r"^an alias refers to a collection that contains it \(line 1\)$"),
+        ('states: &s\n  - {name: a, prob: "1"}\n  - *s\n',
+         r"^an alias refers to a collection that contains it \(line 1\)$"),
+        ('states:\n  - &s {name: a, prob: "1", x: [1, *s]}\n',
+         r"^an alias refers to a collection that contains it \(line 2\)$"),
+        ("states: " + "[" * 3000 + "\n", r"^not valid YAML: nesting too deep$"),
+    ],
+    ids=["flow-alias", "block-alias", "nested-alias", "deep-nesting"],
+)
+def test_self_containing_alias_or_deep_nesting_is_a_file_error(text, message):
+    with pytest.raises(ScenarioFileError, match=message):
+        parse_scenario(text)
+
+
+def test_an_alias_to_a_finished_collection_loads():
+    """Only an alias inside its own collection is refused: two agents may
+    share one block."""
+    text = GOOD.replace('  - cost: "1"\n  - cost: "1"', '  - &a {cost: "2"}\n  - *a')
+    scenario, _ = parse_scenario(text)
+    assert [p.cost for p in scenario.payoffs] == [2, 2]
+
+
+def test_a_file_that_is_not_utf8_is_a_file_error(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(GOOD.encode() + b"# caf\xe9\n")
+    with pytest.raises(ScenarioFileError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"scenario file {path} is not UTF-8 at byte {len(GOOD) + 5}"

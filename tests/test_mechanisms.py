@@ -1,5 +1,6 @@
 """Mechanism builders: tables, reward schedules, export round trips."""
 
+import re
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
@@ -28,6 +29,7 @@ from robustmech import (
     solve_rewards,
     three_state_scenario,
 )
+from robustmech import mechanisms
 from robustmech.mechanisms import RewardSchedule, augmented_messages
 
 
@@ -125,21 +127,20 @@ def test_modified_rule_rewards_ascend():
         costs=(0, 0),
     )
     flat = RewardSchedule({0: 5, 1: 6, 2: 11, 3: 11}, penalty=4)
-    with pytest.raises(InfeasibleScheduleError, match=r"^R3 > R2 violated \(slack 0\)$"):
-        build_modified_status_quo(s, schedule=flat)
+    bad = [(r.name, r.slack) for r in check_reward_constraints(flat, s.prior, 0, "msqr")
+           if not r.ok]
+    assert bad == [("R3 > R2", 0)]
     assert solve_rewards(s.prior, 0, "msqr") == replace(flat, rewards={**flat.rewards, 3: 12})
 
 
 def test_schedule_missing_a_reward_is_infeasible():
-    """A custom schedule that lacks a reward its system names is refused
-    with that reward's name, not a bare ``KeyError``."""
+    """A schedule that lacks a reward its system names is refused with
+    that reward's name, not a bare ``KeyError``."""
     s = three_state_scenario()
     with pytest.raises(InfeasibleScheduleError, match=r"^schedule has no reward R3$"):
-        build_status_quo(s, 1, schedule=RewardSchedule({1: 3, 2: 12}))
+        check_reward_constraints(RewardSchedule({1: 3, 2: 12}), s.prior, 1, "sqr")
     with pytest.raises(InfeasibleScheduleError, match=r"^schedule has no reward R0$"):
-        build_modified_status_quo(
-            s, schedule=RewardSchedule({1: 3, 2: 12}, penalty=1)
-        )
+        check_reward_constraints(RewardSchedule({1: 3, 2: 12}, penalty=1), s.prior, 1, "msqr")
 
 
 @st.composite
@@ -247,18 +248,21 @@ def test_augmented_messages():
     assert augmented_messages(4) == (-4, -3, -2, 1, 2, 3, 4)
 
 
-def test_custom_schedule_is_validated():
-    """Every builder checks a schedule it is given, with no way to skip
-    the check."""
+def test_custom_schedule_is_validated(monkeypatch):
+    """Every builder checks the schedule its solver returns: a solver
+    that flattens R2 to R1 gets each rule refused by its R2 entry."""
     s = binary_trial_scenario()
-    bad = RewardSchedule({1: F(3), 2: F(4)})
-    with pytest.raises(InfeasibleScheduleError):
-        build_status_quo(s, 1, schedule=bad)
-    for build in (build_augmented_status_quo, build_modified_status_quo):
-        good = build(s).schedule
-        flat = replace(good, rewards={**good.rewards, 2: good.rewards[1]})
-        with pytest.raises(InfeasibleScheduleError, match="R2 > R1"):
-            build(s, schedule=flat)
+    solve = mechanisms.solve_rewards
+
+    def flat(prior, c, kind):
+        good = solve(prior, c, kind)
+        return replace(good, rewards={**good.rewards, 2: good.rewards[1]})
+
+    monkeypatch.setattr(mechanisms, "solve_rewards", flat)
+    for build in (lambda s: build_status_quo(s, 1), build_augmented_status_quo,
+                  build_modified_status_quo):
+        with pytest.raises(InfeasibleScheduleError, match=r"R2 > R1( \+ 2c/q2)? violated"):
+            build(s)
 
 
 def test_cost_bound_must_cover_scenario_costs():
@@ -298,3 +302,32 @@ def test_one_respondent_mechanism():
         assert m.g(a, 1).same_as(s.scf(a - 1))
         assert m.t(0, a, 1) == pay[a]
         assert m.t(1, a, 1) == 0
+
+
+HALF_PRIOR = (F(1, 2), F(1, 2))
+TIED = make_scenario([("a", "1/2"), ("b", "1/2")], ["x", "y"], {"a": {"x": 1}, "b": {"y": 1}})
+POINT = Lottery((F(1), F(0)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: solve_rewards(HALF_PRIOR, 1, "nosuch"), "unknown schedule kind 'nosuch'"),
+        (lambda: check_reward_constraints(RewardSchedule({0: 1, 1: 2, 2: 3}), HALF_PRIOR, 1,
+                                          "msqr"),
+         "modified rule needs a penalty"),
+        (lambda: mechanisms.Mechanism("x", ((1, 2), (1,)), {(1, 1): POINT},
+                                      {(1, 1): (0, 0), (2, 1): (0, 0)}),
+         "outcome/transfer maps must be total on M1 x M2"),
+        (lambda: mechanisms.Mechanism("x", ((1, 2), (1,)), {(1, 1): POINT, (2, 1): POINT},
+                                      {(1, 1): (0, 0)}),
+         "outcome/transfer maps must be total on M1 x M2"),
+        (lambda: build_augmented_status_quo(TIED), "augmented rule needs a generic prior"),
+        (lambda: build_modified_status_quo(TIED), "modified rule needs a generic prior"),
+    ],
+    ids=["schedule-kind", "msqr-penalty", "outcome-map", "transfer-map", "asqr-tied",
+         "msqr-tied"],
+)
+def test_model_constructors_refuse_bad_input(build, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build()
