@@ -442,8 +442,10 @@ class Game:
         return i
 
     def play_ids(self, profile: StrategyProfile | list[list[int]]) -> list[list[int]]:
-        """Every type's ``play_id``, per agent, read once per profile."""
-        return [[self.play_id(side[t]) for t in range(len(part))]
+        """Every type's ``play_id``, per agent, read once per profile; a
+        side given as a list of ids is copied."""
+        return [list(side) if isinstance(side, list) and set(map(type, side)) <= {int}
+                else [self.play_id(side[t]) for t in range(len(part))]
                 for side, part in zip(profile, self.perturbation.partitions)]
 
     def pool_id(self, pool) -> int:
@@ -662,8 +664,8 @@ def play_groups(game: Game, profile: StrategyProfile | list[list[int]]) -> dict:
     pair of its types, read once per profile (``Game.play_ids``)."""
     pert = game.perturbation
     ids = game.play_ids(profile)
-    labels = [(ids[0][t1], ids[1][t2]) for t1, t2 in zip(*pert._type_index)]
-    return pert.masses_by(labels)
+    return pert.masses_by(list(zip(*[map(side.__getitem__, index)
+                                     for side, index in zip(ids, pert._type_index)])))
 
 
 def lottery_nums(game: Game, groups: dict) -> list[tuple[int, list[int]]]:

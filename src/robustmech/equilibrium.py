@@ -48,8 +48,13 @@ class EquilibriumReport:
 
 def _residuals(game, ids, strategy_sets):
     """Per positive-probability type, its residual and its canonically
-    first best deviation, from play ids, computed once per payoff table
-    and own play.
+    first best deviation, from play ids, and the distinct residuals.
+
+    Types are read in stretches of equal own and opponent ids
+    (``_stretches``), which have one payoff table and one own play, so
+    each stretch makes one ``Game.payoff_table`` call and each distinct
+    (table, own play) one deficit; the per-type dicts are filled a
+    stretch at a time.
 
     The residual is the best pure deviation's value over the agent's
     strategy set (per-coordinate choices) less the prescribed mixture's
@@ -60,19 +65,23 @@ def _residuals(game, ids, strategy_sets):
     any message vector, inside the set or not."""
     residuals: dict[tuple[int, int], Number] = {}
     deviations: dict[tuple[int, int], PureStrategy] = {}
+    distinct = []
     pert = game.perturbation
     for agent in (0, 1):
-        choices, shared = strategy_sets[agent], {}
-        for t, own in enumerate(ids[agent]):
-            if not pert._templates[pert._type_template[agent][t]][0]:  # zero mass
+        choices, own, opp, shared = strategy_sets[agent], ids[agent], ids[1 - agent], {}
+        for lo, hi, tid, _, (i, *_) in _stretches(pert, agent, [(0, len(own))], opp, own):
+            if not pert._templates[tid][0]:  # zero mass
                 continue
-            table = game.payoff_table(agent, t, ids[1 - agent])
-            hit = shared.get((table, own))
+            table = game.payoff_table(agent, lo, opp)
+            hit = shared.get((table, i))
             if hit is None:
-                hit = shared[(table, own)] = (table.deficit(choices, game._plays[own]),
-                                              table.best(choices)[0][0])
-            residuals[(agent, t)], deviations[(agent, t)] = hit
-    return residuals, deviations
+                hit = shared[(table, i)] = (table.deficit(choices, game._plays[i]),
+                                            table.best(choices)[0][0])
+                distinct.append(hit[0])
+            types = list(zip(itertools.repeat(agent), range(lo, hi)))
+            residuals.update(zip(types, itertools.repeat(hit[0])))
+            deviations.update(zip(types, itertools.repeat(hit[1])))
+    return residuals, deviations, distinct
 
 
 def verify_equilibrium(
@@ -85,14 +94,16 @@ def verify_equilibrium(
     it (``_residuals``), plus the implementation metrics
     (``truthful_mass`` and ``max_tv``).
 
-    All read one list of play ids per profile (``Game.play_ids``).  Both
-    metrics come from ``implementation_metrics`` on those ids, which
-    makes one walk of the circumstances (``play_groups``), labelling each
-    circumstance by the play ids of its types, and sums the truthful mass
-    and every state's outcome lottery from its groups."""
+    All read one list of play ids per profile (``Game.play_ids``).  The
+    largest residual is taken over the distinct residuals, one per
+    stretch of equal keys, not over the types.  Both metrics come from
+    ``implementation_metrics`` on those ids, which makes one walk of the
+    circumstances (``play_groups``), labelling each circumstance by the
+    play ids of its types, and sums the truthful mass and every state's
+    outcome lottery from its groups."""
     ids = game.play_ids(profile)
-    residuals, deviations = _residuals(game, ids, strategy_sets)
-    max_res = max(residuals.values())
+    residuals, deviations, distinct = _residuals(game, ids, strategy_sets)
+    max_res = max(distinct)
     truthful_mass, max_tv = implementation_metrics(game, ids)
     return EquilibriumReport(
         residuals=residuals,
@@ -308,13 +319,20 @@ def iterate_best_response(
     The profiles, rounds and flags are those of computing every type every
     round, and the changed types are the round's ``moves``.
 
+    Types are computed in stretches (``_stretches``): the stale ranges
+    are cut where runs end and grouped by the opponent ids at each
+    template offset, read by slice, so a stretch has one
+    ``Game.payoff_table`` key.  A stretch makes one table read, one best
+    response and one ``Game.play_id``, and its types that moved are found
+    by comparing its own ids with that id; their opponents' ranges are
+    the next round's stale set.
+
     Each type's play is carried as its ``Game.play_id``, which only a type
     that moved gets anew, and the ids are exact (equal iff the plays are
     equal as dicts), so a cycle is found on them.  The start profile is
     copied once, and each mover's play is written into it after its round.
     """
     pert = game.perturbation
-    templates, tids, bases = pert._templates, pert._type_template, pert._type_base
     start = initial if initial is not None else truthful_profile(game)
     if initial is None:  # one play per agent
         ids = [[game.play_id(side[0])] * len(side) for side in start]
@@ -322,38 +340,36 @@ def iterate_best_response(
         ids = game.play_ids(start)
     profile: StrategyProfile = [dict(start[0]), dict(start[1])]
     seen = {(tuple(ids[0]), tuple(ids[1]))}
-    todo = [range(len(pert.partitions[0])), range(len(pert.partitions[1]))]
+    stale = [[(0, len(side))] for side in ids]
     moves = []
     rounds = 0
     cycled = False
     for rounds in range(1, max_rounds + 1):
-        moved = []
+        moved = []  # (agent, lo, hi, tid, base, best, id) per range of movers
         for agent in (0, 1):
-            opponent = ids[1 - agent]
-            for t in todo[agent]:
-                if not templates[tids[agent][t]][0]:  # zero mass
-                    continue
-                best = game.payoff_table(agent, t, opponent).best(strategy_sets[agent])[0][0]
-                play = {best: ONE}
-                if play != profile[agent][t]:
-                    moved.append((agent, t, play))
-        moves.append(tuple((agent, t) for agent, t, _ in moved))
+            own, opponent, choices = ids[agent], ids[1 - agent], strategy_sets[agent]
+            for lo, hi, tid, base, _ in _stretches(pert, agent, stale[agent], opponent):
+                best = game.payoff_table(agent, lo, opponent).best(choices)[0][0]
+                new, t = game.play_id({best: ONE}), lo
+                for same, run in itertools.groupby(own[lo:hi], new.__eq__):
+                    end = t + len(list(run))
+                    if not same:
+                        moved.append((agent, t, end, tid, base, best, new))
+                    t = end
+        moves.append(tuple((agent, t) for agent, lo, hi, *_ in moved for t in range(lo, hi)))
         if not moved:
             report = verify_equilibrium(game, ids, strategy_sets)
             return BRIterationResult(profile, rounds, True, False, report, tuple(moves))
-        for agent, t, play in moved:
-            profile[agent][t] = play
-            ids[agent][t] = game.play_id(play)
+        stale = [[], []]
+        for agent, lo, hi, tid, base, best, new in moved:
+            ids[agent][lo:hi] = [new] * (hi - lo)
+            profile[agent].update((t, {best: ONE}) for t in range(lo, hi))
+            stale[1 - agent].extend((base + lo + u, base + hi + u) for u in pert._templates[tid][2])
         key = (tuple(ids[0]), tuple(ids[1]))
         if key in seen:
             cycled = True
             break
         seen.add(key)
-        todo = [set(), set()]
-        for agent, t, _ in moved:
-            base = bases[agent][t]
-            todo[1 - agent].update([base + u for u in templates[tids[agent][t]][2]])
-        todo = [sorted(side) for side in todo]
     return BRIterationResult(profile, rounds, False, cycled, None, tuple(moves))
 
 
@@ -403,8 +419,8 @@ def iterated_dominance(
     An entry holds the surviving pool id, the dropped strategies in pool
     order and every member's witness, found on the miss by ``_undominated``.
 
-    Types are checked in runs (``Perturbation._type_runs``): a round cuts
-    its stale ranges where runs end and groups each piece by its own and
+    Types are checked in stretches (``_stretches``): a round cuts its
+    stale ranges where runs end and groups each piece by its own and
     opponent pool ids, read by slice, so a group has one memo key: one
     lookup, one slice write, one stale range per template offset.
 
@@ -427,30 +443,24 @@ def iterated_dominance(
     while True:
         removed, record = [], ([], [])
         for agent, opp in ((0, 1), (1, 0)):
-            own, opp_pools, bases = pools[agent], pools[opp], pert._type_base[agent]
-            todo, stale[agent] = stale[agent], []
-            for lo, hi in _pieces(todo, pert._type_runs[agent]):
-                tid, base = pert._type_template[agent][lo], bases[lo] - lo
+            own, todo, stale[agent] = pools[agent], stale[agent], []
+            for t, end, tid, base, ids in _stretches(pert, agent, todo, pools[opp], own):
                 _, kind, offsets = pert._templates[tid]
-                cols = [opp_pools[base + lo + u:base + hi + u] for u in offsets]
-                end = lo
-                for ids, group in itertools.groupby(zip(own[lo:hi], *cols)):
-                    t, end = end, end + len(list(group))
-                    pid, opp_ids, new = ids[0], ids[1:], None
-                    if offsets and len(members[pid]) > 1:
-                        key = (agent, pid, kind, opp_ids)
-                        entry = cache.get(key)
-                        if entry is None:
-                            pool = members[pid]
-                            keep, witness = _undominated(game, agent, t, pool, opp_ids)
-                            entry = cache[key] = (game.pool_id(keep),
-                                                  tuple([s for s in pool if s not in keep]), witness)
-                        if entry[1]:
-                            new = entry[0]
-                            removed.extend([(agent, x, s) for x in range(t, end) for s in entry[1]])
-                            own[t:end] = [new] * (end - t)
-                            stale[opp].extend([(base + t + u, base + end + u) for u in offsets])
-                    record[agent].append((t, end, tid, base + t, ids, new))
+                pid, opp_ids, new = ids[0], ids[1:], None
+                if offsets and len(members[pid]) > 1:
+                    key = (agent, pid, kind, opp_ids)
+                    entry = cache.get(key)
+                    if entry is None:
+                        pool = members[pid]
+                        keep, witness = _undominated(game, agent, t, pool, opp_ids)
+                        entry = cache[key] = (game.pool_id(keep),
+                                              tuple([s for s in pool if s not in keep]), witness)
+                    if entry[1]:
+                        new = entry[0]
+                        removed.extend([(agent, x, s) for x in range(t, end) for s in entry[1]])
+                        own[t:end] = [new] * (end - t)
+                        stale[opp].extend([(base + t + u, base + end + u) for u in offsets])
+                record[agent].append((t, end, tid, base + t, ids, new))
         # Agents, types and pools are walked in order, so ``removed`` is sorted.
         eliminated.append(tuple(removed))
         if not removed:
@@ -488,6 +498,27 @@ def _pieces(ranges, starts):
         for cut in starts[bisect.bisect_right(starts, lo):bisect.bisect_left(starts, hi)] + (hi,):
             yield lo, cut
             lo = cut
+
+
+def _stretches(pert, agent, ranges, opp, own=None):
+    """The agent's types in ``ranges`` as stretches: maximal ranges inside
+    one run (``Perturbation._type_runs``) over which the opponent ids
+    ``opp`` at every template offset, and the own ids ``own`` when given,
+    are equal, read by slice.  The types of a stretch have one
+    ``Game.payoff_table`` key and, with ``own``, one own id.  Yields
+    ``(lo, hi, tid, base, ids)``: the template id, the run's base offset
+    (type ``t``'s opponent-type base is ``base + t``) and the ids, own
+    first.  A zero-mass type has no offsets, so it is in a
+    stretch only when ``own`` is given."""
+    for lo, hi in _pieces(ranges, pert._type_runs[agent]):
+        tid, base = pert._type_template[agent][lo], pert._type_base[agent][lo] - lo
+        cols = [opp[base + lo + u:base + hi + u] for u in pert._templates[tid][2]]
+        if own is not None:
+            cols.insert(0, own[lo:hi])
+        end = lo
+        for ids, group in itertools.groupby(zip(*cols)):
+            lo, end = end, end + len(list(group))
+            yield lo, end, tid, base, ids
 
 
 def _shifted(record, k):

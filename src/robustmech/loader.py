@@ -61,14 +61,21 @@ class _Mapping(dict):
     key_lines: dict
 
 
-def _build(node, loader, inside):
+def _build(node, loader, inside, aliased):
     """Turn a YAML node graph into plain values, remembering source lines,
     with one ``yaml.SafeLoader`` per parse.  A decimal keeps its text for
     ``_rat``; an integer is read as ``yaml.safe_load`` reads it (``0x10``,
     ``0b101``, ``010`` in octal, ``1:30`` in base 60), and one that does
     not parse, such as ``!!int "ten"``, raises ``ScenarioFileError`` naming
     its line.  ``inside`` holds the ids of the collections around ``node``,
-    so an alias to one of them raises instead of recursing without end."""
+    so an alias to one of them raises instead of recursing without end.
+
+    An alias is built as a copy of its collection.  ``aliased`` maps the
+    id of each collection built so far to whether it holds an alias, and
+    an alias to one that does raises, naming the collection's line: else
+    ``a1: &a1 [*a0, *a0]``, ``a2: &a2 [*a1, *a1]``, ... would copy
+    ``2**k`` leaves at line ``k``.  So every copy holds no alias, and the
+    built value has at most as many nodes per alias as the file has."""
     if isinstance(node, yaml.ScalarNode):
         value = loader.construct_scalar(node)
         tag = node.tag
@@ -87,20 +94,33 @@ def _build(node, loader, inside):
     if id(node) in inside:
         raise ScenarioFileError("an alias refers to a collection that contains it",
                                 node.start_mark.line)
-    inside = inside | {id(node)}
+    if aliased.get(id(node)):
+        raise ScenarioFileError("an alias refers to a collection that holds an alias",
+                                node.start_mark.line)
+    if not isinstance(node, (yaml.SequenceNode, yaml.MappingNode)):
+        raise ScenarioFileError(f"unsupported YAML node {node!r}")
+    inside, holds = inside | {id(node)}, False
+
+    def build(child):
+        nonlocal holds
+        holds = holds or id(child) in aliased  # built before: an alias
+        out = _build(child, loader, inside, aliased)
+        holds = holds or aliased.get(id(child), False)
+        return out
+
     if isinstance(node, yaml.SequenceNode):
-        return [_build(child, loader, inside) for child in node.value], node.start_mark.line
-    if isinstance(node, yaml.MappingNode):
+        out = [build(child) for child in node.value]
+    else:
         out = _Mapping()
         out.key_lines = {}
         for key_node, val_node in node.value:
             if not isinstance(key_node, yaml.ScalarNode):
                 raise ScenarioFileError("a mapping key must be a scalar", key_node.start_mark.line)
-            key, key_line = _build(key_node, loader, inside)
-            out[key] = _build(val_node, loader, inside)
+            key, key_line = build(key_node)
+            out[key] = build(val_node)
             out.key_lines[key] = key_line
-        return out, node.start_mark.line
-    raise ScenarioFileError(f"unsupported YAML node {node!r}")
+    aliased[id(node)] = holds
+    return out, node.start_mark.line
 
 
 def _rat(entry, what):
@@ -216,7 +236,8 @@ def _parse(text):
         raise ScenarioFileError("not valid YAML: nesting too deep") from None
     if node is None:
         raise ScenarioFileError("empty scenario file")
-    doc, top_line = _expect(_build(node, yaml.SafeLoader(""), frozenset()), dict, "scenario file")
+    doc, top_line = _expect(_build(node, yaml.SafeLoader(""), frozenset(), {}), dict,
+                            "scenario file")
     _known_keys(doc, ("states", "outcomes", "scf", "agents", "perturbation"), "scenario file")
 
     states_raw, states_line = _expect(_require(doc, "states", top_line, "scenario"), list, "states")

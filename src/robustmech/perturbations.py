@@ -210,12 +210,11 @@ class Perturbation:
         each label, for ``labels[w]`` a hashable per circumstance.
 
         Walks maximal runs of circumstances with one label and one
-        coefficient, carrying ``scale * ratio**lo`` from one run to the
-        next.  The coefficient runs are recorded at construction, so only
-        labels are compared here.  The masses of a run are geometric, so
-        its total is ``pi[lo] * (1 - ratio**len) / (1 - ratio)``, or
-        ``pi[lo] * len`` at ratio 1.  Labels met only at zero mass are left
-        out."""
+        coefficient; the coefficient runs are recorded at construction, so
+        only labels are compared here.  The masses of a run are geometric,
+        so each run is summed in closed form on integers, as in
+        ``_sums_to_one``, and each label gets one ``Fraction``.  Labels met
+        only at zero mass are left out."""
         if len(labels) != len(self.coef):
             raise ModelError(f"masses_by needs one label per circumstance, not {len(labels)}")
         return self._prefix_masses(labels)
@@ -223,20 +222,32 @@ class Perturbation:
     def _prefix_masses(self, labels) -> dict:
         """``masses_by`` of circumstances ``0 .. len(labels) - 1`` alone:
         the walk stops after the last label, so the circumstances above it
-        cost nothing."""
-        out: dict = {}
-        ratio, step, lo = self.ratio, self.scale, 0
-        geometric = ratio != 1
+        cost nothing.  With ``ratio = p/q``, the coefficients over their
+        least common denominator ``d`` and ``size = len(labels)``, the
+        run of ``len`` rungs from ``lo`` at coefficient ``c`` sums to
+        ``c * p**lo * (q**len - p**len) * q**(size - lo - len)`` over
+        ``q**(size - 1) * (q - p) * d``, times ``scale`` (``c * len``
+        over ``d`` at ratio 1); a label's numerators are summed as
+        integers."""
+        p, q, size = self.ratio.numerator, self.ratio.denominator, len(labels)
+        d = math.lcm(*[c.denominator for c, _ in self._coef_runs])
+        sums: dict = {}
+        lo = 0
         for c, width in self._coef_runs:
+            num = c.numerator * (d // c.denominator)
             for label, run in itertools.groupby(labels[lo:lo + width]):
                 length = len(list(run))
-                power = ratio**length
-                if c:
-                    mass = step * c * ((1 - power) / (1 - ratio) if geometric else length)
-                    out[label] = out[label] + mass if label in out else mass
-                step *= power
-            lo += width
-        return out
+                if num:
+                    part = length if p == q else (
+                        p**lo * (q**length - p**length) * q ** (size - lo - length))
+                    sums[label] = sums.get(label, 0) + num * part
+                lo += length
+            if lo >= size:
+                break
+        if not sums:
+            return {}
+        den = self.scale.denominator * (d if p == q else d * q ** (size - 1) * (q - p))
+        return {label: Fraction(self.scale.numerator * x, den) for label, x in sums.items()}
 
     @property
     def pi(self) -> tuple[Fraction, ...]:

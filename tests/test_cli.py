@@ -162,6 +162,13 @@ def test_bad_scenario_path(capsys):
     assert "Traceback" not in err
 
 
+def test_nested_aliases_exit_2_naming_the_line(capsys):
+    path = Path(__file__).resolve().parent / "data" / "nested_aliases.yaml"
+    code, _, err = run(capsys, "equilibrium", "check", "--kind", "sqr", "--scenario", str(path))
+    assert code == 2
+    assert err == "error: an alias refers to a collection that holds an alias (line 5)\n"
+
+
 def test_missing_experiment_scenario_exits_2(capsys):
     code, _, err = run(capsys, "experiment", "run", "prop2", "--scenario", "/no/such/file.yaml")
     assert code == 2

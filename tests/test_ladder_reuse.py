@@ -95,9 +95,9 @@ def test_shared_rows_need_equal_biases_and_the_same_scenario():
     assert shared._row_cache is game._row_cache
 
 
-def test_rounds_after_the_first_recheck_only_neighbours_of_movers(monkeypatch):
-    """The best-response loop's payoff-table reads, up to the converged
-    run's verification, whose reads are left out."""
+def _recorded_reads(monkeypatch):
+    """The ``(agent, type)`` of each payoff-table read from now on, and
+    ``None`` where a verification starts."""
     calls = []
     payoff_table, verify_equilibrium = Game.payoff_table, equilibrium.verify_equilibrium
 
@@ -106,21 +106,49 @@ def test_rounds_after_the_first_recheck_only_neighbours_of_movers(monkeypatch):
         return payoff_table(game, agent, t, *args)
 
     def verified(*args):
-        calls.append(None)  # the verification starts here
+        calls.append(None)
         return verify_equilibrium(*args)
 
     monkeypatch.setattr(Game, "payoff_table", recorded)
     monkeypatch.setattr(equilibrium, "verify_equilibrium", verified)
+    return calls
+
+
+@pytest.mark.parametrize("eta", ETAS)
+def test_payoff_table_reads_per_run_do_not_grow_with_depth(monkeypatch, eta):
+    """A run reads one table per stretch of equal keys, in its rounds and
+    in its verification alike, and a ladder has as many stretches at any
+    depth."""
+    calls = _recorded_reads(monkeypatch)
+    counts = []
+    for depth in (50, 400):
+        calls.clear()
+        result = iterate_best_response(Game(THREE, MECH, _ladder(eta, depth=depth)), SETS)
+        assert result.converged and result.rounds == 2
+        counts.append((calls.index(None), len(calls)))
+    assert counts[0] == counts[1]
+
+
+def test_round_two_reads_only_stretches_that_hold_a_neighbour_of_a_mover(monkeypatch):
+    """Round 1 reads every positive-mass type's stretch; round 2 reads only
+    the stretches of the opponent types that meet a type round 1 moved,
+    the verification aside."""
+    calls = _recorded_reads(monkeypatch)
     pert = _ladder(ETAS[1])
-    result = iterate_best_response(Game(THREE, MECH, pert), SETS)
+    first = iterate_best_response(Game(THREE, MECH, pert), SETS, max_rounds=1)
+    assert not first.converged and None not in calls
+    round_one = list(calls)
+    calls.clear()
+    result = iterate_best_response(Game(THREE, MECH, pert), SETS, max_rounds=2)
     assert result.converged and result.rounds == 2
-    calls = calls[:calls.index(None)]
-    first = [(a, t) for a in (0, 1) for t in range(len(pert.partitions[a]))
-             if pert.type_groups(a, t)]
-    assert calls[:len(first)] == first
-    neighbours = sorted({(1 - a, u) for a, t in result.moves[0]
-                         for u, _ in pert.type_groups(a, t)})
-    assert calls[len(first):] == neighbours == [(1, 0)]
+    assert calls[:len(round_one)] == round_one
+    round_two = calls[len(round_one):calls.index(None)]
+    neighbours = {(1 - a, u) for a, t in result.moves[0] for u, _ in pert.type_groups(a, t)}
+    assert result.moves[0] == first.moves[0] == ((0, 0),)
+    assert round_two == sorted(neighbours) == [(1, 0)]
+    # Round 1 read fewer tables than there are positive-mass types.
+    assert len(round_one) < sum(bool(pert.type_groups(a, t)) for a in (0, 1)
+                                for t in range(len(pert.partitions[a])))
 
 
 def test_round_moves_record_the_changed_types():
@@ -215,6 +243,12 @@ def test_play_ids_are_equal_iff_the_plays_are():
     assert game.play_id({a: F(1, 3), b: F(2, 3)}) == game.play_id({b: F(2, 3), a: F(1, 3)})
     assert game.play_id({a: 1}) == pure
     assert game.play_id(pure) == pure
+    # A side of ids is copied; a side of plays, list or dict, is read.
+    n0, n1 = map(len, game.perturbation.partitions)
+    sides = [[pure] * n0, [{a: F(1)}] * n1]
+    ids = game.play_ids(sides)
+    assert ids == [[pure] * n0, [pure] * n1] and ids[0] is not sides[0]
+    assert game.play_ids([dict(enumerate(side)) for side in sides]) == ids
 
 
 def test_best_response_rounds_hash_no_fraction(monkeypatch):

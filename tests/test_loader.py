@@ -1,5 +1,6 @@
 """Scenario YAML loading and validation errors."""
 
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -228,6 +229,36 @@ def test_an_alias_to_a_finished_collection_loads():
     text = GOOD.replace('  - cost: "1"\n  - cost: "1"', '  - &a {cost: "2"}\n  - *a')
     scenario, _ = parse_scenario(text)
     assert [p.cost for p in scenario.payoffs] == [2, 2]
+
+
+NESTED_ALIASES = Path(__file__).resolve().parent / "data" / "nested_aliases.yaml"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('a: &a ["1"]\nb: &b [*a, *a]\nc: [*b]\n', 2),
+        ('a: &a [&b ["1"], *b]\nc: *a\n', 1),
+        ('a: &a {x: &b ["1"], y: *b}\nc: [*a]\n', 1),
+    ],
+    ids=["list-of-aliases", "anchor-and-alias-in-one-list", "mapping-of-aliases"],
+)
+def test_an_alias_to_a_collection_that_holds_an_alias_is_a_file_error(text, line):
+    """Each alias copies a collection that holds no alias, so no copy is
+    bigger than the file."""
+    message = rf"^an alias refers to a collection that holds an alias \(line {line}\)$"
+    with pytest.raises(ScenarioFileError, match=message):
+        parse_scenario(text)
+
+
+def test_nested_aliases_are_refused_before_they_expand():
+    """30 lines whose full expansion has 2**27 strings in its last line
+    are refused at the first alias to a list of aliases, at once."""
+    assert len(NESTED_ALIASES.read_text().splitlines()) == 30
+    start = time.perf_counter()
+    with pytest.raises(ScenarioFileError, match=r"holds an alias \(line 5\)$"):
+        load_scenario(NESTED_ALIASES)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_a_file_that_is_not_utf8_is_a_file_error(tmp_path):

@@ -1,5 +1,6 @@
 """Circumstance ladders, partitions, conditional weights, and size measures."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -183,6 +184,63 @@ def test_the_sum_check_agrees_with_the_exact_sum(coef, ratio, scale):
     except ModelError as error:
         accepted = str(error) != "circumstance distribution must sum to one"
     assert accepted == exact
+
+
+def _plain_masses(pert, labels):
+    """``masses_by`` as a plain ``Fraction`` sum of ``pi``, label by label,
+    in order of first positive mass."""
+    out = {}
+    for label, mass in zip(labels, pert.pi):
+        if mass:
+            out[label] = out.get(label, 0) + mass
+    return out
+
+
+_GENERAL = (F(1, 4), F(1, 4), F(1, 8), F(1, 8), F(1, 4))
+_ZEROS = (F(1, 2), F(0), F(0), F(1, 4), F(0), F(1, 4))
+_MASS_CASES = {
+    "collapse": lambda s: build_ladder(s, 9, F(1, 10)),
+    "renormalize": lambda s: build_ladder(s, 9, F(1, 7), tail="renormalize"),
+    "general": lambda s: build_general_ladder(s, _GENERAL),
+    "general-zeros": lambda s: build_general_ladder(s, _ZEROS),
+    "geometric-zero": lambda s: Perturbation(
+        s, (F(1, 10),) * 5 + (F(0),) + (F(1, 10),) * 2,
+        (tuple((w,) for w in range(8)),) * 2, ratio=F(9, 10),
+        scale=1 / (1 - F(9, 10)**5 + F(9, 10)**6 - F(9, 10)**8)),
+    "ratio-above-one": lambda s: Perturbation(
+        s, (F(2),) * 3, (tuple((w,) for w in range(3)),) * 2, ratio=F(3, 2), scale=F(2, 19)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MASS_CASES))
+def test_masses_by_is_the_plain_sum_of_pi(case):
+    """The integer run sums give each label the plain sum of its masses,
+    in the same order, for whole label lists and for prefixes alike (the
+    path ``eta_of`` takes)."""
+    pert = _MASS_CASES[case](binary_trial_scenario())
+    rng = random.Random(case)
+    patterns = [[0] * pert.size, list(range(pert.size)), [w % 2 for w in range(pert.size)],
+                [w // 3 for w in range(pert.size)]]
+    patterns += [[rng.choice("abc") for _ in range(pert.size)] for _ in range(20)]
+    for labels in patterns:
+        got = pert.masses_by(labels)
+        assert list(got.items()) == list(_plain_masses(pert, labels).items())
+        for k in range(pert.size + 1):
+            got = pert._prefix_masses(labels[:k])
+            assert list(got.items()) == list(_plain_masses(pert, labels[:k]).items())
+
+
+@pytest.mark.parametrize("case", sorted(_MASS_CASES))
+def test_eta_of_is_the_plain_mass_of_perturbed_types(case):
+    """``eta_of`` against the naive sum over every circumstance, with
+    biases at the bottom, in the middle and at the top."""
+    s = binary_trial_scenario()
+    pert = _MASS_CASES[case](s)
+    for agent, circ in [(0, 0), (1, 0), (0, 2), (1, pert.size // 2), (0, pert.size - 1)]:
+        biased = Perturbation(s, pert.coef, pert.partitions,
+                              (BiasSpec(agent, circ, {(0, 1): F(50)}),),
+                              pert.tail_mass, pert.ratio, pert.scale)
+        assert eta_of(biased) == naive.eta_of(biased)
 
 
 def test_bias_circumstance_in_range():
