@@ -295,21 +295,24 @@ class Game:
 
     def with_perturbation(self, perturbation: Perturbation) -> "Game":
         """This game's mechanism, signals and trembles under another
-        perturbation of the same scenario object with equal biases.
+        perturbation of the same scenario object with equal biases, as
+        the games of one eta grid are.
 
-        The new game shares the caches keyed by payoff class: state
-        values, coordinate rows and ``inner_value``.  A payoff class
-        is ``None`` or an index into the biases, so equal biases give every
-        class the same payoffs and cost in both games.  Payoff tables,
-        dominance checks and the play and pool ids their keys hold stay the
-        new game's own, because those keys hold the perturbation's type
-        kinds.
+        The new game shares what the mechanism, signals and tremble fix:
+        ``played``, its lotteries over one denominator (``_outcomes``) and
+        the points each agent sees (``_seen``).  It shares the caches keyed
+        by payoff class too: state values, coordinate rows and
+        ``inner_value``.  A payoff class is ``None`` or an index into the
+        biases, so equal biases give every class the same payoffs and cost
+        in both games.  Payoff tables, dominance checks and the play and
+        pool ids their keys hold stay the new game's own, because those
+        keys hold the perturbation's type kinds.
         """
         if perturbation.scenario is not self.scenario:
             raise ModelError("perturbation was built for a different scenario")
         if perturbation.biases != self.perturbation.biases:
             raise ModelError("a game shares its payoff rows only under equal biases")
-        return Game(
+        game = Game(
             self.scenario,
             self.mechanism,
             perturbation,
@@ -319,6 +322,8 @@ class Game:
             _row_cache=self._row_cache,
             _u_cache=self._u_cache,
         )
+        vars(game).update(played=self.played, _outcomes=self._outcomes, _seen=self._seen)
+        return game
 
     # -- information -------------------------------------------------------
 

@@ -63,6 +63,7 @@ from .mechanisms import (
 from .numeric import Number, fmt, rat
 from .perturbations import (
     BiasSpec,
+    _ladder_masses,
     _learning_costs,
     build_general_ladder,
     build_ladder,
@@ -267,17 +268,25 @@ def _mass_linear_fit(grid: list[dict]) -> tuple[Fraction, Fraction]:
 def _ladder_games(experiment, scenario, mechanism, depth, eta_grid, biases, tail):
     """``(eta, perturbation, game)`` for each eta of ``experiment``'s grid: the ladder
     ``build_ladder(scenario, depth, eta, biases, tail)`` and the mechanism
-    played on it.  The ladders share the scenario and the biases, so every
-    game after the first is built by ``Game.with_perturbation`` and reuses
-    the payoff rows of the earlier ones.  An empty grid raises
-    ``ModelError``: a certificate over no ladder would hold vacuously."""
+    played on it.  Only eta changes along a grid, so the ladders share
+    their partitions, biases and compiled partition tables: the first is
+    built by ``build_ladder`` and each later one by ``_reweighed`` from the
+    one before, which checks the new masses and weighs the templates
+    again.  Every game after the first is built by ``Game.with_perturbation``
+    and shares the played mechanism's tables and the payoff rows of the
+    earlier ones.  An empty grid raises ``ModelError``: a certificate over
+    no ladder would hold vacuously."""
     if not eta_grid:
         raise ModelError("eta grid is empty: a ladder certificate needs at least one eta")
-    game = None
+    pert = game = None
     for eta in eta_grid:
         eta = _exact(experiment, "eta_grid", eta)
-        pert = build_ladder(scenario, depth, eta, list(biases), tail=tail)
-        game = Game(scenario, mechanism, pert) if game is None else game.with_perturbation(pert)
+        if pert is None:
+            pert = build_ladder(scenario, depth, eta, list(biases), tail=tail)
+            game = Game(scenario, mechanism, pert)
+        else:
+            pert = pert._reweighed(**_ladder_masses(depth, eta, tail))
+            game = game.with_perturbation(pert)
         yield eta, pert, game
 
 

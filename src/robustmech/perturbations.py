@@ -58,6 +58,11 @@ def _template_tables(template, runs, ratio, kinds):
     return groups, kinds.setdefault(cells_key, len(kinds)), tuple(by_opp)
 
 
+# What ``Perturbation._compile`` sets.
+_COMPILED = ("_type_index", "_classes", "_template_keys", "_type_template", "_type_anchor",
+             "_type_base", "_type_runs")
+
+
 def ladder_partition(size: int, offset: int) -> tuple[tuple[int, ...], ...]:
     """Pairing partition of circumstances 0..size-1.
 
@@ -114,6 +119,17 @@ class Perturbation:
     their caches by payoff class and kind, so their size does not grow
     with the depth either.  ``_type_runs`` holds each agent's run starts:
     a run is a range of types of one template whose base steps by one.
+
+    Construction has three steps (``_build``): the mass checks, the
+    structural compile of every table above but the weights and kinds
+    (``_compile``, which keeps the template keys in first-seen order), and
+    the weighing of each template key into ``_templates``.  Only the
+    weighing reads the coefficients' values and the ratio; the compile
+    reads the partitions, the biases and the coefficient runs' lengths and
+    zeros.  So the ladders of one eta grid share one compile:
+    ``_reweighed`` gives these partitions and biases other masses, checks
+    and weighs them, and copies the compiled tables when those lengths and
+    zeros are unchanged.
     """
 
     scenario: ScenarioModel
@@ -125,10 +141,18 @@ class Perturbation:
     scale: Number = Fraction(1)
 
     def __post_init__(self):
+        self._build(None)
+
+    def _build(self, donor: "Perturbation | None") -> None:
+        """The one construction path: check the masses, compile the
+        partitions and biases, and weigh the templates.  A ``donor`` with
+        these partitions and biases lends its compiled tables instead,
+        when its coefficient runs have the same lengths and the same zeros
+        as these, which fixes every template key; otherwise they are
+        compiled afresh."""
         object.__setattr__(self, "coef", tuple(map(rat, self.coef)))
         object.__setattr__(self, "ratio", rat(self.ratio))
         object.__setattr__(self, "scale", rat(self.scale))
-        size = len(self.coef)
         if not (self.ratio > 0 and self.scale > 0):
             raise ModelError("mass ratio and scale must be positive")
         runs = tuple((c, len(list(run))) for c, run in itertools.groupby(self.coef))
@@ -137,6 +161,21 @@ class Perturbation:
             raise ModelError("circumstance distribution must sum to one")
         if any(c < 0 for c, _ in runs):
             raise ModelError("circumstance probabilities must be nonnegative")
+        shape = [(width, not c) for c, width in runs]
+        if donor is not None and shape == [(width, not c) for c, width in donor._coef_runs]:
+            for name in _COMPILED:
+                object.__setattr__(self, name, getattr(donor, name))
+        else:
+            self._compile()
+        kinds: dict[tuple, int] = {}
+        object.__setattr__(self, "_templates", tuple(
+            [_template_tables(key, runs, self.ratio, kinds) for key in self._template_keys]))
+
+    def _compile(self) -> None:
+        """The tables that the partitions, the biases and the coefficient
+        runs' lengths and zeros fix (``_COMPILED``): every template key, in
+        first-seen order, and each type's template id, anchor and base."""
+        size = len(self.coef)
         for part in self.partitions:
             if sorted(itertools.chain.from_iterable(part)) != list(range(size)):
                 raise ModelError("partition must cover circumstances exactly once")
@@ -157,11 +196,9 @@ class Perturbation:
                     index[w] = t
             type_index.append(index)
         run_of: list = []  # per circumstance, its run's index; None at zero mass
-        for r, (c, width) in enumerate(runs):
+        for r, (c, width) in enumerate(self._coef_runs):
             run_of += [r if c else None] * width
         template_ids: dict[tuple, int] = {}
-        templates: list[tuple] = []
-        kinds: dict[tuple, int] = {}
         type_template, anchors, bases, starts = ([], []), ([], []), ([], []), ([], [])
         for agent, part in enumerate(self.partitions):
             opp_index, cls = type_index[1 - agent], classes[agent]
@@ -171,10 +208,7 @@ class Perturbation:
                 a = members[0] if members else 0
                 b = opp_index[a]
                 template = tuple([(run_of[w], w - a, cls[w], opp_index[w] - b) for w in members])
-                tid = template_ids.get(template)
-                if tid is None:
-                    tid = template_ids[template] = len(templates)
-                    templates.append(_template_tables(template, runs, self.ratio, kinds))
+                tid = template_ids.setdefault(template, len(template_ids))
                 if not tids or tid != tids[-1] or b != base[-1] + 1:
                     starts[agent].append(len(tids))
                 tids.append(tid)
@@ -182,11 +216,22 @@ class Perturbation:
                 base.append(b)
         object.__setattr__(self, "_type_index", tuple(map(tuple, type_index)))
         object.__setattr__(self, "_classes", tuple(map(tuple, classes)))
-        object.__setattr__(self, "_templates", tuple(templates))
+        object.__setattr__(self, "_template_keys", tuple(template_ids))
         object.__setattr__(self, "_type_template", tuple(map(tuple, type_template)))
         object.__setattr__(self, "_type_anchor", tuple(map(tuple, anchors)))
         object.__setattr__(self, "_type_base", tuple(map(tuple, bases)))
         object.__setattr__(self, "_type_runs", tuple(map(tuple, starts)))
+
+    def _reweighed(self, coef, tail_mass, ratio, scale) -> "Perturbation":
+        """These partitions and biases under other masses, built by
+        ``_build`` with ``self`` as the donor: the masses are checked and
+        the templates weighed as in construction, and the compiled tables
+        are shared when the coefficient runs allow it."""
+        new = object.__new__(Perturbation)
+        vars(new).update(scenario=self.scenario, coef=coef, partitions=self.partitions,
+                         biases=self.biases, tail_mass=tail_mass, ratio=ratio, scale=scale)
+        new._build(self)
+        return new
 
     def _sums_to_one(self) -> bool:
         """Whether the masses sum to one, on integers: with ``ratio = p/q``
@@ -334,6 +379,20 @@ def build_ladder(
     scale ``1 / (1 - tail_mass)``, its truncated tail mass being
     ``(1 - eta)^(depth+1)``.
     """
+    masses = _ladder_masses(depth, eta, tail)
+    return Perturbation(
+        scenario,
+        partitions=(ladder_partition(depth + 1, 0), ladder_partition(depth + 1, 1)),
+        biases=tuple(biases or ()),
+        **masses,
+    )
+
+
+def _ladder_masses(depth: int, eta: Number | str, tail: str) -> dict:
+    """``build_ladder``'s masses as ``Perturbation`` keywords: ``coef``,
+    ``tail_mass``, ``ratio`` and ``scale``, after the checks of ``eta``,
+    ``depth`` and ``tail``.  A grid of etas at one depth and tail gets
+    its later ladders from ``Perturbation._reweighed`` with these."""
     eta = rat(eta)
     if not 0 < eta < 1:
         raise ModelError("eta must lie strictly between 0 and 1")
@@ -349,15 +408,7 @@ def build_ladder(
         coef, scale = (eta,) * (depth + 1), 1 / (1 - tail_mass)
     else:
         raise ModelError(f"unknown tail convention {tail!r}")
-    return Perturbation(
-        scenario,
-        coef,
-        (ladder_partition(depth + 1, 0), ladder_partition(depth + 1, 1)),
-        tuple(biases or ()),
-        tail_mass=tail_mass,
-        ratio=ratio,
-        scale=scale,
-    )
+    return {"coef": coef, "tail_mass": tail_mass, "ratio": ratio, "scale": scale}
 
 
 def build_general_ladder(
